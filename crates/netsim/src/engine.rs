@@ -39,7 +39,7 @@
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::config::SimConfig;
-use crate::event::{ControlEvent, Event, EventQueue};
+use crate::event::{CalendarStats, ControlEvent, Event, EventQueue};
 use crate::fluid::FluidNet;
 use crate::hash::ecmp_select;
 use crate::ids::{FlowId, HostId, LinkId, NodeRef, SwitchId};
@@ -76,6 +76,8 @@ pub struct BatchStats {
     /// `QueueService` completions that started the next packet's
     /// serialization in the same link borrow (the batched service path).
     pub chained_services: u64,
+    /// Calendar geometry and work counters as of the last `run_*` return.
+    pub calendar: CalendarStats,
 }
 
 /// A request to start (or enqueue) an application message on a host.
@@ -503,6 +505,14 @@ impl<S: TraceSink> Engine<S> {
         self.stats.flows.len() > before
     }
 
+    /// [`Engine::drain_events_until`], then snapshots the calendar's
+    /// counters into [`BatchStats`] for the perf stream.
+    fn drain_events(&mut self, deadline: Time, stop: impl FnMut(&Stats) -> bool) -> u64 {
+        let n = self.drain_events_until(deadline, stop);
+        self.batch_stats.calendar = self.events.stats();
+        n
+    }
+
     /// The shared drain loop behind every `run_*` entry point: dispatches
     /// events in exact `(time, seq)` order until the calendar empties,
     /// the next event lies past `deadline`, or `stop(&stats)` turns true.
@@ -520,7 +530,7 @@ impl<S: TraceSink> Engine<S> {
     ///   the run — but between runs the harness may schedule controls at
     ///   earlier keys, so the resume path (the first loop) re-checks the
     ///   calendar head key against the leftover head per event.
-    fn drain_events(&mut self, deadline: Time, mut stop: impl FnMut(&Stats) -> bool) -> u64 {
+    fn drain_events_until(&mut self, deadline: Time, mut stop: impl FnMut(&Stats) -> bool) -> u64 {
         let mut n = 0;
         // Resume path: leftovers from a previous mid-batch stop, merged
         // against the calendar key-by-key.

@@ -2,8 +2,8 @@
 //!
 //! # Bakeoff history: how the calendar got here
 //!
-//! The calendar went through three designs, each benchmarked in
-//! `microbench`'s `calendar/*` suite before committing:
+//! The calendar went through three designs and one rework, each
+//! benchmarked in `microbench`'s `calendar/*` suite before committing:
 //!
 //! 1. **`BinaryHeap` of POD entries** (PR 2). Packets were moved out of
 //!    line into the engine-owned arena so every heap entry shrank to a
@@ -14,17 +14,59 @@
 //!    gaps spanning five orders of magnitude (83 ns serializations to
 //!    multi-ms failure timers), most pops scanned long runs of empty
 //!    buckets or linear-searched overfull ones.
-//! 2. **Calendar queue v2** (this module). The ring's two defects are
-//!    exactly what the classic calendar-queue design fixes: the bucket
-//!    width *self-tunes* from the observed inter-event gap (an EWMA
-//!    sampled at pop time) so occupancy stays near one event per bucket,
-//!    and an **overflow level** (a small `BinaryHeap` of the same POD
-//!    entries) absorbs far-future events — reconvergence timers, failure
-//!    schedules, RTOs — that would otherwise force a huge ring horizon.
-//!    Width and bucket count are re-tuned when occupancy crosses resize
-//!    thresholds; in steady state the calendar allocates nothing (pinned
-//!    by the counting-allocator test in `tests/alloc_calendar.rs`).
-//!    O(1) push/pop replaces the heap's O(log n) sifts.
+//! 2. **Calendar queue v2** (PR 7). The ring's two defects are exactly
+//!    what the classic calendar-queue design fixes: the bucket width is
+//!    derived from the observed inter-event gap (an EWMA sampled at pop
+//!    time), and an **overflow level** (a small `BinaryHeap` of the same
+//!    POD entries) absorbs far-future events — reconvergence timers,
+//!    failure schedules, RTOs — that would otherwise force a huge ring
+//!    horizon. In steady state the calendar allocates nothing (pinned by
+//!    the counting-allocator test in `tests/alloc_calendar.rs`). O(1)
+//!    push/pop replaces the heap's O(log n) sifts.
+//! 3. **Late run + observed retunes** (PR 12). v2 kept the *draining*
+//!    bucket sorted with `Vec::insert`, and re-derived width and ring
+//!    size only when the pending *count* crossed a threshold. Measured on
+//!    the 10 240-host all-packet cell (`scale10k_pkt`, seed 0): all four
+//!    rebuilds ran before the first pop, so the width froze at
+//!    `DEFAULT_SHIFT + TARGET_OCC_SHIFT` = 2^19 ps; the whole run sorted
+//!    25 buckets, one of 57 162 entries; 582 957 sorted inserts moved
+//!    2.88 G entries (~92 GB of memmove) and took 1.88 s of the 2.57 s
+//!    event loop — 1 860 ns/event against 130 on a 32-host cell, the
+//!    "23x collapse at scale". The hold-model probes missed it (calendar
+//!    share estimated at 0.065, measured 0.73) because a hold model
+//!    schedules each successor a *random* delta ahead, almost never into
+//!    the bucket being drained; lock-step traffic — every host starting
+//!    at t=0 on equal-rate links — schedules thousands of successors
+//!    1.3 ns and 83 ns ahead of each pop. The same count-only rule
+//!    explains the loss to the heap at hold 256 with uniform 1–4 µs
+//!    deltas: 256 events never cross `16 << 5`, so the ring stayed
+//!    16 x 65 ns ≈ 1 µs and three pushes in four went through the
+//!    overflow heap. Two changes, both inside this module:
+//!    * **Late run.** An entry filed into the draining bucket is appended
+//!      behind the sorted run, unsorted; the run is sorted and merged —
+//!      backward, in place, touching only the sorted tail it interleaves
+//!      with — when its earliest entry comes due. Invariant: the bucket
+//!      is `[sorted run | late run]`, and whenever a pop, peek or batch
+//!      drain looks at the head, every late entry is *strictly later*
+//!      than the sorted head's timestamp (merging on `<=` keeps batch
+//!      drains maximal). Alone it took the `scale10k_pkt` event loop
+//!      from 2.5 s to 0.3 s and `hybrid/cell10k_bg_pkt` to ~10x its
+//!      events/s, with byte-identical results.
+//!    * **Observed retunes** (`maybe_retune`). Once per window of at
+//!      least four pushes per pending event: if more than a quarter of
+//!      the pushes overflowed, the span the ring must cover doubles (same
+//!      width, or wider buckets when the count caps the ring); if the
+//!      cursor drained a bucket 8x over target and the gap EWMA asks for
+//!      a width two bits narrower, the geometry is re-derived. The window
+//!      makes a retune pay for its rebuild; the two-bit slack stops the
+//!      EWMA's wobble from buying rebuilds. Hold 256/uniform went from
+//!      0.7x to 1.3x the heap; the 32-host `perm_healthy` cells run
+//!      12–14 % faster. A rebuild that changes the width also trims
+//!      slot capacity sized for the old mapping, which took
+//!      `scale10k_pkt`'s peak RSS from 94 to 86 MiB. What this
+//!      does *not* do is hold occupancy near the target under lock-step
+//!      load: ties share a bucket at any width, and there the late run is
+//!      what keeps a 60 k-entry bucket cheap.
 //!
 //! # Structure
 //!
@@ -32,10 +74,10 @@
 //!   width `2^shift` picoseconds. An event at absolute time `t` belongs
 //!   to absolute bucket `t >> shift`; the ring covers the window
 //!   `[cur, cur + buckets.len())` of absolute buckets, stored at slot
-//!   `abs & mask`. Only the *current* bucket is kept sorted (descending
-//!   `(time, seq)`, so `Vec::pop` yields the minimum); other buckets are
-//!   unsorted append-only and get sorted once, when the cursor reaches
-//!   them.
+//!   `abs & mask`. Buckets are unsorted and append-only until the cursor
+//!   reaches them; then the bucket is sorted once (descending
+//!   `(time, seq)`, so the minimum is at the back of the sorted run) and
+//!   later arrivals queue behind it as the late run (bakeoff entry 3).
 //! * **Overflow level**: events beyond the ring window go to a min-heap
 //!   and migrate into the ring as the cursor advances (one cheap peek
 //!   per cursor step), or in bulk when the ring drains and the cursor
@@ -48,18 +90,19 @@
 //!
 //! Pop order is the exact total order on `(time, seq)`: `seq` is unique
 //! and assigned at push, so pop order can never depend on bucket layout,
-//! width re-tunes, or overflow migrations — simulations stay
-//! byte-for-byte reproducible across any calendar re-configuration (the
-//! property test in `tests/calendar_order.rs` pins equivalence against a
-//! reference binary heap over arbitrary interleaved push/pop sequences,
-//! including same-timestamp FIFO ties).
+//! late-run merges, width re-tunes, or overflow migrations — simulations
+//! stay byte-for-byte reproducible across any calendar re-configuration
+//! (the property tests in `tests/calendar_order.rs` pin equivalence
+//! against a reference binary heap over arbitrary interleaved push/pop
+//! sequences, including same-timestamp FIFO ties and lock-step bursts).
 //!
 //! [`EventQueue::drain_batch_into`] supports the engine's batched
 //! execution: it pops *every* event sharing the earliest pending
 //! timestamp in one call. Two invariants make this safe:
 //!
-//! * events that share a timestamp always share an absolute bucket, so
-//!   the batch is one truncation loop on the sorted current bucket;
+//! * events that share a timestamp always share an absolute bucket, and
+//!   a late entry at the head's timestamp is merged before the head is
+//!   looked at, so the batch is one suffix of the sorted run;
 //! * events pushed *while a batch executes* carry sequence numbers above
 //!   every batch member, so same-timestamp newcomers drain in a
 //!   follow-up batch, after the current one — exactly where the
@@ -199,9 +242,12 @@ const MAX_SHIFT: u32 = 40;
 /// Starting width before any gap has been observed: 2^16 ps ≈ 65.5 ns,
 /// about one MTU serialization at 400 Gbps.
 const DEFAULT_SHIFT: u32 = 16;
-/// Consecutive underfull pushes required before the ring shrinks (see
-/// [`EventQueue`]'s `maybe_resize`).
-const SHRINK_STREAK: u32 = 512;
+/// Pushes between looks at the resize and retune thresholds: they move
+/// slowly, and a look costs a noticeable share of an O(1) push.
+const RESIZE_STRIDE: u64 = 16;
+/// Consecutive underfull looks (512 pushes) required before the ring
+/// shrinks (see [`EventQueue`]'s `maybe_resize`).
+const SHRINK_STREAK: u32 = 512 / RESIZE_STRIDE as u32;
 /// log2 of the occupancy a rebuild aims for (~4 events per bucket).
 /// Targeting one event per bucket (the textbook calendar) maximizes
 /// bucket count and loses to cache misses: every push lands in a random
@@ -209,6 +255,42 @@ const SHRINK_STREAK: u32 = 512;
 /// keep pushes local, and cost only a slightly longer (still tiny)
 /// in-bucket sort at cursor arrival.
 const TARGET_OCC_SHIFT: u32 = 3;
+/// Fewest pushes a retune decision is judged over.
+const RETUNE_WINDOW: u64 = 256;
+/// Pushes per pending event a retune decision is judged over: a rebuild
+/// re-files every pending entry, and what it buys per event (an overflow
+/// sift, a few sort levels) is a fraction of that.
+const RETUNE_PAYBACK: u64 = 4;
+/// Occupancy above which a drained bucket counts as too dense: 8x what a
+/// rebuild aims for.
+const DENSE_BUCKET: usize = 8 << TARGET_OCC_SHIFT;
+/// Bits narrower the gap EWMA must ask for before dense buckets buy a
+/// rebuild: the EWMA wobbles by a bit, and a bit saves one sort level.
+const RETUNE_SLACK: u32 = 2;
+
+/// Calendar geometry and work counters.
+///
+/// Diagnostics only: they ride the sweep's perf stream (never the
+/// byte-stable results) so a per-event collapse like the one in bakeoff
+/// entry 3 of the module docs is readable from a run's artefacts.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CalendarStats {
+    /// log2 of the current bucket width in picoseconds.
+    pub shift: u32,
+    /// Ring buckets currently active.
+    pub buckets: u32,
+    /// Geometry rebuilds (grow, shrink and retune).
+    pub retunes: u64,
+    /// Late runs merged into the draining bucket's sorted run.
+    pub late_merges: u64,
+    /// Entries those merges moved (sorted-run entries shifted plus late
+    /// entries placed among them).
+    pub merge_moved: u64,
+    /// Largest bucket the cursor has drained.
+    pub max_bucket: u64,
+    /// Pushes that took the overflow level.
+    pub overflow_pushes: u64,
+}
 
 /// A deterministic event calendar (two-level, self-tuning — see the
 /// module docs for the design and its invariants).
@@ -224,7 +306,9 @@ pub struct EventQueue {
     /// fewer buckets just narrows `mask`, leaving the now-inactive slot
     /// vecs (and, crucially, their capacities) parked for the next grow —
     /// this is what keeps resize oscillation allocation-free after the
-    /// ring's high-water mark is reached.
+    /// ring's high-water mark is reached. Only a rebuild that changes the
+    /// *width* trims slot capacity (to [`DENSE_BUCKET`]): what the old
+    /// time-to-slot mapping needed beyond that is no use to the new one.
     buckets: Vec<Vec<Entry>>,
     /// `active_buckets - 1` where `active_buckets` is the power of two
     /// currently in use (≤ `buckets.len()`); masks absolute bucket
@@ -234,8 +318,15 @@ pub struct EventQueue {
     shift: u32,
     /// Absolute bucket number (`time >> shift`) the cursor is draining.
     cur: u64,
-    /// Whether the current bucket is sorted (see [`Entry::cmp`]).
+    /// Whether the cursor has sorted the current bucket (see
+    /// [`Entry::cmp`]). While set, the bucket is `[sorted run | late
+    /// run]`: `[..sorted_len]` is sorted, the rest arrived afterwards.
     cur_sorted: bool,
+    /// Length of the current bucket's sorted run (valid while
+    /// `cur_sorted`).
+    sorted_len: usize,
+    /// Earliest timestamp in the late run (valid while it is non-empty).
+    late_min: Time,
     /// Events held in ring buckets.
     ring_len: usize,
     /// Overflow level: events beyond the ring window, earliest on top.
@@ -244,16 +335,29 @@ pub struct EventQueue {
     controls: Slab<ControlEvent>,
     seq: u64,
     /// EWMA of observed non-zero inter-pop gaps, in picoseconds; the
-    /// width self-tunes from this at resize time.
+    /// width self-tunes from this at resize and retune time.
     gap_ewma: u64,
     /// Time of the most recent pop (EWMA sampling point).
     last_pop: Time,
     /// Whether `last_pop` is valid yet.
     popped_any: bool,
-    /// Consecutive pushes that saw the ring underfull (shrink hysteresis).
+    /// Consecutive looks that saw the ring underfull (shrink hysteresis).
     underflow_streak: u32,
-    /// Rebuild scratch; retains capacity so resizes churn one buffer.
-    rebuild_scratch: Vec<Entry>,
+    /// log2 of the picoseconds a retune demanded the ring window span
+    /// (0 = no demand; see [`EventQueue::maybe_retune`]).
+    span_shift: u32,
+    /// `seq` and overflow pushes when the current retune window opened.
+    window_seq: u64,
+    window_overflow: u64,
+    /// Whether the cursor drained a bucket above [`DENSE_BUCKET`] in the
+    /// current retune window.
+    window_dense: bool,
+    /// Rebuild and late-run merge scratch; retains capacity so resizes
+    /// and merges churn one buffer.
+    scratch: Vec<Entry>,
+    /// Work counters (geometry fields are filled in by
+    /// [`EventQueue::stats`]).
+    stats: CalendarStats,
 }
 
 impl Default for EventQueue {
@@ -264,6 +368,8 @@ impl Default for EventQueue {
             shift: DEFAULT_SHIFT,
             cur: 0,
             cur_sorted: false,
+            sorted_len: 0,
+            late_min: Time::ZERO,
             ring_len: 0,
             overflow: BinaryHeap::new(),
             timers: Slab::default(),
@@ -273,7 +379,12 @@ impl Default for EventQueue {
             last_pop: Time::ZERO,
             popped_any: false,
             underflow_streak: 0,
-            rebuild_scratch: Vec::new(),
+            span_shift: 0,
+            window_seq: 0,
+            window_overflow: 0,
+            window_dense: false,
+            scratch: Vec::new(),
+            stats: CalendarStats::default(),
         }
     }
 }
@@ -304,12 +415,15 @@ impl EventQueue {
             self.cur = at.as_ps() >> self.shift;
             self.cur_sorted = false;
         }
-        self.place(Entry {
+        let overflowed = self.place(Entry {
             time: at,
             seq,
             slot,
         });
-        self.maybe_resize();
+        self.stats.overflow_pushes += overflowed as u64;
+        if seq.is_multiple_of(RESIZE_STRIDE) {
+            self.maybe_resize();
+        }
     }
 
     /// Pops the earliest event, if any.
@@ -318,7 +432,10 @@ impl EventQueue {
             return None;
         }
         let idx = (self.cur & self.mask) as usize;
-        let e = self.buckets[idx].pop().expect("advance found entries");
+        // The head is the back of the sorted run; the last late entry (if
+        // any) fills its slot, which is where the late run now begins.
+        self.sorted_len -= 1;
+        let e = self.buckets[idx].swap_remove(self.sorted_len);
         self.ring_len -= 1;
         self.note_pop(e.time);
         Some((e.time, self.resolve(e.slot)))
@@ -338,20 +455,28 @@ impl EventQueue {
             return None;
         }
         let idx = (self.cur & self.mask) as usize;
-        let bucket = &self.buckets[idx];
-        let len = bucket.len();
-        let t = bucket[len - 1].time;
+        let sorted = &self.buckets[idx][..self.sorted_len];
+        let end = sorted.len();
+        let t = sorted[end - 1].time;
         // Sorted descending `(time, seq)`, so the same-timestamp batch is
-        // exactly the suffix `[cut, len)`; walk it back-to-front for
-        // ascending seqs, then cut it off in one truncate.
-        let cut = bucket.partition_point(|e| e.time > t);
-        for i in (cut..len).rev() {
+        // exactly the suffix `[cut, end)` of the sorted run (`advance`
+        // merged any late entry due at `t`); walk it back-to-front for
+        // ascending seqs.
+        let cut = sorted.partition_point(|e| e.time > t);
+        for i in (cut..end).rev() {
             let e = self.buckets[idx][i];
             let ev = self.resolve(e.slot);
             out.push((t, e.seq, ev));
         }
-        self.buckets[idx].truncate(cut);
-        self.ring_len -= len - cut;
+        // Close the gap from the back of the late run — its order is
+        // free — so the cut costs at most one batch of moves.
+        let bucket = &mut self.buckets[idx];
+        let len = bucket.len();
+        let fill = (end - cut).min(len - end);
+        bucket.copy_within(len - fill.., cut);
+        bucket.truncate(len - (end - cut));
+        self.sorted_len = cut;
+        self.ring_len -= end - cut;
         self.note_pop(t);
         Some(t)
     }
@@ -370,9 +495,7 @@ impl EventQueue {
         if !self.advance() {
             return None;
         }
-        let e = self.buckets[(self.cur & self.mask) as usize]
-            .last()
-            .expect("advance found entries");
+        let e = self.buckets[(self.cur & self.mask) as usize][self.sorted_len - 1];
         Some((e.time, e.seq))
     }
 
@@ -386,17 +509,42 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Debug-only invariant: whenever `cur_sorted` holds, the current
-    /// bucket really is sorted ascending in [`Entry`]'s (reversed) order —
-    /// strictly, since `(time, seq)` keys are unique — with the earliest
-    /// entry at the back where `Vec::pop` takes it. Every path that files
-    /// into or sorts the current bucket re-checks this.
-    fn debug_assert_cur_bucket_sorted(&self) {
-        if cfg!(debug_assertions) && self.cur_sorted {
+    /// Current geometry and cumulative work counters.
+    pub fn stats(&self) -> CalendarStats {
+        CalendarStats {
+            shift: self.shift,
+            buckets: (self.mask + 1) as u32,
+            ..self.stats
+        }
+    }
+
+    /// Debug-only invariants of a positioned cursor (`advance` returned
+    /// `true`): the current bucket's sorted run is non-empty and sorted
+    /// ascending in [`Entry`]'s (reversed) order — strictly, since
+    /// `(time, seq)` keys are unique — with the earliest entry at its
+    /// back; `late_min` is the earliest time in the late run behind it;
+    /// and that is strictly later than the sorted head, so the head (and
+    /// its whole tied run) is the true minimum.
+    fn debug_assert_cur_bucket(&self) {
+        if cfg!(debug_assertions) {
             let bucket = &self.buckets[(self.cur & self.mask) as usize];
             debug_assert!(
-                bucket.windows(2).all(|w| w[0] < w[1]),
+                self.cur_sorted && (1..=bucket.len()).contains(&self.sorted_len),
+                "cursor positioned on an unsorted or empty sorted run"
+            );
+            let (sorted, late) = bucket.split_at(self.sorted_len);
+            debug_assert!(
+                sorted.windows(2).all(|w| w[0] < w[1]),
                 "current bucket lost its sort order"
+            );
+            let late_min = late.iter().map(|e| e.time).min();
+            debug_assert!(
+                late_min.is_none_or(|t| t == self.late_min),
+                "late_min lost track of the late run"
+            );
+            debug_assert!(
+                late_min.is_none_or(|t| t > sorted[sorted.len() - 1].time),
+                "a due late entry was left unmerged"
             );
         }
     }
@@ -414,33 +562,42 @@ impl EventQueue {
         }
     }
 
-    /// Files an entry into the ring or the overflow level. Does not touch
-    /// the empty-calendar anchor or the resize thresholds — `push` does.
-    fn place(&mut self, entry: Entry) {
-        let abs = entry.time.as_ps() >> self.shift;
+    /// Files an entry into the ring or the overflow level and returns
+    /// whether it took the overflow. Does not touch the empty-calendar
+    /// anchor or the resize thresholds — `push` does.
+    fn place(&mut self, entry: Entry) -> bool {
         // No overflow: `cur <= 2^58` (a time in ps shifted right by at
         // least MIN_SHIFT) and the active bucket count is at most 2^16.
-        if abs > self.cur + self.mask {
+        let overflows = entry.time.as_ps() >> self.shift > self.cur + self.mask;
+        if overflows {
             self.overflow.push(entry);
-            return;
-        }
-        self.ring_len += 1;
-        // Past-time pushes (abs < cur) land in the current bucket, where
-        // the sort order pops them first.
-        let idx = (abs.max(self.cur) & self.mask) as usize;
-        let bucket = &mut self.buckets[idx];
-        if self.cur_sorted && idx == (self.cur & self.mask) as usize {
-            // The bucket being drained stays sorted: binary-search insert.
-            let pos = bucket.partition_point(|e| *e < entry);
-            bucket.insert(pos, entry);
-            self.debug_assert_cur_bucket_sorted();
         } else {
-            bucket.push(entry);
+            self.file(entry);
         }
+        overflows
     }
 
-    /// Positions the cursor on the bucket holding the earliest event and
-    /// sorts it. Returns `false` when the calendar is empty.
+    /// Appends an entry inside the ring window to its bucket: O(1) always.
+    /// Past-time entries (`abs < cur`) land in the current bucket. An
+    /// entry for the bucket being drained joins its unsorted *late run*
+    /// rather than being insertion-sorted — `advance` merges the run when
+    /// its earliest entry comes due.
+    fn file(&mut self, entry: Entry) {
+        let abs = entry.time.as_ps() >> self.shift;
+        self.ring_len += 1;
+        let bucket = &mut self.buckets[(abs.max(self.cur) & self.mask) as usize];
+        if self.cur_sorted
+            && abs <= self.cur
+            && (bucket.len() == self.sorted_len || entry.time < self.late_min)
+        {
+            self.late_min = entry.time;
+        }
+        bucket.push(entry);
+    }
+
+    /// Positions the cursor on the bucket holding the earliest event with
+    /// that event at the back of the bucket's sorted run. Returns `false`
+    /// when the calendar is empty.
     fn advance(&mut self) -> bool {
         if self.ring_len == 0 {
             let Some(head) = self.overflow.peek() else {
@@ -455,19 +612,68 @@ impl EventQueue {
             debug_assert!(self.ring_len > 0, "migration must land the head");
         }
         loop {
-            let idx = (self.cur & self.mask) as usize;
-            if !self.buckets[idx].is_empty() {
+            let bucket = &mut self.buckets[(self.cur & self.mask) as usize];
+            if !bucket.is_empty() {
                 if !self.cur_sorted {
-                    self.buckets[idx].sort_unstable();
+                    bucket.sort_unstable();
                     self.cur_sorted = true;
+                    self.sorted_len = bucket.len();
+                    self.note_drained();
+                } else if self.sorted_len < bucket.len()
+                    && (self.sorted_len == 0 || self.late_min <= bucket[self.sorted_len - 1].time)
+                {
+                    // A late entry is due at or before the sorted head's
+                    // timestamp (`<=`, so batch drains stay maximal).
+                    self.merge_late();
                 }
-                self.debug_assert_cur_bucket_sorted();
+                self.debug_assert_cur_bucket();
                 return true;
             }
             self.cur += 1;
             self.cur_sorted = false;
             self.migrate();
         }
+    }
+
+    /// Sorts the current bucket's late run and merges it into the sorted
+    /// run in place, backward from the bucket's end, so only the sorted
+    /// entries that some late entry precedes are moved.
+    #[inline(never)]
+    fn merge_late(&mut self) {
+        let bucket = &mut self.buckets[(self.cur & self.mask) as usize];
+        let s = self.sorted_len;
+        let (sorted, late) = bucket.split_at_mut(s);
+        late.sort_unstable();
+        // Late entries earlier than the whole sorted run already sit in
+        // their final place, the back; only `late[..m]` interleaves.
+        let m = sorted
+            .last()
+            .map_or(0, |head| late.partition_point(|e| e < head));
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&late[..m]);
+        let (mut i, mut k) = (s, s + m);
+        for e in self.scratch.iter().rev() {
+            while i > 0 && bucket[i - 1] > *e {
+                k -= 1;
+                i -= 1;
+                bucket[k] = bucket[i];
+            }
+            k -= 1;
+            bucket[k] = *e;
+        }
+        debug_assert_eq!(k, i, "merge must close the gap exactly");
+        self.sorted_len = bucket.len();
+        self.stats.late_merges += 1;
+        self.stats.merge_moved += (s - i + m) as u64;
+        self.note_drained();
+    }
+
+    /// Records the occupancy of the bucket the cursor just sorted or
+    /// merged, for the perf stream and the retune window.
+    fn note_drained(&mut self) {
+        let occupancy = self.sorted_len;
+        self.stats.max_bucket = self.stats.max_bucket.max(occupancy as u64);
+        self.window_dense |= occupancy > DENSE_BUCKET;
     }
 
     /// Pulls overflow events that fall inside the ring window after a
@@ -479,16 +685,7 @@ impl EventQueue {
                 break;
             }
             let e = self.overflow.pop().expect("peeked");
-            self.ring_len += 1;
-            let abs = e.time.as_ps() >> self.shift;
-            let idx = (abs.max(self.cur) & self.mask) as usize;
-            let bucket = &mut self.buckets[idx];
-            if self.cur_sorted && idx == (self.cur & self.mask) as usize {
-                let pos = bucket.partition_point(|x| *x < e);
-                bucket.insert(pos, e);
-            } else {
-                bucket.push(e);
-            }
+            self.file(e);
         }
         // Everything still overflowing must be beyond the ring horizon —
         // otherwise `advance` could pop a ring entry that a stranded
@@ -499,7 +696,6 @@ impl EventQueue {
                 .is_none_or(|h| h.time.as_ps() >> self.shift >= horizon),
             "overflow head left inside the ring window after migrate"
         );
-        self.debug_assert_cur_bucket_sorted();
     }
 
     /// Samples the inter-pop gap EWMA the width self-tunes from.
@@ -513,7 +709,13 @@ impl EventQueue {
             }
             self.last_pop = t;
         }
-        self.popped_any = true;
+        if !self.popped_any {
+            // Retunes judge the running load: how far ahead of the clock
+            // pushes land. The schedule loaded before the clock first
+            // moved says nothing about that.
+            self.popped_any = true;
+            self.open_window();
+        }
     }
 
     /// Resizes when occupancy crosses the grow/shrink thresholds — the
@@ -522,7 +724,7 @@ impl EventQueue {
     ///
     /// Growth is immediate (an overfull ring degrades every pop), but a
     /// shrink needs the underflow to hold for [`SHRINK_STREAK`]
-    /// consecutive pushes: a cyclic workload (burst, drain, repeat) dips
+    /// consecutive looks: a cyclic workload (burst, drain, repeat) dips
     /// under the threshold at every drain tail, and shrinking there would
     /// re-tune the width each cycle — remapping events onto bucket slots
     /// whose capacity never warmed, allocating in steady state. With the
@@ -532,34 +734,115 @@ impl EventQueue {
         let nb = (self.mask + 1) as usize;
         if len > nb << (TARGET_OCC_SHIFT + 2) && nb < MAX_BUCKETS {
             self.underflow_streak = 0;
-            self.rebuild(len);
+            self.rebuild(len, self.gap_width());
         } else if nb > MIN_BUCKETS && len < nb / 4 {
             self.underflow_streak += 1;
             if self.underflow_streak >= SHRINK_STREAK {
                 self.underflow_streak = 0;
-                self.rebuild(len);
+                self.span_shift = 0;
+                self.rebuild(len, self.gap_width());
             }
         } else {
             self.underflow_streak = 0;
+            self.maybe_retune(len);
         }
     }
 
-    /// Re-tunes width from the gap EWMA, resizes the ring toward one
-    /// event per bucket, and re-files every pending entry. Order-neutral:
-    /// entries keep their `(time, seq)` keys.
-    fn rebuild(&mut self, len: usize) {
-        let target = (len >> TARGET_OCC_SHIFT)
+    /// Re-derives the geometry from what a window of pushes *observed*,
+    /// where `maybe_resize` only knows the pending count (see the module
+    /// docs, bakeoff entry 3). A window is at least [`RETUNE_PAYBACK`]
+    /// pushes per pending event, so retunes stay O(1) amortised — and pay
+    /// for themselves — whatever the load does:
+    ///
+    /// * **Window too short** — more than a quarter of the pushes took the
+    ///   overflow level, each paying two heap sifts where a bucket append
+    ///   would do. Doubles the span the ring must cover, at the same width.
+    /// * **Buckets too wide** — the cursor drained a bucket above
+    ///   [`DENSE_BUCKET`] and the gap EWMA now asks for a width at least
+    ///   [`RETUNE_SLACK`] bits narrower: the width was derived before the
+    ///   EWMA knew this load (or, for a schedule loaded before the first
+    ///   pop, never derived at all). A span demand is relaxed a bit at a
+    ///   time here, while no push in the window overflowed.
+    fn maybe_retune(&mut self, len: usize) {
+        let window = self.seq - self.window_seq;
+        if window < (len as u64 * RETUNE_PAYBACK).max(RETUNE_WINDOW) || !self.popped_any {
+            return;
+        }
+        let overflowed = self.stats.overflow_pushes - self.window_overflow;
+        let dense = self.window_dense;
+        self.open_window();
+        if overflowed * 4 > window {
+            if self.shift < MAX_SHIFT {
+                // The width stays: the gap EWMA is a local estimate, and
+                // nothing observed here says the buckets are too wide.
+                self.span_shift = (self.mask + 1).ilog2() + self.shift + 1;
+                self.rebuild(len, self.shift);
+            }
+        } else if dense {
+            if overflowed == 0 {
+                self.span_shift = self.span_shift.saturating_sub(1);
+            }
+            if self.geometry(len, self.gap_width()).1 + RETUNE_SLACK <= self.shift {
+                self.rebuild(len, self.gap_width());
+            }
+        }
+    }
+
+    /// Starts a fresh observation window for [`EventQueue::maybe_retune`].
+    fn open_window(&mut self) {
+        self.window_seq = self.seq;
+        self.window_overflow = self.stats.overflow_pushes;
+        self.window_dense = false;
+    }
+
+    /// The bucket width (as a shift) the gap EWMA asks for:
+    /// `2^TARGET_OCC_SHIFT` observed gaps, or the current width while no
+    /// gap has been observed.
+    fn gap_width(&self) -> u32 {
+        if self.popped_any {
+            self.gap_ewma.max(1).ilog2() + TARGET_OCC_SHIFT
+        } else {
+            self.shift
+        }
+    }
+
+    /// The `(bucket count, shift)` a rebuild at `len` pending events and
+    /// a wanted `width` picks: about `2^TARGET_OCC_SHIFT` events per
+    /// bucket, and buckets of that width — widened until the ring spans
+    /// `2^span_shift` ps when a retune demanded that.
+    fn geometry(&self, len: usize, width: u32) -> (usize, u32) {
+        let buckets = (len >> TARGET_OCC_SHIFT)
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if self.popped_any {
-            // Bucket width = 2^TARGET_OCC_SHIFT observed gaps.
-            self.shift =
-                (self.gap_ewma.max(1).ilog2() + TARGET_OCC_SHIFT).clamp(MIN_SHIFT, MAX_SHIFT);
-        }
-        let mut scratch = std::mem::take(&mut self.rebuild_scratch);
+        let by_span = self.span_shift.saturating_sub(buckets.ilog2());
+        (buckets, width.max(by_span).clamp(MIN_SHIFT, MAX_SHIFT))
+    }
+
+    /// Re-derives the geometry (see [`EventQueue::geometry`]) and re-files
+    /// every pending entry. Order-neutral: entries keep their
+    /// `(time, seq)` keys.
+    fn rebuild(&mut self, len: usize, width: u32) {
+        let (target, shift) = self.geometry(len, width);
+        let reshaped = shift != self.shift;
+        self.shift = shift;
+        self.open_window();
+        debug_assert_eq!(
+            self.buckets.iter().map(Vec::len).sum::<usize>(),
+            self.ring_len,
+            "ring_len lost track of the buckets"
+        );
+        self.stats.retunes += 1;
+        let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         for b in &mut self.buckets {
             scratch.append(b);
+            if reshaped {
+                // A new width maps times to slots afresh: capacity sized
+                // for the old mapping (one 60k-entry bucket, say) is dead
+                // weight under the new one. Ordinary slack stays, so the
+                // new mapping warms up without re-growing every slot.
+                b.shrink_to(DENSE_BUCKET);
+            }
         }
         scratch.extend(self.overflow.drain());
         // Grow the physical ring only past its high-water mark; shrinks
@@ -580,7 +863,7 @@ impl EventQueue {
         for entry in scratch.drain(..) {
             self.place(entry);
         }
-        self.rebuild_scratch = scratch;
+        self.scratch = scratch;
         // Occupancy accounting: a rebuild re-files entries between levels
         // but must never lose or duplicate one.
         debug_assert_eq!(
@@ -768,5 +1051,73 @@ mod tests {
             assert_eq!(token_of(q.pop().unwrap().1), round * 2 + 1);
             assert!(q.is_empty());
         }
+    }
+
+    /// Runs `ops` hold-model steps (pop, reschedule `delta(i)` ahead),
+    /// asserting pops never go back in time.
+    fn hold(q: &mut EventQueue, ops: u64, mut delta: impl FnMut(u64) -> u64) {
+        let mut last = Time::ZERO;
+        for i in 0..ops {
+            let (at, ev) = q.pop().expect("hold model never drains");
+            assert!(at >= last, "pop went back in time at op {i}");
+            last = at;
+            q.push(at + Time::from_ps(delta(i)), ev);
+        }
+    }
+
+    #[test]
+    fn width_frozen_before_the_first_pop_is_retuned_from_observed_gaps() {
+        // The 10k-host regression: the whole schedule is loaded before
+        // the first pop, so every count-driven rebuild ran without a gap
+        // sample and the width is still the default guess — with 12
+        // bursts 200 ps apart all inside one such bucket.
+        let mut q = EventQueue::new();
+        for token in 0..2_400u64 {
+            q.push(Time::from_ps(token / 200 * 200), timer(0, token));
+        }
+        let loaded = q.stats();
+        assert_eq!(loaded.shift, DEFAULT_SHIFT, "no gap was observed yet");
+        assert!(loaded.retunes >= 2, "the load must cross resize thresholds");
+        // Lock-step successors: ties stay tied, distinct timestamps stay
+        // ~200 ps apart, and most pushes land in the draining bucket.
+        hold(&mut q, 40_000, |i| [200, 1_400, 8_200][i as usize % 3]);
+        let tuned = q.stats();
+        assert!(
+            tuned.shift < DEFAULT_SHIFT && tuned.shift <= 200u64.ilog2() + TARGET_OCC_SHIFT + 2,
+            "width must follow the observed gaps, not the default: {tuned:?}"
+        );
+        assert!(tuned.late_merges > 0, "lock-step pushes take the late run");
+        assert_eq!(q.len(), 2_400);
+    }
+
+    #[test]
+    fn overflow_heavy_pushes_widen_the_ring_window() {
+        // 256 events rescheduled 1-4 us ahead never cross a count
+        // threshold; the 16 x 65.5 ns default window sends three pushes
+        // in four through the overflow heap until a retune widens it.
+        let mut q = EventQueue::new();
+        for token in 0..256u64 {
+            q.push(Time::from_ns(token * 16), timer(0, token));
+        }
+        let mut x = 7u64;
+        let mut delta = move |_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            1_000_000 + (x >> 33) % 3_000_000
+        };
+        hold(&mut q, 8_192, &mut delta);
+        let settled = q.stats();
+        assert!(
+            (settled.buckets as u64) << settled.shift >= 4_000_000,
+            "ring window must span the 4 us the pushes reach: {settled:?}"
+        );
+        hold(&mut q, 8_192, &mut delta);
+        let after = q.stats();
+        assert_eq!(after.retunes, settled.retunes, "a settled window stays put");
+        assert!(
+            after.overflow_pushes - settled.overflow_pushes < 8_192 / 16,
+            "pushes must land in the ring once it spans them: {after:?}"
+        );
     }
 }

@@ -731,11 +731,10 @@ mod tests {
                     NodeRef::Host(_) => down_scan.push(id),
                     NodeRef::Switch(peer) => {
                         let peer_meta = &topo.switches[peer.index()];
-                        let ascending = match (meta.tier, peer_meta.tier) {
-                            (Tier::T0, _) => true,
-                            (Tier::T1, Tier::T2) => true,
-                            _ => false,
-                        };
+                        let ascending = matches!(
+                            (meta.tier, peer_meta.tier),
+                            (Tier::T0, _) | (Tier::T1, Tier::T2)
+                        );
                         if ascending {
                             up_scan.push(id);
                         } else {

@@ -8,16 +8,19 @@
 //! bucket width, but the physical ring never shrinks, so a steady
 //! workload settles into a fixed configuration and allocates nothing.
 //!
-//! This test drives the queue directly (no engine, no links) through a
-//! hold model with same-timestamp ties, batch drains and far-future
-//! pushes that cycle through the overflow level, and pins the measured
-//! phase at zero allocations under a counting global allocator. The
-//! engine-level proof (switch path + arena + calendar together) lives
-//! in `tests/alloc.rs`.
+//! This test drives the queue directly (no engine, no links) through
+//! two loads and pins the measured phase of each at zero allocations
+//! under a counting global allocator: a hold model with same-timestamp
+//! ties, batch drains and far-future pushes that cycle through the
+//! overflow level; and a lock-step burst→drain cycle whose successors
+//! land in the bucket being drained, so the late run, its merge scratch
+//! and the observed retunes are all in play. The engine-level proof
+//! (switch path + arena + calendar together) lives in `tests/alloc.rs`.
 //!
-//! This file intentionally contains a single test: the counter is
-//! process-global, and a sibling test running on another thread would
-//! add its own allocations to the measurement.
+//! This file intentionally contains a single test running both loads
+//! back to back: the counter is process-global, and a sibling test
+//! running on another thread would add its own allocations to the
+//! measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +72,40 @@ fn step(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, rng: &mut Rng64
         };
         last = at;
         q.push(at, ev);
+    }
+}
+
+/// One lock-step cycle starting at `base`: a burst of tied runs lands
+/// before anything pops (16 runs 2.6 ns apart), then the calendar drains
+/// to empty with every event taking three more hops — an ACK and an MTU
+/// serialization at 400 Gbps, then a link traversal — most of them into
+/// the bucket being drained.
+fn lockstep_cycle(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, base: Time, burst: u64) {
+    const HOPS_PS: [u64; 3] = [1_300, 83_200, 600_000];
+    for token in 0..burst {
+        q.push(
+            base + Time::from_ps(token * 16 / burst * 2_600),
+            Event::Timer {
+                host: HostId(0),
+                token: 0,
+            },
+        );
+    }
+    while let Some(t) = q.drain_batch_into(batch) {
+        for (_, _, ev) in batch.drain(..) {
+            let Event::Timer { host, token: hop } = ev else {
+                unreachable!("the cycle only pushes timers");
+            };
+            if let Some(&delta) = HOPS_PS.get(hop as usize) {
+                q.push(
+                    t + Time::from_ps(delta),
+                    Event::Timer {
+                        host,
+                        token: hop + 1,
+                    },
+                );
+            }
+        }
     }
 }
 
@@ -130,6 +167,52 @@ fn calendar_steady_state_allocates_nothing() {
         during, 0,
         "calendar steady state must not allocate: {during} allocations \
          across {MEASURED} batch cycles"
+    );
+    #[cfg(miri)]
+    let _ = during;
+
+    // Second load: lock-step burst→drain cycles on a fresh calendar.
+    // Cycles are one ring-aligned period apart, so each lands on the
+    // slots the previous one warmed.
+    #[cfg(not(miri))]
+    const BURST: u64 = 4096;
+    #[cfg(not(miri))]
+    const CYCLES: u64 = 48;
+    #[cfg(miri)]
+    const BURST: u64 = 256;
+    #[cfg(miri)]
+    const CYCLES: u64 = 6;
+    let mut q = EventQueue::new();
+    let period = Time::from_ps(1 << 26);
+    for cycle in 0..CYCLES {
+        lockstep_cycle(
+            &mut q,
+            &mut batch,
+            Time::from_ps(period.as_ps() * cycle),
+            BURST,
+        );
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for cycle in CYCLES..CYCLES + 8 {
+        lockstep_cycle(
+            &mut q,
+            &mut batch,
+            Time::from_ps(period.as_ps() * cycle),
+            BURST,
+        );
+    }
+    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(q.is_empty(), "every cycle drains the calendar");
+    let stats = q.stats();
+    assert!(
+        stats.late_merges > 0 && stats.retunes > 0,
+        "the cycle must exercise late runs and rebuilds: {stats:?}"
+    );
+    #[cfg(not(miri))]
+    assert_eq!(
+        during, 0,
+        "lock-step burst→drain cycles must not allocate after warm-up: \
+         {during} allocations across 8 cycles ({stats:?})"
     );
     #[cfg(miri)]
     let _ = during;

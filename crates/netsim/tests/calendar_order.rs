@@ -14,6 +14,13 @@
 //! assert the sequences are identical element by element. The streams
 //! are long enough to cross the occupancy resize thresholds, so grows,
 //! shrinks and width re-tunes are exercised mid-comparison.
+//!
+//! A third property drives the *lock-step* shape that random deltas
+//! almost never produce: long tied runs loaded before the first pop,
+//! every popped event rescheduling itself a fixed serialization-like
+//! delta ahead — mostly into the bucket being drained — plus pushes at
+//! exactly the head's timestamp and a few ps after it. That is the
+//! regime of the draining bucket's late run and of the observed retunes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -177,5 +184,95 @@ proptest! {
             }
             prop_assert_eq!(q.len(), r.heap.len(), "length diverged");
         }
+    }
+
+    /// Lock-step load: tied bursts, successors filed into the draining
+    /// bucket, pushes at and just after the head time while that bucket
+    /// is sorted — interleaved pops and batch drains must match the
+    /// reference through late-run merges and grow/retune/shrink rebuilds,
+    /// and every batch must be the maximal tied run.
+    #[test]
+    fn lockstep_bursts_match_binheap_reference(
+        bursts in 4usize..24,
+        burst_len in 8u64..64,
+        ops in proptest::collection::vec(any::<(u8, u8, u32)>(), 200..800),
+    ) {
+        // A 64 B and an MTU serialization at 400 Gbps, one link hop, and a
+        // far timer that takes (and, in numbers, overloads) the overflow.
+        const DELTAS_PS: [u64; 4] = [1_300, 83_200, 600_000, 40_000_000];
+        let mut q = EventQueue::new();
+        let mut r = RefHeap::default();
+        let mut token = 0u64;
+        let mut push = |q: &mut EventQueue, r: &mut RefHeap, at: Time| {
+            q.push(at, Event::Timer { host: HostId(0), token });
+            r.push(at, token);
+            token += 1;
+        };
+        // The whole schedule lands before the first pop, 2.6 ns between
+        // bursts: every count-driven rebuild sees no gap sample.
+        for b in 0..bursts as u64 {
+            for _ in 0..burst_len {
+                push(&mut q, &mut r, Time::from_ps(b * 2_600));
+            }
+        }
+        let mut batch = Vec::new();
+        for (action, kind, raw) in ops {
+            let head = r.peek().map(|(t, _)| t);
+            match action % 8 {
+                // Push exactly at the head's timestamp, and a few ps after.
+                0 => {
+                    if let Some(t) = head {
+                        push(&mut q, &mut r, t);
+                        push(&mut q, &mut r, t + Time::from_ps(1 + (raw % 4) as u64));
+                    }
+                }
+                // Single pop; the event reschedules itself.
+                1 | 2 => {
+                    prop_assert_eq!(q.peek_key(), r.peek(), "peek_key diverged");
+                    let (got, want) = (q.pop(), r.pop());
+                    prop_assert_eq!(
+                        got.map(|(t, ev)| (t, token_of(&ev))),
+                        want.map(|(t, _, tok)| (t, tok)),
+                        "pop diverged"
+                    );
+                    if let Some((t, _)) = got {
+                        push(&mut q, &mut r, t + Time::from_ps(DELTAS_PS[kind as usize % 4]));
+                    }
+                }
+                // Batch drain; each member reschedules itself. `kind`
+                // picks the mix: one delta for all keeps the burst tied
+                // (and, at 1.3 ns, the late run busy), the cycle splits
+                // it three ways across the ring, and the last sends every
+                // other member to the overflow level.
+                _ => {
+                    batch.clear();
+                    let got_t = q.drain_batch_into(&mut batch);
+                    prop_assert_eq!(got_t, head, "batch head time diverged");
+                    for &(bt, bseq, ref ev) in &batch {
+                        let (wt, wseq, wtok) = r.pop().expect("reference drained early");
+                        prop_assert_eq!((bt, bseq, token_of(ev)), (wt, wseq, wtok), "batch entry diverged");
+                    }
+                    if let (Some(t), Some((nt, _))) = (got_t, r.peek()) {
+                        prop_assert!(nt > t, "batch stopped inside a tied run");
+                    }
+                    for i in 0..batch.len() {
+                        let d = match kind % 4 {
+                            0 => DELTAS_PS[0],
+                            1 => DELTAS_PS[1],
+                            2 => DELTAS_PS[i % 3],
+                            _ => DELTAS_PS[2 + i % 2],
+                        };
+                        push(&mut q, &mut r, batch[i].0 + Time::from_ps(d));
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), r.heap.len(), "length diverged");
+        }
+        // Drain to empty: crosses the shrink path with late runs pending.
+        while let Some((wt, _, wtok)) = r.pop() {
+            let (gt, ev) = q.pop().expect("calendar drained early");
+            prop_assert_eq!((gt, token_of(&ev)), (wt, wtok), "tail pop diverged");
+        }
+        prop_assert!(q.pop().is_none(), "calendar held extra events");
     }
 }

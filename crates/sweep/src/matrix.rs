@@ -606,6 +606,7 @@ impl Cell {
             batches: res.engine.batch_stats.batches,
             max_batch: res.engine.batch_stats.max_batch,
             chained_services: res.engine.batch_stats.chained_services,
+            calendar: res.engine.batch_stats.calendar,
             summary: res.summary,
         }
     }
@@ -668,6 +669,9 @@ pub struct CellResult {
     /// Link services chained without a calendar round-trip
     /// (perf-stream only).
     pub chained_services: u64,
+    /// Calendar geometry and work counters at the end of the run
+    /// (deterministic for a fixed key; perf-stream only).
+    pub calendar: netsim::event::CalendarStats,
     /// Aggregate run metrics.
     pub summary: Summary,
 }

@@ -66,6 +66,7 @@ pub fn parse_record(line: &str) -> Result<CellResult, String> {
         batches: 0,
         max_batch: 0,
         chained_services: 0,
+        calendar: Default::default(),
         summary: Summary::from_json(field("summary")?)?,
     })
 }
@@ -111,6 +112,13 @@ pub fn perf_record(r: &CellResult) -> String {
         .f64("avg_batch", avg_batch)
         .u64("max_batch", r.max_batch)
         .u64("chained_services", r.chained_services)
+        .u64("cal_shift", r.calendar.shift as u64)
+        .u64("cal_buckets", r.calendar.buckets as u64)
+        .u64("cal_retunes", r.calendar.retunes)
+        .u64("cal_late_merges", r.calendar.late_merges)
+        .u64("cal_merge_moved", r.calendar.merge_moved)
+        .u64("cal_max_bucket", r.calendar.max_bucket)
+        .u64("cal_overflow_pushes", r.calendar.overflow_pushes)
         .render()
 }
 
@@ -387,6 +395,22 @@ mod tests {
             assert!(line.contains("\"avg_batch\":"), "{line}");
             assert!(line.contains("\"max_batch\":"), "{line}");
             assert!(line.contains("\"chained_services\":"), "{line}");
+            let cal = r.calendar;
+            assert!(
+                cal.shift > 0 && cal.buckets.is_power_of_two() && cal.max_bucket >= 1,
+                "cells must report the calendar they ran on: {cal:?}"
+            );
+            for field in [
+                "cal_shift",
+                "cal_buckets",
+                "cal_retunes",
+                "cal_late_merges",
+                "cal_merge_moved",
+                "cal_max_bucket",
+                "cal_overflow_pushes",
+            ] {
+                assert!(line.contains(&format!("\"{field}\":")), "{line}");
+            }
         }
         let (events, rate) = events_per_sec(&results);
         assert_eq!(events, results.iter().map(|r| r.events).sum::<u64>());
@@ -395,6 +419,7 @@ mod tests {
         let record = jsonl_record(&results[0]);
         assert!(!record.contains("wall_ns"), "{record}");
         assert!(!record.contains("batches"), "{record}");
+        assert!(!record.contains("cal_"), "{record}");
     }
 
     /// A synthetic cell result whose every numeric summary field is
@@ -442,6 +467,7 @@ mod tests {
             batches: 0,
             max_batch: 0,
             chained_services: 0,
+            calendar: Default::default(),
             summary,
         }
     }

@@ -85,8 +85,9 @@ impl HostEndpoint {
     ///
     /// Must be called before the engine delivers `HostStart` (time zero).
     pub fn schedule_message(&mut self, at: Time, spec: MessageSpec) {
-        self.schedule.push((at, spec));
-        self.schedule.sort_by_key(|(t, _)| *t);
+        // After every earlier-or-equal start: time order, FIFO among ties.
+        let pos = self.schedule.partition_point(|(t, _)| *t <= at);
+        self.schedule.insert(pos, (at, spec));
     }
 
     /// Starts `spec` when a message tagged `tag` is fully received.
@@ -655,6 +656,52 @@ mod tests {
             "8:1 coalescing sent {} control packets vs {} at 1:1",
             ctrl[1],
             ctrl[0]
+        );
+    }
+
+    #[test]
+    fn scheduled_messages_keep_time_order_and_fifo_among_equal_starts() {
+        let sim = SimConfig::paper_default();
+        let tcfg = TransportConfig::from_sim(&sim, 4, LbKind::Ecmp);
+        let mut ep = HostEndpoint::new(HostId(0), 64, sim.link_bps, tcfg);
+        // (start in us, flow): out of time order, with three-way ties.
+        let calls = [
+            (30, 0),
+            (10, 1),
+            (30, 2),
+            (20, 3),
+            (10, 4),
+            (30, 5),
+            (10, 6),
+        ];
+        for (us, flow) in calls {
+            ep.schedule_message(
+                Time::from_us(us),
+                MessageSpec {
+                    flow: FlowId(flow),
+                    dst: HostId(16),
+                    bytes: 1,
+                    tag: 0,
+                },
+            );
+        }
+        let order: Vec<(u64, u32)> = ep
+            .schedule
+            .iter()
+            .map(|(t, spec)| (t.as_ps() / 1_000_000, spec.flow.0))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (10, 1),
+                (10, 4),
+                (10, 6),
+                (20, 3),
+                (30, 0),
+                (30, 2),
+                (30, 5)
+            ],
+            "starts in time order, call order among equal times"
         );
     }
 
