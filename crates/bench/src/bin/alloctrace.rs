@@ -5,9 +5,6 @@
 //! event, split into build phase vs. run phase. Diagnostic tool for the
 //! zero-allocation work; not part of CI.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use baselines::kind::LbKind;
 use harness::experiment::Experiment;
 use netsim::rng::Rng64;
@@ -16,36 +13,11 @@ use netsim::topology::FatTreeConfig;
 use reps::reps::RepsConfig;
 use workloads::patterns;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates to `System` unchanged; only adds a relaxed counter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static A: Counting = Counting;
+static A: tinybench::alloc::Counting = tinybench::alloc::Counting;
 
 fn snap() -> (u64, u64) {
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    )
+    (tinybench::alloc::allocs(), tinybench::alloc::bytes())
 }
 
 fn main() {

@@ -1,10 +1,8 @@
 //! `microbench` — the offline hot-path benchmark suite (tinybench).
 //!
-//! Ports the criterion benches from `benches/micro.rs` and
-//! `benches/simulation.rs` (which stay gated behind `autobenches = false`
-//! because the offline image cannot fetch `criterion`) onto the
-//! `tinybench` harness, and adds the DES hot-path measurements the
-//! zero-allocation refactor is tracked by:
+//! Component and small-simulation benches on the `tinybench` harness
+//! (the offline image cannot fetch `criterion`), plus the DES hot-path
+//! measurements the zero-allocation refactor is tracked by:
 //!
 //! * `hotpath/permutation_cell` — a full single sweep cell (32-host
 //!   permutation, REPS) measured in simulator **events per second**; this
@@ -14,9 +12,8 @@
 //!   BinaryHeap-of-POD it replaced, across a held-event × gap-shape
 //!   matrix (256/4096/65536 held, uniform vs bimodal gaps) and under
 //!   lock-step load (tied bursts whose successors land in the bucket
-//!   being drained — the shape random gaps never produce), plus the
-//!   naive fixed-width ring that lost the original bakeoff (see the
-//!   `netsim::event` module docs for the history).
+//!   being drained — the shape random gaps never produce); see the
+//!   `netsim::event` module docs for the bake-off history.
 //! * `hybrid/*` — the hybrid-fidelity headline: one O(10k)-host cell
 //!   (160 ToRs × 64 hosts) with an all-hosts tornado background run at
 //!   matched offered load as packets (`fidelity=pkt`) and as fluid flows
@@ -259,7 +256,7 @@ fn check_regression(current: &str, baseline_path: &str, tolerance: f64) -> ExitC
     }
 }
 
-/// The REPS per-packet paths (from `benches/micro.rs`).
+/// The REPS per-packet paths.
 fn bench_reps(h: &mut Harness) {
     h.bench_function("reps/next_ev", |b| {
         let mut reps = Reps::new(RepsConfig::default());
@@ -293,7 +290,7 @@ fn bench_reps(h: &mut Harness) {
     });
 }
 
-/// Simulator substrate micro paths (from `benches/micro.rs`).
+/// Simulator substrate micro paths.
 fn bench_substrate(h: &mut Harness) {
     h.bench_function("substrate/ecmp_select_8way", |b| {
         let mut ev = 0u16;
@@ -377,7 +374,7 @@ impl Gaps {
 }
 
 /// What the calendar benches need from a queue: the engine's calendar and
-/// the two designs it was baked off against all fit it.
+/// the `BinaryHeap` it replaced both fit it.
 trait Calendar: Default {
     fn push(&mut self, at: Time, token: u64);
     fn pop(&mut self) -> Option<(Time, u64)>;
@@ -479,9 +476,6 @@ fn bench_calendar(h: &mut Harness) {
     }
     bench_lockstep::<EventQueue>(h, LOCKSTEP_BENCH);
     bench_lockstep::<PodBinHeap>(h, "calendar/binheap_pod_lockstep32768");
-    // The naive fixed-width ring that lost the original bakeoff, kept
-    // at its historical shape so old and new reports stay comparable.
-    bench_hold::<BucketRing>(h, "calendar/bucket_ring_hold4096", 4096, Gaps::Uniform);
 }
 
 /// `std::BinaryHeap` over POD `(time, seq, token)` entries sized like the
@@ -511,80 +505,7 @@ impl Calendar for PodBinHeap {
     }
 }
 
-/// A bucketed-ring calendar prototype, benchmarked against the engine's
-/// heap before committing to it (see `netsim::event`).
-/// Fixed-width time buckets in a ring; each bucket is an unsorted `Vec`
-/// scanned for its `(time, seq)` minimum on pop. Deltas must stay within
-/// the ring horizon (true for the hold model above).
-struct BucketRing {
-    buckets: Vec<Vec<(Time, u64, u64)>>,
-    width_ps: u64,
-    cursor: usize,
-    len: usize,
-    seq: u64,
-}
-
-impl BucketRing {
-    const BUCKETS: usize = 1024;
-
-    fn bucket_of(&self, at: Time) -> usize {
-        ((at.as_ps() / self.width_ps) as usize) % Self::BUCKETS
-    }
-}
-
-impl Default for BucketRing {
-    fn default() -> BucketRing {
-        BucketRing {
-            buckets: (0..Self::BUCKETS).map(|_| Vec::new()).collect(),
-            // 64 ns buckets: a ~65 us horizon, several fabric RTTs.
-            width_ps: Time::from_ns(64).as_ps().max(1),
-            cursor: 0,
-            len: 0,
-            seq: 0,
-        }
-    }
-}
-
-impl Calendar for BucketRing {
-    fn push(&mut self, at: Time, token: u64) {
-        let b = self.bucket_of(at);
-        let seq = self.seq;
-        self.seq += 1;
-        self.buckets[b].push((at, seq, token));
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(Time, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Advance the cursor to the next non-empty bucket, then extract the
-        // (time, seq)-minimum so FIFO tie-breaks match the heap's.
-        loop {
-            if !self.buckets[self.cursor].is_empty() {
-                let bucket = &mut self.buckets[self.cursor];
-                let mut best = 0;
-                for i in 1..bucket.len() {
-                    let (t, s, _) = bucket[i];
-                    let (bt, bs, _) = bucket[best];
-                    if (t, s) < (bt, bs) {
-                        best = i;
-                    }
-                }
-                let (at, _, token) = bucket.swap_remove(best);
-                self.len -= 1;
-                return Some((at, token));
-            }
-            self.cursor = (self.cursor + 1) % Self::BUCKETS;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// End-to-end simulation benches (from `benches/simulation.rs`).
+/// End-to-end simulation benches.
 fn bench_simulation(h: &mut Harness) {
     let run_tornado = |lb: LbKind| {
         let w = patterns::tornado(16, 256 << 10);

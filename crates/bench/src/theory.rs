@@ -1,10 +1,33 @@
 //! Theory and distribution figures: Table 1, Figs. 14, 17, 18, 20, 24.
+//!
+//! None of these simulates a fabric, so none is a sweep preset; the
+//! `theory [GLOB]` binary runs the entries of [`ENTRIES`] by name.
 
 use ballsbins::batched::average_max_load;
 use ballsbins::imbalance::imbalance_stats;
 use ballsbins::recycled::{theorem_parameters, RecycledBallsBins};
 use netsim::rng::Rng64;
 use workloads::traces::SizeCdf;
+
+/// Every theory entry in paper order: the name `theory [GLOB]` matches
+/// against, and its printer.
+pub const ENTRIES: [(&str, fn()); 6] = [
+    ("table1_footprint", table1),
+    ("fig14_evs_imbalance", fig14),
+    ("fig17_balls_bins_ops", fig17),
+    ("fig18_recycled_balls", fig18),
+    ("fig20_coalesced_balls", fig20),
+    ("fig24_trace_cdfs", fig24),
+];
+
+/// The entries whose name matches `glob` (`*` and `?` wildcards), in
+/// paper order.
+pub fn select(glob: &str) -> Vec<(&'static str, fn())> {
+    ENTRIES
+        .into_iter()
+        .filter(|(name, _)| sweep::glob::matches(glob, name))
+        .collect()
+}
 
 /// Table 1: REPS per-connection memory footprint.
 pub fn table1() {
@@ -127,4 +150,25 @@ pub fn fig24() {
         cdfs[0].mean_bytes(),
         cdfs[1].mean_bytes()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn entries_are_unique_indexed_and_glob_selected() {
+        let names: std::collections::BTreeSet<&str> = ENTRIES.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), ENTRIES.len(), "duplicate theory entry name");
+        let readme = include_str!("../../../README.md");
+        for name in &names {
+            assert!(readme.contains(name), "README.md does not index {name}");
+        }
+        assert_eq!(select("*").len(), ENTRIES.len());
+        assert_eq!(select("fig1?_*").len(), 3);
+        assert!(
+            select("fig99*").is_empty(),
+            "a non-matching glob selects nothing"
+        );
+    }
 }

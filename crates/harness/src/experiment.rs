@@ -1,10 +1,10 @@
 //! Experiment assembly: topology + transport + workload + failures → run.
 //!
-//! [`Experiment`] is the single entry point the figure binaries use: it
-//! builds the engine, installs endpoints configured with the chosen load
-//! balancer / congestion controller / coalescing policy, registers the
-//! workload's start rules and dependency triggers, schedules failures, runs
-//! to completion and summarizes.
+//! [`Experiment`] is the single entry point every sweep cell runs
+//! through: it builds the engine, installs endpoints configured with the
+//! chosen load balancer / congestion controller / coalescing policy,
+//! registers the workload's start rules and dependency triggers, schedules
+//! failures, runs to completion and summarizes.
 
 use baselines::kind::LbKind;
 use netsim::config::SimConfig;

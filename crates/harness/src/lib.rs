@@ -2,7 +2,7 @@
 //!
 //! Wires [`netsim`] fabrics, the [`transport`] stack, [`workloads`] and
 //! failure plans into named, reproducible experiments, and provides the
-//! text-report helpers the per-figure binaries in the `bench` crate use.
+//! text-report helpers the `sweep` crate renders its tables with.
 
 pub mod experiment;
 pub mod json;
@@ -10,7 +10,5 @@ pub mod report;
 pub mod scale;
 
 pub use experiment::{Experiment, RunResult, Summary, TrackLinks};
-pub use report::{
-    cdf, comparison_table, downsample, queue_series, speedup_table, utilization_series,
-};
+pub use report::{cdf, comparison_table, downsample, speedup_table};
 pub use scale::Scale;

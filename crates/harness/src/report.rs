@@ -1,7 +1,4 @@
-//! Plain-text reporting helpers shared by the figure binaries.
-
-use netsim::stats::LinkSeries;
-use netsim::time::Time;
+//! Plain-text reporting helpers behind `repsbench`'s tables and reports.
 
 use crate::experiment::Summary;
 
@@ -65,28 +62,6 @@ pub fn speedup_table(title: &str, rows: &[Summary], baseline_label: &str) -> Str
     out
 }
 
-/// Extracts `(time_us, gbps)` utilization points for one tracked link.
-pub fn utilization_series(series: &LinkSeries, bucket: Time) -> Vec<(f64, f64)> {
-    series
-        .bucket_bytes
-        .iter()
-        .enumerate()
-        .map(|(i, &bytes)| {
-            let t = (i as u64 * bucket.as_ps()) as f64 / 1e6;
-            (t, netsim::stats::bucket_gbps(bytes, bucket))
-        })
-        .collect()
-}
-
-/// Extracts `(time_us, kb)` queue-occupancy points for one tracked link.
-pub fn queue_series(series: &LinkSeries) -> Vec<(f64, f64)> {
-    series
-        .queue_samples
-        .iter()
-        .map(|s| (s.at.as_us_f64(), s.bytes as f64 / 1e3))
-        .collect()
-}
-
 /// Downsamples a series to at most `n` evenly-spaced points (plot-friendly).
 pub fn downsample(points: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
     if points.len() <= n || n == 0 {
@@ -111,6 +86,7 @@ pub fn cdf(values: &mut [f64]) -> Vec<(f64, f64)> {
 mod tests {
     use super::*;
     use netsim::stats::Counters;
+    use netsim::time::Time;
 
     fn summary(lb: &str, max_us: u64) -> Summary {
         Summary {

@@ -1,7 +1,7 @@
 //! Experiment scale control.
 //!
 //! The paper's full-scale runs (1024-node fabrics, 16 MiB messages) take a
-//! while in a discrete-event simulator; the figure binaries honour the
+//! while in a discrete-event simulator; `repsbench` honours the
 //! `REPS_SCALE` environment variable so the whole suite stays runnable:
 //!
 //! * `quick` (default) — 32–128-node fabrics, smaller messages; every

@@ -9,11 +9,14 @@
 //!    line into the engine-owned arena so every heap entry shrank to a
 //!    32-byte POD (see [`Entry`]); at that size the std heap beat both a
 //!    naive fixed-width bucket ring (~11.2 vs ~8.2 M ops/s in the
-//!    hold-4096 model) and a hand-rolled 4-ary heap. The ring lost
-//!    because its bucket width was a compile-time guess: with real event
-//!    gaps spanning five orders of magnitude (83 ns serializations to
-//!    multi-ms failure timers), most pops scanned long runs of empty
-//!    buckets or linear-searched overfull ones.
+//!    hold-4096 model; the ring prototype and its
+//!    `calendar/bucket_ring_hold4096` bench were deleted in PR 14, its
+//!    rows survive in `bench-results/BENCH_*.json`) and a hand-rolled
+//!    4-ary heap. The ring lost because its bucket width was a
+//!    compile-time guess: with real event gaps spanning five orders of
+//!    magnitude (83 ns serializations to multi-ms failure timers), most
+//!    pops scanned long runs of empty buckets or linear-searched
+//!    overfull ones.
 //! 2. **Calendar queue v2** (PR 7). The ring's two defects are exactly
 //!    what the classic calendar-queue design fixes: the bucket width is
 //!    derived from the observed inter-event gap (an EWMA sampled at pop

@@ -22,37 +22,13 @@
 //! running on another thread would add its own allocations to the
 //! measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use netsim::event::{Event, EventQueue};
 use netsim::ids::HostId;
 use netsim::rng::Rng64;
 use netsim::time::Time;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates to `System` unchanged; only adds a relaxed counter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static COUNTER: Counting = Counting;
+static COUNTER: tinybench::alloc::Counting = tinybench::alloc::Counting;
 
 /// One hold-model step: drain the head batch (ties pop together), then
 /// refile one event per drained slot at a jittered future time. Every
@@ -148,11 +124,11 @@ fn calendar_steady_state_allocates_nothing() {
         step(&mut q, &mut batch, &mut rng, i);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = tinybench::alloc::allocs();
     for i in 0..MEASURED {
         step(&mut q, &mut batch, &mut rng, WARMUP + i);
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = tinybench::alloc::allocs() - before;
 
     assert_eq!(
         q.len(),
@@ -192,7 +168,7 @@ fn calendar_steady_state_allocates_nothing() {
             BURST,
         );
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = tinybench::alloc::allocs();
     for cycle in CYCLES..CYCLES + 8 {
         lockstep_cycle(
             &mut q,
@@ -201,7 +177,7 @@ fn calendar_steady_state_allocates_nothing() {
             BURST,
         );
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = tinybench::alloc::allocs() - before;
     assert!(q.is_empty(), "every cycle drains the calendar");
     let stats = q.stats();
     assert!(

@@ -14,9 +14,6 @@
 //! process-global, and a sibling test running on another thread would
 //! add its own allocations to the measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
 use netsim::event::ControlEvent;
@@ -25,29 +22,8 @@ use netsim::packet::Packet;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, Topology};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates to `System` unchanged; only adds a relaxed counter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static COUNTER: Counting = Counting;
+static COUNTER: tinybench::alloc::Counting = tinybench::alloc::Counting;
 
 /// Sends a burst of cross-rack data packets on every `Custom` command;
 /// receivers are plain sinks (same harness as `tests/alloc.rs`).
@@ -107,9 +83,9 @@ fn fault_checks_are_allocation_free_after_warmup() {
         spray(&mut engine, 2048, Time::from_ms(1));
         assert_eq!(engine.pending_events(), 0, "[{name}] warm-up must drain");
 
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = tinybench::alloc::allocs();
         spray(&mut engine, 512, Time::from_ms(2));
-        let during = ALLOCS.load(Ordering::Relaxed) - before;
+        let during = tinybench::alloc::allocs() - before;
 
         assert_eq!(
             engine.pending_events(),

@@ -202,7 +202,10 @@
 //! human-readable report: EV reuse rate (recycled + frozen replays as a
 //! share of all choices), path-change counts, the reorder-depth
 //! histogram, and the failure-reaction timeline (link_down → timeout →
-//! freeze → retransmit → thaw, with timestamps).
+//! freeze → retransmit → thaw, with timestamps). Given a `--series`
+//! document instead (told apart by its header), it prints the paper's
+//! micro-figure view: per tracked ToR uplink, one row of utilization in
+//! Gbps and one of queue occupancy in KB, downsampled to 12 points.
 //!
 //! **Decision diagnostics (`--diagnostics`).** Adds a `diagnostics`
 //! object to every result record with per-LB decision counters summed

@@ -1,5 +1,5 @@
-//! `repsbench explain`: render a per-cell trace document into a
-//! human-readable account of what the cell's load balancer actually did.
+//! `repsbench explain`: render a per-cell trace or series document into
+//! a human-readable account of what the cell actually did.
 //!
 //! The summary JSONL says a REPS cell finished in N µs; the trace says
 //! *why*: how often the balancer recycled a proven entropy versus drawing
@@ -8,13 +8,23 @@
 //! link-down, timeout, freeze, retransmit and thaw. [`explain_doc`] takes
 //! the raw `*.trace.jsonl` contents ([`crate::trace`]) and produces that
 //! report; the CLI wires it to `repsbench explain FILE`.
+//!
+//! Given a `*.series.jsonl` document ([`crate::series`]) instead — told
+//! apart by its header — the report is the paper's micro-figure view: per
+//! tracked ToR uplink, one row of utilization (Gbps) and one of queue
+//! occupancy (KB), downsampled to [`SERIES_POINTS`] evenly spaced points.
 
 use std::collections::BTreeMap;
 
 use harness::json::Value;
+use netsim::time::Time;
 
 /// Maximum failure-reaction timeline rows before eliding the middle.
 const TIMELINE_CAP: usize = 30;
+
+/// Points per row of a series report: enough to see a queue build and
+/// drain, few enough to fit a terminal line.
+const SERIES_POINTS: usize = 12;
 
 fn us(t_ps: u64) -> String {
     format!("{:.3}us", t_ps as f64 / 1e6)
@@ -59,9 +69,9 @@ fn bucket_label(b: u32) -> String {
     }
 }
 
-/// Renders the report for one trace document. Errors (not a trace file,
-/// torn line) come back as messages, never panics — the input is a
-/// user-supplied path.
+/// Renders the report for one trace or series document. Errors (neither
+/// kind of file, torn line, missing records) come back as messages, never
+/// panics — the input is a user-supplied path.
 pub fn explain_doc(doc: &str) -> Result<String, String> {
     let mut lines = doc.lines();
     let header = lines.next().ok_or("empty trace document")?;
@@ -71,6 +81,9 @@ pub fn explain_doc(doc: &str) -> Result<String, String> {
         .and_then(Value::as_str)
         .ok_or("trace header has no \"key\" — not a trace document?")?
         .to_string();
+    if let Some(bucket_ps) = header.get("bucket_width_ps").and_then(Value::as_u64) {
+        return explain_series(&key, &header, Time::from_ps(bucket_ps), lines);
+    }
     let declared = header
         .get("events")
         .and_then(Value::as_u64)
@@ -199,6 +212,85 @@ pub fn explain_doc(doc: &str) -> Result<String, String> {
     Ok(t.render(&key))
 }
 
+/// One array field of a series record as `(index, y)` points.
+fn points(
+    record: &Value,
+    field: &str,
+    y: impl Fn(&Value) -> Option<f64>,
+) -> Result<Vec<(f64, f64)>, String> {
+    let Some(Value::Arr(items)) = record.get(field) else {
+        return Err(format!("no \"{field}\" array"));
+    };
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let y = y(v).ok_or_else(|| format!("malformed \"{field}\" entry {i}"))?;
+            Ok((i as f64, y))
+        })
+        .collect()
+}
+
+/// The series half of [`explain_doc`]: one utilization and one queue row
+/// per tracked link, in the document's (deterministic tracking) order.
+fn explain_series(
+    key: &str,
+    header: &Value,
+    bucket: Time,
+    records: std::str::Lines<'_>,
+) -> Result<String, String> {
+    let declared = header
+        .get("links")
+        .and_then(Value::as_u64)
+        .ok_or("series header has no \"links\" count")?;
+    let mut out = format!(
+        "# {key}\n\n## Link series\n{declared} tracked uplinks, {} utilization buckets, \
+         at most {SERIES_POINTS} evenly spaced points per row\n",
+        bucket.label()
+    );
+    let row = |points: &[(f64, f64)]| -> String {
+        let shown: Vec<String> = harness::downsample(points, SERIES_POINTS)
+            .iter()
+            .map(|(_, y)| format!("{y:.0}"))
+            .collect();
+        shown.join(" ")
+    };
+    let mut parsed = 0u64;
+    for (port, line) in records.enumerate() {
+        let ctx = |e: String| format!("series line {}: {e}", port + 2);
+        let v = Value::parse(line).map_err(ctx)?;
+        let link = v
+            .get("link")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| ctx("no \"link\"".to_string()))?;
+        let util = points(&v, "bucket_bytes", |bytes| {
+            Some(netsim::stats::bucket_gbps(bytes.as_u64()?, bucket))
+        })
+        .map_err(ctx)?;
+        // Samples are `[at_ps, queued_bytes]` pairs.
+        let queue = points(&v, "queue_samples", |sample| match sample {
+            Value::Arr(pair) if pair.len() == 2 => Some(pair[1].as_u64()? as f64 / 1e3),
+            _ => None,
+        })
+        .map_err(ctx)?;
+        out.push_str(&format!(
+            "  port{port} (link {link}) util(Gbps): {}\n",
+            row(&util)
+        ));
+        out.push_str(&format!(
+            "  port{port} (link {link}) queue(KB):  {}\n",
+            row(&queue)
+        ));
+        parsed += 1;
+    }
+    if parsed != declared {
+        return Err(format!(
+            "series header declares {declared} links but the document has {parsed} — truncated?"
+        ));
+    }
+    Ok(out)
+}
+
 impl Tally {
     fn push_timeline(&mut self, line: String) {
         self.timeline_total += 1;
@@ -324,6 +416,48 @@ mod tests {
         // Declared count disagrees with the body.
         let torn = "{\"key\":\"k\",\"derived_seed\":1,\"events\":5}\n";
         assert!(explain_doc(torn).unwrap_err().contains("truncated"));
+    }
+
+    #[test]
+    fn explains_a_series_document_per_tracked_uplink() {
+        // Fig. 2's shape at a fraction of its size: a tornado on the
+        // radix-16 fabric, whose vantage ToR has 8 uplinks.
+        let cell = ScenarioMatrix::new("explain-series-unit")
+            .fabrics([crate::spec::FabricSpec::two_tier(16, 1)])
+            .workloads([WorkloadSpec::Tornado { bytes: 256 << 10 }])
+            .expand()
+            .into_iter()
+            .find(|c| c.lb.label == "REPS")
+            .expect("REPS cell");
+        let (_, doc) = cell.run_with_series();
+        let report = explain_doc(&doc).expect("report");
+        assert!(report.contains(&cell.key()), "{report}");
+        assert!(report.contains("8 tracked uplinks"), "{report}");
+        for port in 0..8 {
+            for what in ["util(Gbps):", "queue(KB):"] {
+                let rows: Vec<&str> = report
+                    .lines()
+                    .filter(|l| l.contains(&format!("port{port} ")) && l.contains(what))
+                    .collect();
+                assert_eq!(rows.len(), 1, "port{port} {what}: {report}");
+                let shown = rows[0].split(": ").nth(1).expect("values");
+                let n = shown.split_whitespace().count();
+                assert!((1..=SERIES_POINTS).contains(&n), "{n} points: {report}");
+            }
+        }
+        assert!(!report.contains("port8 "), "{report}");
+
+        // Truncation is an error, never a panic: a missing record, a torn
+        // last line, and a record cut inside an array.
+        let lines: Vec<&str> = doc.lines().collect();
+        let short = lines[..lines.len() - 1].join("\n");
+        assert!(explain_doc(&short).unwrap_err().contains("truncated"));
+        let torn = &doc[..doc.len() - 20];
+        assert!(explain_doc(torn).unwrap_err().contains("series line 9"));
+        let no_samples = format!("{}\n{{\"link\":1,\"bucket_bytes\":[1]}}\n", lines[0]);
+        assert!(explain_doc(&no_samples)
+            .unwrap_err()
+            .contains("no \"queue_samples\" array"));
     }
 
     #[test]

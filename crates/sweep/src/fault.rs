@@ -154,6 +154,42 @@ fn parse_ppm(s: &str) -> Result<u32, String> {
     Ok(ppm)
 }
 
+/// A spec's `key=value` parameters, in written order.
+type Params<'a> = Vec<(&'a str, &'a str)>;
+
+/// Splits `family{k=v,...}` into the family name and its parameters, in
+/// order — the front half of both the `fault=` and the `fidelity=`
+/// grammar. A bare `family` and `family{}` mean "all defaults"; an empty
+/// entry or a repeated key is rejected like the LB grammar does, because
+/// "last one wins" would let two spellings of one line share a cell key
+/// by accident.
+pub(crate) fn split_spec(s: &str) -> Result<(&str, Params<'_>), String> {
+    let Some(open) = s.find('{') else {
+        return Ok((s, Params::new()));
+    };
+    let inner = s[open + 1..]
+        .strip_suffix('}')
+        .ok_or("missing closing brace")?;
+    let mut params = Params::new();
+    if !inner.trim().is_empty() {
+        for kv in inner.split(',') {
+            let kv = kv.trim();
+            if kv.is_empty() {
+                return Err("empty parameter (trailing or doubled comma?)".to_string());
+            }
+            let (k, v) = kv
+                .split_once('=')
+                .ok_or_else(|| format!("parameter {kv:?} is not key=value"))?;
+            let (k, v) = (k.trim(), v.trim());
+            if params.iter().any(|(seen, _)| *seen == k) {
+                return Err(format!("duplicate parameter {k:?}"));
+            }
+            params.push((k, v));
+        }
+    }
+    Ok((&s[..open], params))
+}
+
 impl FaultSpec {
     /// Whether this is the default (no fault): the only value that keeps
     /// the `/ft=` component out of a cell key.
@@ -234,27 +270,8 @@ impl FaultSpec {
     /// (a spec file line or a `--fault` flag).
     pub fn parse(s: &str) -> Result<FaultSpec, String> {
         let s = s.trim();
-        let (family, params) = match s.find('{') {
-            None => (s, Vec::new()),
-            Some(i) => {
-                let inner = s[i + 1..]
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("fault spec {s:?}: missing closing brace"))?;
-                let mut params = Vec::new();
-                for kv in inner.split(',') {
-                    let kv = kv.trim();
-                    if kv.is_empty() {
-                        continue;
-                    }
-                    let (k, v) = kv.split_once('=').ok_or_else(|| {
-                        format!("fault spec {s:?}: parameter {kv:?} is not key=value")
-                    })?;
-                    params.push((k.trim(), v.trim()));
-                }
-                (&s[..i], params)
-            }
-        };
         let ctx = |e: String| format!("fault spec {s:?}: {e}");
+        let (family, params) = split_spec(s).map_err(ctx)?;
         let time = |v: &str| Time::parse_label(v).map_err(ctx);
         let count = |v: &str| -> Result<u32, String> {
             let n: u32 = v
@@ -515,6 +532,10 @@ mod tests {
         assert!(err("flap{duty=1.5}").contains("out of range"));
         assert!(err("unidir{n=0}").contains("at least 1"));
         assert!(err("none{p=0.1}").contains("no parameters"));
+        assert!(err("gray{p=0.5,p=0.02}").contains("duplicate parameter \"p\""));
+        assert!(err("gray{p=0.02,,}").contains("empty parameter"));
+        assert!(err("flap{period=20us,}").contains("empty parameter"));
+        assert_eq!(FaultSpec::parse("gray{}"), FaultSpec::parse("gray"));
     }
 
     #[test]

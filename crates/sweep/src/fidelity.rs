@@ -55,27 +55,8 @@ impl FidelitySpec {
     /// spec file line or a `--fidelity` flag).
     pub fn parse(s: &str) -> Result<FidelitySpec, String> {
         let s = s.trim();
-        let (family, params) = match s.find('{') {
-            None => (s, Vec::new()),
-            Some(i) => {
-                let inner = s[i + 1..]
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("fidelity spec {s:?}: missing closing brace"))?;
-                let mut params = Vec::new();
-                for kv in inner.split(',') {
-                    let kv = kv.trim();
-                    if kv.is_empty() {
-                        continue;
-                    }
-                    let (k, v) = kv.split_once('=').ok_or_else(|| {
-                        format!("fidelity spec {s:?}: parameter {kv:?} is not key=value")
-                    })?;
-                    params.push((k.trim(), v.trim()));
-                }
-                (&s[..i], params)
-            }
-        };
         let ctx = |e: String| format!("fidelity spec {s:?}: {e}");
+        let (family, params) = crate::fault::split_spec(s).map_err(ctx)?;
         match family {
             "pkt" => {
                 if !params.is_empty() {
@@ -136,6 +117,9 @@ mod tests {
         assert!(err("hybrid{mode=x}").contains("unknown hybrid parameter"));
         assert!(err("hybrid{bg=fluid").contains("missing closing brace"));
         assert!(err("hybrid{bg}").contains("not key=value"));
+        assert!(err("hybrid{bg=fluid,bg=fluid}").contains("duplicate parameter \"bg\""));
+        assert!(err("hybrid{bg=fluid,,}").contains("empty parameter"));
+        assert_eq!(FidelitySpec::parse("hybrid{}"), Ok(FidelitySpec::Hybrid));
     }
 
     #[test]

@@ -37,9 +37,10 @@
 //!   byte-stable result stream;
 //! * [`trace`] streams per-cell flight-recorder traces (`--trace DIR`) —
 //!   every per-hop path choice, every EV decision and why, every reorder
-//!   and failure reaction — and [`explain`] renders one trace into a
-//!   human-readable report (`repsbench explain FILE`); [`progress`] keeps
-//!   a live cells-done/ETA line on stderr while a sweep runs;
+//!   and failure reaction — and [`explain`] renders one trace or series
+//!   document into a human-readable report (`repsbench explain FILE`);
+//!   [`progress`] keeps a live cells-done/ETA line on stderr while a
+//!   sweep runs;
 //! * the `repsbench` binary exposes all of it on the command line
 //!   (`repsbench list`, `repsbench run --filter 'fig0*' --threads 8`,
 //!   `repsbench merge merged.jsonl shard*.jsonl`).
@@ -95,7 +96,7 @@ pub use fault::FaultSpec;
 pub use matrix::{Cell, CellResult, Instrument, InstrumentedRun, LabeledLb, ScenarioMatrix};
 pub use merge::{merge_contents, merge_files, MergedSweep};
 pub use progress::Progress;
-pub use runner::{default_threads, run_cells, run_experiments, threads_from_env};
+pub use runner::{default_threads, run_cells};
 pub use series::{series_doc, SeriesSink};
 pub use shard::Shard;
 pub use sink::{

@@ -4,9 +4,11 @@
 //! Presets cover every figure that runs fabric simulations (Figs. 2–13,
 //! 15, 16, 19, 21–23). The theory figures (14, 17, 18, 20, 24 and
 //! Table 1) evaluate closed-form balls-into-bins models, not experiments,
-//! and stay in the `bench` crate. Preset grids are *representative*
-//! slices of each figure — the figure binaries remain the full-fidelity
-//! reproduction — sized so the whole quick-scale suite runs in minutes.
+//! and are printed by the `bench` crate's `theory` binary. Preset grids
+//! are *representative* slices of each figure, sized so the whole
+//! quick-scale suite runs in minutes; a wider slice is a text grid
+//! ([`crate::specfile`]), not a code change. The top-level `README.md`
+//! indexes every figure with its command and the paper's expectation.
 //!
 //! New scenarios beyond the paper:
 //!

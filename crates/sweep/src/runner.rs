@@ -12,8 +12,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 
-use harness::experiment::{Experiment, Summary};
-
 use crate::matrix::{Cell, CellResult};
 
 /// A sensible default worker count: the machine's parallelism.
@@ -21,16 +19,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Worker count honouring the `REPS_THREADS` environment variable (the
-/// figure binaries' knob), falling back to [`default_threads`].
-pub fn threads_from_env() -> usize {
-    std::env::var("REPS_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(default_threads)
 }
 
 /// Runs `f` over `items` on `threads` workers, returning results in input
@@ -146,12 +134,6 @@ pub fn run_cells(cells: &[Cell], threads: usize) -> Vec<CellResult> {
     let mut results = run_indexed(cells, threads, Cell::run);
     results.sort_by(|a, b| a.key.cmp(&b.key));
     results
-}
-
-/// Runs pre-built experiments in parallel, preserving input order (the
-/// figure binaries' lineup contract).
-pub fn run_experiments(exps: &[Experiment], threads: usize) -> Vec<Summary> {
-    run_indexed(exps, threads, |e| e.run().summary)
 }
 
 #[cfg(test)]

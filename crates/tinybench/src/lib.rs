@@ -1,11 +1,10 @@
 //! A minimal, dependency-free stand-in for the [`criterion`] crate.
 //!
 //! This workspace builds in offline environments where crates.io is not
-//! reachable, so the real `criterion` cannot be fetched (the `bench` crate
-//! keeps its criterion benches behind `autobenches = false` for the same
-//! reason). The micro-benchmarks only need a small slice of the API; this
-//! crate provides that slice — in the same spirit as `proptest-shim` —
-//! with wall-clock measurement and machine-readable JSON output:
+//! reachable, so the real `criterion` cannot be fetched. The
+//! micro-benchmarks only need a small slice of the API; this crate
+//! provides that slice — in the same spirit as `proptest-shim` — with
+//! wall-clock measurement and machine-readable JSON output:
 //!
 //! * [`Harness::bench_function`] with a criterion-style [`Bencher`]
 //!   (`iter`, `iter_batched`, `iter_custom`),
@@ -21,7 +20,12 @@
 //! enough to detect the 1.5–2x hot-path changes this repo tracks, not a
 //! substitute for criterion's statistics.
 //!
+//! [`alloc`] holds the workspace's one counting global allocator, shared
+//! by the allocation-accounting tests and `alloctrace`.
+//!
 //! [`criterion`]: https://crates.io/crates/criterion
+
+pub mod alloc;
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

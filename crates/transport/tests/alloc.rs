@@ -17,9 +17,6 @@
 //! process-global, and a sibling test running on another thread would add
 //! its own allocations to the measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use baselines::kind::LbKind;
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Engine, MessageSpec};
@@ -29,29 +26,8 @@ use netsim::topology::{FatTreeConfig, Topology};
 use transport::config::TransportConfig;
 use transport::endpoint::HostEndpoint;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates to `System` unchanged; only adds a relaxed counter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static COUNTER: Counting = Counting;
+static COUNTER: tinybench::alloc::Counting = tinybench::alloc::Counting;
 
 /// One round of cross-rack messages: host `i` sends `bytes` to host
 /// `16 + i` (32-host two-tier fabric, 8 concurrent flows), run to
@@ -93,9 +69,9 @@ fn transport_ack_path_is_allocation_free_after_warmup() {
     round(&mut engine, 0, 4 << 20, Time::from_ms(10));
 
     let before_events = engine.events_processed;
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = tinybench::alloc::allocs();
     round(&mut engine, 1, 1 << 20, Time::from_ms(20));
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = tinybench::alloc::allocs() - before;
     let events = engine.events_processed - before_events;
 
     // 8 flows × 1 MiB at 4 KiB MTU = 2048 data packets, each ACKed

@@ -40,21 +40,19 @@
 //!
 //! # Running the evaluation
 //!
-//! Two front ends cover the paper's evaluation:
+//! One front end regenerates every simulation figure:
+//! `cargo run --release --bin repsbench -- run --filter 'fig07*'
+//! --threads 8 --out results.jsonl` runs a declarative scenario sweep and
+//! emits one JSON Lines record per cell plus cross-seed aggregate tables;
+//! `repsbench list` shows every preset. Output is byte-identical for any
+//! `--threads` value. The results that simulate no fabric — Table 1 and
+//! the balls-into-bins and trace-CDF figures (14, 17, 18, 20, 24) — come
+//! from `cargo run --release --bin theory -- [GLOB]`. The top-level
+//! `README.md` maps every figure and table to its command.
 //!
-//! * `cargo run --release --bin run_all -- [GLOB]` prints every figure's
-//!   tables in paper order (the per-figure binaries still exist for single
-//!   figures). Lineup experiments execute on the sweep engine's
-//!   work-stealing pool; set `REPS_THREADS` to pin the worker count.
-//! * `cargo run --release --bin repsbench -- run --filter 'fig0*'
-//!   --threads 8 --out results.jsonl` runs declarative scenario sweeps and
-//!   emits one JSON Lines record per cell plus cross-seed aggregate
-//!   tables; `repsbench list` shows every preset. Output is
-//!   byte-identical for any `--threads` value.
-//!
-//! Both honour `REPS_SCALE` (case-insensitive): `quick` (default) runs
-//! 32–128-node fabrics with scaled-down messages in minutes; `full` uses
-//! the paper's parameters where feasible.
+//! `repsbench` honours `REPS_SCALE` (case-insensitive): `quick` (default)
+//! runs 32–128-node fabrics with scaled-down messages in minutes; `full`
+//! uses the paper's parameters where feasible.
 
 pub use ballsbins;
 pub use baselines;
