@@ -19,7 +19,11 @@
 //!   matched offered load as packets (`fidelity=pkt`) and as fluid flows
 //!   (`fidelity=hybrid{bg=fluid}`). Besides the per-bench baselines the
 //!   pair carries its own gate: the fluid variant must stay at least
-//!   [`HYBRID_SPEEDUP_FLOOR`]x faster than its all-packet twin.
+//!   [`HYBRID_SPEEDUP_FLOOR`]x faster than its all-packet twin. The
+//!   tornado admits everything at t=0, so that pair is the solver with
+//!   every flow dirty; `hybrid/fluid_churn10k` is the other regime — the
+//!   solver alone on the same fabric under a trace-driven background,
+//!   one arrival or departure per resolve, in **resolves per second**.
 //!
 //! ```text
 //! microbench [--out PATH] [--target-ms N] [--filter SUBSTR]
@@ -50,6 +54,7 @@ use reps::reps::{Reps, RepsConfig};
 use tinybench::{json_field, BenchResult, Harness};
 use transport::sack::OooTracker;
 use workloads::patterns;
+use workloads::traces::{self, SizeCdf};
 
 /// The gated benchmark: its events/sec must not regress vs. the baseline.
 const GATED_BENCH: &str = "hotpath/permutation_cell";
@@ -61,6 +66,8 @@ const LOCKSTEP_BENCH: &str = "calendar/engine_queue_lockstep32768";
 const HYBRID_PKT_BENCH: &str = "hybrid/cell10k_bg_pkt";
 /// The same cell with the background on the analytic fluid model.
 const HYBRID_FLUID_BENCH: &str = "hybrid/cell10k_bg_fluid";
+/// The fluid solver alone under flow churn (see [`bench_fluid_churn`]).
+const FLUID_CHURN_BENCH: &str = "hybrid/fluid_churn10k";
 /// Minimum pkt/fluid wall-time ratio for the 10k-host cell: the whole
 /// point of hybrid fidelity is an order-of-magnitude cheaper background,
 /// so `--check` fails when the fluid variant is less than 10x faster.
@@ -76,11 +83,12 @@ const HYBRID_SPEEDUP_FLOOR: f64 = 10.0;
 /// end-to-end hot path plus the calendar matrix cells closest to it —
 /// the hot-path cell's held-event count under both gap shapes, the
 /// large-held point the ROADMAP's scale target cares about, the
-/// lock-step shape — both fidelities of the 10k-host hybrid cell, and
-/// the 16-host `simulation/*` family (which regressed ~30% across PR 7
-/// with no gate watching). Benches that count elements are gated on
-/// elems/sec, the rest on iters/sec. A gated bench missing from either
-/// report fails the check.
+/// lock-step shape — both fidelities of the 10k-host hybrid cell, the
+/// fluid solver under churn on that fabric, and the 16-host
+/// `simulation/*` family (which regressed ~30% across PR 7 with no gate
+/// watching). Benches that count elements are gated on elems/sec, the
+/// rest on iters/sec. A gated bench missing from either report fails the
+/// check.
 const GATED_BENCHES: &[&str] = &[
     GATED_BENCH,
     "calendar/engine_queue_hold256_uniform",
@@ -89,6 +97,7 @@ const GATED_BENCHES: &[&str] = &[
     LOCKSTEP_BENCH,
     HYBRID_PKT_BENCH,
     HYBRID_FLUID_BENCH,
+    FLUID_CHURN_BENCH,
     "simulation/tornado_16hosts_reps",
     "simulation/tornado_16hosts_ops",
     "simulation/tornado_16hosts_ecmp",
@@ -165,6 +174,7 @@ fn main() -> ExitCode {
     bench_simulation(&mut h);
     bench_hotpath(&mut h);
     bench_hybrid(&mut h);
+    bench_fluid_churn(&mut h);
 
     let json = h.to_json();
     if let Err(e) = std::fs::write(&opts.out, &json) {
@@ -639,5 +649,69 @@ fn hybrid_experiment(fluid: bool) -> Experiment {
     exp.fluid_background = fluid;
     exp.seed = 11;
     exp.deadline = Time::from_ms(5);
+    exp
+}
+
+/// The fluid solver alone under flow churn: the background population of
+/// [`churn_experiment`] walked from wake to wake through
+/// `next_event`/`resolve` on its own fabric, no packet in sight — every
+/// resolve admits or completes about one flow out of a few hundred
+/// active, which is the regime the component-local re-solve exists for.
+/// Elements are resolves; the engine build sits outside the timed region.
+fn bench_fluid_churn(h: &mut Harness) {
+    // Lazy like `bench_hybrid`'s probe: a filtered-out bench builds nothing.
+    let mut probed: Option<u64> = None;
+    h.bench_function(FLUID_CHURN_BENCH, |b| {
+        let exp = churn_experiment();
+        let walk = || {
+            let mut engine = exp.build();
+            let mut fluid = engine
+                .fluid
+                .take()
+                .expect("hybrid cell carries a fluid net");
+            // detlint: allow(DET002) — this IS the benchmark measurement
+            let start = Instant::now();
+            let mut resolves = 0u64;
+            while let Some(at) = fluid.next_event() {
+                fluid.resolve(at, &engine.links);
+                fluid.drain_completions().for_each(drop);
+                resolves += 1;
+            }
+            (resolves, start.elapsed())
+        };
+        let resolves = *probed.get_or_insert_with(|| {
+            let n = walk().0;
+            assert!(n > 10_000, "churn walk too short: {n} resolves");
+            n
+        });
+        b.elements(resolves);
+        b.iter_custom(|iters| {
+            let mut total = std::time::Duration::ZERO;
+            for _ in 0..iters {
+                let (n, elapsed) = walk();
+                total += elapsed;
+                assert_eq!(n, resolves, "nondeterministic resolve count");
+            }
+            total
+        })
+    });
+}
+
+/// [`hybrid_experiment`]'s fluid cell with its tornado swapped for a
+/// `dctrace-10pct-40us` background (Poisson arrivals, websearch sizes,
+/// 10 % load for 40 us: ~9.5k mice and elephants). The foreground is along
+/// for the ride — [`bench_fluid_churn`] only takes the fluid net.
+fn churn_experiment() -> Experiment {
+    let mut exp = hybrid_experiment(true);
+    let mut rng = Rng64::new(11);
+    let bg = traces::poisson_trace(
+        10_240,
+        0.10,
+        Time::from_us(40),
+        exp.sim.link_bps,
+        &SizeCdf::websearch(),
+        &mut rng,
+    );
+    exp.background = Some((bg, LbKind::Ecmp));
     exp
 }

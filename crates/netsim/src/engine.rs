@@ -830,6 +830,14 @@ impl<S: TraceSink> Engine<S> {
         self.fluid = Some(fluid);
     }
 
+    /// Reports a change of `l`'s `up` or `rate_bps` to the fluid model;
+    /// its next resolve re-solves the flows that share capacity with `l`.
+    fn fluid_link_changed(&mut self, l: LinkId) {
+        if let Some(fluid) = &mut self.fluid {
+            fluid.mark_dirty(l);
+        }
+    }
+
     /// Re-solves the fluid background model at `now` and folds the new
     /// per-link residual rates into the packet layer. Called on every
     /// capacity-changing control event and on scheduled `FluidWake`s;
@@ -876,6 +884,7 @@ impl<S: TraceSink> Engine<S> {
                 for _ in 0..flushed {
                     self.stats.on_drop(DropReason::LinkDown);
                 }
+                self.fluid_link_changed(l);
                 self.fluid_resolve();
             }
             ControlEvent::LinkUp(l) => {
@@ -884,6 +893,7 @@ impl<S: TraceSink> Engine<S> {
                     link: l,
                 });
                 self.links[l.index()].set_up();
+                self.fluid_link_changed(l);
                 self.fluid_resolve();
             }
             ControlEvent::LinkRate(l, bps) => {
@@ -893,6 +903,7 @@ impl<S: TraceSink> Engine<S> {
                     bps,
                 });
                 self.links[l.index()].set_rate(bps);
+                self.fluid_link_changed(l);
                 self.fluid_resolve();
             }
             ControlEvent::LinkBer(l, p) => {
@@ -926,6 +937,7 @@ impl<S: TraceSink> Engine<S> {
                     for _ in 0..flushed {
                         self.stats.on_drop(DropReason::LinkDown);
                     }
+                    self.fluid_link_changed(l);
                 }
                 self.fluid_resolve();
             }
@@ -934,6 +946,7 @@ impl<S: TraceSink> Engine<S> {
                 self.topo.switches[sw.index()].alive = true;
                 for l in self.topo.switch_links(sw) {
                     self.links[l.index()].set_up();
+                    self.fluid_link_changed(l);
                 }
                 self.fluid_resolve();
             }

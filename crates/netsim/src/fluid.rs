@@ -14,16 +14,57 @@
 //!    schedules at `ceil(remaining · 8e12 / rate)` guarantees the floor
 //!    progression reaches zero at that instant),
 //! 3. admits flows whose start time has arrived,
-//! 4. re-solves max-min fair shares by integer water-filling, and
+//! 4. re-solves max-min fair shares by integer water-filling — over the
+//!    *dirty components* only, see below — and
 //! 5. reports the per-link background-rate deltas so the engine can fold
 //!    them into each [`Link`](crate::link::Link)'s *effective* service
 //!    rate (foreground packets see background load as reduced rate plus a
 //!    deterministic queue-delay term — see `Link::set_background`).
 //!
+//! # Component-local re-solve
+//!
+//! Max-min shares couple two flows only through a chain of shared links.
+//! A persistent link → active-flow index (intrusive per-hop lists, sized
+//! once in [`FluidNet::finalize`]) makes that coupling graph walkable, and
+//! step 4 re-solves just the connected components that contain a *dirty*
+//! link: a link on the path of a flow completed or admitted in this
+//! resolve, or one whose `up`/`rate_bps` the engine changed and reported
+//! through [`FluidNet::mark_dirty`]. From the dirty links the solver
+//! walks link → flows → links to closure and water-fills those flows
+//! over those links; everything else keeps the share it has.
+//!
+//! This is exact, not an approximation. The water-filling takes
+//! bottlenecks in the total order on `(share, link)`, and a link's
+//! remaining capacity and unfrozen-flow count are written only by flows
+//! crossing it — so a solve of the whole population takes, for each
+//! component, exactly the bottleneck sequence that component takes when
+//! solved alone; the heap merely interleaves the components. And the
+//! shares of a component with no dirty link are a pure function of inputs
+//! that did not change. The from-scratch solve is the same code with every
+//! link dirty ([`FluidNet::mark_all_dirty`]); debug builds run it after
+//! every incremental resolve and assert that no rate moves, so a link
+//! changed without `mark_dirty` fails loudly instead of leaving a stale
+//! share behind.
+//!
+//! What it buys: under flow churn a resolve admits or completes about one
+//! flow, and the component it touches is tiny. On the 10 240-host
+//! `dctrace-10pct-40us` cells (~300 active flows, ~19k resolves per cell)
+//! a resolve re-solves 0.7 flows on average (at most 16) instead of all
+//! 300: the solve step fell from ~70 µs to ~0.3 µs and the whole resolve
+//! from 73–96 µs to 3–4 µs (`microbench`'s `hybrid/fluid_churn10k`, two
+//! runs on a drifting 2-vCPU host). What is left is steps 1–2 and
+//! [`FluidNet::next_event`], two scans of the active set; making those
+//! lazy would change the per-step `floor` and with it the result bytes.
+//! When every flow arrives at once (a tornado
+//! background) or load fuses the fabric into one component, the dirty
+//! component is the whole population and a resolve costs what the
+//! from-scratch solve did; the `--perf` record's `fluid_flows_resolved`
+//! and `fluid_max_component` say which regime a cell ran in.
+//!
 //! Rates are never recomputed per packet, and the solver never touches the
-//! allocator in steady state: every table lives in generation-stamped
-//! scratch buffers that retain their high-water capacity across resolves.
-//! All arithmetic is integer picoseconds/bytes/bps (`u128` intermediates)
+//! allocator in steady state: the index is sized up front and every
+//! scratch buffer retains its high-water capacity across resolves. All
+//! arithmetic is integer picoseconds/bytes/bps (`u128` intermediates)
 //! — no floats, no RNG — so hybrid cells stay byte-deterministic across
 //! `--threads` and `--shard` splits.
 
@@ -50,6 +91,9 @@ pub const MAX_BG_SHARE_PPM: u64 = 950_000;
 /// conversion constant.
 const PS_PER_SEC_BITS: u128 = 8 * 1_000_000_000_000;
 
+/// End-of-list marker of the link → flow index.
+const NIL: u32 = u32::MAX;
+
 /// One background flow.
 #[derive(Debug, Clone, Copy)]
 struct FluidFlow {
@@ -70,9 +114,37 @@ struct FluidFlow {
     path_len: u8,
     /// Solver scratch: true once this flow's rate is frozen this solve.
     frozen: bool,
+    /// Solver scratch: the last solve whose dirty components held this flow.
+    stamp: u32,
 }
 
-/// Counters surfaced through `--diagnostics`.
+impl FluidFlow {
+    fn path(&self) -> &[LinkId] {
+        &self.path[..self.path_len as usize]
+    }
+}
+
+/// Per-link solver state: what the engine last applied, the head of the
+/// link's active-flow list, and the water-filling scratch.
+#[derive(Debug, Clone, Copy)]
+struct LinkSlot {
+    /// Background rate in bps the engine last applied.
+    bg: u64,
+    /// First node of this link's active-flow list ([`NIL`] when idle).
+    head: u32,
+    /// Solve generation the scratch below belongs to.
+    stamp: u32,
+    /// Scratch: flows crossing this link not yet frozen.
+    nflows: u32,
+    /// Scratch: capacity not yet claimed by frozen flows.
+    cap: u64,
+    /// Scratch: sum of the frozen flows' shares.
+    new_bg: u64,
+}
+
+/// Counters of the fluid model. `resolves`, `admitted` and
+/// `residual_updates` surface through `--diagnostics`; `flows_resolved`
+/// and `max_component` only through the `--perf` record.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FluidCounters {
     /// Solver invocations ([`FluidNet::resolve`] calls).
@@ -83,6 +155,11 @@ pub struct FluidCounters {
     pub completed: u64,
     /// Per-link residual-rate updates applied across all resolves.
     pub residual_updates: u64,
+    /// Flows whose share was recomputed, summed over all resolves (the
+    /// sizes of the dirty components).
+    pub flows_resolved: u64,
+    /// Most flows any single resolve recomputed.
+    pub max_component: u64,
 }
 
 /// The background-flow population and its event-driven max-min solver.
@@ -99,25 +176,20 @@ pub struct FluidNet {
     /// Earliest `FluidWake` currently on the engine calendar (dedup so a
     /// burst of control events does not flood the calendar with wakes).
     pub(crate) scheduled_wake: Time,
-    /// Persistent per-link background rate in bps (what the engine last
-    /// applied), indexed by link.
-    link_bg: Vec<u64>,
-    /// Generation stamp per link (scratch validity marker).
-    stamp: Vec<u32>,
+    /// Per-link state, indexed by link.
+    slots: Vec<LinkSlot>,
+    /// The link → active-flow index: intrusive doubly-linked lists through
+    /// one node per hop. Node `fi * MAX_PATH + hop` is flow `fi` crossing
+    /// `path[hop]`; sized once in [`FluidNet::finalize`].
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Links whose inputs (flow set, `up`, `rate_bps`) changed since the
+    /// last solve: the seeds of the dirty components.
+    dirty: Vec<u32>,
+    /// Generation of the current solve (validity marker of the scratch).
     gen: u32,
-    /// Links touched by the current active set (scratch).
+    /// Links of the dirty components, in discovery order (scratch).
     touched: Vec<u32>,
-    /// Links touched by the previous solve (to zero departures).
-    prev_touched: Vec<u32>,
-    /// Water-filling scratch, valid where `stamp == gen`.
-    cap: Vec<u64>,
-    nflows: Vec<u32>,
-    new_bg: Vec<u64>,
-    /// CSR per-link flow lists (scratch): `flow_of[flow_start[li]..
-    /// flow_start[li] + nflows0[li]]` are the active flows crossing `li`.
-    flow_start: Vec<u32>,
-    nflows0: Vec<u32>,
-    flow_of: Vec<u32>,
     /// Lazy min-heap of `(fair_share, link)` candidates; stale entries are
     /// detected by recomputing the share at pop time.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
@@ -125,33 +197,41 @@ pub struct FluidNet {
     changed: Vec<u32>,
     /// Completions produced by the last resolve, in admission order.
     completions: Vec<FlowRecord>,
-    /// Diagnostics counters.
+    /// Per-flow rates before the debug audit's from-scratch solve.
+    #[cfg(debug_assertions)]
+    audit_rates: Vec<u64>,
+    /// Diagnostics and perf counters.
     pub counters: FluidCounters,
 }
 
 impl FluidNet {
     /// An empty background population over a fabric with `n_links` links.
     pub fn new(n_links: usize) -> FluidNet {
+        let idle = LinkSlot {
+            bg: 0,
+            head: NIL,
+            stamp: 0,
+            nflows: 0,
+            cap: 0,
+            new_bg: 0,
+        };
         FluidNet {
             flows: Vec::new(),
             active: Vec::new(),
             next_arrival: 0,
             last_advance: Time::ZERO,
             scheduled_wake: Time::ZERO,
-            link_bg: vec![0; n_links],
-            stamp: vec![0; n_links],
+            slots: vec![idle; n_links],
+            next: Vec::new(),
+            prev: Vec::new(),
+            dirty: Vec::new(),
             gen: 0,
             touched: Vec::new(),
-            prev_touched: Vec::new(),
-            cap: vec![0; n_links],
-            nflows: vec![0; n_links],
-            new_bg: vec![0; n_links],
-            flow_start: vec![0; n_links],
-            nflows0: vec![0; n_links],
-            flow_of: Vec::new(),
             heap: BinaryHeap::new(),
             changed: Vec::new(),
             completions: Vec::new(),
+            #[cfg(debug_assertions)]
+            audit_rates: Vec::new(),
             counters: FluidCounters::default(),
         }
     }
@@ -180,14 +260,20 @@ impl FluidNet {
             path,
             path_len,
             frozen: false,
+            stamp: 0,
         });
     }
 
-    /// Sorts the admission table; must be called once after the last
-    /// [`FluidNet::add_flow`] and before the first [`FluidNet::resolve`].
+    /// Sorts the admission table and sizes the link → flow index; must be
+    /// called once after the last [`FluidNet::add_flow`] and before the
+    /// first [`FluidNet::resolve`].
     pub fn finalize(&mut self) {
         self.flows.sort_by_key(|f| (f.start, f.id));
         self.next_arrival = 0;
+        let nodes = self.flows.len() * MAX_PATH;
+        assert!(nodes < NIL as usize, "fluid population too large");
+        self.next = vec![NIL; nodes];
+        self.prev = vec![NIL; nodes];
     }
 
     /// Number of flows in the admission table.
@@ -229,12 +315,28 @@ impl FluidNet {
 
     /// The background rate currently assigned to `link`.
     pub fn link_bg(&self, link: LinkId) -> u64 {
-        self.link_bg[link.index()]
+        self.slots[link.index()].bg
     }
 
     /// Drains the completions the last resolve produced.
     pub fn drain_completions(&mut self) -> std::vec::Drain<'_, FlowRecord> {
         self.completions.drain(..)
+    }
+
+    /// Tells the solver that `link`'s `up` or `rate_bps` changed, so the
+    /// next [`FluidNet::resolve`] re-solves the component it belongs to.
+    /// Every such change must be reported: an unreported one leaves that
+    /// component's shares stale (debug builds catch it in the audit).
+    pub fn mark_dirty(&mut self, link: LinkId) {
+        self.dirty.push(link.0);
+    }
+
+    /// Marks every link dirty: the next [`FluidNet::resolve`] re-solves
+    /// the whole population from scratch. The reference the incremental
+    /// solve is checked against (debug audit, equivalence tests).
+    pub fn mark_all_dirty(&mut self) {
+        self.dirty.clear();
+        self.dirty.extend(0..self.slots.len() as u32);
     }
 
     /// Advances, completes, admits and re-solves at `now`. Returns
@@ -254,173 +356,261 @@ impl FluidNet {
         }
         self.last_advance = now;
         // 2. Completions (in admission order — `active` preserves it).
-        let flows = &self.flows;
-        let completions = &mut self.completions;
-        let completed = &mut self.counters.completed;
-        self.active.retain(|&fi| {
-            let f = &flows[fi as usize];
-            if f.remaining == 0 {
-                completions.push(FlowRecord {
-                    flow: FlowId(f.id),
-                    src: f.src,
-                    dst: f.dst,
-                    bytes: f.bytes,
-                    start: f.start,
-                    end: now,
-                    retransmissions: 0,
-                });
-                *completed += 1;
-                false
-            } else {
-                true
+        let mut active = std::mem::take(&mut self.active);
+        active.retain(|&fi| {
+            let f = &self.flows[fi as usize];
+            if f.remaining > 0 {
+                return true;
             }
+            self.completions.push(FlowRecord {
+                flow: FlowId(f.id),
+                src: f.src,
+                dst: f.dst,
+                bytes: f.bytes,
+                start: f.start,
+                end: now,
+                retransmissions: 0,
+            });
+            self.counters.completed += 1;
+            self.unlink(fi);
+            false
         });
+        self.active = active;
         // 3. Admissions.
         while self
             .flows
             .get(self.next_arrival)
             .is_some_and(|f| f.start <= now)
         {
-            self.active.push(self.next_arrival as u32);
+            let fi = self.next_arrival as u32;
+            self.active.push(fi);
+            self.link(fi);
             self.next_arrival += 1;
             self.counters.admitted += 1;
         }
-        // 4. Max-min fair shares by integer water-filling.
-        self.solve(links);
-        // 5. Per-link deltas for the engine to apply.
-        self.collect_changes();
+        // 4. Max-min fair shares of the dirty components.
+        let resolved = self.solve(links) as u64;
+        self.counters.flows_resolved += resolved;
+        self.counters.max_component = self.counters.max_component.max(resolved);
+        // 5. Per-link deltas for the engine to apply (a link the background
+        //    departed from is in its old component with a zero share).
+        self.changed.clear();
+        for &li in &self.touched {
+            let slot = &mut self.slots[li as usize];
+            if slot.bg != slot.new_bg {
+                slot.bg = slot.new_bg;
+                self.changed.push(li);
+            }
+        }
         self.counters.residual_updates += self.changed.len() as u64;
+        #[cfg(debug_assertions)]
+        self.audit(links);
         (self.active.len() as u32, self.changed.len() as u32)
     }
 
-    /// Integer water-filling: repeatedly take the tightest link (smallest
-    /// `capacity / unfrozen-flow-count`), freeze every unfrozen flow that
-    /// crosses it at that fair share, and charge the share to the rest of
-    /// each frozen flow's path.
+    /// Threads newly admitted flow `fi` onto the list of every link of its
+    /// path and marks those links dirty.
+    fn link(&mut self, fi: u32) {
+        let f = &self.flows[fi as usize];
+        for (hop, l) in f.path().iter().enumerate() {
+            let node = fi as usize * MAX_PATH + hop;
+            let head = std::mem::replace(&mut self.slots[l.index()].head, node as u32);
+            self.next[node] = head;
+            self.prev[node] = NIL;
+            if head != NIL {
+                self.prev[head as usize] = node as u32;
+            }
+            self.dirty.push(l.0);
+        }
+    }
+
+    /// Takes completed flow `fi` off the list of every link of its path
+    /// and marks those links dirty.
+    fn unlink(&mut self, fi: u32) {
+        let f = &self.flows[fi as usize];
+        for (hop, l) in f.path().iter().enumerate() {
+            let node = fi as usize * MAX_PATH + hop;
+            let (prev, next) = (self.prev[node], self.next[node]);
+            if prev == NIL {
+                self.slots[l.index()].head = next;
+            } else {
+                self.next[prev as usize] = next;
+            }
+            if next != NIL {
+                self.prev[next as usize] = prev;
+            }
+            self.dirty.push(l.0);
+        }
+    }
+
+    /// Re-solves max-min shares over the *dirty components*: the dirty
+    /// links, the flows crossing them, those flows' other links, and so on
+    /// to closure. Returns the number of flows re-solved and leaves the
+    /// components' links in `touched` with their new rates in `new_bg`.
     ///
-    /// The bottleneck order comes from a lazy min-heap of
-    /// `(share, link)` candidates: freezing a flow re-pushes its other
-    /// path links with their updated shares, and entries whose share no
-    /// longer matches at pop time are re-pushed corrected. Per-link CSR
-    /// flow lists make each freeze touch only the flows actually crossing
-    /// the bottleneck, so a solve is `O(active · path_len · log links)`
-    /// instead of the old `O(bottlenecks · active)` scan — the difference
-    /// between milliseconds and minutes at 10k background flows.
-    fn solve(&mut self, links: &[Link]) {
+    /// Within the components this is integer water-filling: repeatedly
+    /// take the tightest link (smallest `capacity / unfrozen-flow-count`),
+    /// freeze every unfrozen flow that crosses it at that fair share, and
+    /// charge the share to the rest of each frozen flow's path. The
+    /// bottleneck order comes from a lazy min-heap of `(share, link)`
+    /// candidates: freezing a flow re-pushes its other path links with
+    /// their updated shares, and entries whose share no longer matches at
+    /// pop time are re-pushed corrected, so the effective bottleneck
+    /// sequence follows the total order on `(share, link)` whatever stale
+    /// entries the heap holds.
+    ///
+    /// Solving only the dirty components is exact, not an approximation.
+    /// A link's `cap`/`nflows` are written only by flows crossing it, so
+    /// a solve of the whole population pops, for each component, exactly
+    /// the sequence that component pops when solved alone — the heap
+    /// merely interleaves them. And a component no dirty link belongs to
+    /// has the same flows, link rates and link states as when it was last
+    /// solved, so its shares are already what a full solve would compute.
+    /// The from-scratch solve is this function with every link dirty.
+    fn solve(&mut self, links: &[Link]) -> u32 {
         self.gen = self.gen.wrapping_add(1);
-        self.touched.clear();
-        for &fi in &self.active {
-            let f = &mut self.flows[fi as usize];
-            f.frozen = false;
-            f.rate_bps = 0;
-            for &l in &f.path[..f.path_len as usize] {
-                let li = l.index();
-                if self.stamp[li] != self.gen {
-                    self.stamp[li] = self.gen;
-                    self.touched.push(li as u32);
-                    let link = &links[li];
-                    self.cap[li] = if link.up {
-                        (link.rate_bps as u128 * MAX_BG_SHARE_PPM as u128 / 1_000_000) as u64
-                    } else {
-                        0
-                    };
-                    self.nflows[li] = 0;
-                    self.new_bg[li] = 0;
+        let gen = self.gen;
+        let FluidNet {
+            flows,
+            slots,
+            next,
+            dirty,
+            touched,
+            heap,
+            ..
+        } = self;
+        let touch = |slots: &mut [LinkSlot], touched: &mut Vec<u32>, li: u32| {
+            let slot = &mut slots[li as usize];
+            if slot.stamp != gen {
+                *slot = LinkSlot {
+                    stamp: gen,
+                    nflows: 0,
+                    cap: bg_cap(&links[li as usize]),
+                    new_bg: 0,
+                    ..*slot
+                };
+                touched.push(li);
+            }
+        };
+        touched.clear();
+        for li in dirty.drain(..) {
+            touch(slots, touched, li);
+        }
+        // Closure over link → flows → links; `touched` doubles as the
+        // work queue. A link's list is final once it is walked, so its
+        // first heap entry goes in right then.
+        heap.clear();
+        let mut unfrozen = 0u32;
+        let mut visited = 0;
+        while let Some(&li) = touched.get(visited) {
+            visited += 1;
+            let mut node = slots[li as usize].head;
+            let mut crossing = 0u32;
+            while node != NIL {
+                crossing += 1;
+                let f = &mut flows[node as usize / MAX_PATH];
+                node = next[node as usize];
+                if f.stamp != gen {
+                    f.stamp = gen;
+                    f.frozen = false;
+                    f.rate_bps = 0;
+                    unfrozen += 1;
+                    for l in f.path() {
+                        touch(slots, touched, l.0);
+                    }
                 }
-                self.nflows[li] += 1;
+            }
+            let slot = &mut slots[li as usize];
+            slot.nflows = crossing;
+            if crossing > 0 {
+                heap.push(Reverse((slot.cap / crossing as u64, li)));
             }
         }
-        // CSR flow lists: offsets from the touched-order prefix sum, then a
-        // second flow pass fills (reusing `flow_start` as the write cursor;
-        // `nflows0` keeps the immutable per-link count for range ends).
-        let mut total = 0u32;
-        for &li in &self.touched {
-            let li = li as usize;
-            self.flow_start[li] = total;
-            self.nflows0[li] = self.nflows[li];
-            total += self.nflows[li];
-        }
-        self.flow_of.clear();
-        self.flow_of.resize(total as usize, 0);
-        for &fi in &self.active {
-            let f = &self.flows[fi as usize];
-            for &l in &f.path[..f.path_len as usize] {
-                let li = l.index();
-                self.flow_of[self.flow_start[li] as usize] = fi;
-                self.flow_start[li] += 1;
-            }
-        }
-        for &li in &self.touched {
-            let li = li as usize;
-            self.flow_start[li] -= self.nflows0[li];
-        }
-        self.heap.clear();
-        for &li in &self.touched {
-            let l = li as usize;
-            if self.nflows[l] > 0 {
-                self.heap
-                    .push(Reverse((self.cap[l] / self.nflows[l] as u64, li)));
-            }
-        }
-        let mut unfrozen = self.active.len();
+        let resolved = unfrozen;
         while unfrozen > 0 {
-            let Some(Reverse((share, li))) = self.heap.pop() else {
-                break; // every remaining flow crosses only down links — guard
+            let Some(Reverse((share, li))) = heap.pop() else {
+                break; // unreachable: every unfrozen flow's links have entries
             };
             let l = li as usize;
-            if self.nflows[l] == 0 {
+            if slots[l].nflows == 0 {
                 continue; // stale: all of its flows froze via other links
             }
-            let fair = self.cap[l] / self.nflows[l] as u64;
+            let fair = slots[l].cap / slots[l].nflows as u64;
             if fair != share {
-                self.heap.push(Reverse((fair, li)));
+                heap.push(Reverse((fair, li)));
                 continue; // stale share: re-queue at the current value
             }
-            let start = self.flow_start[l] as usize;
-            let end = start + self.nflows0[l] as usize;
-            for k in start..end {
-                let fi = self.flow_of[k];
-                let f = &mut self.flows[fi as usize];
+            let mut node = slots[l].head;
+            while node != NIL {
+                let f = &mut flows[node as usize / MAX_PATH];
+                node = next[node as usize];
                 if f.frozen {
                     continue;
                 }
                 f.frozen = true;
                 f.rate_bps = fair;
                 unfrozen -= 1;
-                for &pl in &f.path[..f.path_len as usize] {
-                    let pi = pl.index();
-                    self.cap[pi] = self.cap[pi].saturating_sub(fair);
-                    self.nflows[pi] -= 1;
-                    self.new_bg[pi] += fair;
-                    if pi != l && self.nflows[pi] > 0 {
-                        self.heap
-                            .push(Reverse((self.cap[pi] / self.nflows[pi] as u64, pi as u32)));
+                for pl in f.path() {
+                    let slot = &mut slots[pl.index()];
+                    slot.cap = slot.cap.saturating_sub(fair);
+                    slot.nflows -= 1;
+                    slot.new_bg += fair;
+                    if pl.0 != li && slot.nflows > 0 {
+                        heap.push(Reverse((slot.cap / slot.nflows as u64, pl.0)));
                     }
                 }
             }
         }
+        resolved
     }
 
-    /// Diffs the freshly solved per-link rates against what the engine has
-    /// applied, zeroing links the background departed from.
-    fn collect_changes(&mut self) {
-        self.changed.clear();
-        for &li in &self.prev_touched {
-            let li = li as usize;
-            // Departed links: touched last solve, untouched now.
-            if self.stamp[li] != self.gen && self.link_bg[li] != 0 {
-                self.link_bg[li] = 0;
-                self.changed.push(li as u32);
-            }
+    /// Debug guard of the incremental contract: a from-scratch solve right
+    /// after the incremental one must reproduce every flow's rate and
+    /// every link's background rate, and no link's background may exceed
+    /// its capped line rate. A link changed without
+    /// [`FluidNet::mark_dirty`] fails here instead of silently running on
+    /// a stale share.
+    #[cfg(debug_assertions)]
+    fn audit(&mut self, links: &[Link]) {
+        let mut rates = std::mem::take(&mut self.audit_rates);
+        rates.clear();
+        rates.extend(
+            self.active
+                .iter()
+                .map(|&fi| self.flows[fi as usize].rate_bps),
+        );
+        self.mark_all_dirty();
+        self.solve(links);
+        for (&fi, &rate) in self.active.iter().zip(&rates) {
+            let f = &self.flows[fi as usize];
+            debug_assert_eq!(
+                f.rate_bps, rate,
+                "flow {}: incremental rate differs from the from-scratch solve",
+                f.id
+            );
         }
-        for &li in &self.touched {
-            let li = li as usize;
-            if self.link_bg[li] != self.new_bg[li] {
-                self.link_bg[li] = self.new_bg[li];
-                self.changed.push(li as u32);
-            }
+        for (li, slot) in self.slots.iter().enumerate() {
+            debug_assert_eq!(
+                slot.new_bg, slot.bg,
+                "link {li}: incremental background differs from the from-scratch solve"
+            );
+            debug_assert!(
+                slot.bg <= bg_cap(&links[li]),
+                "link {li}: background {} exceeds its cap",
+                slot.bg
+            );
         }
-        std::mem::swap(&mut self.prev_touched, &mut self.touched);
+        self.audit_rates = rates;
+    }
+}
+
+/// The most background a link can carry: [`MAX_BG_SHARE_PPM`] of its
+/// rate, nothing while it is down.
+fn bg_cap(link: &Link) -> u64 {
+    if link.up {
+        (link.rate_bps as u128 * MAX_BG_SHARE_PPM as u128 / 1_000_000) as u64
+    } else {
+        0
     }
 }
 
@@ -560,11 +750,13 @@ mod tests {
         // Cut the first hop: rate drops to 0, no completion predicted.
         let mut arena = crate::arena::PacketArena::new();
         links[first_hop.index()].set_down(Time::from_us(1), &mut arena);
+        net.mark_dirty(first_hop);
         net.resolve(Time::from_us(1), &links);
         assert_eq!(net.link_bg(first_hop), 0);
         assert_eq!(net.next_event(), None, "stalled flow predicts nothing");
         // Recovery: share comes back, completion predicted again.
         links[first_hop.index()].set_up();
+        net.mark_dirty(first_hop);
         net.resolve(Time::from_us(5), &links);
         assert!(net.link_bg(first_hop) > 0);
         assert!(net.next_event().is_some());

@@ -11,6 +11,13 @@
 //! global allocator pins both, so a regression (a per-packet rate lookup
 //! table, a boxed residual state) fails immediately.
 //!
+//! The last phase pins the solver's own promise under *churn*: with flows
+//! arriving and completing at every wake, `FluidNet::resolve` —
+//! admission, completion, the link → flow index, the dirty-component
+//! walk, the water-filling heap — allocates nothing once its buffers
+//! reached their high-water marks. The index is sized in `finalize`, so
+//! a per-link `Vec` growing on first use would fail here.
+//!
 //! This file intentionally contains a single test: the counter is
 //! process-global, and a sibling test running on another thread would
 //! add its own allocations to the measurement.
@@ -135,4 +142,60 @@ fn fluid_residual_path_is_allocation_free_after_warmup() {
             engine.stats.counters
         );
     }
+    solver_is_allocation_free_under_churn();
+}
+
+/// Two identical bursts of 2000 background flows (64–320 KiB, arriving
+/// 500 ns apart, a handful active at any instant and sharing NICs and
+/// uplinks), so every wake admits or completes a flow and components keep
+/// merging and splitting. Walked wake to wake the way the engine does. The
+/// first burst drains before the second starts and the solver is
+/// time-shift invariant, so the second — the measured one — replays the
+/// first exactly: every buffer has already seen its high-water mark.
+fn solver_is_allocation_free_under_churn() {
+    const BURST: u32 = 2000;
+    let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 7);
+    let engine = Engine::new(topo, SimConfig::paper_default(), 7);
+    let mut fluid = FluidNet::new(engine.links.len());
+    let second = Time::from_ms(2);
+    for offset in [Time::ZERO, second] {
+        // Same ids in both bursts: the id picks the path.
+        for i in 0..BURST {
+            let src = i % 32;
+            let dst = (src + 1 + i * 7 % 31) % 32;
+            let bytes = (1 + i as u64 % 5) * (64 << 10);
+            let start = offset + Time::from_ns(500 * i as u64);
+            fluid.add_flow(&engine.topo, i, HostId(src), HostId(dst), bytes, start);
+        }
+    }
+    fluid.finalize();
+    let walk = |fluid: &mut FluidNet, until: Time| {
+        let mut resolves = 0u32;
+        while let Some(at) = fluid.next_event().filter(|&at| at < until) {
+            fluid.resolve(at, &engine.links);
+            fluid.drain_completions().for_each(drop);
+            resolves += 1;
+        }
+        resolves
+    };
+    let warmup = walk(&mut fluid, second);
+    assert!(warmup > BURST, "warm-up saw no churn: {warmup} resolves");
+    assert_eq!(
+        fluid.counters.completed, BURST as u64,
+        "first burst must drain"
+    );
+    let before = tinybench::alloc::allocs();
+    let resolves = walk(&mut fluid, Time::MAX);
+    let during = tinybench::alloc::allocs() - before;
+    assert_eq!(resolves, warmup, "the second burst must replay the first");
+    assert_eq!(fluid.counters.completed, 2 * BURST as u64);
+    assert!(
+        fluid.counters.max_component > 1,
+        "flows never shared a link: {:?}",
+        fluid.counters
+    );
+    assert_eq!(
+        during, 0,
+        "solver allocated {during} times over {resolves} resolves under churn"
+    );
 }

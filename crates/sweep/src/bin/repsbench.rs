@@ -248,10 +248,12 @@
 //! hit/miss counts, and a fully warm re-run executes nothing.
 //!
 //! `--perf` additionally writes one JSONL record per *executed* cell with
-//! its event count, wall time and events/sec (a *separate* file because
-//! wall time is nondeterministic and `--out` is byte-stable; cache hits
-//! have no fresh perf counters, so they are omitted); the run footer
-//! reports aggregate simulator events/sec over the executed cells.
+//! its event count, wall time and events/sec, the calendar's `cal_*`
+//! counters and the fluid solver's `fluid_resolves`,
+//! `fluid_flows_resolved` and `fluid_max_component` (a *separate* file
+//! because wall time is nondeterministic and `--out` is byte-stable;
+//! cache hits have no fresh perf counters, so they are omitted); the run
+//! footer reports aggregate simulator events/sec over the executed cells.
 
 use std::io::Write;
 use std::process::ExitCode;

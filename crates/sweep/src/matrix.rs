@@ -607,6 +607,12 @@ impl Cell {
             max_batch: res.engine.batch_stats.max_batch,
             chained_services: res.engine.batch_stats.chained_services,
             calendar: res.engine.batch_stats.calendar,
+            fluid: res
+                .engine
+                .fluid
+                .as_ref()
+                .map(|f| f.counters)
+                .unwrap_or_default(),
             summary: res.summary,
         }
     }
@@ -672,6 +678,10 @@ pub struct CellResult {
     /// Calendar geometry and work counters at the end of the run
     /// (deterministic for a fixed key; perf-stream only).
     pub calendar: netsim::event::CalendarStats,
+    /// Fluid-solver counters at the end of the run, all zero for a cell
+    /// without a fluid background (deterministic for a fixed key;
+    /// perf-stream only).
+    pub fluid: netsim::fluid::FluidCounters,
     /// Aggregate run metrics.
     pub summary: Summary,
 }

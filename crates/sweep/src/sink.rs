@@ -67,6 +67,7 @@ pub fn parse_record(line: &str) -> Result<CellResult, String> {
         max_batch: 0,
         chained_services: 0,
         calendar: Default::default(),
+        fluid: Default::default(),
         summary: Summary::from_json(field("summary")?)?,
     })
 }
@@ -91,7 +92,11 @@ pub fn to_jsonl(results: &[CellResult]) -> String {
 /// this is not part of [`jsonl_record`]; the batch-shape counters
 /// (same-timestamp batches drained, average/max batch size, chained
 /// link services) ride along so sweeps show how much the engine's
-/// batched execution amortizes per cell.
+/// batched execution amortizes per cell, the `cal_*` fields describe the
+/// calendar it ran on, and the `fluid_*` fields say how local the fluid
+/// re-solves stayed: `fluid_flows_resolved / fluid_resolves` is the mean
+/// dirty-component size, `fluid_max_component` the largest (all zero for
+/// a cell without a fluid background).
 pub fn perf_record(r: &CellResult) -> String {
     let events_per_sec = if r.wall_ns > 0 {
         r.events as f64 * 1e9 / r.wall_ns as f64
@@ -119,6 +124,9 @@ pub fn perf_record(r: &CellResult) -> String {
         .u64("cal_merge_moved", r.calendar.merge_moved)
         .u64("cal_max_bucket", r.calendar.max_bucket)
         .u64("cal_overflow_pushes", r.calendar.overflow_pushes)
+        .u64("fluid_resolves", r.fluid.resolves)
+        .u64("fluid_flows_resolved", r.fluid.flows_resolved)
+        .u64("fluid_max_component", r.fluid.max_component)
         .render()
 }
 
@@ -408,6 +416,9 @@ mod tests {
                 "cal_merge_moved",
                 "cal_max_bucket",
                 "cal_overflow_pushes",
+                "fluid_resolves",
+                "fluid_flows_resolved",
+                "fluid_max_component",
             ] {
                 assert!(line.contains(&format!("\"{field}\":")), "{line}");
             }
@@ -420,6 +431,7 @@ mod tests {
         assert!(!record.contains("wall_ns"), "{record}");
         assert!(!record.contains("batches"), "{record}");
         assert!(!record.contains("cal_"), "{record}");
+        assert!(!record.contains("fluid_"), "{record}");
     }
 
     /// A synthetic cell result whose every numeric summary field is
@@ -468,6 +480,7 @@ mod tests {
             max_batch: 0,
             chained_services: 0,
             calendar: Default::default(),
+            fluid: Default::default(),
             summary,
         }
     }
