@@ -1,17 +1,19 @@
-//! `alloctrace` — one-off allocation accounting for the hot-path cell.
+//! `alloctrace` — one-off allocation accounting for a microbench cell.
 //!
-//! Runs the same permutation cell as `microbench`'s gated benchmark under
-//! a counting global allocator and reports allocations per simulator
-//! event, split into build phase vs. run phase. Diagnostic tool for the
+//! ```text
+//! alloctrace [10k]
+//! ```
+//!
+//! Runs one of `microbench`'s cells under a counting global allocator
+//! and reports allocations and bytes for the build phase and the run
+//! phase, per simulator event and per host: the gated hot-path
+//! permutation cell by default, the all-packet 10 240-host cell
+//! (`hybrid/cell10k_bg_pkt`) with `10k`. Diagnostic tool for the
 //! zero-allocation work; not part of CI.
 
-use baselines::kind::LbKind;
-use harness::experiment::Experiment;
-use netsim::rng::Rng64;
+use std::process::ExitCode;
+
 use netsim::time::Time;
-use netsim::topology::FatTreeConfig;
-use reps::reps::RepsConfig;
-use workloads::patterns;
 
 #[global_allocator]
 static A: tinybench::alloc::Counting = tinybench::alloc::Counting;
@@ -20,17 +22,15 @@ fn snap() -> (u64, u64) {
     (tinybench::alloc::allocs(), tinybench::alloc::bytes())
 }
 
-fn main() {
-    let mut rng = Rng64::new(3);
-    let w = patterns::permutation(32, 1 << 20, &mut rng);
-    let mut exp = Experiment::new(
-        "alloctrace",
-        FatTreeConfig::two_tier(8, 1),
-        LbKind::Reps(RepsConfig::default()),
-        w,
-    );
-    exp.seed = 3;
-    exp.deadline = Time::from_ms(100);
+fn main() -> ExitCode {
+    let exp = match std::env::args().nth(1).as_deref() {
+        None => bench::hotpath_experiment(),
+        Some("10k") => bench::hybrid_experiment(false),
+        Some(other) => {
+            eprintln!("unknown cell {other:?}\nusage: alloctrace [10k]");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let (a0, b0) = snap();
     let mut engine = exp.build();
@@ -39,7 +39,7 @@ fn main() {
     let mut max_pending = 0usize;
     let mut t = Time::ZERO;
     while t < exp.deadline {
-        t += Time::from_us(20);
+        t += Time::from_us(2);
         events += engine.run_until(t);
         max_pending = max_pending.max(engine.pending_events());
         if engine.pending_events() == 0 {
@@ -47,18 +47,22 @@ fn main() {
         }
     }
     let (a2, b2) = snap();
+    let hosts = engine.topo.n_hosts as f64;
+    println!("cell: {} ({hosts} hosts)", exp.name);
     println!("max pending events: {max_pending}");
-
-    println!("build:  {} allocs, {} KiB", a1 - a0, (b1 - b0) / 1024);
+    println!("arena high water: {} packets", engine.arena.high_water());
+    for (phase, allocs, bytes) in [("build", a1 - a0, b1 - b0), ("run", a2 - a1, b2 - b1)] {
+        println!(
+            "{phase:<6} {allocs} allocs, {} KiB; per host {:.1} allocs, {:.0} bytes",
+            bytes / 1024,
+            allocs as f64 / hosts,
+            bytes as f64 / hosts
+        );
+    }
     println!(
-        "run:    {} allocs, {} KiB over {} events",
-        a2 - a1,
-        (b2 - b1) / 1024,
-        events
-    );
-    println!(
-        "run:    {:.3} allocs/event, {:.1} bytes/event",
+        "run    over {events} events: {:.3} allocs/event, {:.1} bytes/event",
         (a2 - a1) as f64 / events as f64,
         (b2 - b1) as f64 / events as f64
     );
+    ExitCode::SUCCESS
 }

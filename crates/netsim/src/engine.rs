@@ -14,7 +14,15 @@
 //!
 //! * packets live in the engine-owned [`PacketArena`]; the calendar and
 //!   link queues move 4-byte [`PacketRef`]s, and a packet is written once
-//!   (when the host hands it to its NIC) and mutated in place,
+//!   (when the host hands it to its NIC),
+//! * while a packet is in the fabric its 16-byte arena [`Header`] is the
+//!   single source of truth for `src`/`dst`/`ev`/`wire_bytes` and the
+//!   data/ECN/trim flags: links, `finish_service`, `arrive_at_switch` and
+//!   [`RoutingView::select_uplink`] read and mark only the header, the
+//!   120-byte body is opened once more — by `take`, on delivery, which
+//!   folds the marks back in — and packets lost in the fabric are
+//!   `release`d without touching it. Every header access asserts the
+//!   slot's live bit, so a stale ref panics,
 //! * routing queries return compact by-value link-table descriptors
 //!   ([`RouteChoice`] carrying a [`LinkRange`]) computed in closed form —
 //!   no per-switch table is materialized,
@@ -23,7 +31,16 @@
 //!   ECMP group, retained across packets),
 //! * calendar, link deques, arena free list, the endpoint action buffer
 //!   and the same-timestamp batch buffer all retain their high-water
-//!   capacity.
+//!   capacity,
+//! * the whole-batch loop prefetches for the events a fixed distance
+//!   ahead in the batch it already holds (`Engine::prefetch_ahead`).
+//!   Prefetching takes `&self` and writes nothing, so it cannot change
+//!   dispatch order, RNG draws or any output byte — and because the state
+//!   it looks at may be gone by the time its event runs (a link flushed,
+//!   a packet released), packet addresses are computed without liveness
+//!   checks, never through `PacketArena::header`. The one `unsafe` block
+//!   of the crate is the `_mm_prefetch` wrapper in [`crate::arena`],
+//!   compiled out off x86_64 and under miri.
 //!
 //! # Batched execution
 //!
@@ -37,7 +54,7 @@
 //! one-pop-at-a-time engine. [`BatchStats`] exposes batch-shape counters
 //! to the sweep's perf sink.
 
-use crate::arena::{PacketArena, PacketRef};
+use crate::arena::{prefetch, Header, PacketArena, PacketRef};
 use crate::config::SimConfig;
 use crate::event::{CalendarStats, ControlEvent, Event, EventQueue};
 use crate::fluid::FluidNet;
@@ -50,6 +67,13 @@ use crate::stats::{FlowRecord, Stats};
 use crate::time::Time;
 use crate::topology::{LinkRange, RouteChoice, Topology};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
+
+/// How many events ahead of the one being dispatched the batch loop
+/// prefetches for (see [`Engine::prefetch_ahead`]). Far enough that a
+/// DRAM miss (~100 ns) lands before its event is dispatched at ~100 ns per
+/// event and a handful of misses in flight; near enough that batches of a
+/// few dozen events still benefit and the lines are not evicted again.
+const PREFETCH_AHEAD: usize = 8;
 
 /// How switches pick among equal-cost uplinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -257,7 +281,7 @@ impl RoutingView<'_> {
     pub fn select_uplink(
         &self,
         candidates: LinkRange,
-        pkt: &Packet,
+        pkt: &Header,
         salt: u64,
         rng: &mut Rng64,
         scratch: &mut Vec<LinkId>,
@@ -380,13 +404,13 @@ impl<S: TraceSink> Engine<S> {
     /// RNG stream and produces the same statistics as an untraced one.
     pub fn with_trace(topo: Topology, cfg: SimConfig, seed: u64, trace: S) -> Engine<S> {
         let mut links = Vec::with_capacity(topo.links.len());
-        for (i, spec) in topo.links.iter().enumerate() {
+        for spec in &topo.links {
             // Fold the downstream switch traversal latency into propagation.
             let latency = match spec.to {
                 NodeRef::Switch(_) => cfg.link_latency + cfg.switch_latency,
                 NodeRef::Host(_) => cfg.link_latency,
             };
-            let mut link = Link::new(LinkId(i as u32), spec.from, spec.to, latency, &cfg);
+            let mut link = Link::new(spec.to, latency, &cfg);
             if matches!(spec.from, NodeRef::Host(_)) {
                 // Host NIC egress: deep source queue, no fabric marking.
                 link.make_host_egress();
@@ -395,7 +419,6 @@ impl<S: TraceSink> Engine<S> {
                 (spec.from, spec.to, cfg.fabric_bps)
             {
                 link.rate_bps = bps;
-                link.nominal_bps = bps;
             }
             links.push(link);
         }
@@ -575,6 +598,7 @@ impl<S: TraceSink> Engine<S> {
             self.batch_stats.max_batch = self.batch_stats.max_batch.max(self.batch.len() as u64);
             loop {
                 let (at, _, ev) = self.batch[self.batch_pos];
+                self.prefetch_ahead();
                 self.batch_pos += 1;
                 self.now = at;
                 self.dispatch(ev);
@@ -585,6 +609,59 @@ impl<S: TraceSink> Engine<S> {
                 if stop(&self.stats) {
                     return n;
                 }
+            }
+        }
+    }
+
+    /// Warms the cache for events further down the batch being dispatched.
+    ///
+    /// At 10k hosts nearly every event's first touch of its link, packet
+    /// header or endpoint is a cache miss, and the batch — already drained
+    /// into `self.batch` — says which ones are next. Two stages, because
+    /// the second address is only known once the first line has arrived:
+    /// [`PREFETCH_AHEAD`] events ahead, the state the event names (the
+    /// link of a `QueueService`; the header of an `Arrive`, plus the body
+    /// and endpoint slot when it is a delivery); at half that distance,
+    /// one pointer further (the headers `finish_service` will read; the
+    /// boxed endpoint). Hints only: `&self`, nothing written, and the
+    /// state may change before the event runs — dispatch order, and so
+    /// every output byte, is untouched.
+    #[inline]
+    fn prefetch_ahead(&self) {
+        if let Some(&(_, _, ev)) = self.batch.get(self.batch_pos + PREFETCH_AHEAD) {
+            match ev {
+                Event::QueueService { link } => {
+                    // A `Link` spans at most four cache lines (size pinned
+                    // in `link::tests`).
+                    let p = self.links.as_ptr().wrapping_add(link.index()).cast::<u8>();
+                    for line in 0..4 {
+                        prefetch(p.wrapping_add(64 * line));
+                    }
+                }
+                Event::Arrive { node, pkt } => {
+                    self.arena.prefetch_header(pkt);
+                    if let NodeRef::Host(h) = node {
+                        self.arena.prefetch_body(pkt);
+                        prefetch(self.endpoints.as_ptr().wrapping_add(h.index()));
+                    }
+                }
+                _ => {}
+            }
+        }
+        if let Some(&(_, _, ev)) = self.batch.get(self.batch_pos + PREFETCH_AHEAD / 2) {
+            match ev {
+                Event::QueueService { link } => {
+                    self.links[link.index()].prefetch_service_headers(&self.arena);
+                }
+                Event::Arrive {
+                    node: NodeRef::Host(h),
+                    ..
+                } => {
+                    if let Some(ep) = &self.endpoints[h.index()] {
+                        prefetch(std::ptr::from_ref::<dyn Endpoint<S>>(&**ep).cast::<u8>());
+                    }
+                }
+                _ => {}
             }
         }
     }
@@ -649,24 +726,25 @@ impl<S: TraceSink> Engine<S> {
         } else {
             link.busy = false;
         }
-        let (wire_bytes, is_data) = {
-            let p = self.arena.get(pkt);
-            (p.wire_bytes as u64, p.is_data())
-        };
-        self.stats
-            .on_transmit(link_id, self.now, wire_bytes, is_data);
+        let header = self.arena.header(pkt);
+        self.stats.on_transmit(
+            link_id,
+            self.now,
+            header.wire_bytes as u64,
+            header.is_data(),
+        );
         // The fault checks mirror the BER short-circuit: a clean link
         // (all three probabilities 0.0) draws no randomness here, so the
         // RNG stream — and every downstream byte — is untouched by the
         // fault machinery's existence.
         if ber > 0.0 && self.rng.gen_bool(ber) {
-            self.arena.take(pkt);
+            self.arena.release(pkt);
             self.stats.on_drop(DropReason::BitError);
         } else if gray > 0.0 && self.rng.gen_bool(gray) {
-            self.arena.take(pkt);
+            self.arena.release(pkt);
             self.stats.on_drop(DropReason::Gray);
         } else if corrupt > 0.0 && self.rng.gen_bool(corrupt) {
-            self.arena.take(pkt);
+            self.arena.release(pkt);
             self.stats.on_drop(DropReason::Corrupt);
         } else {
             self.events
@@ -683,7 +761,7 @@ impl<S: TraceSink> Engine<S> {
 
     fn arrive_at_switch(&mut self, sw: SwitchId, pkt: PacketRef) {
         if !self.topo.switches[sw.index()].alive {
-            self.arena.take(pkt);
+            self.arena.release(pkt);
             self.stats.on_drop(DropReason::LinkDown);
             return;
         }
@@ -703,7 +781,7 @@ impl<S: TraceSink> Engine<S> {
             routing,
             ..
         } = *self;
-        let header = arena.get(pkt);
+        let header = arena.header(pkt);
         let view = RoutingView {
             topo,
             links,
@@ -729,7 +807,7 @@ impl<S: TraceSink> Engine<S> {
         match out {
             Some(link) => self.push_link(link, pkt),
             None => {
-                self.arena.take(pkt);
+                self.arena.release(pkt);
                 self.stats.on_drop(DropReason::LinkDown);
             }
         }

@@ -662,10 +662,7 @@ mod tests {
         let cfg = SimConfig::paper_default();
         topo.links
             .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                Link::new(LinkId(i as u32), spec.from, spec.to, cfg.link_latency, &cfg)
-            })
+            .map(|spec| Link::new(spec.to, cfg.link_latency, &cfg))
             .collect()
     }
 

@@ -23,7 +23,8 @@
 //! * in-fabric packets live in the engine-owned [`arena::PacketArena`];
 //!   the calendar ([`event::EventQueue`]) and link queues move 4-byte
 //!   [`arena::PacketRef`]s, so heap sifts and queue rotations never copy
-//!   packet bodies;
+//!   packet bodies, and a hop reads and writes only the packet's 16-byte
+//!   [`arena::Header`];
 //! * [`topology::Topology::route`] returns compact by-value
 //!   [`topology::LinkRange`] descriptors (closed-form base/stride/count —
 //!   no per-switch tables), and [`engine::RoutingView`] selects uplinks by

@@ -8,16 +8,15 @@
 //!
 //! Queues hold [`PacketRef`]s into the engine-owned
 //! [`PacketArena`](crate::arena::PacketArena) rather than packets by value:
-//! enqueue/dequeue move 4 bytes, and marking/trimming mutate the packet in
-//! place. The arena is threaded through the few operations that need the
-//! packet itself.
+//! enqueue/dequeue move 4 bytes, and admission, marking, trimming and
+//! service read and write only the packet's 16-byte arena
+//! [`Header`](crate::arena::Header) — a link never opens a packet body.
 
 use std::collections::VecDeque;
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::config::SimConfig;
-use crate::ids::{LinkId, NodeRef};
-use crate::packet::Packet;
+use crate::ids::NodeRef;
 use crate::rng::Rng64;
 use crate::time::Time;
 
@@ -56,18 +55,12 @@ pub enum EnqueueOutcome {
 /// A unidirectional link: egress queue, propagation delay, endpoint.
 #[derive(Debug)]
 pub struct Link {
-    /// This link's id (index in the engine arena).
-    pub id: LinkId,
     /// Node the link delivers to.
     pub to: NodeRef,
-    /// Node the link transmits from (for reporting).
-    pub from: NodeRef,
     /// Propagation latency (includes downstream switch traversal).
     pub latency: Time,
     /// Current transmit rate in bits per second.
     pub rate_bps: u64,
-    /// Nominal rate (for restoring after degradation).
-    pub nominal_bps: u64,
     /// True while the cable is up.
     pub up: bool,
     /// Instant the link last went down (valid when `!up`).
@@ -84,9 +77,9 @@ pub struct Link {
     pub busy: bool,
     /// The packet currently being serialized (committed at service start so
     /// a control-band arrival cannot swap itself into a data packet's slot).
+    /// [`Link::set_down`] empties it, which is what makes a `QueueService`
+    /// event outstanding across a failure a no-op.
     pub in_service: Option<PacketRef>,
-    /// Generation counter invalidating stale service events after failures.
-    pub service_gen: u64,
     /// Control-priority band (ACKs, credits, trimmed headers).
     ctrl: VecDeque<PacketRef>,
     /// Data band.
@@ -124,15 +117,12 @@ pub struct Link {
 }
 
 impl Link {
-    /// Creates a link from the fabric profile.
-    pub fn new(id: LinkId, from: NodeRef, to: NodeRef, latency: Time, cfg: &SimConfig) -> Link {
+    /// Creates a link toward `to` from the fabric profile.
+    pub fn new(to: NodeRef, latency: Time, cfg: &SimConfig) -> Link {
         Link {
-            id,
             to,
-            from,
             latency,
             rate_bps: cfg.link_bps,
-            nominal_bps: cfg.link_bps,
             up: true,
             down_since: Time::ZERO,
             ber: 0.0,
@@ -140,7 +130,6 @@ impl Link {
             corrupt: 0.0,
             busy: false,
             in_service: None,
-            service_gen: 0,
             ctrl: VecDeque::new(),
             data: VecDeque::new(),
             queued_bytes: 0,
@@ -165,11 +154,6 @@ impl Link {
         self.trimming = false;
     }
 
-    /// Number of packets waiting across both bands.
-    pub fn queued_packets(&self) -> usize {
-        self.ctrl.len() + self.data.len()
-    }
-
     /// Offers a packet to the queue, applying RED marking and drop/trim
     /// policy. Does not schedule service; the engine does that.
     ///
@@ -182,25 +166,24 @@ impl Link {
         rng: &mut Rng64,
     ) -> EnqueueOutcome {
         if !self.up {
-            arena.take(pkt);
+            arena.release(pkt);
             return EnqueueOutcome::Dropped(DropReason::LinkDown);
         }
-        // One arena access for the whole admission decision.
-        let p = arena.get_mut(pkt);
-        let wire_bytes = p.wire_bytes as u64;
-        let is_data = p.is_data();
-        let is_control = p.is_control();
+        // One header access for the whole admission decision.
+        let h = arena.header_mut(pkt);
+        let wire_bytes = h.wire_bytes as u64;
+        let is_data = h.is_data();
         let fits = self.queued_bytes + wire_bytes <= self.capacity_bytes;
         if !fits {
             if self.trimming && is_data {
-                p.trim();
+                h.trim();
                 // Trimmed headers ride the control band; they are tiny, so we
                 // admit them even at capacity (bounded by packet count).
-                self.queued_bytes += p.wire_bytes as u64;
+                self.queued_bytes += h.wire_bytes as u64;
                 self.ctrl.push_back(pkt);
                 return EnqueueOutcome::Trimmed;
             }
-            arena.take(pkt);
+            arena.release(pkt);
             return EnqueueOutcome::Dropped(DropReason::QueueFull);
         }
         // RED marking on admission, based on the instantaneous occupancy the
@@ -213,32 +196,24 @@ impl Link {
             false
         };
         if marked {
-            p.ecn_ce = true;
+            h.mark_ce();
         }
         self.queued_bytes += wire_bytes;
-        if is_control {
-            self.ctrl.push_back(pkt);
-        } else {
+        if is_data {
             self.data.push_back(pkt);
+        } else {
+            self.ctrl.push_back(pkt);
         }
         EnqueueOutcome::Queued { marked }
     }
 
-    /// Removes the next packet to transmit (control band first).
-    pub fn dequeue(&mut self, arena: &PacketArena) -> Option<PacketRef> {
-        let pkt = self.ctrl.pop_front().or_else(|| self.data.pop_front())?;
-        self.queued_bytes -= arena.get(pkt).wire_bytes as u64;
-        Some(pkt)
-    }
-
-    /// Dequeues the next packet *and* computes its serialization time in a
-    /// single arena access — the engine's batched service path uses this
-    /// so a completion that chains straight into the next packet's service
-    /// touches the arena once instead of twice (`dequeue` +
-    /// `serialization_time`).
+    /// Dequeues the next packet to transmit (control band first) and
+    /// computes its serialization time at the current effective rate, in
+    /// one header access. The caller commits the returned packet to
+    /// [`Link::in_service`].
     pub fn begin_service(&mut self, arena: &PacketArena) -> Option<(PacketRef, Time)> {
         let pkt = self.ctrl.pop_front().or_else(|| self.data.pop_front())?;
-        let wire = arena.get(pkt).wire_bytes as u64;
+        let wire = arena.header(pkt).wire_bytes as u64;
         self.queued_bytes -= wire;
         let eff = self.effective_bps();
         if self.ser_rate != eff {
@@ -263,17 +238,17 @@ impl Link {
         Some((pkt, ser + self.bg_wait))
     }
 
-    /// Wire size of the next packet to transmit, if any.
-    pub fn peek_bytes(&self, arena: &PacketArena) -> Option<u64> {
-        self.ctrl
-            .front()
-            .or_else(|| self.data.front())
-            .map(|&p| arena.get(p).wire_bytes as u64)
-    }
-
-    /// Serialization time of `pkt` at the current rate.
-    pub fn serialization_time(&self, pkt: &Packet) -> Time {
-        Time::serialization(pkt.wire_bytes as u64, self.rate_bps)
+    /// Prefetches the headers a `QueueService` completion on this link
+    /// will read: the packet in service and the one
+    /// [`Link::begin_service`] would dequeue next.
+    #[inline]
+    pub(crate) fn prefetch_service_headers(&self, arena: &PacketArena) {
+        if let Some(pkt) = self.in_service {
+            arena.prefetch_header(pkt);
+        }
+        if let Some(&pkt) = self.ctrl.front().or_else(|| self.data.front()) {
+            arena.prefetch_header(pkt);
+        }
     }
 
     /// Takes the link down, flushing all queued packets (they are lost,
@@ -286,15 +261,14 @@ impl Link {
         self.down_since = now;
         let mut flushed = 0;
         for pkt in self.ctrl.drain(..).chain(self.data.drain(..)) {
-            arena.take(pkt);
+            arena.release(pkt);
             flushed += 1;
         }
         if let Some(pkt) = self.in_service.take() {
-            arena.take(pkt);
+            arena.release(pkt);
             flushed += 1;
         }
         self.busy = false;
-        self.service_gen += 1;
         self.queued_bytes = 0;
         flushed
     }
@@ -367,15 +341,15 @@ pub fn red_mark_probability(occupancy: u64, kmin: u64, kmax: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::ids::{ConnId, HostId, SwitchId};
+    use crate::packet::Packet;
 
     fn test_link(cfg: &SimConfig) -> Link {
-        Link::new(
-            LinkId(0),
-            NodeRef::Host(HostId(0)),
-            NodeRef::Switch(SwitchId(0)),
-            cfg.link_latency,
-            cfg,
-        )
+        Link::new(NodeRef::Switch(SwitchId(0)), cfg.link_latency, cfg)
+    }
+
+    /// The next packet the link would serialize, out of the arena.
+    fn serve(link: &mut Link, arena: &mut PacketArena) -> Option<Packet> {
+        link.begin_service(arena).map(|(pkt, _)| arena.take(pkt))
     }
 
     fn data_pkt(arena: &mut PacketArena, id: u64, bytes: u32) -> PacketRef {
@@ -414,10 +388,9 @@ mod tests {
             ));
         }
         for i in 0..5 {
-            let p = link.dequeue(&arena).unwrap();
-            assert_eq!(arena.take(p).id, i);
+            assert_eq!(serve(&mut link, &mut arena).unwrap().id, i);
         }
-        assert!(link.dequeue(&arena).is_none());
+        assert!(link.begin_service(&arena).is_none());
         assert_eq!(link.queued_bytes, 0);
         assert_eq!(arena.live(), 0);
     }
@@ -439,10 +412,9 @@ mod tests {
             crate::packet::Body::Nack { seq: 0 },
         ));
         link.enqueue(ack, &mut arena, &mut rng);
-        let first = link.dequeue(&arena).unwrap();
-        assert_eq!(arena.get(first).id, 2, "control must go first");
-        let second = link.dequeue(&arena).unwrap();
-        assert_eq!(arena.get(second).id, 1);
+        let first = serve(&mut link, &mut arena).unwrap();
+        assert_eq!(first.id, 2, "control must go first");
+        assert_eq!(serve(&mut link, &mut arena).unwrap().id, 1);
     }
 
     #[test]
@@ -483,8 +455,7 @@ mod tests {
             other => panic!("expected trim, got {other:?}"),
         }
         // The trimmed header is in the control band, served first.
-        let first = link.dequeue(&arena).unwrap();
-        let first = arena.take(first);
+        let first = serve(&mut link, &mut arena).unwrap();
         assert!(first.trimmed);
         assert_eq!(first.id, 1);
     }
@@ -508,8 +479,7 @@ mod tests {
         }
         assert!(marks > 0, "expected ECN marks above K_min");
         // First packet (empty queue) is never marked.
-        let head = link.dequeue(&arena).unwrap();
-        assert!(!arena.get(head).ecn_ce);
+        assert!(!serve(&mut link, &mut arena).unwrap().ecn_ce);
     }
 
     #[test]
@@ -540,10 +510,33 @@ mod tests {
     fn rate_change_affects_serialization() {
         let cfg = SimConfig::paper_default();
         let mut link = test_link(&cfg);
-        let pkt = Packet::data(0, HostId(0), HostId(1), ConnId(0), 0, 0, 4096, false);
-        let fast = link.serialization_time(&pkt);
-        link.set_rate(200_000_000_000);
-        let slow = link.serialization_time(&pkt);
-        assert_eq!(slow.as_ps(), fast.as_ps() * 2);
+        let mut arena = PacketArena::new();
+        let mut rng = Rng64::new(1);
+        let mut service_time = |link: &mut Link| {
+            let p = data_pkt(&mut arena, 0, 4096);
+            link.enqueue(p, &mut arena, &mut rng);
+            let (p, ser) = link.begin_service(&arena).unwrap();
+            arena.release(p);
+            ser
+        };
+        let fast = service_time(&mut link);
+        assert_eq!(fast, Time::serialization(4096 + 64, cfg.link_bps));
+        link.set_rate(cfg.link_bps / 2);
+        assert_eq!(service_time(&mut link).as_ps(), fast.as_ps() * 2);
+        // A fluid background takes its share of the rate and adds its wait.
+        link.set_rate(cfg.link_bps);
+        link.set_background(cfg.link_bps / 2, 4096 + 64);
+        assert_eq!(service_time(&mut link), fast + fast + link.bg_wait);
+    }
+
+    #[test]
+    fn link_stays_within_its_cache_line_budget() {
+        // The engine prefetches four cache lines per `QueueService`; a
+        // member creeping back in would push the hot fields past them.
+        assert!(
+            std::mem::size_of::<Link>() <= 200,
+            "Link grew to {} bytes",
+            std::mem::size_of::<Link>()
+        );
     }
 }

@@ -3,17 +3,22 @@
 //! zero-allocation refactor's equivalence proofs: the borrowed routing
 //! tables and the indexed uplink selection must make bit-identical
 //! choices to the pre-refactor `Vec`-based implementations (preserved
-//! below as test-local references).
+//! below as test-local references), and the arena's 16-byte header must
+//! carry a packet through marks and trims exactly as by-value mutation of
+//! the packet would.
 
 use proptest::prelude::*;
 
-use netsim::arena::PacketArena;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use netsim::arena::{Header, PacketArena, PacketRef};
 use netsim::config::SimConfig;
 use netsim::engine::{RoutingMode, RoutingView};
 use netsim::hash::ecmp_select;
 use netsim::ids::{ConnId, HostId, LinkId, NodeRef};
-use netsim::link::Link;
-use netsim::packet::Packet;
+use netsim::link::{EnqueueOutcome, Link};
+use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList};
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, RouteChoice, Topology};
@@ -168,8 +173,7 @@ fn random_link_state(topo: &Topology, seed: u64) -> (Vec<Link>, Time) {
     let mut links: Vec<Link> = topo
         .links
         .iter()
-        .enumerate()
-        .map(|(i, spec)| Link::new(LinkId(i as u32), spec.from, spec.to, cfg.link_latency, &cfg))
+        .map(|spec| Link::new(spec.to, cfg.link_latency, &cfg))
         .collect();
     let now = Time::from_us(rng.gen_range(200));
     for link in &mut links {
@@ -246,13 +250,196 @@ proptest! {
         let mut rng_new = Rng64::new(seed ^ 0xABCD);
         let mut rng_ref = rng_new.clone();
         let mut scratch = Vec::new();
-        let got = view.select_uplink(candidates, &pkt, salt, &mut rng_new, &mut scratch);
+        let header = Header::of(&pkt);
+        let got = view.select_uplink(candidates, &header, salt, &mut rng_new, &mut scratch);
         let want = ref_select_uplink(
             &topo, &links, now, failover, mode, salt, &pkt,
             candidates.iter().collect(), &mut rng_ref,
         );
         prop_assert_eq!(got, want, "selected link diverged");
         prop_assert_eq!(rng_new.next_u64(), rng_ref.next_u64(), "RNG stream diverged");
+    }
+}
+
+/// A packet with any body variant (ACK lists inline or spilled), any
+/// flags and any wire size.
+fn arbitrary_packet(rng: &mut Rng64, id: u64) -> Packet {
+    let body = match rng.gen_range(6) {
+        0 | 1 => Body::Data {
+            seq: rng.next_u64(),
+            msg: rng.next_u64() as u32,
+            msg_seq: rng.next_u64() as u32,
+            msg_pkts: rng.next_u64() as u32,
+            tag: rng.next_u64(),
+            payload: rng.gen_range(9000) as u32,
+            retx: rng.gen_bool(0.5),
+            pending: rng.next_u64(),
+        },
+        2 => {
+            // 0..=7 elements: both sides of SeqList's 3 and EchoList's 5.
+            let n = rng.gen_range(8) as usize;
+            let echo = |i: usize| EvEcho {
+                ev: i as u16,
+                ecn: i & 1 == 0,
+            };
+            Body::Ack(Ack {
+                cum_ack: rng.next_u64(),
+                sacked: (0..n as u64).collect::<SeqList>(),
+                echoes: (0..n).map(echo).collect::<EchoList>(),
+                covered: n as u32,
+                marked: rng.gen_range(8) as u32,
+                reuse: 1 + rng.gen_range(8) as u32,
+            })
+        }
+        3 => Body::Nack {
+            seq: rng.next_u64(),
+        },
+        4 => Body::Credit {
+            bytes: rng.next_u64(),
+        },
+        _ => match rng.gen_bool(0.5) {
+            true => Body::Probe {
+                token: rng.next_u64(),
+            },
+            false => Body::ProbeReply {
+                token: rng.next_u64(),
+            },
+        },
+    };
+    Packet {
+        id,
+        src: HostId(rng.next_u64() as u32),
+        dst: HostId(rng.next_u64() as u32),
+        conn: ConnId(rng.next_u64() as u32),
+        ev: rng.next_u64() as u16,
+        wire_bytes: 64 + rng.gen_range(9000) as u32,
+        ecn_ce: rng.gen_bool(0.2),
+        trimmed: rng.gen_bool(0.1),
+        body,
+    }
+}
+
+/// Every header access through a dead ref must panic.
+fn assert_dead(arena: &mut PacketArena, r: PacketRef) {
+    assert!(catch_unwind(AssertUnwindSafe(|| arena.header(r).ev)).is_err());
+    assert!(catch_unwind(AssertUnwindSafe(|| arena.take(r))).is_err());
+    assert!(catch_unwind(AssertUnwindSafe(|| arena.release(r))).is_err());
+}
+
+#[test]
+fn arena_header_is_sixteen_bytes() {
+    // Four headers to a cache line is the point of the header/body split;
+    // a field creeping in would silently halve that.
+    assert_eq!(std::mem::size_of::<Header>(), 16);
+}
+
+proptest! {
+    /// The header is the packet: whatever sequence of admissions, RED
+    /// marks, trims, drops and flushes a packet meets on its way through
+    /// `Link::enqueue`, `take` returns byte for byte what by-value
+    /// mutation (`p.ecn_ce = true`, `p.trim()`) of the same packet gives,
+    /// the service path times it by its current wire size, slots recycle,
+    /// and a ref is dead the moment its packet leaves the arena.
+    #[test]
+    fn arena_header_is_the_packet(seed in any::<u64>(), steps in 20usize..200) {
+        let mut rng = Rng64::new(seed);
+        let mut cfg = SimConfig::paper_default();
+        cfg.queue_capacity_bytes = 24_000;
+        let tail_drop = Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg);
+        cfg.trimming = true;
+        let trimming = Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg);
+        // K_min 0 / K_max 1: RED marks every data packet that finds the
+        // queue non-empty.
+        let mut marking = Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg);
+        (marking.kmin_bytes, marking.kmax_bytes) = (0, 1);
+        let mut links = [tail_drop, trimming, marking];
+
+        let mut arena = PacketArena::new();
+        // ref -> (by-value model, index of the link queue holding it).
+        let mut model: BTreeMap<u32, (Packet, Option<usize>)> = BTreeMap::new();
+        let mut peak_live = 0;
+        let nth_where = |model: &BTreeMap<u32, (Packet, Option<usize>)>, rng: &mut Rng64, queued: bool| {
+            let idle: Vec<u32> = model
+                .iter()
+                .filter(|(_, (_, at))| at.is_some() == queued)
+                .map(|(&r, _)| r)
+                .collect();
+            (!idle.is_empty()).then(|| idle[rng.gen_index(idle.len())])
+        };
+        for step in 0..steps {
+            match rng.gen_range(6) {
+                // A host hands a packet to the fabric.
+                0 | 1 => {
+                    let pkt = arbitrary_packet(&mut rng, step as u64);
+                    let r = arena.insert(pkt.clone());
+                    prop_assert_eq!(*arena.header(r), Header::of(&pkt));
+                    prop_assert!(model.insert(r.0, (pkt, None)).is_none(), "live slot handed out twice");
+                }
+                // A hop: offer an idle packet to some link.
+                2 | 3 => {
+                    let Some(r) = nth_where(&model, &mut rng, false) else { continue };
+                    let li = rng.gen_index(links.len());
+                    let (pkt, at) = model.get_mut(&r).expect("picked from the model");
+                    let was_data = pkt.is_data();
+                    match links[li].enqueue(PacketRef(r), &mut arena, &mut rng) {
+                        EnqueueOutcome::Queued { marked } => {
+                            prop_assert!(!marked || was_data, "only data packets are marked");
+                            pkt.ecn_ce |= marked;
+                            *at = Some(li);
+                        }
+                        EnqueueOutcome::Trimmed => {
+                            prop_assert!(was_data, "only data packets are trimmed");
+                            pkt.trim();
+                            *at = Some(li);
+                        }
+                        EnqueueOutcome::Dropped(_) => {
+                            model.remove(&r);
+                            assert_dead(&mut arena, PacketRef(r));
+                        }
+                    }
+                }
+                // A link serializes its next packet.
+                4 => {
+                    let li = rng.gen_index(links.len());
+                    let Some((r, ser)) = links[li].begin_service(&arena) else { continue };
+                    let (pkt, at) = model.get_mut(&r.0).expect("served packet is modelled");
+                    prop_assert_eq!(*at, Some(li));
+                    prop_assert_eq!(ser, Time::serialization(pkt.wire_bytes as u64, cfg.link_bps));
+                    prop_assert_eq!(arena.header(r).is_data(), pkt.is_data());
+                    *at = None;
+                }
+                // Delivery, or a cable cut flushing a whole queue.
+                _ => {
+                    if rng.gen_bool(0.8) {
+                        let Some(r) = nth_where(&model, &mut rng, false) else { continue };
+                        let (want, _) = model.remove(&r).expect("picked from the model");
+                        prop_assert_eq!(arena.take(PacketRef(r)), want);
+                        assert_dead(&mut arena, PacketRef(r));
+                    } else {
+                        let li = rng.gen_index(links.len());
+                        let flushed: Vec<u32> = model
+                            .iter()
+                            .filter(|(_, (_, at))| *at == Some(li))
+                            .map(|(&r, _)| r)
+                            .collect();
+                        prop_assert_eq!(links[li].set_down(Time::ZERO, &mut arena), flushed.len());
+                        links[li].set_up();
+                        for r in flushed {
+                            model.remove(&r);
+                            assert_dead(&mut arena, PacketRef(r));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(arena.live(), model.len());
+            peak_live = peak_live.max(model.len());
+            prop_assert_eq!(arena.high_water(), peak_live, "slots must recycle before the arena grows");
+        }
+        // Whatever is left comes out intact, queued or not.
+        for (r, (want, _)) in model {
+            prop_assert_eq!(arena.take(PacketRef(r)), want);
+        }
+        prop_assert_eq!(arena.live(), 0);
     }
 }
 

@@ -249,7 +249,8 @@
 //!
 //! `--perf` additionally writes one JSONL record per *executed* cell with
 //! its event count, wall time and events/sec, the calendar's `cal_*`
-//! counters and the fluid solver's `fluid_resolves`,
+//! counters, the packet arena's `arena_high_water` (peak packets in the
+//! fabric at once) and the fluid solver's `fluid_resolves`,
 //! `fluid_flows_resolved` and `fluid_max_component` (a *separate* file
 //! because wall time is nondeterministic and `--out` is byte-stable;
 //! cache hits have no fresh perf counters, so they are omitted); the run

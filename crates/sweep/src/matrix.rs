@@ -607,6 +607,7 @@ impl Cell {
             max_batch: res.engine.batch_stats.max_batch,
             chained_services: res.engine.batch_stats.chained_services,
             calendar: res.engine.batch_stats.calendar,
+            arena_high_water: res.engine.arena.high_water() as u64,
             fluid: res
                 .engine
                 .fluid
@@ -678,6 +679,10 @@ pub struct CellResult {
     /// Calendar geometry and work counters at the end of the run
     /// (deterministic for a fixed key; perf-stream only).
     pub calendar: netsim::event::CalendarStats,
+    /// Packet-arena slot high-water mark: the peak number of packets in
+    /// the fabric at once (deterministic for a fixed key; perf-stream
+    /// only).
+    pub arena_high_water: u64,
     /// Fluid-solver counters at the end of the run, all zero for a cell
     /// without a fluid background (deterministic for a fixed key;
     /// perf-stream only).

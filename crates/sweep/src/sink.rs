@@ -67,6 +67,7 @@ pub fn parse_record(line: &str) -> Result<CellResult, String> {
         max_batch: 0,
         chained_services: 0,
         calendar: Default::default(),
+        arena_high_water: 0,
         fluid: Default::default(),
         summary: Summary::from_json(field("summary")?)?,
     })
@@ -93,7 +94,10 @@ pub fn to_jsonl(results: &[CellResult]) -> String {
 /// (same-timestamp batches drained, average/max batch size, chained
 /// link services) ride along so sweeps show how much the engine's
 /// batched execution amortizes per cell, the `cal_*` fields describe the
-/// calendar it ran on, and the `fluid_*` fields say how local the fluid
+/// calendar it ran on, `arena_high_water` is the peak number of packets
+/// in the fabric at once (× 16 bytes of header is the per-hop working
+/// set; with the fabric in the key it answers "does this cell's in-flight
+/// state fit in cache"), and the `fluid_*` fields say how local the fluid
 /// re-solves stayed: `fluid_flows_resolved / fluid_resolves` is the mean
 /// dirty-component size, `fluid_max_component` the largest (all zero for
 /// a cell without a fluid background).
@@ -124,6 +128,7 @@ pub fn perf_record(r: &CellResult) -> String {
         .u64("cal_merge_moved", r.calendar.merge_moved)
         .u64("cal_max_bucket", r.calendar.max_bucket)
         .u64("cal_overflow_pushes", r.calendar.overflow_pushes)
+        .u64("arena_high_water", r.arena_high_water)
         .u64("fluid_resolves", r.fluid.resolves)
         .u64("fluid_flows_resolved", r.fluid.flows_resolved)
         .u64("fluid_max_component", r.fluid.max_component)
@@ -403,6 +408,10 @@ mod tests {
             assert!(line.contains("\"avg_batch\":"), "{line}");
             assert!(line.contains("\"max_batch\":"), "{line}");
             assert!(line.contains("\"chained_services\":"), "{line}");
+            assert!(
+                r.arena_high_water > 0,
+                "cells must report their peak in-fabric packet count"
+            );
             let cal = r.calendar;
             assert!(
                 cal.shift > 0 && cal.buckets.is_power_of_two() && cal.max_bucket >= 1,
@@ -416,6 +425,7 @@ mod tests {
                 "cal_merge_moved",
                 "cal_max_bucket",
                 "cal_overflow_pushes",
+                "arena_high_water",
                 "fluid_resolves",
                 "fluid_flows_resolved",
                 "fluid_max_component",
@@ -432,6 +442,7 @@ mod tests {
         assert!(!record.contains("batches"), "{record}");
         assert!(!record.contains("cal_"), "{record}");
         assert!(!record.contains("fluid_"), "{record}");
+        assert!(!record.contains("arena_"), "{record}");
     }
 
     /// A synthetic cell result whose every numeric summary field is
@@ -480,6 +491,7 @@ mod tests {
             max_batch: 0,
             chained_services: 0,
             calendar: Default::default(),
+            arena_high_water: 0,
             fluid: Default::default(),
             summary,
         }

@@ -54,6 +54,96 @@ struct Inflight {
     retx: bool,
 }
 
+/// A sliding window of per-sequence entries, indexed by `seq − base`.
+///
+/// The sender's in-flight table. Sequences enter in nearly ascending
+/// order and leave as ACKs arrive, so the live set is a short, dense run:
+/// a deque slot per sequence between the oldest and the newest entry
+/// costs one indexed access where a hash map paid a hash, a probe and a
+/// heap block of its own. The window grows at the front when an entry
+/// re-enters below `base` (a retransmission of a sequence older than
+/// everything in flight), and leading holes are popped as entries leave,
+/// so the span is bounded by the packets sent within one RTO. Slot order
+/// *is* ascending `seq`.
+#[derive(Debug)]
+pub struct SeqWindow<T> {
+    /// Sequence number of `slots[0]`, which is occupied unless the
+    /// window is empty.
+    base: u64,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> Default for SeqWindow<T> {
+    fn default() -> SeqWindow<T> {
+        SeqWindow {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> SeqWindow<T> {
+    /// True when no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Files `value` under `seq`, returning the entry it replaced.
+    pub fn insert(&mut self, seq: u64, value: T) -> Option<T> {
+        if self.slots.is_empty() {
+            self.base = seq;
+        }
+        while seq < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let idx = (seq - self.base) as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        self.slots[idx].replace(value)
+    }
+
+    /// Removes and returns the entry under `seq`, if any.
+    pub fn remove(&mut self, seq: u64) -> Option<T> {
+        let idx = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        let value = self.slots.get_mut(idx)?.take();
+        self.pop_leading_holes();
+        value
+    }
+
+    /// Removes every entry `expired` accepts, in ascending `seq`, handing
+    /// each to `each`.
+    pub fn remove_where(
+        &mut self,
+        mut expired: impl FnMut(&T) -> bool,
+        mut each: impl FnMut(u64, T),
+    ) {
+        for (seq, slot) in (self.base..).zip(self.slots.iter_mut()) {
+            if slot.as_ref().is_some_and(&mut expired) {
+                each(seq, slot.take().expect("checked occupied"));
+            }
+        }
+        self.pop_leading_holes();
+    }
+
+    /// The entries in ascending `seq`.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        (self.base..)
+            .zip(&self.slots)
+            .filter_map(|(seq, slot)| slot.as_ref().map(|v| (seq, v)))
+    }
+
+    /// Restores the invariant that a non-empty window starts occupied.
+    /// An all-holes window empties completely.
+    fn pop_leading_holes(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
 /// Metadata retained for packets declared lost (pending retransmission).
 #[derive(Debug, Clone, Copy)]
 struct LostPkt {
@@ -75,7 +165,7 @@ pub struct SenderConn {
     msgs: Vec<MsgState>,
     /// Index of the first message with unsent packets.
     cursor: usize,
-    inflight: FxHashMap<u64, Inflight>,
+    inflight: SeqWindow<Inflight>,
     inflight_bytes: u64,
     lost: FxHashMap<u64, LostPkt>,
     retx_queue: VecDeque<u64>,
@@ -120,7 +210,7 @@ impl SenderConn {
             cc,
             msgs: Vec::new(),
             cursor: 0,
-            inflight: FxHashMap::default(),
+            inflight: SeqWindow::default(),
             inflight_bytes: 0,
             lost: FxHashMap::default(),
             retx_queue: VecDeque::new(),
@@ -168,11 +258,6 @@ impl SenderConn {
     /// Current smoothed RTT estimate.
     pub fn srtt(&self) -> Time {
         self.srtt
-    }
-
-    /// Oldest in-flight transmission time, for RTO sweeps.
-    pub fn oldest_inflight(&self) -> Option<Time> {
-        self.inflight.values().map(|i| i.sent_at).min()
     }
 
     /// The payload size of message packet `msg_seq` (last one may be short).
@@ -354,7 +439,7 @@ impl SenderConn {
             // Cancel any pending retransmission.
             self.lost.remove(&seq);
             let msg_idx = self.msg_of_seq(seq);
-            if let Some(info) = self.inflight.remove(&seq) {
+            if let Some(info) = self.inflight.remove(seq) {
                 self.inflight_bytes -= info.payload as u64;
                 acked_bytes += info.payload as u64;
                 // RTT sample (Karn's rule: skip retransmissions).
@@ -417,7 +502,7 @@ impl SenderConn {
 
     /// Handles a trimming NACK for `seq` (congestion loss, not failure).
     pub fn on_nack<S: TraceSink>(&mut self, seq: u64, ctx: &mut Ctx<'_, S>) {
-        if let Some(info) = self.inflight.remove(&seq) {
+        if let Some(info) = self.inflight.remove(seq) {
             self.inflight_bytes -= info.payload as u64;
             self.lost.insert(
                 seq,
@@ -438,32 +523,37 @@ impl SenderConn {
     /// packets declared lost (0 = no timeout fired).
     pub fn check_timeouts<S: TraceSink>(&mut self, rto: Time, ctx: &mut Ctx<'_, S>) -> usize {
         let now = ctx.now;
-        let mut expired: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, i)| now.saturating_sub(i.sent_at) >= rto)
-            .map(|(&s, _)| s)
-            .collect();
-        if expired.is_empty() {
-            return 0;
-        }
-        // The map iterates in hash order, which varies between processes;
+        // The window hands the expired packets over in ascending `seq`:
         // the retransmission queue (and with it every subsequent EV draw)
-        // must not.
-        expired.sort_unstable();
-        for &seq in &expired {
-            let info = self.inflight.remove(&seq).expect("listed");
-            self.inflight_bytes -= info.payload as u64;
-            self.lost.insert(
-                seq,
-                LostPkt {
-                    msg: info.msg,
-                    msg_seq: info.msg_seq,
-                    payload: info.payload,
-                },
-            );
-            self.retx_queue.push_back(seq);
-            self.cc.on_loss(now);
+        // is the same in every process.
+        let mut expired = 0usize;
+        let SenderConn {
+            inflight,
+            inflight_bytes,
+            lost,
+            retx_queue,
+            cc,
+            ..
+        } = self;
+        inflight.remove_where(
+            |i| now.saturating_sub(i.sent_at) >= rto,
+            |seq, info| {
+                *inflight_bytes -= info.payload as u64;
+                lost.insert(
+                    seq,
+                    LostPkt {
+                        msg: info.msg,
+                        msg_seq: info.msg_seq,
+                        payload: info.payload,
+                    },
+                );
+                retx_queue.push_back(seq);
+                cc.on_loss(now);
+                expired += 1;
+            },
+        );
+        if expired == 0 {
+            return 0;
         }
         // One failure-suspicion signal per timeout event (Algorithm 1).
         let frozen_before = ctx.trace.enabled() && self.lb.is_frozen();
@@ -473,7 +563,7 @@ impl SenderConn {
                 at: now,
                 host: ctx.host,
                 conn: self.conn.0,
-                expired: expired.len() as u32,
+                expired: expired as u32,
             });
             if !frozen_before && self.lb.is_frozen() {
                 ctx.trace.emit(TraceEvent::Freeze {
@@ -485,7 +575,7 @@ impl SenderConn {
         }
         ctx.note_timeout();
         self.pump(ctx);
-        expired.len()
+        expired
     }
 }
 
@@ -496,7 +586,9 @@ pub struct ReceiverConn {
     /// Connection id (mirrored from the sender).
     pub conn: ConnId,
     tracker: OooTracker,
-    msgs: FxHashMap<u32, (u32, u32)>, // msg -> (received, total)
+    /// `(received, total)` packets per message, indexed by the sender's
+    /// dense per-connection message index; `(0, 0)` = not seen yet.
+    msgs: Vec<(u32, u32)>,
     ratio: u32,
     variant: CoalesceVariant,
     pend_echoes: Vec<EvEcho>,
@@ -527,7 +619,7 @@ impl ReceiverConn {
             peer,
             conn,
             tracker: OooTracker::new(),
-            msgs: FxHashMap::default(),
+            msgs: Vec::new(),
             ratio: cfg.coalesce.ratio,
             variant: cfg.coalesce.variant,
             pend_echoes: Vec::new(),
@@ -564,7 +656,14 @@ impl ReceiverConn {
 
         let new = self.tracker.record(seq);
         if new {
-            let entry = self.msgs.entry(msg).or_insert((0, msg_pkts));
+            let msg = msg as usize;
+            if msg >= self.msgs.len() {
+                self.msgs.resize(msg + 1, (0, 0));
+            }
+            let entry = &mut self.msgs[msg];
+            if entry.0 == 0 {
+                entry.1 = msg_pkts;
+            }
             entry.0 += 1;
             if entry.0 == entry.1 {
                 out.completed_tag = Some(tag);
@@ -813,6 +912,67 @@ mod tests {
         assert!(rx.flush_stale(Time::from_us(5)).is_none(), "not stale yet");
         let ack = rx.flush_stale(Time::from_us(10)).expect("stale now");
         assert_eq!(ack.covered, 1);
+    }
+
+    /// Seq 1 is sent before seq 0's retransmission, so when one RTO sweep
+    /// expires both, send order is the reverse of sequence order — and the
+    /// retransmission queue must still drain in ascending `seq`, with seq 0
+    /// having re-entered the window *below* its base.
+    #[test]
+    fn packets_timing_out_in_reverse_send_order_retransmit_in_seq_order() {
+        use netsim::engine::{Command, Endpoint, Engine};
+        use netsim::topology::{FatTreeConfig, Topology};
+        use netsim::trace::Recorder;
+
+        const NACK_SEQ0: u64 = 0;
+        const RTO_SWEEP: u64 = 1;
+        struct Script {
+            tx: SenderConn,
+            rto: Time,
+        }
+        impl<S: TraceSink> Endpoint<S> for Script {
+            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_, S>) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, S>) {
+                match token {
+                    NACK_SEQ0 => {
+                        self.tx.on_nack(0, ctx);
+                        // Seq 0 left the window (base moved to 1) and came
+                        // straight back in below it.
+                        let held: Vec<u64> = self.tx.inflight.iter().map(|(s, _)| s).collect();
+                        assert_eq!(held, [0, 1]);
+                    }
+                    _ => assert_eq!(self.tx.check_timeouts(self.rto, ctx), 2),
+                }
+            }
+            fn on_command(&mut self, _cmd: Command, ctx: &mut Ctx<'_, S>) {
+                self.tx.enqueue(FlowId(0), 0, 2 * 4096, ctx.now);
+                self.tx.pump(ctx);
+                ctx.set_timer(Time::from_us(5), NACK_SEQ0);
+                ctx.set_timer(self.rto + Time::from_us(6), RTO_SWEEP);
+            }
+        }
+
+        let cfg = test_cfg();
+        let topo = Topology::build(FatTreeConfig::two_tier(4, 1), 1);
+        let mut engine = Engine::with_trace(topo, SimConfig::paper_default(), 1, Recorder::new());
+        let lb = cfg.lb.build(&mut netsim::rng::Rng64::new(1));
+        let cc = Cc::build(CcKind::Dctcp, CcParams::for_bdp(400_000, 4096));
+        // Host 1 has no endpoint: everything sent to it vanishes unACKed.
+        let tx = SenderConn::new(ConnId(0), HostId(1), lb, cc, &cfg);
+        engine.set_endpoint(HostId(0), Box::new(Script { tx, rto: cfg.rto }));
+        engine.command(HostId(0), Command::Custom(0));
+        engine.run_until(cfg.rto * 2);
+        let retransmitted: Vec<u64> = engine
+            .trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Retransmit { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        // The NACKed seq 0 first, then the sweep's two in sequence order.
+        assert_eq!(retransmitted, [0, 0, 1]);
     }
 
     /// Builds a sender wired to a stub Ctx through a real engine; simpler to

@@ -1,13 +1,75 @@
-//! Property-based tests for the transport's out-of-order machinery and
-//! congestion controllers.
+//! Property-based tests for the transport's out-of-order machinery, the
+//! sender's in-flight window and congestion controllers.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use netsim::time::Time;
 use transport::cc::{CcKind, CcParams, CongestionControl, DctcpCc, EqdsCc, InternalCc};
+use transport::conn::SeqWindow;
 use transport::sack::OooTracker;
 
 proptest! {
+    /// The window is the map: under any mix of sends (ascending, with
+    /// gaps), retransmissions re-entering at or below the oldest entry,
+    /// ACKs of held and of unknown sequences, and RTO-style bulk expiry,
+    /// `SeqWindow` holds exactly what a `BTreeMap` holds, agrees on
+    /// emptiness, iterates in ascending `seq` and expires in ascending
+    /// `seq`.
+    #[test]
+    fn seq_window_matches_btreemap(
+        start in 0u64..1000,
+        ops in proptest::collection::vec((0u8..8, any::<u32>()), 1..300),
+    ) {
+        let mut window: SeqWindow<u32> = SeqWindow::default();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut next = start;
+        for (op, x) in ops {
+            let oldest = model.keys().next().copied().unwrap_or(next);
+            match op {
+                // Send the next sequence, sometimes skipping a few.
+                0..=2 => {
+                    next += (x % 4 == 0) as u64 * (x as u64 % 7);
+                    prop_assert_eq!(window.insert(next, x), model.insert(next, x));
+                    next += 1;
+                }
+                // Re-insert below (or at) the oldest entry: a
+                // retransmission of something no longer in flight.
+                3 => {
+                    let seq = oldest.saturating_sub(x as u64 % 9);
+                    prop_assert_eq!(window.insert(seq, x), model.insert(seq, x));
+                }
+                // ACK a held sequence (any position in the window).
+                4 | 5 => {
+                    if let Some(&seq) = model.keys().nth(x as usize % model.len().max(1)) {
+                        prop_assert_eq!(window.remove(seq), model.remove(&seq));
+                    }
+                }
+                // ACK a sequence that may not be there: inside the span,
+                // below it, above it.
+                6 => {
+                    let seq = (oldest + x as u64 % 40).saturating_sub(10);
+                    prop_assert_eq!(window.remove(seq), model.remove(&seq));
+                }
+                // Expire everything matching a predicate, in order.
+                _ => {
+                    let expired = |v: &u32| v % 3 == x % 3;
+                    let mut got = Vec::new();
+                    window.remove_where(expired, |seq, v| got.push((seq, v)));
+                    let want: Vec<(u64, u32)> =
+                        model.iter().filter(|(_, v)| expired(v)).map(|(&s, &v)| (s, v)).collect();
+                    model.retain(|_, v| !expired(v));
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(window.is_empty(), model.is_empty());
+            let held: Vec<(u64, u32)> = window.iter().map(|(s, &v)| (s, v)).collect();
+            let want: Vec<(u64, u32)> = model.iter().map(|(&s, &v)| (s, v)).collect();
+            prop_assert_eq!(held, want);
+        }
+    }
+
     /// The OOO tracker converges to a full frontier for any delivery order
     /// and rejects all duplicates.
     #[test]
