@@ -54,7 +54,12 @@
 //! from 73–96 µs to 3–4 µs (`microbench`'s `hybrid/fluid_churn10k`, two
 //! runs on a drifting 2-vCPU host). What is left is steps 1–2 and
 //! [`FluidNet::next_event`], two scans of the active set; making those
-//! lazy would change the per-step `floor` and with it the result bytes.
+//! lazy would change the per-step `floor` and with it the result bytes,
+//! so they stay scans and shed their divisions instead: step 1 takes its
+//! quotient in 64 bits whenever the product fits (`bytes_sent`) and
+//! completes flows in the same pass, and `next_event` divides out only
+//! the flows that beat the earliest completion so far — same values,
+//! about a third off a churn cell.
 //! When every flow arrives at once (a tornado
 //! background) or load fuses the fabric into one component, the dirty
 //! component is the whole population and a resolve costs what the
@@ -290,17 +295,23 @@ impl FluidNet {
     /// earliest predicted completion or the next arrival. `None` once the
     /// population is drained.
     pub fn next_event(&self) -> Option<Time> {
-        let mut next: Option<Time> = None;
+        // Only the earliest completion matters, so a flow is divided out
+        // only when it beats the earliest so far — and that test needs no
+        // division: `ceil(need / rate) < best` ⇔ `need <= (best - 1) · rate`.
+        let mut best: Option<u64> = None;
         for &fi in &self.active {
             let f = &self.flows[fi as usize];
             if f.rate_bps == 0 {
                 continue; // path down; re-predicted on recovery
             }
             let need = f.remaining as u128 * PS_PER_SEC_BITS;
-            let dt = need.div_ceil(f.rate_bps as u128) as u64;
-            let t = self.last_advance + Time::from_ps(dt);
-            next = Some(next.map_or(t, |n: Time| n.min(t)));
+            let rate = f.rate_bps as u128;
+            if best.is_some_and(|b| need > b.saturating_sub(1) as u128 * rate) {
+                continue;
+            }
+            best = Some(need.div_ceil(rate) as u64);
         }
+        let mut next = best.map(|dt| self.last_advance + Time::from_ps(dt));
         if let Some(f) = self.flows.get(self.next_arrival) {
             let t = f.start;
             next = Some(next.map_or(t, |n: Time| n.min(t)));
@@ -345,22 +356,21 @@ impl FluidNet {
     /// Allocation-free in steady state: every buffer retains capacity.
     pub fn resolve(&mut self, now: Time, links: &[Link]) -> (u32, u32) {
         self.counters.resolves += 1;
-        // 1. Closed-form progression since the last control event.
-        let dt = (now - self.last_advance).as_ps() as u128;
-        if dt > 0 {
-            for &fi in &self.active {
-                let f = &mut self.flows[fi as usize];
-                let sent = (f.rate_bps as u128 * dt / PS_PER_SEC_BITS) as u64;
-                f.remaining = f.remaining.saturating_sub(sent);
-            }
-        }
+        // 1–2. Closed-form progression since the last control event and,
+        //      in the same pass, completions (in admission order —
+        //      `active` keeps it: survivors are compacted in place).
+        let dt = (now - self.last_advance).as_ps();
         self.last_advance = now;
-        // 2. Completions (in admission order — `active` preserves it).
         let mut active = std::mem::take(&mut self.active);
-        active.retain(|&fi| {
-            let f = &self.flows[fi as usize];
+        let mut kept = 0;
+        for i in 0..active.len() {
+            let fi = active[i];
+            let f = &mut self.flows[fi as usize];
+            f.remaining = f.remaining.saturating_sub(bytes_sent(f.rate_bps, dt));
             if f.remaining > 0 {
-                return true;
+                active[kept] = fi;
+                kept += 1;
+                continue;
             }
             self.completions.push(FlowRecord {
                 flow: FlowId(f.id),
@@ -373,8 +383,8 @@ impl FluidNet {
             });
             self.counters.completed += 1;
             self.unlink(fi);
-            false
-        });
+        }
+        active.truncate(kept);
         self.active = active;
         // 3. Admissions.
         while self
@@ -604,6 +614,17 @@ impl FluidNet {
     }
 }
 
+/// Bytes a flow at `rate_bps` moves in `dt_ps`: `floor(rate · Δt / 8e12)`.
+/// Between two churn resolves the product fits 64 bits (400 Gb/s for up to
+/// 46 µs), where the constant divisor compiles to a multiply; the `u128`
+/// arm is the same quotient for longer gaps.
+fn bytes_sent(rate_bps: u64, dt_ps: u64) -> u64 {
+    match rate_bps.checked_mul(dt_ps) {
+        Some(bit_ps) => bit_ps / PS_PER_SEC_BITS as u64,
+        None => (rate_bps as u128 * dt_ps as u128 / PS_PER_SEC_BITS) as u64,
+    }
+}
+
 /// The most background a link can carry: [`MAX_BG_SHARE_PPM`] of its
 /// rate, nothing while it is down.
 fn bg_cap(link: &Link) -> u64 {
@@ -792,6 +813,95 @@ mod tests {
         assert_eq!(a, b, "resolve schedule must be deterministic");
         assert_eq!(ca, 64, "all flows complete");
         assert_eq!(ca, cb);
+    }
+
+    #[test]
+    fn next_event_is_the_earliest_divided_out_completion() {
+        // The division-free skip test against the plain minimum over
+        // every flow's `ceil(remaining · 8e12 / rate)`, at each step of a
+        // churning population (unequal sizes, staggered starts, instants
+        // that fall between predictions so remainders are ragged).
+        let (topo, links) = small();
+        let mut rng = crate::rng::Rng64::new(11);
+        let mut net = FluidNet::new(links.len());
+        for i in 0..96u32 {
+            let src = rng.gen_range(32) as u32;
+            let dst = (src + 1 + rng.gen_range(31) as u32) % 32;
+            let bytes = 1 + rng.gen_range(4 << 20);
+            let start = Time::from_ps(rng.gen_range(20_000_000));
+            net.add_flow(&topo, i, HostId(src), HostId(dst), bytes, start);
+        }
+        net.finalize();
+        let mut now = Time::ZERO;
+        let mut checked = 0;
+        while net.counters.completed < 96 {
+            net.resolve(now, &links);
+            let plain = net
+                .active
+                .iter()
+                .map(|&fi| &net.flows[fi as usize])
+                .filter(|f| f.rate_bps > 0)
+                .map(|f| {
+                    let need = f.remaining as u128 * PS_PER_SEC_BITS;
+                    net.last_advance + Time::from_ps(need.div_ceil(f.rate_bps as u128) as u64)
+                })
+                .chain(net.flows.get(net.next_arrival).map(|f| f.start))
+                .min();
+            assert_eq!(net.next_event(), plain, "at {now:?}");
+            checked += 1;
+            let Some(next) = plain else { break };
+            // Every third step stops short of the prediction.
+            let gap = (next - now).as_ps();
+            now = if checked % 3 == 0 && gap > 1 {
+                now + Time::from_ps(1 + rng.gen_range(gap - 1))
+            } else {
+                next
+            };
+        }
+        assert_eq!(net.counters.completed, 96);
+        assert!(checked > 96, "one resolve per arrival and completion");
+    }
+
+    #[test]
+    fn next_event_takes_a_completion_one_picosecond_earlier() {
+        // The boundary of the skip test: a later flow due exactly one
+        // picosecond before the earliest so far — with and without a
+        // remainder under the `ceil` — must replace it; one due at the
+        // same picosecond or later must not move it.
+        let (topo, links) = small();
+        let byte_per_ps = PS_PER_SEC_BITS as u64;
+        let due = |flows: &[(u64, u64)]| {
+            let mut net = FluidNet::new(links.len());
+            for i in 0..flows.len() as u32 {
+                net.add_flow(&topo, i, HostId(i), HostId(31 - i), 1 << 20, Time::ZERO);
+            }
+            net.finalize();
+            net.resolve(Time::ZERO, &links);
+            for (f, &(remaining, rate_bps)) in net.flows.iter_mut().zip(flows) {
+                (f.remaining, f.rate_bps) = (remaining, rate_bps);
+            }
+            net.next_event().expect("flows pending").as_ps()
+        };
+        assert_eq!(due(&[(1000, byte_per_ps), (999, byte_per_ps)]), 999);
+        assert_eq!(due(&[(999, byte_per_ps), (1000, byte_per_ps)]), 999);
+        assert_eq!(due(&[(1000, byte_per_ps), (1997, 2 * byte_per_ps)]), 999);
+        assert_eq!(due(&[(1000, byte_per_ps), (1999, 2 * byte_per_ps)]), 1000);
+        assert_eq!(due(&[(1000, byte_per_ps), (0, 1), (5, byte_per_ps)]), 0);
+        assert_eq!(due(&[(7, 0), (1000, byte_per_ps), (3, 0)]), 1000);
+    }
+
+    #[test]
+    fn bytes_sent_is_the_wide_quotient_on_both_arms() {
+        let wide = |rate: u64, dt: u64| (rate as u128 * dt as u128 / PS_PER_SEC_BITS) as u64;
+        let rate = 380_000_000_000u64;
+        // Last product that fits 64 bits, and its neighbours on the u128 arm.
+        let edge = u64::MAX / rate;
+        for dt in [0, 1, 262_144, edge - 1, edge, edge + 1, 2 * edge, 1 << 50] {
+            for r in [0, 1, 7, rate / 3, rate, rate + 1] {
+                assert_eq!(bytes_sent(r, dt), wide(r, dt), "rate {r} dt {dt}");
+            }
+        }
+        assert!(rate.checked_mul(edge + 1).is_none(), "u128 arm exercised");
     }
 
     #[test]
