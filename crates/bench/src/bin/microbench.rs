@@ -7,13 +7,18 @@
 //! * `hotpath/permutation_cell` — a full single sweep cell (32-host
 //!   permutation, REPS) measured in simulator **events per second**; this
 //!   is the number the CI `microbench-smoke` job gates on.
-//! * `calendar/*` — the event calendar under a synthetic hold model: the
-//!   engine's self-tuning two-level calendar against the
-//!   BinaryHeap-of-POD it replaced, across a held-event × gap-shape
-//!   matrix (256/4096/65536 held, uniform vs bimodal gaps) and under
-//!   lock-step load (tied bursts whose successors land in the bucket
-//!   being drained — the shape random gaps never produce); see the
-//!   `netsim::event` module docs for the bake-off history.
+//! * `calendar/*` — the engine's event queue against the
+//!   BinaryHeap-of-POD it replaced. Timer events, which stay on the
+//!   queue's self-tuning two-level calendar: a synthetic hold model
+//!   across a held-event × gap-shape matrix (256/4096/65536 held, uniform
+//!   vs bimodal gaps), and lock-step load (tied bursts whose successors
+//!   land in the bucket being drained — the shape random gaps never
+//!   produce). Packet-path events, which take the queue's monotone
+//!   lanes: `calendar/engine_queue_linkshape8192`, a hold of 8 192
+//!   `QueueService`/`Arrive` events from a lock-step start, each
+//!   rescheduled one of the fabric's four link constants ahead — the
+//!   `fig02` shape. See the `netsim::event` module docs for the bake-off
+//!   history.
 //! * `hybrid/*` — the hybrid-fidelity headline: one O(10k)-host cell
 //!   (160 ToRs × 64 hosts) with an all-hosts tornado background run at
 //!   matched offered load as packets (`fidelity=pkt`) and as fluid flows
@@ -44,9 +49,10 @@ use ballsbins::recycled::{theorem_parameters, RecycledBallsBins};
 use baselines::kind::LbKind;
 use bench::{hotpath_experiment, hybrid_experiment};
 use harness::experiment::Experiment;
+use netsim::arena::PacketRef;
 use netsim::event::{Event, EventQueue};
 use netsim::hash::ecmp_select;
-use netsim::ids::HostId;
+use netsim::ids::{HostId, LinkId, NodeRef, SwitchId};
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use netsim::topology::FatTreeConfig;
@@ -79,15 +85,21 @@ const FLUID_CHURN_BENCH: &str = "hybrid/fluid_churn10k";
 /// `netsim::event`, bakeoff entry 3). The arena-header / in-flight-window
 /// / prefetch work then took the twin from ~370 to ~270 ms while the
 /// fluid cell stayed at ~18 ms: on the builder's host, alternating runs
-/// of the pair read 19.5–23.8x before it and 13.7–15.9x after. That is
-/// still more than 10 % clear of the floor, so the floor stands.
+/// of the pair read 19.5–23.8x before it and 13.7–15.9x after. The
+/// event queue's monotone lanes (PR 19) sped up both twins — the fluid
+/// cell's foreground is packets too — so the ratio barely moved: five
+/// alternating full runs a side read 12.8–16.7x at the parent (pkt
+/// 263–297 ms, fluid 17–23 ms) and 12.8–17.1x after (202–279 ms,
+/// 14–22 ms). That is still more than 10 % clear of the floor, so the
+/// floor stands.
 const HYBRID_SPEEDUP_FLOOR: f64 = 10.0;
 
 /// Every bench `--check` gates against the baseline report: the
 /// end-to-end hot path plus the calendar matrix cells closest to it —
 /// the hot-path cell's held-event count under both gap shapes, the
 /// large-held point the ROADMAP's scale target cares about, the
-/// lock-step shape — both fidelities of the 10k-host hybrid cell, the
+/// lock-step shape, the link shape the lanes serve — both fidelities of
+/// the 10k-host hybrid cell, the
 /// fluid solver under churn on that fabric, and the 16-host
 /// `simulation/*` family (which regressed ~30% across PR 7 with no gate
 /// watching). Benches that count elements are gated on elems/sec, the
@@ -99,6 +111,7 @@ const GATED_BENCHES: &[&str] = &[
     "calendar/engine_queue_hold256_bimodal",
     "calendar/engine_queue_hold65536_uniform",
     LOCKSTEP_BENCH,
+    LINKSHAPE_BENCH,
     HYBRID_PKT_BENCH,
     HYBRID_FLUID_BENCH,
     FLUID_CHURN_BENCH,
@@ -390,7 +403,12 @@ impl Gaps {
 /// What the calendar benches need from a queue: the engine's calendar and
 /// the `BinaryHeap` it replaced both fit it.
 trait Calendar: Default {
+    /// Schedules a timer — an event the engine's queue keeps on its
+    /// calendar level.
     fn push(&mut self, at: Time, token: u64);
+    /// Schedules a packet-path event (`QueueService` for even tokens,
+    /// `Arrive` for odd) — one the engine's queue offers to its lanes.
+    fn push_packet(&mut self, at: Time, token: u32);
     fn pop(&mut self) -> Option<(Time, u64)>;
     fn len(&self) -> usize;
 }
@@ -401,10 +419,26 @@ impl Calendar for EventQueue {
         EventQueue::push(self, at, Event::Timer { host, token });
     }
 
+    fn push_packet(&mut self, at: Time, token: u32) {
+        let ev = if token.is_multiple_of(2) {
+            Event::QueueService {
+                link: LinkId(token),
+            }
+        } else {
+            Event::Arrive {
+                node: NodeRef::Switch(SwitchId(0)),
+                pkt: PacketRef(token),
+            }
+        };
+        EventQueue::push(self, at, ev);
+    }
+
     fn pop(&mut self) -> Option<(Time, u64)> {
         EventQueue::pop(self).map(|(at, ev)| match ev {
             Event::Timer { token, .. } => (at, token),
-            other => unreachable!("calendar benches only push timers, popped {other:?}"),
+            Event::QueueService { link } => (at, link.0 as u64),
+            Event::Arrive { pkt, .. } => (at, pkt.0 as u64),
+            other => unreachable!("calendar benches push no controls, popped {other:?}"),
         })
     }
 
@@ -476,6 +510,41 @@ fn bench_lockstep<Q: Calendar>(h: &mut Harness, name: &str) {
     });
 }
 
+/// The link-shape bench (the `fig02` shape: 128 hosts, ~8k events held).
+const LINKSHAPE_BENCH: &str = "calendar/engine_queue_linkshape8192";
+const LINKSHAPE_HELD: u32 = 8_192;
+/// What a packet-path push is scheduled ahead by on the paper fabric: a
+/// header and an MTU frame serialized at 400 Gb/s, a host-bound and a
+/// switch-bound hop.
+const LINKSHAPE_DELTAS_PS: [u64; 4] = [1_280, 83_200, 500_000, 1_000_000];
+
+/// The link-shape bench: what the packet path asks of the queue. Every
+/// host starts at once, and every pop schedules a `QueueService` or an
+/// `Arrive` exactly one of four link constants ahead — so the pushes of
+/// each constant arrive already in `(time, seq)` order, which is what the
+/// engine queue's lanes exploit and a heap cannot.
+fn bench_linkshape<Q: Calendar>(h: &mut Harness, name: &str) {
+    h.bench_function(name, |b| {
+        b.elements(CALENDAR_OPS);
+        b.iter_batched(
+            || {
+                let mut q = Q::default();
+                for token in 0..LINKSHAPE_HELD {
+                    q.push_packet(Time::from_ps(LINKSHAPE_DELTAS_PS[1]), token);
+                }
+                q
+            },
+            |mut q| {
+                for i in 0..CALENDAR_OPS as usize {
+                    let (at, token) = q.pop().expect("hold model never drains");
+                    q.push_packet(at + Time::from_ps(LINKSHAPE_DELTAS_PS[i % 4]), token as u32);
+                }
+                q.len()
+            },
+        )
+    });
+}
+
 fn bench_calendar(h: &mut Harness) {
     // The bakeoff matrix: engine calendar vs the BinaryHeap-of-POD it
     // replaced, across held-event counts bracketing the hot-path cell
@@ -490,6 +559,8 @@ fn bench_calendar(h: &mut Harness) {
     }
     bench_lockstep::<EventQueue>(h, LOCKSTEP_BENCH);
     bench_lockstep::<PodBinHeap>(h, "calendar/binheap_pod_lockstep32768");
+    bench_linkshape::<EventQueue>(h, LINKSHAPE_BENCH);
+    bench_linkshape::<PodBinHeap>(h, "calendar/binheap_pod_linkshape8192");
 }
 
 /// `std::BinaryHeap` over POD `(time, seq, token)` entries sized like the
@@ -506,6 +577,10 @@ impl Calendar for PodBinHeap {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(std::cmp::Reverse((at, seq, [token, 0, 0])));
+    }
+
+    fn push_packet(&mut self, at: Time, token: u32) {
+        self.push(at, token as u64);
     }
 
     fn pop(&mut self) -> Option<(Time, u64)> {

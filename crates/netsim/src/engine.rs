@@ -29,9 +29,18 @@
 //! * uplink selection works by index; the only buffer it touches is the
 //!   engine's reusable failover scratch (capacity bounded by the widest
 //!   ECMP group, retained across packets),
-//! * calendar, link deques, arena free list, the endpoint action buffer
-//!   and the same-timestamp batch buffer all retain their high-water
-//!   capacity,
+//! * every `QueueService` and `Arrive` the packet path schedules is
+//!   `now +` a serialization time or a link latency, and `now` never goes
+//!   back, so the event queue appends it to one of a few already-sorted
+//!   FIFO lanes instead of bucketing and sorting it
+//!   ([`crate::event`], bakeoff entry 4). The engine relies on nothing
+//!   here — the queue checks every admission itself, and a push no lane
+//!   admits takes the calendar level — but the speed of the loop does:
+//!   a packet-path push at anything but `now + a per-link constant`
+//!   (jitter, say) would show as `cal_lane_misfits` on the perf stream,
+//! * event queue, link deques, arena free list, the endpoint action
+//!   buffer and the same-timestamp batch buffer all retain their
+//!   high-water capacity,
 //! * the whole-batch loop prefetches for the events a fixed distance
 //!   ahead in the batch it already holds (`Engine::prefetch_ahead`).
 //!   Prefetching takes `&self` and writes nothing, so it cannot change
@@ -542,7 +551,7 @@ impl<S: TraceSink> Engine<S> {
     /// Returns the number of events dispatched.
     ///
     /// Events are pulled a same-timestamp *batch* at a time
-    /// ([`EventQueue::drain_batch_into`]), which amortizes calendar
+    /// ([`EventQueue::drain_batch_until`]), which amortizes calendar
     /// cursor/sort work over the batch. Exactness:
     ///
     /// * the deadline cannot fire mid-batch on the hot path — a batch
@@ -589,11 +598,13 @@ impl<S: TraceSink> Engine<S> {
             }
             self.batch.clear();
             self.batch_pos = 0;
-            match self.events.peek_time() {
-                Some(t) if t <= deadline => {}
-                _ => return n,
+            if self
+                .events
+                .drain_batch_until(deadline, &mut self.batch)
+                .is_none()
+            {
+                return n;
             }
-            self.events.drain_batch_into(&mut self.batch);
             self.batch_stats.batches += 1;
             self.batch_stats.max_batch = self.batch_stats.max_batch.max(self.batch.len() as u64);
             loop {

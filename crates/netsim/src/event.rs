@@ -1,8 +1,9 @@
-//! The discrete-event calendar: a self-tuning two-level calendar queue.
+//! The discrete-event queue: monotone lanes in front of a self-tuning
+//! two-level calendar queue.
 //!
-//! # Bakeoff history: how the calendar got here
+//! # Bakeoff history: how the queue got here
 //!
-//! The calendar went through three designs and one rework, each
+//! The queue went through three designs and two reworks, each
 //! benchmarked in `microbench`'s `calendar/*` suite before committing:
 //!
 //! 1. **`BinaryHeap` of POD entries** (PR 2). Packets were moved out of
@@ -70,9 +71,80 @@
 //!      does *not* do is hold occupancy near the target under lock-step
 //!      load: ties share a bucket at any width, and there the late run is
 //!      what keeps a 60 k-entry bucket cheap.
+//! 4. **Monotone lanes** (PR 19). A sampling profile of the unmodified
+//!    `repsbench` still put this module and the std sorts it calls at
+//!    38 % of the samples on the 32-host `perm_healthy` cells and ~45 %
+//!    on the 128-host `fig02` cells (222 ns/event against 111 at 32
+//!    hosts): `place → file`'s `Vec::push` into one of thousands of
+//!    separately allocated bucket `Vec`s (first touch of a scattered
+//!    tail), the bucket sorts and late-run merges, the batch drain. All
+//!    of it orders events that arrive almost in order already. On packet
+//!    cells 99.9 % of pushes are `QueueService` or `Arrive` at `now + d`,
+//!    `d` one of a handful of constants of the fabric profile (1.28 ns
+//!    header and 83.2 ns MTU serialization at 400 Gb/s, a 500 ns
+//!    host-bound and a 1 µs switch-bound hop), and `now` never goes back:
+//!    the pushes of each `d` are nondecreasing in `(time, seq)` — a FIFO,
+//!    which needs no bucket, no sort and no rebuild. So those two kinds
+//!    are appended to one of `LANES` (8) FIFO rings, chosen by
+//!    patience-sort best fit; everything else, and any push no lane
+//!    admits, takes the calendar level as before.
+//!    * **Exactness.** `seq` still comes from the one global counter. A
+//!      lane admits an entry only behind a back that precedes it, so each
+//!      lane is strictly increasing in `(time, seq)` by the admission
+//!      check itself, never by trusting the caller's clock. The queue's
+//!      minimum is then the least of at most `LANES` lane heads and the
+//!      calendar head: pop order is the same total order whichever lane
+//!      (or level) an entry took.
+//!    * **Why timers and controls stay out.** An RTO-scale or absolute
+//!      time at a lane's back closes the lane to its 83 ns stream for
+//!      milliseconds. They are 0.04–10 % of pushes on packet cells, their
+//!      payloads live in the side slabs anyway, and the calendar level's
+//!      resize/retune/gap-EWMA now see only that traffic, so it no longer
+//!      sizes a 16 384-bucket ring for entries it does not hold.
+//!    * **Measured** (builder's 2-vCPU host, alternating parent/change
+//!      runs; result bytes identical on all 330 suite cells and the four
+//!      other benchmark grids at seeds 0, 7 and 1000). Through the repo
+//!      benchmark, ten pairs: `suite_cold` wall 3.30 → 2.40 s (−27 %,
+//!      10/10, every change run below every parent run; held-out seed
+//!      1000 3.09 → 2.25 s), peak RSS 60.8 → 43.6 MiB at seed 0.
+//!      Event-loop time, ten alternating single-thread runs: `fig02`
+//!      158 → 91 ns/event (minima 119 → 73), the 32-host `perm_healthy`
+//!      cells 136 → 108 (minima 112 → 89). The queue alone:
+//!      `calendar/engine_queue_linkshape8192` 26 → 32–46 M ops/s against
+//!      the heap's 9; the timer-only `calendar/*` rows, which never
+//!      touch a lane, read 0–15 % lower (one more level to look at per
+//!      pop). Over the suite the lanes took 0.90 of all pushes (0.9996 on
+//!      the 128-host cells; the rest are timers, 1.3 M of them on the
+//!      `fig09` extreme-failure cells alone), no cell had more than 7
+//!      lanes non-empty at once, and not one push misfit. The calendar
+//!      level's work counters (`cal_late_merges`, `cal_merge_moved`,
+//!      `cal_retunes`) fell to near zero: it now holds timers only.
+//!    * **Micro-structure, measured.** The scans are on the dependency
+//!      chain of every push and pop, so they read two dense arrays (packed
+//!      `(time, seq)` head keys, back times) through a balanced tree of
+//!      selects instead of walking eight `VecDeque`s with data-dependent
+//!      branches: 12–15 % on the queue alone, nothing measurable on a
+//!      full cell, where other work hides the latency. Both levels' heads
+//!      are compared as one packed integer, `NO_KEY` standing for an
+//!      empty level, which keeps `Option`s out of the hot returns. A
+//!      batch is the
+//!      concatenation of each source's run in head-`seq` order; on every
+//!      benchmark cell that concatenation was already sorted (runs of
+//!      different constants never interleave: the larger constant was
+//!      pushed earlier), so the `seq` sort behind it is a linear check.
+//!      The requester's second prototype — hand-rolled power-of-two
+//!      rings, batch drains by repeated global-min pops — was *slower*
+//!      than plain `VecDeque`s (`fig02` 101 vs 93 ns/event), which is why
+//!      the rings here are `VecDeque`s and batches drain run by run.
 //!
 //! # Structure
 //!
+//! * **Lane level**: `LANES` (8) FIFO rings of entries. A `QueueService` or
+//!   `Arrive` push goes to the lane whose back time is the latest one at
+//!   or before it (an empty lane if none is, the calendar level if every
+//!   lane is closed to it); best fit never opens more lanes than there
+//!   are distinct push deltas in play. Pops take the least lane head or
+//!   the calendar head, whichever is earlier in `(time, seq)`.
 //! * **Ring level**: `buckets.len()` (a power of two) time buckets of
 //!   width `2^shift` picoseconds. An event at absolute time `t` belongs
 //!   to absolute bucket `t >> shift`; the ring covers the window
@@ -92,20 +164,27 @@
 //! # Total order and batch-drain invariants
 //!
 //! Pop order is the exact total order on `(time, seq)`: `seq` is unique
-//! and assigned at push, so pop order can never depend on bucket layout,
-//! late-run merges, width re-tunes, or overflow migrations — simulations
-//! stay byte-for-byte reproducible across any calendar re-configuration
-//! (the property tests in `tests/calendar_order.rs` pin equivalence
-//! against a reference binary heap over arbitrary interleaved push/pop
-//! sequences, including same-timestamp FIFO ties and lock-step bursts).
+//! and assigned at push, so pop order can never depend on lane choice,
+//! bucket layout, late-run merges, width re-tunes, or overflow
+//! migrations — simulations stay byte-for-byte reproducible across any
+//! re-configuration (the property tests in `tests/calendar_order.rs` pin
+//! equivalence against a reference binary heap over arbitrary interleaved
+//! push/pop sequences of every event kind, including same-timestamp FIFO
+//! ties, lock-step bursts and link-shaped streams that overflow the
+//! lanes; debug builds also assert each lane's order at push and that
+//! pops never go back).
 //!
 //! [`EventQueue::drain_batch_into`] supports the engine's batched
 //! execution: it pops *every* event sharing the earliest pending
-//! timestamp in one call. Two invariants make this safe:
+//! timestamp in one call. Three invariants make this safe:
 //!
-//! * events that share a timestamp always share an absolute bucket, and
-//!   a late entry at the head's timestamp is merged before the head is
-//!   looked at, so the batch is one suffix of the sorted run;
+//! * a lane is sorted, so its events at the earliest timestamp are a
+//!   prefix of it; the batch is those prefixes plus the calendar level's
+//!   tied run, put in `seq` order;
+//! * on the calendar level, events that share a timestamp always share
+//!   an absolute bucket, and a late entry at the head's timestamp is
+//!   merged before the head is looked at, so its tied run is one suffix
+//!   of the sorted run;
 //! * events pushed *while a batch executes* carry sequence numbers above
 //!   every batch member, so same-timestamp newcomers drain in a
 //!   follow-up batch, after the current one — exactly where the
@@ -113,11 +192,11 @@
 //!
 //! The engine's drain helper preserves the order even when a run stops
 //! mid-batch: leftovers keep their `(time, seq)` keys and are merged
-//! against the calendar head key-by-key on resume (see
+//! against the queue head key-by-key on resume (see
 //! `Engine::drain_events`).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::arena::{PacketRef, Slab};
 use crate::ids::{HostId, LinkId, NodeRef, SwitchId};
@@ -191,6 +270,16 @@ enum Slot {
     Arrive { node: NodeRef, pkt: PacketRef },
     Timer { idx: u32 },
     Control { idx: u32 },
+}
+
+/// The public event of a lane entry's slot: lanes admit only the two
+/// packet-path kinds, whose payloads are inline.
+fn packet_event(slot: Slot) -> Event {
+    match slot {
+        Slot::QueueService { link } => Event::QueueService { link },
+        Slot::Arrive { node, pkt } => Event::Arrive { node, pkt },
+        Slot::Timer { .. } | Slot::Control { .. } => unreachable!("lanes hold packet events"),
+    }
 }
 
 /// A calendar entry: POD only, cheap to move through bucket sorts and
@@ -270,12 +359,60 @@ const DENSE_BUCKET: usize = 8 << TARGET_OCC_SHIFT;
 /// Bits narrower the gap EWMA must ask for before dense buckets buy a
 /// rebuild: the EWMA wobbles by a bit, and a bit saves one sort level.
 const RETUNE_SLACK: u32 = 2;
+/// Monotone lanes in front of the calendar level (see the module docs,
+/// "Structure"). Best fit never opens more lanes than there are distinct
+/// push deltas in play. Measured over the 330-cell quick suite and the
+/// repo benchmark's other grids at seeds 0, 7 and 1000 (`cal_lanes_open`
+/// on the perf stream): 4 lanes non-empty at once on every cell of the
+/// paper fabric (header and MTU serialization, two hop latencies), 5–6
+/// where a degraded 200 Gb/s link or a second packet size adds
+/// serialization constants, 7 on the hybrid cells whose fluid background
+/// keeps moving the residual link rates — and not one misfit. Eight
+/// covers that, and a scan still reads only eight keys.
+const LANES: usize = 8;
+/// The head key of an empty lane or an empty calendar level: after every
+/// real key (no push ever carries `seq == u64::MAX`).
+const NO_KEY: u128 = u128::MAX;
 
-/// Calendar geometry and work counters.
+/// An entry's `(time, seq)` as one integer that orders the same way: the
+/// form the levels' heads are compared in.
+fn key_of(e: &Entry) -> u128 {
+    (e.time.as_ps() as u128) << 64 | e.seq as u128
+}
+
+/// The `(time, seq)` a [`key_of`] integer packs.
+fn unpack_key(key: u128) -> (Time, u64) {
+    (Time::from_ps((key >> 64) as u64), key as u64)
+}
+
+/// The least of `keys` and its lane, by a balanced tree of selects: the
+/// scan is on the critical path of every push and pop, where a chain of
+/// `LANES` dependent compares (or branches on data no predictor can
+/// learn) costs more than the rest of the operation.
+fn argmin<K: Copy + Ord>(keys: &[K; LANES]) -> (K, usize) {
+    const { assert!(LANES.is_power_of_two()) };
+    let mut best: [(K, usize); LANES] = std::array::from_fn(|i| (keys[i], i));
+    let mut n = LANES;
+    while n > 1 {
+        n /= 2;
+        for i in 0..n {
+            if best[i + n].0 < best[i].0 {
+                best[i] = best[i + n];
+            }
+        }
+    }
+    best[0]
+}
+
+/// Geometry and work counters of the queue's levels.
 ///
 /// Diagnostics only: they ride the sweep's perf stream (never the
 /// byte-stable results) so a per-event collapse like the one in bakeoff
-/// entry 3 of the module docs is readable from a run's artefacts.
+/// entry 3 of the module docs is readable from a run's artefacts. The
+/// three `lane*` fields describe the lane level; every other field
+/// describes the calendar level only — the timers, controls and lane
+/// misfits it still holds — so on a packet cell they count a few per
+/// cent of the pushes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CalendarStats {
     /// log2 of the current bucket width in picoseconds.
@@ -293,10 +430,18 @@ pub struct CalendarStats {
     pub max_bucket: u64,
     /// Pushes that took the overflow level.
     pub overflow_pushes: u64,
+    /// Pushes a lane admitted (the rest went to the calendar level).
+    pub lane_pushes: u64,
+    /// Most lanes non-empty at once.
+    pub lanes_open: u32,
+    /// `QueueService`/`Arrive` pushes no lane admitted: all eight were
+    /// non-empty with a back later than the push.
+    pub lane_misfits: u64,
 }
 
-/// A deterministic event calendar (two-level, self-tuning — see the
-/// module docs for the design and its invariants).
+/// A deterministic event queue (monotone lanes in front of a two-level,
+/// self-tuning calendar — see the module docs for the design and its
+/// invariants).
 ///
 /// The rare wide payloads (timer tokens, control events) live in
 /// [`Slab`]s so calendar entries stay 32-byte PODs (see [`Slot`]); the
@@ -304,6 +449,20 @@ pub struct CalendarStats {
 /// allocating.
 #[derive(Debug)]
 pub struct EventQueue {
+    /// Lane level: FIFO runs, each strictly increasing in `(time, seq)`
+    /// front to back — [`EventQueue::push_lane`] admits an entry only
+    /// behind a back that precedes it. Rings keep their high-water
+    /// capacity.
+    lanes: [VecDeque<Entry>; LANES],
+    /// Each lane's head key ([`key_of`]; [`NO_KEY`] when empty) and
+    /// back time in ps (0 when empty, so an empty lane fits any push,
+    /// last): the scans of every push and pop read these, not the rings.
+    lane_head: [u128; LANES],
+    lane_back: [u64; LANES],
+    /// Events held in lanes.
+    lane_len: usize,
+    /// Lanes non-empty right now.
+    lanes_open: u32,
     /// Ring level: bucket vecs, each holding one bucket-width of events
     /// inside the current window. Physically never shrinks: a rebuild to
     /// fewer buckets just narrows `mask`, leaving the now-inactive slot
@@ -336,11 +495,15 @@ pub struct EventQueue {
     overflow: BinaryHeap<Entry>,
     timers: Slab<(HostId, u64)>,
     controls: Slab<ControlEvent>,
+    /// Next push's sequence number: one counter for both levels.
     seq: u64,
+    /// Pushes the calendar level took (its resize stride and retune
+    /// windows count these, not lane traffic).
+    cal_pushes: u64,
     /// EWMA of observed non-zero inter-pop gaps, in picoseconds; the
     /// width self-tunes from this at resize and retune time.
     gap_ewma: u64,
-    /// Time of the most recent pop (EWMA sampling point).
+    /// Time of the calendar level's most recent pop (EWMA sampling point).
     last_pop: Time,
     /// Whether `last_pop` is valid yet.
     popped_any: bool,
@@ -349,8 +512,9 @@ pub struct EventQueue {
     /// log2 of the picoseconds a retune demanded the ring window span
     /// (0 = no demand; see [`EventQueue::maybe_retune`]).
     span_shift: u32,
-    /// `seq` and overflow pushes when the current retune window opened.
-    window_seq: u64,
+    /// Calendar-level and overflow pushes when the current retune window
+    /// opened.
+    window_pushes: u64,
     window_overflow: u64,
     /// Whether the cursor drained a bucket above [`DENSE_BUCKET`] in the
     /// current retune window.
@@ -361,11 +525,20 @@ pub struct EventQueue {
     /// Work counters (geometry fields are filled in by
     /// [`EventQueue::stats`]).
     stats: CalendarStats,
+    /// Key of the latest pop and `seq` at that moment (debug builds keep
+    /// it current): an entry that was already pending then must pop after
+    /// it.
+    popped_key: (Time, u64, u64),
 }
 
 impl Default for EventQueue {
     fn default() -> EventQueue {
         EventQueue {
+            lanes: Default::default(),
+            lane_head: [NO_KEY; LANES],
+            lane_back: [0; LANES],
+            lane_len: 0,
+            lanes_open: 0,
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             mask: (MIN_BUCKETS - 1) as u64,
             shift: DEFAULT_SHIFT,
@@ -378,16 +551,18 @@ impl Default for EventQueue {
             timers: Slab::default(),
             controls: Slab::default(),
             seq: 0,
+            cal_pushes: 0,
             gap_ewma: 1 << DEFAULT_SHIFT,
             last_pop: Time::ZERO,
             popped_any: false,
             underflow_streak: 0,
             span_shift: 0,
-            window_seq: 0,
+            window_pushes: 0,
             window_overflow: 0,
             window_dense: false,
             scratch: Vec::new(),
             stats: CalendarStats::default(),
+            popped_key: (Time::ZERO, 0, 0),
         }
     }
 }
@@ -400,6 +575,8 @@ impl EventQueue {
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: Time, event: Event) {
+        let seq = self.seq;
+        self.seq += 1;
         let slot = match event {
             Event::QueueService { link } => Slot::QueueService { link },
             Event::Arrive { node, pkt } => Slot::Arrive { node, pkt },
@@ -410,30 +587,249 @@ impl EventQueue {
                 idx: self.controls.insert(c),
             },
         };
-        let seq = self.seq;
-        self.seq += 1;
-        if self.ring_len == 0 && self.overflow.is_empty() {
-            // Empty calendar: re-anchor the window at the event so a long
-            // quiet gap cannot strand the cursor far behind.
-            self.cur = at.as_ps() >> self.shift;
-            self.cur_sorted = false;
+        // Packet-path events are `now + a link constant`, so each
+        // constant's pushes are already in `(time, seq)` order: they take
+        // a lane. Timers and controls (RTO-scale or absolute times, which
+        // would close a lane to its stream for milliseconds) never do.
+        let packet_path = matches!(slot, Slot::QueueService { .. } | Slot::Arrive { .. });
+        if packet_path && self.push_lane(at, seq, slot) {
+            return;
         }
-        let overflowed = self.place(Entry {
-            time: at,
-            seq,
-            slot,
-        });
-        self.stats.overflow_pushes += overflowed as u64;
-        if seq.is_multiple_of(RESIZE_STRIDE) {
-            self.maybe_resize();
-        }
+        self.stats.lane_misfits += packet_path as u64;
+        self.push_calendar(at, seq, slot);
     }
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        if !self.advance() {
+        let cal = self.cal_head();
+        let (lane_head, lane) = self.lane_min();
+        let e = if lane_head < cal {
+            self.pop_lane(lane)
+        } else if cal != NO_KEY {
+            self.cal_pop()
+        } else {
+            return None;
+        };
+        self.debug_assert_pop_order(e.time, e.seq, e.seq);
+        Some((e.time, self.resolve(e.slot)))
+    }
+
+    /// Pops *every* event sharing the earliest pending timestamp,
+    /// appending `(time, seq, event)` triples to `out` in pop order.
+    /// Returns the batch timestamp, or `None` when the queue is empty.
+    ///
+    /// `seq` is the FIFO tie-break token: callers that buffer a batch and
+    /// may stop mid-way (the engine's drain helper) use it to merge
+    /// leftovers against later queue heads in exact `(time, seq)` order.
+    /// The batch is each lane's prefix at that timestamp plus the
+    /// calendar level's tied run (see the module docs for why that one is
+    /// always contained in one bucket), merged by `seq`.
+    pub fn drain_batch_into(&mut self, out: &mut Vec<(Time, u64, Event)>) -> Option<Time> {
+        self.drain_batch_until(Time::MAX, out)
+    }
+
+    /// [`EventQueue::drain_batch_into`], unless the earliest pending
+    /// timestamp is after `deadline`: then nothing is popped and `None`
+    /// comes back, as for an empty queue.
+    pub fn drain_batch_until(
+        &mut self,
+        deadline: Time,
+        out: &mut Vec<(Time, u64, Event)>,
+    ) -> Option<Time> {
+        let cal = self.cal_head();
+        let head = cal.min(self.lane_min().0);
+        let (t, _) = unpack_key(head);
+        if head == NO_KEY || t > deadline {
             return None;
         }
+        // The sources with a head at `t`, in head-`seq` order (index
+        // `LANES` is the calendar level). Each source's run comes out in
+        // ascending `seq`; visiting them by head `seq` makes the
+        // concatenation already sorted unless runs interleave.
+        let mut sources = [(0u64, 0usize); LANES + 1];
+        let mut n = 0;
+        let heads = self.lane_head.iter().chain([&cal]);
+        for (source, &head) in heads.enumerate() {
+            let (head_t, seq) = unpack_key(head);
+            if head_t == t {
+                sources[n] = (seq, source);
+                n += 1;
+            }
+        }
+        sources[..n].sort_unstable();
+        let start = out.len();
+        for &(_, source) in &sources[..n] {
+            if source == LANES {
+                self.cal_drain_batch(out);
+                continue;
+            }
+            // A whole run, then the lane's head once: re-deriving the
+            // head per entry (`pop_lane`) read 8 % slower on the queue
+            // alone at batches of a few events and up.
+            let lane = &mut self.lanes[source];
+            let before = lane.len();
+            while lane.front().is_some_and(|h| h.time == t) {
+                let e = lane.pop_front().expect("lane has a head");
+                out.push((t, e.seq, packet_event(e.slot)));
+            }
+            self.lane_len -= before - lane.len();
+            self.note_lane_head(source);
+        }
+        if n > 1 {
+            // A linear pass when the runs did not interleave.
+            out[start..].sort_unstable_by_key(|&(_, seq, _)| seq);
+        }
+        self.debug_assert_pop_order(t, out[start].1, out[out.len() - 1].1);
+        Some(t)
+    }
+
+    /// Returns the `(time, seq)` key of the next event without removing
+    /// it (see [`EventQueue::drain_batch_into`] for what `seq` is for).
+    ///
+    /// Takes `&mut self`: peeking may advance the calendar level's cursor,
+    /// sort the bucket it lands on and migrate overflow entries — all
+    /// order-neutral.
+    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
+        let head = self.cal_head().min(self.lane_min().0);
+        (head != NO_KEY).then(|| unpack_key(head))
+    }
+
+    /// Number of pending events, on every level.
+    pub fn len(&self) -> usize {
+        self.lane_len + self.cal_len()
+    }
+
+    /// Whether the calendar is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Current geometry and cumulative work counters.
+    pub fn stats(&self) -> CalendarStats {
+        CalendarStats {
+            shift: self.shift,
+            buckets: (self.mask + 1) as u32,
+            ..self.stats
+        }
+    }
+
+    /// Appends `entry` to the lane whose back is the latest one at or
+    /// before it in time (patience-sort best fit, which opens no more
+    /// lanes than there are distinct push deltas in play), or to an empty
+    /// lane when no back fits. Returns `false` when every lane is closed
+    /// to it. `seq` only grows, so a back at `entry.time` still precedes
+    /// it: whatever the caller's clock does, an admitted entry extends a
+    /// strictly increasing run, and which lane took it can never change
+    /// the pop order.
+    fn push_lane(&mut self, time: Time, seq: u64, slot: Slot) -> bool {
+        let at = time.as_ps();
+        // How far behind `at` each lane's back is: the least distance is
+        // the best fit, an empty lane (back 0) the worst, a closed lane
+        // none (`Time::MAX` behind an empty lane reads as closed too, and
+        // takes the calendar level).
+        let behind = self
+            .lane_back
+            .map(|back| if back <= at { at - back } else { u64::MAX });
+        let (distance, i) = argmin(&behind);
+        if distance == u64::MAX {
+            return false;
+        }
+        let lane = &mut self.lanes[i];
+        debug_assert!(
+            lane.back().is_none_or(|b| (b.time, b.seq) < (time, seq)),
+            "lane admitted an entry that does not extend its order"
+        );
+        let entry = Entry { time, seq, slot };
+        if lane.is_empty() {
+            self.lane_head[i] = key_of(&entry);
+            self.lanes_open += 1;
+            self.stats.lanes_open = self.stats.lanes_open.max(self.lanes_open);
+        }
+        self.lane_back[i] = at;
+        lane.push_back(entry);
+        self.lane_len += 1;
+        self.stats.lane_pushes += 1;
+        true
+    }
+
+    /// The least lane head and its lane; [`NO_KEY`] when every lane is
+    /// empty, without the scan (a timers-only load never fills one).
+    fn lane_min(&self) -> (u128, usize) {
+        if self.lane_len == 0 {
+            return (NO_KEY, 0);
+        }
+        argmin(&self.lane_head)
+    }
+
+    /// Removes the head of non-empty lane `i`.
+    fn pop_lane(&mut self, i: usize) -> Entry {
+        let e = self.lanes[i].pop_front().expect("lane has a head");
+        self.lane_len -= 1;
+        self.note_lane_head(i);
+        e
+    }
+
+    /// Re-reads lane `i`'s head after pops.
+    fn note_lane_head(&mut self, i: usize) {
+        match self.lanes[i].front() {
+            Some(head) => self.lane_head[i] = key_of(head),
+            None => {
+                self.lane_head[i] = NO_KEY;
+                self.lane_back[i] = 0;
+                self.lanes_open -= 1;
+            }
+        }
+    }
+
+    /// Debug-only: the events `[first_seq ..= last_seq]` at time `t` are
+    /// being popped. Whatever was already pending at the previous pop
+    /// must come after it in `(time, seq)`; only an entry pushed since
+    /// (a past-time push) may precede it.
+    fn debug_assert_pop_order(&mut self, t: Time, first_seq: u64, last_seq: u64) {
+        if cfg!(debug_assertions) {
+            let (last_t, last_s, seq_then) = self.popped_key;
+            debug_assert!(
+                first_seq >= seq_then || (last_t, last_s) < (t, first_seq),
+                "pop went back in (time, seq): ({t:?}, {first_seq}) after ({last_t:?}, {last_s})"
+            );
+            self.popped_key = (t, last_seq, self.seq);
+        }
+    }
+
+    /// Files an entry on the calendar level.
+    fn push_calendar(&mut self, time: Time, seq: u64, slot: Slot) {
+        if self.cal_len() == 0 {
+            // Empty calendar: re-anchor the window at the event so a long
+            // quiet gap cannot strand the cursor far behind.
+            self.cur = time.as_ps() >> self.shift;
+            self.cur_sorted = false;
+        }
+        let overflowed = self.place(Entry { time, seq, slot });
+        self.stats.overflow_pushes += overflowed as u64;
+        let nth = self.cal_pushes;
+        self.cal_pushes += 1;
+        if nth.is_multiple_of(RESIZE_STRIDE) {
+            self.maybe_resize();
+        }
+    }
+
+    /// Events held on the calendar level.
+    fn cal_len(&self) -> usize {
+        self.ring_len + self.overflow.len()
+    }
+
+    /// The calendar level's earliest key ([`NO_KEY`] when it is empty),
+    /// with the cursor positioned on that entry.
+    fn cal_head(&mut self) -> u128 {
+        if !self.advance() {
+            return NO_KEY;
+        }
+        key_of(&self.buckets[(self.cur & self.mask) as usize][self.sorted_len - 1])
+    }
+
+    /// Removes the calendar level's earliest entry; the cursor must be
+    /// positioned ([`EventQueue::cal_head`] returned a key).
+    fn cal_pop(&mut self) -> Entry {
         let idx = (self.cur & self.mask) as usize;
         // The head is the back of the sorted run; the last late entry (if
         // any) fills its slot, which is where the late run now begins.
@@ -441,22 +837,12 @@ impl EventQueue {
         let e = self.buckets[idx].swap_remove(self.sorted_len);
         self.ring_len -= 1;
         self.note_pop(e.time);
-        Some((e.time, self.resolve(e.slot)))
+        e
     }
 
-    /// Pops *every* event sharing the earliest pending timestamp,
-    /// appending `(time, seq, event)` triples to `out` in pop order.
-    /// Returns the batch timestamp, or `None` when the calendar is empty.
-    ///
-    /// `seq` is the FIFO tie-break token: callers that buffer a batch and
-    /// may stop mid-way (the engine's drain helper) use it to merge
-    /// leftovers against later calendar heads in exact `(time, seq)`
-    /// order. See the module docs for why the batch is always contained
-    /// in one bucket.
-    pub fn drain_batch_into(&mut self, out: &mut Vec<(Time, u64, Event)>) -> Option<Time> {
-        if !self.advance() {
-            return None;
-        }
+    /// Moves the calendar level's whole tied run at its head timestamp to
+    /// `out`, in ascending `seq`; the cursor must be positioned.
+    fn cal_drain_batch(&mut self, out: &mut Vec<(Time, u64, Event)>) {
         let idx = (self.cur & self.mask) as usize;
         let sorted = &self.buckets[idx][..self.sorted_len];
         let end = sorted.len();
@@ -481,44 +867,6 @@ impl EventQueue {
         self.sorted_len = cut;
         self.ring_len -= end - cut;
         self.note_pop(t);
-        Some(t)
-    }
-
-    /// Returns the time of the next event without removing it.
-    ///
-    /// Takes `&mut self`: peeking may advance the cursor, sort the bucket
-    /// it lands on and migrate overflow entries — all order-neutral.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// Returns the `(time, seq)` key of the next event without removing
-    /// it (see [`EventQueue::drain_batch_into`] for what `seq` is for).
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
-        if !self.advance() {
-            return None;
-        }
-        let e = self.buckets[(self.cur & self.mask) as usize][self.sorted_len - 1];
-        Some((e.time, e.seq))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
-    }
-
-    /// Whether the calendar is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current geometry and cumulative work counters.
-    pub fn stats(&self) -> CalendarStats {
-        CalendarStats {
-            shift: self.shift,
-            buckets: (self.mask + 1) as u32,
-            ..self.stats
-        }
     }
 
     /// Debug-only invariants of a positioned cursor (`advance` returned
@@ -567,7 +915,7 @@ impl EventQueue {
 
     /// Files an entry into the ring or the overflow level and returns
     /// whether it took the overflow. Does not touch the empty-calendar
-    /// anchor or the resize thresholds — `push` does.
+    /// anchor or the resize thresholds — `push_calendar` does.
     fn place(&mut self, entry: Entry) -> bool {
         // No overflow: `cur <= 2^58` (a time in ps shifted right by at
         // least MIN_SHIFT) and the active bucket count is at most 2^16.
@@ -733,7 +1081,7 @@ impl EventQueue {
     /// whose capacity never warmed, allocating in steady state. With the
     /// streak, cyclic load settles into one stable configuration.
     fn maybe_resize(&mut self) {
-        let len = self.len();
+        let len = self.cal_len();
         let nb = (self.mask + 1) as usize;
         if len > nb << (TARGET_OCC_SHIFT + 2) && nb < MAX_BUCKETS {
             self.underflow_streak = 0;
@@ -767,7 +1115,7 @@ impl EventQueue {
     ///   pop, never derived at all). A span demand is relaxed a bit at a
     ///   time here, while no push in the window overflowed.
     fn maybe_retune(&mut self, len: usize) {
-        let window = self.seq - self.window_seq;
+        let window = self.cal_pushes - self.window_pushes;
         if window < (len as u64 * RETUNE_PAYBACK).max(RETUNE_WINDOW) || !self.popped_any {
             return;
         }
@@ -793,7 +1141,7 @@ impl EventQueue {
 
     /// Starts a fresh observation window for [`EventQueue::maybe_retune`].
     fn open_window(&mut self) {
-        self.window_seq = self.seq;
+        self.window_pushes = self.cal_pushes;
         self.window_overflow = self.stats.overflow_pushes;
         self.window_dense = false;
     }
@@ -925,7 +1273,7 @@ mod tests {
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
         q.push(Time::from_ns(7), timer(0, 0));
-        assert_eq!(q.peek_time(), Some(Time::from_ns(7)));
+        assert_eq!(q.peek_key(), Some((Time::from_ns(7), 0)));
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -957,6 +1305,89 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![1, 7, 2]);
+    }
+
+    fn service(link: u32) -> Event {
+        Event::QueueService { link: LinkId(link) }
+    }
+
+    fn link_of(e: Event) -> u32 {
+        match e {
+            Event::QueueService { link } => link.0,
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn packet_events_take_lanes_and_timers_never_do() {
+        let mut q = EventQueue::new();
+        q.push(Time::from_ms(3), timer(0, 0));
+        q.push(Time::from_ns(83), service(0));
+        q.push(
+            Time::from_ns(500),
+            Event::Arrive {
+                node: NodeRef::Host(HostId(1)),
+                pkt: PacketRef(1),
+            },
+        );
+        q.push(Time::from_ns(83), service(2)); // a tie extends a lane
+        q.push(Time::from_ns(1), Event::Control(ControlEvent::StatsSample));
+        let stats = q.stats();
+        assert_eq!((stats.lane_pushes, stats.lane_misfits), (3, 0));
+        assert_eq!(
+            stats.lanes_open, 2,
+            "83 ns fits behind 83 ns, not behind 500"
+        );
+        assert_eq!(q.len(), 5);
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_ns())
+            .collect();
+        assert_eq!(times, vec![1, 83, 83, 500, 3_000_000]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pushes_no_lane_admits_spill_to_the_calendar_level_in_order() {
+        // Strictly decreasing times close a lane each; the ninth finds all
+        // eight closed.
+        let mut q = EventQueue::new();
+        for i in 0..LANES as u32 + 3 {
+            q.push(Time::from_ns(100 - i as u64), service(i));
+        }
+        let stats = q.stats();
+        assert_eq!(stats.lanes_open as usize, LANES);
+        assert_eq!((stats.lane_pushes, stats.lane_misfits), (LANES as u64, 3));
+        // A past-time push takes the lane whose back it follows, or none.
+        q.push(Time::from_ns(1), service(99));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| link_of(e))
+            .collect();
+        assert_eq!(order, vec![99, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn a_batch_merges_lane_and_calendar_runs_by_seq() {
+        // One timestamp, kinds alternating: the calendar level's run
+        // (seqs 0, 2, 4) and the lane's (1, 3, 5) interleave.
+        let mut q = EventQueue::new();
+        let t = Time::from_ns(40);
+        for i in 0..3 {
+            q.push(t, timer(0, i));
+            q.push(t, service(i as u32));
+        }
+        q.push(Time::from_ns(41), service(7));
+        let mut batch = Vec::new();
+        assert_eq!(q.drain_batch_until(Time::from_ns(39), &mut batch), None);
+        assert!(batch.is_empty() && q.len() == 7, "nothing is due yet");
+        assert_eq!(q.drain_batch_until(t, &mut batch), Some(t));
+        let seqs: Vec<u64> = batch.iter().map(|&(_, seq, _)| seq).collect();
+        assert_eq!(seqs, (0..6).collect::<Vec<_>>());
+        assert!(matches!(batch[0].2, Event::Timer { token: 0, .. }));
+        assert!(matches!(
+            batch[5].2,
+            Event::QueueService { link: LinkId(2) }
+        ));
+        assert_eq!(q.peek_key(), Some((Time::from_ns(41), 6)));
     }
 
     #[test]
@@ -991,7 +1422,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(Time::from_us(100), timer(0, 2));
         // Drain the cursor up to 100us territory, then schedule earlier.
-        assert_eq!(q.peek_time(), Some(Time::from_us(100)));
+        assert_eq!(q.peek_key(), Some((Time::from_us(100), 0)));
         q.push(Time::from_ns(1), timer(0, 1));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| token_of(e))

@@ -1,29 +1,33 @@
-//! Allocation accounting for the calendar queue itself.
+//! Allocation accounting for the event queue itself.
 //!
-//! The two-level calendar (`netsim::event`) promises **zero**
-//! steady-state heap allocations: every buffer it owns — the bucket
-//! ring, each bucket's `Vec`, the overflow heap, the payload slabs, the
+//! The queue (`netsim::event`) promises **zero** steady-state heap
+//! allocations: every buffer it owns — the lane rings, the bucket ring,
+//! each bucket's `Vec`, the overflow heap, the payload slabs, the
 //! rebuild scratch — grows to a high-water mark during warm-up and is
 //! then reused forever. Occupancy-threshold rebuilds may retune the
 //! bucket width, but the physical ring never shrinks, so a steady
 //! workload settles into a fixed configuration and allocates nothing.
 //!
 //! This test drives the queue directly (no engine, no links) through
-//! two loads and pins the measured phase of each at zero allocations
+//! three loads and pins the measured phase of each at zero allocations
 //! under a counting global allocator: a hold model with same-timestamp
 //! ties, batch drains and far-future pushes that cycle through the
-//! overflow level; and a lock-step burst→drain cycle whose successors
+//! overflow level; a lock-step burst→drain cycle whose successors
 //! land in the bucket being drained, so the late run, its merge scratch
-//! and the observed retunes are all in play. The engine-level proof
-//! (switch path + arena + calendar together) lives in `tests/alloc.rs`.
+//! and the observed retunes are all in play (both timers only: the
+//! calendar level); and a link-shaped load — a lock-step start of
+//! packet-path events, each batch member rescheduled one of four link
+//! constants ahead — that lives on the lanes. The engine-level proof
+//! (switch path + arena + queue together) lives in `tests/alloc.rs`.
 //!
-//! This file intentionally contains a single test running both loads
+//! This file intentionally contains a single test running the loads
 //! back to back: the counter is process-global, and a sibling test
 //! running on another thread would add its own allocations to the
 //! measurement.
 
+use netsim::arena::PacketRef;
 use netsim::event::{Event, EventQueue};
-use netsim::ids::HostId;
+use netsim::ids::{HostId, LinkId, NodeRef, SwitchId};
 use netsim::rng::Rng64;
 use netsim::time::Time;
 
@@ -82,6 +86,40 @@ fn lockstep_cycle(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, base:
                 );
             }
         }
+    }
+}
+
+/// One link-shaped step: drain the head batch, then schedule for each
+/// member what the packet path would — a service completion's arrival a
+/// hop ahead and the link's next serialization, an arrival's enqueue
+/// behind an ACK-sized or an MTU-sized frame — so the four constants
+/// interleave in every batch. Each member has exactly one successor: the
+/// hold stays what the lock-step start loaded. One RTO-like timer rides
+/// along on the calendar level, so batches merge both levels.
+fn link_step(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, i: u64) {
+    /// Header and MTU serialization at 400 Gb/s, host-bound and
+    /// switch-bound hop.
+    const DELTAS_PS: [u64; 4] = [1_280, 83_200, 500_000, 1_000_000];
+    let t = q
+        .drain_batch_into(batch)
+        .expect("hold model never drains the queue");
+    for (k, (_, _, ev)) in batch.drain(..).enumerate() {
+        let delta = Time::from_ps(DELTAS_PS[(i as usize + k) % 4]);
+        let next = match ev {
+            Event::QueueService { link } => Event::Arrive {
+                node: NodeRef::Switch(SwitchId(0)),
+                pkt: PacketRef(link.0),
+            },
+            Event::Arrive { pkt, .. } => Event::QueueService {
+                link: LinkId(pkt.0),
+            },
+            Event::Timer { .. } => {
+                q.push(t + Time::from_us(25), ev);
+                continue;
+            }
+            Event::Control(_) => unreachable!("the load pushes no controls"),
+        };
+        q.push(t + delta, next);
     }
 }
 
@@ -189,6 +227,48 @@ fn calendar_steady_state_allocates_nothing() {
         during, 0,
         "lock-step burst→drain cycles must not allocate after warm-up: \
          {during} allocations across 8 cycles ({stats:?})"
+    );
+    #[cfg(miri)]
+    let _ = during;
+
+    // Third load: link-shaped traffic on a fresh queue — every NIC starts
+    // serializing at t = 0, and the lanes take every packet-path push.
+    let mut q = EventQueue::new();
+    q.push(
+        Time::from_us(25),
+        Event::Timer {
+            host: HostId(0),
+            token: 0,
+        },
+    );
+    for link in 0..HELD as u32 {
+        q.push(
+            Time::from_ps(83_200),
+            Event::QueueService { link: LinkId(link) },
+        );
+    }
+    for i in 0..WARMUP {
+        link_step(&mut q, &mut batch, i);
+    }
+    let warm = q.stats();
+    let before = tinybench::alloc::allocs();
+    for i in 0..MEASURED {
+        link_step(&mut q, &mut batch, WARMUP + i);
+    }
+    let during = tinybench::alloc::allocs() - before;
+    assert_eq!(q.len(), HELD as usize + 1, "the load conserves its events");
+    let stats = q.stats();
+    assert!(
+        stats.lane_pushes > warm.lane_pushes
+            && stats.lane_misfits == 0
+            && (2..=4).contains(&stats.lanes_open),
+        "four constants from a clock that never goes back take lanes, all of them: {stats:?}"
+    );
+    #[cfg(not(miri))]
+    assert_eq!(
+        during, 0,
+        "lanes must keep their high-water capacity: {during} allocations \
+         across {MEASURED} batches ({stats:?})"
     );
     #[cfg(miri)]
     let _ = during;

@@ -406,8 +406,18 @@ fn parse_scale(v: &str) -> Result<Scale, String> {
     }
 }
 
+/// Whether the command line asks for the usage text: `help` as the
+/// subcommand, or `--help`/`-h` anywhere, after a subcommand included.
+fn wants_help(args: &[String]) -> bool {
+    args.first().is_some_and(|a| a == "help") || args.iter().any(|a| a == "--help" || a == "-h")
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     match args.first().map(String::as_str) {
         Some("list") => match parse_list(&args[1..]) {
             Ok(opts) => list(&opts),
@@ -425,10 +435,6 @@ fn main() -> ExitCode {
             [ref path] => explain(path),
             _ => fail(&format!("explain takes exactly one FILE\n{}", usage())),
         },
-        Some("--help") | Some("-h") | Some("help") => {
-            println!("{}", usage());
-            ExitCode::SUCCESS
-        }
         _ => fail(usage()),
     }
 }
@@ -974,6 +980,31 @@ mod tests {
         ] {
             assert!(parse_run(&bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn help_is_recognised_after_any_subcommand() {
+        for asks in [
+            sv(&["--help"]),
+            sv(&["-h"]),
+            sv(&["help"]),
+            sv(&["run", "--help"]),
+            sv(&["run", "--filter", "fig02*", "-h"]),
+            sv(&["list", "--help"]),
+            sv(&["merge", "-h"]),
+            sv(&["explain", "--help"]),
+        ] {
+            assert!(wants_help(&asks), "no usage for {asks:?}");
+        }
+        for other in [
+            sv(&[]),
+            sv(&["run", "--filter", "help"]),
+            sv(&["explain", "help"]),
+        ] {
+            assert!(!wants_help(&other), "usage instead of running {other:?}");
+        }
+        // The parsers themselves still reject it: `main` answers first.
+        assert!(parse_run(&sv(&["--help"])).is_err());
     }
 
     #[test]

@@ -94,7 +94,11 @@ pub fn to_jsonl(results: &[CellResult]) -> String {
 /// (same-timestamp batches drained, average/max batch size, chained
 /// link services) ride along so sweeps show how much the engine's
 /// batched execution amortizes per cell, the `cal_*` fields describe the
-/// calendar it ran on, `arena_high_water` is the peak number of packets
+/// event queue it ran on — `cal_lane_pushes`, `cal_lanes_open` and
+/// `cal_lane_misfits` its lane level (pushes admitted, most lanes
+/// non-empty at once, packet-path pushes no lane took), the rest its
+/// calendar level alone, which on a packet cell sees only the few per
+/// cent of pushes that are not lane pushes — `arena_high_water` is the peak number of packets
 /// in the fabric at once (× 16 bytes of header is the per-hop working
 /// set; with the fabric in the key it answers "does this cell's in-flight
 /// state fit in cache"), and the `fluid_*` fields say how local the fluid
@@ -128,6 +132,9 @@ pub fn perf_record(r: &CellResult) -> String {
         .u64("cal_merge_moved", r.calendar.merge_moved)
         .u64("cal_max_bucket", r.calendar.max_bucket)
         .u64("cal_overflow_pushes", r.calendar.overflow_pushes)
+        .u64("cal_lane_pushes", r.calendar.lane_pushes)
+        .u64("cal_lanes_open", r.calendar.lanes_open as u64)
+        .u64("cal_lane_misfits", r.calendar.lane_misfits)
         .u64("arena_high_water", r.arena_high_water)
         .u64("fluid_resolves", r.fluid.resolves)
         .u64("fluid_flows_resolved", r.fluid.flows_resolved)
@@ -414,8 +421,11 @@ mod tests {
             );
             let cal = r.calendar;
             assert!(
-                cal.shift > 0 && cal.buckets.is_power_of_two() && cal.max_bucket >= 1,
-                "cells must report the calendar they ran on: {cal:?}"
+                cal.shift > 0
+                    && cal.buckets.is_power_of_two()
+                    && cal.lane_pushes > 0
+                    && cal.lanes_open > 0,
+                "cells must report the event queue they ran on: {cal:?}"
             );
             for field in [
                 "cal_shift",
@@ -425,6 +435,9 @@ mod tests {
                 "cal_merge_moved",
                 "cal_max_bucket",
                 "cal_overflow_pushes",
+                "cal_lane_pushes",
+                "cal_lanes_open",
+                "cal_lane_misfits",
                 "arena_high_water",
                 "fluid_resolves",
                 "fluid_flows_resolved",
