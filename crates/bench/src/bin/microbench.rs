@@ -7,18 +7,21 @@
 //! * `hotpath/permutation_cell` — a full single sweep cell (32-host
 //!   permutation, REPS) measured in simulator **events per second**; this
 //!   is the number the CI `microbench-smoke` job gates on.
-//! * `calendar/*` — the engine's event queue against the
-//!   BinaryHeap-of-POD it replaced. Timer events, which stay on the
-//!   queue's self-tuning two-level calendar: a synthetic hold model
-//!   across a held-event × gap-shape matrix (256/4096/65536 held, uniform
-//!   vs bimodal gaps), and lock-step load (tied bursts whose successors
-//!   land in the bucket being drained — the shape random gaps never
-//!   produce). Packet-path events, which take the queue's monotone
-//!   lanes: `calendar/engine_queue_linkshape8192`, a hold of 8 192
+//! * `calendar/*` — the engine's event queue against a plain
+//!   BinaryHeap-of-POD, one pair per level of the queue. Packet-path
+//!   events, which take its monotone lanes:
+//!   `calendar/engine_queue_linkshape8192`, a hold of 8 192
 //!   `QueueService`/`Arrive` events from a lock-step start, each
 //!   rescheduled one of the fabric's four link constants ahead — the
-//!   `fig02` shape. See the `netsim::event` module docs for the bake-off
-//!   history.
+//!   `fig02` shape, and what the lanes buy over a heap. Timer events,
+//!   which go past the lanes to the binary heap behind them:
+//!   `calendar/engine_queue_hold256_uniform`, a hold model at about the
+//!   timer population cells really have — the level *is* a heap, so the
+//!   pair guards what the path in front of it costs (the skipped lane
+//!   scan, the single push call site), not a data structure. See the
+//!   `netsim::event` module docs for the bake-off history, including the
+//!   larger timer-only holds that were measured and deleted with the
+//!   calendar ring.
 //! * `hybrid/*` — the hybrid-fidelity headline: one O(10k)-host cell
 //!   (160 ToRs × 64 hosts) with an all-hosts tornado background run at
 //!   matched offered load as packets (`fidelity=pkt`) and as fluid flows
@@ -66,9 +69,6 @@ use workloads::traces::{self, SizeCdf};
 /// The gated benchmark: its events/sec must not regress vs. the baseline.
 const GATED_BENCH: &str = "hotpath/permutation_cell";
 
-/// The engine calendar under lock-step load (see [`bench_lockstep`]).
-const LOCKSTEP_BENCH: &str = "calendar/engine_queue_lockstep32768";
-
 /// The 10k-host hybrid cell with its background as packet flows.
 const HYBRID_PKT_BENCH: &str = "hybrid/cell10k_bg_pkt";
 /// The same cell with the background on the analytic fluid model.
@@ -81,7 +81,7 @@ const FLUID_CHURN_BENCH: &str = "hybrid/fluid_churn10k";
 ///
 /// The floor is a ratio *against* the all-packet twin, so whatever speeds
 /// the packet path up eats into it. PR 10 reported 96x, but about 10x of
-/// that was the calendar's draining-bucket bug slowing the twin (see
+/// that was the calendar ring's draining-bucket bug slowing the twin (see
 /// `netsim::event`, bakeoff entry 3). The arena-header / in-flight-window
 /// / prefetch work then took the twin from ~370 to ~270 ms while the
 /// fluid cell stayed at ~18 ms: on the builder's host, alternating runs
@@ -90,27 +90,24 @@ const FLUID_CHURN_BENCH: &str = "hybrid/fluid_churn10k";
 /// cell's foreground is packets too — so the ratio barely moved: five
 /// alternating full runs a side read 12.8–16.7x at the parent (pkt
 /// 263–297 ms, fluid 17–23 ms) and 12.8–17.1x after (202–279 ms,
-/// 14–22 ms). That is still more than 10 % clear of the floor, so the
-/// floor stands.
+/// 14–22 ms). Replacing the calendar ring by a binary heap (PR 20) left
+/// it there too — both twins hold 10 240 timers in that heap: three
+/// alternating full runs a side read 14.7–16.2x at the parent and
+/// 14.8–17.0x after. That is still more than 10 % clear of the floor, so
+/// the floor stands.
 const HYBRID_SPEEDUP_FLOOR: f64 = 10.0;
 
 /// Every bench `--check` gates against the baseline report: the
-/// end-to-end hot path plus the calendar matrix cells closest to it —
-/// the hot-path cell's held-event count under both gap shapes, the
-/// large-held point the ROADMAP's scale target cares about, the
-/// lock-step shape, the link shape the lanes serve — both fidelities of
-/// the 10k-host hybrid cell, the
-/// fluid solver under churn on that fabric, and the 16-host
-/// `simulation/*` family (which regressed ~30% across PR 7 with no gate
-/// watching). Benches that count elements are gated on elems/sec, the
-/// rest on iters/sec. A gated bench missing from either report fails the
-/// check.
+/// end-to-end hot path, the event queue's two shapes — timers at the
+/// hot-path cell's population, the link shape the lanes serve — both
+/// fidelities of the 10k-host hybrid cell, the fluid solver under churn
+/// on that fabric, and the 16-host `simulation/*` family (which regressed
+/// ~30% across PR 7 with no gate watching). Benches that count elements
+/// are gated on elems/sec, the rest on iters/sec. A gated bench missing
+/// from either report fails the check.
 const GATED_BENCHES: &[&str] = &[
     GATED_BENCH,
-    "calendar/engine_queue_hold256_uniform",
-    "calendar/engine_queue_hold256_bimodal",
-    "calendar/engine_queue_hold65536_uniform",
-    LOCKSTEP_BENCH,
+    HOLD_BENCH,
     LINKSHAPE_BENCH,
     HYBRID_PKT_BENCH,
     HYBRID_FLUID_BENCH,
@@ -361,50 +358,11 @@ fn bench_substrate(h: &mut Harness) {
     });
 }
 
-/// Gap distributions for the calendar hold-model matrix. The hold model
-/// keeps `n` timer events pending; each operation pops the earliest and
-/// schedules a replacement a pseudo-random delta ahead — the classic DES
-/// calendar stress shape (no packets involved, so it isolates the queue
-/// data structure itself).
-#[derive(Clone, Copy)]
-enum Gaps {
-    /// Uniform 1..4 us deltas — the classic hold model.
-    Uniform,
-    /// ~90% short (≤256 ns) deltas with ~10% long (~16 us) outliers —
-    /// the shape a transport produces: dense per-packet service events
-    /// punctuated by RTT-scale timers. Stresses the width self-tuning:
-    /// a width fit to the short mode must absorb the outliers through
-    /// later buckets or the overflow level without thrashing.
-    Bimodal,
-}
-
-impl Gaps {
-    fn next(self, rng: &mut Rng64) -> Time {
-        match self {
-            Gaps::Uniform => Time::from_ns(1 + rng.gen_range(1 << 12)),
-            Gaps::Bimodal => {
-                if rng.gen_range(10) == 0 {
-                    Time::from_us(16) + Time::from_ns(rng.gen_range(1 << 15))
-                } else {
-                    Time::from_ns(1 + rng.gen_range(256))
-                }
-            }
-        }
-    }
-
-    fn tag(self) -> &'static str {
-        match self {
-            Gaps::Uniform => "uniform",
-            Gaps::Bimodal => "bimodal",
-        }
-    }
-}
-
-/// What the calendar benches need from a queue: the engine's calendar and
-/// the `BinaryHeap` it replaced both fit it.
+/// What the calendar benches need from a queue: the engine's queue and a
+/// plain `BinaryHeap` both fit it.
 trait Calendar: Default {
-    /// Schedules a timer — an event the engine's queue keeps on its
-    /// calendar level.
+    /// Schedules a timer — an event the engine's queue keeps on its heap
+    /// level.
     fn push(&mut self, at: Time, token: u64);
     /// Schedules a packet-path event (`QueueService` for even tokens,
     /// `Arrive` for odd) — one the engine's queue offers to its lanes.
@@ -450,16 +408,25 @@ impl Calendar for EventQueue {
 /// Operations per calendar bench iteration.
 const CALENDAR_OPS: u64 = 65_536;
 
-/// One hold-model bench: `held` events pending, each op pops the earliest
-/// and schedules a replacement `gaps.next()` ahead.
-fn bench_hold<Q: Calendar>(h: &mut Harness, name: &str, held: u64, gaps: Gaps) {
+/// The timer-only bench: a hold model at [`HOLD_HELD`] timers, the order
+/// of what a cell's heap level really holds (one sweep timer per host: 32
+/// on the suite's median cell, at most 136 on all but its eight
+/// `flap-reconv` cells).
+const HOLD_BENCH: &str = "calendar/engine_queue_hold256_uniform";
+const HOLD_HELD: u64 = 256;
+
+/// The hold-model bench: [`HOLD_HELD`] timers pending, each op pops the
+/// earliest and schedules a replacement a uniform 1..4 us ahead — the
+/// classic DES queue stress shape (no packets involved, so nothing ever
+/// takes a lane).
+fn bench_hold<Q: Calendar>(h: &mut Harness, name: &str) {
     h.bench_function(name, |b| {
         b.elements(CALENDAR_OPS);
         b.iter_batched(
             || {
                 let mut q = Q::default();
                 let mut rng = Rng64::new(11);
-                for token in 0..held {
+                for token in 0..HOLD_HELD {
                     q.push(Time::from_ns(rng.gen_range(1 << 16)), token);
                 }
                 (q, rng)
@@ -467,42 +434,7 @@ fn bench_hold<Q: Calendar>(h: &mut Harness, name: &str, held: u64, gaps: Gaps) {
             |(mut q, mut rng)| {
                 for _ in 0..CALENDAR_OPS {
                     let (at, token) = q.pop().expect("hold model never drains");
-                    q.push(at + gaps.next(&mut rng), token);
-                }
-                q.len()
-            },
-        )
-    });
-}
-
-/// Held events of the lock-step bench: [`LOCKSTEP_BURST`]-event
-/// same-timestamp bursts 2.6 ns apart, so the whole hold sits inside one
-/// or two default-width buckets — the 10k-host cell's shape at t=0.
-const LOCKSTEP_HELD: u64 = 32_768;
-const LOCKSTEP_BURST: u64 = 1024;
-/// The lock-step deltas: a 64 B ACK and an MTU frame serialized at
-/// 400 Gbps, and one link traversal.
-const LOCKSTEP_DELTAS_PS: [u64; 3] = [1_300, 83_200, 600_000];
-
-/// The lock-step bench: AI-training traffic starts every host at once on
-/// equal-rate links, so thousands of events share each timestamp and
-/// every pop schedules its successor one of three fixed deltas ahead —
-/// mostly into the bucket being drained. No randomness: ties stay ties.
-fn bench_lockstep<Q: Calendar>(h: &mut Harness, name: &str) {
-    h.bench_function(name, |b| {
-        b.elements(CALENDAR_OPS);
-        b.iter_batched(
-            || {
-                let mut q = Q::default();
-                for token in 0..LOCKSTEP_HELD {
-                    q.push(Time::from_ps(token / LOCKSTEP_BURST * 2_600), token);
-                }
-                q
-            },
-            |mut q| {
-                for i in 0..CALENDAR_OPS as usize {
-                    let (at, token) = q.pop().expect("hold model never drains");
-                    q.push(at + Time::from_ps(LOCKSTEP_DELTAS_PS[i % 3]), token);
+                    q.push(at + Time::from_ns(1 + rng.gen_range(1 << 12)), token);
                 }
                 q.len()
             },
@@ -546,26 +478,15 @@ fn bench_linkshape<Q: Calendar>(h: &mut Harness, name: &str) {
 }
 
 fn bench_calendar(h: &mut Harness) {
-    // The bakeoff matrix: engine calendar vs the BinaryHeap-of-POD it
-    // replaced, across held-event counts bracketing the hot-path cell
-    // (a 32-host cell holds a few hundred; the ROADMAP's O(10k)-host
-    // target holds tens of thousands) and both gap distributions.
-    for held in [256u64, 4096, 65_536] {
-        for gaps in [Gaps::Uniform, Gaps::Bimodal] {
-            let shape = format!("hold{held}_{}", gaps.tag());
-            bench_hold::<EventQueue>(h, &format!("calendar/engine_queue_{shape}"), held, gaps);
-            bench_hold::<PodBinHeap>(h, &format!("calendar/binheap_pod_{shape}"), held, gaps);
-        }
-    }
-    bench_lockstep::<EventQueue>(h, LOCKSTEP_BENCH);
-    bench_lockstep::<PodBinHeap>(h, "calendar/binheap_pod_lockstep32768");
+    bench_hold::<EventQueue>(h, HOLD_BENCH);
+    bench_hold::<PodBinHeap>(h, "calendar/binheap_pod_hold256_uniform");
     bench_linkshape::<EventQueue>(h, LINKSHAPE_BENCH);
     bench_linkshape::<PodBinHeap>(h, "calendar/binheap_pod_linkshape8192");
 }
 
 /// `std::BinaryHeap` over POD `(time, seq, token)` entries sized like the
-/// engine's calendar entries — the shape the engine's hand-rolled 4-ary
-/// heap was benchmarked against before committing (see `netsim::event`).
+/// engine queue's entries: every event through one heap, which is what
+/// the engine did before it had lanes (see `netsim::event`).
 #[derive(Default)]
 struct PodBinHeap {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(Time, u64, [u64; 3])>>,

@@ -10,5 +10,5 @@ pub mod report;
 pub mod scale;
 
 pub use experiment::{Experiment, RunResult, Summary, TrackLinks};
-pub use report::{cdf, comparison_table, downsample, speedup_table};
+pub use report::{comparison_table, downsample, speedup_table};
 pub use scale::Scale;

@@ -71,17 +71,6 @@ pub fn downsample(points: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
     (0..n).map(|i| points[(i as f64 * step) as usize]).collect()
 }
 
-/// Renders a CDF from a set of values (for the FCT-CDF figures).
-pub fn cdf(values: &mut [f64]) -> Vec<(f64, f64)> {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    let n = values.len();
-    values
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, (i + 1) as f64 / n as f64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,16 +128,6 @@ mod tests {
         for n in ["3", "7", "1", "4", "2"] {
             assert!(row.split_whitespace().any(|f| f == n), "missing {n}: {row}");
         }
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let mut vals = vec![3.0, 1.0, 2.0];
-        let c = cdf(&mut vals);
-        assert_eq!(c.len(), 3);
-        assert!((c[0].1 - 1.0 / 3.0).abs() < 1e-9);
-        assert!((c[2].1 - 1.0).abs() < 1e-9);
-        assert!(c[0].0 <= c[1].0 && c[1].0 <= c[2].0);
     }
 
     #[test]

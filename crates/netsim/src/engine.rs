@@ -32,12 +32,14 @@
 //! * every `QueueService` and `Arrive` the packet path schedules is
 //!   `now +` a serialization time or a link latency, and `now` never goes
 //!   back, so the event queue appends it to one of a few already-sorted
-//!   FIFO lanes instead of bucketing and sorting it
+//!   FIFO lanes instead of sifting it through a heap
 //!   ([`crate::event`], bakeoff entry 4). The engine relies on nothing
 //!   here — the queue checks every admission itself, and a push no lane
-//!   admits takes the calendar level — but the speed of the loop does:
-//!   a packet-path push at anything but `now + a per-link constant`
-//!   (jitter, say) would show as `cal_lane_misfits` on the perf stream,
+//!   admits takes the binary heap behind the lanes, with the timers and
+//!   controls — but the speed of the loop does: a packet-path push at
+//!   anything but `now + a per-link constant` (jitter, say) would show
+//!   as `cal_lane_misfits` on the perf stream, and a population of
+//!   thousands of live timers as `cal_heap_peak`,
 //! * event queue, link deques, arena free list, the endpoint action
 //!   buffer and the same-timestamp batch buffer all retain their
 //!   high-water capacity,
@@ -109,7 +111,7 @@ pub struct BatchStats {
     /// `QueueService` completions that started the next packet's
     /// serialization in the same link borrow (the batched service path).
     pub chained_services: u64,
-    /// Calendar geometry and work counters as of the last `run_*` return.
+    /// Event-queue work counters as of the last `run_*` return.
     pub calendar: CalendarStats,
 }
 

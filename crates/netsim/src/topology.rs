@@ -223,6 +223,14 @@ impl FatTreeConfig {
             self.tor_uplinks * self.t1_uplinks
         }
     }
+
+    /// Switch-to-switch cables, as many as [`Topology::cable_pairs`] will
+    /// list: every ToR's uplinks plus, in a 3-tier fabric, every T1's.
+    pub fn n_cables(&self) -> u64 {
+        let t1_up = if self.tiers == 2 { 0 } else { self.t1_uplinks };
+        (u64::from(self.pods) * u64::from(self.tor_uplinks))
+            .saturating_mul(u64::from(self.tors) + u64::from(t1_up))
+    }
 }
 
 /// The routing decision at a switch.
@@ -689,6 +697,16 @@ mod tests {
         let pairs = topo.cable_pairs();
         // 8 ToRs x 4 uplinks = 32 cables.
         assert_eq!(pairs.len(), 32);
+        for cfg in [
+            FatTreeConfig::two_tier(8, 1),
+            FatTreeConfig::two_tier(9, 2),
+            FatTreeConfig::two_tier_custom(2, 64, 8),
+            FatTreeConfig::three_tier(4, 1),
+            FatTreeConfig::three_tier(6, 2),
+        ] {
+            let cables = Topology::build(cfg.clone(), 5).cable_pairs().len();
+            assert_eq!(cfg.n_cables() as usize, cables, "{cfg:?}");
+        }
         for (up, down) in pairs {
             let u = &topo.links[up.index()];
             let d = &topo.links[down.index()];

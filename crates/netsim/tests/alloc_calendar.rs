@@ -1,24 +1,20 @@
 //! Allocation accounting for the event queue itself.
 //!
 //! The queue (`netsim::event`) promises **zero** steady-state heap
-//! allocations: every buffer it owns — the lane rings, the bucket ring,
-//! each bucket's `Vec`, the overflow heap, the payload slabs, the
-//! rebuild scratch — grows to a high-water mark during warm-up and is
-//! then reused forever. Occupancy-threshold rebuilds may retune the
-//! bucket width, but the physical ring never shrinks, so a steady
-//! workload settles into a fixed configuration and allocates nothing.
+//! allocations: every buffer it owns — the lane rings, the binary heap
+//! behind them, the payload slabs — grows to a high-water mark during
+//! warm-up and is then reused forever, so a steady workload allocates
+//! nothing.
 //!
 //! This test drives the queue directly (no engine, no links) through
 //! three loads and pins the measured phase of each at zero allocations
 //! under a counting global allocator: a hold model with same-timestamp
-//! ties, batch drains and far-future pushes that cycle through the
-//! overflow level; a lock-step burst→drain cycle whose successors
-//! land in the bucket being drained, so the late run, its merge scratch
-//! and the observed retunes are all in play (both timers only: the
-//! calendar level); and a link-shaped load — a lock-step start of
-//! packet-path events, each batch member rescheduled one of four link
-//! constants ahead — that lives on the lanes. The engine-level proof
-//! (switch path + arena + queue together) lives in `tests/alloc.rs`.
+//! ties, batch drains and far-future pushes; a lock-step burst→drain
+//! cycle that empties the queue every time (both timers only: the heap
+//! level); and a link-shaped load — a lock-step start of packet-path
+//! events, each batch member rescheduled one of four link constants
+//! ahead — that lives on the lanes. The engine-level proof (switch path
+//! + arena + queue together) lives in `tests/alloc.rs`.
 //!
 //! This file intentionally contains a single test running the loads
 //! back to back: the counter is process-global, and a sibling test
@@ -36,8 +32,8 @@ static COUNTER: tinybench::alloc::Counting = tinybench::alloc::Counting;
 
 /// One hold-model step: drain the head batch (ties pop together), then
 /// refile one event per drained slot at a jittered future time. Every
-/// 64th refile goes far-future so the overflow level stays in rotation,
-/// and every 16th is an exact tie with the previous push.
+/// 64th refile goes far-future, and every 16th is an exact tie with the
+/// previous push.
 fn step(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, rng: &mut Rng64, i: u64) {
     batch.clear();
     let t = q
@@ -56,10 +52,9 @@ fn step(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, rng: &mut Rng64
 }
 
 /// One lock-step cycle starting at `base`: a burst of tied runs lands
-/// before anything pops (16 runs 2.6 ns apart), then the calendar drains
+/// before anything pops (16 runs 2.6 ns apart), then the queue drains
 /// to empty with every event taking three more hops — an ACK and an MTU
-/// serialization at 400 Gbps, then a link traversal — most of them into
-/// the bucket being drained.
+/// serialization at 400 Gbps, then a link traversal.
 fn lockstep_cycle(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, base: Time, burst: u64) {
     const HOPS_PS: [u64; 3] = [1_300, 83_200, 600_000];
     for token in 0..burst {
@@ -95,7 +90,7 @@ fn lockstep_cycle(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, base:
 /// behind an ACK-sized or an MTU-sized frame — so the four constants
 /// interleave in every batch. Each member has exactly one successor: the
 /// hold stays what the lock-step start loaded. One RTO-like timer rides
-/// along on the calendar level, so batches merge both levels.
+/// along on the heap level, so batches merge both levels.
 fn link_step(q: &mut EventQueue, batch: &mut Vec<(Time, u64, Event)>, i: u64) {
     /// Header and MTU serialization at 400 Gb/s, host-bound and
     /// switch-bound hop.
@@ -132,8 +127,8 @@ fn calendar_steady_state_allocates_nothing() {
     #[cfg(not(miri))]
     const MEASURED: u64 = 1 << 13;
     // Miri runs the same model at a fraction of the iteration count —
-    // still enough to cross occupancy rebuilds, bucket sorts and overflow
-    // migrations, but small enough to finish in CI minutes.
+    // still enough to grow the heap and wrap the lane rings, but small
+    // enough to finish in CI minutes.
     #[cfg(miri)]
     const HELD: u64 = 128;
     #[cfg(miri)]
@@ -154,10 +149,8 @@ fn calendar_steady_state_allocates_nothing() {
         );
     }
 
-    // Warm-up: long enough for the occupancy rebuilds to settle, the
-    // cursor to lap the ring many times (every active slot touched),
-    // the overflow heap to reach its high-water mark, and the shrink
-    // hysteresis streak to prove the configuration stable.
+    // Warm-up: long enough for the heap and the timer slab to reach
+    // their high-water marks.
     for i in 0..WARMUP {
         step(&mut q, &mut batch, &mut rng, i);
     }
@@ -175,7 +168,7 @@ fn calendar_steady_state_allocates_nothing() {
     );
     // The zero-alloc pin is native-only: miri's short warm-up does not
     // settle the high-water mark, and there the test's job is checking
-    // the calendar's pointer discipline, not its allocator behaviour.
+    // the queue's pointer discipline, not its allocator behaviour.
     #[cfg(not(miri))]
     assert_eq!(
         during, 0,
@@ -185,9 +178,7 @@ fn calendar_steady_state_allocates_nothing() {
     #[cfg(miri)]
     let _ = during;
 
-    // Second load: lock-step burst→drain cycles on a fresh calendar.
-    // Cycles are one ring-aligned period apart, so each lands on the
-    // slots the previous one warmed.
+    // Second load: lock-step burst→drain cycles on a fresh queue.
     #[cfg(not(miri))]
     const BURST: u64 = 4096;
     #[cfg(not(miri))]
@@ -216,17 +207,14 @@ fn calendar_steady_state_allocates_nothing() {
         );
     }
     let during = tinybench::alloc::allocs() - before;
-    assert!(q.is_empty(), "every cycle drains the calendar");
-    let stats = q.stats();
-    assert!(
-        stats.late_merges > 0 && stats.retunes > 0,
-        "the cycle must exercise late runs and rebuilds: {stats:?}"
-    );
+    assert!(q.is_empty(), "every cycle drains the queue");
     #[cfg(not(miri))]
     assert_eq!(
-        during, 0,
+        during,
+        0,
         "lock-step burst→drain cycles must not allocate after warm-up: \
-         {during} allocations across 8 cycles ({stats:?})"
+         {during} allocations across 8 cycles ({:?})",
+        q.stats()
     );
     #[cfg(miri)]
     let _ = during;

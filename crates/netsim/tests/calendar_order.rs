@@ -1,33 +1,31 @@
 //! Total-order equivalence proof for the event queue.
 //!
-//! The queue in `netsim::event` — monotone lanes in front of a two-level
-//! calendar — replaced a `BinaryHeap`-of-POD (see the module docs for the
-//! bakeoff history). Correctness rests on one invariant: pops come out in
-//! the exact `(time, seq)` total order the heap produced, where `seq` is
-//! the push sequence number — same-timestamp events pop FIFO. Every
-//! golden output, cell key and derived seed depends on that order.
+//! The queue in `netsim::event` — monotone lanes in front of a binary
+//! heap — replaced one `BinaryHeap`-of-POD for every event (see the
+//! module docs for the bakeoff history). Correctness rests on one
+//! invariant: pops come out in the exact `(time, seq)` total order that
+//! heap produced, where `seq` is the push sequence number —
+//! same-timestamp events pop FIFO. Every golden output, cell key and
+//! derived seed depends on that order.
 //!
 //! These properties drive random op streams — pushes with tied
-//! timestamps, far-future pushes that take the overflow level,
-//! past-time pushes, interleaved pops and batch drains — through both
-//! the queue and a `BinaryHeap<Reverse<(time, seq)>>` reference, and
-//! assert the sequences are identical element by element. The streams
-//! are long enough to cross the occupancy resize thresholds, so grows,
-//! shrinks and width re-tunes are exercised mid-comparison.
+//! timestamps, far-future pushes, past-time pushes, interleaved pops and
+//! batch drains — through both the queue and a
+//! `BinaryHeap<Reverse<(time, seq)>>` reference, and assert the sequences
+//! are identical element by element.
 //!
 //! Which level an event takes depends on its kind — `QueueService` and
 //! `Arrive` go to a lane when one admits them, `Timer` and `Control`
-//! always to the calendar level — so every property runs its stream
-//! three times: timers only (the calendar level alone), packet-path
-//! events only (lanes, with misfits spilling to the calendar level), and
-//! all four kinds mixed (every batch merges levels).
+//! always to the heap level — so every property runs its stream three
+//! times: timers only (the heap level alone), packet-path events only
+//! (lanes, with misfits spilling to the heap level), and all four kinds
+//! mixed (every batch merges levels).
 //!
 //! A third property drives the *lock-step* shape that random deltas
 //! almost never produce: long tied runs loaded before the first pop,
 //! every popped event rescheduling itself a fixed serialization-like
-//! delta ahead — mostly into the bucket being drained — plus pushes at
-//! exactly the head's timestamp and a few ps after it. That is the
-//! regime of the draining bucket's late run and of the observed retunes.
+//! delta ahead, plus pushes at exactly the head's timestamp and a few ps
+//! after it.
 //!
 //! A fourth is *link-shaped*, the regime the lanes are built for: a
 //! clock that never goes back, every push `now + one of k constants`
@@ -36,6 +34,13 @@
 //! past-time push, and the engine's resume case — a batch abandoned
 //! half-way, an earlier event pushed, the leftovers merged back against
 //! the queue head key by key.
+//!
+//! A fifth is the `flap-reconv` shape, the largest population the level
+//! behind the lanes really holds: tens of thousands of absolute-time
+//! controls loaded before the first pop (with ties across cables), then a
+//! link-shaped lane stream with per-host sweep timers re-armed a constant
+//! ahead, interleaved `pop`/`peek_key`/`drain_batch_until` with deadlines
+//! short of the head, a mid-batch stop and an earlier push.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -72,9 +77,9 @@ impl RefHeap {
 /// Which event kinds a stream pushes, and so which queue levels it uses.
 #[derive(Debug, Clone, Copy)]
 enum Kinds {
-    /// `Timer` only: everything stays on the calendar level.
+    /// `Timer` only: everything stays on the heap level.
     Timers,
-    /// `QueueService` and `Arrive`: lanes, and the calendar level for
+    /// `QueueService` and `Arrive`: lanes, and the heap level for
     /// whatever no lane admits.
     Packets,
     /// All four kinds.
@@ -177,9 +182,19 @@ impl Pair {
     /// Drains the head batch into `batch`, checking it is the reference's
     /// maximal tied run in `seq` order.
     fn drain_batch(&mut self, batch: &mut Vec<(Time, u64, Event)>) -> Option<Time> {
+        self.drain_batch_until(Time::MAX, batch)
+    }
+
+    /// [`Pair::drain_batch`] unless the head is after `deadline`: then
+    /// nothing may be popped.
+    fn drain_batch_until(
+        &mut self,
+        deadline: Time,
+        batch: &mut Vec<(Time, u64, Event)>,
+    ) -> Option<Time> {
         batch.clear();
-        let head = self.r.peek().map(|(t, _)| t);
-        let got_t = self.q.drain_batch_into(batch);
+        let head = self.r.peek().map(|(t, _)| t).filter(|&t| t <= deadline);
+        let got_t = self.q.drain_batch_until(deadline, batch);
         assert_eq!(got_t, head, "batch head time diverged");
         for &(bt, bseq, ref ev) in batch.iter() {
             let (wt, wseq, wtok) = self.r.pop().expect("reference drained early");
@@ -212,13 +227,13 @@ impl Pair {
 
 /// Pushes one op's event into both queues, deriving the timestamp from
 /// the op byte: small uniform deltas (the common case), exact ties with
-/// the previous push, far-future jumps that must take the overflow
-/// level, and past-time pushes below the current pop horizon.
+/// the previous push, far-future jumps, and past-time pushes below the
+/// current pop horizon.
 fn push_op(p: &mut Pair, kind: u8, raw: u32, now: Time, last_push: &mut Time) {
     let at = match kind % 8 {
         // Tie: identical timestamp to the previous push (FIFO proof).
         0 => *last_push,
-        // Far future: way past any plausible ring horizon.
+        // Far future: 100 us to 10 ms past the clock.
         1 => now + Time::from_us(100 + (raw % 10_000) as u64),
         // Past time: at or below the pop horizon.
         2 => Time::from_ps(now.as_ps().saturating_sub((raw % 4096) as u64)),
@@ -235,8 +250,7 @@ fn check_pop_sequence(kinds: Kinds, ops: &[(u8, u8, u32)], drain_tail: bool) {
     let mut now = Time::ZERO;
     let mut last_push = Time::ZERO;
     for &(action, kind, raw) in ops {
-        // ~1/4 pops keep the queues partially drained so the cursor
-        // sweeps and resize thresholds both trigger.
+        // ~1/4 pops keep the queues partially drained.
         if action % 4 == 0 {
             if let Some(t) = p.pop() {
                 now = t;
@@ -247,8 +261,6 @@ fn check_pop_sequence(kinds: Kinds, ops: &[(u8, u8, u32)], drain_tail: bool) {
         p.check_len();
     }
     if drain_tail {
-        // The tail crosses shrink thresholds and the ring-empty →
-        // overflow-jump path.
         p.drain_tail();
     }
 }
@@ -278,11 +290,11 @@ fn check_batch_drain(kinds: Kinds, ops: &[(u8, u8, u32)]) {
 /// Lock-step load (property 3's body).
 fn check_lockstep_bursts(kinds: Kinds, bursts: usize, burst_len: u64, ops: &[(u8, u8, u32)]) {
     // A 64 B and an MTU serialization at 400 Gbps, one link hop, and a
-    // far timer that takes (and, in numbers, overloads) the overflow.
+    // far timer.
     const DELTAS_PS: [u64; 4] = [1_300, 83_200, 600_000, 40_000_000];
     let mut p = Pair::new(kinds);
     // The whole schedule lands before the first pop, 2.6 ns between
-    // bursts: every count-driven rebuild sees no gap sample.
+    // bursts.
     for b in 0..bursts as u64 {
         for _ in 0..burst_len {
             p.push(Time::from_ps(b * 2_600));
@@ -305,10 +317,9 @@ fn check_lockstep_bursts(kinds: Kinds, bursts: usize, burst_len: u64, ops: &[(u8
                 }
             }
             // Batch drain; each member reschedules itself. `kind`
-            // picks the mix: one delta for all keeps the burst tied
-            // (and, at 1.3 ns, the late run busy), the cycle splits
-            // it three ways across the ring, and the last sends every
-            // other member to the overflow level.
+            // picks the mix: one delta for all keeps the burst tied,
+            // the cycle splits it three ways, and the last sends every
+            // other member 40 us ahead.
             _ => {
                 p.drain_batch(&mut batch);
                 for (i, &(t, _, _)) in batch.iter().enumerate() {
@@ -324,7 +335,6 @@ fn check_lockstep_bursts(kinds: Kinds, bursts: usize, burst_len: u64, ops: &[(u8
         }
         p.check_len();
     }
-    // Drain to empty: crosses the shrink path with late runs pending.
     p.drain_tail();
 }
 
@@ -372,11 +382,10 @@ proptest! {
         }
     }
 
-    /// Lock-step load: tied bursts, successors filed into the draining
-    /// bucket, pushes at and just after the head time while that bucket
-    /// is sorted — interleaved pops and batch drains must match the
-    /// reference through late-run merges and grow/retune/shrink rebuilds,
-    /// and every batch must be the maximal tied run.
+    /// Lock-step load: tied bursts, successors a few fixed deltas ahead,
+    /// pushes at and just after the head time — interleaved pops and
+    /// batch drains must match the reference, and every batch must be the
+    /// maximal tied run.
     #[test]
     fn lockstep_bursts_match_binheap_reference(
         bursts in 4usize..24,
@@ -500,6 +509,115 @@ proptest! {
         prop_assert!(stats.lane_pushes > 0, "link-shaped pushes take lanes: {stats:?}");
         p.drain_tail();
     }
+
+    /// Pre-scheduled controls (see the file docs): the `flap-reconv`
+    /// shape, the largest population the level behind the lanes holds.
+    #[test]
+    fn prescheduled_controls_match_binheap_reference(
+        flaps in 5_000u64..15_000,
+        cables in 1u64..4,
+        period_ps in 20_000u64..2_000_000,
+        hosts in 2u64..48,
+        ops in proptest::collection::vec(any::<(u8, u8, u32)>(), 200..600),
+    ) {
+        const SWEEP: Time = Time::from_us(5);
+        let delta = |i: usize| Time::from_ps(LINK_DELTAS_PS[i % 4]);
+        let mut p = Pair::new(Kinds::Packets);
+        // The whole flap schedule lands before the first pop: every cable
+        // goes down at the same instants and comes up half a period later.
+        // (`push_event` re-labels each control with its token.)
+        for i in 0..flaps {
+            for at in [i * period_ps, i * period_ps + period_ps / 2] {
+                for _ in 0..cables {
+                    p.push_event(Time::from_ps(at), Event::Control(ControlEvent::FluidWake));
+                }
+            }
+        }
+        let controls = (flaps * cables * 2) as usize;
+        prop_assert_eq!(p.q.stats().heap_peak as usize, controls);
+        // Then the fabric starts: one NIC serialization and one sweep
+        // timer per host, all hosts in lock-step.
+        for h in 0..hosts {
+            p.push(delta(1));
+            p.push_event(SWEEP, Event::Timer { host: HostId(h as u32), token: 0 });
+        }
+        // What the engine schedules for a popped event: a timer re-arms
+        // itself a constant ahead, a control is consumed, a packet event
+        // takes its next hop.
+        let follow = |p: &mut Pair, now: Time, ev: Event, i: usize| match ev {
+            Event::Timer { .. } => p.push_event(now + SWEEP, ev),
+            Event::Control(_) => {}
+            _ => p.push_event(now + delta(i), ev),
+        };
+        let mut now = Time::ZERO;
+        let mut batch = Vec::new();
+        for &(action, kind, raw) in &ops {
+            let kind = kind as usize;
+            match action % 8 {
+                // Single pops behind a peek (`Pair::pop` checks both).
+                0 => {
+                    if let Some(t) = p.pop() {
+                        now = now.max(t);
+                        p.push(now + delta(kind));
+                    }
+                }
+                // A deadline short of the head pops nothing.
+                1 => {
+                    if let Some((t, _)) = p.r.peek().filter(|&(t, _)| t > Time::ZERO) {
+                        let short = t.saturating_sub(Time::from_ps(1 + (raw % 1_000) as u64));
+                        prop_assert_eq!(p.drain_batch_until(short, &mut batch), None);
+                        prop_assert!(batch.is_empty());
+                    }
+                }
+                // A batch abandoned half-way, an earlier push, and the
+                // leftovers merged back against the queue head key by key.
+                2 => {
+                    let Some(t) = p.drain_batch_until(now + SWEEP, &mut batch) else { continue };
+                    now = now.max(t);
+                    let done = batch.len() / 2;
+                    for (i, &(_, _, ev)) in batch[..done].iter().enumerate() {
+                        follow(&mut p, now, ev, kind + i);
+                    }
+                    let earlier = t.saturating_sub(Time::from_ps((raw % 2_000) as u64));
+                    p.push_event(earlier, Event::Control(ControlEvent::StatsSample));
+                    let mut overtook = 0;
+                    let mut left = batch[done..].iter().peekable();
+                    while let Some(&&(bt, bseq, ev)) = left.peek() {
+                        if p.q.peek_key().is_some_and(|key| key < (bt, bseq)) {
+                            p.pop();
+                            overtook += 1;
+                        } else {
+                            left.next();
+                            follow(&mut p, now, ev, kind);
+                        }
+                    }
+                    prop_assert_eq!(overtook, (earlier < t) as usize, "resume order diverged");
+                }
+                // Whole batches up to a deadline a sweep ahead: controls,
+                // timers and lane runs that share a timestamp come out
+                // together, and nothing at it stays behind on either level.
+                _ => {
+                    if let Some(t) = p.drain_batch_until(now + SWEEP, &mut batch) {
+                        prop_assert!(p.q.peek_key().is_none_or(|(next, _)| next > t));
+                        now = now.max(t);
+                        for (i, &(_, _, ev)) in batch.iter().enumerate() {
+                            follow(&mut p, now, ev, kind + i % 2);
+                        }
+                    }
+                }
+            }
+            p.check_len();
+        }
+        let stats = p.q.stats();
+        prop_assert!(stats.lane_pushes > 0, "the packet stream takes lanes: {stats:?}");
+        let peak = stats.heap_peak as usize;
+        prop_assert!(
+            (controls..=controls + 2 * hosts as usize + ops.len()).contains(&peak),
+            "the heap level holds the controls, the timers and little else: {stats:?}"
+        );
+        // The tail pops the tens of thousands of controls still pending.
+        p.drain_tail();
+    }
 }
 
 /// Best fit settles: with a clock that never goes back and `k <= 8`
@@ -535,7 +653,7 @@ fn constant_delta_streams_settle_into_at_most_k_lanes() {
 /// distinct far-future timers are on the queue before the first pop — had
 /// they been admitted to lanes, every lane would sit closed behind a
 /// millisecond-scale back while the four-delta stream spilled to the
-/// calendar level.
+/// heap level.
 #[test]
 fn far_future_timers_do_not_pollute_the_lanes() {
     let mut q = EventQueue::new();

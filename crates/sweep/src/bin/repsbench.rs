@@ -248,8 +248,11 @@
 //! hit/miss counts, and a fully warm re-run executes nothing.
 //!
 //! `--perf` additionally writes one JSONL record per *executed* cell with
-//! its event count, wall time and events/sec, the calendar's `cal_*`
-//! counters, the packet arena's `arena_high_water` (peak packets in the
+//! its event count, wall time and events/sec, the event queue's four
+//! `cal_*` counters (`cal_lane_pushes`, `cal_lanes_open`,
+//! `cal_lane_misfits`: its FIFO lanes; `cal_heap_peak`: the largest
+//! population of the binary heap behind them — timers, controls and
+//! misfits), the packet arena's `arena_high_water` (peak packets in the
 //! fabric at once) and the fluid solver's `fluid_resolves`,
 //! `fluid_flows_resolved` and `fluid_max_component` (a *separate* file
 //! because wall time is nondeterministic and `--out` is byte-stable;

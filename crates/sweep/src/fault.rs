@@ -197,6 +197,18 @@ impl FaultSpec {
         matches!(self, FaultSpec::None)
     }
 
+    /// How many cables the fault takes: what a fabric must have at least
+    /// (see [`FaultSpec::build`]).
+    pub fn cables(&self) -> u32 {
+        match self {
+            FaultSpec::None => 0,
+            FaultSpec::Gray { n, .. }
+            | FaultSpec::Corrupt { n, .. }
+            | FaultSpec::Flap { n, .. }
+            | FaultSpec::Unidir { n, .. } => *n,
+        }
+    }
+
     /// The canonical label: one string per configuration, parameters at
     /// their defaults omitted, the exact inverse of [`FaultSpec::parse`].
     /// Feeds the cell key (as `/ft=<label>`, only when not `none`).
@@ -378,7 +390,8 @@ impl FaultSpec {
     ///
     /// Panics when `n` exceeds the fabric's cable count: the label
     /// advertises `n`, so an oversized request must fail loudly rather
-    /// than silently model a different scenario.
+    /// than silently model a different scenario. (A spec file is checked
+    /// when it is parsed, so user text never gets here.)
     pub fn build(
         &self,
         fabric: &FatTreeConfig,

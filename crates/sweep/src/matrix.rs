@@ -676,8 +676,8 @@ pub struct CellResult {
     /// Link services chained without a calendar round-trip
     /// (perf-stream only).
     pub chained_services: u64,
-    /// Calendar geometry and work counters at the end of the run
-    /// (deterministic for a fixed key; perf-stream only).
+    /// Event-queue work counters at the end of the run (deterministic
+    /// for a fixed key; perf-stream only).
     pub calendar: netsim::event::CalendarStats,
     /// Packet-arena slot high-water mark: the peak number of packets in
     /// the fabric at once (deterministic for a fixed key; perf-stream

@@ -96,9 +96,10 @@ pub fn to_jsonl(results: &[CellResult]) -> String {
 /// batched execution amortizes per cell, the `cal_*` fields describe the
 /// event queue it ran on — `cal_lane_pushes`, `cal_lanes_open` and
 /// `cal_lane_misfits` its lane level (pushes admitted, most lanes
-/// non-empty at once, packet-path pushes no lane took), the rest its
-/// calendar level alone, which on a packet cell sees only the few per
-/// cent of pushes that are not lane pushes — `arena_high_water` is the peak number of packets
+/// non-empty at once, packet-path pushes no lane took), `cal_heap_peak`
+/// the most entries the binary heap behind the lanes held at once (timers,
+/// controls and misfits: what its `O(log n)` is a logarithm of) —
+/// `arena_high_water` is the peak number of packets
 /// in the fabric at once (× 16 bytes of header is the per-hop working
 /// set; with the fabric in the key it answers "does this cell's in-flight
 /// state fit in cache"), and the `fluid_*` fields say how local the fluid
@@ -125,16 +126,10 @@ pub fn perf_record(r: &CellResult) -> String {
         .f64("avg_batch", avg_batch)
         .u64("max_batch", r.max_batch)
         .u64("chained_services", r.chained_services)
-        .u64("cal_shift", r.calendar.shift as u64)
-        .u64("cal_buckets", r.calendar.buckets as u64)
-        .u64("cal_retunes", r.calendar.retunes)
-        .u64("cal_late_merges", r.calendar.late_merges)
-        .u64("cal_merge_moved", r.calendar.merge_moved)
-        .u64("cal_max_bucket", r.calendar.max_bucket)
-        .u64("cal_overflow_pushes", r.calendar.overflow_pushes)
         .u64("cal_lane_pushes", r.calendar.lane_pushes)
         .u64("cal_lanes_open", r.calendar.lanes_open as u64)
         .u64("cal_lane_misfits", r.calendar.lane_misfits)
+        .u64("cal_heap_peak", r.calendar.heap_peak)
         .u64("arena_high_water", r.arena_high_water)
         .u64("fluid_resolves", r.fluid.resolves)
         .u64("fluid_flows_resolved", r.fluid.flows_resolved)
@@ -421,23 +416,14 @@ mod tests {
             );
             let cal = r.calendar;
             assert!(
-                cal.shift > 0
-                    && cal.buckets.is_power_of_two()
-                    && cal.lane_pushes > 0
-                    && cal.lanes_open > 0,
+                cal.lane_pushes > 0 && cal.lanes_open > 0 && cal.heap_peak > 0,
                 "cells must report the event queue they ran on: {cal:?}"
             );
             for field in [
-                "cal_shift",
-                "cal_buckets",
-                "cal_retunes",
-                "cal_late_merges",
-                "cal_merge_moved",
-                "cal_max_bucket",
-                "cal_overflow_pushes",
                 "cal_lane_pushes",
                 "cal_lanes_open",
                 "cal_lane_misfits",
+                "cal_heap_peak",
                 "arena_high_water",
                 "fluid_resolves",
                 "fluid_flows_resolved",

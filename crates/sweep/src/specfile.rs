@@ -173,23 +173,41 @@ fn split_values(values: &str) -> Vec<&str> {
 }
 
 /// Cross-axis checks that need the whole matrix: a `track` vantage must
-/// name a ToR that exists in *every* fabric of the matrix, and the fabric
-/// line may come after the track line — so this runs when the section
-/// closes, reporting at the `track` line. (The matrix-level `expand`
-/// assert stays as the backstop for programmatic construction.)
+/// name a ToR that exists in *every* fabric of the matrix and a `fault`
+/// may take no more cables than any of them has, and the fabric line may
+/// come after either — so this runs when the section closes, reporting at
+/// the `track` or `fault` line. (The asserts in `expand` and
+/// `FaultSpec::build` stay as the backstop for programmatic construction.)
 fn check_matrix(m: &ScenarioMatrix, seen: &[(&str, usize)]) -> Result<(), SpecError> {
-    let Some(&(_, line)) = seen.iter().find(|(a, _)| *a == "track") else {
-        return Ok(()); // Default vantage (ToR 0) exists in every fabric.
-    };
-    for fabric in &m.fabrics {
-        for &tor in &m.track {
-            if tor >= fabric.config.n_tors() {
+    // An axis left at its default (ToR 0, no fault) fits every fabric.
+    let line_of = |axis: &str| seen.iter().find(|(a, _)| *a == axis).map(|&(_, line)| line);
+    if let Some(line) = line_of("track") {
+        for fabric in &m.fabrics {
+            for &tor in &m.track {
+                if tor >= fabric.config.n_tors() {
+                    return Err(SpecError {
+                        line,
+                        msg: format!(
+                            "tracked ToR {tor} does not exist in fabric {} ({} ToRs)",
+                            fabric.label,
+                            fabric.config.n_tors()
+                        ),
+                    });
+                }
+            }
+        }
+    }
+    if let Some(line) = line_of("fault") {
+        for fabric in &m.fabrics {
+            let cables = fabric.config.n_cables();
+            if let Some(fault) = m.faults.iter().find(|f| u64::from(f.cables()) > cables) {
                 return Err(SpecError {
                     line,
                     msg: format!(
-                        "tracked ToR {tor} does not exist in fabric {} ({} ToRs)",
-                        fabric.label,
-                        fabric.config.n_tors()
+                        "fault {:?} needs {} cables, fabric {} has {cables}",
+                        fault.label(),
+                        fault.cables(),
+                        fabric.label
                     ),
                 });
             }
@@ -426,7 +444,7 @@ fn apply_axis(matrix: &mut ScenarioMatrix, axis: &str, values: &[&str]) -> Resul
             };
         }
         "deadline" => {
-            matrix.deadline = parse_time(single()?)?;
+            matrix.deadline = Time::parse_label(single()?)?;
         }
         other => unreachable!("axis {other:?} validated against AXES"),
     }
@@ -504,16 +522,11 @@ where
     s.parse::<T>().map_err(|e| format!("bad {what} {s:?}: {e}"))
 }
 
-/// Parses a duration label: `25us`, `500ns` or `77ps`.
-fn parse_time(s: &str) -> Result<Time, String> {
-    Time::parse_label(s)
-}
-
 fn parse_reconv(s: &str) -> Result<Option<Time>, String> {
     if s == "none" {
         return Ok(None);
     }
-    parse_time(s).map(Some)
+    Time::parse_label(s).map(Some)
 }
 
 fn parse_fabric(s: &str) -> Result<FabricSpec, String> {
@@ -834,6 +847,21 @@ reconv = none, 25us
             ("[a]\nfailure = meteor", 2, "unknown failure"),
             ("[a]\nfault = blackhole", 2, "unknown fault family"),
             ("[a]\nfault = gray{p=2}", 2, "out of range"),
+            (
+                "[a]\nfault = gray{n=999}",
+                2,
+                "fault \"gray{n=999}\" needs 999 cables, fabric 2t-k8-o1 has 32",
+            ),
+            (
+                "[a]\nfault = none, flap{n=33}\nlb = OPS\nfabric = ls-4x8-o1, 2t-k8-o1",
+                2,
+                "needs 33 cables, fabric ls-4x8-o1 has",
+            ),
+            (
+                "[a]\nfabric = 2t-k8-o1\nlb = OPS\nfault = unidir{n=33}\n[b]",
+                4,
+                "needs 33 cables, fabric 2t-k8-o1 has 32",
+            ),
             ("[a]\nfidelity = fluid", 2, "unknown fidelity family"),
             (
                 "[a]\nfidelity = hybrid{bg=packet}",
@@ -946,6 +974,11 @@ reconv = none, 25us
         let err = parse("[g]\nfault = gray, gray{p=0.01,at=10us}\n").expect_err("aliases collide");
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("duplicate fault"), "{err}");
+        // A fault may take every cable of the smallest fabric, not one more.
+        let ms = parse("[g]\nfault = corrupt{n=32}\n").expect("32 of 32 cables");
+        assert_eq!(ms[0].faults[0].cables(), 32);
+        let err = parse("[g]\nfault = corrupt{n=33}\n").expect_err("33 of 32 cables");
+        assert_eq!(err.line, 2);
     }
 
     #[test]
