@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use netsim::engine::Ctx;
 use netsim::hash::FxHashMap;
 use netsim::ids::{ConnId, FlowId, HostId};
-use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList};
+use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList, SmallList};
 use netsim::stats::FlowRecord;
 use netsim::time::Time;
 use netsim::trace::{TraceEvent, TraceSink};
@@ -185,15 +185,6 @@ pub struct SenderConn {
     mtu: u32,
 }
 
-/// Everything the caller learns from feeding an ACK to the sender.
-#[derive(Debug, Default)]
-pub struct AckOutcome {
-    /// Completion records to report (messages fully acknowledged).
-    pub completed: Vec<FlowRecord>,
-    /// Tags of the completed messages (sender-side chaining).
-    pub completed_tags: Vec<u64>,
-}
-
 impl SenderConn {
     /// Creates a sender for `dst`.
     pub fn new(
@@ -230,6 +221,7 @@ impl SenderConn {
         let base_seq = self.next_seq;
         self.next_seq += pkts as u64;
         self.unsent_bytes += bytes;
+        crate::reserve_doubling(&mut self.msgs, 1);
         self.msgs.push(MsgState {
             flow,
             tag,
@@ -410,10 +402,12 @@ impl SenderConn {
         self.msgs.partition_point(|m| m.base_seq <= seq) - 1
     }
 
-    /// Processes an ACK; returns any completed messages.
-    pub fn on_ack<S: TraceSink>(&mut self, ack: &Ack, ctx: &mut Ctx<'_, S>) -> AckOutcome {
+    /// Processes an ACK: reports every message it completes to `ctx` and
+    /// returns their tags (sender-side chaining), inline unless more than
+    /// three complete at once.
+    pub fn on_ack<S: TraceSink>(&mut self, ack: &Ack, ctx: &mut Ctx<'_, S>) -> SmallList<u64, 3> {
         let now = ctx.now;
-        let mut outcome = AckOutcome::default();
+        let mut completed_tags = SmallList::new();
         let mut newly_acked = std::mem::take(&mut self.newly_acked);
         newly_acked.clear();
 
@@ -453,7 +447,7 @@ impl SenderConn {
             msg.acked += 1;
             if msg.acked >= msg.pkts && !msg.completed {
                 msg.completed = true;
-                outcome.completed.push(FlowRecord {
+                ctx.complete_flow(FlowRecord {
                     flow: msg.flow,
                     src: ctx.host,
                     dst: self.dst,
@@ -462,7 +456,7 @@ impl SenderConn {
                     end: now,
                     retransmissions: self.total_retx,
                 });
-                outcome.completed_tags.push(msg.tag);
+                completed_tags.push(msg.tag);
             }
         }
 
@@ -497,7 +491,7 @@ impl SenderConn {
         }
 
         self.pump(ctx);
-        outcome
+        completed_tags
     }
 
     /// Handles a trimming NACK for `seq` (congestion loss, not failure).
@@ -657,7 +651,9 @@ impl ReceiverConn {
         let new = self.tracker.record(seq);
         if new {
             let msg = msg as usize;
-            if msg >= self.msgs.len() {
+            let len = self.msgs.len();
+            if msg >= len {
+                crate::reserve_doubling(&mut self.msgs, msg + 1 - len);
                 self.msgs.resize(msg + 1, (0, 0));
             }
             let entry = &mut self.msgs[msg];
@@ -973,6 +969,37 @@ mod tests {
             .collect();
         // The NACKed seq 0 first, then the sweep's two in sequence order.
         assert_eq!(retransmitted, [0, 0, 1]);
+    }
+
+    #[test]
+    fn message_buffers_start_at_their_length_and_double() {
+        let cfg = test_cfg();
+        let lb = cfg.lb.build(&mut netsim::rng::Rng64::new(1));
+        let cc = Cc::build(CcKind::Dctcp, CcParams::for_bdp(400_000, 4096));
+        let mut tx = SenderConn::new(ConnId(0), HostId(1), lb, cc, &cfg);
+        let mut rx = ReceiverConn::new(HostId(0), ConnId(0), &cfg);
+        let (mut sent, mut received) = (Vec::new(), Vec::new());
+        for msg in 0..5u32 {
+            tx.enqueue(FlowId(msg), 0, 1, Time::ZERO);
+            sent.push(tx.msgs.capacity());
+            let data = Body::Data {
+                seq: msg as u64,
+                msg,
+                msg_seq: 0,
+                msg_pkts: 1,
+                tag: 0,
+                payload: 1,
+                retx: false,
+                pending: 0,
+            };
+            rx.on_data(
+                &Packet::control(0, HostId(0), HostId(1), ConnId(0), 0, data),
+                Time::ZERO,
+            );
+            received.push(rx.msgs.capacity());
+        }
+        assert_eq!(sent, [1, 2, 4, 4, 8]);
+        assert_eq!(received, [1, 2, 4, 4, 8]);
     }
 
     /// Builds a sender wired to a stub Ctx through a real engine; simpler to

@@ -5,6 +5,13 @@
 //! and delayed-ACK sweeps, paces EQDS credit grants, schedules workload
 //! message starts, and fires dependency triggers when messages complete
 //! (the mechanism the AI-collective workloads are built on).
+//!
+//! A host talks to a handful of peers, so its connections live in two
+//! `Vec`s kept sorted by key and found by binary search. Table order *is*
+//! key order: every pass whose effects reach the shared RNG or the wire —
+//! the RTO sweep, the delayed-ACK flush, the EQDS round-robin, the
+//! diagnostics sum — walks a table front to back and is deterministic
+//! without sorting anything.
 
 use netsim::engine::{Command, Ctx, Endpoint, MessageSpec};
 use netsim::hash::FxHashMap;
@@ -33,10 +40,13 @@ pub struct HostEndpoint {
     link_bps: u64,
     /// Total hosts (connection-id derivation).
     n_hosts: u32,
-    /// Senders keyed by `(destination, background-class)`.
-    senders: FxHashMap<(HostId, bool), SenderConn>,
-    /// Receivers keyed by connection id (distinguishes traffic classes).
-    receivers: FxHashMap<ConnId, ReceiverConn>,
+    /// Senders sorted by `(destination, background class)`: `dst` and bit
+    /// 0 of `conn`.
+    senders: Vec<SenderConn>,
+    /// Receivers sorted by connection id. At a fixed receiver the id
+    /// `(peer·n + host)·2 + class` rises with `(peer, class)`, so this is
+    /// also peer order.
+    receivers: Vec<ReceiverConn>,
     /// Messages to start at fixed times, sorted by time ascending.
     schedule: Vec<(Time, MessageSpec)>,
     schedule_next: usize,
@@ -48,14 +58,6 @@ pub struct HostEndpoint {
     eqds_armed: bool,
     /// Round-robin cursor over demanding peers (EQDS pacer fairness).
     eqds_rr: usize,
-    /// Endpoint-owned scratch reused across RTO/delayed-ACK sweeps
-    /// (capacity retained, so periodic sweeps allocate nothing in steady
-    /// state).
-    sweep_conns: Vec<(HostId, bool)>,
-    /// Scratch for stale-ACK flushes (see `sweep_conns`).
-    stale_acks: Vec<(HostId, ConnId, Ack)>,
-    /// Scratch for the EQDS demand scan (see `sweep_conns`).
-    eqds_demand: Vec<(ConnId, HostId)>,
 }
 
 impl HostEndpoint {
@@ -66,8 +68,8 @@ impl HostEndpoint {
             cfg,
             link_bps,
             n_hosts,
-            senders: FxHashMap::default(),
-            receivers: FxHashMap::default(),
+            senders: Vec::new(),
+            receivers: Vec::new(),
             schedule: Vec::new(),
             schedule_next: 0,
             on_receive: FxHashMap::default(),
@@ -75,9 +77,6 @@ impl HostEndpoint {
             sweep_armed: false,
             eqds_armed: false,
             eqds_rr: 0,
-            sweep_conns: Vec::new(),
-            stale_acks: Vec::new(),
-            eqds_demand: Vec::new(),
         }
     }
 
@@ -100,26 +99,14 @@ impl HostEndpoint {
         self.on_send_complete.entry(tag).or_default().push(spec);
     }
 
-    /// Read access to a foreground sender connection (instrumentation).
-    pub fn sender(&self, dst: HostId) -> Option<&SenderConn> {
-        self.senders.get(&(dst, false))
-    }
-
-    /// Number of live connections (instrumentation).
-    pub fn connection_count(&self) -> (usize, usize) {
-        (self.senders.len(), self.receivers.len())
-    }
-
     /// Accumulates every sender's load-balancer decision counters into
     /// `out`, summing values that share a name. Deterministic: senders are
     /// visited in key order, and names keep first-appearance order.
     pub fn lb_diagnostics(&self, out: &mut Vec<(&'static str, u64)>) {
-        let mut keys: Vec<(HostId, bool)> = self.senders.keys().copied().collect();
-        keys.sort_unstable();
         let mut scratch = Vec::new();
-        for key in keys {
+        for tx in &self.senders {
             scratch.clear();
-            self.senders[&key].lb.diagnostics(&mut scratch);
+            tx.lb.diagnostics(&mut scratch);
             for &(name, v) in &scratch {
                 match out.iter_mut().find(|(n, _)| *n == name) {
                     Some(entry) => entry.1 += v,
@@ -131,6 +118,18 @@ impl HostEndpoint {
 
     fn conn_id(&self, src: HostId, dst: HostId, bg: bool) -> ConnId {
         ConnId((src.0 * self.n_hosts + dst.0) * 2 + bg as u32)
+    }
+
+    /// The slot of the sender to `dst` in class `bg`, or where it belongs.
+    fn sender_slot(&self, dst: HostId, bg: bool) -> Result<usize, usize> {
+        self.senders
+            .binary_search_by_key(&(dst, bg), |tx| (tx.dst, tx.conn.0 & 1 == 1))
+    }
+
+    /// The sender an ACK, NACK or credit on `conn` from `peer` is for.
+    fn sender_for(&mut self, peer: HostId, conn: ConnId) -> Option<&mut SenderConn> {
+        let slot = self.sender_slot(peer, conn.0 & 1 == 1).ok()?;
+        Some(&mut self.senders[slot])
     }
 
     fn arm_sweep<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
@@ -153,25 +152,32 @@ impl HostEndpoint {
 
     fn start_message<S: TraceSink>(&mut self, spec: MessageSpec, ctx: &mut Ctx<'_, S>) {
         let bg = spec.tag & crate::config::BACKGROUND_BIT != 0;
-        let conn = self.conn_id(self.host, spec.dst, bg);
-        let cfg = &self.cfg;
-        let tx = self.senders.entry((spec.dst, bg)).or_insert_with(|| {
-            let kind = if bg {
-                cfg.bg_lb.as_ref().unwrap_or(&cfg.lb)
-            } else {
-                &cfg.lb
-            };
-            let lb = kind.build(ctx.rng);
-            let cc = Cc::build(cfg.cc, cfg.cc_params);
-            SenderConn::new(conn, spec.dst, lb, cc, cfg)
-        });
+        let slot = match self.sender_slot(spec.dst, bg) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                let cfg = &self.cfg;
+                let kind = if bg {
+                    cfg.bg_lb.as_ref().unwrap_or(&cfg.lb)
+                } else {
+                    &cfg.lb
+                };
+                let lb = kind.build(ctx.rng);
+                let cc = Cc::build(cfg.cc, cfg.cc_params);
+                let conn = self.conn_id(self.host, spec.dst, bg);
+                let tx = SenderConn::new(conn, spec.dst, lb, cc, cfg);
+                crate::reserve_doubling(&mut self.senders, 1);
+                self.senders.insert(slot, tx);
+                slot
+            }
+        };
+        let tx = &mut self.senders[slot];
         tx.enqueue(spec.flow, spec.tag, spec.bytes, ctx.now);
         tx.pump(ctx);
         self.arm_sweep(ctx);
     }
 
     fn send_ack<S: TraceSink>(
-        &mut self,
+        host: HostId,
         peer: HostId,
         conn: ConnId,
         ack: Ack,
@@ -180,14 +186,7 @@ impl HostEndpoint {
         // ACKs reuse the newest echoed EV for their own routing (§3.1): no
         // extra header space, and the reverse path reflects the data path.
         let ev = ack.echoes.last().map(|e| e.ev).unwrap_or(0);
-        let pkt = Packet::control(
-            ctx.fresh_packet_id(),
-            self.host,
-            peer,
-            conn,
-            ev,
-            Body::Ack(ack),
-        );
+        let pkt = Packet::control(ctx.fresh_packet_id(), host, peer, conn, ev, Body::Ack(ack));
         ctx.send(pkt);
     }
 
@@ -199,9 +198,9 @@ impl HostEndpoint {
         }
     }
 
-    fn fire_send_triggers<S: TraceSink>(&mut self, tags: Vec<u64>, ctx: &mut Ctx<'_, S>) {
+    fn fire_send_triggers<S: TraceSink>(&mut self, tags: &[u64], ctx: &mut Ctx<'_, S>) {
         for tag in tags {
-            if let Some(specs) = self.on_send_complete.remove(&tag) {
+            if let Some(specs) = self.on_send_complete.remove(tag) {
                 for spec in specs {
                     self.start_message(spec, ctx);
                 }
@@ -212,37 +211,20 @@ impl HostEndpoint {
     fn on_sweep<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
         self.sweep_armed = false;
         let rto = self.cfg.rto;
-        // Sweep senders in key order: each timeout draws from the shared
-        // RNG, so hash-order iteration would make runs irreproducible. The
-        // scratch vector is endpoint-owned and reused (taken and restored
-        // around the loop, which needs `&mut self`).
-        let mut conns = std::mem::take(&mut self.sweep_conns);
-        conns.clear();
-        conns.extend(self.senders.keys().copied());
-        conns.sort_unstable();
-        for &key in &conns {
-            self.senders
-                .get_mut(&key)
-                .expect("listed")
-                .check_timeouts(rto, ctx);
+        // Each timeout draws from the shared RNG and each stale ACK takes a
+        // packet id, so both passes run in table order.
+        for tx in &mut self.senders {
+            tx.check_timeouts(rto, ctx);
         }
-        self.sweep_conns = conns;
         // Delayed-ACK flush: release observations older than a quarter RTO.
         let cutoff = ctx.now.saturating_sub(rto / 4);
-        let mut stale = std::mem::take(&mut self.stale_acks);
-        stale.clear();
-        stale.extend(
-            self.receivers
-                .values_mut()
-                .filter_map(|rx| rx.flush_stale(cutoff).map(|a| (rx.peer, rx.conn, a))),
-        );
-        stale.sort_unstable_by_key(|(peer, conn, _)| (*peer, *conn));
-        for (peer, conn, ack) in stale.drain(..) {
-            self.send_ack(peer, conn, ack, ctx);
+        for rx in &mut self.receivers {
+            if let Some(ack) = rx.flush_stale(cutoff) {
+                Self::send_ack(self.host, rx.peer, rx.conn, ack, ctx);
+            }
         }
-        self.stale_acks = stale;
         let busy =
-            self.senders.values().any(|tx| !tx.idle()) || self.schedule_next < self.schedule.len();
+            self.senders.iter().any(|tx| !tx.idle()) || self.schedule_next < self.schedule.len();
         if busy {
             self.arm_sweep(ctx);
         }
@@ -250,35 +232,31 @@ impl HostEndpoint {
 
     fn on_eqds_tick<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
         self.eqds_armed = false;
-        let mut demanding = std::mem::take(&mut self.eqds_demand);
-        demanding.clear();
-        demanding.extend(
-            self.receivers
-                .values()
-                .filter(|rx| rx.demand_bytes > 0)
-                .map(|rx| (rx.conn, rx.peer)),
-        );
-        if demanding.is_empty() {
-            self.eqds_demand = demanding;
+        let demanding = self
+            .receivers
+            .iter()
+            .filter(|rx| rx.demand_bytes > 0)
+            .count();
+        if demanding == 0 {
             return;
         }
-        // Deterministic round-robin order across HashMap iteration.
-        demanding.sort_unstable_by_key(|(c, _)| *c);
-        let (conn, peer) = demanding[self.eqds_rr % demanding.len()];
-        self.eqds_demand = demanding;
+        // Round-robin over the demanding receivers in table (`conn`) order.
+        let nth = self.eqds_rr % demanding;
         self.eqds_rr = self.eqds_rr.wrapping_add(1);
         let quantum = self.cfg.eqds_quantum_pkts as u64 * self.cfg.mtu as u64;
-        let grant;
-        {
-            let rx = self.receivers.get_mut(&conn).expect("listed");
-            grant = rx.demand_bytes.min(quantum);
-            rx.demand_bytes -= grant;
-        }
+        let rx = self
+            .receivers
+            .iter_mut()
+            .filter(|rx| rx.demand_bytes > 0)
+            .nth(nth)
+            .expect("counted");
+        let grant = rx.demand_bytes.min(quantum);
+        rx.demand_bytes -= grant;
         let pkt = Packet::control(
             ctx.fresh_packet_id(),
             self.host,
-            peer,
-            conn,
+            rx.peer,
+            rx.conn,
             ctx.rng.gen_range(1 << 16) as u16,
             Body::Credit { bytes: grant },
         );
@@ -307,11 +285,16 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
             Body::Data { .. } => {
                 let peer = pkt.src;
                 let conn = pkt.conn;
-                let cfg = &self.cfg;
-                let rx = self
-                    .receivers
-                    .entry(conn)
-                    .or_insert_with(|| ReceiverConn::new(peer, conn, cfg));
+                let slot = match self.receivers.binary_search_by_key(&conn, |rx| rx.conn) {
+                    Ok(slot) => slot,
+                    Err(slot) => {
+                        let rx = ReceiverConn::new(peer, conn, &self.cfg);
+                        crate::reserve_doubling(&mut self.receivers, 1);
+                        self.receivers.insert(slot, rx);
+                        slot
+                    }
+                };
+                let rx = &mut self.receivers[slot];
                 let out = rx.on_data(&pkt, ctx.now);
                 if ctx.trace.enabled() {
                     // Only out-of-order states are recorded, so a perfectly
@@ -339,7 +322,7 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
                     ctx.send(nack);
                 }
                 if let Some(ack) = out.ack {
-                    self.send_ack(peer, conn, ack, ctx);
+                    Self::send_ack(self.host, peer, conn, ack, ctx);
                 }
                 if let Some(tag) = out.completed_tag {
                     self.fire_receive_triggers(tag, ctx);
@@ -349,24 +332,18 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
                 }
             }
             Body::Ack(ack) => {
-                let bg = pkt.conn.0 & 1 == 1;
-                if let Some(tx) = self.senders.get_mut(&(pkt.src, bg)) {
-                    let outcome = tx.on_ack(ack, ctx);
-                    for record in outcome.completed {
-                        ctx.complete_flow(record);
-                    }
-                    self.fire_send_triggers(outcome.completed_tags, ctx);
+                if let Some(tx) = self.sender_for(pkt.src, pkt.conn) {
+                    let completed_tags = tx.on_ack(ack, ctx);
+                    self.fire_send_triggers(&completed_tags, ctx);
                 }
             }
             Body::Nack { seq } => {
-                let bg = pkt.conn.0 & 1 == 1;
-                if let Some(tx) = self.senders.get_mut(&(pkt.src, bg)) {
+                if let Some(tx) = self.sender_for(pkt.src, pkt.conn) {
                     tx.on_nack(*seq, ctx);
                 }
             }
             Body::Credit { bytes } => {
-                let bg = pkt.conn.0 & 1 == 1;
-                if let Some(tx) = self.senders.get_mut(&(pkt.src, bg)) {
+                if let Some(tx) = self.sender_for(pkt.src, pkt.conn) {
                     if let Some(eqds) = tx.cc.as_eqds_mut() {
                         eqds.grant(*bytes);
                     }
@@ -450,6 +427,191 @@ mod tests {
                 tag: flow as u64,
             }),
         );
+    }
+
+    /// A transport endpoint that logs the ACKs and credits it receives as
+    /// `(packet id, conn, is credit)`. Packet ids are handed out in send
+    /// order fabric-wide, so sorting by id recovers the order the remote
+    /// endpoint sent them in; one timer callback's sends take consecutive
+    /// ids.
+    struct Tap {
+        inner: HostEndpoint,
+        seen: Vec<(u64, u32, bool)>,
+    }
+
+    impl<S: TraceSink> Endpoint<S> for Tap {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_, S>) {
+            match pkt.body {
+                Body::Ack(_) => self.seen.push((pkt.id, pkt.conn.0, false)),
+                Body::Credit { .. } => self.seen.push((pkt.id, pkt.conn.0, true)),
+                _ => {}
+            }
+            self.inner.on_packet(pkt, ctx);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, S>) {
+            self.inner.on_timer(token, ctx);
+        }
+        fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_, S>) {
+            self.inner.on_command(cmd, ctx);
+        }
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    fn host_endpoint<S: TraceSink>(engine: &Engine<S>, h: u32) -> &HostEndpoint {
+        let ep = engine.endpoint(HostId(h)).unwrap().as_any().unwrap();
+        ep.downcast_ref::<HostEndpoint>().unwrap()
+    }
+
+    /// Host 0 opens foreground and background senders to three hosts of a
+    /// rack whose uplinks are all down, and receives from three peers in
+    /// three other racks, everything started in descending key order. No
+    /// pass sorts, so every order below comes from the tables' slot order.
+    #[test]
+    fn connections_are_visited_in_key_order_without_sorting() {
+        use netsim::trace::Recorder;
+        const SUBJECT: u32 = 0;
+        let (dead, peers) = ([30u32, 29, 28], [20u32, 12, 8]);
+        let sim = SimConfig::paper_default();
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 12);
+        let n = topo.n_hosts;
+        let mut engine = Engine::with_trace(topo, sim, 12, Recorder::new());
+        // EQDS, and ACKs held back past any window so that only the
+        // delayed-ACK sweep releases them.
+        let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Ops { evs_size: 1 << 16 })
+            .with_cc(crate::cc::CcKind::Eqds)
+            .with_coalesce(crate::config::CoalesceConfig::ratio(
+                1024,
+                crate::config::CoalesceVariant::Plain,
+            ));
+        for h in 0..n {
+            let inner = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
+            if peers.contains(&h) {
+                let tap = Tap {
+                    inner,
+                    seen: Vec::new(),
+                };
+                engine.set_endpoint(HostId(h), Box::new(tap));
+            } else {
+                engine.set_endpoint(HostId(h), Box::new(inner));
+            }
+        }
+        for (up, down) in engine
+            .topo
+            .tor_uplink_pairs(engine.topo.tor_of(HostId(dead[0])))
+        {
+            engine.schedule_control(Time::ZERO, ControlEvent::LinkDown(up));
+            engine.schedule_control(Time::ZERO, ControlEvent::LinkDown(down));
+        }
+        let bg = crate::config::BACKGROUND_BIT;
+        let starts = dead
+            .iter()
+            .flat_map(|&d| [(SUBJECT, d, bg), (SUBJECT, d, 0)])
+            .chain(peers.iter().map(|&p| (p, SUBJECT, 0)));
+        for (flow, (src, dst, tag)) in starts.enumerate() {
+            engine.command(
+                HostId(src),
+                Command::StartMessage(MessageSpec {
+                    flow: FlowId(flow as u32),
+                    dst: HostId(dst),
+                    bytes: 8 << 20,
+                    tag,
+                }),
+            );
+        }
+        engine.run_until(engine.cfg.rto * 4);
+
+        // The tables come out sorted.
+        let ep = host_endpoint(&engine, SUBJECT);
+        let sender_keys: Vec<(u32, bool)> = ep
+            .senders
+            .iter()
+            .map(|tx| (tx.dst.0, tx.conn.0 & 1 == 1))
+            .collect();
+        let mut want: Vec<(u32, bool)> =
+            dead.iter().flat_map(|&d| [(d, false), (d, true)]).collect();
+        want.sort_unstable();
+        assert_eq!(sender_keys, want, "senders by (dst, class)");
+        let receiver_peers: Vec<u32> = ep.receivers.iter().map(|rx| rx.peer.0).collect();
+        assert_eq!(receiver_peers, [8, 12, 20], "receivers by conn");
+
+        // One RTO sweep expires every sender, in (dst, class) order: the
+        // sender-side conn id rises with (dst, class).
+        let timeouts: Vec<(Time, u32)> = engine
+            .trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Timeout { at, host, conn, .. } if host.0 == SUBJECT => Some((at, conn)),
+                _ => None,
+            })
+            .collect();
+        let sender_conns: Vec<u32> = ep.senders.iter().map(|tx| tx.conn.0).collect();
+        let first_sweep: Vec<u32> = timeouts
+            .iter()
+            .filter(|(at, _)| *at == timeouts[0].0)
+            .map(|&(_, conn)| conn)
+            .collect();
+        assert_eq!(first_sweep, sender_conns, "timeouts in (dst, class) order");
+
+        // What the subject sent the three peers, in send order.
+        let mut seen: Vec<(u64, u32, bool)> = peers
+            .iter()
+            .flat_map(|&p| {
+                let any = engine.endpoint(HostId(p)).unwrap().as_any().unwrap();
+                any.downcast_ref::<Tap>().unwrap().seen.clone()
+            })
+            .collect();
+        seen.sort_unstable();
+        let receiver_conns: Vec<u32> = ep.receivers.iter().map(|rx| rx.conn.0).collect();
+
+        // Stale-ACK flushes: one sweep's ACKs take consecutive ids, and
+        // leave in (peer, conn) order.
+        let acks: Vec<(u64, u32)> = seen
+            .iter()
+            .filter(|s| !s.2)
+            .map(|&(id, conn, _)| (id, conn))
+            .collect();
+        let flushes: Vec<Vec<u32>> = acks
+            .chunk_by(|a, b| b.0 == a.0 + 1)
+            .map(|run| run.iter().map(|&(_, conn)| conn).collect())
+            .collect();
+        assert!(flushes.len() >= 3, "too few sweeps flushed: {flushes:?}");
+        for flush in &flushes {
+            assert_eq!(flush, &receiver_conns, "stale ACKs in (peer, conn) order");
+        }
+
+        // EQDS credits: every grant goes to the next demanding receiver
+        // after the previous one in conn order, wrapping around.
+        let credits: Vec<u32> = seen.iter().filter(|s| s.2).map(|s| s.1).collect();
+        assert!(credits.len() > 100, "too few credits: {}", credits.len());
+        let next = |conn: u32| {
+            let i = receiver_conns.iter().position(|&c| c == conn).unwrap();
+            receiver_conns[(i + 1) % receiver_conns.len()]
+        };
+        for pair in credits.windows(2) {
+            assert_eq!(pair[1], next(pair[0]), "credits round-robin in conn order");
+        }
+    }
+
+    #[test]
+    fn connection_tables_start_at_their_length_and_double() {
+        let mut engine = build_engine(LbKind::Ecmp, 13);
+        let (mut senders, mut receivers) = (Vec::new(), Vec::new());
+        for (i, peer) in (20..25).rev().enumerate() {
+            start(&mut engine, 2 * i as u32, 0, peer, 1);
+            start(&mut engine, 2 * i as u32 + 1, peer, 0, 1);
+            engine.stats.expected_flows += 2;
+            assert!(engine.run_to_completion(Time::from_ms(1)));
+            let ep = host_endpoint(&engine, 0);
+            assert_eq!((ep.senders.len(), ep.receivers.len()), (i + 1, i + 1));
+            senders.push(ep.senders.capacity());
+            receivers.push(ep.receivers.capacity());
+        }
+        // Exactly the length at one and two entries, doubling after that.
+        assert_eq!(senders, [1, 2, 4, 4, 8]);
+        assert_eq!(receivers, [1, 2, 4, 4, 8]);
     }
 
     #[test]

@@ -23,3 +23,15 @@ pub use config::{CoalesceConfig, CoalesceVariant, TransportConfig};
 pub use conn::{ReceiverConn, SenderConn};
 pub use endpoint::HostEndpoint;
 pub use sack::OooTracker;
+
+/// Makes room in `v` for `additional` more elements, like
+/// [`Vec::reserve`] but growing to exactly the length needed the first
+/// time and doubling after that. Per-connection storage mostly holds one
+/// or two entries for its whole life; this keeps growth amortised O(1)
+/// without `Vec`'s minimum capacity of four.
+pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>, additional: usize) {
+    let needed = v.len() + additional;
+    if needed > v.capacity() {
+        v.reserve_exact(needed.max(2 * v.capacity()) - v.len());
+    }
+}

@@ -43,7 +43,9 @@ impl OooTracker {
         }
         let off = (seq - self.cum) as usize;
         let (w, b) = (off / 64, off % 64);
-        if self.words.len() <= w {
+        let len = self.words.len();
+        if len <= w {
+            crate::reserve_doubling(&mut self.words, w + 1 - len);
             self.words.resize(w + 1, 0);
         }
         if self.words[w] & (1 << b) != 0 {
@@ -176,6 +178,19 @@ mod tests {
         }
         assert_eq!(t.cum_ack(), 1000);
         assert_eq!(t.out_of_order_count(), 0);
+    }
+
+    #[test]
+    fn bitmap_starts_at_its_length_and_doubles() {
+        let mut t = OooTracker::new();
+        // Seq 0 never arrives, so word `k` holds seq `64k + 1`.
+        let caps: Vec<usize> = (0..5)
+            .map(|k| {
+                t.record(64 * k + 1);
+                t.words.capacity()
+            })
+            .collect();
+        assert_eq!(caps, [1, 2, 4, 4, 8]);
     }
 
     #[test]
