@@ -1,22 +1,34 @@
-//! The engine-owned packet arena: a dense header array beside the bodies.
+//! The engine-owned packet arena: a dense header array beside one cache
+//! line of body per packet.
 //!
 //! A [`Packet`] is 120 bytes and straddles cache lines, but a switch hop
 //! needs 15 of them: where the packet is going (`src`, `dst`, `ev`), how
 //! long it occupies the wire (`wire_bytes`) and three flags (is the body
-//! `Data`, is it ECN-marked, was it trimmed). The arena therefore stores
-//! every in-fabric packet twice over:
+//! `Data`, is it ECN-marked, was it trimmed). The arena therefore splits
+//! every in-fabric packet in two, and stores no field twice:
 //!
-//! * a 16-byte [`Header`] in one dense array — four to a cache line — which
-//!   is the *single source of truth* for those fields while the packet is
-//!   in the fabric. Link admission, service, routing, RED marking and
-//!   trimming read and write only the header;
-//! * the `Packet` itself (the *body*) in a parallel array, written once
-//!   when the host hands the packet to its NIC and not opened again until
-//!   [`PacketArena::take`] delivers it — which folds the header's mark and
-//!   trim back in, so the endpoint receives exactly the packet by-value
-//!   marking and [`Packet::trim`] would have produced. Packets that die in
-//!   the fabric are [`PacketArena::release`]d without the body being read
-//!   back at all.
+//! * the 16-byte [`Header`] owns those fields, in one dense array — four to
+//!   a cache line. It is the *single source of truth* for them while the
+//!   packet is in the fabric: link admission, service, routing, RED
+//!   marking and trimming read and write only the header;
+//! * a 64-byte, line-aligned *record* in a parallel array owns the rest:
+//!   the packet's `id`, its `conn` and its [`Body`]. It is written once,
+//!   when the host hands the packet to its NIC, and not opened again until
+//!   [`PacketArena::take`] rebuilds the packet from header and record —
+//!   with the header's mark and trim, so the endpoint receives exactly the
+//!   packet by-value marking and [`Packet::trim`] would have produced.
+//!   Packets that die in the fabric are [`PacketArena::release`]d without
+//!   their record being read.
+//!
+//! A record is one line because it holds [`Body::Data`]'s eight fields
+//! inline, and an [`Ack`] only in the shape a per-packet ACK has: one
+//! SACKed sequence and one echo. [`Body::Ack`] reserves room for two
+//! inline lists (three sequences, five echoes) that would double the
+//! record for the rare ACK that needs them. Every other ACK — coalesced,
+//! *Carry EVs*, a retransmission's duplicate SACKs — is parked whole in a
+//! [`Slab`] beside the records, and its header carries a `WIDE` flag, so
+//! `release` opens the record of exactly those packets, to free their
+//! slab slot.
 //!
 //! The calendar and link queues pass a 4-byte [`PacketRef`]. Freed slots go
 //! on a free list and are reused before the arrays grow, so the arena
@@ -27,8 +39,8 @@
 //! access, so a ref used after `take`/`release` panics instead of reading
 //! a recycled slot.
 
-use crate::ids::HostId;
-use crate::packet::{Body, Packet, HEADER_BYTES};
+use crate::ids::{ConnId, HostId};
+use crate::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList, HEADER_BYTES};
 
 /// A handle to a packet parked in a [`PacketArena`].
 ///
@@ -50,7 +62,8 @@ impl PacketRef {
 /// A generic slot-recycling slab: `Vec<Option<T>>` plus a free list.
 ///
 /// The calendar's out-of-line timer/control payload storage
-/// ([`EventQueue`](crate::event::EventQueue)).
+/// ([`EventQueue`](crate::event::EventQueue)), and the [`PacketArena`]'s
+/// for ACKs too wide for a record.
 #[derive(Debug)]
 pub struct Slab<T> {
     slots: Vec<Option<T>>,
@@ -93,6 +106,11 @@ impl<T> Slab<T> {
         self.free.push(i);
         v
     }
+
+    /// Slot high-water mark: the most values parked at once.
+    pub fn high_water(&self) -> usize {
+        self.slots.len()
+    }
 }
 
 /// The slot holds a packet (cleared by `take`/`release`).
@@ -103,6 +121,8 @@ const DATA: u8 = 1 << 1;
 const ECN_CE: u8 = 1 << 2;
 /// Payload trimmed ([`Packet::trimmed`]).
 const TRIMMED: u8 = 1 << 3;
+/// The body is an ACK parked in the arena's slab (fixed at insert).
+const WIDE: u8 = 1 << 4;
 
 /// What the fabric needs of a packet, in 16 bytes.
 ///
@@ -126,8 +146,10 @@ impl Header {
     /// The header of `pkt` as [`PacketArena::insert`] files it.
     pub fn of(pkt: &Packet) -> Header {
         let mut flags = LIVE;
-        if matches!(pkt.body, Body::Data { .. }) {
-            flags |= DATA;
+        match &pkt.body {
+            Body::Data { .. } => flags |= DATA,
+            Body::Ack(ack) if !fits_record(ack) => flags |= WIDE,
+            _ => {}
         }
         if pkt.ecn_ce {
             flags |= ECN_CE;
@@ -185,6 +207,55 @@ impl Header {
     }
 }
 
+/// Whether `ack` has a per-packet ACK's shape — one SACKed sequence, one
+/// echo — and so is stored in its record rather than the slab.
+fn fits_record(ack: &Ack) -> bool {
+    ack.sacked.len() == 1 && ack.echoes.len() == 1
+}
+
+/// What the [`Header`] does not hold of a parked packet, in one cache line
+/// (size pinned in this module's tests).
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Record {
+    id: u64,
+    conn: ConnId,
+    body: Stored,
+}
+
+/// A [`Body`] as its record stores it: one variant per body kind, with
+/// every ACK that does not [fit the record](fits_record) in the slab.
+#[derive(Debug, Clone, Copy)]
+enum Stored {
+    Data {
+        seq: u64,
+        msg: u32,
+        msg_seq: u32,
+        msg_pkts: u32,
+        tag: u64,
+        payload: u32,
+        retx: bool,
+        pending: u64,
+        /// Inserted already trimmed: only a trim in the fabric zeroes the
+        /// payload when the packet is taken, as [`Packet::trim`] does.
+        trimmed: bool,
+    },
+    Ack {
+        cum_ack: u64,
+        sacked: u64,
+        echo: EvEcho,
+        covered: u32,
+        marked: u32,
+        reuse: u32,
+    },
+    /// The slab slot of an ACK that does not fit the record.
+    WideAck(u32),
+    Nack(u64),
+    Credit(u64),
+    Probe(u64),
+    ProbeReply(u64),
+}
+
 /// Hints the CPU to pull the cache line at `p` toward L1.
 ///
 /// Compiled to nothing off `x86_64` and under miri. The engine's batch
@@ -208,9 +279,11 @@ pub(crate) fn prefetch<T>(p: *const T) {
 #[derive(Debug, Default)]
 pub struct PacketArena {
     headers: Vec<Header>,
-    /// `Some` from `insert` to `take`. A `release`d slot keeps its stale
-    /// body until the next `insert` overwrites it.
-    bodies: Vec<Option<Packet>>,
+    /// Valid while the header's live bit is set; a freed slot keeps its
+    /// stale record until the next `insert` overwrites it.
+    records: Vec<Record>,
+    /// The ACKs behind `WIDE` headers, from `insert` to `take`/`release`.
+    wide: Slab<Ack>,
     free: Vec<u32>,
 }
 
@@ -223,16 +296,56 @@ impl PacketArena {
     /// Parks a packet, returning its handle.
     pub fn insert(&mut self, pkt: Packet) -> PacketRef {
         let header = Header::of(&pkt);
+        let body = match pkt.body {
+            Body::Data {
+                seq,
+                msg,
+                msg_seq,
+                msg_pkts,
+                tag,
+                payload,
+                retx,
+                pending,
+            } => Stored::Data {
+                seq,
+                msg,
+                msg_seq,
+                msg_pkts,
+                tag,
+                payload,
+                retx,
+                pending,
+                trimmed: pkt.trimmed,
+            },
+            Body::Ack(ack) if fits_record(&ack) => Stored::Ack {
+                cum_ack: ack.cum_ack,
+                sacked: ack.sacked[0],
+                echo: ack.echoes[0],
+                covered: ack.covered,
+                marked: ack.marked,
+                reuse: ack.reuse,
+            },
+            Body::Ack(ack) => Stored::WideAck(self.wide.insert(ack)),
+            Body::Nack { seq } => Stored::Nack(seq),
+            Body::Credit { bytes } => Stored::Credit(bytes),
+            Body::Probe { token } => Stored::Probe(token),
+            Body::ProbeReply { token } => Stored::ProbeReply(token),
+        };
+        let record = Record {
+            id: pkt.id,
+            conn: pkt.conn,
+            body,
+        };
         match self.free.pop() {
             Some(i) => {
                 debug_assert!(self.headers[i as usize].flags & LIVE == 0, "free slot live");
                 self.headers[i as usize] = header;
-                self.bodies[i as usize] = Some(pkt);
+                self.records[i as usize] = record;
                 PacketRef(i)
             }
             None => {
                 self.headers.push(header);
-                self.bodies.push(Some(pkt));
+                self.records.push(record);
                 PacketRef((self.headers.len() - 1) as u32)
             }
         }
@@ -245,24 +358,76 @@ impl PacketArena {
     ///
     /// Panics if the slot is empty (use-after-take).
     pub fn take(&mut self, r: PacketRef) -> Packet {
-        let header = self.retire(r);
-        let mut pkt = self.bodies[r.index()].take().expect("live slot has a body");
-        if header.trimmed() && !pkt.trimmed {
-            pkt.trim();
+        let h = self.retire(r);
+        let record = self.records[r.index()];
+        let body = match record.body {
+            Stored::Data {
+                seq,
+                msg,
+                msg_seq,
+                msg_pkts,
+                tag,
+                payload,
+                retx,
+                pending,
+                trimmed,
+            } => Body::Data {
+                seq,
+                msg,
+                msg_seq,
+                msg_pkts,
+                tag,
+                payload: if h.trimmed() && !trimmed { 0 } else { payload },
+                retx,
+                pending,
+            },
+            Stored::Ack {
+                cum_ack,
+                sacked,
+                echo,
+                covered,
+                marked,
+                reuse,
+            } => Body::Ack(Ack {
+                cum_ack,
+                sacked: SeqList::one(sacked),
+                echoes: EchoList::one(echo),
+                covered,
+                marked,
+                reuse,
+            }),
+            Stored::WideAck(i) => Body::Ack(self.wide.take(i)),
+            Stored::Nack(seq) => Body::Nack { seq },
+            Stored::Credit(bytes) => Body::Credit { bytes },
+            Stored::Probe(token) => Body::Probe { token },
+            Stored::ProbeReply(token) => Body::ProbeReply { token },
+        };
+        Packet {
+            id: record.id,
+            src: h.src,
+            dst: h.dst,
+            conn: record.conn,
+            ev: h.ev,
+            wire_bytes: h.wire_bytes,
+            ecn_ce: h.ecn_ce(),
+            trimmed: h.trimmed(),
+            body,
         }
-        pkt.ecn_ce = header.ecn_ce();
-        debug_assert_eq!(pkt.wire_bytes, header.wire_bytes);
-        pkt
     }
 
     /// Drops the packet behind `r` (lost in the fabric), recycling its
-    /// slot without reading the body back.
+    /// slot without reading its record back unless its ACK is in the slab.
     ///
     /// # Panics
     ///
     /// Panics if the slot is empty (use-after-take).
     pub fn release(&mut self, r: PacketRef) {
-        self.retire(r);
+        if self.retire(r).flags & WIDE != 0 {
+            let Stored::WideAck(i) = self.records[r.index()].body else {
+                unreachable!("a wide header's record holds a slab slot")
+            };
+            self.wide.take(i);
+        }
     }
 
     /// Clears the live bit and frees the slot; returns the final header.
@@ -309,6 +474,12 @@ impl PacketArena {
         self.headers.len()
     }
 
+    /// The most ACKs parked in the slab at once (diagnostics: peak
+    /// in-flight ACKs that did not fit their record).
+    pub fn wide_high_water(&self) -> usize {
+        self.wide.high_water()
+    }
+
     /// Prefetches `r`'s header. `r` may be stale or out of range: the
     /// address is computed, never read.
     #[inline]
@@ -316,20 +487,17 @@ impl PacketArena {
         prefetch(self.headers.as_ptr().wrapping_add(r.index()));
     }
 
-    /// Prefetches the two cache lines `r`'s body can span (a delivery is
-    /// about to move it out).
+    /// Prefetches `r`'s record, one cache line (a delivery is about to
+    /// read it).
     #[inline]
     pub(crate) fn prefetch_body(&self, r: PacketRef) {
-        let body = self.bodies.as_ptr().wrapping_add(r.index());
-        prefetch(body);
-        prefetch(body.cast::<u8>().wrapping_add(64));
+        prefetch(self.records.as_ptr().wrapping_add(r.index()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ConnId;
 
     fn pkt(id: u64) -> Packet {
         Packet::data(id, HostId(0), HostId(1), ConnId(0), 0, id, 4096, false)
@@ -378,6 +546,47 @@ mod tests {
         want.ecn_ce = true;
         want.trim();
         assert_eq!(a.take(r), want);
+    }
+
+    #[test]
+    fn a_record_is_one_cache_line() {
+        // A field creeping into `Stored` would make every record two lines.
+        assert_eq!(std::mem::size_of::<Record>(), 64);
+        assert_eq!(std::mem::align_of::<Record>(), 64);
+    }
+
+    #[test]
+    fn wide_acks_leave_the_slab_by_either_exit() {
+        // Two SACKs: a retransmission's duplicate, too wide for the record.
+        let wide = |id: u64| {
+            let ack = Ack {
+                cum_ack: id,
+                sacked: SeqList::from_slice(&[id, id + 1]),
+                echoes: EchoList::one(EvEcho { ev: 7, ecn: true }),
+                covered: 2,
+                marked: 1,
+                reuse: 1,
+            };
+            Packet::control(id, HostId(1), HostId(0), ConnId(0), 7, Body::Ack(ack))
+        };
+        const ROUND: u64 = 6;
+        let mut a = PacketArena::new();
+        for round in 0..100 {
+            let refs: Vec<(u64, PacketRef)> = (0..ROUND)
+                .map(|i| round * ROUND + i)
+                .map(|id| (id, a.insert(wide(id))))
+                .collect();
+            assert_eq!(a.wide.slots.len() - a.wide.free.len(), ROUND as usize);
+            for (id, r) in refs {
+                if id % 2 == 0 {
+                    assert_eq!(a.take(r), wide(id));
+                } else {
+                    a.release(r);
+                }
+            }
+            assert_eq!(a.wide.free.len(), a.wide.slots.len(), "slab slot leaked");
+            assert_eq!(a.wide_high_water(), ROUND as usize, "slab grew");
+        }
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   single source of truth for `src`/`dst`/`ev`/`wire_bytes` and the
 //!   data/ECN/trim flags: links, `finish_service`, `arrive_at_switch` and
 //!   [`RoutingView::select_uplink`] read and mark only the header, the
-//!   120-byte body is opened once more — by `take`, on delivery, which
-//!   folds the marks back in — and packets lost in the fabric are
-//!   `release`d without touching it. Every header access asserts the
-//!   slot's live bit, so a stale ref panics,
+//!   packet's one-line arena record (`id`, `conn`, body) is opened once
+//!   more — by `take`, on delivery, which rebuilds the packet from header
+//!   and record — and packets lost in the fabric are `release`d without
+//!   reading it (unless a wide ACK's slab slot must be freed). Every
+//!   header access asserts the slot's live bit, so a stale ref panics,
 //! * routing queries return compact by-value link-table descriptors
 //!   ([`RouteChoice`] carrying a [`LinkRange`]) computed in closed form —
 //!   no per-switch table is materialized,
@@ -633,10 +634,10 @@ impl<S: TraceSink> Engine<S> {
     /// into `self.batch` — says which ones are next. Two stages, because
     /// the second address is only known once the first line has arrived:
     /// [`PREFETCH_AHEAD`] events ahead, the state the event names (the
-    /// link of a `QueueService`; the header of an `Arrive`, plus the body
-    /// and endpoint slot when it is a delivery); at half that distance,
-    /// one pointer further (the headers `finish_service` will read; the
-    /// boxed endpoint). Hints only: `&self`, nothing written, and the
+    /// link of a `QueueService`; the header of an `Arrive`, plus the
+    /// record line and endpoint slot when it is a delivery); at half that
+    /// distance, one pointer further (the headers `finish_service` will
+    /// read; the boxed endpoint). Hints only: `&self`, nothing written, and the
     /// state may change before the event runs — dispatch order, and so
     /// every output byte, is untouched.
     #[inline]

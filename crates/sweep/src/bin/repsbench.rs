@@ -253,8 +253,12 @@
 //! `cal_lane_misfits`: its FIFO lanes; `cal_heap_peak`: the largest
 //! population of the binary heap behind them — timers, controls and
 //! misfits), the packet arena's `arena_high_water` (peak packets in the
-//! fabric at once) and the fluid solver's `fluid_resolves`,
-//! `fluid_flows_resolved` and `fluid_max_component` (a *separate* file
+//! fabric at once) and `arena_wide_high_water` (the peak number of
+//! in-fabric ACKs at once too wide for a packet's one-line arena record — more
+//! than one SACKed sequence or echo, as coalescing, *Carry EVs* and
+//! duplicate SACKs give — and so parked in the arena's slab), and the
+//! fluid solver's `fluid_resolves`, `fluid_flows_resolved` and
+//! `fluid_max_component` (a *separate* file
 //! because wall time is nondeterministic and `--out` is byte-stable;
 //! cache hits have no fresh perf counters, so they are omitted); the run
 //! footer reports aggregate simulator events/sec over the executed cells.

@@ -608,6 +608,7 @@ impl Cell {
             chained_services: res.engine.batch_stats.chained_services,
             calendar: res.engine.batch_stats.calendar,
             arena_high_water: res.engine.arena.high_water() as u64,
+            arena_wide_high_water: res.engine.arena.wide_high_water() as u64,
             fluid: res
                 .engine
                 .fluid
@@ -683,6 +684,10 @@ pub struct CellResult {
     /// the fabric at once (deterministic for a fixed key; perf-stream
     /// only).
     pub arena_high_water: u64,
+    /// The most ACKs the arena parked in its slab at once — those too wide
+    /// for a packet's record (deterministic for a fixed key; perf-stream
+    /// only).
+    pub arena_wide_high_water: u64,
     /// Fluid-solver counters at the end of the run, all zero for a cell
     /// without a fluid background (deterministic for a fixed key;
     /// perf-stream only).

@@ -68,6 +68,7 @@ pub fn parse_record(line: &str) -> Result<CellResult, String> {
         chained_services: 0,
         calendar: Default::default(),
         arena_high_water: 0,
+        arena_wide_high_water: 0,
         fluid: Default::default(),
         summary: Summary::from_json(field("summary")?)?,
     })
@@ -102,8 +103,11 @@ pub fn to_jsonl(results: &[CellResult]) -> String {
 /// `arena_high_water` is the peak number of packets
 /// in the fabric at once (× 16 bytes of header is the per-hop working
 /// set; with the fabric in the key it answers "does this cell's in-flight
-/// state fit in cache"), and the `fluid_*` fields say how local the fluid
-/// re-solves stayed: `fluid_flows_resolved / fluid_resolves` is the mean
+/// state fit in cache"), `arena_wide_high_water` the most in-fabric ACKs
+/// at once too wide for the arena's one-line record (coalesced, *Carry
+/// EVs*, duplicate SACKs) and so parked in its slab, and the `fluid_*`
+/// fields say how local the fluid re-solves stayed:
+/// `fluid_flows_resolved / fluid_resolves` is the mean
 /// dirty-component size, `fluid_max_component` the largest (all zero for
 /// a cell without a fluid background).
 pub fn perf_record(r: &CellResult) -> String {
@@ -131,6 +135,7 @@ pub fn perf_record(r: &CellResult) -> String {
         .u64("cal_lane_misfits", r.calendar.lane_misfits)
         .u64("cal_heap_peak", r.calendar.heap_peak)
         .u64("arena_high_water", r.arena_high_water)
+        .u64("arena_wide_high_water", r.arena_wide_high_water)
         .u64("fluid_resolves", r.fluid.resolves)
         .u64("fluid_flows_resolved", r.fluid.flows_resolved)
         .u64("fluid_max_component", r.fluid.max_component)
@@ -425,6 +430,7 @@ mod tests {
                 "cal_lane_misfits",
                 "cal_heap_peak",
                 "arena_high_water",
+                "arena_wide_high_water",
                 "fluid_resolves",
                 "fluid_flows_resolved",
                 "fluid_max_component",
@@ -491,6 +497,7 @@ mod tests {
             chained_services: 0,
             calendar: Default::default(),
             arena_high_water: 0,
+            arena_wide_high_water: 0,
             fluid: Default::default(),
             summary,
         }

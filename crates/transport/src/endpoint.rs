@@ -86,6 +86,7 @@ impl HostEndpoint {
     pub fn schedule_message(&mut self, at: Time, spec: MessageSpec) {
         // After every earlier-or-equal start: time order, FIFO among ties.
         let pos = self.schedule.partition_point(|(t, _)| *t <= at);
+        crate::reserve_doubling(&mut self.schedule, 1);
         self.schedule.insert(pos, (at, spec));
     }
 
@@ -612,6 +613,24 @@ mod tests {
         // Exactly the length at one and two entries, doubling after that.
         assert_eq!(senders, [1, 2, 4, 4, 8]);
         assert_eq!(receivers, [1, 2, 4, 4, 8]);
+
+        let sim = SimConfig::paper_default();
+        let tcfg = TransportConfig::from_sim(&sim, 4, LbKind::Ecmp);
+        let mut ep = HostEndpoint::new(HostId(0), 64, sim.link_bps, tcfg);
+        let schedule: Vec<usize> = [30, 10, 20]
+            .into_iter()
+            .map(|us| {
+                let spec = MessageSpec {
+                    flow: FlowId(0),
+                    dst: HostId(16),
+                    bytes: 1,
+                    tag: 0,
+                };
+                ep.schedule_message(Time::from_us(us), spec);
+                ep.schedule.capacity()
+            })
+            .collect();
+        assert_eq!(schedule, [1, 2, 4]);
     }
 
     #[test]
