@@ -47,7 +47,7 @@
 use netsim::engine::RoutingMode;
 use netsim::rng::Rng64;
 use netsim::time::Time;
-use reps::lb::LoadBalancer;
+use reps::lb::{AckFeedback, EvDecision, LoadBalancer};
 use reps::reps::{Reps, RepsConfig};
 
 use crate::bitmap::Bitmap;
@@ -107,22 +107,106 @@ pub enum LbKind {
     AdaptiveRoce,
 }
 
+/// One connection's balancer: every family's per-connection state, held
+/// inline (a sender stores it by value) and dispatched by `match`.
+///
+/// The closed counterpart of [`LoadBalancer`] trait objects: [`LbKind::build`]
+/// returns one, and a new spraying family is one more variant. Adaptive
+/// RoCE hosts spray obliviously, so they build an [`Lb::Ops`].
+#[derive(Debug, Clone)]
+pub enum Lb {
+    /// [`Reps`].
+    Reps(Reps),
+    /// [`Ops`] (also Adaptive RoCE's hosts).
+    Ops(Ops),
+    /// [`Ecmp`].
+    Ecmp(Ecmp),
+    /// [`Plb`].
+    Plb(Plb),
+    /// [`Flowlet`].
+    Flowlet(Flowlet),
+    /// [`Mprdma`].
+    Mprdma(Mprdma),
+    /// [`Bitmap`].
+    Bitmap(Bitmap),
+    /// [`MptcpLike`].
+    Mptcp(MptcpLike),
+}
+
+/// Evaluates `$body` with `$lb` bound to the balancer inside `$self`.
+macro_rules! dispatch {
+    ($self:expr, $lb:ident => $body:expr) => {
+        match $self {
+            Lb::Reps($lb) => $body,
+            Lb::Ops($lb) => $body,
+            Lb::Ecmp($lb) => $body,
+            Lb::Plb($lb) => $body,
+            Lb::Flowlet($lb) => $body,
+            Lb::Mprdma($lb) => $body,
+            Lb::Bitmap($lb) => $body,
+            Lb::Mptcp($lb) => $body,
+        }
+    };
+}
+
+impl LoadBalancer for Lb {
+    fn next_ev(&mut self, now: Time, rng: &mut Rng64) -> u16 {
+        dispatch!(self, lb => lb.next_ev(now, rng))
+    }
+
+    fn on_ack(&mut self, fb: &AckFeedback, rng: &mut Rng64) {
+        dispatch!(self, lb => lb.on_ack(fb, rng))
+    }
+
+    fn on_timeout(&mut self, now: Time) {
+        dispatch!(self, lb => lb.on_timeout(now))
+    }
+
+    fn on_congestion_loss(&mut self, ev: u16, now: Time) {
+        dispatch!(self, lb => lb.on_congestion_loss(ev, now))
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch!(self, lb => lb.name())
+    }
+
+    fn last_decision(&self) -> EvDecision {
+        dispatch!(self, lb => lb.last_decision())
+    }
+
+    fn is_frozen(&self) -> bool {
+        dispatch!(self, lb => lb.is_frozen())
+    }
+
+    fn diagnostics(&self, out: &mut Vec<(&'static str, u64)>) {
+        dispatch!(self, lb => lb.diagnostics(out))
+    }
+}
+
+/// The balancer as a trait object, for code written against
+/// [`LoadBalancer`] (`kind.build(rng).as_mut()`).
+impl AsMut<dyn LoadBalancer> for Lb {
+    fn as_mut(&mut self) -> &mut (dyn LoadBalancer + 'static) {
+        dispatch!(self, lb => lb)
+    }
+}
+
 impl LbKind {
     /// Builds a fresh per-connection balancer instance.
-    pub fn build(&self, rng: &mut Rng64) -> Box<dyn LoadBalancer> {
+    pub fn build(&self, rng: &mut Rng64) -> Lb {
         match self {
-            LbKind::Reps(cfg) => Box::new(Reps::new(cfg.clone())),
-            LbKind::Ops { evs_size } => Box::new(Ops::new(*evs_size)),
-            LbKind::Ecmp => Box::new(Ecmp::new(rng)),
-            LbKind::Plb(cfg) => Box::new(Plb::new(cfg.clone(), rng)),
-            LbKind::Flowlet { gap } => Box::new(Flowlet::new(1 << 16, *gap, rng)),
-            LbKind::Mprdma => Box::new(Mprdma::default()),
+            LbKind::Reps(cfg) => Lb::Reps(Reps::new(cfg.clone())),
+            LbKind::Ops { evs_size } => Lb::Ops(Ops::new(*evs_size)),
+            LbKind::Ecmp => Lb::Ecmp(Ecmp::new(rng)),
+            LbKind::Plb(cfg) => Lb::Plb(Plb::new(cfg.clone(), rng)),
+            LbKind::Flowlet { gap } => Lb::Flowlet(Flowlet::new(1 << 16, *gap, rng)),
+            LbKind::Mprdma => Lb::Mprdma(Mprdma::default()),
             LbKind::Bitmap {
                 evs_size,
                 clear_period,
-            } => Box::new(Bitmap::new(*evs_size, *clear_period)),
-            LbKind::MptcpLike { subflows } => Box::new(MptcpLike::new(*subflows, 1 << 16, rng)),
-            LbKind::AdaptiveRoce => Box::new(Ops::default()),
+            } => Lb::Bitmap(Bitmap::new(*evs_size, *clear_period)),
+            LbKind::MptcpLike { subflows } => Lb::Mptcp(MptcpLike::new(*subflows, 1 << 16, rng)),
+            LbKind::AdaptiveRoce => Lb::Ops(Ops::default()),
         }
     }
 
@@ -540,6 +624,16 @@ mod tests {
             let _ = ev;
             assert!(!lb.name().is_empty());
         }
+    }
+
+    /// Every sender holds an `Lb` inline, so its size is per-connection
+    /// memory: the largest family's state (REPS, pinned field by field in
+    /// `reps::footprint`), with the variant tag folded into a niche of it.
+    #[test]
+    fn lb_is_the_size_of_its_largest_family() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Lb>(), 112);
+        assert_eq!(size_of::<Lb>(), size_of::<Reps>());
     }
 
     #[test]

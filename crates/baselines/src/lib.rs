@@ -13,8 +13,9 @@
 //! * `Adaptive RoCE` — switch-side least-queue routing, provided by the
 //!   fabric ([`netsim::engine::RoutingMode::Adaptive`]) with oblivious hosts.
 //!
-//! [`kind::LbKind`] is the factory the transport and harness use to
-//! instantiate per-connection balancers.
+//! [`kind::LbKind`] names a scheme and its tuning; [`kind::LbKind::build`]
+//! instantiates a per-connection balancer as a [`kind::Lb`], the closed
+//! enum the transport stores inline in every sender.
 
 pub mod bitmap;
 pub mod ecmp;
@@ -28,7 +29,7 @@ pub mod plb;
 pub use bitmap::Bitmap;
 pub use ecmp::Ecmp;
 pub use flowlet::Flowlet;
-pub use kind::LbKind;
+pub use kind::{Lb, LbKind};
 pub use mprdma::Mprdma;
 pub use mptcp::MptcpLike;
 pub use ops::Ops;

@@ -9,9 +9,12 @@
 //! phase, per simulator event and per host, the bytes still live per host
 //! after each phase, and each phase's peak live memory: the gated
 //! hot-path permutation cell by default, the all-packet 10 240-host cell
-//! (`hybrid/cell10k_bg_pkt`) with `10k`. CI runs `alloctrace 10k` and
-//! keeps its `peak live` line in the job summary.
+//! (`hybrid/cell10k_bg_pkt`) with `10k`. The `sizes:` line gives the
+//! per-connection and per-host structs those bytes are made of. CI runs
+//! `alloctrace 10k` and keeps its `sizes:` and `peak live` lines in the
+//! job summary.
 
+use std::mem::size_of;
 use std::process::ExitCode;
 
 use netsim::time::Time;
@@ -82,6 +85,14 @@ fn main() -> ExitCode {
         "run    over {events} events: {:.3} allocs/event, {:.1} bytes/event",
         (a2 - a1) as f64 / events as f64,
         (b2 - b1) as f64 / events as f64
+    );
+    println!(
+        "sizes: Reps {} B, Lb {} B, SenderConn {} B, ReceiverConn {} B, HostEndpoint {} B",
+        size_of::<reps::Reps>(),
+        size_of::<baselines::Lb>(),
+        size_of::<transport::conn::SenderConn>(),
+        size_of::<transport::conn::ReceiverConn>(),
+        size_of::<transport::endpoint::HostEndpoint>()
     );
     let mib = |b: u64| b as f64 / (1 << 20) as f64;
     println!(

@@ -5,6 +5,12 @@
 //! and feeds back acknowledgment observations, timeouts (failure suspicion)
 //! and trimming NACKs (congestion loss). Everything else — windows, pacing,
 //! retransmission — is the congestion controller's business.
+//!
+//! Every balancer implements [`LoadBalancer`], and unit tests, benches and
+//! the benchmark's `layerprobe` drive balancers through it. The transport
+//! holds no trait objects: each sender stores the closed
+//! `baselines::kind::Lb` enum inline and dispatches by `match`, and `Lb`
+//! implements this trait by forwarding to the family it holds.
 
 use netsim::rng::Rng64;
 use netsim::time::Time;

@@ -9,6 +9,7 @@
 //! ones — because recently-acknowledged entropies are the only paths known
 //! to still work (§3.2).
 
+use netsim::packet::SmallList;
 use netsim::rng::Rng64;
 use netsim::time::Time;
 
@@ -17,8 +18,8 @@ use crate::lb::{AckFeedback, EvDecision, LoadBalancer};
 /// Tuning knobs for [`Reps`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepsConfig {
-    /// Circular buffer depth. The paper uses 8 (Theorem 5.1 motivates
-    /// `O(log n)` for an `n`-port switch).
+    /// Circular buffer depth, at most [`MAX_BUFFER`]. The paper uses 8
+    /// (Theorem 5.1 motivates `O(log n)` for an `n`-port switch).
     pub buffer_size: usize,
     /// Entropy value space size. The paper's default is the full 16-bit
     /// source-port space; §4.5.2 shows REPS works with as few as 32.
@@ -60,47 +61,70 @@ impl RepsConfig {
     }
 }
 
-/// One circular-buffer slot.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// The cached entropy value.
-    cached_ev: u16,
-    /// Set when the entropy was cached and not yet reused (Algorithm 1).
-    is_valid: bool,
-    /// Whether the slot has ever been written (guards pre-warm-up replay).
-    written: bool,
-}
+/// The deepest circular buffer [`Reps`] keeps: the whole 16-bit entropy
+/// space (the LB-spec grammar's `buf` bound), so a slot index fits a `u16`.
+pub const MAX_BUFFER: usize = 1 << 16;
 
-/// The REPS sender state — everything in Table 1, ~25 bytes per connection.
+/// Slots the buffer keeps in place before it spills to the heap: the
+/// paper's depth, so the paper's configuration allocates nothing.
+const INLINE_SLOTS: usize = 8;
+
+/// The REPS sender state: Table 1's fields, the configuration the
+/// algorithm reads, and the decision counters behind `--diagnostics`.
+///
+/// Two of Table 1's per-slot facts are derived instead of stored:
+///
+/// * **`isValid`** — Algorithm 1 caches at `head` and Algorithm 2 consumes
+///   the oldest valid entry, so the valid slots are always the
+///   `num_valid` slots just behind `head`.
+/// * **whether a slot was ever written** (the pre-warm-up guard of frozen
+///   replay) — every write goes to `head`, and `head` never passes the
+///   first unwritten slot, so the written slots are a prefix. `ring`
+///   stores exactly that prefix: its length is the written count.
+///
+/// The size at the default configuration is pinned, field by field against
+/// Table 1, in `footprint`'s tests.
 #[derive(Debug, Clone)]
 pub struct Reps {
-    cfg: RepsConfig,
-    buffer: Vec<Slot>,
+    /// `cachedEV` of every slot written so far, in slot order; inline up
+    /// to [`INLINE_SLOTS`].
+    ring: SmallList<u16, INLINE_SLOTS>,
     /// Next write position (Algorithm 1's `head`).
-    head: usize,
+    head: u16,
+    /// Index of the buffer's last slot (`buffer_size − 1`).
+    last_slot: u16,
     /// Count of valid (cached, unused) entropies.
-    num_valid: usize,
+    num_valid: u32,
     /// Packets left in the post-freezing exploration phase (Algorithm 2).
     explore_counter: u32,
+    /// Last congestion window observed (packets), seeding the exploration
+    /// counter when freezing expires on the send path.
+    last_cwnd_packets: u32,
     /// True while in freezing mode.
     freezing: bool,
     /// Instant at which freezing mode may be exited.
     exit_freezing: Time,
-    /// Last congestion window observed (packets), seeding the exploration
-    /// counter when freezing expires on the send path.
-    last_cwnd_packets: u32,
     /// How the most recent [`next_ev`](LoadBalancer::next_ev) call chose.
     last_decision: EvDecision,
+    /// Entropy value space size ([`RepsConfig::evs_size`]).
+    evs_size: u32,
+    /// Whether a timeout freezes ([`RepsConfig::freezing_enabled`]).
+    freezing_enabled: bool,
+    /// [`RepsConfig::freezing_timeout`].
+    freezing_timeout: Time,
+    /// Whether [`RepsConfig::force_freezing_at`] is set.
+    forced: bool,
+    /// Its instant, when `forced`.
+    force_freezing_at: Time,
     /// Lifetime count of fresh (exploratory) entropy draws.
     fresh_draws: u64,
     /// Lifetime count of recycled cache hits.
     recycled_draws: u64,
     /// Lifetime count of frozen-mode replays of stale cache entries.
     frozen_replays: u64,
-    /// Times freezing mode was entered.
+    /// Times freezing mode was entered. Every exit follows an entry, so
+    /// the exits are this minus one while frozen.
     freezes: u64,
-    /// Times freezing mode was exited.
-    thaws: u64,
 }
 
 impl Reps {
@@ -108,25 +132,34 @@ impl Reps {
     ///
     /// # Panics
     ///
-    /// Panics if the buffer size is zero or the EVS is empty.
+    /// Panics if the buffer size is zero or above [`MAX_BUFFER`], or the
+    /// EVS is empty.
     pub fn new(cfg: RepsConfig) -> Reps {
         assert!(cfg.buffer_size > 0, "REPS buffer must be non-empty");
+        assert!(
+            cfg.buffer_size <= MAX_BUFFER,
+            "REPS buffer exceeds {MAX_BUFFER} slots"
+        );
         assert!(cfg.evs_size > 0, "EVS must be non-empty");
         Reps {
-            buffer: vec![Slot::default(); cfg.buffer_size],
+            ring: SmallList::new(),
             head: 0,
+            last_slot: (cfg.buffer_size - 1) as u16,
             num_valid: 0,
             explore_counter: 0,
+            last_cwnd_packets: cfg.buffer_size as u32,
             freezing: false,
             exit_freezing: Time::ZERO,
-            last_cwnd_packets: cfg.buffer_size as u32,
             last_decision: EvDecision::Fresh,
+            evs_size: cfg.evs_size,
+            freezing_enabled: cfg.freezing_enabled,
+            freezing_timeout: cfg.freezing_timeout,
+            forced: cfg.force_freezing_at.is_some(),
+            force_freezing_at: cfg.force_freezing_at.unwrap_or(Time::ZERO),
             fresh_draws: 0,
             recycled_draws: 0,
             frozen_replays: 0,
             freezes: 0,
-            thaws: 0,
-            cfg,
         }
     }
 
@@ -142,12 +175,36 @@ impl Reps {
 
     /// Number of valid cached entropies (for instrumentation).
     pub fn valid_entropies(&self) -> usize {
-        self.num_valid
+        self.num_valid as usize
     }
 
     /// The configured EVS size.
     pub fn evs_size(&self) -> u32 {
-        self.cfg.evs_size
+        self.evs_size
+    }
+
+    /// The circular buffer's depth.
+    fn slots(&self) -> u32 {
+        u32::from(self.last_slot) + 1
+    }
+
+    /// The slot after `slot`, wrapping (compared, not divided: this is on
+    /// every ACK's path).
+    fn next_slot(&self, slot: usize) -> u16 {
+        if slot == usize::from(self.last_slot) {
+            0
+        } else {
+            slot as u16 + 1
+        }
+    }
+
+    /// Caches `ev` in the first never-written slot. Out of line: it runs
+    /// only while the buffer fills, and its spill path would weigh on the
+    /// per-ACK overwrite.
+    #[cold]
+    #[inline(never)]
+    fn write_new_slot(&mut self, ev: u16) {
+        self.ring.push(ev);
     }
 
     /// Draws a uniformly random entropy from the EVS, recording the
@@ -155,101 +212,96 @@ impl Reps {
     fn random_ev(&mut self, rng: &mut Rng64) -> u16 {
         self.last_decision = EvDecision::Fresh;
         self.fresh_draws += 1;
-        rng.gen_range(self.cfg.evs_size as u64) as u16
-    }
-
-    /// True if at least one slot has ever been written.
-    fn ever_written(&self) -> bool {
-        self.buffer.iter().any(|s| s.written)
+        rng.gen_range(self.evs_size as u64) as u16
     }
 
     /// Algorithm 2's `getNextEV`.
     fn get_next_ev(&mut self) -> u16 {
         if self.num_valid > 0 {
-            let n = self.buffer.len();
+            let n = self.slots();
             // Algorithm 2 line 4: the oldest valid element sits at
             // `head - numberOfValidEVs` (mod buffer size); when the whole
             // buffer is valid this is `head` itself.
-            let offset = (self.head + n - (self.num_valid % n)) % n;
-            self.buffer[offset].is_valid = false;
+            let back = u32::from(self.head) + n - self.num_valid;
+            let offset = if back >= n { back - n } else { back };
             self.num_valid -= 1;
             self.last_decision = EvDecision::Recycled;
             self.recycled_draws += 1;
-            self.buffer[offset].cached_ev
+            self.ring[offset as usize]
         } else {
-            // Freezing mode: replay stale entries round-robin. Skip slots
-            // that were never written (possible only if freezing hits before
-            // the first BDP of ACKs returned, which the caller guards).
+            // Freezing mode: replay stale entries round-robin. Slots from
+            // the ring's end on were never written (possible only if
+            // freezing hits before the first BDP of ACKs returned): replay
+            // skips them by wrapping to slot 0, which the caller's
+            // non-empty check guarantees is written.
             self.last_decision = EvDecision::FrozenReplay;
             self.frozen_replays += 1;
-            let n = self.buffer.len();
-            for _ in 0..n {
-                let offset = self.head;
-                self.head = (self.head + 1) % n;
-                if self.buffer[offset].written {
-                    return self.buffer[offset].cached_ev;
-                }
-            }
-            // Unreachable when ever_written() held; kept total for safety.
-            self.buffer[self.head].cached_ev
+            let slot = if usize::from(self.head) < self.ring.len() {
+                usize::from(self.head)
+            } else {
+                0
+            };
+            self.head = self.next_slot(slot);
+            self.ring[slot]
         }
     }
 }
 
 impl LoadBalancer for Reps {
     /// Algorithm 2, `onSend`.
-    fn next_ev(&mut self, _now: Time, rng: &mut Rng64) -> u16 {
-        if let Some(at) = self.cfg.force_freezing_at {
-            if _now >= at && !self.freezing {
-                // Fig. 19: freeze without a failure and never thaw.
-                self.freezing = true;
-                self.freezes += 1;
-                self.exit_freezing = Time::MAX;
-                self.explore_counter = 0;
-            }
+    fn next_ev(&mut self, now: Time, rng: &mut Rng64) -> u16 {
+        if self.forced && now >= self.force_freezing_at && !self.freezing {
+            // Fig. 19: freeze without a failure and never thaw.
+            self.freezing = true;
+            self.freezes += 1;
+            self.exit_freezing = Time::MAX;
+            self.explore_counter = 0;
         }
-        if self.freezing && _now > self.exit_freezing {
+        if self.freezing && now > self.exit_freezing {
             // §3.2: without probing, freezing expires after a fixed time —
             // checked on the send path too, so a sender whose cached
             // entropies all stopped returning ACKs (every one pointed at the
             // failed path) still thaws and re-explores instead of replaying
             // dead paths forever.
             self.freezing = false;
-            self.thaws += 1;
             self.explore_counter = self.last_cwnd_packets.max(1);
         }
         if self.explore_counter > 0 {
             self.explore_counter -= 1;
-            if (self.explore_counter as usize).is_multiple_of(self.buffer.len()) {
+            if self.explore_counter.is_multiple_of(self.slots()) {
                 return self.random_ev(rng);
             }
             // Otherwise fall through to the regular selection logic: reuse
             // cached entropies when available, explore when not.
         }
-        if !self.ever_written() || (self.num_valid == 0 && !self.freezing) {
+        if self.ring.is_empty() || (self.num_valid == 0 && !self.freezing) {
             return self.random_ev(rng);
         }
         self.get_next_ev()
     }
 
     /// Algorithm 1, `onAck`.
+    #[inline]
     fn on_ack(&mut self, fb: &AckFeedback, _rng: &mut Rng64) {
         if fb.ecn {
             // Congested path: discard the entropy (Algorithm 1, line 6).
             return;
         }
-        let slot = &mut self.buffer[self.head];
-        if !slot.is_valid {
+        // The slot at `head` is valid only when every slot is.
+        if self.num_valid < self.slots() {
             self.num_valid += 1;
         }
-        slot.cached_ev = fb.ev;
-        slot.is_valid = true;
-        slot.written = true;
-        self.head = (self.head + 1) % self.buffer.len();
+        let head = usize::from(self.head);
+        debug_assert!(head <= self.ring.len(), "head passed an unwritten slot");
+        if head == self.ring.len() {
+            self.write_new_slot(fb.ev);
+        } else {
+            self.ring[head] = fb.ev;
+        }
+        self.head = self.next_slot(head);
         self.last_cwnd_packets = fb.cwnd_packets.max(1);
         if self.freezing && fb.now > self.exit_freezing {
             self.freezing = false;
-            self.thaws += 1;
             // Explore for a window's worth of packets after thawing so REPS
             // cannot get stuck on a stale path set (§3.2).
             self.explore_counter = fb.cwnd_packets.max(1);
@@ -258,13 +310,13 @@ impl LoadBalancer for Reps {
 
     /// Algorithm 1, `onFailureDetection`.
     fn on_timeout(&mut self, now: Time) {
-        if !self.cfg.freezing_enabled {
+        if !self.freezing_enabled {
             return;
         }
         if !self.freezing && self.explore_counter == 0 {
             self.freezing = true;
             self.freezes += 1;
-            self.exit_freezing = now + self.cfg.freezing_timeout;
+            self.exit_freezing = now + self.freezing_timeout;
         }
     }
 
@@ -287,8 +339,8 @@ impl LoadBalancer for Reps {
         out.push(("reps_recycled_draws", self.recycled_draws));
         out.push(("reps_frozen_replays", self.frozen_replays));
         out.push(("reps_freezes", self.freezes));
-        out.push(("reps_thaws", self.thaws));
-        out.push(("reps_valid_entropies", self.num_valid as u64));
+        out.push(("reps_thaws", self.freezes - u64::from(self.freezing)));
+        out.push(("reps_valid_entropies", u64::from(self.num_valid)));
     }
 }
 

@@ -6,6 +6,8 @@
 //! registers the workload's start rules and dependency triggers, schedules
 //! failures, runs to completion and summarizes.
 
+use std::rc::Rc;
+
 use baselines::kind::LbKind;
 use netsim::config::SimConfig;
 use netsim::engine::{Engine, MessageSpec};
@@ -114,14 +116,14 @@ impl Experiment {
     }
 
     /// Builds the engine with all endpoints and schedules installed.
-    pub fn build(&self) -> Engine {
+    pub fn build(&self) -> Engine<NoTrace, HostEndpoint> {
         self.build_traced(NoTrace)
     }
 
     /// [`Experiment::build`] with a caller-supplied flight-recorder sink
     /// (the `--trace` path). Everything else is identical, so a traced run
     /// replays the exact same simulation.
-    pub fn build_traced<S: TraceSink>(&self, trace: S) -> Engine<S> {
+    pub fn build_traced<S: TraceSink>(&self, trace: S) -> Engine<S, HostEndpoint> {
         let topo = Topology::build(self.fabric.clone(), self.seed);
         let n = topo.n_hosts;
         let mut engine = Engine::with_trace(topo, self.sim.clone(), self.seed, trace);
@@ -134,10 +136,11 @@ impl Experiment {
         if let Some((_, bg_lb)) = &self.background {
             tcfg = tcfg.with_background_lb(bg_lb.clone());
         }
+        let tcfg = Rc::new(tcfg);
 
         // Assemble the per-host message schedules and triggers.
         let mut endpoints: Vec<HostEndpoint> = (0..n)
-            .map(|h| HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone()))
+            .map(|h| HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, Rc::clone(&tcfg)))
             .collect();
 
         let mut expected = 0usize;
@@ -169,7 +172,7 @@ impl Experiment {
         }
 
         for (h, ep) in endpoints.into_iter().enumerate() {
-            engine.set_endpoint(HostId(h as u32), Box::new(ep));
+            engine.set_endpoint(HostId(h as u32), ep);
         }
         for h in 0..n {
             engine.schedule_control(Time::ZERO, ControlEvent::HostStart(HostId(h)));
@@ -258,7 +261,7 @@ pub struct RunResult<S: TraceSink = NoTrace> {
     /// The engine, for timeseries extraction (`engine.events_processed`
     /// carries the event count for events/sec accounting, and
     /// `engine.trace` the filled flight-recorder sink).
-    pub engine: Engine<S>,
+    pub engine: Engine<S, HostEndpoint>,
     /// Aggregate summary.
     pub summary: Summary,
     /// Wall-clock nanoseconds spent inside the event loop (excludes
@@ -301,7 +304,11 @@ pub struct Summary {
 }
 
 impl Summary {
-    fn from_engine<S: TraceSink>(exp: &Experiment, engine: &Engine<S>, completed: bool) -> Summary {
+    fn from_engine<S: TraceSink>(
+        exp: &Experiment,
+        engine: &Engine<S, HostEndpoint>,
+        completed: bool,
+    ) -> Summary {
         let fg_count = exp.workload.len() as u32;
         let fg: Vec<&netsim::stats::FlowRecord> = engine
             .stats
@@ -364,14 +371,10 @@ impl Summary {
 
 /// Sums every host's load-balancer decision counters (host order, names in
 /// first-appearance order — deterministic for a fixed seed).
-fn collect_diagnostics<S: TraceSink>(engine: &Engine<S>) -> Vec<(String, f64)> {
+fn collect_diagnostics<S: TraceSink>(engine: &Engine<S, HostEndpoint>) -> Vec<(String, f64)> {
     let mut acc: Vec<(&'static str, u64)> = Vec::new();
     for h in 0..engine.topo.n_hosts {
-        if let Some(ep) = engine
-            .endpoint(HostId(h))
-            .and_then(|e| e.as_any())
-            .and_then(|a| a.downcast_ref::<HostEndpoint>())
-        {
+        if let Some(ep) = engine.endpoint(HostId(h)) {
             ep.lb_diagnostics(&mut acc);
         }
     }

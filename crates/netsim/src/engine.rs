@@ -44,6 +44,12 @@
 //! * event queue, link deques, arena free list, the endpoint action
 //!   buffer and the same-timestamp batch buffer all retain their
 //!   high-water capacity,
+//! * endpoints are stored by value, one slot per host in one `Vec`
+//!   (`Engine<S, E>` is generic over the endpoint type; the transport's
+//!   engines hold `HostEndpoint`s, and `Box<dyn Endpoint>` — the default
+//!   — serves mixed test endpoints), and every callback borrows its
+//!   endpoint in place: a delivery touches the endpoint's own lines, with
+//!   no box to chase and nothing moved out and back,
 //! * the whole-batch loop prefetches for the events a fixed distance
 //!   ahead in the batch it already holds (`Engine::prefetch_ahead`).
 //!   Prefetching takes `&self` and writes nothing, so it cannot change
@@ -222,9 +228,20 @@ pub trait Endpoint<S: TraceSink = NoTrace> {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, S>);
     /// The harness injected a command (message start, custom).
     fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_, S>);
-    /// Concrete-type access for post-run instrumentation.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
+}
+
+/// A boxed endpoint is an endpoint: the default endpoint type of
+/// [`Engine`] is `Box<dyn Endpoint<S>>`, which lets one engine host
+/// endpoints of different types.
+impl<S: TraceSink, T: Endpoint<S> + ?Sized> Endpoint<S> for Box<T> {
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_, S>) {
+        (**self).on_packet(pkt, ctx);
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, S>) {
+        (**self).on_timer(token, ctx);
+    }
+    fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_, S>) {
+        (**self).on_command(cmd, ctx);
     }
 }
 
@@ -358,7 +375,12 @@ impl RoutingView<'_> {
 /// keeps every trace hook a no-op the optimizer removes, so `Engine` (the
 /// default) is exactly the pre-trace engine. [`Engine::with_trace`] builds
 /// a recording engine.
-pub struct Engine<S: TraceSink = NoTrace> {
+///
+/// Also generic over the endpoint type `E`, stored by value: an engine
+/// whose hosts all run one endpoint type holds them contiguously and
+/// dispatches statically. The default, `Box<dyn Endpoint<S>>`, hosts
+/// endpoints of mixed types.
+pub struct Engine<S: TraceSink = NoTrace, E = Box<dyn Endpoint<S>>> {
     /// Current simulation time.
     pub now: Time,
     /// Fabric profile.
@@ -386,7 +408,7 @@ pub struct Engine<S: TraceSink = NoTrace> {
     /// First undispatched element of `batch` (leftovers after a mid-batch
     /// stop keep their position here).
     batch_pos: usize,
-    endpoints: Vec<Option<Box<dyn Endpoint<S>>>>,
+    endpoints: Vec<Option<E>>,
     rng: Rng64,
     next_pkt_id: u64,
     /// Queue sampling continues while `now` is below this.
@@ -409,12 +431,13 @@ impl Engine {
     }
 }
 
-impl<S: TraceSink> Engine<S> {
-    /// Builds an engine whose decision points feed `trace`.
+impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
+    /// Builds an engine whose decision points feed `trace`, with endpoint
+    /// type `E` (see [`Engine`]).
     ///
     /// Tracing is read-only by contract: a traced engine draws the same
     /// RNG stream and produces the same statistics as an untraced one.
-    pub fn with_trace(topo: Topology, cfg: SimConfig, seed: u64, trace: S) -> Engine<S> {
+    pub fn with_trace(topo: Topology, cfg: SimConfig, seed: u64, trace: S) -> Engine<S, E> {
         let mut links = Vec::with_capacity(topo.links.len());
         for spec in &topo.links {
             // Fold the downstream switch traversal latency into propagation.
@@ -462,13 +485,40 @@ impl<S: TraceSink> Engine<S> {
     }
 
     /// Installs the endpoint for `host`.
-    pub fn set_endpoint(&mut self, host: HostId, ep: Box<dyn Endpoint<S>>) {
+    pub fn set_endpoint(&mut self, host: HostId, ep: E) {
         self.endpoints[host.index()] = Some(ep);
     }
 
     /// Immutable access to an endpoint (for harness inspection).
-    pub fn endpoint(&self, host: HostId) -> Option<&dyn Endpoint<S>> {
-        self.endpoints[host.index()].as_deref()
+    pub fn endpoint(&self, host: HostId) -> Option<&E> {
+        self.endpoints[host.index()].as_ref()
+    }
+
+    /// Runs `callback` on `host`'s endpoint, borrowed in place, with a
+    /// context at the current time, then applies the actions it emitted.
+    /// Returns `false`, having done nothing, when the host has no endpoint.
+    fn call_endpoint(
+        &mut self,
+        host: HostId,
+        callback: impl FnOnce(&mut E, &mut Ctx<'_, S>),
+    ) -> bool {
+        let Some(ep) = self.endpoints[host.index()].as_mut() else {
+            return false;
+        };
+        let mut actions = std::mem::take(&mut self.scratch_actions);
+        let mut ctx = Ctx {
+            now: self.now,
+            host,
+            cfg: &self.cfg,
+            rng: &mut self.rng,
+            trace: &mut self.trace,
+            next_pkt_id: &mut self.next_pkt_id,
+            actions: &mut actions,
+        };
+        callback(ep, &mut ctx);
+        self.apply_actions(host, &mut actions);
+        self.scratch_actions = actions;
+        true
     }
 
     /// Schedules a control event at absolute time `at`.
@@ -492,25 +542,8 @@ impl<S: TraceSink> Engine<S> {
 
     /// Delivers `cmd` to `host`'s endpoint at the current simulation time.
     pub fn command(&mut self, host: HostId, cmd: Command) {
-        let mut ep = self.endpoints[host.index()]
-            .take()
-            .expect("command sent to host without endpoint");
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                host,
-                cfg: &self.cfg,
-                rng: &mut self.rng,
-                trace: &mut self.trace,
-                next_pkt_id: &mut self.next_pkt_id,
-                actions: &mut actions,
-            };
-            ep.on_command(cmd, &mut ctx);
-        }
-        self.endpoints[host.index()] = Some(ep);
-        self.apply_actions(host, &mut actions);
-        self.scratch_actions = actions;
+        let delivered = self.call_endpoint(host, |ep, ctx| ep.on_command(cmd, ctx));
+        assert!(delivered, "command sent to host without endpoint");
     }
 
     /// Runs until the calendar empties or `deadline` passes.
@@ -635,11 +668,12 @@ impl<S: TraceSink> Engine<S> {
     /// the second address is only known once the first line has arrived:
     /// [`PREFETCH_AHEAD`] events ahead, the state the event names (the
     /// link of a `QueueService`; the header of an `Arrive`, plus the
-    /// record line and endpoint slot when it is a delivery); at half that
-    /// distance, one pointer further (the headers `finish_service` will
-    /// read; the boxed endpoint). Hints only: `&self`, nothing written, and the
-    /// state may change before the event runs — dispatch order, and so
-    /// every output byte, is untouched.
+    /// record line and the endpoint itself — stored in place, every line
+    /// of it — when it is a delivery); at half that distance, one pointer
+    /// further (the headers `finish_service` will read). Hints only:
+    /// `&self`, nothing written, and the state may change before the
+    /// event runs — dispatch order, and so every output byte, is
+    /// untouched.
     #[inline]
     fn prefetch_ahead(&self) {
         if let Some(&(_, _, ev)) = self.batch.get(self.batch_pos + PREFETCH_AHEAD) {
@@ -656,27 +690,20 @@ impl<S: TraceSink> Engine<S> {
                     self.arena.prefetch_header(pkt);
                     if let NodeRef::Host(h) = node {
                         self.arena.prefetch_body(pkt);
-                        prefetch(self.endpoints.as_ptr().wrapping_add(h.index()));
+                        let p = self.endpoints.as_ptr().wrapping_add(h.index()).cast::<u8>();
+                        let size = std::mem::size_of::<Option<E>>();
+                        for offset in (0..size).step_by(64).chain([size - 1]) {
+                            prefetch(p.wrapping_add(offset));
+                        }
                     }
                 }
                 _ => {}
             }
         }
-        if let Some(&(_, _, ev)) = self.batch.get(self.batch_pos + PREFETCH_AHEAD / 2) {
-            match ev {
-                Event::QueueService { link } => {
-                    self.links[link.index()].prefetch_service_headers(&self.arena);
-                }
-                Event::Arrive {
-                    node: NodeRef::Host(h),
-                    ..
-                } => {
-                    if let Some(ep) = &self.endpoints[h.index()] {
-                        prefetch(std::ptr::from_ref::<dyn Endpoint<S>>(&**ep).cast::<u8>());
-                    }
-                }
-                _ => {}
-            }
+        if let Some(&(_, _, Event::QueueService { link })) =
+            self.batch.get(self.batch_pos + PREFETCH_AHEAD / 2)
+        {
+            self.links[link.index()].prefetch_service_headers(&self.arena);
         }
     }
 
@@ -847,47 +874,11 @@ impl<S: TraceSink> Engine<S> {
 
     fn arrive_at_host(&mut self, host: HostId, pkt: PacketRef) {
         let pkt = self.arena.take(pkt);
-        let Some(mut ep) = self.endpoints[host.index()].take() else {
-            return;
-        };
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                host,
-                cfg: &self.cfg,
-                rng: &mut self.rng,
-                trace: &mut self.trace,
-                next_pkt_id: &mut self.next_pkt_id,
-                actions: &mut actions,
-            };
-            ep.on_packet(pkt, &mut ctx);
-        }
-        self.endpoints[host.index()] = Some(ep);
-        self.apply_actions(host, &mut actions);
-        self.scratch_actions = actions;
+        self.call_endpoint(host, |ep, ctx| ep.on_packet(pkt, ctx));
     }
 
     fn fire_timer(&mut self, host: HostId, token: u64) {
-        let Some(mut ep) = self.endpoints[host.index()].take() else {
-            return;
-        };
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                host,
-                cfg: &self.cfg,
-                rng: &mut self.rng,
-                trace: &mut self.trace,
-                next_pkt_id: &mut self.next_pkt_id,
-                actions: &mut actions,
-            };
-            ep.on_timer(token, &mut ctx);
-        }
-        self.endpoints[host.index()] = Some(ep);
-        self.apply_actions(host, &mut actions);
-        self.scratch_actions = actions;
+        self.call_endpoint(host, |ep, ctx| ep.on_timer(token, ctx));
     }
 
     fn apply_actions(&mut self, host: HostId, actions: &mut Vec<Action>) {

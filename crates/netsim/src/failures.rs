@@ -5,7 +5,7 @@
 //! control events the engine executes. All randomness is drawn from a caller
 //! -provided [`Rng64`] so scenarios are reproducible.
 
-use crate::engine::Engine;
+use crate::engine::{Endpoint, Engine};
 use crate::event::ControlEvent;
 use crate::ids::{LinkId, SwitchId};
 use crate::rng::Rng64;
@@ -201,7 +201,7 @@ impl FailurePlan {
     /// The engine emits [`crate::trace::TraceEvent`] link/switch events as
     /// each scheduled control event executes, so a traced run records the
     /// full failure/recovery timeline without extra bookkeeping here.
-    pub fn install<S: TraceSink>(&self, engine: &mut Engine<S>) {
+    pub fn install<S: TraceSink, E: Endpoint<S>>(&self, engine: &mut Engine<S, E>) {
         for f in &self.failures {
             match f {
                 Failure::Cable { pair, at, duration } => {

@@ -122,6 +122,15 @@ impl<T: Copy + Default, const N: usize> std::ops::Deref for SmallList<T, N> {
     }
 }
 
+impl<T: Copy + Default, const N: usize> std::ops::DerefMut for SmallList<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            SmallList::Inline { len, buf } => &mut buf[..*len as usize],
+            SmallList::Spill(v) => v,
+        }
+    }
+}
+
 impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for SmallList<T, N> {
     fn eq(&self, other: &SmallList<T, N>) -> bool {
         self.as_slice() == other.as_slice()
@@ -384,6 +393,14 @@ mod tests {
         assert_eq!(l.len(), 4);
         assert_eq!(l.last(), Some(&10));
         assert_eq!((&l).into_iter().copied().sum::<u64>(), 34);
+        // Writes through the slice land in either representation.
+        l[0] = 1;
+        let mut inline: SmallList<u64, 3> = SmallList::one(5);
+        inline[0] = 6;
+        assert_eq!(
+            (l.as_slice(), inline.as_slice()),
+            (&[1, 8, 9, 10][..], &[6][..])
+        );
     }
 
     #[test]

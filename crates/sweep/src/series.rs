@@ -70,7 +70,7 @@ pub const SAMPLE_HORIZON: Time = Time::from_ms(2);
 /// tracked link, one JSON object per line, trailing newline).
 pub fn series_doc<S: netsim::trace::TraceSink>(
     cell: &Cell,
-    engine: &netsim::engine::Engine<S>,
+    engine: &netsim::engine::Engine<S, transport::endpoint::HostEndpoint>,
 ) -> String {
     use harness::json::{array, Object};
     let export = engine.stats.export_series();

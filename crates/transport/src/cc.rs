@@ -309,15 +309,6 @@ impl CongestionControl for InternalCc {
     }
 }
 
-/// Builds a controller of the given kind.
-pub fn build_cc(kind: CcKind, params: CcParams) -> Box<dyn CongestionControl> {
-    match kind {
-        CcKind::Dctcp => Box::new(DctcpCc::new(params)),
-        CcKind::Eqds => Box::new(EqdsCc::new(params)),
-        CcKind::Internal => Box::new(InternalCc::new(params)),
-    }
-}
-
 /// Concrete controller dispatch.
 ///
 /// The sender stores this enum rather than a trait object so the endpoint
@@ -516,7 +507,7 @@ mod tests {
     #[test]
     fn factory_builds_all_kinds() {
         for kind in [CcKind::Dctcp, CcKind::Eqds, CcKind::Internal] {
-            let cc = build_cc(kind, params());
+            let cc = Cc::build(kind, params());
             assert!(!cc.name().is_empty());
             assert!(cc.cwnd() > 0);
         }

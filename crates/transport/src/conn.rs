@@ -7,6 +7,7 @@
 
 use std::collections::VecDeque;
 
+use baselines::kind::Lb;
 use netsim::engine::Ctx;
 use netsim::hash::FxHashMap;
 use netsim::ids::{ConnId, FlowId, HostId};
@@ -158,8 +159,8 @@ pub struct SenderConn {
     pub conn: ConnId,
     /// Peer host.
     pub dst: HostId,
-    /// Path selector.
-    pub lb: Box<dyn LoadBalancer>,
+    /// Path selector, inline.
+    pub lb: Lb,
     /// Window/credit controller.
     pub cc: Cc,
     msgs: Vec<MsgState>,
@@ -173,9 +174,6 @@ pub struct SenderConn {
     /// confirmation raced a timeout (prevents crediting a packet twice or —
     /// worse — never, when an ACK overtakes its own loss declaration).
     acked: OooTracker,
-    /// Reused per-ACK buffer of newly confirmed sequences (capacity
-    /// retained, so the per-packet ACK path stays allocation-free).
-    newly_acked: Vec<u64>,
     next_seq: u64,
     srtt: Time,
     /// Total retransmissions (instrumentation + flow records).
@@ -187,13 +185,7 @@ pub struct SenderConn {
 
 impl SenderConn {
     /// Creates a sender for `dst`.
-    pub fn new(
-        conn: ConnId,
-        dst: HostId,
-        lb: Box<dyn LoadBalancer>,
-        cc: Cc,
-        cfg: &TransportConfig,
-    ) -> SenderConn {
+    pub fn new(conn: ConnId, dst: HostId, lb: Lb, cc: Cc, cfg: &TransportConfig) -> SenderConn {
         SenderConn {
             conn,
             dst,
@@ -206,7 +198,6 @@ impl SenderConn {
             lost: FxHashMap::default(),
             retx_queue: VecDeque::new(),
             acked: OooTracker::new(),
-            newly_acked: Vec::new(),
             next_seq: 0,
             srtt: cfg.base_rtt,
             total_retx: 0,
@@ -317,7 +308,7 @@ impl SenderConn {
 
             // The freeze-state probes and the event build live behind
             // `enabled()`: with `NoTrace` the whole block (including the
-            // virtual `is_frozen` calls) folds away, keeping the untraced
+            // `is_frozen` calls) folds away, keeping the untraced
             // send path identical to the pre-trace one.
             let frozen_before = ctx.trace.enabled() && self.lb.is_frozen();
             let ev = self.lb.next_ev(ctx.now, ctx.rng);
@@ -405,10 +396,18 @@ impl SenderConn {
     /// Processes an ACK: reports every message it completes to `ctx` and
     /// returns their tags (sender-side chaining), inline unless more than
     /// three complete at once.
-    pub fn on_ack<S: TraceSink>(&mut self, ack: &Ack, ctx: &mut Ctx<'_, S>) -> SmallList<u64, 3> {
+    ///
+    /// `newly_acked` is scratch for the sequences the ACK newly confirms:
+    /// one buffer per host, passed in by the endpoint, whose retained
+    /// capacity keeps the per-packet ACK path allocation-free.
+    pub fn on_ack<S: TraceSink>(
+        &mut self,
+        ack: &Ack,
+        newly_acked: &mut Vec<u64>,
+        ctx: &mut Ctx<'_, S>,
+    ) -> SmallList<u64, 3> {
         let now = ctx.now;
         let mut completed_tags = SmallList::new();
-        let mut newly_acked = std::mem::take(&mut self.newly_acked);
         newly_acked.clear();
 
         // Record every confirmed sequence exactly once, whether it is still
@@ -429,7 +428,7 @@ impl SenderConn {
         }
 
         let mut acked_bytes = 0u64;
-        for &seq in &newly_acked {
+        for &seq in newly_acked.iter() {
             // Cancel any pending retransmission.
             self.lost.remove(&seq);
             let msg_idx = self.msg_of_seq(seq);
@@ -459,8 +458,6 @@ impl SenderConn {
                 completed_tags.push(msg.tag);
             }
         }
-
-        self.newly_acked = newly_acked;
 
         // Congestion control sees the aggregate covering information.
         self.cc

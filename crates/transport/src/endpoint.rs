@@ -12,6 +12,11 @@
 //! the RTO sweep, the delayed-ACK flush, the EQDS round-robin, the
 //! diagnostics sum — walks a table front to back and is deterministic
 //! without sorting anything.
+//!
+//! Every host of a cell shares one [`TransportConfig`] through an `Rc`,
+//! and one scratch buffer serves all of a host's senders' ACK processing.
+
+use std::rc::Rc;
 
 use netsim::engine::{Command, Ctx, Endpoint, MessageSpec};
 use netsim::hash::FxHashMap;
@@ -19,6 +24,7 @@ use netsim::ids::{ConnId, HostId};
 use netsim::packet::{Ack, Body, Packet};
 use netsim::time::Time;
 use netsim::trace::{TraceEvent, TraceSink};
+use reps::lb::LoadBalancer;
 
 use crate::cc::Cc;
 use crate::config::TransportConfig;
@@ -35,7 +41,8 @@ const TOKEN_SCHEDULE: u64 = 3;
 pub struct HostEndpoint {
     /// This host's id (fixed at construction).
     pub host: HostId,
-    cfg: TransportConfig,
+    /// The cell's transport parameters, shared by every host.
+    cfg: Rc<TransportConfig>,
     /// Link rate, for pacing credit grants.
     link_bps: u64,
     /// Total hosts (connection-id derivation).
@@ -47,6 +54,9 @@ pub struct HostEndpoint {
     /// `(peer·n + host)·2 + class` rises with `(peer, class)`, so this is
     /// also peer order.
     receivers: Vec<ReceiverConn>,
+    /// Scratch for the sequences an ACK newly confirms
+    /// ([`SenderConn::on_ack`]), shared by this host's senders.
+    newly_acked: Vec<u64>,
     /// Messages to start at fixed times, sorted by time ascending.
     schedule: Vec<(Time, MessageSpec)>,
     schedule_next: usize,
@@ -61,15 +71,22 @@ pub struct HostEndpoint {
 }
 
 impl HostEndpoint {
-    /// Creates the endpoint for `host` in a fabric of `n_hosts`.
-    pub fn new(host: HostId, n_hosts: u32, link_bps: u64, cfg: TransportConfig) -> HostEndpoint {
+    /// Creates the endpoint for `host` in a fabric of `n_hosts`. Pass an
+    /// `Rc` to share one configuration among a cell's hosts.
+    pub fn new(
+        host: HostId,
+        n_hosts: u32,
+        link_bps: u64,
+        cfg: impl Into<Rc<TransportConfig>>,
+    ) -> HostEndpoint {
         HostEndpoint {
             host,
-            cfg,
+            cfg: cfg.into(),
             link_bps,
             n_hosts,
             senders: Vec::new(),
             receivers: Vec::new(),
+            newly_acked: Vec::new(),
             schedule: Vec::new(),
             schedule_next: 0,
             on_receive: FxHashMap::default(),
@@ -333,8 +350,9 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
                 }
             }
             Body::Ack(ack) => {
-                if let Some(tx) = self.sender_for(pkt.src, pkt.conn) {
-                    let completed_tags = tx.on_ack(ack, ctx);
+                if let Ok(slot) = self.sender_slot(pkt.src, pkt.conn.0 & 1 == 1) {
+                    let tx = &mut self.senders[slot];
+                    let completed_tags = tx.on_ack(ack, &mut self.newly_acked, ctx);
                     self.fire_send_triggers(&completed_tags, ctx);
                 }
             }
@@ -388,10 +406,6 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
             }
         }
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -403,22 +417,29 @@ mod tests {
     use netsim::event::ControlEvent;
     use netsim::ids::FlowId;
     use netsim::topology::{FatTreeConfig, Topology};
+    use netsim::trace::NoTrace;
     use reps::reps::RepsConfig;
 
-    fn build_engine(lb: LbKind, seed: u64) -> Engine {
+    fn build_engine(lb: LbKind, seed: u64) -> Engine<NoTrace, HostEndpoint> {
         let sim = SimConfig::paper_default();
         let topo = Topology::build(FatTreeConfig::two_tier(16, 1), seed);
         let n = topo.n_hosts;
-        let mut engine = Engine::new(topo, sim, seed);
-        let tcfg = TransportConfig::from_sim(&engine.cfg, 4, lb);
+        let mut engine = Engine::with_trace(topo, sim, seed, NoTrace);
+        let tcfg = Rc::new(TransportConfig::from_sim(&engine.cfg, 4, lb));
         for h in 0..n {
-            let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-            engine.set_endpoint(HostId(h), Box::new(ep));
+            let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, Rc::clone(&tcfg));
+            engine.set_endpoint(HostId(h), ep);
         }
         engine
     }
 
-    fn start<S: TraceSink>(engine: &mut Engine<S>, flow: u32, src: u32, dst: u32, bytes: u64) {
+    fn start<S: TraceSink, E: Endpoint<S>>(
+        engine: &mut Engine<S, E>,
+        flow: u32,
+        src: u32,
+        dst: u32,
+        bytes: u64,
+    ) {
         engine.command(
             HostId(src),
             Command::StartMessage(MessageSpec {
@@ -455,14 +476,6 @@ mod tests {
         fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_, S>) {
             self.inner.on_command(cmd, ctx);
         }
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
-    }
-
-    fn host_endpoint<S: TraceSink>(engine: &Engine<S>, h: u32) -> &HostEndpoint {
-        let ep = engine.endpoint(HostId(h)).unwrap().as_any().unwrap();
-        ep.downcast_ref::<HostEndpoint>().unwrap()
     }
 
     /// Host 0 opens foreground and background senders to three hosts of a
@@ -487,16 +500,11 @@ mod tests {
                 crate::config::CoalesceVariant::Plain,
             ));
         for h in 0..n {
-            let inner = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-            if peers.contains(&h) {
-                let tap = Tap {
-                    inner,
-                    seen: Vec::new(),
-                };
-                engine.set_endpoint(HostId(h), Box::new(tap));
-            } else {
-                engine.set_endpoint(HostId(h), Box::new(inner));
-            }
+            let tap = Tap {
+                inner: HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone()),
+                seen: Vec::new(),
+            };
+            engine.set_endpoint(HostId(h), tap);
         }
         for (up, down) in engine
             .topo
@@ -524,7 +532,7 @@ mod tests {
         engine.run_until(engine.cfg.rto * 4);
 
         // The tables come out sorted.
-        let ep = host_endpoint(&engine, SUBJECT);
+        let ep = &engine.endpoint(HostId(SUBJECT)).unwrap().inner;
         let sender_keys: Vec<(u32, bool)> = ep
             .senders
             .iter()
@@ -559,10 +567,7 @@ mod tests {
         // What the subject sent the three peers, in send order.
         let mut seen: Vec<(u64, u32, bool)> = peers
             .iter()
-            .flat_map(|&p| {
-                let any = engine.endpoint(HostId(p)).unwrap().as_any().unwrap();
-                any.downcast_ref::<Tap>().unwrap().seen.clone()
-            })
+            .flat_map(|&p| engine.endpoint(HostId(p)).unwrap().seen.clone())
             .collect();
         seen.sort_unstable();
         let receiver_conns: Vec<u32> = ep.receivers.iter().map(|rx| rx.conn.0).collect();
@@ -596,6 +601,23 @@ mod tests {
         }
     }
 
+    /// Per-host and per-connection memory at 10k hosts is these sizes
+    /// times the host count: a sender holds its balancer inline (`Lb`,
+    /// 112 bytes) beside its congestion controller (`Cc`, 72) and 224
+    /// bytes of windows and queues; a host holds its tables, triggers and
+    /// one `Rc` to the cell's shared `TransportConfig`.
+    #[test]
+    fn connection_state_sizes_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<SenderConn>(), 408);
+        assert_eq!(size_of::<baselines::kind::Lb>(), 112);
+        assert_eq!(size_of::<Cc>(), 72);
+        assert_eq!(size_of::<ReceiverConn>(), 144);
+        assert_eq!(size_of::<HostEndpoint>(), 208);
+        // Stored by value in the engine: no bigger as an endpoint slot.
+        assert_eq!(size_of::<Option<HostEndpoint>>(), size_of::<HostEndpoint>());
+    }
+
     #[test]
     fn connection_tables_start_at_their_length_and_double() {
         let mut engine = build_engine(LbKind::Ecmp, 13);
@@ -605,7 +627,7 @@ mod tests {
             start(&mut engine, 2 * i as u32 + 1, peer, 0, 1);
             engine.stats.expected_flows += 2;
             assert!(engine.run_to_completion(Time::from_ms(1)));
-            let ep = host_endpoint(&engine, 0);
+            let ep = engine.endpoint(HostId(0)).unwrap();
             assert_eq!((ep.senders.len(), ep.receivers.len()), (i + 1, i + 1));
             senders.push(ep.senders.capacity());
             receivers.push(ep.receivers.capacity());
@@ -739,7 +761,7 @@ mod tests {
         let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Reps(RepsConfig::default()));
         for h in 0..n {
             let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-            engine.set_endpoint(HostId(h), Box::new(ep));
+            engine.set_endpoint(HostId(h), ep);
         }
         engine.stats.expected_flows = 1;
         let pairs = engine.topo.tor_uplink_pairs(netsim::ids::SwitchId(0));
@@ -767,7 +789,6 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].at() <= w[1].at()));
         // And the decision counters agree with the recorded choices.
         let ep = engine.endpoint(HostId(0)).unwrap();
-        let ep = ep.as_any().unwrap().downcast_ref::<HostEndpoint>().unwrap();
         let mut diag = Vec::new();
         ep.lb_diagnostics(&mut diag);
         let recycled = diag

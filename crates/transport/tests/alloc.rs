@@ -13,6 +13,10 @@
 //! is ~0.4% of the packet count, where the per-ACK `Vec`s alone used to
 //! cost ~200%.
 //!
+//! Connections themselves allocate a fixed number of blocks each when
+//! they open, pinned below; the ACK scratch is one buffer per host, shared
+//! by its senders.
+//!
 //! This file intentionally contains a single test: the counter is
 //! process-global, and a sibling test running on another thread would add
 //! its own allocations to the measurement.
@@ -29,17 +33,25 @@ use transport::endpoint::HostEndpoint;
 #[global_allocator]
 static COUNTER: tinybench::alloc::Counting = tinybench::alloc::Counting;
 
-/// One round of cross-rack messages: host `i` sends `bytes` to host
-/// `16 + i` (32-host two-tier fabric, 8 concurrent flows), run to
-/// completion.
-fn round(engine: &mut Engine, tag: u64, bytes: u64, deadline: Time) {
+/// One round of 8 concurrent cross-rack messages of `bytes` each, on a
+/// 32-host two-tier fabric: the `i`-th goes from `pair(i).0` to
+/// `pair(i).1`. Runs to completion and returns the allocations it made.
+fn round(
+    engine: &mut Engine,
+    tag: u64,
+    pair: impl Fn(u32) -> (u32, u32),
+    bytes: u64,
+    deadline: Time,
+) -> u64 {
+    let before = tinybench::alloc::allocs();
     engine.stats.expected_flows += 8;
     for i in 0..8u32 {
+        let (src, dst) = pair(i);
         engine.command(
-            HostId(i),
+            HostId(src),
             Command::StartMessage(MessageSpec {
                 flow: FlowId(tag as u32 * 8 + i),
-                dst: HostId(16 + i),
+                dst: HostId(dst),
                 bytes,
                 tag: tag * 8 + i as u64,
             }),
@@ -49,6 +61,7 @@ fn round(engine: &mut Engine, tag: u64, bytes: u64, deadline: Time) {
         engine.run_to_completion(deadline),
         "round {tag} did not complete"
     );
+    tinybench::alloc::allocs() - before
 }
 
 #[test]
@@ -62,16 +75,16 @@ fn transport_ack_path_is_allocation_free_after_warmup() {
         let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
         engine.set_endpoint(HostId(h), Box::new(ep));
     }
+    // Completion records are the engine's, not the transport's.
+    engine.stats.flows.reserve(64);
 
     // Warm-up: grow every buffer (arena, calendar, connection tables, OOO
     // trackers, pending-ACK buffers, sweep scratch) to its high-water
     // mark with a round strictly larger than the measured one.
-    round(&mut engine, 0, 4 << 20, Time::from_ms(10));
+    round(&mut engine, 0, |i| (i, 16 + i), 4 << 20, Time::from_ms(10));
 
     let before_events = engine.events_processed;
-    let before = tinybench::alloc::allocs();
-    round(&mut engine, 1, 1 << 20, Time::from_ms(20));
-    let during = tinybench::alloc::allocs() - before;
+    let during = round(&mut engine, 1, |i| (i, 16 + i), 1 << 20, Time::from_ms(20));
     let events = engine.events_processed - before_events;
 
     // 8 flows × 1 MiB at 4 KiB MTU = 2048 data packets, each ACKed
@@ -84,5 +97,28 @@ fn transport_ack_path_is_allocation_free_after_warmup() {
         during <= 64,
         "transport path allocated {during} times over {events} events \
          (per-packet allocation has crept back in)"
+    );
+
+    // Opening a connection. Turn the traffic around (host 16+i opens its
+    // first sender, host i its first receiver), long enough to warm every
+    // link queue on those paths; then open one more connection from each
+    // of those senders with a one-packet message. Each allocates 9 blocks:
+    // the sender's slot in its host's table, its message list, in-flight
+    // window and ACK bitmap; the receiver's slot, message counts, receive
+    // bitmap and pending SACK and echo buffers. The scratch for newly
+    // ACKed sequences is the host's, allocated with its first sender's
+    // first ACK, and the balancer is inline in the sender.
+    const PER_CONNECTION: u64 = 9;
+    round(&mut engine, 2, |i| (16 + i, i), 1 << 20, Time::from_ms(30));
+    assert_eq!(
+        round(
+            &mut engine,
+            3,
+            |i| (16 + i, (i + 1) % 8),
+            1,
+            Time::from_ms(40)
+        ),
+        8 * PER_CONNECTION,
+        "allocations opening 8 connections"
     );
 }
