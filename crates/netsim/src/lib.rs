@@ -56,6 +56,7 @@ pub mod engine;
 pub mod event;
 pub mod failures;
 pub mod fluid;
+pub mod grammar;
 pub mod hash;
 pub mod ids;
 pub mod link;

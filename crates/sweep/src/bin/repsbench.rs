@@ -266,12 +266,14 @@
 use std::io::Write;
 use std::process::ExitCode;
 
+use baselines::kind::LbKind;
 use harness::Scale;
+use sweep::fidelity::FidelitySpec;
 use sweep::matrix::Cell;
 use sweep::{
     events_per_sec, explain_doc, glob, merge_files, presets, render_aggregates,
-    run_cells_instrumented, specfile, CellCache, Progress, RunSinks, ScenarioMatrix, SeriesSink,
-    Shard, TraceStore,
+    run_cells_instrumented, specfile, CellCache, FaultSpec, Progress, RunSinks, ScenarioMatrix,
+    SeriesSink, Shard, TraceStore,
 };
 
 #[derive(Debug)]
@@ -330,64 +332,23 @@ fn matrix_pool(
     Ok(pool)
 }
 
-/// Canonicalizes a `--lb` filter: a pattern that parses as an LB spec is
-/// replaced by its canonical rendering, so `--lb 'REPS{freeze=off}'` and
-/// `--lb REPS-nofreeze` select the same cells; glob patterns (`*`/`?`
-/// metacharacters, e.g. `REPS*`) are matched as written against the
-/// canonical labels. A glob-free pattern with `{...}` parameters or an
-/// `@` freeze instant can only be a spec (no canonical label contains
-/// those characters otherwise), so its parse error is surfaced instead of
-/// silently becoming a never-matching glob.
-fn canonical_lb_filter(pattern: &str) -> Result<String, String> {
-    match baselines::kind::LbKind::parse(pattern) {
-        Ok(kind) => Ok(kind.spec()),
-        Err(e) => {
-            let globby = pattern.contains('*') || pattern.contains('?');
-            if !globby && (pattern.contains('{') || pattern.contains('@')) {
-                Err(format!("--lb: {e}"))
-            } else {
-                Ok(pattern.to_string())
-            }
+/// Canonicalizes a `--lb`, `--fault` or `--fidelity` filter: a pattern
+/// that parses as a spec of that axis becomes its canonical label, so any
+/// spelling selects the same cells; a glob (`*`, `?`) is matched as
+/// written. A glob-free pattern with `{` or `@` can only be a spec, so its
+/// parse error surfaces instead of becoming a never-matching glob.
+fn canonical_filter<T>(
+    flag: &str,
+    pattern: &str,
+    parse: fn(&str) -> Result<T, String>,
+    render: fn(&T) -> String,
+) -> Result<String, String> {
+    match parse(pattern) {
+        Ok(spec) => Ok(render(&spec)),
+        Err(e) if !pattern.contains(['*', '?']) && pattern.contains(['{', '@']) => {
+            Err(format!("{flag}: {e}"))
         }
-    }
-}
-
-/// Canonicalizes a `--fidelity` filter: any spelling of a fidelity
-/// (`hybrid{bg=fluid}`) is replaced by its canonical label (`hybrid`),
-/// matching the `fi=` key component cells actually carry; glob patterns
-/// pass through. A glob-free braced pattern can only be a spec, so its
-/// parse error surfaces instead of silently matching nothing.
-fn canonical_fidelity_filter(pattern: &str) -> Result<String, String> {
-    match sweep::fidelity::FidelitySpec::parse(pattern) {
-        Ok(spec) => Ok(spec.label().to_string()),
-        Err(e) => {
-            let globby = pattern.contains('*') || pattern.contains('?');
-            if !globby && pattern.contains('{') {
-                Err(format!("--fidelity: {e}"))
-            } else {
-                Ok(pattern.to_string())
-            }
-        }
-    }
-}
-
-/// Canonicalizes a `--fault` filter the same way: any spelling of a fault
-/// configuration (`gray{p=0.01}`, `flap{period=10ms}`) is replaced by its
-/// canonical label (`gray`, `flap{period=10000us}`), so it matches the
-/// `ft=` key component cells actually carry; glob patterns pass through.
-/// As with `--lb`, a glob-free braced pattern can only be a spec, so its
-/// parse error surfaces instead of silently matching nothing.
-fn canonical_fault_filter(pattern: &str) -> Result<String, String> {
-    match sweep::FaultSpec::parse(pattern) {
-        Ok(spec) => Ok(spec.label()),
-        Err(e) => {
-            let globby = pattern.contains('*') || pattern.contains('?');
-            if !globby && pattern.contains('{') {
-                Err(format!("--fault: {e}"))
-            } else {
-                Ok(pattern.to_string())
-            }
-        }
+        Err(_) => Ok(pattern.to_string()),
     }
 }
 
@@ -505,10 +466,17 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
         };
         match a.as_str() {
             "--filter" => opts.filter = value("--filter")?.clone(),
-            "--lb" => opts.lb_filter = Some(canonical_lb_filter(value("--lb")?)?),
-            "--fault" => opts.fault_filter = Some(canonical_fault_filter(value("--fault")?)?),
+            "--lb" => {
+                opts.lb_filter = Some(canonical_filter(a, value(a)?, LbKind::parse, LbKind::spec)?)
+            }
+            "--fault" => {
+                let f = canonical_filter(a, value(a)?, FaultSpec::parse, FaultSpec::label)?;
+                opts.fault_filter = Some(f)
+            }
             "--fidelity" => {
-                opts.fidelity_filter = Some(canonical_fidelity_filter(value("--fidelity")?)?)
+                let label = |f: &FidelitySpec| f.label().to_string();
+                let f = canonical_filter(a, value(a)?, FidelitySpec::parse, label)?;
+                opts.fidelity_filter = Some(f)
             }
             "--threads" => {
                 opts.threads = value("--threads")?
@@ -652,32 +620,24 @@ fn run(opts: &RunOpts) -> ExitCode {
     if matched == 0 {
         return fail(&format!("no preset matches filter {:?}", opts.filter));
     }
-    if let Some(lb) = &opts.lb_filter {
-        // Cell-level filter over canonical LB-spec labels; glob syntax, so
-        // `--lb 'REPS*'` keeps the whole REPS family and `--lb OPS{evs=64}`
-        // (any spelling — the pattern was canonicalized at parse time)
-        // keeps one configuration.
-        cells.retain(|c| glob::matches(lb, &c.lb.label));
+    // Cell-level filters over canonical labels, in glob syntax: `--lb
+    // 'REPS*'` keeps the whole REPS family, `--lb OPS{evs=64}` (any
+    // spelling: patterns are canonicalized at parse time) one
+    // configuration. Default cells carry the labels `none` and `pkt`, so
+    // `--fault none` keeps exactly the cells whose keys lack an `ft=`.
+    type Label = fn(&Cell) -> String;
+    let label_filters: [(&str, &Option<String>, Label); 3] = [
+        ("lb", &opts.lb_filter, |c| c.lb.label.clone()),
+        ("fault", &opts.fault_filter, |c| c.fault.label()),
+        ("fidelity", &opts.fidelity_filter, |c| {
+            c.fidelity.label().into()
+        }),
+    ];
+    for (axis, filter, label) in label_filters {
+        let Some(pattern) = filter else { continue };
+        cells.retain(|c| glob::matches(pattern, &label(c)));
         if cells.is_empty() {
-            return fail(&format!("no cell matches lb filter {lb:?}"));
-        }
-    }
-    if let Some(ft) = &opts.fault_filter {
-        // Same cell-level filter over canonical fault labels; default
-        // (healthy) cells carry the label `none`, so `--fault none`
-        // selects exactly the cells whose keys lack an `ft=` component.
-        cells.retain(|c| glob::matches(ft, &c.fault.label()));
-        if cells.is_empty() {
-            return fail(&format!("no cell matches fault filter {ft:?}"));
-        }
-    }
-    if let Some(fi) = &opts.fidelity_filter {
-        // Same again for the fidelity axis; default cells carry the
-        // label `pkt`, so `--fidelity pkt` selects exactly the cells
-        // whose keys lack a `fi=` component.
-        cells.retain(|c| glob::matches(fi, c.fidelity.label()));
-        if cells.is_empty() {
-            return fail(&format!("no cell matches fidelity filter {fi:?}"));
+            return fail(&format!("no cell matches {axis} filter {pattern:?}"));
         }
     }
     let total = cells.len();
@@ -1064,7 +1024,8 @@ mod tests {
 
     #[test]
     fn lb_filters_canonicalize_any_spec_spelling() {
-        let ok = |p: &str| canonical_lb_filter(p).expect(p);
+        let lb = |p: &str| canonical_filter("--lb", p, LbKind::parse, LbKind::spec);
+        let ok = |p: &str| lb(p).expect(p);
         // Any spelling of a configuration selects its canonical label.
         assert_eq!(ok("REPS{freeze=off}"), "REPS-nofreeze");
         assert_eq!(ok("OPS{evs=65536}"), "OPS");
@@ -1074,18 +1035,19 @@ mod tests {
         assert_eq!(ok("*{evs=64}"), "*{evs=64}");
         // A glob-free braced pattern is a spec; its parse error surfaces
         // rather than degrading to a never-matching glob.
-        let err = canonical_lb_filter("OPS{evs=0}").expect_err("malformed spec");
+        let err = lb("OPS{evs=0}").expect_err("malformed spec");
         assert!(err.contains("out of range"), "{err}");
-        let err = canonical_lb_filter("OPS{evs=abc}").expect_err("malformed spec");
+        let err = lb("OPS{evs=abc}").expect_err("malformed spec");
         assert!(err.contains("bad evs"), "{err}");
-        let err = canonical_lb_filter("REPS+freeze@50").expect_err("missing unit suffix");
+        let err = lb("REPS+freeze@50").expect_err("missing unit suffix");
         assert!(err.contains("bad duration"), "{err}");
         assert!(parse_run(&sv(&["--lb", "OPS{evs=0}"])).is_err());
     }
 
     #[test]
     fn fault_filters_canonicalize_any_spec_spelling() {
-        let ok = |p: &str| canonical_fault_filter(p).expect(p);
+        let fault = |p: &str| canonical_filter("--fault", p, FaultSpec::parse, FaultSpec::label);
+        let ok = |p: &str| fault(p).expect(p);
         // Any spelling of a configuration selects its canonical label —
         // the exact string cells carry in their `ft=` key component.
         assert_eq!(ok("gray{p=0.01}"), "gray");
@@ -1097,9 +1059,9 @@ mod tests {
         assert_eq!(ok("*{n=2}"), "*{n=2}");
         // A glob-free braced pattern is a spec; its parse error surfaces
         // rather than degrading to a never-matching glob.
-        let err = canonical_fault_filter("gray{p=2}").expect_err("p out of range");
+        let err = fault("gray{p=2}").expect_err("p out of range");
         assert!(err.contains("out of range"), "{err}");
-        let err = canonical_fault_filter("gray{q=1}").expect_err("unknown key");
+        let err = fault("gray{q=1}").expect_err("unknown key");
         assert!(err.contains("unknown"), "{err}");
         assert!(parse_run(&sv(&["--fault", "gray{p=2}"])).is_err());
         assert!(parse_run(&sv(&["--fault"])).is_err());
@@ -1107,7 +1069,12 @@ mod tests {
 
     #[test]
     fn fidelity_filters_canonicalize_any_spec_spelling() {
-        let ok = |p: &str| canonical_fidelity_filter(p).expect(p);
+        let fidelity = |p: &str| {
+            canonical_filter("--fidelity", p, FidelitySpec::parse, |f| {
+                f.label().to_string()
+            })
+        };
+        let ok = |p: &str| fidelity(p).expect(p);
         // Any spelling of a configuration selects its canonical label —
         // the exact string cells carry in their `fi=` key component.
         assert_eq!(ok("hybrid{bg=fluid}"), "hybrid");
@@ -1117,7 +1084,7 @@ mod tests {
         assert_eq!(ok("hyb*"), "hyb*");
         // A glob-free braced pattern is a spec; its parse error surfaces
         // rather than degrading to a never-matching glob.
-        let err = canonical_fidelity_filter("hybrid{bg=packet}").expect_err("bad bg model");
+        let err = fidelity("hybrid{bg=packet}").expect_err("bad bg model");
         assert!(err.contains("unknown background model"), "{err}");
         assert!(parse_run(&sv(&["--fidelity", "hybrid{bg=packet}"])).is_err());
         assert!(parse_run(&sv(&["--fidelity"])).is_err());

@@ -1,11 +1,8 @@
-//! The adversarial-fault axis: a typed grammar for gray failures,
-//! payload corruption, link flapping and unidirectional blackholes.
-//!
-//! [`FaultSpec`] is to the `fault=` grid axis what
-//! [`LbKind::parse`](baselines::kind::LbKind) is to the `lb =` axis: a
-//! parse/render pair with one canonical string per configuration, so any
-//! spelling of the same fault shares one cell key, one derived seed and
-//! one cache address. The grammar:
+//! The adversarial-fault axis: gray failures, payload corruption, link
+//! flapping and unidirectional blackholes, as a family table in the shared
+//! [`netsim::grammar`] syntax. Like the `lb =` axis, any spelling of one
+//! fault has one canonical label, so it shares one cell key, one derived
+//! seed and one cache address.
 //!
 //! ```text
 //! none                                   healthy fabric (the default)
@@ -18,13 +15,14 @@
 //! unidir{n=1,at=10us,for=200us}          one direction of n cables
 //! ```
 //!
-//! Probabilities and duty cycles are stored as integer parts-per-million
-//! and rendered as plain decimals (`0.01` == 10 000 ppm), so
-//! `parse(render(spec)) == spec` is exact — no float formatting reaches a
-//! cell key. Durations use [`Time::label`]/[`Time::parse_label`]
-//! (`10ms` is accepted as input and canonicalizes to `10000us`).
-//! Canonical rendering omits parameters at their defaults; a bare family
-//! name means "all defaults".
+//! | family             | parameters (defaults in parentheses)                          |
+//! |--------------------|---------------------------------------------------------------|
+//! | `none`             | —                                                             |
+//! | `gray`, `corrupt`  | `p` (0.01, not 0), `at` (`10us`), `for` (permanent), `n` (1)  |
+//! | `flap`             | `period` (`100us`, not 0), `duty` (0.5), `at` (`10us`), `n` (1) |
+//! | `unidir`           | `n` (1), `at` (`10us`), `for` (permanent)                     |
+//!
+//! `p` and `duty` are probabilities, `n` a cable count, the rest durations.
 //!
 //! [`FaultSpec::build`] materializes the plan against the cell's fabric
 //! with a cell-derived [`Rng64`] choosing the affected cables, so a cell
@@ -34,6 +32,7 @@
 //! `O(horizon / period)`, never unbounded.
 
 use netsim::failures::{Failure, FailurePlan};
+use netsim::grammar::{Ppm, Render, Spec, PPM};
 use netsim::ids::LinkId;
 use netsim::rng::Rng64;
 use netsim::time::Time;
@@ -49,8 +48,6 @@ const DEFAULT_PERIOD: Time = Time::from_us(100);
 const DEFAULT_DUTY_PPM: u32 = 500_000;
 /// Default number of affected cables.
 const DEFAULT_N: u32 = 1;
-/// One whole, in parts-per-million.
-const PPM: u32 = 1_000_000;
 
 /// A fault-plan description, materialized per cell against the topology.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -107,89 +104,6 @@ pub enum FaultSpec {
     },
 }
 
-/// Renders a ppm probability as its shortest exact decimal: `0`, `1`, or
-/// `0.` + up to six digits with trailing zeros stripped.
-fn render_ppm(ppm: u32) -> String {
-    match ppm {
-        0 => "0".to_string(),
-        PPM => "1".to_string(),
-        _ => {
-            let frac = format!("{ppm:06}");
-            format!("0.{}", frac.trim_end_matches('0'))
-        }
-    }
-}
-
-/// Parses a decimal probability in `[0, 1]` to parts-per-million; exact
-/// inverse of [`render_ppm`] on canonical strings.
-fn parse_ppm(s: &str) -> Result<u32, String> {
-    let (int, frac) = match s.split_once('.') {
-        None => (s, ""),
-        Some((i, f)) => (i, f),
-    };
-    let digits = |v: &str| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit());
-    if !digits(int) || (!frac.is_empty() && !digits(frac)) {
-        return Err(format!(
-            "bad probability {s:?} (expected a decimal in [0,1], e.g. 0.01)"
-        ));
-    }
-    if frac.len() > 6 {
-        return Err(format!(
-            "probability {s:?} is finer than ppm (at most 6 decimal digits)"
-        ));
-    }
-    let int: u32 = int
-        .parse()
-        .map_err(|_| format!("bad probability {s:?} (integer part overflows)"))?;
-    let mut padded = frac.to_string();
-    while padded.len() < 6 {
-        padded.push('0');
-    }
-    let frac_ppm: u32 = padded.parse().expect("six ascii digits");
-    let ppm = int
-        .checked_mul(PPM)
-        .and_then(|v| v.checked_add(frac_ppm))
-        .filter(|&v| v <= PPM)
-        .ok_or_else(|| format!("probability {s:?} out of range (must be <= 1)"))?;
-    Ok(ppm)
-}
-
-/// A spec's `key=value` parameters, in written order.
-type Params<'a> = Vec<(&'a str, &'a str)>;
-
-/// Splits `family{k=v,...}` into the family name and its parameters, in
-/// order — the front half of both the `fault=` and the `fidelity=`
-/// grammar. A bare `family` and `family{}` mean "all defaults"; an empty
-/// entry or a repeated key is rejected like the LB grammar does, because
-/// "last one wins" would let two spellings of one line share a cell key
-/// by accident.
-pub(crate) fn split_spec(s: &str) -> Result<(&str, Params<'_>), String> {
-    let Some(open) = s.find('{') else {
-        return Ok((s, Params::new()));
-    };
-    let inner = s[open + 1..]
-        .strip_suffix('}')
-        .ok_or("missing closing brace")?;
-    let mut params = Params::new();
-    if !inner.trim().is_empty() {
-        for kv in inner.split(',') {
-            let kv = kv.trim();
-            if kv.is_empty() {
-                return Err("empty parameter (trailing or doubled comma?)".to_string());
-            }
-            let (k, v) = kv
-                .split_once('=')
-                .ok_or_else(|| format!("parameter {kv:?} is not key=value"))?;
-            let (k, v) = (k.trim(), v.trim());
-            if params.iter().any(|(seen, _)| *seen == k) {
-                return Err(format!("duplicate parameter {k:?}"));
-            }
-            params.push((k, v));
-        }
-    }
-    Ok((&s[..open], params))
-}
-
 impl FaultSpec {
     /// Whether this is the default (no fault): the only value that keeps
     /// the `/ft=` component out of a cell key.
@@ -213,171 +127,76 @@ impl FaultSpec {
     /// their defaults omitted, the exact inverse of [`FaultSpec::parse`].
     /// Feeds the cell key (as `/ft=<label>`, only when not `none`).
     pub fn label(&self) -> String {
-        let mut params: Vec<String> = Vec::new();
-        let family = match self {
-            FaultSpec::None => return "none".to_string(),
+        let render = match self {
+            FaultSpec::None => Render::new("none"),
             FaultSpec::Gray { p_ppm, at, heal, n } | FaultSpec::Corrupt { p_ppm, at, heal, n } => {
-                if *p_ppm != DEFAULT_P_PPM {
-                    params.push(format!("p={}", render_ppm(*p_ppm)));
-                }
-                if *at != DEFAULT_AT {
-                    params.push(format!("at={}", at.label()));
-                }
-                if let Some(h) = heal {
-                    params.push(format!("for={}", h.label()));
-                }
-                if *n != DEFAULT_N {
-                    params.push(format!("n={n}"));
-                }
-                if matches!(self, FaultSpec::Gray { .. }) {
-                    "gray"
-                } else {
-                    "corrupt"
-                }
+                let gray = matches!(self, FaultSpec::Gray { .. });
+                Render::new(if gray { "gray" } else { "corrupt" })
+                    .param("p", Ppm(*p_ppm), Ppm(DEFAULT_P_PPM))
+                    .time("at", *at, DEFAULT_AT)
+                    .opt_time("for", *heal)
+                    .param("n", *n, DEFAULT_N)
             }
             FaultSpec::Flap {
                 period,
                 duty_ppm,
                 at,
                 n,
-            } => {
-                if *period != DEFAULT_PERIOD {
-                    params.push(format!("period={}", period.label()));
-                }
-                if *duty_ppm != DEFAULT_DUTY_PPM {
-                    params.push(format!("duty={}", render_ppm(*duty_ppm)));
-                }
-                if *at != DEFAULT_AT {
-                    params.push(format!("at={}", at.label()));
-                }
-                if *n != DEFAULT_N {
-                    params.push(format!("n={n}"));
-                }
-                "flap"
-            }
-            FaultSpec::Unidir { n, at, heal } => {
-                if *n != DEFAULT_N {
-                    params.push(format!("n={n}"));
-                }
-                if *at != DEFAULT_AT {
-                    params.push(format!("at={}", at.label()));
-                }
-                if let Some(h) = heal {
-                    params.push(format!("for={}", h.label()));
-                }
-                "unidir"
-            }
+            } => Render::new("flap")
+                .time("period", *period, DEFAULT_PERIOD)
+                .param("duty", Ppm(*duty_ppm), Ppm(DEFAULT_DUTY_PPM))
+                .time("at", *at, DEFAULT_AT)
+                .param("n", *n, DEFAULT_N),
+            FaultSpec::Unidir { n, at, heal } => Render::new("unidir")
+                .param("n", *n, DEFAULT_N)
+                .time("at", *at, DEFAULT_AT)
+                .opt_time("for", *heal),
         };
-        if params.is_empty() {
-            family.to_string()
-        } else {
-            format!("{family}{{{}}}", params.join(","))
-        }
+        render.finish()
     }
 
-    /// Parses any spelling of a fault spec — `gray`, `gray{p=0.01}`,
-    /// `flap{period=10ms,duty=0.5}` — into its typed form. Unknown
-    /// families, unknown keys, malformed values and out-of-range
-    /// parameters are reported, never panicked: the input is user text
-    /// (a spec file line or a `--fault` flag).
+    /// Parses any spelling of a fault spec into its typed form. The input
+    /// is user text (a spec file line or a `--fault` flag), so every
+    /// problem is an error naming it, never a panic.
     pub fn parse(s: &str) -> Result<FaultSpec, String> {
-        let s = s.trim();
-        let ctx = |e: String| format!("fault spec {s:?}: {e}");
-        let (family, params) = split_spec(s).map_err(ctx)?;
-        let time = |v: &str| Time::parse_label(v).map_err(ctx);
-        let count = |v: &str| -> Result<u32, String> {
-            let n: u32 = v
-                .parse()
-                .map_err(|e| ctx(format!("bad count {v:?}: {e}")))?;
-            if n == 0 {
-                return Err(ctx(format!("count {v:?} must be at least 1")));
-            }
-            Ok(n)
-        };
-        match family {
-            "none" => {
-                if !params.is_empty() {
-                    return Err(ctx("none takes no parameters".to_string()));
+        let cables = |spec: &mut Spec<'_>| spec.count("n", DEFAULT_N, u32::MAX.into());
+        let mut spec = Spec::parse("fault", s)?;
+        let fault = match spec.family {
+            "none" => FaultSpec::None,
+            family @ ("gray" | "corrupt") => {
+                let Ppm(p_ppm) = spec.ppm("p", Ppm(DEFAULT_P_PPM))?;
+                if p_ppm == 0 {
+                    return Err(spec.err("p 0 is the healthy fabric — use fault=none"));
                 }
-                Ok(FaultSpec::None)
-            }
-            "gray" | "corrupt" => {
-                let (mut p_ppm, mut at, mut heal, mut n) =
-                    (DEFAULT_P_PPM, DEFAULT_AT, None, DEFAULT_N);
-                for (k, v) in params {
-                    match k {
-                        "p" => {
-                            p_ppm = parse_ppm(v).map_err(ctx)?;
-                            if p_ppm == 0 {
-                                return Err(ctx(
-                                    "p 0 is the healthy fabric — use fault=none".to_string()
-                                ));
-                            }
-                        }
-                        "at" => at = time(v)?,
-                        "for" => heal = Some(time(v)?),
-                        "n" => n = count(v)?,
-                        other => {
-                            return Err(ctx(format!(
-                                "unknown {family} parameter {other:?} (p, at, for, n)"
-                            )))
-                        }
-                    }
-                }
-                Ok(if family == "gray" {
+                let (at, heal) = (spec.time("at", DEFAULT_AT)?, spec.opt_time("for")?);
+                let n = cables(&mut spec)?;
+                if family == "gray" {
                     FaultSpec::Gray { p_ppm, at, heal, n }
                 } else {
                     FaultSpec::Corrupt { p_ppm, at, heal, n }
-                })
+                }
             }
             "flap" => {
-                let (mut period, mut duty_ppm, mut at, mut n) =
-                    (DEFAULT_PERIOD, DEFAULT_DUTY_PPM, DEFAULT_AT, DEFAULT_N);
-                for (k, v) in params {
-                    match k {
-                        "period" => {
-                            period = time(v)?;
-                            if period == Time::ZERO {
-                                return Err(ctx("period must be positive".to_string()));
-                            }
-                        }
-                        "duty" => duty_ppm = parse_ppm(v).map_err(ctx)?,
-                        "at" => at = time(v)?,
-                        "n" => n = count(v)?,
-                        other => {
-                            return Err(ctx(format!(
-                                "unknown flap parameter {other:?} (period, duty, at, n)"
-                            )))
-                        }
-                    }
+                let period = spec.time("period", DEFAULT_PERIOD)?;
+                if period == Time::ZERO {
+                    return Err(spec.err("period must be positive"));
                 }
-                Ok(FaultSpec::Flap {
+                FaultSpec::Flap {
                     period,
-                    duty_ppm,
-                    at,
-                    n,
-                })
-            }
-            "unidir" => {
-                let (mut n, mut at, mut heal) = (DEFAULT_N, DEFAULT_AT, None);
-                for (k, v) in params {
-                    match k {
-                        "n" => n = count(v)?,
-                        "at" => at = time(v)?,
-                        "for" => heal = Some(time(v)?),
-                        other => {
-                            return Err(ctx(format!(
-                                "unknown unidir parameter {other:?} (n, at, for)"
-                            )))
-                        }
-                    }
+                    duty_ppm: spec.ppm("duty", Ppm(DEFAULT_DUTY_PPM))?.0,
+                    at: spec.time("at", DEFAULT_AT)?,
+                    n: cables(&mut spec)?,
                 }
-                Ok(FaultSpec::Unidir { n, at, heal })
             }
-            other => Err(format!(
-                "unknown fault family {other:?} (none, gray, corrupt, flap, unidir)"
-            )),
-        }
+            "unidir" => FaultSpec::Unidir {
+                n: cables(&mut spec)?,
+                at: spec.time("at", DEFAULT_AT)?,
+                heal: spec.opt_time("for")?,
+            },
+            _ => return Err(spec.unknown_family("none, gray, corrupt, flap or unidir")),
+        };
+        spec.finish()?;
+        Ok(fault)
     }
 
     /// Materializes the plan against `fabric`. The affected cables are a
@@ -481,34 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn ppm_rendering_is_shortest_exact_decimal() {
-        assert_eq!(render_ppm(0), "0");
-        assert_eq!(render_ppm(PPM), "1");
-        assert_eq!(render_ppm(10_000), "0.01");
-        assert_eq!(render_ppm(500_000), "0.5");
-        assert_eq!(render_ppm(1), "0.000001");
-        assert_eq!(render_ppm(123_450), "0.12345");
-        for ppm in [0, 1, 10_000, 123_456, 500_000, 999_999, PPM] {
-            assert_eq!(parse_ppm(&render_ppm(ppm)), Ok(ppm), "ppm {ppm}");
-        }
-    }
-
-    #[test]
-    fn ppm_parsing_rejects_junk() {
-        assert!(parse_ppm("").is_err());
-        assert!(parse_ppm(".").is_err());
-        assert!(parse_ppm("0.0000001").is_err(), "finer than ppm");
-        assert!(parse_ppm("1.1").is_err(), "above 1");
-        assert!(parse_ppm("2").is_err());
-        assert!(parse_ppm("-0.1").is_err());
-        assert!(parse_ppm("0.1e3").is_err());
-        // Non-canonical but exact spellings normalize.
-        assert_eq!(parse_ppm("0.010"), Ok(10_000));
-        assert_eq!(parse_ppm("1.0"), Ok(PPM));
-        assert_eq!(parse_ppm("0.000000"), Ok(0));
-    }
-
-    #[test]
     fn canonical_labels_omit_defaults() {
         assert_eq!(roundtrip("none"), "none");
         assert_eq!(roundtrip("gray"), "gray");
@@ -536,19 +327,13 @@ mod tests {
     fn parse_errors_name_the_problem() {
         let err = |s: &str| FaultSpec::parse(s).unwrap_err();
         assert!(err("blackhole").contains("unknown fault family"));
-        assert!(err("gray{q=1}").contains("unknown gray parameter"));
+        assert!(err("gray{q=1}").contains("unknown parameter \"q\" (accepted: p, at, for, n)"));
         assert!(err("gray{p=2}").contains("out of range"));
         assert!(err("gray{p=0}").contains("use fault=none"));
-        assert!(err("gray{p=0.01").contains("missing closing brace"));
-        assert!(err("gray{p}").contains("not key=value"));
         assert!(err("flap{period=0us}").contains("period must be positive"));
         assert!(err("flap{duty=1.5}").contains("out of range"));
-        assert!(err("unidir{n=0}").contains("at least 1"));
+        assert!(err("unidir{n=0}").contains("n 0 out of range"));
         assert!(err("none{p=0.1}").contains("no parameters"));
-        assert!(err("gray{p=0.5,p=0.02}").contains("duplicate parameter \"p\""));
-        assert!(err("gray{p=0.02,,}").contains("empty parameter"));
-        assert!(err("flap{period=20us,}").contains("empty parameter"));
-        assert_eq!(FaultSpec::parse("gray{}"), FaultSpec::parse("gray"));
     }
 
     #[test]

@@ -1,24 +1,20 @@
 //! The fidelity axis: packet-accurate everything, or packet-accurate
-//! foreground over a fluid background.
+//! foreground over a fluid background — a family table in the shared
+//! [`netsim::grammar`] syntax, with one canonical label per configuration.
 //!
-//! [`FidelitySpec`] is to the `fidelity=` grid axis what
-//! [`FaultSpec`](crate::fault::FaultSpec) is to `fault=`: a parse/render
-//! pair with one canonical string per configuration, so every spelling of
-//! the same fidelity shares one cell key, one derived seed and one cache
-//! address. The grammar:
+//! | family   | parameters (defaults in parentheses)                  |
+//! |----------|-------------------------------------------------------|
+//! | `pkt`    | — (the default)                                       |
+//! | `hybrid` | `bg` (`fluid`, the only background model)             |
 //!
-//! ```text
-//! pkt                 everything packet-level (the default)
-//! hybrid              fluid background, packet foreground
-//! hybrid{bg=fluid}    same — `fluid` is the only (and default) bg model
-//! ```
-//!
-//! `pkt` is the default and is the only value that keeps the `/fi=`
-//! component out of a cell key, so every pre-axis key, derived seed,
-//! shard assignment and cache address is unchanged. `hybrid` swaps the
-//! cell's *background* workload from per-packet transport to the
-//! [`netsim::fluid`] analytic max-min model; the foreground — what the
-//! paper measures — stays packet-accurate either way.
+//! `pkt` is the only value that keeps the `/fi=` component out of a cell
+//! key, so every pre-axis key, derived seed, shard assignment and cache
+//! address is unchanged. `hybrid` swaps the cell's *background* workload
+//! from per-packet transport to the [`netsim::fluid`] analytic max-min
+//! model; the foreground — what the paper measures — stays
+//! packet-accurate either way.
+
+use netsim::grammar::Spec;
 
 /// A fidelity description for one grid cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,33 +50,17 @@ impl FidelitySpec {
     /// and values are reported, never panicked: the input is user text (a
     /// spec file line or a `--fidelity` flag).
     pub fn parse(s: &str) -> Result<FidelitySpec, String> {
-        let s = s.trim();
-        let ctx = |e: String| format!("fidelity spec {s:?}: {e}");
-        let (family, params) = crate::fault::split_spec(s).map_err(ctx)?;
-        match family {
-            "pkt" => {
-                if !params.is_empty() {
-                    return Err(ctx("pkt takes no parameters".to_string()));
-                }
-                Ok(FidelitySpec::Pkt)
-            }
-            "hybrid" => {
-                for (k, v) in params {
-                    match k {
-                        "bg" => {
-                            if v != "fluid" {
-                                return Err(ctx(format!("unknown background model {v:?} (fluid)")));
-                            }
-                        }
-                        other => {
-                            return Err(ctx(format!("unknown hybrid parameter {other:?} (bg)")))
-                        }
-                    }
-                }
-                Ok(FidelitySpec::Hybrid)
-            }
-            other => Err(format!("unknown fidelity family {other:?} (pkt, hybrid)")),
-        }
+        let mut spec = Spec::parse("fidelity", s)?;
+        let fidelity = match spec.family {
+            "pkt" => FidelitySpec::Pkt,
+            "hybrid" => match spec.take("bg") {
+                None | Some("fluid") => FidelitySpec::Hybrid,
+                Some(v) => return Err(spec.err(format!("unknown background model {v:?} (fluid)"))),
+            },
+            _ => return Err(spec.unknown_family("pkt or hybrid")),
+        };
+        spec.finish()?;
+        Ok(fidelity)
     }
 }
 
@@ -98,7 +78,6 @@ mod tests {
             "hybrid",
             "default bg collapses"
         );
-        assert_eq!(roundtrip(" hybrid "), "hybrid");
     }
 
     #[test]
@@ -114,12 +93,7 @@ mod tests {
         assert!(err("fluid").contains("unknown fidelity family"));
         assert!(err("pkt{bg=fluid}").contains("no parameters"));
         assert!(err("hybrid{bg=packet}").contains("unknown background model"));
-        assert!(err("hybrid{mode=x}").contains("unknown hybrid parameter"));
-        assert!(err("hybrid{bg=fluid").contains("missing closing brace"));
-        assert!(err("hybrid{bg}").contains("not key=value"));
-        assert!(err("hybrid{bg=fluid,bg=fluid}").contains("duplicate parameter \"bg\""));
-        assert!(err("hybrid{bg=fluid,,}").contains("empty parameter"));
-        assert_eq!(FidelitySpec::parse("hybrid{}"), Ok(FidelitySpec::Hybrid));
+        assert!(err("hybrid{mode=x}").contains("unknown parameter \"mode\" (accepted: bg)"));
     }
 
     #[test]

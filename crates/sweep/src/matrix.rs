@@ -272,71 +272,77 @@ impl ScenarioMatrix {
         self.len() == 0
     }
 
+    /// Checks that the grid expands into cells that can all run: no axis
+    /// is empty, no axis label repeats (duplicates would collide in the
+    /// cell key and silently share seeds), and every fabric has the
+    /// tracked ToRs, the cables each fault takes and the hosts each
+    /// workload needs. The error names the offending axis.
+    pub fn check(&self) -> Result<(), (&'static str, String)> {
+        fn unique(
+            axis: &'static str,
+            labels: impl Iterator<Item = String>,
+        ) -> Result<(), (&'static str, String)> {
+            let mut seen = std::collections::BTreeSet::new();
+            for l in labels {
+                if let Some(l) = seen.replace(l) {
+                    return Err((axis, format!("duplicate {axis} label {l:?}")));
+                }
+            }
+            if seen.is_empty() {
+                return Err((axis, format!("the {axis} axis is empty")));
+            }
+            Ok(())
+        }
+        unique("fabric", self.fabrics.iter().map(|f| f.label.clone()))?;
+        unique("lb", self.lbs.iter().map(|l| l.label.clone()))?;
+        unique("workload", self.workloads.iter().map(WorkloadSpec::label))?;
+        unique("failure", self.failures.iter().map(FailureSpec::label))?;
+        unique("reconv", self.reconv.iter().map(|r| reconv_label(*r)))?;
+        unique("track", self.track.iter().map(u32::to_string))?;
+        unique("fault", self.faults.iter().map(FaultSpec::label))?;
+        unique("fidelity", self.fidelities.iter().map(|f| f.label().into()))?;
+        unique("seed", self.seeds.iter().map(u32::to_string))?;
+        unique("cc", self.ccs.iter().map(|c| c.label().into()))?;
+        unique("coalesce", self.coalesce.iter().map(|(l, _)| l.clone()))?;
+        for fabric in &self.fabrics {
+            let (label, cfg) = (&fabric.label, &fabric.config);
+            let tors = cfg.n_tors();
+            if let Some(tor) = self.track.iter().find(|&&t| t >= tors) {
+                let msg =
+                    format!("tracked ToR {tor} does not exist in fabric {label} ({tors} ToRs)");
+                return Err(("track", msg));
+            }
+            let cables = cfg.n_cables();
+            if let Some(f) = self.faults.iter().find(|f| u64::from(f.cables()) > cables) {
+                let (fault, n) = (f.label(), f.cables());
+                let msg = format!("fault {fault:?} needs {n} cables, fabric {label} has {cables}");
+                return Err(("fault", msg));
+            }
+            let workloads = self.workloads.iter().map(|w| ("workload", w));
+            let background = self.background.iter().map(|(w, _)| ("background", w));
+            for (axis, w) in workloads.chain(background) {
+                if let Err(e) = w.fits(cfg.n_hosts()) {
+                    return Err((
+                        axis,
+                        format!("workload {} on fabric {label}: {e}", w.label()),
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Expands the cartesian grid into independent cells (deterministic
     /// order: fabrics, workloads, failures, ccs, coalesce, reconv, track,
     /// faults, lbs, seeds).
     ///
     /// # Panics
     ///
-    /// Panics if an axis is empty or an axis label repeats — duplicate
-    /// labels would collide in the cell key and silently share seeds.
+    /// Panics when [`ScenarioMatrix::check`] fails.
     pub fn expand(&self) -> Vec<Cell> {
-        assert!(!self.is_empty(), "matrix {:?} has an empty axis", self.name);
-        let unique = |labels: Vec<String>, axis: &str| {
-            let mut seen = std::collections::BTreeSet::new();
-            for l in &labels {
-                assert!(
-                    seen.insert(l.clone()),
-                    "duplicate {axis} label {l:?} in matrix {:?}",
-                    self.name
-                );
-            }
-        };
-        unique(
-            self.fabrics.iter().map(|f| f.label.clone()).collect(),
-            "fabric",
-        );
-        unique(self.lbs.iter().map(|l| l.label.clone()).collect(), "lb");
-        unique(
-            self.workloads.iter().map(|w| w.label()).collect(),
-            "workload",
-        );
-        unique(self.failures.iter().map(|f| f.label()).collect(), "failure");
-        unique(
-            self.coalesce.iter().map(|(l, _)| l.clone()).collect(),
-            "coalesce",
-        );
-        unique(
-            self.ccs.iter().map(|c| c.label().to_string()).collect(),
-            "cc",
-        );
-        unique(
-            self.reconv.iter().map(|r| reconv_label(*r)).collect(),
-            "reconv",
-        );
-        unique(self.track.iter().map(u32::to_string).collect(), "track");
-        unique(self.faults.iter().map(FaultSpec::label).collect(), "fault");
-        unique(
-            self.fidelities
-                .iter()
-                .map(|f| f.label().to_string())
-                .collect(),
-            "fidelity",
-        );
-        unique(self.seeds.iter().map(|s| s.to_string()).collect(), "seed");
-        for fabric in &self.fabrics {
-            for &tor in &self.track {
-                assert!(
-                    tor < fabric.config.n_tors(),
-                    "matrix {:?}: tracked ToR {tor} does not exist in fabric {} \
-                     ({} ToRs)",
-                    self.name,
-                    fabric.label,
-                    fabric.config.n_tors()
-                );
-            }
+        if let Err((_, msg)) = self.check() {
+            panic!("matrix {:?}: {msg}", self.name);
         }
-
         let mut cells = Vec::with_capacity(self.len());
         for fabric in &self.fabrics {
             for workload in &self.workloads {
@@ -444,28 +450,21 @@ impl Cell {
     /// ([`LbKind::spec`]) — the family name for default configurations
     /// (every pre-existing key), the parameterized form otherwise.
     pub fn scenario(&self) -> String {
+        /// `/tag=label`, or nothing when the axis is at its default.
+        fn component(tag: &str, label: &str, default: &str) -> String {
+            match label == default {
+                true => String::new(),
+                false => format!("/{tag}={label}"),
+            }
+        }
         let background = match &self.background {
             None => "none".to_string(),
             Some((w, lb)) => format!("{}+{}", w.label(), lb.spec()),
         };
-        let rc = match self.reconv {
-            None => String::new(),
-            Some(t) => format!("/rc={}", reconv_label(Some(t))),
-        };
-        let tk = match self.track {
-            0 => String::new(),
-            tor => format!("/tk={tor}"),
-        };
-        let ft = if self.fault.is_none() {
-            String::new()
-        } else {
-            format!("/ft={}", self.fault.label())
-        };
-        let fi = if self.fidelity.is_pkt() {
-            String::new()
-        } else {
-            format!("/fi={}", self.fidelity.label())
-        };
+        let rc = component("rc", &reconv_label(self.reconv), "none");
+        let tk = component("tk", &self.track.to_string(), "0");
+        let ft = component("ft", &self.fault.label(), "none");
+        let fi = component("fi", self.fidelity.label(), "pkt");
         format!(
             "{}/{}/{}/{}/sim={}/cc={}/co={}{rc}{tk}{ft}{fi}/bg={}/dl={}us",
             self.preset,

@@ -163,6 +163,23 @@ impl WorkloadSpec {
         }
     }
 
+    /// Whether the workload runs as its label advertises on an `n_hosts`
+    /// fabric: every workload needs two hosts, an incast its senders plus
+    /// the receiver, and a trace an offered load in `1..=120` percent.
+    pub fn fits(&self, n_hosts: u32) -> Result<(), String> {
+        let need = match self {
+            WorkloadSpec::Incast { degree, .. } => degree.saturating_add(1).max(2),
+            WorkloadSpec::DcTrace { load_pct, .. } if !(1..=120).contains(load_pct) => {
+                return Err(format!("load {load_pct}% out of range 1..=120"));
+            }
+            _ => 2,
+        };
+        if n_hosts < need {
+            return Err(format!("needs {need} hosts, the fabric has {n_hosts}"));
+        }
+        Ok(())
+    }
+
     /// Materializes the workload for an `n_hosts` fabric; all randomness is
     /// drawn from `rng` (derived from the cell seed by the caller).
     pub fn build(&self, n_hosts: u32, link_bps: u64, rng: &mut Rng64) -> Workload {

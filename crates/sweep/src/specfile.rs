@@ -32,78 +32,26 @@
 //! its 1-based line number; [`render`] is the canonical inverse
 //! (parse → render → parse is byte-stable).
 //!
-//! # The `lb` axis: the LB-spec grammar
+//! # Named configurations
 //!
-//! Load balancers are full [`baselines::kind`] spec strings, so parameter
-//! ablations — the paper's EVS-size and freezing sensitivity sweeps — are
-//! a text file, not a Rust change:
+//! The `lb`, `fault` and `fidelity` axes (and the background's LB) take
+//! `Family{key=value,...}` specs in the shared [`netsim::grammar`] syntax;
+//! the families are tabled in [`baselines::kind`], [`crate::fault`] and
+//! [`crate::fidelity`]. Commas inside `{...}` do not split the value list,
+//! and cell keys carry each spec's canonical spelling, so any spelling of
+//! one configuration shares one cell key, one derived seed and one cache
+//! address:
 //!
 //! ```text
 //! [evs-sweep]
-//! lb = OPS{evs=64}, OPS, REPS{evs=64}, REPS
-//! workload = tornado-262144B
+//! lb    = OPS{evs=64}, OPS, REPS{evs=64}, REPS
+//! fault = none, gray{p=0.01}, flap{period=10ms,duty=0.5}
 //! ```
 //!
-//! A bare family name is that scheme's paper-default configuration;
-//! `Family{key=value,...}` overrides individual knobs. The families and
-//! their parameters (defaults in parentheses):
-//!
-//! * `ECMP`, `MPRDMA`, `Adaptive RoCE` — no parameters;
-//! * `OPS{evs}` — EVS size (65536);
-//! * `REPS{evs,buf,freeze,fto,freezeat}` — EVS size (65536), cache depth
-//!   (8), freezing on/off (`on`), freezing timeout (`100us`), forced
-//!   freezing instant (unset);
-//! * `PLB{evs,thresh,rounds}` — EVS size (65536), ECN repath threshold
-//!   (0.05), consecutive congested rounds (1);
-//! * `Flowlet{gap}` — inactivity gap (half the paper RTT);
-//! * `BitMap{evs,clear}` — EVS size (65536), mark aging period (twice the
-//!   paper RTT);
-//! * `MPTCP{subflows}` — static subflow count (8).
-//!
-//! Durations use `25us` / `500ns` / `77ps` syntax. Cell keys always carry
-//! the *canonical* spelling ([`LbKind::spec`]): defaults are omitted,
-//! parameters ordered, and the legacy `REPS-nofreeze` /
-//! `REPS+freeze@Nus` forms remain canonical for the configurations they
-//! have always named — so any spelling of the same configuration shares
-//! one cell key, one derived seed and one cache address. Commas inside
-//! `{...}` do not split the value list.
-//!
-//! # The `fault` axis: the fault-spec grammar
-//!
-//! Adversarial faults use the same discipline through
-//! [`FaultSpec::parse`](crate::fault::FaultSpec):
-//!
-//! ```text
-//! [gray-vs-flap]
-//! lb    = OPS, REPS
-//! fault = none, gray{p=0.01}, corrupt{p=0.001}, flap{period=10ms,duty=0.5}, unidir{n=1}
-//! ```
-//!
-//! Families and parameters (defaults in parentheses): `gray` /
-//! `corrupt{p,at,for,n}` — probability (0.01), onset (`10us`), heal
-//! delay (permanent), cables (1); `flap{period,duty,at,n}` — period
-//! (`100us`), up fraction (0.5), first-down instant (`10us`), cables
-//! (1); `unidir{n,at,for}` — cables (1), onset (`10us`), recovery
-//! (permanent). Probabilities are exact decimals (ppm resolution), and
-//! the canonical label omits defaults — `fault=none` cells key exactly
-//! like pre-fault-axis cells.
-//!
-//! # The `fidelity` axis: hybrid background modelling
-//!
-//! [`FidelitySpec::parse`](crate::fidelity::FidelitySpec) follows the same
-//! grammar discipline:
-//!
-//! ```text
-//! [hybrid-vs-pkt]
-//! lb         = OPS, REPS
-//! fidelity   = pkt, hybrid
-//! background = tornado-65536B+ECMP
-//! ```
-//!
-//! `pkt` (the default) runs everything packet-level; `hybrid` (spelled
-//! `hybrid` or `hybrid{bg=fluid}`) swaps the cell's *background* workload
-//! to the fluid analytic model while the foreground stays packet-accurate.
-//! `fidelity=pkt` cells key exactly like pre-fidelity-axis cells.
+//! Once a section is complete, [`ScenarioMatrix::check`] runs on it, and
+//! its error is reported at the line of the axis it names: a repeated
+//! value, a tracked ToR, fault or workload that some fabric of the grid
+//! cannot hold.
 
 use baselines::kind::LbKind;
 use netsim::time::Time;
@@ -172,55 +120,31 @@ fn split_values(values: &str) -> Vec<&str> {
     out
 }
 
-/// Cross-axis checks that need the whole matrix: a `track` vantage must
-/// name a ToR that exists in *every* fabric of the matrix and a `fault`
-/// may take no more cables than any of them has, and the fabric line may
-/// come after either — so this runs when the section closes, reporting at
-/// the `track` or `fault` line. (The asserts in `expand` and
-/// `FaultSpec::build` stay as the backstop for programmatic construction.)
-fn check_matrix(m: &ScenarioMatrix, seen: &[(&str, usize)]) -> Result<(), SpecError> {
-    // An axis left at its default (ToR 0, no fault) fits every fabric.
+/// A matrix under construction: the matrix, its header line, and the axes
+/// set in it so far with their lines.
+type Section<'a> = (ScenarioMatrix, usize, Vec<(&'a str, usize)>);
+
+/// Closes a section: runs [`ScenarioMatrix::check`] and reports its error
+/// at the line of the axis it names — or, when that axis was left at its
+/// default, at the fabric line (the only axis a default can clash with),
+/// else at the section header.
+fn close((m, header, seen): Section<'_>) -> Result<ScenarioMatrix, SpecError> {
     let line_of = |axis: &str| seen.iter().find(|(a, _)| *a == axis).map(|&(_, line)| line);
-    if let Some(line) = line_of("track") {
-        for fabric in &m.fabrics {
-            for &tor in &m.track {
-                if tor >= fabric.config.n_tors() {
-                    return Err(SpecError {
-                        line,
-                        msg: format!(
-                            "tracked ToR {tor} does not exist in fabric {} ({} ToRs)",
-                            fabric.label,
-                            fabric.config.n_tors()
-                        ),
-                    });
-                }
-            }
-        }
+    match m.check() {
+        Ok(()) => Ok(m),
+        Err((axis, msg)) => Err(SpecError {
+            line: line_of(axis)
+                .or_else(|| line_of("fabric"))
+                .unwrap_or(header),
+            msg,
+        }),
     }
-    if let Some(line) = line_of("fault") {
-        for fabric in &m.fabrics {
-            let cables = fabric.config.n_cables();
-            if let Some(fault) = m.faults.iter().find(|f| u64::from(f.cables()) > cables) {
-                return Err(SpecError {
-                    line,
-                    msg: format!(
-                        "fault {:?} needs {} cables, fabric {} has {cables}",
-                        fault.label(),
-                        fault.cables(),
-                        fabric.label
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Parses a spec file into its scenario matrices.
 pub fn parse(text: &str) -> Result<Vec<ScenarioMatrix>, SpecError> {
     let mut matrices: Vec<ScenarioMatrix> = Vec::new();
-    // (matrix under construction, axes already set in it with their lines)
-    let mut current: Option<(ScenarioMatrix, Vec<(&str, usize)>)> = None;
+    let mut current: Option<Section<'_>> = None;
     let fail = |line: usize, msg: String| Err(SpecError { line, msg });
 
     for (i, raw) in text.lines().enumerate() {
@@ -238,15 +162,14 @@ pub fn parse(text: &str) -> Result<Vec<ScenarioMatrix>, SpecError> {
                 return fail(lineno, "empty matrix name".to_string());
             }
             if matrices.iter().any(|m| m.name == name)
-                || current.as_ref().is_some_and(|(m, _)| m.name == name)
+                || current.as_ref().is_some_and(|(m, _, _)| m.name == name)
             {
                 return fail(lineno, format!("duplicate matrix name {name:?}"));
             }
-            if let Some((done, seen)) = current.take() {
-                check_matrix(&done, &seen)?;
-                matrices.push(done);
+            if let Some(done) = current.take() {
+                matrices.push(close(done)?);
             }
-            current = Some((ScenarioMatrix::new(name), Vec::new()));
+            current = Some((ScenarioMatrix::new(name), lineno, Vec::new()));
             continue;
         }
         let Some((axis, values)) = line.split_once('=') else {
@@ -265,7 +188,7 @@ pub fn parse(text: &str) -> Result<Vec<ScenarioMatrix>, SpecError> {
                 ),
             );
         };
-        let Some((matrix, seen)) = current.as_mut() else {
+        let Some((matrix, _, seen)) = current.as_mut() else {
             return fail(lineno, format!("axis {axis:?} outside a [matrix] section"));
         };
         if seen.iter().any(|(a, _)| a == axis) {
@@ -289,9 +212,8 @@ pub fn parse(text: &str) -> Result<Vec<ScenarioMatrix>, SpecError> {
             return fail(lineno, msg);
         }
     }
-    if let Some((done, seen)) = current.take() {
-        check_matrix(&done, &seen)?;
-        matrices.push(done);
+    if let Some(done) = current.take() {
+        matrices.push(close(done)?);
     }
     Ok(matrices)
 }
@@ -304,15 +226,12 @@ pub fn parse_file(path: &str) -> Result<Vec<ScenarioMatrix>, String> {
 }
 
 fn apply_axis(matrix: &mut ScenarioMatrix, axis: &str, values: &[&str]) -> Result<(), String> {
-    let unique = |labels: &[String]| -> Result<(), String> {
-        let mut seen = std::collections::BTreeSet::new();
-        for l in labels {
-            if !seen.insert(l) {
-                return Err(format!("duplicate {axis} value {l:?}"));
-            }
-        }
-        Ok(())
-    };
+    fn all<T>(
+        values: &[&str],
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        values.iter().map(|v| parse(v)).collect()
+    }
     let single = || -> Result<&str, String> {
         match values {
             [v] => Ok(v),
@@ -323,106 +242,17 @@ fn apply_axis(matrix: &mut ScenarioMatrix, axis: &str, values: &[&str]) -> Resul
         }
     };
     match axis {
-        "fabric" => {
-            let parsed: Vec<FabricSpec> = values
-                .iter()
-                .map(|v| parse_fabric(v))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(|f| f.label.clone()).collect::<Vec<_>>())?;
-            matrix.fabrics = parsed;
-        }
-        "lb" => {
-            let parsed: Vec<LabeledLb> = values
-                .iter()
-                .map(|v| parse_lb(v))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(|l| l.label.clone()).collect::<Vec<_>>())?;
-            matrix.lbs = parsed;
-        }
-        "workload" => {
-            let parsed: Vec<WorkloadSpec> = values
-                .iter()
-                .map(|v| parse_workload(v))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(WorkloadSpec::label).collect::<Vec<_>>())?;
-            matrix.workloads = parsed;
-        }
-        "failure" => {
-            let parsed: Vec<FailureSpec> = values
-                .iter()
-                .map(|v| parse_failure(v))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(FailureSpec::label).collect::<Vec<_>>())?;
-            matrix.failures = parsed;
-        }
-        "reconv" => {
-            let parsed: Vec<Option<Time>> = values
-                .iter()
-                .map(|v| parse_reconv(v))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(|r| reconv_label(*r)).collect::<Vec<_>>())?;
-            matrix.reconv = parsed;
-        }
-        "track" => {
-            let parsed: Vec<u32> = values
-                .iter()
-                .map(|v| num(v, "tracked ToR"))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(u32::to_string).collect::<Vec<_>>())?;
-            matrix.track = parsed;
-        }
-        "fault" => {
-            let parsed: Vec<FaultSpec> = values
-                .iter()
-                .map(|v| FaultSpec::parse(v))
-                .collect::<Result<_, _>>()?;
-            // Canonical labels, so two spellings of one fault collide here.
-            unique(&parsed.iter().map(FaultSpec::label).collect::<Vec<_>>())?;
-            matrix.faults = parsed;
-        }
-        "fidelity" => {
-            let parsed: Vec<FidelitySpec> = values
-                .iter()
-                .map(|v| FidelitySpec::parse(v))
-                .collect::<Result<_, _>>()?;
-            // Canonical labels: `hybrid{bg=fluid}` collides with `hybrid`.
-            unique(
-                &parsed
-                    .iter()
-                    .map(|f| f.label().to_string())
-                    .collect::<Vec<_>>(),
-            )?;
-            matrix.fidelities = parsed;
-        }
-        "seed" => {
-            let parsed: Vec<u32> = values
-                .iter()
-                .map(|v| num(v, "seed"))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(u32::to_string).collect::<Vec<_>>())?;
-            matrix.seeds = parsed;
-        }
-        "cc" => {
-            let parsed: Vec<CcKind> = values
-                .iter()
-                .map(|v| parse_cc(v))
-                .collect::<Result<_, _>>()?;
-            unique(
-                &parsed
-                    .iter()
-                    .map(|c| c.label().to_string())
-                    .collect::<Vec<_>>(),
-            )?;
-            matrix.ccs = parsed;
-        }
-        "coalesce" => {
-            let parsed: Vec<(String, CoalesceConfig)> = values
-                .iter()
-                .map(|v| parse_coalesce(v))
-                .collect::<Result<_, _>>()?;
-            unique(&parsed.iter().map(|(l, _)| l.clone()).collect::<Vec<_>>())?;
-            matrix.coalesce = parsed;
-        }
+        "fabric" => matrix.fabrics = all(values, parse_fabric)?,
+        "lb" => matrix.lbs = all(values, parse_lb)?,
+        "workload" => matrix.workloads = all(values, parse_workload)?,
+        "failure" => matrix.failures = all(values, parse_failure)?,
+        "reconv" => matrix.reconv = all(values, parse_reconv)?,
+        "track" => matrix.track = all(values, |v| num(v, "tracked ToR"))?,
+        "fault" => matrix.faults = all(values, FaultSpec::parse)?,
+        "fidelity" => matrix.fidelities = all(values, FidelitySpec::parse)?,
+        "seed" => matrix.seeds = all(values, |v| num(v, "seed"))?,
+        "cc" => matrix.ccs = all(values, parse_cc)?,
+        "coalesce" => matrix.coalesce = all(values, parse_coalesce)?,
         "sim" => {
             matrix.sim = match single()? {
                 "paper" => SimProfile::PaperDefault,
@@ -520,6 +350,16 @@ where
     T::Err: std::fmt::Display,
 {
     s.parse::<T>().map_err(|e| format!("bad {what} {s:?}: {e}"))
+}
+
+/// A percentage in `lo..=100`. The failure builders clamp anything else,
+/// so a label outside the range would name a scenario that never runs.
+fn percent(s: &str, what: &str, lo: u32) -> Result<u32, String> {
+    let p: u32 = num(s, what)?;
+    if !(lo..=100).contains(&p) {
+        return Err(format!("{what} {p} out of range {lo}..=100"));
+    }
+    Ok(p)
 }
 
 fn parse_reconv(s: &str) -> Result<Option<Time>, String> {
@@ -633,9 +473,13 @@ fn parse_workload(s: &str) -> Result<WorkloadSpec, String> {
         let (window, b) = rest
             .split_once('-')
             .ok_or_else(|| format!("bad alltoall workload {s:?} (expected a2a-wW-NB)"))?;
+        let window = num(window, "alltoall window")?;
+        if window == 0 {
+            return Err(format!("alltoall window in {s:?} must be at least 1"));
+        }
         return Ok(WorkloadSpec::AllToAll {
             bytes: bytes(b)?,
-            window: num(window, "alltoall window")?,
+            window,
         });
     }
     if let Some(rest) = s.strip_prefix("dctrace-") {
@@ -686,7 +530,7 @@ fn parse_failure(s: &str) -> Result<FailureSpec, String> {
     for (prefix, switches) in [("cables", false), ("switches", true)] {
         if let Some(rest) = s.strip_prefix(prefix) {
             if let Some((pct, tail)) = rest.split_once("pct-") {
-                let pct = num(pct, "failure percentage")?;
+                let pct = percent(pct, "failure percentage", 0)?;
                 let (at, duration) = parse_at_dur(tail, s)?;
                 return Ok(if switches {
                     FailureSpec::RandomSwitches { pct, at, duration }
@@ -702,7 +546,7 @@ fn parse_failure(s: &str) -> Result<FailureSpec, String> {
             .and_then(|(p, g)| g.strip_suffix('G').map(|g| (p, g)))
             .ok_or_else(|| format!("bad failure {s:?} (expected degradedPpct-NG)"))?;
         return Ok(FailureSpec::DegradedUplinks {
-            pct: num(pct, "degraded percentage")?,
+            pct: percent(pct, "degraded percentage", 1)?,
             gbps: num(gbps, "degraded rate")?,
         });
     }
@@ -839,7 +683,7 @@ reconv = none, 25us
             ("[]", 1, "empty matrix name"),
             ("[a\nlb = OPS", 1, "unterminated"),
             ("[a]\njust words", 2, "expected `[name]`"),
-            ("[a]\nseed = 1, 1", 2, "duplicate seed value"),
+            ("[a]\nseed = 1, 1", 2, "duplicate seed label"),
             ("[a]\nsim = paper, fpga", 2, "exactly one value"),
             ("[a]\nfabric = 2t-k8-o2", 2, "does not support"),
             ("[a]\ndeadline = 5", 2, "bad duration"),
@@ -867,6 +711,54 @@ reconv = none, 25us
                 "[a]\nfidelity = hybrid{bg=packet}",
                 2,
                 "unknown background model",
+            ),
+            // Workloads no fabric of the grid can hold (reported at the
+            // fabric line when the workload is the default), and labels that
+            // would run a different scenario than they name.
+            (
+                "[a]\nworkload = incast64to1-1024B",
+                2,
+                "needs 65 hosts, the fabric has 32",
+            ),
+            (
+                "[a]\nworkload = dctrace-0pct-100us",
+                2,
+                "load 0% out of range 1..=120",
+            ),
+            (
+                "[a]\nfabric = 2t-custom-1x1-u1\nworkload = perm-1024B",
+                3,
+                "needs 2 hosts",
+            ),
+            (
+                "[a]\nfabric = 2t-custom-1x1-u1",
+                2,
+                "workload tornado-262144B on fabric",
+            ),
+            (
+                "[a]\nbackground = incast8to1-1B+ECMP\nfabric = ls-2x2-o1",
+                2,
+                "needs 9 hosts",
+            ),
+            (
+                "[a]\nfailure = cables150pct-at1us-perm",
+                2,
+                "150 out of range 0..=100",
+            ),
+            (
+                "[a]\nfailure = switches150pct-at1us-perm",
+                2,
+                "150 out of range 0..=100",
+            ),
+            (
+                "[a]\nfailure = degraded0pct-200G",
+                2,
+                "percentage 0 out of range 1..=100",
+            ),
+            (
+                "[a]\nworkload = a2a-w0-1024B",
+                2,
+                "alltoall window in \"a2a-w0-1024B\"",
             ),
         ] {
             let err = parse(text).expect_err(text);

@@ -230,7 +230,7 @@ fn malformed_inputs_name_their_line() {
         ("[g]\nbackground = chaos+ECMP", 2, "unknown workload"),
         ("[g]\ncc = CUBIC", 2, "unknown cc"),
         ("[g]\nseed = one", 2, "bad seed"),
-        ("[g]\nlb = OPS, OPS", 2, "duplicate lb value"),
+        ("[g]\nlb = OPS, OPS", 2, "duplicate lb label"),
     ] {
         let err = specfile::parse(text).expect_err(text);
         assert_eq!(err.line, line, "{text:?} -> {err}");
