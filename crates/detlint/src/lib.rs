@@ -17,7 +17,7 @@
 //! | `DET001` | `HashMap`/`HashSet` in `netsim`/`transport`/`core`/`baselines`/`sweep` | `RandomState` iteration order varies per process — the PR 1 bug class. Use [`netsim::hash`]'s `FxHashMap` (deterministic) or `BTreeMap`/`BTreeSet` where order reaches output. |
 //! | `DET002` | `Instant::now` / `SystemTime` outside `crates/tinybench/` | Wall-clock values must never reach result bytes; perf measurement sites carry a pragma so each is a reviewed artifact. |
 //! | `DET003` | pointer-to-`usize` casts (`.as_ptr() as usize`, `as *const T as usize`) | Addresses are per-process (ASLR); an address that becomes a value (hash, key, sort tiebreak) is nondeterminism. |
-//! | `DET004` | float literals / `f32`/`f64` in cell-key and seed-derivation scopes (`sweep::matrix::{key,scenario,derived_seed,fnv1a64}`, all of `sweep::shard` and `netsim::hash`) | Keys, derived seeds, shard membership and cache addresses must be exact integer/string functions — float rounding is platform- and opt-level-sensitive. |
+//! | `DET004` | float literals / `f32`/`f64` in cell-key and seed-derivation scopes (all of `sweep::axis`, `sweep::shard` and `netsim::hash`; `sweep::matrix::{key,scenario,derived_seed,fnv1a64}` and the `label` functions of `sweep::{spec,fault,fidelity}`) | Keys, derived seeds, shard membership and cache addresses must be exact integer/string functions — float rounding is platform- and opt-level-sensitive. |
 //! | `SAFE001` | `unsafe` blocks/impls without an immediately preceding `// SAFETY:` comment | The arena/calendar PRs introduced unsafe whose soundness lived only in review; the argument now lives next to the code. |
 //!
 //! # Pragmas

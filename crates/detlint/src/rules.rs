@@ -154,16 +154,27 @@ const DET001_CRATES: [&str; 5] = [
 /// of these files is measuring wall time.
 const DET002_ALLOW: [&str; 1] = ["crates/tinybench/"];
 
-/// Files whose *entire* non-test code is a seed-derivation scope (DET004).
-const DET004_FILES: [&str; 2] = ["crates/netsim/src/hash.rs", "crates/sweep/src/shard.rs"];
+/// Files whose *entire* non-test code is a seed-derivation scope (DET004):
+/// the sweep axis registry renders every cell-key label.
+const DET004_FILES: [&str; 3] = [
+    "crates/netsim/src/hash.rs",
+    "crates/sweep/src/axis.rs",
+    "crates/sweep/src/shard.rs",
+];
 
 /// (file, function names) pairs where only the named function bodies are
-/// cell-key/seed scopes — `matrix.rs` legitimately uses floats elsewhere
-/// (load factors, report aggregation).
-const DET004_FNS: [(&str, &[&str]); 1] = [(
-    "crates/sweep/src/matrix.rs",
-    &["key", "scenario", "derived_seed", "fnv1a64"],
-)];
+/// cell-key/seed scopes — these files legitimately use floats elsewhere
+/// (load factors, report aggregation, building failure plans). The
+/// `label` functions are the axis values' key labels.
+const DET004_FNS: [(&str, &[&str]); 4] = [
+    ("crates/sweep/src/fault.rs", &["label"]),
+    ("crates/sweep/src/fidelity.rs", &["label"]),
+    (
+        "crates/sweep/src/matrix.rs",
+        &["key", "scenario", "derived_seed", "fnv1a64"],
+    ),
+    ("crates/sweep/src/spec.rs", &["label"]),
+];
 
 /// Lints one source file. `path` must be workspace-relative with forward
 /// slashes — rule scoping keys off it.

@@ -100,6 +100,7 @@ fn det004_fires_on_floats_in_seed_scopes() {
     let src = include_str!("fixtures/det004_trip.rs");
     assert_trips("crates/netsim/src/hash.rs", src, Rule::Det004, 3);
     assert_trips("crates/sweep/src/shard.rs", src, Rule::Det004, 3);
+    assert_trips("crates/sweep/src/axis.rs", src, Rule::Det004, 3);
     // The same code under an unscoped path is fine.
     assert_clean("crates/netsim/src/stats.rs", src);
 }

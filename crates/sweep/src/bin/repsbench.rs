@@ -13,149 +13,43 @@
 //! repsbench explain FILE
 //! ```
 //!
-//! `list` prints every preset with its cell count (`--lbs` additionally
-//! prints each preset's load-balancer axis as canonical LB-spec strings);
-//! `run` expands the presets whose names match `--filter` (default `*`),
-//! executes all cells on a work-stealing pool and writes one JSON Lines
-//! record per cell to `--out` (default `results.jsonl`; `-` = stdout),
-//! then prints cross-seed aggregate tables. Output is byte-identical for
-//! any `--threads` value. `--scale` defaults to the `REPS_SCALE`
-//! environment variable (`quick`).
+//! `list` prints every preset with its cell count and the length of each
+//! listed axis (`--lbs` additionally prints each preset's load-balancer
+//! axis as canonical LB-spec strings); `run` expands the presets whose
+//! names match `--filter` (default `*`), executes all cells on a
+//! work-stealing pool and writes one JSON Lines record per cell to
+//! `--out` (default `results.jsonl`; `-` = stdout), then prints
+//! cross-seed aggregate tables. Output is byte-identical for any
+//! `--threads` value. `--scale` defaults to the `REPS_SCALE` environment
+//! variable (`quick`).
 //!
-//! # Filtering by load balancer (`--lb`)
+//! # Filtering cells by axis (`--lb`, `--fault`, `--fidelity`)
 //!
-//! `--lb` keeps only the cells whose load-balancer label matches the
-//! given glob. Labels are canonical LB-spec strings (see the grammar
-//! below), and a pattern that itself parses as a spec is canonicalized
-//! first — `--lb 'REPS{freeze=off}'`, `--lb REPS-nofreeze` and
-//! `--lb 'REPS{ freeze=off }'` all select the same cells, while
-//! `--lb 'REPS*'` keeps every REPS configuration in the suite.
-//!
-//! # Filtering by fault (`--fault`)
-//!
-//! `--fault` is the same idea for the adversarial-fault axis: it keeps
-//! only the cells whose fault label matches the glob, and a pattern that
-//! itself parses as a fault spec (grammar below) is canonicalized first —
-//! `--fault 'gray{p=0.01}'` and `--fault gray` select the same cells,
-//! `--fault 'flap*'` keeps every flapping configuration, and
-//! `--fault none` keeps only the healthy (default-axis) cells.
-//!
-//! ## The fault-spec grammar
-//!
-//! Fault axis values mirror the LB-spec grammar: a family name alone is
-//! that fault's default configuration, `family{key=value,...}` overrides
-//! knobs. Families (defaults in parentheses):
-//!
-//! * `none` — no injected fault (the default; never keyed).
-//! * `gray{p,at,for,n}` — gray failure: each packet crossing the cable is
-//!   silently dropped with probability `p` (0.01) from `at` (10us), on
-//!   `n` (1) cables, healing after `for` (never).
-//! * `corrupt{p,at,for,n}` — same shape, but the loss is payload
-//!   corruption: the packet is counted and traced as corrupted, not as a
-//!   silent gray drop.
-//! * `flap{period,duty,at,n}` — the cable flaps: down for
-//!   `(1-duty)*period`, up for `duty*period` (duty 0.5, period 100us),
-//!   repeating from `at` until the cell deadline.
-//! * `unidir{n,at,for}` — unidirectional blackhole: one direction of the
-//!   cable silently drops everything, the reverse stays healthy.
-//!
-//! Probabilities have at most six decimal digits; durations are `25us` /
-//! `10ms` / `500ns`. Cell keys carry the canonical spelling (defaults
-//! omitted, fixed parameter order, `ms` rendered as `us`) under an
-//! `ft=` component that is present only when the axis is non-default, so
-//! healthy cells keep their pre-fault-axis keys, seeds and cache
-//! addresses.
-//!
-//! # Filtering by fidelity (`--fidelity`)
-//!
-//! `--fidelity` filters on the fidelity axis the same way: `pkt` keeps
-//! only full-packet cells (the ones whose keys lack a `fi=` component),
-//! `hybrid` keeps the fluid-background cells, and any spelling is
-//! canonicalized through the fidelity grammar first — `--fidelity
-//! 'hybrid{bg=fluid}'` and `--fidelity hybrid` select the same cells.
-//!
-//! ## The fidelity grammar
-//!
-//! * `pkt` — everything packet-level (the default; never keyed).
-//! * `hybrid` / `hybrid{bg=fluid}` — the cell's *background* workload
-//!   runs on the fluid analytic rate model ([`netsim::fluid`]) instead of
-//!   per-packet transport; background flows impose residual-capacity and
-//!   queueing pressure on the packet-level foreground without costing a
-//!   single background packet event. Keys carry `fi=hybrid` only for
-//!   non-default cells, so `fidelity=pkt` keeps pre-axis keys, seeds and
-//!   cache addresses.
+//! Each keeps only the cells whose label on that axis matches a glob. A
+//! pattern that parses as a value of the axis is canonicalized first, so
+//! every spelling of one configuration selects the same cells: `--lb
+//! 'REPS{freeze=off}'` and `--lb REPS-nofreeze`, or `--fault
+//! 'gray{p=0.01}'` and `--fault gray`. `--lb 'REPS*'` keeps every REPS
+//! configuration; the defaults `--fault none` and `--fidelity pkt` keep
+//! the cells whose keys lack an `ft=` or `fi=`. The grammars are tabled
+//! in [`baselines::kind`], [`sweep::fault`] and [`sweep::fidelity`].
 //!
 //! # User-defined grids (`--spec-file`)
 //!
 //! New scenarios are a text file, not a code change: each `--spec-file`
-//! adds the scenario matrices of a line-oriented grid file (grammar in
+//! adds the scenario matrices of a grid file (format and axes in
 //! [`sweep::specfile`]) to the preset pool — they list, filter, shard,
 //! cache and sink exactly like built-ins. A name collision with a built-in
 //! preset (or between spec files) is an error, never a silent preference.
-//! A grid file holds any number of `[name]` sections; `axis = v1, v2`
-//! lines widen that matrix's axes using the same stable labels cell keys
-//! are built from, omitted axes keep their defaults, and `#` comments:
-//!
-//! ```text
-//! # REPS vs. OPS as the fabric gets oversubscribed, healthy vs. degraded.
-//! [oversub-grid]
-//! fabric   = ls-8x8-o1, ls-8x8-o2, ls-8x8-o4
-//! lb       = OPS, REPS
-//! workload = perm-131072B
-//! failure  = none, degraded10pct-200G
-//! seed     = 0, 1
-//!
-//! # How fast must routing reconverge before spraying rides out a cut?
-//! [reconv-grid]
-//! lb       = OPS, REPS
-//! workload = perm-262144B
-//! failure  = cable1-at8us-perm
-//! reconv   = none, 25us, 100us
-//! ```
 //!
 //! ```text
 //! repsbench run --spec-file examples/oversub.grid --filter '*-grid'
 //! ```
 //!
-//! Axes: `fabric` (`2t-kK-oO`, `3t-kK-oO`, `ls-TxH-oO`,
-//! `2t-custom-TxH-uU`), `lb` (LB-spec strings, below), `workload`
-//! (`tornado-NB`, `perm-NB`, `incastDto1-NB`, `ringar-NB`, `bflyar-NB`,
-//! `a2a-wW-NB`, `dctrace-Ppct-Tus`), `failure` (the cell-key failure
-//! labels), `reconv` (`none` or a delay like `25us`), `track` (which
-//! ToR's uplinks `--series` records), `fault` (fault-spec strings,
-//! above), `fidelity` (`pkt` / `hybrid`, above), `seed`, `cc`,
-//! `coalesce`, and the single-valued `sim`, `background`
-//! (`workload+LB`), `deadline`. Parse errors name their line number.
-//!
 //! With `--spec-only` the built-in presets stay out of the pool entirely:
 //! the run is exactly the grids given, and a grid may then deliberately
 //! reuse a built-in preset name to reproduce its cells
 //! (`examples/ablation.grid` does this for the ablation presets).
-//!
-//! ## The LB-spec grammar
-//!
-//! `lb` axis values are typed spec strings: a family name is that
-//! scheme's paper-default configuration, `Family{key=value,...}`
-//! overrides individual knobs, so a parameter ablation — the paper's
-//! EVS-size sensitivity sweep, a flowlet-gap scan — is a text edit:
-//!
-//! ```text
-//! [evs-sweep]
-//! lb       = OPS{evs=64}, OPS, REPS{evs=64}, REPS
-//! workload = tornado-262144B
-//! ```
-//!
-//! Families and parameters (defaults in parentheses): `ECMP`, `MPRDMA`
-//! and `Adaptive RoCE` (none); `OPS{evs}` (65536);
-//! `REPS{evs,buf,freeze,fto,freezeat}` (65536, 8, `on`, `100us`, unset);
-//! `PLB{evs,thresh,rounds}` (65536, 0.05, 1); `Flowlet{gap}` (half the
-//! paper RTT); `BitMap{evs,clear}` (65536, twice the paper RTT);
-//! `MPTCP{subflows}` (8). Durations are `25us` / `500ns` / `77ps`.
-//! Cell keys always carry the canonical spelling (defaults omitted,
-//! fixed parameter order; the legacy `REPS-nofreeze` and
-//! `REPS+freeze@Nus` spellings remain canonical for their
-//! configurations), so every spelling of one configuration shares one
-//! derived seed, one shard and one cache address.
 //!
 //! # Per-cell time series (`--series DIR`)
 //!
@@ -266,22 +160,21 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use baselines::kind::LbKind;
 use harness::Scale;
-use sweep::fidelity::FidelitySpec;
+use sweep::axis::{self, Axis};
 use sweep::matrix::Cell;
 use sweep::{
     events_per_sec, explain_doc, glob, merge_files, presets, render_aggregates,
-    run_cells_instrumented, specfile, CellCache, FaultSpec, Progress, RunSinks, ScenarioMatrix,
-    SeriesSink, Shard, TraceStore,
+    run_cells_instrumented, specfile, CellCache, Progress, RunSinks, ScenarioMatrix, SeriesSink,
+    Shard, TraceStore,
 };
 
 #[derive(Debug)]
 struct RunOpts {
     filter: String,
-    lb_filter: Option<String>,
-    fault_filter: Option<String>,
-    fidelity_filter: Option<String>,
+    /// `--lb`, `--fault`, `--fidelity`: each filtered axis once, with its
+    /// canonicalized pattern.
+    axis_filters: Vec<(&'static Axis, String)>,
     threads: usize,
     scale: Scale,
     seeds: Option<u32>,
@@ -337,14 +230,9 @@ fn matrix_pool(
 /// spelling selects the same cells; a glob (`*`, `?`) is matched as
 /// written. A glob-free pattern with `{` or `@` can only be a spec, so its
 /// parse error surfaces instead of becoming a never-matching glob.
-fn canonical_filter<T>(
-    flag: &str,
-    pattern: &str,
-    parse: fn(&str) -> Result<T, String>,
-    render: fn(&T) -> String,
-) -> Result<String, String> {
-    match parse(pattern) {
-        Ok(spec) => Ok(render(&spec)),
+fn canonical_filter(flag: &str, pattern: &str, axis: &Axis) -> Result<String, String> {
+    match (axis.canonical)(pattern) {
+        Ok(label) => Ok(label),
         Err(e) if !pattern.contains(['*', '?']) && pattern.contains(['{', '@']) => {
             Err(format!("{flag}: {e}"))
         }
@@ -441,9 +329,7 @@ fn parse_list(args: &[String]) -> Result<ListOpts, String> {
 fn parse_run(args: &[String]) -> Result<RunOpts, String> {
     let mut opts = RunOpts {
         filter: "*".to_string(),
-        lb_filter: None,
-        fault_filter: None,
-        fidelity_filter: None,
+        axis_filters: Vec::new(),
         threads: sweep::default_threads(),
         scale: Scale::from_env(),
         seeds: None,
@@ -466,18 +352,6 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
         };
         match a.as_str() {
             "--filter" => opts.filter = value("--filter")?.clone(),
-            "--lb" => {
-                opts.lb_filter = Some(canonical_filter(a, value(a)?, LbKind::parse, LbKind::spec)?)
-            }
-            "--fault" => {
-                let f = canonical_filter(a, value(a)?, FaultSpec::parse, FaultSpec::label)?;
-                opts.fault_filter = Some(f)
-            }
-            "--fidelity" => {
-                let label = |f: &FidelitySpec| f.label().to_string();
-                let f = canonical_filter(a, value(a)?, FidelitySpec::parse, label)?;
-                opts.fidelity_filter = Some(f)
-            }
             "--threads" => {
                 opts.threads = value("--threads")?
                     .parse::<usize>()
@@ -507,7 +381,15 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
             "--perf" => opts.perf = Some(value("--perf")?.clone()),
             "--baseline" => opts.baseline = value("--baseline")?.clone(),
             "--quiet" => opts.quiet = true,
-            other => return Err(format!("unknown argument {other:?}\n{}", usage())),
+            flag => {
+                let filtered = flag.strip_prefix("--").and_then(axis::by_name);
+                let Some(axis) = filtered.filter(|axis| axis.filter) else {
+                    return Err(format!("unknown argument {flag:?}\n{}", usage()));
+                };
+                let pattern = canonical_filter(flag, value(flag)?, axis)?;
+                opts.axis_filters.retain(|(a, _)| a.name != axis.name);
+                opts.axis_filters.push((axis, pattern));
+            }
         }
     }
     Ok(opts)
@@ -557,26 +439,20 @@ fn list(opts: &ListOpts) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    println!(
-        "{:<28} {:>6} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>6}",
-        "preset", "cells", "lbs", "wl", "fail", "fab", "rc", "ft", "fi", "seeds"
-    );
+    let columns = axis::columns();
+    let mut head = format!("{:<28} {:>6}", "preset", "cells");
+    for (_, column) in &columns {
+        head += &format!(" {:>1$}", column.head, column.width);
+    }
+    println!("{head}");
     let mut total = 0usize;
     for m in pool {
         total += m.len();
-        println!(
-            "{:<28} {:>6} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>6}",
-            m.name,
-            m.len(),
-            m.lbs.len(),
-            m.workloads.len(),
-            m.failures.len(),
-            m.fabrics.len(),
-            m.reconv.len(),
-            m.faults.len(),
-            m.fidelities.len(),
-            m.seeds.len(),
-        );
+        let mut row = format!("{:<28} {:>6}", m.name, m.len());
+        for (axis, column) in &columns {
+            row += &format!(" {:>1$}", (axis.len)(&m), column.width);
+        }
+        println!("{row}");
         if opts.lbs {
             // One canonical LB-spec string per axis value: what `--lb`
             // filters and spec-file `lb =` lines match on.
@@ -625,19 +501,10 @@ fn run(opts: &RunOpts) -> ExitCode {
     // spelling: patterns are canonicalized at parse time) one
     // configuration. Default cells carry the labels `none` and `pkt`, so
     // `--fault none` keeps exactly the cells whose keys lack an `ft=`.
-    type Label = fn(&Cell) -> String;
-    let label_filters: [(&str, &Option<String>, Label); 3] = [
-        ("lb", &opts.lb_filter, |c| c.lb.label.clone()),
-        ("fault", &opts.fault_filter, |c| c.fault.label()),
-        ("fidelity", &opts.fidelity_filter, |c| {
-            c.fidelity.label().into()
-        }),
-    ];
-    for (axis, filter, label) in label_filters {
-        let Some(pattern) = filter else { continue };
-        cells.retain(|c| glob::matches(pattern, &label(c)));
+    for (axis, pattern) in &opts.axis_filters {
+        cells.retain(|c| glob::matches(pattern, &axis.cell_label(c)));
         if cells.is_empty() {
-            return fail(&format!("no cell matches {axis} filter {pattern:?}"));
+            return fail(&format!("no cell matches {} filter {pattern:?}", axis.name));
         }
     }
     let total = cells.len();
@@ -842,9 +709,7 @@ mod tests {
     fn run_defaults_are_sensible() {
         let o = parse_run(&[]).expect("no args is valid");
         assert_eq!(o.filter, "*");
-        assert_eq!(o.lb_filter, None);
-        assert_eq!(o.fault_filter, None);
-        assert_eq!(o.fidelity_filter, None);
+        assert!(o.axis_filters.is_empty());
         assert!(o.threads >= 1);
         assert_eq!(o.seeds, None);
         assert_eq!(o.shard, None);
@@ -901,10 +766,12 @@ mod tests {
         ]))
         .expect("all flags valid");
         assert_eq!(o.filter, "fig0*");
-        assert_eq!(o.lb_filter.as_deref(), Some("REPS*"));
-        assert_eq!(o.fault_filter.as_deref(), Some("gray*"));
         // Canonicalized at parse time: the default bg model collapses.
-        assert_eq!(o.fidelity_filter.as_deref(), Some("hybrid"));
+        let filters: Vec<_> = o.axis_filters.iter().map(|(a, p)| (a.name, &**p)).collect();
+        assert_eq!(
+            filters,
+            [("lb", "REPS*"), ("fault", "gray*"), ("fidelity", "hybrid")]
+        );
         assert!(o.spec_only);
         assert_eq!(o.threads, 8);
         assert!(matches!(o.scale, Scale::Full));
@@ -944,6 +811,10 @@ mod tests {
             sv(&["--trace"]),
             sv(&["--bogus"]),
             sv(&["extra"]),
+            // Only the axes the registry marks as filters are flags.
+            sv(&["--cc", "DCTCP"]),
+            sv(&["--seed", "0"]),
+            sv(&["--lb"]),
         ] {
             assert!(parse_run(&bad).is_err(), "accepted {bad:?}");
         }
@@ -1022,72 +893,107 @@ mod tests {
         assert!(err.contains("--spec-only"), "{err}");
     }
 
+    /// Runs `rows` of `(pattern, canonical label or error needle)` through
+    /// `--<axis>`'s filter, both directly and as a `run` flag.
+    fn assert_filters(axis: &str, rows: &[(&str, Result<&str, &str>)]) {
+        let flag = format!("--{axis}");
+        let row = axis::by_name(axis).expect("registry axis");
+        assert!(row.filter, "{flag} is not a filter");
+        for &(pattern, want) in rows {
+            let got = canonical_filter(&flag, pattern, row);
+            let parsed = parse_run(&sv(&[&flag, pattern])).map(|o| o.axis_filters[0].1.clone());
+            match want {
+                Ok(label) => {
+                    assert_eq!(got.as_deref(), Ok(label), "{flag} {pattern}");
+                    assert_eq!(parsed.as_deref(), Ok(label), "{flag} {pattern}");
+                }
+                Err(needle) => {
+                    let err = got.expect_err(pattern);
+                    assert!(err.contains(&flag) && err.contains(needle), "{err}");
+                    assert!(parsed.is_err(), "{flag} {pattern}");
+                }
+            }
+        }
+        assert!(parse_run(&sv(&[&flag])).is_err(), "{flag} without a value");
+    }
+
     #[test]
     fn lb_filters_canonicalize_any_spec_spelling() {
-        let lb = |p: &str| canonical_filter("--lb", p, LbKind::parse, LbKind::spec);
-        let ok = |p: &str| lb(p).expect(p);
-        // Any spelling of a configuration selects its canonical label.
-        assert_eq!(ok("REPS{freeze=off}"), "REPS-nofreeze");
-        assert_eq!(ok("OPS{evs=65536}"), "OPS");
-        assert_eq!(ok("OPS{evs=64}"), "OPS{evs=64}");
-        // Globs and non-spec patterns pass through untouched.
-        assert_eq!(ok("REPS*"), "REPS*");
-        assert_eq!(ok("*{evs=64}"), "*{evs=64}");
-        // A glob-free braced pattern is a spec; its parse error surfaces
-        // rather than degrading to a never-matching glob.
-        let err = lb("OPS{evs=0}").expect_err("malformed spec");
-        assert!(err.contains("out of range"), "{err}");
-        let err = lb("OPS{evs=abc}").expect_err("malformed spec");
-        assert!(err.contains("bad evs"), "{err}");
-        let err = lb("REPS+freeze@50").expect_err("missing unit suffix");
-        assert!(err.contains("bad duration"), "{err}");
-        assert!(parse_run(&sv(&["--lb", "OPS{evs=0}"])).is_err());
+        assert_filters(
+            "lb",
+            &[
+                // Any spelling of a configuration selects its canonical label.
+                ("REPS{freeze=off}", Ok("REPS-nofreeze")),
+                ("OPS{evs=65536}", Ok("OPS")),
+                ("OPS{evs=64}", Ok("OPS{evs=64}")),
+                // Globs and non-spec patterns pass through untouched.
+                ("REPS*", Ok("REPS*")),
+                ("*{evs=64}", Ok("*{evs=64}")),
+                // A glob-free braced pattern is a spec; its parse error
+                // surfaces rather than degrading to a never-matching glob.
+                ("OPS{evs=0}", Err("out of range")),
+                ("OPS{evs=abc}", Err("bad evs")),
+                ("REPS+freeze@50", Err("bad duration")),
+            ],
+        );
     }
 
     #[test]
     fn fault_filters_canonicalize_any_spec_spelling() {
-        let fault = |p: &str| canonical_filter("--fault", p, FaultSpec::parse, FaultSpec::label);
-        let ok = |p: &str| fault(p).expect(p);
-        // Any spelling of a configuration selects its canonical label —
-        // the exact string cells carry in their `ft=` key component.
-        assert_eq!(ok("gray{p=0.01}"), "gray");
-        assert_eq!(ok("gray{p=0.05,n=2}"), "gray{p=0.05,n=2}");
-        assert_eq!(ok("flap{period=10ms}"), "flap{period=10000us}");
-        assert_eq!(ok("none"), "none");
-        // Globs and non-spec patterns pass through untouched.
-        assert_eq!(ok("flap*"), "flap*");
-        assert_eq!(ok("*{n=2}"), "*{n=2}");
-        // A glob-free braced pattern is a spec; its parse error surfaces
-        // rather than degrading to a never-matching glob.
-        let err = fault("gray{p=2}").expect_err("p out of range");
-        assert!(err.contains("out of range"), "{err}");
-        let err = fault("gray{q=1}").expect_err("unknown key");
-        assert!(err.contains("unknown"), "{err}");
-        assert!(parse_run(&sv(&["--fault", "gray{p=2}"])).is_err());
-        assert!(parse_run(&sv(&["--fault"])).is_err());
+        assert_filters(
+            "fault",
+            &[
+                // Any spelling of a configuration selects its canonical
+                // label — the exact string cells carry in their `ft=` key
+                // component.
+                ("gray{p=0.01}", Ok("gray")),
+                ("gray{p=0.05,n=2}", Ok("gray{p=0.05,n=2}")),
+                ("flap{period=10ms}", Ok("flap{period=10000us}")),
+                ("none", Ok("none")),
+                // Globs and non-spec patterns pass through untouched.
+                ("flap*", Ok("flap*")),
+                ("*{n=2}", Ok("*{n=2}")),
+                // A glob-free braced pattern is a spec; its parse error
+                // surfaces rather than degrading to a never-matching glob.
+                ("gray{p=2}", Err("out of range")),
+                ("gray{q=1}", Err("unknown")),
+            ],
+        );
     }
 
     #[test]
     fn fidelity_filters_canonicalize_any_spec_spelling() {
-        let fidelity = |p: &str| {
-            canonical_filter("--fidelity", p, FidelitySpec::parse, |f| {
-                f.label().to_string()
-            })
-        };
-        let ok = |p: &str| fidelity(p).expect(p);
-        // Any spelling of a configuration selects its canonical label —
-        // the exact string cells carry in their `fi=` key component.
-        assert_eq!(ok("hybrid{bg=fluid}"), "hybrid");
-        assert_eq!(ok("hybrid"), "hybrid");
-        assert_eq!(ok("pkt"), "pkt");
-        // Globs and non-spec patterns pass through untouched.
-        assert_eq!(ok("hyb*"), "hyb*");
-        // A glob-free braced pattern is a spec; its parse error surfaces
-        // rather than degrading to a never-matching glob.
-        let err = fidelity("hybrid{bg=packet}").expect_err("bad bg model");
-        assert!(err.contains("unknown background model"), "{err}");
-        assert!(parse_run(&sv(&["--fidelity", "hybrid{bg=packet}"])).is_err());
-        assert!(parse_run(&sv(&["--fidelity"])).is_err());
+        assert_filters(
+            "fidelity",
+            &[
+                // Any spelling of a configuration selects its canonical
+                // label — the exact string cells carry in their `fi=` key
+                // component.
+                ("hybrid{bg=fluid}", Ok("hybrid")),
+                ("hybrid", Ok("hybrid")),
+                ("pkt", Ok("pkt")),
+                // Globs and non-spec patterns pass through untouched.
+                ("hyb*", Ok("hyb*")),
+                // A glob-free braced pattern is a spec; its parse error
+                // surfaces rather than degrading to a never-matching glob.
+                ("hybrid{bg=packet}", Err("unknown background model")),
+            ],
+        );
+    }
+
+    #[test]
+    fn every_filter_axis_is_tested_and_a_repeat_replaces() {
+        // Each filterable registry axis has its own test above.
+        let filters: Vec<&str> = axis::AXES
+            .iter()
+            .filter(|axis| axis.filter)
+            .map(|axis| axis.name)
+            .collect();
+        assert_eq!(filters, ["fault", "fidelity", "lb"]);
+        // A repeated flag replaces its axis's earlier pattern.
+        let o = parse_run(&sv(&["--lb", "OPS", "--lb", "REPS"])).expect("valid");
+        assert_eq!(o.axis_filters.len(), 1);
+        assert_eq!(o.axis_filters[0].1, "REPS");
     }
 
     #[test]

@@ -305,6 +305,23 @@ mod tests {
     }
 
     #[test]
+    fn sub_microsecond_deadlines_are_cells_of_their_own() {
+        let grid = |deadline: &str| {
+            let text = format!("[dl]\nlb = OPS\ndeadline = {deadline}\n");
+            crate::specfile::parse(&text).expect(&text)[0].expand()
+        };
+        let keys: std::collections::BTreeSet<String> =
+            ["1us", "1500ns", "1900ns"].map(|d| grid(d)[0].key()).into();
+        assert_eq!(keys.len(), 3, "{keys:?}");
+        let dir = tmpdir("deadline");
+        let cache = CellCache::open(&dir, "v-test").unwrap();
+        run_cells_cached(&grid("1us"), 1, Some(&cache));
+        let warm = run_cells_cached(&grid("1500ns"), 1, Some(&cache));
+        assert_eq!((warm.hits, warm.misses), (0, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn fingerprint_change_invalidates_everything() {
         let dir = tmpdir("fp");
         let cells = matrix().expand();

@@ -7,6 +7,9 @@
 //!   independent [`matrix::Cell`]s; each cell's RNG seed is derived by
 //!   hashing the cell's stable key, so results never depend on thread
 //!   count, completion order or which other cells a filter selected;
+//! * [`axis`] is the one registry of grid axes — name, key form, parse
+//!   and label per axis — that the matrix, cell keys, spec files and the
+//!   CLI all iterate;
 //! * [`runner`] executes cells on a work-stealing std-thread pool and
 //!   returns results in canonical (key-sorted) order;
 //! * [`sink`] emits one JSON Lines record per cell and renders cross-seed
@@ -70,6 +73,7 @@
 //! assert!(results.iter().all(|r| r.summary.completed));
 //! ```
 
+pub mod axis;
 pub mod cache;
 pub mod explain;
 pub mod fault;

@@ -1,12 +1,12 @@
 //! Declarative scenario grids and their expansion into runnable cells.
 //!
-//! A [`ScenarioMatrix`] is the cartesian product of labeled axes
-//! (`LbKind × fabric × workload × failure plan × seed`, plus optional
-//! congestion-control and ACK-coalescing axes). [`ScenarioMatrix::expand`]
-//! flattens it into independent [`Cell`]s; each cell's RNG seed is derived
-//! by hashing its *key* (the `/`-joined axis labels), so results depend
-//! only on what the cell *is* — never on thread count, completion order or
-//! which other cells a filter selected.
+//! A [`ScenarioMatrix`] is the cartesian product of labeled axes, one per
+//! row of the registry [`crate::axis::AXES`] (`fabric × workload × failure
+//! × ... × lb × seed`). [`ScenarioMatrix::expand`] flattens it into
+//! independent [`Cell`]s; each cell's RNG seed is derived by hashing its
+//! *key* (the `/`-joined axis labels), so results depend only on what the
+//! cell *is* — never on thread count, completion order or which other
+//! cells a filter selected.
 
 use baselines::kind::LbKind;
 use harness::experiment::{Experiment, Summary};
@@ -15,6 +15,7 @@ use reps::reps::RepsConfig;
 use transport::cc::CcKind;
 use transport::config::CoalesceConfig;
 
+use crate::axis::{self, AXES};
 use crate::fault::FaultSpec;
 use crate::fidelity::FidelitySpec;
 use crate::spec::{FabricSpec, FailureSpec, SimProfile, WorkloadSpec};
@@ -52,45 +53,12 @@ impl LabeledLb {
         }
     }
 
-    /// Labels a scheme with an explicit, non-canonical label. Prefer
-    /// [`LabeledLb::plain`] — the canonical label is what spec files,
-    /// `--lb` filters and cache addresses agree on.
-    pub fn named(label: impl Into<String>, kind: LbKind) -> LabeledLb {
-        LabeledLb {
-            label: label.into(),
-            kind,
-        }
-    }
-}
-
-/// Converts a lineup into labeled axis entries: canonical spec labels,
-/// with `#n` suffixes on (pathological) exact duplicates so every axis
-/// label stays unique.
-pub fn labeled_lineup(lineup: &[LbKind]) -> Vec<LabeledLb> {
-    let mut seen = std::collections::BTreeMap::new();
-    lineup
-        .iter()
-        .map(|kind| {
-            let spec = kind.spec();
-            let n = seen.entry(spec.clone()).or_insert(0u32);
-            *n += 1;
-            if *n == 1 {
-                LabeledLb::plain(kind.clone())
-            } else {
-                LabeledLb::named(format!("{spec}#{n}"), kind.clone())
-            }
-        })
-        .collect()
-}
-
-/// The stable label of one reconvergence-axis value: `none` for the
-/// paper's pessimistic no-reconvergence default, otherwise the delay in
-/// the coarsest exact unit ([`Time::label`]: `25us`, `500ns`, `77ps`) so
-/// distinct delays always get distinct labels.
-pub fn reconv_label(delay: Option<Time>) -> String {
-    match delay {
-        None => "none".to_string(),
-        Some(t) => t.label(),
+    /// Parses any spelling of an LB spec ([`LbKind::parse`]) and labels it
+    /// canonically: spelled-out defaults, reordered parameters and braced
+    /// equivalents of the legacy forms land on one cell key, derived seed,
+    /// shard and cache address.
+    pub fn parse(s: &str) -> Result<LabeledLb, String> {
+        LbKind::parse(s).map(LabeledLb::plain)
     }
 }
 
@@ -254,17 +222,7 @@ impl ScenarioMatrix {
 
     /// Number of cells the matrix expands to.
     pub fn len(&self) -> usize {
-        self.fabrics.len()
-            * self.lbs.len()
-            * self.workloads.len()
-            * self.failures.len()
-            * self.seeds.len()
-            * self.ccs.len()
-            * self.coalesce.len()
-            * self.reconv.len()
-            * self.track.len()
-            * self.faults.len()
-            * self.fidelities.len()
+        AXES.iter().map(|axis| (axis.len)(self)).product()
     }
 
     /// Whether any axis is empty.
@@ -278,32 +236,17 @@ impl ScenarioMatrix {
     /// tracked ToRs, the cables each fault takes and the hosts each
     /// workload needs. The error names the offending axis.
     pub fn check(&self) -> Result<(), (&'static str, String)> {
-        fn unique(
-            axis: &'static str,
-            labels: impl Iterator<Item = String>,
-        ) -> Result<(), (&'static str, String)> {
+        for axis in &AXES {
             let mut seen = std::collections::BTreeSet::new();
-            for l in labels {
-                if let Some(l) = seen.replace(l) {
-                    return Err((axis, format!("duplicate {axis} label {l:?}")));
+            for label in axis.labels(self) {
+                if let Some(l) = seen.replace(label) {
+                    return Err((axis.name, format!("duplicate {} label {l:?}", axis.name)));
                 }
             }
             if seen.is_empty() {
-                return Err((axis, format!("the {axis} axis is empty")));
+                return Err((axis.name, format!("the {} axis is empty", axis.name)));
             }
-            Ok(())
         }
-        unique("fabric", self.fabrics.iter().map(|f| f.label.clone()))?;
-        unique("lb", self.lbs.iter().map(|l| l.label.clone()))?;
-        unique("workload", self.workloads.iter().map(WorkloadSpec::label))?;
-        unique("failure", self.failures.iter().map(FailureSpec::label))?;
-        unique("reconv", self.reconv.iter().map(|r| reconv_label(*r)))?;
-        unique("track", self.track.iter().map(u32::to_string))?;
-        unique("fault", self.faults.iter().map(FaultSpec::label))?;
-        unique("fidelity", self.fidelities.iter().map(|f| f.label().into()))?;
-        unique("seed", self.seeds.iter().map(u32::to_string))?;
-        unique("cc", self.ccs.iter().map(|c| c.label().into()))?;
-        unique("coalesce", self.coalesce.iter().map(|(l, _)| l.clone()))?;
         for fabric in &self.fabrics {
             let (label, cfg) = (&fabric.label, &fabric.config);
             let tors = cfg.n_tors();
@@ -332,9 +275,8 @@ impl ScenarioMatrix {
         Ok(())
     }
 
-    /// Expands the cartesian grid into independent cells (deterministic
-    /// order: fabrics, workloads, failures, ccs, coalesce, reconv, track,
-    /// faults, lbs, seeds).
+    /// Expands the cartesian grid into independent cells, in registry
+    /// order: the first row of [`AXES`] turns slowest, `seed` fastest.
     ///
     /// # Panics
     ///
@@ -343,48 +285,44 @@ impl ScenarioMatrix {
         if let Err((_, msg)) = self.check() {
             panic!("matrix {:?}: {msg}", self.name);
         }
+        let lens: Vec<usize> = AXES.iter().map(|axis| (axis.len)(self)).collect();
+        let mut at = vec![0; AXES.len()];
+        let mut cell = self.first_cell();
         let mut cells = Vec::with_capacity(self.len());
-        for fabric in &self.fabrics {
-            for workload in &self.workloads {
-                for failure in &self.failures {
-                    for cc in &self.ccs {
-                        for (co_label, co) in &self.coalesce {
-                            for &reconv in &self.reconv {
-                                for &track in &self.track {
-                                    for fault in &self.faults {
-                                        for &fidelity in &self.fidelities {
-                                            for lb in &self.lbs {
-                                                for &seed in &self.seeds {
-                                                    cells.push(Cell {
-                                                        preset: self.name.clone(),
-                                                        fabric: fabric.clone(),
-                                                        lb: lb.clone(),
-                                                        workload: workload.clone(),
-                                                        failures: failure.clone(),
-                                                        cc: *cc,
-                                                        coalesce_label: co_label.clone(),
-                                                        coalesce: *co,
-                                                        reconv,
-                                                        track,
-                                                        fault: fault.clone(),
-                                                        fidelity,
-                                                        sim: self.sim,
-                                                        background: self.background.clone(),
-                                                        seed,
-                                                        deadline: self.deadline,
-                                                    });
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        loop {
+            cells.push(cell.clone());
+            // An odometer: the last axis that can still advance turns, and
+            // every axis after it starts over.
+            let Some(r) = (0..AXES.len()).rev().find(|&r| at[r] + 1 < lens[r]) else {
+                return cells;
+            };
+            at[r] += 1;
+            at[r + 1..].fill(0);
+            for (axis, &i) in AXES[r..].iter().zip(&at[r..]) {
+                (axis.pick)(&mut cell, self, i);
             }
         }
-        cells
+    }
+
+    /// The cell at the first value of every axis.
+    fn first_cell(&self) -> Cell {
+        Cell {
+            preset: self.name.clone(),
+            fabric: self.fabrics[0].clone(),
+            lb: self.lbs[0].clone(),
+            workload: self.workloads[0].clone(),
+            failures: self.failures[0].clone(),
+            cc: self.ccs[0],
+            coalesce: self.coalesce[0].clone(),
+            reconv: self.reconv[0],
+            track: self.track[0],
+            fault: self.faults[0].clone(),
+            fidelity: self.fidelities[0],
+            sim: self.sim,
+            background: self.background.clone(),
+            seed: self.seeds[0],
+            deadline: self.deadline,
+        }
     }
 }
 
@@ -404,10 +342,8 @@ pub struct Cell {
     pub failures: FailureSpec,
     /// Congestion controller.
     pub cc: CcKind,
-    /// Coalescing axis label.
-    pub coalesce_label: String,
-    /// Coalescing policy.
-    pub coalesce: CoalesceConfig,
+    /// Coalescing policy with its axis label.
+    pub coalesce: (String, CoalesceConfig),
     /// Routing-reconvergence delay (`None` = never reconverge).
     pub reconv: Option<Time>,
     /// ToR whose uplinks the series sink tracks (0 = the default vantage).
@@ -432,7 +368,7 @@ impl Cell {
     /// background traffic and deadline — so equal keys imply equal results
     /// and the derived RNG seed can be the key's hash.
     pub fn key(&self) -> String {
-        format!("{}/lb={}/s={}", self.scenario(), self.lb.label, self.seed)
+        axis::render_key(self, &AXES)
     }
 
     /// The scenario key: the cell key minus the load-balancer and seed
@@ -441,42 +377,12 @@ impl Cell {
     ///
     /// The reconvergence (`rc=...`), vantage (`tk=...`), fault (`ft=...`)
     /// and fidelity (`fi=...`) components are only present when their axes
-    /// are set: the defaults (`None` = never reconverge, ToR 0, no fault,
-    /// packet fidelity) render exactly the pre-axis key, so derived seeds,
-    /// shard membership and cache addresses of every pre-existing cell are
-    /// unchanged (pinned by `tests/key_stability.rs`).
-    ///
-    /// The background's load balancer renders as its canonical spec
-    /// ([`LbKind::spec`]) — the family name for default configurations
-    /// (every pre-existing key), the parameterized form otherwise.
+    /// are set ([`axis::KeyForm::Omit`]): the defaults render exactly the
+    /// pre-axis key, so derived seeds, shard membership and cache addresses
+    /// of every pre-existing cell are unchanged (pinned by
+    /// `tests/key_stability.rs`).
     pub fn scenario(&self) -> String {
-        /// `/tag=label`, or nothing when the axis is at its default.
-        fn component(tag: &str, label: &str, default: &str) -> String {
-            match label == default {
-                true => String::new(),
-                false => format!("/{tag}={label}"),
-            }
-        }
-        let background = match &self.background {
-            None => "none".to_string(),
-            Some((w, lb)) => format!("{}+{}", w.label(), lb.spec()),
-        };
-        let rc = component("rc", &reconv_label(self.reconv), "none");
-        let tk = component("tk", &self.track.to_string(), "0");
-        let ft = component("ft", &self.fault.label(), "none");
-        let fi = component("fi", self.fidelity.label(), "pkt");
-        format!(
-            "{}/{}/{}/{}/sim={}/cc={}/co={}{rc}{tk}{ft}{fi}/bg={}/dl={}us",
-            self.preset,
-            self.fabric.label,
-            self.workload.label(),
-            self.failures.label(),
-            self.sim.label(),
-            self.cc.label(),
-            self.coalesce_label,
-            background,
-            self.deadline.as_ps() / 1_000_000
-        )
+        axis::render_key(self, axis::scenario_axes())
     }
 
     /// The cell's RNG seed, derived from [`Cell::key`] alone — byte-stable
@@ -517,7 +423,7 @@ impl Cell {
         );
         exp.sim = sim;
         exp.cc = self.cc;
-        exp.coalesce = self.coalesce;
+        exp.coalesce = self.coalesce.1;
         exp.failures = failures;
         exp.seed = seed;
         exp.deadline = self.deadline;
@@ -733,8 +639,8 @@ mod tests {
     fn duplicate_lb_labels_are_rejected() {
         ScenarioMatrix::new("t")
             .lbs([
-                LabeledLb::named("REPS", LbKind::Reps(RepsConfig::default())),
-                LabeledLb::named("REPS", LbKind::Reps(RepsConfig::default())),
+                LabeledLb::plain(LbKind::Reps(RepsConfig::default())),
+                LabeledLb::plain(LbKind::Reps(RepsConfig::default())),
             ])
             .expand();
     }
@@ -768,20 +674,16 @@ mod tests {
             dl.ends_with("us/lb=OPS/s=0") && dl.contains("/dl=5000000us/"),
             "{dl}"
         );
-    }
-
-    #[test]
-    fn labeled_lineup_uses_spec_labels_and_disambiguates_exact_duplicates() {
-        let lbs = labeled_lineup(&[
-            LbKind::Reps(RepsConfig::default()),
-            LbKind::Reps(RepsConfig::default().with_evs_size(64)),
-            LbKind::Reps(RepsConfig::default()),
-            LbKind::Ecmp,
-        ]);
-        let labels: Vec<&str> = lbs.iter().map(|l| l.label.as_str()).collect();
-        // Distinct configurations get distinct spec labels; only an exact
-        // duplicate needs the #n suffix.
-        assert_eq!(labels, vec!["REPS", "REPS{evs=64}", "REPS#2", "ECMP"]);
+        // Every optional component, off its default, in registry order.
+        let all = ScenarioMatrix::new("t")
+            .reconv([Some(Time::from_us(25))])
+            .track([3])
+            .faults([FaultSpec::parse("gray").unwrap()])
+            .fidelities([FidelitySpec::Hybrid]);
+        assert_eq!(
+            key(all),
+            "t/2t-k8-o1/tornado-262144B/none/sim=paper/cc=DCTCP/co=pp/rc=25us/tk=3/ft=gray/fi=hybrid/bg=none/dl=2000000us/lb=OPS/s=0"
+        );
     }
 
     #[test]
@@ -895,10 +797,11 @@ mod tests {
 
     #[test]
     fn reconv_labels_pick_the_coarsest_exact_unit() {
-        assert_eq!(reconv_label(None), "none");
-        assert_eq!(reconv_label(Some(Time::from_us(25))), "25us");
-        assert_eq!(reconv_label(Some(Time::from_ns(500))), "500ns");
-        assert_eq!(reconv_label(Some(Time(1_500_077))), "1500077ps");
+        use crate::axis::reconv_label;
+        assert_eq!(reconv_label(&None), "none");
+        assert_eq!(reconv_label(&Some(Time::from_us(25))), "25us");
+        assert_eq!(reconv_label(&Some(Time::from_ns(500))), "500ns");
+        assert_eq!(reconv_label(&Some(Time(1_500_077))), "1500077ps");
     }
 
     #[test]

@@ -44,11 +44,12 @@ use harness::Scale;
 use netsim::time::Time;
 use reps::reps::RepsConfig;
 use transport::cc::CcKind;
-use transport::config::{CoalesceConfig, CoalesceVariant};
+use transport::config::CoalesceVariant;
 
+use crate::axis::coalescing;
 use crate::fault::FaultSpec;
 use crate::fidelity::FidelitySpec;
-use crate::matrix::{labeled_lineup, LabeledLb, ScenarioMatrix};
+use crate::matrix::{LabeledLb, ScenarioMatrix};
 use crate::spec::{FabricSpec, FailureSpec, SimProfile, WorkloadSpec};
 
 /// Parses a static fault-spec string; presets only use literals, so a
@@ -65,8 +66,13 @@ fn reps() -> LbKind {
     LbKind::Reps(RepsConfig::default())
 }
 
+/// A load-balancer axis, each scheme labeled with its canonical spec.
+fn labeled(lineup: impl IntoIterator<Item = LbKind>) -> Vec<LabeledLb> {
+    lineup.into_iter().map(LabeledLb::plain).collect()
+}
+
 fn ops_vs_reps() -> Vec<LabeledLb> {
-    vec![LabeledLb::plain(ops()), LabeledLb::plain(reps())]
+    labeled([ops(), reps()])
 }
 
 /// The macro comparison fabric (32 hosts quick, 128 full).
@@ -90,8 +96,8 @@ fn rtt() -> Time {
 
 /// All built-in presets at the given scale, in figure order.
 pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
-    let lineup = labeled_lineup(&LbKind::paper_lineup(rtt()));
-    let failure_lineup = labeled_lineup(&LbKind::failure_lineup(rtt()));
+    let lineup = labeled(LbKind::paper_lineup(rtt()));
+    let failure_lineup = labeled(LbKind::failure_lineup(rtt()));
     let synthetic = |mib: u64| {
         vec![
             WorkloadSpec::Incast {
@@ -192,10 +198,7 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
             ]),
         ScenarioMatrix::new("fig09-extreme-failures")
             .fabrics([macro_fabric(scale)])
-            .lbs([
-                LabeledLb::plain(reps()),
-                LabeledLb::plain(LbKind::Plb(PlbConfig::default())),
-            ])
+            .lbs(labeled([reps(), LbKind::Plb(PlbConfig::default())]))
             .workloads([WorkloadSpec::Permutation {
                 bytes: macro_bytes(scale, 8),
             }])
@@ -235,32 +238,21 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
             .workloads([WorkloadSpec::Tornado {
                 bytes: macro_bytes(scale, 8),
             }])
-            .coalesce([1u32, 4, 16].into_iter().map(|ratio| {
-                (
-                    format!("plain{ratio}"),
-                    CoalesceConfig::ratio(ratio, CoalesceVariant::Plain),
-                )
-            })),
+            .coalesce([1, 4, 16].map(|ratio| coalescing(ratio, CoalesceVariant::Plain))),
         ScenarioMatrix::new("fig13-coalescing-variants")
             .fabrics([macro_fabric(scale)])
             .lbs(ops_vs_reps())
             .workloads([WorkloadSpec::Tornado {
                 bytes: macro_bytes(scale, 8),
             }])
-            .coalesce([
-                (
-                    "plain16".to_string(),
-                    CoalesceConfig::ratio(16, CoalesceVariant::Plain),
-                ),
-                (
-                    "carry16".to_string(),
-                    CoalesceConfig::ratio(16, CoalesceVariant::CarryEvs),
-                ),
-                (
-                    "reuse16".to_string(),
-                    CoalesceConfig::ratio(16, CoalesceVariant::ReuseEvs),
-                ),
-            ]),
+            .coalesce(
+                [
+                    CoalesceVariant::Plain,
+                    CoalesceVariant::CarryEvs,
+                    CoalesceVariant::ReuseEvs,
+                ]
+                .map(|variant| coalescing(16, variant)),
+            ),
         ScenarioMatrix::new("fig15-evs-and-cc")
             .fabrics([macro_fabric(scale)])
             .lbs(ops_vs_reps())
@@ -280,15 +272,15 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
             }]),
         ScenarioMatrix::new("fig19-forced-freezing")
             .fabrics([FabricSpec::two_tier(16, 1)])
-            .lbs([
-                LabeledLb::plain(ops()),
-                LabeledLb::plain(reps()),
+            .lbs(labeled([
+                ops(),
+                reps(),
                 // Canonical spec label: `REPS+freeze@50us`.
-                LabeledLb::plain(LbKind::Reps(RepsConfig {
+                LbKind::Reps(RepsConfig {
                     force_freezing_at: Some(Time::from_us(50)),
                     ..RepsConfig::default()
-                })),
-            ])
+                }),
+            ]))
             .workloads([WorkloadSpec::Tornado {
                 bytes: micro_bytes(scale, 16),
             }]),
@@ -309,12 +301,12 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
             .deadline(Time::from_secs(5)),
         ScenarioMatrix::new("fig23-freezing-ablation")
             .fabrics([macro_fabric(scale)])
-            .lbs([
-                LabeledLb::plain(ops()),
-                LabeledLb::plain(reps()),
+            .lbs(labeled([
+                ops(),
+                reps(),
                 // Canonical spec label: `REPS-nofreeze`.
-                LabeledLb::plain(LbKind::Reps(RepsConfig::default().without_freezing())),
-            ])
+                LbKind::Reps(RepsConfig::default().without_freezing()),
+            ]))
             .workloads([WorkloadSpec::Permutation {
                 bytes: macro_bytes(scale, 8),
             }])
@@ -325,12 +317,12 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
         // === New scenarios beyond the paper =============================
         ScenarioMatrix::new("incast-sweep")
             .fabrics([macro_fabric(scale)])
-            .lbs([
-                LabeledLb::plain(LbKind::Ecmp),
-                LabeledLb::plain(ops()),
-                LabeledLb::plain(LbKind::Plb(PlbConfig::default())),
-                LabeledLb::plain(reps()),
-            ])
+            .lbs(labeled([
+                LbKind::Ecmp,
+                ops(),
+                LbKind::Plb(PlbConfig::default()),
+                reps(),
+            ]))
             .workloads(
                 [4u32, 8, 16]
                     .into_iter()
@@ -343,11 +335,7 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
             .seeds(3),
         ScenarioMatrix::new("permutation-sweep")
             .fabrics([macro_fabric(scale)])
-            .lbs([
-                LabeledLb::plain(LbKind::Ecmp),
-                LabeledLb::plain(ops()),
-                LabeledLb::plain(reps()),
-            ])
+            .lbs(labeled([LbKind::Ecmp, ops(), reps()]))
             .workloads(
                 [1u64, 4, 16]
                     .into_iter()
@@ -359,11 +347,7 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
             .seeds(3),
         ScenarioMatrix::new("rolling-failures")
             .fabrics([macro_fabric(scale)])
-            .lbs([
-                LabeledLb::plain(ops()),
-                LabeledLb::plain(LbKind::Plb(PlbConfig::default())),
-                LabeledLb::plain(reps()),
-            ])
+            .lbs(labeled([ops(), LbKind::Plb(PlbConfig::default()), reps()]))
             .workloads([WorkloadSpec::Permutation {
                 bytes: macro_bytes(scale, 8),
             }])
@@ -416,11 +400,7 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
             ]),
         ScenarioMatrix::new("reconv-delay")
             .fabrics([FabricSpec::two_tier(8, 1)])
-            .lbs([
-                LabeledLb::plain(LbKind::Ecmp),
-                LabeledLb::plain(ops()),
-                LabeledLb::plain(reps()),
-            ])
+            .lbs(labeled([LbKind::Ecmp, ops(), reps()]))
             .workloads([WorkloadSpec::Permutation {
                 bytes: micro_bytes(scale, 2),
             }])
@@ -490,11 +470,7 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
         // adversarial set the failure axis (which always signals) misses.
         ScenarioMatrix::new("gray-failures")
             .fabrics([FabricSpec::two_tier(8, 1)])
-            .lbs([
-                LabeledLb::plain(LbKind::Ecmp),
-                LabeledLb::plain(ops()),
-                LabeledLb::plain(reps()),
-            ])
+            .lbs(labeled([LbKind::Ecmp, ops(), reps()]))
             .workloads([WorkloadSpec::Permutation {
                 bytes: micro_bytes(scale, 2),
             }])

@@ -71,6 +71,84 @@ impl FabricSpec {
             config: FatTreeConfig::two_tier_custom(tors, hosts_per_tor, hosts_per_tor / o),
         }
     }
+
+    /// Parses a fabric label (`2t-kK-oO`, `3t-kK-oO`, `ls-TxH-oO`,
+    /// `2t-custom-TxH-uU`), rejecting shapes its constructor cannot build.
+    pub fn parse(s: &str) -> Result<FabricSpec, String> {
+        let bad = || {
+            format!("bad fabric {s:?} (expected 2t-kK-oO, 3t-kK-oO, ls-TxH-oO or 2t-custom-TxH-uU)")
+        };
+        if let Some(rest) = s.strip_prefix("2t-custom-") {
+            let (tors, rest) = rest.split_once('x').ok_or_else(bad)?;
+            let (hosts, uplinks) = rest.split_once("-u").ok_or_else(bad)?;
+            let (tors, hosts, uplinks) = (
+                num::<u32>(tors, "ToR count")?,
+                num::<u32>(hosts, "hosts per ToR")?,
+                num::<u32>(uplinks, "uplinks per ToR")?,
+            );
+            if tors == 0 || hosts == 0 || uplinks == 0 {
+                return Err(format!("fabric {s:?} has a zero dimension"));
+            }
+            return Ok(FabricSpec::custom(tors, hosts, uplinks));
+        }
+        if let Some(rest) = s.strip_prefix("ls-") {
+            let (tors, rest) = rest.split_once('x').ok_or_else(bad)?;
+            let (hosts, o) = rest.split_once("-o").ok_or_else(bad)?;
+            let (tors, hosts, o) = (
+                num::<u32>(tors, "ToR count")?,
+                num::<u32>(hosts, "hosts per ToR")?,
+                num::<u32>(o, "oversubscription")?,
+            );
+            if tors == 0 || o == 0 || hosts == 0 || !hosts.is_multiple_of(o) {
+                return Err(format!(
+                    "fabric {s:?}: hosts per ToR must be a positive multiple of the oversubscription"
+                ));
+            }
+            return Ok(FabricSpec::leaf_spine(tors, hosts, o));
+        }
+        for (prefix, three_tier) in [("2t-k", false), ("3t-k", true)] {
+            if let Some(rest) = s.strip_prefix(prefix) {
+                let (k, o) = rest.split_once("-o").ok_or_else(bad)?;
+                let (k, o) = (num::<u32>(k, "radix")?, num::<u32>(o, "oversubscription")?);
+                if k == 0
+                    || o == 0
+                    || !k.is_multiple_of(o + 1)
+                    || (three_tier && !k.is_multiple_of(2))
+                {
+                    return Err(format!(
+                        "fabric {s:?}: radix {k} does not support oversubscription {o}:1 \
+                         (needs k divisible by {}{})",
+                        o + 1,
+                        if three_tier { " and even" } else { "" }
+                    ));
+                }
+                return Ok(if three_tier {
+                    FabricSpec::three_tier(k, o)
+                } else {
+                    FabricSpec::two_tier(k, o)
+                });
+            }
+        }
+        Err(bad())
+    }
+}
+
+/// Parses a number out of a label, naming `what` on failure.
+pub(crate) fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse::<T>().map_err(|e| format!("bad {what} {s:?}: {e}"))
+}
+
+/// A percentage in `lo..=100`. The failure builders clamp anything else,
+/// so a label outside the range would name a scenario that never runs.
+fn percent(s: &str, what: &str, lo: u32) -> Result<u32, String> {
+    let p: u32 = num(s, what)?;
+    if !(lo..=100).contains(&p) {
+        return Err(format!("{what} {p} out of range {lo}..=100"));
+    }
+    Ok(p)
 }
 
 /// Which [`SimConfig`] profile a matrix runs under.
@@ -89,6 +167,15 @@ impl SimProfile {
         match self {
             SimProfile::PaperDefault => "paper",
             SimProfile::FpgaTestbed => "fpga",
+        }
+    }
+
+    /// Inverts [`SimProfile::label`].
+    pub fn parse(s: &str) -> Result<SimProfile, String> {
+        match s {
+            "paper" => Ok(SimProfile::PaperDefault),
+            "fpga" => Ok(SimProfile::FpgaTestbed),
+            other => Err(format!("unknown sim profile {other:?} (paper or fpga)")),
         }
     }
 
@@ -161,6 +248,70 @@ impl WorkloadSpec {
                 format!("dctrace-{load_pct}pct-{}us", duration.as_ps() / 1_000_000)
             }
         }
+    }
+
+    /// Inverts [`WorkloadSpec::label`].
+    pub fn parse(s: &str) -> Result<WorkloadSpec, String> {
+        let bytes = |v: &str| -> Result<u64, String> {
+            num(
+                v.strip_suffix('B')
+                    .ok_or_else(|| format!("size {v:?} missing its B suffix"))?,
+                "byte count",
+            )
+        };
+        for (prefix, make) in [
+            (
+                "tornado-",
+                (|bytes| WorkloadSpec::Tornado { bytes }) as fn(u64) -> _,
+            ),
+            ("perm-", |bytes| WorkloadSpec::Permutation { bytes }),
+            ("ringar-", |bytes| WorkloadSpec::RingAllreduce { bytes }),
+            ("bflyar-", |bytes| WorkloadSpec::ButterflyAllreduce {
+                bytes,
+            }),
+        ] {
+            if let Some(rest) = s.strip_prefix(prefix) {
+                return Ok(make(bytes(rest)?));
+            }
+        }
+        if let Some(rest) = s.strip_prefix("incast") {
+            let (degree, b) = rest
+                .split_once("to1-")
+                .ok_or_else(|| format!("bad incast workload {s:?} (expected incastDto1-NB)"))?;
+            return Ok(WorkloadSpec::Incast {
+                degree: num(degree, "incast degree")?,
+                bytes: bytes(b)?,
+            });
+        }
+        if let Some(rest) = s.strip_prefix("a2a-w") {
+            let (window, b) = rest
+                .split_once('-')
+                .ok_or_else(|| format!("bad alltoall workload {s:?} (expected a2a-wW-NB)"))?;
+            let window = num(window, "alltoall window")?;
+            if window == 0 {
+                return Err(format!("alltoall window in {s:?} must be at least 1"));
+            }
+            return Ok(WorkloadSpec::AllToAll {
+                bytes: bytes(b)?,
+                window,
+            });
+        }
+        if let Some(rest) = s.strip_prefix("dctrace-") {
+            let (pct, dur) = rest
+                .split_once("pct-")
+                .ok_or_else(|| format!("bad trace workload {s:?} (expected dctrace-Ppct-Tus)"))?;
+            let dur = dur
+                .strip_suffix("us")
+                .ok_or_else(|| format!("bad trace duration in {s:?}"))?;
+            return Ok(WorkloadSpec::DcTrace {
+                load_pct: num(pct, "load percentage")?,
+                duration: Time::from_us(num(dur, "trace duration")?),
+            });
+        }
+        Err(format!(
+            "unknown workload {s:?} (expected tornado-NB, perm-NB, incastDto1-NB, ringar-NB, \
+             bflyar-NB, a2a-wW-NB or dctrace-Ppct-Tus)"
+        ))
     }
 
     /// Whether the workload runs as its label advertises on an `n_hosts`
@@ -342,6 +493,79 @@ impl FailureSpec {
         }
     }
 
+    /// Inverts [`FailureSpec::label`].
+    pub fn parse(s: &str) -> Result<FailureSpec, String> {
+        if s == "none" {
+            return Ok(FailureSpec::None);
+        }
+        if let Some(rest) = s.strip_prefix("cable1-") {
+            let (at, duration) = parse_at_dur(rest, s)?;
+            return Ok(FailureSpec::OneCable { at, duration });
+        }
+        if let Some(rest) = s.strip_prefix("switch1-") {
+            let (at, duration) = parse_at_dur(rest, s)?;
+            return Ok(FailureSpec::OneSwitch { at, duration });
+        }
+        for (prefix, switches) in [("cables", false), ("switches", true)] {
+            if let Some(rest) = s.strip_prefix(prefix) {
+                if let Some((pct, tail)) = rest.split_once("pct-") {
+                    let pct = percent(pct, "failure percentage", 0)?;
+                    let (at, duration) = parse_at_dur(tail, s)?;
+                    return Ok(if switches {
+                        FailureSpec::RandomSwitches { pct, at, duration }
+                    } else {
+                        FailureSpec::RandomCables { pct, at, duration }
+                    });
+                }
+            }
+        }
+        if let Some(rest) = s.strip_prefix("degraded") {
+            let (pct, gbps) = rest
+                .split_once("pct-")
+                .and_then(|(p, g)| g.strip_suffix('G').map(|g| (p, g)))
+                .ok_or_else(|| format!("bad failure {s:?} (expected degradedPpct-NG)"))?;
+            return Ok(FailureSpec::DegradedUplinks {
+                pct: percent(pct, "degraded percentage", 1)?,
+                gbps: num(gbps, "degraded rate")?,
+            });
+        }
+        if let Some(rest) = s.strip_prefix("ber") {
+            let (pm, at) = rest
+                .split_once("pm-at")
+                .and_then(|(p, a)| a.strip_suffix("us").map(|a| (p, a)))
+                .ok_or_else(|| format!("bad failure {s:?} (expected berBpm-atTus)"))?;
+            return Ok(FailureSpec::BitErrorCable {
+                ber_millis: num(pm, "bit-error rate")?,
+                at: Time::from_us(num(at, "onset instant")?),
+            });
+        }
+        if let Some(rest) = s.strip_prefix("rolling") {
+            let bad = || format!("bad failure {s:?} (expected rollingC-everyPus-downDus)");
+            let (count, tail) = rest.split_once("-every").ok_or_else(bad)?;
+            let (period, down) = tail.split_once("us-down").ok_or_else(bad)?;
+            let down = down.strip_suffix("us").ok_or_else(bad)?;
+            return Ok(FailureSpec::Rolling {
+                count: num(count, "cable count")?,
+                period: Time::from_us(num(period, "failure period")?),
+                down_for: Time::from_us(num(down, "downtime")?),
+            });
+        }
+        if let Some(rest) = s.strip_prefix("incuplinks") {
+            let bad = || format!("bad failure {s:?} (expected incuplinksC-everyPus)");
+            let (count, period) = rest.split_once("-every").ok_or_else(bad)?;
+            let period = period.strip_suffix("us").ok_or_else(bad)?;
+            return Ok(FailureSpec::IncrementalTorUplinks {
+                count: num(count, "uplink count")?,
+                period: Time::from_us(num(period, "failure period")?),
+            });
+        }
+        Err(format!(
+            "unknown failure {s:?} (expected none, cable1-..., switch1-..., cablesPpct-..., \
+             switchesPpct-..., degradedPpct-NG, berBpm-atTus, rollingC-everyPus-downDus or \
+             incuplinksC-everyPus)"
+        ))
+    }
+
     /// Materializes the plan against `fabric`; random choices are seeded by
     /// `seed` (derived from the cell key by the caller), so the same cell
     /// always fails the same cables.
@@ -427,6 +651,21 @@ impl FailureSpec {
             }
         }
     }
+}
+
+/// Parses the `atTus-perm` / `atTus-Dus` tail shared by failure labels.
+fn parse_at_dur(rest: &str, label: &str) -> Result<(Time, Option<Time>), String> {
+    let bad = || format!("bad failure {label:?} (expected ...-atTus-perm or ...-atTus-Dus)");
+    let rest = rest.strip_prefix("at").ok_or_else(bad)?;
+    let (at, dur) = rest.split_once("us-").ok_or_else(bad)?;
+    let at = Time::from_us(num(at, "failure instant")?);
+    let duration = if dur == "perm" {
+        None
+    } else {
+        let d = dur.strip_suffix("us").ok_or_else(bad)?;
+        Some(Time::from_us(num(d, "failure duration")?))
+    };
+    Ok((at, duration))
 }
 
 #[cfg(test)]

@@ -25,12 +25,14 @@
 //! reconv   = none, 25us, 100us
 //! ```
 //!
-//! Axes: `fabric`, `lb`, `workload`, `failure`, `reconv`, `track`,
-//! `fault`, `fidelity`, `seed`, `cc`, `coalesce`, plus the single-valued
-//! settings `sim`, `background` and `deadline`. Omitted axes keep the
-//! [`ScenarioMatrix::new`] defaults. [`parse`] reports every problem with
-//! its 1-based line number; [`render`] is the canonical inverse
-//! (parse → render → parse is byte-stable).
+//! The axes are the rows of [`crate::axis::AXES`], in cell-key order:
+//! `fabric`, `workload`, `failure`, `sim`, `cc`, `coalesce`, `reconv`,
+//! `track`, `fault`, `fidelity`, `background`, `deadline`, `lb`, `seed`.
+//! `sim`, `background` (`workload+LB` or `none`) and `deadline` take
+//! exactly one value. Omitted axes keep the [`ScenarioMatrix::new`]
+//! defaults. [`parse`] reports every problem with its 1-based line number;
+//! [`render`] is the canonical inverse (parse → render → parse is
+//! byte-stable), writing every axis in registry order.
 //!
 //! # Named configurations
 //!
@@ -53,15 +55,8 @@
 //! value, a tracked ToR, fault or workload that some fabric of the grid
 //! cannot hold.
 
-use baselines::kind::LbKind;
-use netsim::time::Time;
-use transport::cc::CcKind;
-use transport::config::{CoalesceConfig, CoalesceVariant};
-
-use crate::fault::FaultSpec;
-use crate::fidelity::FidelitySpec;
-use crate::matrix::{reconv_label, LabeledLb, ScenarioMatrix};
-use crate::spec::{FabricSpec, FailureSpec, SimProfile, WorkloadSpec};
+use crate::axis::{self, AXES};
+use crate::matrix::ScenarioMatrix;
 
 /// A parse failure, pinned to its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,24 +74,6 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-/// The axis names [`parse`] accepts, in canonical render order.
-const AXES: [&str; 14] = [
-    "fabric",
-    "lb",
-    "workload",
-    "failure",
-    "reconv",
-    "track",
-    "fault",
-    "fidelity",
-    "seed",
-    "cc",
-    "coalesce",
-    "sim",
-    "background",
-    "deadline",
-];
 
 /// Splits an axis value list on top-level commas: commas inside `{...}`
 /// (LB-spec parameter lists) belong to the value, not the list. Unbalanced
@@ -122,13 +99,13 @@ fn split_values(values: &str) -> Vec<&str> {
 
 /// A matrix under construction: the matrix, its header line, and the axes
 /// set in it so far with their lines.
-type Section<'a> = (ScenarioMatrix, usize, Vec<(&'a str, usize)>);
+type Section = (ScenarioMatrix, usize, Vec<(&'static str, usize)>);
 
 /// Closes a section: runs [`ScenarioMatrix::check`] and reports its error
 /// at the line of the axis it names — or, when that axis was left at its
 /// default, at the fabric line (the only axis a default can clash with),
 /// else at the section header.
-fn close((m, header, seen): Section<'_>) -> Result<ScenarioMatrix, SpecError> {
+fn close((m, header, seen): Section) -> Result<ScenarioMatrix, SpecError> {
     let line_of = |axis: &str| seen.iter().find(|(a, _)| *a == axis).map(|&(_, line)| line);
     match m.check() {
         Ok(()) => Ok(m),
@@ -144,7 +121,7 @@ fn close((m, header, seen): Section<'_>) -> Result<ScenarioMatrix, SpecError> {
 /// Parses a spec file into its scenario matrices.
 pub fn parse(text: &str) -> Result<Vec<ScenarioMatrix>, SpecError> {
     let mut matrices: Vec<ScenarioMatrix> = Vec::new();
-    let mut current: Option<Section<'_>> = None;
+    let mut current: Option<Section> = None;
     let fail = |line: usize, msg: String| Err(SpecError { line, msg });
 
     for (i, raw) in text.lines().enumerate() {
@@ -172,43 +149,44 @@ pub fn parse(text: &str) -> Result<Vec<ScenarioMatrix>, SpecError> {
             current = Some((ScenarioMatrix::new(name), lineno, Vec::new()));
             continue;
         }
-        let Some((axis, values)) = line.split_once('=') else {
+        let Some((name, values)) = line.split_once('=') else {
             return fail(
                 lineno,
                 format!("expected `[name]` or `axis = values`, got {line:?}"),
             );
         };
-        let axis = axis.trim();
-        let Some(axis) = AXES.iter().find(|a| **a == axis) else {
+        let name = name.trim();
+        let Some(axis) = axis::by_name(name) else {
+            let names: Vec<&str> = AXES.iter().map(|a| a.name).collect();
             return fail(
                 lineno,
                 format!(
-                    "unknown axis {axis:?} (expected one of {})",
-                    AXES.join(", ")
+                    "unknown axis {name:?} (expected one of {})",
+                    names.join(", ")
                 ),
             );
         };
         let Some((matrix, _, seen)) = current.as_mut() else {
-            return fail(lineno, format!("axis {axis:?} outside a [matrix] section"));
+            return fail(lineno, format!("axis {name:?} outside a [matrix] section"));
         };
-        if seen.iter().any(|(a, _)| a == axis) {
+        if seen.iter().any(|(a, _)| *a == axis.name) {
             return fail(
                 lineno,
-                format!("duplicate axis {axis:?} in matrix {:?}", matrix.name),
+                format!("duplicate axis {name:?} in matrix {:?}", matrix.name),
             );
         }
-        seen.push((axis, lineno));
+        seen.push((axis.name, lineno));
         let values: Vec<&str> = split_values(values);
         if values == [""] {
-            return fail(lineno, format!("axis {axis:?} has an empty value list"));
+            return fail(lineno, format!("axis {name:?} has an empty value list"));
         }
         if values.iter().any(|v| v.is_empty()) {
             return fail(
                 lineno,
-                format!("empty value in axis {axis:?} (trailing or doubled comma?)"),
+                format!("empty value in axis {name:?} (trailing or doubled comma?)"),
             );
         }
-        if let Err(msg) = apply_axis(matrix, axis, &values) {
+        if let Err(msg) = (axis.set)(matrix, &values) {
             return fail(lineno, msg);
         }
     }
@@ -225,62 +203,6 @@ pub fn parse_file(path: &str) -> Result<Vec<ScenarioMatrix>, String> {
     parse(&text).map_err(|e| format!("{path}:{e}"))
 }
 
-fn apply_axis(matrix: &mut ScenarioMatrix, axis: &str, values: &[&str]) -> Result<(), String> {
-    fn all<T>(
-        values: &[&str],
-        parse: impl Fn(&str) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        values.iter().map(|v| parse(v)).collect()
-    }
-    let single = || -> Result<&str, String> {
-        match values {
-            [v] => Ok(v),
-            _ => Err(format!(
-                "{axis} takes exactly one value, got {}",
-                values.len()
-            )),
-        }
-    };
-    match axis {
-        "fabric" => matrix.fabrics = all(values, parse_fabric)?,
-        "lb" => matrix.lbs = all(values, parse_lb)?,
-        "workload" => matrix.workloads = all(values, parse_workload)?,
-        "failure" => matrix.failures = all(values, parse_failure)?,
-        "reconv" => matrix.reconv = all(values, parse_reconv)?,
-        "track" => matrix.track = all(values, |v| num(v, "tracked ToR"))?,
-        "fault" => matrix.faults = all(values, FaultSpec::parse)?,
-        "fidelity" => matrix.fidelities = all(values, FidelitySpec::parse)?,
-        "seed" => matrix.seeds = all(values, |v| num(v, "seed"))?,
-        "cc" => matrix.ccs = all(values, parse_cc)?,
-        "coalesce" => matrix.coalesce = all(values, parse_coalesce)?,
-        "sim" => {
-            matrix.sim = match single()? {
-                "paper" => SimProfile::PaperDefault,
-                "fpga" => SimProfile::FpgaTestbed,
-                other => return Err(format!("unknown sim profile {other:?} (paper or fpga)")),
-            };
-        }
-        "background" => {
-            let v = single()?;
-            matrix.background = if v == "none" {
-                None
-            } else {
-                // Split on the FIRST '+': workload labels never contain
-                // one, while lb labels can (`REPS+freeze@50us`).
-                let (wl, lb) = v
-                    .split_once('+')
-                    .ok_or_else(|| format!("background {v:?} is not `workload+LB` or `none`"))?;
-                Some((parse_workload(wl)?, parse_lb(lb)?.kind))
-            };
-        }
-        "deadline" => {
-            matrix.deadline = Time::parse_label(single()?)?;
-        }
-        other => unreachable!("axis {other:?} validated against AXES"),
-    }
-    Ok(())
-}
-
 /// Renders matrices as a canonical spec file: every axis explicit, values
 /// as their cell-key labels, matrices separated by a blank line. The exact
 /// inverse of [`parse`] on its own output.
@@ -294,333 +216,20 @@ pub fn render(matrices: &[ScenarioMatrix]) -> String {
 
 /// Renders one matrix block (see [`render`]).
 pub fn render_matrix(m: &ScenarioMatrix) -> String {
-    fn line(out: &mut String, axis: &str, values: impl IntoIterator<Item = String>) {
-        out.push_str(axis);
-        out.push_str(" = ");
-        out.push_str(&values.into_iter().collect::<Vec<_>>().join(", "));
-        out.push('\n');
-    }
     let mut out = format!("[{}]\n", m.name);
-    line(
-        &mut out,
-        "fabric",
-        m.fabrics.iter().map(|f| f.label.clone()),
-    );
-    line(&mut out, "lb", m.lbs.iter().map(|l| l.label.clone()));
-    line(&mut out, "workload", m.workloads.iter().map(|w| w.label()));
-    line(&mut out, "failure", m.failures.iter().map(|f| f.label()));
-    line(
-        &mut out,
-        "reconv",
-        m.reconv.iter().map(|r| reconv_label(*r)),
-    );
-    line(&mut out, "track", m.track.iter().map(u32::to_string));
-    line(&mut out, "fault", m.faults.iter().map(FaultSpec::label));
-    line(
-        &mut out,
-        "fidelity",
-        m.fidelities.iter().map(|f| f.label().to_string()),
-    );
-    line(&mut out, "seed", m.seeds.iter().map(u32::to_string));
-    line(&mut out, "cc", m.ccs.iter().map(|c| c.label().to_string()));
-    line(
-        &mut out,
-        "coalesce",
-        m.coalesce.iter().map(|(l, _)| l.clone()),
-    );
-    line(&mut out, "sim", [m.sim.label().to_string()]);
-    line(
-        &mut out,
-        "background",
-        [match &m.background {
-            None => "none".to_string(),
-            // The canonical spec, not the bare family name: a
-            // parameterized background LB must survive render → parse.
-            Some((w, lb)) => format!("{}+{}", w.label(), lb.spec()),
-        }],
-    );
-    line(&mut out, "deadline", [m.deadline.label()]);
+    for axis in &AXES {
+        let values: Vec<String> = axis.labels(m).collect();
+        out += &format!("{} = {}\n", axis.name, values.join(", "));
+    }
     out
-}
-
-// === Value parsers (inverses of the cell-key labels) =====================
-
-fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    s.parse::<T>().map_err(|e| format!("bad {what} {s:?}: {e}"))
-}
-
-/// A percentage in `lo..=100`. The failure builders clamp anything else,
-/// so a label outside the range would name a scenario that never runs.
-fn percent(s: &str, what: &str, lo: u32) -> Result<u32, String> {
-    let p: u32 = num(s, what)?;
-    if !(lo..=100).contains(&p) {
-        return Err(format!("{what} {p} out of range {lo}..=100"));
-    }
-    Ok(p)
-}
-
-fn parse_reconv(s: &str) -> Result<Option<Time>, String> {
-    if s == "none" {
-        return Ok(None);
-    }
-    Time::parse_label(s).map(Some)
-}
-
-fn parse_fabric(s: &str) -> Result<FabricSpec, String> {
-    let bad =
-        || format!("bad fabric {s:?} (expected 2t-kK-oO, 3t-kK-oO, ls-TxH-oO or 2t-custom-TxH-uU)");
-    if let Some(rest) = s.strip_prefix("2t-custom-") {
-        let (tors, rest) = rest.split_once('x').ok_or_else(bad)?;
-        let (hosts, uplinks) = rest.split_once("-u").ok_or_else(bad)?;
-        let (tors, hosts, uplinks) = (
-            num::<u32>(tors, "ToR count")?,
-            num::<u32>(hosts, "hosts per ToR")?,
-            num::<u32>(uplinks, "uplinks per ToR")?,
-        );
-        if tors == 0 || hosts == 0 || uplinks == 0 {
-            return Err(format!("fabric {s:?} has a zero dimension"));
-        }
-        return Ok(FabricSpec::custom(tors, hosts, uplinks));
-    }
-    if let Some(rest) = s.strip_prefix("ls-") {
-        let (tors, rest) = rest.split_once('x').ok_or_else(bad)?;
-        let (hosts, o) = rest.split_once("-o").ok_or_else(bad)?;
-        let (tors, hosts, o) = (
-            num::<u32>(tors, "ToR count")?,
-            num::<u32>(hosts, "hosts per ToR")?,
-            num::<u32>(o, "oversubscription")?,
-        );
-        if tors == 0 || o == 0 || hosts == 0 || !hosts.is_multiple_of(o) {
-            return Err(format!(
-                "fabric {s:?}: hosts per ToR must be a positive multiple of the oversubscription"
-            ));
-        }
-        return Ok(FabricSpec::leaf_spine(tors, hosts, o));
-    }
-    for (prefix, three_tier) in [("2t-k", false), ("3t-k", true)] {
-        if let Some(rest) = s.strip_prefix(prefix) {
-            let (k, o) = rest.split_once("-o").ok_or_else(bad)?;
-            let (k, o) = (num::<u32>(k, "radix")?, num::<u32>(o, "oversubscription")?);
-            if k == 0 || o == 0 || !k.is_multiple_of(o + 1) || (three_tier && !k.is_multiple_of(2))
-            {
-                return Err(format!(
-                    "fabric {s:?}: radix {k} does not support oversubscription {o}:1 \
-                     (needs k divisible by {}{})",
-                    o + 1,
-                    if three_tier { " and even" } else { "" }
-                ));
-            }
-            return Ok(if three_tier {
-                FabricSpec::three_tier(k, o)
-            } else {
-                FabricSpec::two_tier(k, o)
-            });
-        }
-    }
-    Err(bad())
-}
-
-/// Parses one `lb` axis value through the typed LB-spec grammar
-/// ([`LbKind::parse`]) and labels it *canonically* ([`LbKind::spec`]): any
-/// spelling of a configuration — spelled-out defaults, reordered
-/// parameters, braced equivalents of the legacy forms — lands on the same
-/// cell key, derived seed, shard and cache address.
-fn parse_lb(s: &str) -> Result<LabeledLb, String> {
-    Ok(LabeledLb::plain(LbKind::parse(s)?))
-}
-
-fn parse_workload(s: &str) -> Result<WorkloadSpec, String> {
-    let bytes = |v: &str| -> Result<u64, String> {
-        num(
-            v.strip_suffix('B')
-                .ok_or_else(|| format!("size {v:?} missing its B suffix"))?,
-            "byte count",
-        )
-    };
-    if let Some(rest) = s.strip_prefix("tornado-") {
-        return Ok(WorkloadSpec::Tornado {
-            bytes: bytes(rest)?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("perm-") {
-        return Ok(WorkloadSpec::Permutation {
-            bytes: bytes(rest)?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("incast") {
-        let (degree, b) = rest
-            .split_once("to1-")
-            .ok_or_else(|| format!("bad incast workload {s:?} (expected incastDto1-NB)"))?;
-        return Ok(WorkloadSpec::Incast {
-            degree: num(degree, "incast degree")?,
-            bytes: bytes(b)?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("ringar-") {
-        return Ok(WorkloadSpec::RingAllreduce {
-            bytes: bytes(rest)?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("bflyar-") {
-        return Ok(WorkloadSpec::ButterflyAllreduce {
-            bytes: bytes(rest)?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("a2a-w") {
-        let (window, b) = rest
-            .split_once('-')
-            .ok_or_else(|| format!("bad alltoall workload {s:?} (expected a2a-wW-NB)"))?;
-        let window = num(window, "alltoall window")?;
-        if window == 0 {
-            return Err(format!("alltoall window in {s:?} must be at least 1"));
-        }
-        return Ok(WorkloadSpec::AllToAll {
-            bytes: bytes(b)?,
-            window,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("dctrace-") {
-        let (pct, dur) = rest
-            .split_once("pct-")
-            .ok_or_else(|| format!("bad trace workload {s:?} (expected dctrace-Ppct-Tus)"))?;
-        let dur = dur
-            .strip_suffix("us")
-            .ok_or_else(|| format!("bad trace duration in {s:?}"))?;
-        return Ok(WorkloadSpec::DcTrace {
-            load_pct: num(pct, "load percentage")?,
-            duration: Time::from_us(num(dur, "trace duration")?),
-        });
-    }
-    Err(format!(
-        "unknown workload {s:?} (expected tornado-NB, perm-NB, incastDto1-NB, ringar-NB, \
-         bflyar-NB, a2a-wW-NB or dctrace-Ppct-Tus)"
-    ))
-}
-
-/// Parses the `atTus-perm` / `atTus-Dus` tail shared by failure labels.
-fn parse_at_dur(rest: &str, label: &str) -> Result<(Time, Option<Time>), String> {
-    let bad = || format!("bad failure {label:?} (expected ...-atTus-perm or ...-atTus-Dus)");
-    let rest = rest.strip_prefix("at").ok_or_else(bad)?;
-    let (at, dur) = rest.split_once("us-").ok_or_else(bad)?;
-    let at = Time::from_us(num(at, "failure instant")?);
-    let duration = if dur == "perm" {
-        None
-    } else {
-        let d = dur.strip_suffix("us").ok_or_else(bad)?;
-        Some(Time::from_us(num(d, "failure duration")?))
-    };
-    Ok((at, duration))
-}
-
-fn parse_failure(s: &str) -> Result<FailureSpec, String> {
-    if s == "none" {
-        return Ok(FailureSpec::None);
-    }
-    if let Some(rest) = s.strip_prefix("cable1-") {
-        let (at, duration) = parse_at_dur(rest, s)?;
-        return Ok(FailureSpec::OneCable { at, duration });
-    }
-    if let Some(rest) = s.strip_prefix("switch1-") {
-        let (at, duration) = parse_at_dur(rest, s)?;
-        return Ok(FailureSpec::OneSwitch { at, duration });
-    }
-    for (prefix, switches) in [("cables", false), ("switches", true)] {
-        if let Some(rest) = s.strip_prefix(prefix) {
-            if let Some((pct, tail)) = rest.split_once("pct-") {
-                let pct = percent(pct, "failure percentage", 0)?;
-                let (at, duration) = parse_at_dur(tail, s)?;
-                return Ok(if switches {
-                    FailureSpec::RandomSwitches { pct, at, duration }
-                } else {
-                    FailureSpec::RandomCables { pct, at, duration }
-                });
-            }
-        }
-    }
-    if let Some(rest) = s.strip_prefix("degraded") {
-        let (pct, gbps) = rest
-            .split_once("pct-")
-            .and_then(|(p, g)| g.strip_suffix('G').map(|g| (p, g)))
-            .ok_or_else(|| format!("bad failure {s:?} (expected degradedPpct-NG)"))?;
-        return Ok(FailureSpec::DegradedUplinks {
-            pct: percent(pct, "degraded percentage", 1)?,
-            gbps: num(gbps, "degraded rate")?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("ber") {
-        let (pm, at) = rest
-            .split_once("pm-at")
-            .and_then(|(p, a)| a.strip_suffix("us").map(|a| (p, a)))
-            .ok_or_else(|| format!("bad failure {s:?} (expected berBpm-atTus)"))?;
-        return Ok(FailureSpec::BitErrorCable {
-            ber_millis: num(pm, "bit-error rate")?,
-            at: Time::from_us(num(at, "onset instant")?),
-        });
-    }
-    if let Some(rest) = s.strip_prefix("rolling") {
-        let bad = || format!("bad failure {s:?} (expected rollingC-everyPus-downDus)");
-        let (count, tail) = rest.split_once("-every").ok_or_else(bad)?;
-        let (period, down) = tail.split_once("us-down").ok_or_else(bad)?;
-        let down = down.strip_suffix("us").ok_or_else(bad)?;
-        return Ok(FailureSpec::Rolling {
-            count: num(count, "cable count")?,
-            period: Time::from_us(num(period, "failure period")?),
-            down_for: Time::from_us(num(down, "downtime")?),
-        });
-    }
-    if let Some(rest) = s.strip_prefix("incuplinks") {
-        let bad = || format!("bad failure {s:?} (expected incuplinksC-everyPus)");
-        let (count, period) = rest.split_once("-every").ok_or_else(bad)?;
-        let period = period.strip_suffix("us").ok_or_else(bad)?;
-        return Ok(FailureSpec::IncrementalTorUplinks {
-            count: num(count, "uplink count")?,
-            period: Time::from_us(num(period, "failure period")?),
-        });
-    }
-    Err(format!(
-        "unknown failure {s:?} (expected none, cable1-..., switch1-..., cablesPpct-..., \
-         switchesPpct-..., degradedPpct-NG, berBpm-atTus, rollingC-everyPus-downDus or \
-         incuplinksC-everyPus)"
-    ))
-}
-
-fn parse_cc(s: &str) -> Result<CcKind, String> {
-    match s {
-        "DCTCP" => Ok(CcKind::Dctcp),
-        "EQDS" => Ok(CcKind::Eqds),
-        "INTERNAL" => Ok(CcKind::Internal),
-        other => Err(format!("unknown cc {other:?} (DCTCP, EQDS or INTERNAL)")),
-    }
-}
-
-fn parse_coalesce(s: &str) -> Result<(String, CoalesceConfig), String> {
-    if s == "pp" {
-        return Ok(("pp".to_string(), CoalesceConfig::per_packet()));
-    }
-    for (prefix, variant) in [
-        ("plain", CoalesceVariant::Plain),
-        ("carry", CoalesceVariant::CarryEvs),
-        ("reuse", CoalesceVariant::ReuseEvs),
-    ] {
-        if let Some(ratio) = s.strip_prefix(prefix) {
-            let n: u32 = num(ratio, "coalescing ratio")?;
-            if n == 0 {
-                return Err(format!("coalescing ratio in {s:?} must be at least 1"));
-            }
-            return Ok((s.to_string(), CoalesceConfig::ratio(n, variant)));
-        }
-    }
-    Err(format!(
-        "unknown coalesce policy {s:?} (pp, plainN, carryN or reuseN)"
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fidelity::FidelitySpec;
+    use crate::spec::SimProfile;
+    use netsim::time::Time;
 
     const DEMO: &str = "\
 # demo grid
@@ -684,6 +293,11 @@ reconv = none, 25us
             ("[a\nlb = OPS", 1, "unterminated"),
             ("[a]\njust words", 2, "expected `[name]`"),
             ("[a]\nseed = 1, 1", 2, "duplicate seed label"),
+            (
+                "[a]\ncoalesce = plain4, plain04",
+                2,
+                "duplicate coalesce label",
+            ),
             ("[a]\nsim = paper, fpga", 2, "exactly one value"),
             ("[a]\nfabric = 2t-k8-o2", 2, "does not support"),
             ("[a]\ndeadline = 5", 2, "bad duration"),

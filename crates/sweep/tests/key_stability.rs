@@ -197,50 +197,3 @@ fn preset_pools_expand_to_disjoint_unique_nonempty_cell_sets() {
         }
     }
 }
-
-#[test]
-fn fixture_preset_keys_still_lack_the_reconv_component() {
-    // The axis addition is invisible to every pre-existing cell: no `rc=`
-    // component may appear in any fixture preset's current keys.
-    let fixture_presets: BTreeSet<&str> = fixture_rows()
-        .iter()
-        .map(|(_, _, _, key)| key.split('/').next().expect("preset component"))
-        .collect();
-    for scale in [Scale::Quick, Scale::Full] {
-        for (_, key) in current_rows(scale, &fixture_presets) {
-            assert!(!key.contains("/rc="), "{key}: default reconv leaked");
-        }
-    }
-}
-
-#[test]
-fn fixture_preset_keys_still_lack_the_fault_component() {
-    // Same contract for the fault axis: `ft=` is keyed only when a cell
-    // actually injects a fault, so every pre-existing cell's key, seed,
-    // shard and cache address is untouched by the axis existing.
-    let fixture_presets: BTreeSet<&str> = fixture_rows()
-        .iter()
-        .map(|(_, _, _, key)| key.split('/').next().expect("preset component"))
-        .collect();
-    for scale in [Scale::Quick, Scale::Full] {
-        for (_, key) in current_rows(scale, &fixture_presets) {
-            assert!(!key.contains("/ft="), "{key}: default fault leaked");
-        }
-    }
-}
-
-#[test]
-fn fixture_preset_keys_still_lack_the_fidelity_component() {
-    // Same contract again for the fidelity axis: `fi=` is keyed only for
-    // hybrid cells, so `fidelity=pkt` — every pre-existing cell — keeps
-    // its key, derived seed, shard and cache address bit-for-bit.
-    let fixture_presets: BTreeSet<&str> = fixture_rows()
-        .iter()
-        .map(|(_, _, _, key)| key.split('/').next().expect("preset component"))
-        .collect();
-    for scale in [Scale::Quick, Scale::Full] {
-        for (_, key) in current_rows(scale, &fixture_presets) {
-            assert!(!key.contains("/fi="), "{key}: default fidelity leaked");
-        }
-    }
-}

@@ -10,9 +10,7 @@
 use proptest::prelude::*;
 
 use harness::Scale;
-use netsim::time::Time;
 use sweep::matrix::ScenarioMatrix;
-use sweep::spec::{FabricSpec, FailureSpec, WorkloadSpec};
 use sweep::{presets, specfile};
 
 /// Deterministic pool sampler (the proptest shim draws the seed; subset
@@ -49,90 +47,85 @@ impl Pick {
     }
 }
 
+/// Per axis, the values an arbitrary grid takes a subset of. Every fabric
+/// has at least 2 ToRs and 16 hosts, so every value fits every fabric.
+const POOLS: [(&str, &[&str]); 8] = [
+    (
+        "fabric",
+        &[
+            "2t-k8-o1",
+            "2t-k6-o2",
+            "3t-k4-o1",
+            "2t-custom-2x8-u4",
+            "ls-4x4-o2",
+        ],
+    ),
+    (
+        "lb",
+        &[
+            "ECMP",
+            "OPS",
+            "REPS",
+            "PLB",
+            "MPRDMA",
+            "MPTCP",
+            "Flowlet",
+            "BitMap",
+            "Adaptive RoCE",
+            "REPS-nofreeze",
+            "REPS+freeze@50us",
+            "REPS{evs=256,freeze=off}",
+            "REPS{buf=16,fto=50us,freezeat=500ns}",
+            "OPS{evs=64}",
+            "PLB{thresh=0.1,rounds=3}",
+            "Flowlet{gap=80us}",
+            "BitMap{evs=1024,clear=50us}",
+            "MPTCP{subflows=4}",
+        ],
+    ),
+    (
+        "workload",
+        &[
+            "tornado-65536B",
+            "perm-3072B",
+            "incast4to1-4096B",
+            "a2a-w2-1024B",
+            "dctrace-40pct-30us",
+        ],
+    ),
+    (
+        "failure",
+        &[
+            "none",
+            "cable1-at5us-20us",
+            "switches10pct-at8us-perm",
+            "degraded5pct-100G",
+            "rolling2-every30us-down40us",
+        ],
+    ),
+    ("reconv", &["none", "10us", "500ns"]),
+    ("track", &["0", "1"]),
+    ("seed", &["0", "1", "5", "9"]),
+    ("deadline", &["2000000us", "123us", "77ns"]),
+];
+
 fn arbitrary_matrix(seed: u64) -> ScenarioMatrix {
-    use baselines::kind::LbKind;
     let mut pick = Pick(seed);
-    let lb_labels = [
-        "ECMP",
-        "OPS",
-        "REPS",
-        "PLB",
-        "MPRDMA",
-        "MPTCP",
-        "Flowlet",
-        "BitMap",
-        "Adaptive RoCE",
-        "REPS-nofreeze",
-        "REPS+freeze@50us",
-        "REPS{evs=256,freeze=off}",
-        "REPS{buf=16,fto=50us,freezeat=500ns}",
-        "OPS{evs=64}",
-        "PLB{thresh=0.1,rounds=3}",
-        "Flowlet{gap=80us}",
-        "BitMap{evs=1024,clear=50us}",
-        "MPTCP{subflows=4}",
-    ];
-    let lb_text = format!("lb = {}", pick.subset(&lb_labels).join(", "));
-    let mut m = specfile::parse(&format!("[seed-{seed}]\n{lb_text}\n"))
-        .expect("lb axis parses")
-        .remove(0);
-    m.fabrics = pick.subset(&[
-        FabricSpec::two_tier(8, 1),
-        FabricSpec::two_tier(6, 2),
-        FabricSpec::three_tier(4, 1),
-        FabricSpec::custom(2, 8, 4),
-        FabricSpec::leaf_spine(4, 4, 2),
-    ]);
-    m.workloads = pick.subset(&[
-        WorkloadSpec::Tornado { bytes: 1 << 16 },
-        WorkloadSpec::Permutation { bytes: 3 << 10 },
-        WorkloadSpec::Incast {
-            degree: 4,
-            bytes: 1 << 12,
-        },
-        WorkloadSpec::AllToAll {
-            bytes: 1 << 10,
-            window: 2,
-        },
-        WorkloadSpec::DcTrace {
-            load_pct: 40,
-            duration: Time::from_us(30),
-        },
-    ]);
-    m.failures = pick.subset(&[
-        FailureSpec::None,
-        FailureSpec::OneCable {
-            at: Time::from_us(5),
-            duration: Some(Time::from_us(20)),
-        },
-        FailureSpec::RandomSwitches {
-            pct: 10,
-            at: Time::from_us(8),
-            duration: None,
-        },
-        FailureSpec::DegradedUplinks { pct: 5, gbps: 100 },
-        FailureSpec::Rolling {
-            count: 2,
-            period: Time::from_us(30),
-            down_for: Time::from_us(40),
-        },
-    ]);
-    m.reconv = pick.subset(&[None, Some(Time::from_us(10)), Some(Time::from_ns(500))]);
-    // Every fabric in the pool has at least 2 ToRs.
-    m.track = pick.subset(&[0u32, 1]);
-    m.seeds = pick.subset(&[0u32, 1, 5, 9]);
-    m.deadline = pick.choice(&[Time::from_secs(2), Time::from_us(123), Time::from_ns(77)]);
-    if pick.next() & 1 == 1 {
-        let bg_lb = if pick.next() & 1 == 1 {
-            LbKind::Ecmp
-        } else {
-            // A parameterized background exercises the spec-grammar render
-            // path of the `background` setting.
-            LbKind::parse("REPS{evs=128,freeze=off}").expect("background spec parses")
+    let mut text = format!("[seed-{seed}]\n");
+    for (axis, pool) in POOLS {
+        let values = match axis {
+            "deadline" => vec![pick.choice(pool)],
+            _ => pick.subset(pool),
         };
-        m.background = Some((WorkloadSpec::Tornado { bytes: 1 << 12 }, bg_lb));
+        text += &format!("{axis} = {}\n", values.join(", "));
     }
-    m
+    if pick.next() & 1 == 1 {
+        // A parameterized background exercises the spec-grammar render path
+        // of the `background` setting.
+        let lb = pick.choice(&["ECMP", "REPS{evs=128,freeze=off}"]);
+        text += &format!("background = tornado-4096B+{lb}\n");
+    }
+    specfile::parse(&text).expect(&text).remove(0)
 }
 
 fn keys(m: &ScenarioMatrix) -> Vec<String> {

@@ -37,6 +37,16 @@ impl CcKind {
             CcKind::Internal => "INTERNAL",
         }
     }
+
+    /// Inverts [`CcKind::label`].
+    pub fn parse(s: &str) -> Result<CcKind, String> {
+        match s {
+            "DCTCP" => Ok(CcKind::Dctcp),
+            "EQDS" => Ok(CcKind::Eqds),
+            "INTERNAL" => Ok(CcKind::Internal),
+            other => Err(format!("unknown cc {other:?} (DCTCP, EQDS or INTERNAL)")),
+        }
+    }
 }
 
 /// Window/credit bounds shared by the controllers.
