@@ -75,6 +75,9 @@ const HYBRID_PKT_BENCH: &str = "hybrid/cell10k_bg_pkt";
 const HYBRID_FLUID_BENCH: &str = "hybrid/cell10k_bg_fluid";
 /// The fluid solver alone under flow churn (see [`bench_fluid_churn`]).
 const FLUID_CHURN_BENCH: &str = "hybrid/fluid_churn10k";
+/// The sweep's record codec over the golden corpus (see
+/// [`bench_record_codec`]).
+const RECORD_BENCH: &str = "sweep/record_roundtrip";
 /// Minimum pkt/fluid wall-time ratio for the 10k-host cell: hybrid
 /// fidelity exists to make the background several times cheaper than
 /// packets, so `--check` fails when the fluid variant is less than 7x
@@ -118,8 +121,9 @@ const HYBRID_SPEEDUP_FLOOR: f64 = 7.0;
 /// end-to-end hot path, the event queue's two shapes — timers at the
 /// hot-path cell's population, the link shape the lanes serve — both
 /// fidelities of the 10k-host hybrid cell, the fluid solver under churn
-/// on that fabric, and the 16-host `simulation/*` family (which regressed
-/// ~30% across PR 7 with no gate watching). Benches that count elements
+/// on that fabric, the 16-host `simulation/*` family (which regressed
+/// ~30% across PR 7 with no gate watching), and the sweep's record codec,
+/// which a warm cached sweep spends most of its time in. Benches that count elements
 /// are gated on elems/sec, the rest on iters/sec. A gated bench missing
 /// from either report fails the check.
 const GATED_BENCHES: &[&str] = &[
@@ -129,6 +133,7 @@ const GATED_BENCHES: &[&str] = &[
     HYBRID_PKT_BENCH,
     HYBRID_FLUID_BENCH,
     FLUID_CHURN_BENCH,
+    RECORD_BENCH,
     "simulation/tornado_16hosts_reps",
     "simulation/tornado_16hosts_ops",
     "simulation/tornado_16hosts_ecmp",
@@ -206,6 +211,7 @@ fn main() -> ExitCode {
     bench_hotpath(&mut h);
     bench_hybrid(&mut h);
     bench_fluid_churn(&mut h);
+    bench_record_codec(&mut h);
 
     let json = h.to_json();
     if let Err(e) = std::fs::write(&opts.out, &json) {
@@ -673,6 +679,37 @@ fn bench_fluid_churn(h: &mut Harness) {
                 assert_eq!(n, resolves, "nondeterministic resolve count");
             }
             total
+        })
+    });
+}
+
+/// The golden result records `sweep`'s tests pin, one file per preset.
+const GOLDEN_RECORDS: [&str; 9] = [
+    include_str!("../../../sweep/tests/golden/evs-sensitivity.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/fig02-tornado-micro.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/fig07-failure-micro.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/flap-reconv.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/flowlet-gap.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/gray-failures.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/hybrid-scale.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/oversub-asym.quick.jsonl"),
+    include_str!("../../../sweep/tests/golden/reconv-delay.quick.jsonl"),
+];
+
+/// The sweep's record codec: every golden record parsed back into a cell
+/// result and rendered again, which is what a cache hit and a merged line
+/// cost. Elements are records.
+fn bench_record_codec(h: &mut Harness) {
+    h.bench_function(RECORD_BENCH, |b| {
+        let lines: Vec<&str> = GOLDEN_RECORDS.iter().flat_map(|f| f.lines()).collect();
+        b.elements(lines.len() as u64);
+        b.iter(|| {
+            let mut bytes = 0;
+            for line in &lines {
+                let record = sweep::parse_record(line).expect("golden record parses");
+                bytes += sweep::sink::jsonl_record(&record).len();
+            }
+            bytes
         })
     });
 }

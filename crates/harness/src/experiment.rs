@@ -398,7 +398,7 @@ impl Summary {
     /// renders. `from_json(v).to_json()` is byte-identical to the source
     /// for any summary this crate emitted — the round trip `repsbench
     /// merge` and the sweep cell cache rely on.
-    pub fn from_json(v: &crate::json::Value) -> Result<Summary, String> {
+    pub fn from_json(v: &crate::json::Value<'_>) -> Result<Summary, String> {
         let field = |k: &str| v.get(k).ok_or_else(|| format!("summary missing {k:?}"));
         let time = |k: &str| -> Result<Time, String> {
             field(k)?
@@ -479,7 +479,7 @@ impl Summary {
                         let n = fv
                             .as_f64()
                             .ok_or_else(|| format!("diagnostics field {k:?} is not a number"))?;
-                        out.push((k.clone(), n));
+                        out.push((k.to_string(), n));
                     }
                     Some(out)
                 }
@@ -490,27 +490,14 @@ impl Summary {
     /// Renders the summary as one stable JSON object (fixed field order,
     /// times in integer picoseconds) — the sweep engine's JSONL payload.
     pub fn to_json(&self) -> String {
-        let mut counters = crate::json::Object::new()
-            .u64("drops_queue_full", self.counters.drops_queue_full)
-            .u64("drops_link_down", self.counters.drops_link_down)
-            .u64("drops_bit_error", self.counters.drops_bit_error);
-        // The gray/corrupt counters only exist in faulted cells; omitting
-        // them at zero keeps every pre-fault-axis record byte-identical.
-        if self.counters.drops_gray > 0 {
-            counters = counters.u64("drops_gray", self.counters.drops_gray);
-        }
-        if self.counters.drops_corrupt > 0 {
-            counters = counters.u64("drops_corrupt", self.counters.drops_corrupt);
-        }
-        let counters = counters
-            .u64("trims", self.counters.trims)
-            .u64("ecn_marks", self.counters.ecn_marks)
-            .u64("data_tx", self.counters.data_tx)
-            .u64("ctrl_tx", self.counters.ctrl_tx)
-            .u64("retransmissions", self.counters.retransmissions)
-            .u64("timeouts", self.counters.timeouts)
-            .render();
-        let mut obj = crate::json::Object::new()
+        self.json_fields(crate::json::Object::new()).render()
+    }
+
+    /// Appends the fields of [`Summary::to_json`] to `obj`, so a record
+    /// embedding the summary renders it into its own buffer.
+    pub fn json_fields(&self, obj: crate::json::Object) -> crate::json::Object {
+        let c = &self.counters;
+        let obj = obj
             .str("name", &self.name)
             .str("lb", &self.lb)
             .bool("completed", self.completed)
@@ -519,23 +506,38 @@ impl Summary {
             .u64("avg_fct_ps", self.avg_fct.as_ps())
             .u64("p99_fct_ps", self.p99_fct.as_ps())
             .u64("makespan_ps", self.makespan.as_ps())
-            .f64("avg_goodput_gbps", self.avg_goodput_gbps)
-            .raw(
-                "bg_max_fct_ps",
-                match self.bg_max_fct {
-                    Some(t) => t.as_ps().to_string(),
-                    None => "null".to_string(),
-                },
-            )
-            .raw("counters", counters);
-        if let Some(diag) = &self.diagnostics {
-            let mut d = crate::json::Object::new();
-            for (name, v) in diag {
-                d = d.f64(name, *v);
+            .f64("avg_goodput_gbps", self.avg_goodput_gbps);
+        let obj = match self.bg_max_fct {
+            Some(t) => obj.u64("bg_max_fct_ps", t.as_ps()),
+            None => obj.raw("bg_max_fct_ps", "null"),
+        };
+        let obj = obj.obj("counters", |mut o| {
+            o = o
+                .u64("drops_queue_full", c.drops_queue_full)
+                .u64("drops_link_down", c.drops_link_down)
+                .u64("drops_bit_error", c.drops_bit_error);
+            // The gray/corrupt counters only exist in faulted cells;
+            // omitting them at zero keeps every pre-fault-axis record
+            // byte-identical.
+            if c.drops_gray > 0 {
+                o = o.u64("drops_gray", c.drops_gray);
             }
-            obj = obj.raw("diagnostics", d.render());
+            if c.drops_corrupt > 0 {
+                o = o.u64("drops_corrupt", c.drops_corrupt);
+            }
+            o.u64("trims", c.trims)
+                .u64("ecn_marks", c.ecn_marks)
+                .u64("data_tx", c.data_tx)
+                .u64("ctrl_tx", c.ctrl_tx)
+                .u64("retransmissions", c.retransmissions)
+                .u64("timeouts", c.timeouts)
+        });
+        match &self.diagnostics {
+            Some(diag) => obj.obj("diagnostics", |o| {
+                diag.iter().fold(o, |o, (name, v)| o.f64(name, *v))
+            }),
+            None => obj,
         }
-        obj.render()
     }
 }
 

@@ -4,40 +4,72 @@
 //! module provides the escaping and number formatting those records need
 //! without pulling a serialization framework into the build. Output is
 //! byte-deterministic: field order is fixed by the callers and numbers use
-//! Rust's default (shortest round-trip) formatting.
+//! Rust's default (shortest round-trip) formatting. [`Object`] writes each
+//! field straight into one buffer.
 //!
 //! [`Value::parse`] is the matching reader, used by `repsbench merge` and
-//! the incremental sweep cache to re-load records. Number literals are
-//! kept verbatim ([`Value::Num`] stores the source text), so a
-//! parse → re-render round trip of our own output is byte-exact even for
+//! the sweep cache to re-load records. A [`Value`] borrows from its source.
+//! Number literals are kept verbatim ([`Value::Num`]), so a parse →
+//! re-render round trip of our own output is byte-exact even for
 //! full-range `u64`s (e.g. derived seeds) that `f64` cannot represent.
+//! Strings and object keys are slices of the source; only one holding an
+//! escape is decoded into an owned copy ([`Cow::Owned`]).
+//!
+//! Nesting is capped at [`MAX_DEPTH`]: the parser recurses once per level,
+//! and its inputs (shard files, cache entries, trace documents) can hold
+//! anything. Uncapped, one line of a million `[` overflowed the stack and
+//! aborted the process, where a damaged cache entry must degrade to a miss
+//! and a bad merge input to an error. Records nest 3 deep, series and
+//! trace documents 4.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// Escapes `s` as the contents of a JSON string literal, with quotes.
 pub fn string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_string(&mut out, s);
     out
 }
 
-/// Formats a float as a JSON number (`NaN`/`Inf` have no JSON encoding and
-/// become `null`).
-pub fn number(v: f64) -> String {
+/// Appends `s` escaped and quoted. Only ASCII bytes are ever escaped, and
+/// those never occur inside a multi-byte UTF-8 sequence, so the unescaped
+/// runs between them are copied whole.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            write!(out, "\\u{b:04x}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends a float as a JSON number (`NaN`/`Inf` have no JSON encoding
+/// and become `null`).
+fn push_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        write!(out, "{v}").expect("writing to a String cannot fail");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -56,10 +88,14 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
     out
 }
 
-/// An incremental `{...}` builder with fixed field order.
+/// An incremental `{...}` builder with fixed field order, writing each
+/// field into one buffer as it is appended.
 #[derive(Debug, Default)]
 pub struct Object {
-    fields: Vec<(String, String)>,
+    buf: String,
+    /// Length of `buf` before this object: the `{` goes there with the
+    /// first field, or on [`Object::render`] if there is none.
+    open: usize,
 }
 
 impl Object {
@@ -68,27 +104,54 @@ impl Object {
         Object::default()
     }
 
-    /// Appends a field whose value is already-rendered JSON.
-    pub fn raw(mut self, key: &str, json: impl Into<String>) -> Object {
-        self.fields.push((key.to_string(), json.into()));
+    /// An empty object rendered at the end of `buf`, which [`Object::render`]
+    /// hands back with the object appended (so a caller writing many
+    /// records can reuse one buffer).
+    pub fn append_to(buf: String) -> Object {
+        Object {
+            open: buf.len(),
+            buf,
+        }
+    }
+
+    /// Appends `"key":` and then the value `write` renders.
+    fn field(mut self, key: &str, write: impl FnOnce(&mut String)) -> Object {
+        let first = self.buf.len() == self.open;
+        self.buf.push(if first { '{' } else { ',' });
+        push_string(&mut self.buf, key);
+        self.buf.push(':');
+        write(&mut self.buf);
         self
+    }
+
+    /// Appends a field whose value is already-rendered JSON.
+    pub fn raw(self, key: &str, json: impl AsRef<str>) -> Object {
+        self.field(key, |b| b.push_str(json.as_ref()))
+    }
+
+    /// Appends a field whose value is an object, written by `fill` into
+    /// the same buffer.
+    pub fn obj(self, key: &str, fill: impl FnOnce(Object) -> Object) -> Object {
+        self.field(key, |b| {
+            *b = fill(Object::append_to(std::mem::take(b))).render()
+        })
     }
 
     /// Appends a string field.
     pub fn str(self, key: &str, value: &str) -> Object {
-        let rendered = string(value);
-        self.raw(key, rendered)
+        self.field(key, |b| push_string(b, value))
     }
 
     /// Appends an unsigned integer field.
     pub fn u64(self, key: &str, value: u64) -> Object {
-        self.raw(key, value.to_string())
+        self.field(key, |b| {
+            write!(b, "{value}").expect("writing to a String cannot fail")
+        })
     }
 
     /// Appends a float field.
     pub fn f64(self, key: &str, value: f64) -> Object {
-        let rendered = number(value);
-        self.raw(key, rendered)
+        self.field(key, |b| push_number(b, value))
     }
 
     /// Appends a boolean field.
@@ -96,23 +159,17 @@ impl Object {
         self.raw(key, if value { "true" } else { "false" })
     }
 
-    /// Renders the object.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&string(k));
-            out.push(':');
-            out.push_str(v);
+    /// Closes the object and returns the buffer holding it.
+    pub fn render(mut self) -> String {
+        if self.buf.len() == self.open {
+            self.buf.push('{');
         }
-        out.push('}');
-        out
+        self.buf.push('}');
+        self.buf
     }
 }
 
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing from the text it was parsed from.
 ///
 /// Numbers keep their source text ([`Value::Num`]) instead of eagerly
 /// converting to `f64`: the sweep records carry full-range `u64`s (derived
@@ -120,27 +177,29 @@ impl Object {
 /// the literal makes [`Value::render`] an exact inverse of [`Value::parse`]
 /// for anything this crate emitted.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, as its unmodified source literal.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
+    Num(&'a str),
+    /// A string (unescaped; owned only when the source had an escape).
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Value>),
+    Arr(Vec<Value<'a>>),
     /// An object, in source field order (duplicate keys are kept).
-    Obj(Vec<(String, Value)>),
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+impl<'a> Value<'a> {
     /// Parses one JSON document; trailing non-whitespace is an error.
-    pub fn parse(s: &str) -> Result<Value, String> {
+    pub fn parse(s: &'a str) -> Result<Value<'a>, String> {
         let mut p = Parser {
+            s,
             b: s.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -152,7 +211,7 @@ impl Value {
     }
 
     /// Object field lookup (first match); `None` for non-objects too.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
             Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -193,7 +252,7 @@ impl Value {
     }
 
     /// The fields, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+    pub fn as_obj(&self) -> Option<&[(Cow<'a, str>, Value<'a>)]> {
         match self {
             Value::Obj(fields) => Some(fields),
             _ => None,
@@ -206,30 +265,26 @@ impl Value {
     pub fn render(&self) -> String {
         match self {
             Value::Null => "null".to_string(),
-            Value::Bool(b) => (if *b { "true" } else { "false" }).to_string(),
-            Value::Num(lit) => lit.clone(),
+            Value::Bool(b) => b.to_string(),
+            Value::Num(lit) => lit.to_string(),
             Value::Str(s) => string(s),
-            Value::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Value::render).collect();
-                format!("[{}]", inner.join(","))
-            }
-            Value::Obj(fields) => {
-                let mut o = Object::new();
-                for (k, v) in fields {
-                    o = o.raw(k, v.render());
-                }
-                o.render()
-            }
+            Value::Arr(items) => array(items.iter().map(Value::render)),
+            Value::Obj(fields) => (fields.iter())
+                .fold(Object::new(), |o, (k, v)| o.raw(k, v.render()))
+                .render(),
         }
     }
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
             self.i += 1;
@@ -245,7 +300,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, word: &str, v: Value<'a>) -> Result<Value<'a>, String> {
         if self.b[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
@@ -254,13 +309,17 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value<'a>, String> {
         match self.b.get(self.i) {
             None => Err("unexpected end of input".to_string()),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.i
+            )),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
@@ -268,168 +327,152 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'[')?;
+        self.depth += 1;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(items));
+        if self.b.get(self.i) != Some(&b']') {
+            loop {
+                self.skip_ws();
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.b.get(self.i) {
+                    Some(b',') => self.i += 1,
+                    Some(b']') => break,
+                    _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
                 }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
             }
         }
+        self.i += 1;
+        self.depth -= 1;
+        Ok(Value::Arr(items))
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        self.depth += 1;
+        let mut fields = Vec::with_capacity(16);
         self.skip_ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(fields));
+        if self.b.get(self.i) != Some(&b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                fields.push((key, self.value()?));
+                self.skip_ws();
+                match self.b.get(self.i) {
+                    Some(b',') => self.i += 1,
+                    Some(b'}') => break,
+                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
                 }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
             }
         }
+        self.i += 1;
+        self.depth -= 1;
+        Ok(Value::Obj(fields))
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value<'a>, String> {
         let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
         let digits = |p: &mut Self| {
             let from = p.i;
-            while p.i < p.b.len() && p.b[p.i].is_ascii_digit() {
+            while p.b.get(p.i).is_some_and(u8::is_ascii_digit) {
                 p.i += 1;
             }
             p.i > from
         };
-        if !digits(self) {
+        self.i += usize::from(self.b.get(self.i) == Some(&b'-'));
+        let mut ok = digits(self);
+        if ok && self.b.get(self.i) == Some(&b'.') {
+            self.i += 1;
+            ok = digits(self);
+        }
+        if ok && matches!(self.b.get(self.i), Some(b'e' | b'E')) {
+            self.i += 1;
+            self.i += usize::from(matches!(self.b.get(self.i), Some(b'+' | b'-')));
+            ok = digits(self);
+        }
+        if !ok {
             return Err(format!("malformed number at offset {start}"));
         }
-        if self.b.get(self.i) == Some(&b'.') {
-            self.i += 1;
-            if !digits(self) {
-                return Err(format!("malformed number at offset {start}"));
-            }
-        }
-        if matches!(self.b.get(self.i), Some(b'e') | Some(b'E')) {
-            self.i += 1;
-            if matches!(self.b.get(self.i), Some(b'+') | Some(b'-')) {
-                self.i += 1;
-            }
-            if !digits(self) {
-                return Err(format!("malformed number at offset {start}"));
-            }
-        }
-        let lit = std::str::from_utf8(&self.b[start..self.i]).expect("ASCII number literal");
-        Ok(Value::Num(lit.to_string()))
+        Ok(Value::Num(&self.s[start..self.i]))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Parses a string literal: a slice of the source when it holds no
+    /// escape, otherwise an owned copy built run by run. The cursor only
+    /// stops on ASCII bytes (`"`, `\`, an escape), which are always char
+    /// boundaries, so every slice taken here is valid UTF-8.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
+            let run = self.i;
+            self.i += (self.b[run..].iter())
+                .position(|c| matches!(c, b'"' | b'\\'))
+                .unwrap_or(self.b.len() - run);
+            let text = &self.s[run..self.i];
             match self.b.get(self.i) {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = *self
-                        .b
-                        .get(self.i)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if !self.b[self.i..].starts_with(b"\\u") {
-                                    return Err("lone high surrogate".to_string());
-                                }
-                                self.i += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("invalid low surrogate".to_string());
-                                }
-                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(cp).ok_or("invalid surrogate pair")?
-                            } else {
-                                char::from_u32(hi).ok_or("lone low surrogate")?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(format!("bad escape \\{}", esc as char)),
-                    }
+                    return Ok(match owned {
+                        None => Cow::Borrowed(text),
+                        Some(out) => Cow::Owned(out + text),
+                    });
                 }
                 Some(_) => {
-                    // Advance one UTF-8 scalar. The input is a &str and the
-                    // cursor only ever lands on char boundaries, so the
-                    // lead byte gives the exact width — decode just those
-                    // bytes (re-validating the whole tail per character
-                    // would make string parsing quadratic).
-                    let width = self.b[self.i].leading_ones().max(1) as usize;
-                    let c = std::str::from_utf8(&self.b[self.i..self.i + width])
-                        .expect("valid UTF-8 scalar")
-                        .chars()
-                        .next()
-                        .expect("non-empty");
-                    out.push(c);
-                    self.i += width;
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(text);
+                    self.i += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
     }
 
+    /// Decodes the escape after a `\` (the cursor is past the backslash).
+    fn escape(&mut self) -> Result<char, String> {
+        let esc = *self.b.get(self.i).ok_or("unterminated escape")?;
+        self.i += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if !self.b[self.i..].starts_with(b"\\u") {
+                        return Err("lone high surrogate".to_string());
+                    }
+                    self.i += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err("invalid low surrogate".to_string());
+                    }
+                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(cp).ok_or("invalid surrogate pair")?
+                } else {
+                    char::from_u32(hi).ok_or("lone low surrogate")?
+                }
+            }
+            _ => return Err(format!("bad escape \\{}", esc as char)),
+        })
+    }
+
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.i + 4;
-        if end > self.b.len() {
-            return Err("truncated \\u escape".to_string());
-        }
-        let hex = std::str::from_utf8(&self.b[self.i..end])
-            .ok()
-            .filter(|h| h.chars().all(|c| c.is_ascii_hexdigit()))
+        let hex = (self.s.get(self.i..self.i + 4))
+            .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
             .ok_or_else(|| format!("bad \\u escape at offset {}", self.i))?;
-        self.i = end;
+        self.i += 4;
         Ok(u32::from_str_radix(hex, 16).expect("validated hex"))
     }
 }
@@ -447,9 +490,8 @@ mod tests {
 
     #[test]
     fn numbers_render_deterministically() {
-        assert_eq!(number(1.5), "1.5");
-        assert_eq!(number(0.0), "0");
-        assert_eq!(number(f64::NAN), "null");
+        let o = Object::new().f64("a", 1.5).f64("b", 0.0).f64("c", f64::NAN);
+        assert_eq!(o.render(), r#"{"a":1.5,"b":0,"c":null}"#);
     }
 
     #[test]
@@ -496,8 +538,8 @@ mod tests {
         assert_eq!(
             v.get("arr"),
             Some(&Value::Arr(vec![
-                Value::Num("1".into()),
-                Value::Num("2.5".into()),
+                Value::Num("1"),
+                Value::Num("2.5"),
                 Value::Str("x".into()),
             ]))
         );
@@ -511,8 +553,8 @@ mod tests {
         assert_eq!(
             arr,
             &Value::Arr(vec![
-                Value::Num("1".into()),
-                Value::Num("-2.5e-3".into()),
+                Value::Num("1"),
+                Value::Num("-2.5e-3"),
                 Value::Str("Aé😀".into()),
             ])
         );
@@ -540,8 +582,51 @@ mod tests {
             "-",
             "1e",
             "\"\\ud800x\"",
+            &"[".repeat(1_000_000),
+            &format!(
+                "{}1{}",
+                "[".repeat(MAX_DEPTH + 1),
+                "]".repeat(MAX_DEPTH + 1)
+            ),
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+        // The cap names where it tripped: the opening of the first level
+        // past it.
+        let deep = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = Value::parse(&deep).unwrap_err();
+        let at = MAX_DEPTH * "{\"a\":".len();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at offset {at}")
+        );
+        // Exactly at the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(Value::parse(&ok).unwrap().render(), ok);
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let v = Value::parse(r#"{"plain":"a/b","esc":"x\ty\u00e9z","k\"":1}"#).unwrap();
+        assert!(matches!(
+            v.get("plain"),
+            Some(Value::Str(Cow::Borrowed("a/b")))
+        ));
+        assert_eq!(v.get("esc").unwrap().as_str(), Some("x\ty\u{e9}z"));
+        assert!(matches!(v.get("esc"), Some(Value::Str(Cow::Owned(_)))));
+        let fields = v.as_obj().unwrap();
+        assert!(matches!(fields[0].0, Cow::Borrowed("plain")));
+        assert_eq!(fields[2].0, "k\"");
+    }
+
+    #[test]
+    fn nested_objects_share_one_buffer() {
+        let head = String::from("prefix ");
+        let rendered = Object::append_to(head)
+            .u64("a", 1)
+            .obj("b", |o| o.str("c", "d").obj("e", |o| o))
+            .f64("f", f64::INFINITY)
+            .render();
+        assert_eq!(rendered, r#"prefix {"a":1,"b":{"c":"d","e":{}},"f":null}"#);
     }
 }

@@ -1,17 +1,20 @@
 //! Plain-text reporting helpers behind `repsbench`'s tables and reports.
 
+use std::fmt::Write as _;
+
 use crate::experiment::Summary;
 
-/// Formats a set of summaries as an aligned comparison table. Drops are
-/// broken out by reason (queue overflow, dead link, bit error, gray loss,
-/// corruption) — lumping them together hides exactly the distinction the
-/// failure figures are about: a congested balancer, a blackholed one, and
-/// one bleeding packets on a gray cable all "drop", for different reasons.
-pub fn comparison_table(title: &str, rows: &[Summary]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("## {title}\n"));
-    out.push_str(&format!(
-        "{:<14} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6}\n",
+/// Appends a set of summaries to `out` as an aligned comparison table.
+/// Drops are broken out by reason (queue overflow, dead link, bit error,
+/// gray loss, corruption) — lumping them together hides exactly the
+/// distinction the failure figures are about: a congested balancer, a
+/// blackholed one, and one bleeding packets on a gray cable all "drop",
+/// for different reasons.
+pub fn comparison_table(out: &mut String, title: &str, rows: &[Summary]) {
+    let _ = writeln!(out, "## {title}");
+    let _ = writeln!(
+        out,
+        "{:<14} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6}",
         "LB",
         "max FCT(us)",
         "avg FCT(us)",
@@ -24,10 +27,11 @@ pub fn comparison_table(title: &str, rows: &[Summary]) -> String {
         "retx",
         "ecn",
         "done"
-    ));
+    );
     for s in rows {
-        out.push_str(&format!(
-            "{:<14} {:>12.1} {:>12.1} {:>12.1} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6}\n",
+        let _ = writeln!(
+            out,
+            "{:<14} {:>12.1} {:>12.1} {:>12.1} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6}",
             s.lb,
             s.max_fct.as_us_f64(),
             s.avg_fct.as_us_f64(),
@@ -40,26 +44,23 @@ pub fn comparison_table(title: &str, rows: &[Summary]) -> String {
             s.counters.retransmissions,
             s.counters.ecn_marks,
             if s.completed { "yes" } else { "NO" },
-        ));
+        );
     }
-    out
 }
 
-/// Formats speedups of each row versus a baseline label (the paper's
-/// "speedup vs ECMP" / "speedup vs OPS" bars).
-pub fn speedup_table(title: &str, rows: &[Summary], baseline_label: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("## {title} (speedup vs {baseline_label})\n"));
+/// Appends speedups of each row versus a baseline label to `out` (the
+/// paper's "speedup vs ECMP" / "speedup vs OPS" bars).
+pub fn speedup_table(out: &mut String, title: &str, rows: &[Summary], baseline_label: &str) {
+    let _ = writeln!(out, "## {title} (speedup vs {baseline_label})");
     let Some(base) = rows.iter().find(|s| s.lb == baseline_label) else {
         out.push_str("baseline missing\n");
-        return out;
+        return;
     };
     let base_fct = base.max_fct.as_ps().max(1) as f64;
     for s in rows {
         let speedup = base_fct / s.max_fct.as_ps().max(1) as f64;
-        out.push_str(&format!("{:<14} {:>8.2}x\n", s.lb, speedup));
+        let _ = writeln!(out, "{:<14} {:>8.2}x", s.lb, speedup);
     }
-    out
 }
 
 /// Downsamples a series to at most `n` evenly-spaced points (plot-friendly).
@@ -97,7 +98,8 @@ mod tests {
     #[test]
     fn speedup_is_relative_to_baseline() {
         let rows = vec![summary("ECMP", 600), summary("REPS", 100)];
-        let t = speedup_table("x", &rows, "ECMP");
+        let mut t = String::new();
+        speedup_table(&mut t, "x", &rows, "ECMP");
         assert!(t.contains("REPS"), "{t}");
         assert!(t.contains("6.00x"), "{t}");
         assert!(t.contains("1.00x"), "{t}");
@@ -106,7 +108,8 @@ mod tests {
     #[test]
     fn comparison_table_contains_rows() {
         let rows = vec![summary("OPS", 50)];
-        let t = comparison_table("hdr", &rows);
+        let mut t = String::new();
+        comparison_table(&mut t, "hdr", &rows);
         assert!(t.contains("OPS"));
         assert!(t.contains("50.0"));
     }
@@ -119,7 +122,8 @@ mod tests {
         s.counters.drops_bit_error = 1;
         s.counters.drops_gray = 4;
         s.counters.drops_corrupt = 2;
-        let t = comparison_table("hdr", &[s]);
+        let mut t = String::new();
+        comparison_table(&mut t, "hdr", &[s]);
         for col in ["qdrops", "lnkdrop", "berdrop", "graydrop", "corrupt"] {
             assert!(t.contains(col), "missing column {col}: {t}");
         }

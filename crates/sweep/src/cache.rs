@@ -23,11 +23,15 @@
 //! Hits are byte-identical to fresh runs: the stored bytes are the
 //! canonical record, and [`crate::sink::parse_record`] /
 //! [`crate::sink::jsonl_record`] are exact inverses (pinned by tests).
+//!
+//! Probes and stores run on the sweep's workers: each looks its cell up
+//! and, on a miss, runs it and stores the result as soon as it finishes. A
+//! sweep cut short by a panicking cell keeps every cell finished before it.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::matrix::{Cell, CellResult, Instrument};
+use crate::matrix::{fnv1a64, Cell, CellResult, Instrument};
 use crate::progress::Progress;
 use crate::runner::run_indexed;
 use crate::series::SeriesSink;
@@ -72,12 +76,10 @@ impl CellCache {
     /// or a key mismatch (hash collision / foreign file) — never an error,
     /// a miss just re-runs the cell.
     pub fn lookup(&self, cell: &Cell) -> Option<CellResult> {
-        let bytes = std::fs::read_to_string(self.path_for(cell.derived_seed())).ok()?;
+        let key = cell.key();
+        let bytes = std::fs::read_to_string(self.path_for(fnv1a64(&key))).ok()?;
         let record = parse_record(bytes.trim_end_matches('\n')).ok()?;
-        if record.key != cell.key() {
-            return None;
-        }
-        Some(record)
+        (record.key == key).then_some(record)
     }
 
     /// Stores one result as its canonical record (atomically: write to a
@@ -86,7 +88,7 @@ impl CellCache {
     pub fn store(&self, result: &CellResult) -> io::Result<()> {
         let path = self.path_for(result.derived_seed);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, format!("{}\n", jsonl_record(result)))?;
+        std::fs::write(&tmp, jsonl_record(result) + "\n")?;
         std::fs::rename(&tmp, &path)
     }
 }
@@ -133,15 +135,8 @@ pub fn run_cells_cached(cells: &[Cell], threads: usize, cache: Option<&CellCache
 }
 
 /// [`run_cells_cached`] with an optional per-cell time-series sink
-/// ([`crate::series`]): executed cells additionally write their series
-/// document into `series` (best-effort, counted in
-/// [`CachedRun::series_errors`]).
-///
-/// The sink *gates* cache hits: a cached result only stands in for an
-/// execution when its series document already exists in `series`, so
-/// pairing a warm cache with a fresh series directory re-runs the cells
-/// instead of silently omitting their series. Results are byte-identical
-/// either way — series instrumentation never perturbs the result stream.
+/// ([`crate::series`]); [`run_cells_instrumented`] says how the sink gates
+/// cache hits.
 pub fn run_cells_sinked(
     cells: &[Cell],
     threads: usize,
@@ -196,26 +191,21 @@ pub fn run_cells_instrumented(cells: &[Cell], threads: usize, sinks: RunSinks<'_
         trace: sinks.trace.is_some(),
         diagnostics: sinks.diagnostics,
     };
-    let mut cached: Vec<CellResult> = Vec::new();
-    let mut to_run: Vec<Cell> = Vec::new();
-    for cell in cells {
+    // Lookup-or-run on the workers; `None` marks a hit, `Some` an
+    // execution with whether its series, trace and cache writes succeeded.
+    let mut outcomes: Vec<(CellResult, Option<[bool; 3]>)> = run_indexed(cells, threads, |cell| {
         let hit = sinks
             .cache
             .and_then(|c| c.lookup(cell))
             .filter(|r| r.summary.diagnostics.is_some() == sinks.diagnostics)
             .filter(|_| sinks.series.is_none_or(|s| s.has(cell)))
             .filter(|_| sinks.trace.is_none_or(|t| t.has(cell)));
-        match hit {
-            Some(r) => {
-                if let Some(p) = sinks.progress {
-                    p.tick_hit();
-                }
-                cached.push(r);
+        if let Some(r) = hit {
+            if let Some(p) = sinks.progress {
+                p.tick_hit();
             }
-            None => to_run.push(cell.clone()),
+            return (r, None);
         }
-    }
-    let fresh: Vec<(CellResult, bool, bool)> = run_indexed(&to_run, threads, |cell| {
         let out = cell.run_instrumented(inst);
         let series_ok = match (sinks.series, &out.series_doc) {
             (Some(sink), Some(doc)) => sink.store(out.result.derived_seed, doc).is_ok(),
@@ -225,41 +215,30 @@ pub fn run_cells_instrumented(cells: &[Cell], threads: usize, sinks: RunSinks<'_
             (Some(store), Some(doc)) => store.store(out.result.derived_seed, doc).is_ok(),
             _ => true,
         };
+        let stored = sinks.cache.is_none_or(|c| c.store(&out.result).is_ok());
         if let Some(p) = sinks.progress {
             p.tick_executed(out.result.events);
         }
-        (out.result, series_ok, trace_ok)
+        (out.result, Some([series_ok, trace_ok, stored]))
     });
-    let series_errors = fresh.iter().filter(|(_, s, _)| !s).count();
-    let trace_errors = fresh.iter().filter(|(_, _, t)| !t).count();
-    let store_errors = match sinks.cache {
-        Some(cache) => fresh
+    outcomes.sort_by(|a, b| a.0.key.cmp(&b.0.key));
+    let failed = |i: usize| {
+        outcomes
             .iter()
-            .filter(|(r, _, _)| cache.store(r).is_err())
-            .count(),
-        None => 0,
+            .filter(|(_, f)| f.is_some_and(|f| !f[i]))
+            .count()
     };
-    let hits = cached.len();
-    let misses = fresh.len();
-    let mut tagged: Vec<(CellResult, bool)> = cached
-        .into_iter()
-        .map(|r| (r, false))
-        .chain(fresh.into_iter().map(|(r, _, _)| (r, true)))
-        .collect();
-    tagged.sort_by(|a, b| a.0.key.cmp(&b.0.key));
-    let executed = tagged
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (_, fresh))| fresh.then_some(i))
+    let executed: Vec<usize> = (0..outcomes.len())
+        .filter(|&i| outcomes[i].1.is_some())
         .collect();
     CachedRun {
-        results: tagged.into_iter().map(|(r, _)| r).collect(),
+        hits: outcomes.len() - executed.len(),
+        misses: executed.len(),
+        series_errors: failed(0),
+        trace_errors: failed(1),
+        store_errors: failed(2),
+        results: outcomes.into_iter().map(|(r, _)| r).collect(),
         executed,
-        hits,
-        misses,
-        store_errors,
-        series_errors,
-        trace_errors,
     }
 }
 
@@ -336,13 +315,18 @@ mod tests {
     #[test]
     fn key_mismatch_and_corruption_degrade_to_misses() {
         let dir = tmpdir("corrupt");
-        let cells = matrix().expand();
+        let cells = matrix().seeds(4).expand();
         let cache = CellCache::open(&dir, "v").unwrap();
         run_cells_cached(&cells, 2, Some(&cache));
-        // Corrupt one entry, swap another cell's entry into a wrong slot.
+        // Corrupt one entry, swap another cell's entry into a wrong slot,
+        // and nest a third past any parser's stack (it must read as a
+        // miss, not abort the sweep).
         let a = cells[0].derived_seed();
         let b = cells[1].derived_seed();
+        let deep = cells[3].derived_seed();
         std::fs::write(cache.dir().join(format!("{a:016x}.json")), "garbage").unwrap();
+        let nested = "[".repeat(1_000_000);
+        std::fs::write(cache.dir().join(format!("{deep:016x}.json")), nested).unwrap();
         let b_bytes = std::fs::read(cache.dir().join(format!("{b:016x}.json"))).unwrap();
         std::fs::write(
             cache
@@ -352,7 +336,7 @@ mod tests {
         )
         .unwrap();
         let run = run_cells_cached(&cells, 2, Some(&cache));
-        assert_eq!((run.hits, run.misses), (cells.len() - 2, 2));
+        assert_eq!((run.hits, run.misses), (cells.len() - 3, 3));
         // The damaged entries were repaired by the re-run.
         let again = run_cells_cached(&cells, 2, Some(&cache));
         assert_eq!((again.hits, again.misses), (cells.len(), 0));

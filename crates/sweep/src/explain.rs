@@ -214,9 +214,9 @@ pub fn explain_doc(doc: &str) -> Result<String, String> {
 
 /// One array field of a series record as `(index, y)` points.
 fn points(
-    record: &Value,
+    record: &Value<'_>,
     field: &str,
-    y: impl Fn(&Value) -> Option<f64>,
+    y: impl Fn(&Value<'_>) -> Option<f64>,
 ) -> Result<Vec<(f64, f64)>, String> {
     let Some(Value::Arr(items)) = record.get(field) else {
         return Err(format!("no \"{field}\" array"));
@@ -235,7 +235,7 @@ fn points(
 /// per tracked link, in the document's (deterministic tracking) order.
 fn explain_series(
     key: &str,
-    header: &Value,
+    header: &Value<'_>,
     bucket: Time,
     records: std::str::Lines<'_>,
 ) -> Result<String, String> {

@@ -105,7 +105,6 @@ pub use series::{series_doc, SeriesSink};
 pub use shard::Shard;
 pub use sink::{
     aggregate, events_per_sec, parse_record, perf_record, render_aggregates, to_jsonl, write_jsonl,
-    write_perf_jsonl,
 };
 pub use spec::{FabricSpec, FailureSpec, SimProfile, WorkloadSpec};
 pub use specfile::SpecError;

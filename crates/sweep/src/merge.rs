@@ -7,33 +7,37 @@
 //! and re-sorts the union by cell key — producing bytes identical to the
 //! unsharded run over the same cells. The parsed records ride along so the
 //! caller can re-render the cross-seed aggregate tables.
-
-use std::collections::BTreeMap;
+//!
+//! Lines stay slices of their inputs until output, each re-rendered into
+//! one reused buffer for the canonical check. Duplicate keys are found
+//! after one stable sort by key, as equal neighbours.
 
 use crate::matrix::CellResult;
-use crate::sink::{jsonl_record, parse_record};
+use crate::sink::{parse_record, push_record};
 
 /// A validated, key-sorted union of shard outputs.
 #[derive(Debug)]
 pub struct MergedSweep {
-    /// The merged JSONL lines (no trailing newlines), sorted by cell key —
-    /// byte-identical to an unsharded run over the same cells.
-    pub lines: Vec<String>,
-    /// The parsed records, in the same order as `lines`.
+    /// The merged JSONL (one trailing newline per line), sorted by cell
+    /// key — byte-identical to an unsharded run over the same cells.
+    jsonl: String,
+    /// The parsed records, in the same order as the lines.
     pub results: Vec<CellResult>,
 }
 
 impl MergedSweep {
-    /// Renders the merged file contents (one trailing newline per line,
-    /// matching `repsbench run --out`).
+    /// The merged file contents (one trailing newline per line, matching
+    /// `repsbench run --out`).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
+        self.jsonl.clone()
     }
+}
+
+/// One input line: its `(input, line index)`, its bytes and its record.
+struct Line<'a> {
+    at: (usize, usize),
+    text: &'a str,
+    record: CellResult,
 }
 
 /// Merges shard outputs given as `(input name, file contents)` pairs.
@@ -45,36 +49,54 @@ impl MergedSweep {
 /// across inputs (shards of one sweep are disjoint by construction, so a
 /// duplicate means overlapping shard specs or a repeated input file).
 pub fn merge_contents(inputs: &[(String, String)]) -> Result<MergedSweep, String> {
-    let mut entries: Vec<(String, CellResult)> = Vec::new();
-    let mut first_seen: BTreeMap<String, String> = BTreeMap::new();
-    for (name, content) in inputs {
-        for (lineno, line) in content.lines().enumerate() {
-            let at = format!("{name}:{}", lineno + 1);
-            if line.is_empty() {
-                return Err(format!("{at}: blank line in result JSONL"));
+    let at = |(input, line): (usize, usize)| format!("{}:{}", inputs[input].0, line + 1);
+    let mut lines: Vec<Line<'_>> = Vec::new();
+    let mut canonical = String::new();
+    for (input, (_, content)) in inputs.iter().enumerate() {
+        for (lineno, text) in content.lines().enumerate() {
+            let here = (input, lineno);
+            if text.is_empty() {
+                return Err(format!("{}: blank line in result JSONL", at(here)));
             }
-            let record = parse_record(line).map_err(|e| format!("{at}: {e}"))?;
-            let canonical = jsonl_record(&record);
-            if canonical != line {
+            let record = parse_record(text).map_err(|e| format!("{}: {e}", at(here)))?;
+            canonical.clear();
+            canonical = push_record(canonical, &record);
+            if canonical != text {
                 return Err(format!(
-                    "{at}: non-canonical record for cell {:?} (re-rendering changes bytes; \
+                    "{}: non-canonical record for cell {:?} (re-rendering changes bytes; \
                      was this file edited outside repsbench?)",
+                    at(here),
                     record.key
                 ));
             }
-            if let Some(prev) = first_seen.insert(record.key.clone(), at.clone()) {
-                return Err(format!(
-                    "{at}: duplicate cell key {:?} (first seen at {prev}); \
-                     shards must be disjoint",
-                    record.key
-                ));
-            }
-            entries.push((line.to_string(), record));
+            lines.push(Line {
+                at: here,
+                text,
+                record,
+            });
         }
     }
-    entries.sort_by(|a, b| a.1.key.cmp(&b.1.key));
-    let (lines, results) = entries.into_iter().unzip();
-    Ok(MergedSweep { lines, results })
+    // Stable: of two equal keys the earlier input line stays first.
+    lines.sort_by(|a, b| a.record.key.cmp(&b.record.key));
+    if let Some(w) = lines
+        .windows(2)
+        .find(|w| w[0].record.key == w[1].record.key)
+    {
+        return Err(format!(
+            "{}: duplicate cell key {:?} (first seen at {}); shards must be disjoint",
+            at(w[1].at),
+            w[1].record.key,
+            at(w[0].at)
+        ));
+    }
+    let mut jsonl = String::with_capacity(lines.iter().map(|l| l.text.len() + 1).sum());
+    let mut results = Vec::with_capacity(lines.len());
+    for line in lines {
+        jsonl.push_str(line.text);
+        jsonl.push('\n');
+        results.push(line.record);
+    }
+    Ok(MergedSweep { jsonl, results })
 }
 
 /// Reads and merges shard files from disk.
@@ -154,6 +176,12 @@ mod tests {
         let err = merge_contents(&[("g.jsonl".to_string(), "garbage\n".to_string())])
             .expect_err("garbage rejected");
         assert!(err.contains("g.jsonl:1"), "{err}");
+        let deep = format!("{}\n", "[".repeat(1_000_000));
+        let err = merge_contents(&[("d.jsonl".to_string(), deep)]).expect_err("deep rejected");
+        assert!(
+            err.starts_with("d.jsonl:1: ") && err.contains("nesting"),
+            "{err}"
+        );
         let err = merge_contents(&[("b.jsonl".to_string(), format!("{line}\n\n{line}\n"))])
             .expect_err("blank line rejected");
         assert!(err.contains("blank line"), "{err}");

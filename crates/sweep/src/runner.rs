@@ -1,6 +1,6 @@
 //! Deterministic multi-threaded execution of independent sweep cells.
 //!
-//! A plain work-stealing pool over std threads and channels: items are
+//! A plain work-stealing pool over scoped std threads: items are
 //! dealt round-robin into per-worker deques; a worker drains its own deque
 //! from the front and steals from the back of the fullest other deque when
 //! dry. Because every cell derives its RNG seed from its own key (never
@@ -8,8 +8,8 @@
 //! pool only changes wall-clock time, never bytes.
 
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Mutex;
 
 use crate::matrix::{Cell, CellResult};
@@ -39,41 +39,42 @@ where
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
         .map(|w| Mutex::new((w..items.len()).step_by(threads).collect()))
         .collect();
-    type TaskResult<R> = std::thread::Result<R>;
-    let (tx, rx) = mpsc::channel::<(usize, TaskResult<R>)>();
     // One task's failure cancels the whole sweep: every worker checks the
     // flag before taking another item, so a poisoned run stops after the
     // in-flight items instead of draining every queue first.
     let cancelled = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let tx = tx.clone();
-            let queues = &queues;
-            let cancelled = &cancelled;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(i) = next_item(queues, cancelled, w) {
-                    // Catch per-item panics so the collector can report
-                    // *which* item failed with its original message,
-                    // instead of a bare missing-result assertion.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&items[i])));
-                    let failed = r.is_err();
-                    if failed {
-                        cancelled.store(true, Ordering::Release);
-                    }
-                    // A send error means the collector is gone; stop.
-                    if tx.send((i, r)).is_err() || failed {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            match r {
-                Ok(v) => out[i] = Some(v),
+    // Each worker keeps its results until it is done and hands them over
+    // at the end: a hand-over per item would wake the collector once per
+    // cell, which costs more than a cache hit does.
+    let work = |w: usize| {
+        let mut done = Vec::new();
+        while let Some(i) = next_item(&queues, &cancelled, w) {
+            // Catch per-item panics so the failure can name *which* item
+            // failed with its original message, instead of a bare
+            // missing-result assertion.
+            match std::panic::catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
+                Ok(r) => done.push((i, r)),
                 Err(payload) => {
+                    cancelled.store(true, Ordering::Release);
+                    return Err((i, payload));
+                }
+            }
+        }
+        Ok(done)
+    };
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        // The calling thread is worker 0, so one thread spawns nothing.
+        let work = &work;
+        let others: Vec<_> = (1..threads).map(|w| scope.spawn(move || work(w))).collect();
+        let mut finished = vec![work(0)];
+        finished.extend(
+            (others.into_iter()).map(|h| h.join().expect("worker panics are caught per item")),
+        );
+        for worker in finished {
+            match worker {
+                Ok(done) => done.into_iter().for_each(|(i, r)| out[i] = Some(r)),
+                Err((i, payload)) => {
                     let msg = payload
                         .downcast_ref::<String>()
                         .map(String::as_str)
@@ -83,10 +84,10 @@ where
                 }
             }
         }
-        out.into_iter()
-            .map(|r| r.expect("every index executed exactly once"))
-            .collect()
-    })
+    });
+    out.into_iter()
+        .map(|r| r.expect("every index executed exactly once"))
+        .collect()
 }
 
 /// Pops the next index for worker `w`: front of its own deque, else steal

@@ -23,13 +23,18 @@ use crate::matrix::CellResult;
 
 /// Renders one cell result as a single JSONL record (no trailing newline).
 pub fn jsonl_record(r: &CellResult) -> String {
-    Object::new()
+    push_record(String::new(), r)
+}
+
+/// Appends `r`'s [`jsonl_record`] to `buf` and hands the buffer back.
+pub(crate) fn push_record(buf: String, r: &CellResult) -> String {
+    Object::append_to(buf)
         .str("key", &r.key)
         .str("scenario", &r.scenario)
         .str("lb", &r.lb)
         .u64("seed", r.seed as u64)
         .u64("derived_seed", r.derived_seed)
-        .raw("summary", r.summary.to_json())
+        .obj("summary", |o| r.summary.json_fields(o))
         .render()
 }
 
@@ -76,40 +81,25 @@ pub fn parse_record(line: &str) -> Result<CellResult, String> {
 
 /// Writes results (already sorted by key) as JSON Lines.
 pub fn write_jsonl(out: &mut dyn Write, results: &[CellResult]) -> std::io::Result<()> {
-    for r in results {
-        writeln!(out, "{}", jsonl_record(r))?;
-    }
-    Ok(())
+    out.write_all(to_jsonl(results).as_bytes())
 }
 
-/// Renders all results to one JSONL string (tests, `--out -`).
+/// Renders all results to one JSONL string, every record written into the
+/// same buffer.
 pub fn to_jsonl(results: &[CellResult]) -> String {
-    let mut buf = Vec::new();
-    write_jsonl(&mut buf, results).expect("write to Vec cannot fail");
-    String::from_utf8(buf).expect("records are valid UTF-8")
+    results.iter().fold(String::new(), |buf, r| {
+        let mut buf = push_record(buf, r);
+        buf.push('\n');
+        buf
+    })
 }
 
-/// Renders one cell's performance counters as a JSONL record
-/// (no trailing newline). Wall time is nondeterministic, which is why
-/// this is not part of [`jsonl_record`]; the batch-shape counters
-/// (same-timestamp batches drained, average/max batch size, chained
-/// link services) ride along so sweeps show how much the engine's
-/// batched execution amortizes per cell, the `cal_*` fields describe the
-/// event queue it ran on — `cal_lane_pushes`, `cal_lanes_open` and
-/// `cal_lane_misfits` its lane level (pushes admitted, most lanes
-/// non-empty at once, packet-path pushes no lane took), `cal_heap_peak`
-/// the most entries the binary heap behind the lanes held at once (timers,
-/// controls and misfits: what its `O(log n)` is a logarithm of) —
-/// `arena_high_water` is the peak number of packets
-/// in the fabric at once (× 16 bytes of header is the per-hop working
-/// set; with the fabric in the key it answers "does this cell's in-flight
-/// state fit in cache"), `arena_wide_high_water` the most in-fabric ACKs
-/// at once too wide for the arena's one-line record (coalesced, *Carry
-/// EVs*, duplicate SACKs) and so parked in its slab, and the `fluid_*`
-/// fields say how local the fluid re-solves stayed:
-/// `fluid_flows_resolved / fluid_resolves` is the mean
-/// dirty-component size, `fluid_max_component` the largest (all zero for
-/// a cell without a fluid background).
+/// Renders one cell's performance counters as a JSONL record (no
+/// trailing newline): the `repsbench run --perf` stream, whose fields the
+/// `repsbench` docs describe. Wall time is nondeterministic, which is why
+/// this is not part of [`jsonl_record`]; `avg_batch` is events per drained
+/// same-timestamp batch and `fluid_flows_resolved / fluid_resolves` the
+/// mean dirty-component size of the fluid re-solves.
 pub fn perf_record(r: &CellResult) -> String {
     let events_per_sec = if r.wall_ns > 0 {
         r.events as f64 * 1e9 / r.wall_ns as f64
@@ -142,14 +132,6 @@ pub fn perf_record(r: &CellResult) -> String {
         .render()
 }
 
-/// Writes per-cell perf records (same order as the results) as JSON Lines.
-pub fn write_perf_jsonl(out: &mut dyn Write, results: &[CellResult]) -> std::io::Result<()> {
-    for r in results {
-        writeln!(out, "{}", perf_record(r))?;
-    }
-    Ok(())
-}
-
 /// Aggregate events/sec over a result set: total events divided by the
 /// *sum* of per-cell wall time (i.e. single-core simulation throughput,
 /// independent of how many workers ran the sweep). Takes any borrowing
@@ -172,149 +154,119 @@ pub fn events_per_sec<'a>(results: impl IntoIterator<Item = &'a CellResult>) -> 
 /// Cross-seed aggregate of one `(scenario, lb)` group.
 #[derive(Debug, Clone)]
 pub struct Aggregate {
-    /// Scenario key the group belongs to.
-    pub scenario: String,
-    /// Load-balancer axis label.
-    pub lb: String,
     /// Number of seeds aggregated.
     pub runs: usize,
-    /// Mean of the per-seed summaries, shaped as a [`Summary`] so the
-    /// shared report helpers render it.
+    /// Mean of the per-seed summaries, named after the scenario and the lb
+    /// and shaped as a [`Summary`] so the shared report helpers render it.
     pub mean: Summary,
 }
 
 fn mean_time(values: impl Iterator<Item = Time>, n: usize) -> Time {
-    if n == 0 {
-        return Time::ZERO;
-    }
     Time((values.map(|t| t.as_ps() as u128).sum::<u128>() / n as u128) as u64)
 }
 
 /// Groups results by `(scenario, lb)` and averages each group across its
-/// seeds. Output is sorted by scenario then by the first-seen lb order of
-/// the sorted input, so it is as deterministic as the input.
+/// seeds. Output is sorted by scenario, then by lb label, so it is as
+/// deterministic as the input.
 pub fn aggregate(results: &[CellResult]) -> Vec<Aggregate> {
-    let mut groups: BTreeMap<(String, String), Vec<&CellResult>> = BTreeMap::new();
+    let mut groups: BTreeMap<(&str, &str), Vec<&Summary>> = BTreeMap::new();
     for r in results {
         groups
-            .entry((r.scenario.clone(), r.lb.clone()))
+            .entry((&r.scenario, &r.lb))
             .or_default()
-            .push(r);
+            .push(&r.summary);
     }
     groups
         .into_iter()
         .map(|((scenario, lb), rs)| {
             let n = rs.len();
-            let mut mean = rs[0].summary.clone();
-            mean.name = scenario.clone();
-            mean.lb = lb.clone();
-            mean.completed = rs.iter().all(|r| r.summary.completed);
-            mean.fg_flows =
-                (rs.iter().map(|r| r.summary.fg_flows as u128).sum::<u128>() / n as u128) as usize;
-            mean.max_fct = mean_time(rs.iter().map(|r| r.summary.max_fct), n);
-            mean.avg_fct = mean_time(rs.iter().map(|r| r.summary.avg_fct), n);
-            mean.p99_fct = mean_time(rs.iter().map(|r| r.summary.p99_fct), n);
-            mean.makespan = mean_time(rs.iter().map(|r| r.summary.makespan), n);
-            mean.avg_goodput_gbps =
-                rs.iter().map(|r| r.summary.avg_goodput_gbps).sum::<f64>() / n as f64;
-            // Mixed-traffic scenarios report a background FCT per seed;
-            // average the seeds that have one instead of dropping them all.
-            let bg: Vec<Time> = rs.iter().filter_map(|r| r.summary.bg_max_fct).collect();
-            mean.bg_max_fct = if bg.is_empty() {
-                None
-            } else {
-                Some(mean_time(bg.iter().copied(), bg.len()))
-            };
+            let times = |f: fn(&Summary) -> Time| mean_time(rs.iter().map(|s| f(s)), n);
             // Sum across seeds first, divide once: per-element flooring
             // would erase counters rarer than one event per seed (exactly
             // the drop/timeout tallies failure scenarios measure).
             let mean_of = |field: fn(&netsim::stats::Counters) -> u64| {
-                (rs.iter()
-                    .map(|r| field(&r.summary.counters) as u128)
-                    .sum::<u128>()
-                    / n as u128) as u64
+                (rs.iter().map(|s| field(&s.counters) as u128).sum::<u128>() / n as u128) as u64
             };
-            mean.counters = netsim::stats::Counters {
-                drops_queue_full: mean_of(|c| c.drops_queue_full),
-                drops_link_down: mean_of(|c| c.drops_link_down),
-                drops_bit_error: mean_of(|c| c.drops_bit_error),
-                drops_gray: mean_of(|c| c.drops_gray),
-                drops_corrupt: mean_of(|c| c.drops_corrupt),
-                trims: mean_of(|c| c.trims),
-                ecn_marks: mean_of(|c| c.ecn_marks),
-                data_tx: mean_of(|c| c.data_tx),
-                ctrl_tx: mean_of(|c| c.ctrl_tx),
-                retransmissions: mean_of(|c| c.retransmissions),
-                timeouts: mean_of(|c| c.timeouts),
+            // Mixed-traffic scenarios report a background FCT per seed;
+            // average the seeds that have one instead of dropping them all.
+            let bg: Vec<Time> = rs.iter().filter_map(|s| s.bg_max_fct).collect();
+            let mean = Summary {
+                name: scenario.to_string(),
+                lb: lb.to_string(),
+                completed: rs.iter().all(|s| s.completed),
+                fg_flows: (rs.iter().map(|s| s.fg_flows as u128).sum::<u128>() / n as u128)
+                    as usize,
+                max_fct: times(|s| s.max_fct),
+                avg_fct: times(|s| s.avg_fct),
+                p99_fct: times(|s| s.p99_fct),
+                makespan: times(|s| s.makespan),
+                avg_goodput_gbps: rs.iter().map(|s| s.avg_goodput_gbps).sum::<f64>() / n as f64,
+                bg_max_fct: (!bg.is_empty()).then(|| mean_time(bg.iter().copied(), bg.len())),
+                counters: netsim::stats::Counters {
+                    drops_queue_full: mean_of(|c| c.drops_queue_full),
+                    drops_link_down: mean_of(|c| c.drops_link_down),
+                    drops_bit_error: mean_of(|c| c.drops_bit_error),
+                    drops_gray: mean_of(|c| c.drops_gray),
+                    drops_corrupt: mean_of(|c| c.drops_corrupt),
+                    trims: mean_of(|c| c.trims),
+                    ecn_marks: mean_of(|c| c.ecn_marks),
+                    data_tx: mean_of(|c| c.data_tx),
+                    ctrl_tx: mean_of(|c| c.ctrl_tx),
+                    retransmissions: mean_of(|c| c.retransmissions),
+                    timeouts: mean_of(|c| c.timeouts),
+                },
+                diagnostics: mean_diagnostics(&rs),
             };
-            // Diagnostics: fieldwise mean over the seeds carrying the block
-            // (mirrors bg_max_fct — a missing block on one seed must not
-            // erase the others'). Names keep first-appearance order.
-            let with_diag: Vec<&Vec<(String, f64)>> = rs
-                .iter()
-                .filter_map(|r| r.summary.diagnostics.as_ref())
-                .collect();
-            mean.diagnostics = if with_diag.is_empty() {
-                None
-            } else {
-                let mut names: Vec<&String> = Vec::new();
-                for d in &with_diag {
-                    for (k, _) in d.iter() {
-                        if !names.contains(&k) {
-                            names.push(k);
-                        }
-                    }
-                }
-                Some(
-                    names
-                        .into_iter()
-                        .map(|name| {
-                            let sum: f64 = with_diag
-                                .iter()
-                                .filter_map(|d| d.iter().find(|(k, _)| k == name).map(|(_, v)| *v))
-                                .sum();
-                            (name.clone(), sum / with_diag.len() as f64)
-                        })
-                        .collect(),
-                )
-            };
-            Aggregate {
-                scenario,
-                lb,
-                runs: n,
-                mean,
-            }
+            Aggregate { runs: n, mean }
         })
         .collect()
 }
 
-/// Renders the cross-seed aggregation as per-scenario comparison and
-/// speedup tables (via [`harness::report`]). `baseline` picks the speedup
-/// denominator; when the scenario lacks that label the first row is used.
-pub fn render_aggregates(results: &[CellResult], baseline: &str) -> String {
-    let aggs = aggregate(results);
-    // Scenario insertion order: sorted (BTreeMap), stable.
-    let mut scenarios: Vec<String> = Vec::new();
-    let mut by_scenario: BTreeMap<String, Vec<&Aggregate>> = BTreeMap::new();
-    for a in &aggs {
-        if !by_scenario.contains_key(&a.scenario) {
-            scenarios.push(a.scenario.clone());
+/// Fieldwise mean of the diagnostics blocks over the seeds carrying one
+/// (mirrors `bg_max_fct`: a missing block on one seed must not erase the
+/// others'). Names keep first-appearance order.
+fn mean_diagnostics(rs: &[&Summary]) -> Option<Vec<(String, f64)>> {
+    let blocks: Vec<&[(String, f64)]> =
+        rs.iter().filter_map(|s| s.diagnostics.as_deref()).collect();
+    let mut sums: Vec<(&str, f64)> = Vec::new();
+    for (k, v) in blocks.iter().flat_map(|d| d.iter()) {
+        match sums.iter_mut().find(|(name, _)| name == k) {
+            Some((_, sum)) => *sum += v,
+            None => sums.push((k, *v)),
         }
-        by_scenario.entry(a.scenario.clone()).or_default().push(a);
     }
+    let n = blocks.len() as f64;
+    (!blocks.is_empty()).then(|| {
+        sums.into_iter()
+            .map(|(k, sum)| (k.to_string(), sum / n))
+            .collect()
+    })
+}
+
+/// Renders the cross-seed aggregation as per-scenario comparison and
+/// speedup tables (via [`harness::report`]), all into one buffer.
+/// `baseline` picks the speedup denominator; when the scenario lacks that
+/// label the first row is used.
+pub fn render_aggregates(results: &[CellResult], baseline: &str) -> String {
     let mut out = String::new();
-    for scenario in scenarios {
-        let group = &by_scenario[&scenario];
-        let runs = group.iter().map(|a| a.runs).max().unwrap_or(0);
-        let rows: Vec<Summary> = group.iter().map(|a| a.mean.clone()).collect();
+    let mut aggs = aggregate(results).into_iter().peekable();
+    // `aggregate` sorts by scenario, so each scenario is one run of groups.
+    while let Some(first) = aggs.next() {
+        let mut runs = first.runs;
+        let mut rows = vec![first.mean];
+        while let Some(a) = aggs.next_if(|a| a.mean.name == rows[0].name) {
+            runs = runs.max(a.runs);
+            rows.push(a.mean);
+        }
+        let scenario = &rows[0].name;
         let title = format!("{scenario} (mean of {runs} seed(s))");
-        out.push_str(&comparison_table(&title, &rows));
+        comparison_table(&mut out, &title, &rows);
         let base = if rows.iter().any(|s| s.lb == baseline) {
-            baseline.to_string()
+            baseline
         } else {
-            rows[0].lb.clone()
+            &rows[0].lb
         };
-        out.push_str(&speedup_table(&scenario, &rows, &base));
+        speedup_table(&mut out, scenario, &rows, base);
         out.push('\n');
     }
     out
@@ -511,15 +463,16 @@ mod tests {
     /// numeric field the mean differs from either seed's value.
     fn assert_fieldwise_mean(
         path: &str,
-        a: &harness::json::Value,
-        b: &harness::json::Value,
-        mean: &harness::json::Value,
+        a: &harness::json::Value<'_>,
+        b: &harness::json::Value<'_>,
+        mean: &harness::json::Value<'_>,
     ) {
         use harness::json::Value;
+        use std::borrow::Cow;
         match (a, b, mean) {
             (Value::Obj(fa), Value::Obj(fb), Value::Obj(fm)) => {
-                let keys = |f: &[(String, Value)]| -> Vec<String> {
-                    f.iter().map(|(k, _)| k.clone()).collect()
+                let keys = |f: &[(Cow<'_, str>, Value<'_>)]| -> Vec<String> {
+                    f.iter().map(|(k, _)| k.to_string()).collect()
                 };
                 assert_eq!(keys(fa), keys(fb), "{path}: seed field sets differ");
                 assert_eq!(keys(fa), keys(fm), "{path}: aggregate field set drifted");
@@ -562,9 +515,8 @@ mod tests {
         let results = vec![synthetic_result(0, 1, true), synthetic_result(1, 3, false)];
         let aggs = aggregate(&results);
         assert_eq!(aggs.len(), 1);
-        let a = Value::parse(&results[0].summary.to_json()).unwrap();
-        let b = Value::parse(&results[1].summary.to_json()).unwrap();
-        let mean = Value::parse(&aggs[0].mean.to_json()).unwrap();
+        let json = [&results[0].summary, &results[1].summary, &aggs[0].mean].map(Summary::to_json);
+        let [a, b, mean] = json.each_ref().map(|j| Value::parse(j).unwrap());
         assert_fieldwise_mean("summary", &a, &b, &mean);
         // The regressions this guards, stated directly: no seed-0 leakage
         // in fg_flows, and a preserved background FCT.
@@ -590,6 +542,43 @@ mod tests {
             aggregate(&[none(0, 1), none(1, 3)])[0].mean.bg_max_fct,
             None
         );
+    }
+
+    #[test]
+    fn render_aggregates_output_is_pinned() {
+        // The synthetic two-seed group, plus one row of a second lb whose
+        // background FCT and diagnostics differ from the group's.
+        let mut other = synthetic_result(0, 2, true);
+        other.key = "synthetic/lb=Y/s=0".to_string();
+        other.lb = "Y".to_string();
+        other.summary.lb = "Y".to_string();
+        other.summary.bg_max_fct = None;
+        other.summary.diagnostics = Some(vec![("plb_repaths".to_string(), 5.0)]);
+        let mut results = vec![
+            synthetic_result(0, 1, true),
+            synthetic_result(1, 3, false),
+            other,
+        ];
+        // Picoseconds to microseconds, so the FCT columns show digits.
+        for r in &mut results {
+            let s = &mut r.summary;
+            for t in [&mut s.max_fct, &mut s.avg_fct, &mut s.p99_fct] {
+                *t = Time(t.as_ps() * 1_000_001);
+            }
+        }
+        results[2].summary.max_fct = Time::from_us(1_500);
+        let rendered = render_aggregates(&results, "Y");
+        let expected = "\
+## synthetic (mean of 2 seed(s))\n\
+LB              max FCT(us)  avg FCT(us)  p99 FCT(us)   qdrops  lnkdrop  berdrop graydrop  corrupt     retx      ecn   done\n\
+X                    2000.0       1400.0       1900.0        2        4        6       26       28       16       10     NO\n\
+Y                    1500.0       1400.0       1900.0        2        4        6       26       28       16       10    yes\n\
+## synthetic (speedup vs Y)\n\
+X                  0.75x\n\
+Y                  1.00x\n\
+\n\
+";
+        assert_eq!(rendered, expected);
     }
 
     #[test]
