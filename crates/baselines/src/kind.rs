@@ -35,7 +35,7 @@ use netsim::grammar::{Render, Spec};
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use reps::lb::{AckFeedback, EvDecision, LoadBalancer};
-use reps::reps::{Reps, RepsConfig};
+use reps::reps::{Reps, RepsConfig, RepsCounters};
 
 use crate::bitmap::Bitmap;
 use crate::ecmp::Ecmp;
@@ -100,9 +100,12 @@ pub enum LbKind {
 /// One connection's balancer: every family's per-connection state, held
 /// inline (a sender stores it by value) and dispatched by `match`.
 ///
-/// The closed counterpart of [`LoadBalancer`] trait objects: [`LbKind::build`]
-/// returns one, and a new spraying family is one more variant. Adaptive
-/// RoCE hosts spray obliviously, so they build an [`Lb::Ops`].
+/// [`LbKind::build`] returns one, and a new spraying family is one more
+/// variant. Adaptive RoCE hosts spray obliviously, so they build an
+/// [`Lb::Ops`]. REPS keeps only Table 1's state per connection: its
+/// configuration is the cell's [`LbKind`] and its decision counters are a
+/// host's, so an `Lb` is driven through [`Lb::with`], which pairs it with
+/// both.
 #[derive(Debug, Clone)]
 pub enum Lb {
     /// [`Reps`].
@@ -123,11 +126,12 @@ pub enum Lb {
     Mptcp(MptcpLike),
 }
 
-/// Evaluates `$body` with `$lb` bound to the balancer inside `$self`.
+/// Evaluates `$reps_body` with `$reps` bound to an [`Lb::Reps`]'s state,
+/// or `$body` with `$lb` bound to any other family's [`LoadBalancer`].
 macro_rules! dispatch {
-    ($self:expr, $lb:ident => $body:expr) => {
+    ($self:expr, $reps:ident => $reps_body:expr, $lb:ident => $body:expr) => {
         match $self {
-            Lb::Reps($lb) => $body,
+            Lb::Reps($reps) => $reps_body,
             Lb::Ops($lb) => $body,
             Lb::Ecmp($lb) => $body,
             Lb::Plb($lb) => $body,
@@ -139,45 +143,106 @@ macro_rules! dispatch {
     };
 }
 
-impl LoadBalancer for Lb {
-    fn next_ev(&mut self, now: Time, rng: &mut Rng64) -> u16 {
-        dispatch!(self, lb => lb.next_ev(now, rng))
+impl Lb {
+    /// This balancer with what it is driven with besides its own state:
+    /// `kind`, the scheme it was built from (the cell's parameter block),
+    /// and `counters`, the host's REPS decision counters.
+    #[inline]
+    pub fn with<'a>(
+        &'a mut self,
+        kind: &'a LbKind,
+        counters: &'a mut RepsCounters,
+    ) -> WithParams<'a> {
+        WithParams {
+            lb: self,
+            kind,
+            counters,
+        }
     }
 
+    /// Appends the balancer's decision counters (see
+    /// [`LoadBalancer::diagnostics`]); a REPS connection reports `counters`
+    /// as its own ([`Reps::diagnostics`]).
+    pub fn diagnostics(&self, counters: &RepsCounters, out: &mut Vec<(&'static str, u64)>) {
+        dispatch!(self, reps => reps.diagnostics(counters, out), lb => lb.diagnostics(out))
+    }
+}
+
+/// An [`Lb`] paired with its scheme and a host's counters ([`Lb::with`]):
+/// the connection's [`LoadBalancer`].
+#[derive(Debug)]
+pub struct WithParams<'a> {
+    lb: &'a mut Lb,
+    kind: &'a LbKind,
+    counters: &'a mut RepsCounters,
+}
+
+/// The REPS configuration of `kind`, which built a REPS connection.
+fn reps_cfg(kind: &LbKind) -> &RepsConfig {
+    match kind {
+        LbKind::Reps(cfg) => cfg,
+        other => panic!("REPS state driven with the parameters of {other:?}"),
+    }
+}
+
+impl LoadBalancer for WithParams<'_> {
+    #[inline]
+    fn next_ev(&mut self, now: Time, rng: &mut Rng64) -> u16 {
+        let kind = self.kind;
+        dispatch!(&mut *self.lb,
+            reps => reps.next_ev(reps_cfg(kind), self.counters, now, rng),
+            lb => lb.next_ev(now, rng))
+    }
+
+    #[inline]
     fn on_ack(&mut self, fb: &AckFeedback, rng: &mut Rng64) {
-        dispatch!(self, lb => lb.on_ack(fb, rng))
+        let kind = self.kind;
+        dispatch!(&mut *self.lb,
+            reps => reps.on_ack(reps_cfg(kind), self.counters, fb),
+            lb => lb.on_ack(fb, rng))
     }
 
     fn on_timeout(&mut self, now: Time) {
-        dispatch!(self, lb => lb.on_timeout(now))
+        let kind = self.kind;
+        dispatch!(&mut *self.lb,
+            reps => reps.on_timeout(reps_cfg(kind), self.counters, now),
+            lb => lb.on_timeout(now))
     }
 
     fn on_congestion_loss(&mut self, ev: u16, now: Time) {
-        dispatch!(self, lb => lb.on_congestion_loss(ev, now))
+        dispatch!(&mut *self.lb, _reps => {}, lb => lb.on_congestion_loss(ev, now))
     }
 
     fn name(&self) -> &'static str {
-        dispatch!(self, lb => lb.name())
+        dispatch!(&*self.lb, _reps => "REPS", lb => lb.name())
     }
 
     fn last_decision(&self) -> EvDecision {
-        dispatch!(self, lb => lb.last_decision())
+        dispatch!(&*self.lb, reps => reps.last_decision(), lb => lb.last_decision())
     }
 
     fn is_frozen(&self) -> bool {
-        dispatch!(self, lb => lb.is_frozen())
+        dispatch!(&*self.lb, reps => reps.is_freezing(), lb => lb.is_frozen())
     }
 
     fn diagnostics(&self, out: &mut Vec<(&'static str, u64)>) {
-        dispatch!(self, lb => lb.diagnostics(out))
+        self.lb.diagnostics(self.counters, out);
     }
 }
 
 /// The balancer as a trait object, for code written against
-/// [`LoadBalancer`] (`kind.build(rng).as_mut()`).
+/// [`LoadBalancer`] (`kind.build(rng).as_mut()`), for every family whose
+/// state carries its whole configuration.
+///
+/// # Panics
+///
+/// On [`Lb::Reps`], which is a balancer only together with its parameter
+/// block: drive it through [`Lb::with`].
 impl AsMut<dyn LoadBalancer> for Lb {
     fn as_mut(&mut self) -> &mut (dyn LoadBalancer + 'static) {
-        dispatch!(self, lb => lb)
+        dispatch!(self,
+            _reps => panic!("a REPS connection is driven through Lb::with"),
+            lb => lb)
     }
 }
 
@@ -185,7 +250,7 @@ impl LbKind {
     /// Builds a fresh per-connection balancer instance.
     pub fn build(&self, rng: &mut Rng64) -> Lb {
         match self {
-            LbKind::Reps(cfg) => Lb::Reps(Reps::new(cfg.clone())),
+            LbKind::Reps(cfg) => Lb::Reps(Reps::start(cfg)),
             LbKind::Ops { evs_size } => Lb::Ops(Ops::new(*evs_size)),
             LbKind::Ecmp => Lb::Ecmp(Ecmp::new(rng)),
             LbKind::Plb(cfg) => Lb::Plb(Plb::new(cfg.clone(), rng)),
@@ -377,8 +442,10 @@ mod tests {
     fn factory_builds_every_kind() {
         let mut rng = Rng64::new(1);
         let rtt = Time::from_us(10);
+        let mut counters = RepsCounters::default();
         for kind in LbKind::paper_lineup(rtt) {
             let mut lb = kind.build(&mut rng);
+            let mut lb = lb.with(&kind, &mut counters);
             let ev = lb.next_ev(Time::ZERO, &mut rng);
             let _ = ev;
             assert!(!lb.name().is_empty());
@@ -386,13 +453,25 @@ mod tests {
     }
 
     /// Every sender holds an `Lb` inline, so its size is per-connection
-    /// memory: the largest family's state (REPS, pinned field by field in
-    /// `reps::footprint`), with the variant tag folded into a niche of it.
+    /// memory: the largest family's state (BitMap's, since REPS keeps only
+    /// Table 1's 48 bytes, pinned field by field in `reps::footprint`),
+    /// with the variant tag folded into a niche of it.
     #[test]
     fn lb_is_the_size_of_its_largest_family() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Lb>(), 112);
-        assert_eq!(size_of::<Lb>(), size_of::<Reps>());
+        assert_eq!(size_of::<Lb>(), 64);
+        assert_eq!(size_of::<Lb>(), size_of::<Bitmap>());
+        assert_eq!(size_of::<Reps>(), 48);
+        for family in [
+            size_of::<Ops>(),
+            size_of::<Ecmp>(),
+            size_of::<Plb>(),
+            size_of::<Flowlet>(),
+            size_of::<Mprdma>(),
+            size_of::<MptcpLike>(),
+        ] {
+            assert!(family <= size_of::<Reps>(), "{family}");
+        }
     }
 
     #[test]
@@ -431,8 +510,9 @@ mod tests {
     fn reps_label_and_name_agree() {
         let mut rng = Rng64::new(2);
         let kind = LbKind::Reps(RepsConfig::default());
-        let lb = kind.build(&mut rng);
-        assert_eq!(lb.name(), kind.label());
+        let mut lb = kind.build(&mut rng);
+        let mut counters = RepsCounters::default();
+        assert_eq!(lb.with(&kind, &mut counters).name(), kind.label());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use baselines::{Bitmap, Ecmp, Flowlet, Mprdma, MptcpLike, Ops, Plb};
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use reps::lb::{AckFeedback, LoadBalancer};
-use reps::reps::Reps;
+use reps::reps::{Reps, RepsCounters};
 
 /// The concrete balancer a kind names, built the way a connection builds
 /// it — independently of [`LbKind::build`].
@@ -63,9 +63,10 @@ fn lb_enum_dispatches_like_the_concrete_balancers() {
         let kind = LbKind::parse(spec).expect(spec);
         let (mut rng_enum, mut rng_concrete) = (Rng64::new(i as u64), Rng64::new(i as u64));
         let mut lb: Lb = kind.build(&mut rng_enum);
+        let mut counters = RepsCounters::default();
         let mut reference = concrete(&kind, &mut rng_concrete);
         assert_eq!(
-            observe(lb.as_mut()),
+            observe(&lb.with(&kind, &mut counters)),
             observe(&*reference),
             "{spec}: as built"
         );
@@ -77,7 +78,7 @@ fn lb_enum_dispatches_like_the_concrete_balancers() {
             now += Time::from_ns(stream.gen_range(2_000));
             let call = match stream.gen_range(10) {
                 0..=3 => {
-                    let ev = lb.next_ev(now, &mut rng_enum);
+                    let ev = lb.with(&kind, &mut counters).next_ev(now, &mut rng_enum);
                     assert_eq!(
                         ev,
                         reference.next_ev(now, &mut rng_concrete),
@@ -99,23 +100,24 @@ fn lb_enum_dispatches_like_the_concrete_balancers() {
                         cwnd_packets: stream.gen_range(64) as u32,
                         rtt: Time::from_us(10),
                     };
-                    lb.on_ack(&fb, &mut rng_enum);
+                    lb.with(&kind, &mut counters).on_ack(&fb, &mut rng_enum);
                     reference.on_ack(&fb, &mut rng_concrete);
                     "on_ack"
                 }
                 8 => {
-                    lb.on_timeout(now);
+                    lb.with(&kind, &mut counters).on_timeout(now);
                     reference.on_timeout(now);
                     "on_timeout"
                 }
                 _ => {
-                    lb.on_congestion_loss(last_ev, now);
+                    lb.with(&kind, &mut counters)
+                        .on_congestion_loss(last_ev, now);
                     reference.on_congestion_loss(last_ev, now);
                     "on_congestion_loss"
                 }
             };
             assert_eq!(
-                observe(lb.as_mut()),
+                observe(&lb.with(&kind, &mut counters)),
                 observe(&*reference),
                 "{spec}: after {call} at step {step}"
             );

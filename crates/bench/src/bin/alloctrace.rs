@@ -10,9 +10,10 @@
 //! after each phase, and each phase's peak live memory: the gated
 //! hot-path permutation cell by default, the all-packet 10 240-host cell
 //! (`hybrid/cell10k_bg_pkt`) with `10k`. The `sizes:` line gives the
-//! per-connection and per-host structs those bytes are made of. CI runs
-//! `alloctrace 10k` and keeps its `sizes:` and `peak live` lines in the
-//! job summary.
+//! per-connection, per-host, per-link and per-pending-event structs those
+//! bytes are made of. CI runs `alloctrace 10k`, keeps its `sizes:` and
+//! `peak live` lines in the job summary, and fails when the run's peak
+//! live heap exceeds the ceiling pinned in `ci.yml`.
 
 use std::mem::size_of;
 use std::process::ExitCode;
@@ -87,12 +88,16 @@ fn main() -> ExitCode {
         (b2 - b1) as f64 / events as f64
     );
     println!(
-        "sizes: Reps {} B, Lb {} B, SenderConn {} B, ReceiverConn {} B, HostEndpoint {} B",
+        "sizes: Reps {} B, Lb {} B, Cc {} B, SenderConn {} B, ReceiverConn {} B, \
+         HostEndpoint {} B, Link {} B, queue entry {} B",
         size_of::<reps::Reps>(),
         size_of::<baselines::Lb>(),
+        size_of::<transport::Cc>(),
         size_of::<transport::conn::SenderConn>(),
         size_of::<transport::conn::ReceiverConn>(),
-        size_of::<transport::endpoint::HostEndpoint>()
+        size_of::<transport::endpoint::HostEndpoint>(),
+        size_of::<netsim::link::Link>(),
+        netsim::event::ENTRY_BYTES
     );
     let mib = |b: u64| b as f64 / (1 << 20) as f64;
     println!(

@@ -4,7 +4,9 @@
 //! topology size — the paper's headline deployability claim. This module
 //! reproduces the table's bit-level accounting, and prints beside it the
 //! measured size of the simulator's [`Reps`](crate::reps::Reps), whose
-//! field-by-field breakdown against the table is pinned in the tests.
+//! field-by-field breakdown against the table is pinned in the tests. Like
+//! a NIC, the simulator keeps REPS' configuration once (per cell) and its
+//! `--diagnostics` counters per host, outside the per-connection state.
 
 /// Bits per circular-buffer element: a 16-bit entropy plus a validity bit.
 pub const ELEMENT_BITS: u64 = 16 + 1;
@@ -59,6 +61,7 @@ pub fn table1() -> String {
         std::mem::size_of::<crate::reps::Reps>(),
         footprint_bytes(8)
     ));
+    out.push_str("  (configuration per cell, decision counters per host)\n");
     out
 }
 
@@ -87,9 +90,7 @@ mod tests {
         assert!(t.contains("74"));
         assert!(t.contains("193"));
         assert!(t.contains("25 bytes"));
-        assert!(
-            t.contains("Simulator Reps, 8 elements (size_of)       112 bytes (paper: 25 bytes)")
-        );
+        assert!(t.contains("Simulator Reps, 8 elements (size_of)       48 bytes (paper: 25 bytes)"));
     }
 
     /// The simulator's per-connection REPS state, measured: `size_of` of
@@ -97,11 +98,13 @@ mod tests {
     /// buffer, held inline — no heap block besides) is pinned, and every
     /// byte of it is accounted for against Table 1's bits. The struct
     /// itself has no padding; the ring's enum tag and alignment are listed
-    /// as their own row.
+    /// as their own row. The configuration is the cell's one
+    /// [`RepsConfig`](crate::reps::RepsConfig) and the `--diagnostics`
+    /// counters are per host, so neither has a row.
     #[test]
     fn reps_size_is_pinned_against_table1() {
         // (field, Table 1 bits, bytes in `Reps`)
-        let rows: [(&str, u64, usize); 18] = [
+        let rows: [(&str, u64, usize); 12] = [
             // Table 1's state. `isValid` is derived: the valid slots are
             // the `num_valid` just behind `head`.
             ("8 x cachedEV: ring's inline slots", 8 * 16, 8 * 2),
@@ -113,28 +116,20 @@ mod tests {
             ("exploreCounter: explore_counter", 8, 4),
             // Algorithm bookkeeping the table leaves to the NIC.
             ("ring's written-prefix length", 0, 1),
-            ("ring's tag and padding (heap form for buf > 8)", 0, 15),
+            ("ring's tag and padding (boxed heap form for buf > 8)", 0, 7),
             ("last_cwnd_packets", 0, 4),
             ("last_decision", 0, 1),
-            // Configuration: registers shared by all connections in a NIC.
-            ("last_slot (buffer_size - 1)", 0, 2),
-            ("evs_size", 0, 4),
-            ("freezing_enabled", 0, 1),
-            ("freezing_timeout", 0, 8),
-            ("forced + force_freezing_at", 0, 1 + 8),
-            // `--diagnostics` counters: fresh, recycled, frozen, freezes.
-            ("decision counters", 0, 4 * 8),
             ("struct padding", 0, 0),
         ];
         let bits: u64 = rows.iter().map(|r| r.1).sum();
         let bytes: usize = rows.iter().map(|r| r.2).sum();
         assert_eq!(bits, footprint_bits(8), "Table 1 rows");
         assert_eq!(footprint_bytes(8), 25);
-        assert_eq!(std::mem::size_of::<crate::reps::Reps>(), 112);
-        assert_eq!(bytes, 112, "breakdown rows");
+        assert_eq!(std::mem::size_of::<crate::reps::Reps>(), 48);
+        assert_eq!(bytes, 48, "breakdown rows");
         assert_eq!(
-            std::mem::size_of::<netsim::packet::SmallList<u16, 8>>(),
-            8 * 2 + 1 + 15,
+            std::mem::size_of::<crate::reps::Ring>(),
+            8 * 2 + 1 + 7,
             "the ring"
         );
     }

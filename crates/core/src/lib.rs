@@ -38,4 +38,4 @@ pub mod lb;
 pub mod reps;
 
 pub use lb::{AckFeedback, EvDecision, LoadBalancer};
-pub use reps::{Reps, RepsConfig};
+pub use reps::{OwnedReps, Reps, RepsConfig, RepsCounters};

@@ -9,7 +9,6 @@
 //! ones — because recently-acknowledged entropies are the only paths known
 //! to still work (§3.2).
 
-use netsim::packet::SmallList;
 use netsim::rng::Rng64;
 use netsim::time::Time;
 
@@ -65,12 +64,81 @@ impl RepsConfig {
 /// space (the LB-spec grammar's `buf` bound), so a slot index fits a `u16`.
 pub const MAX_BUFFER: usize = 1 << 16;
 
-/// Slots the buffer keeps in place before it spills to the heap: the
-/// paper's depth, so the paper's configuration allocates nothing.
+/// Slots the buffer keeps in place: the paper's depth, so the paper's
+/// configuration allocates nothing.
 const INLINE_SLOTS: usize = 8;
 
-/// The REPS sender state: Table 1's fields, the configuration the
-/// algorithm reads, and the decision counters behind `--diagnostics`.
+/// The `cachedEV` of every slot written so far, in slot order: in place up
+/// to [`INLINE_SLOTS`], boxed beyond (one word, so the rare deep buffer
+/// costs the common case nothing).
+#[derive(Debug, Clone)]
+pub(crate) enum Ring {
+    /// `slots[..len]` are written.
+    Inline { slots: [u16; INLINE_SLOTS], len: u8 },
+    /// A deeper buffer, spilled when its ninth slot was written, with room
+    /// for every slot of its depth. Boxed: one word where a `Vec` is three
+    /// would grow every connection's state for the rare deep buffer.
+    #[allow(clippy::box_collection)]
+    Heap(Box<Vec<u16>>),
+}
+
+impl Ring {
+    fn as_slice(&self) -> &[u16] {
+        match self {
+            Ring::Inline { slots, len } => &slots[..usize::from(*len)],
+            Ring::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u16] {
+        match self {
+            Ring::Inline { slots, len } => &mut slots[..usize::from(*len)],
+            Ring::Heap(v) => v,
+        }
+    }
+
+    /// Writes the first never-written slot of a buffer of `depth` slots.
+    /// Out of line: it runs only while the buffer fills, and its spill path
+    /// would weigh on the per-ACK overwrite.
+    #[cold]
+    #[inline(never)]
+    fn push(&mut self, ev: u16, depth: usize) {
+        match self {
+            Ring::Inline { slots, len } if usize::from(*len) < INLINE_SLOTS => {
+                slots[usize::from(*len)] = ev;
+                *len += 1;
+            }
+            Ring::Inline { slots, .. } => {
+                let mut spilled = Vec::with_capacity(depth);
+                spilled.extend_from_slice(slots);
+                spilled.push(ev);
+                *self = Ring::Heap(Box::new(spilled));
+            }
+            Ring::Heap(v) => v.push(ev),
+        }
+    }
+}
+
+/// The REPS decision counters behind `--diagnostics`. A simulated cell
+/// keeps them per host, not per connection: they are only ever summed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepsCounters {
+    /// Fresh (exploratory) entropy draws.
+    pub fresh_draws: u64,
+    /// Recycled cache hits.
+    pub recycled_draws: u64,
+    /// Frozen-mode replays of stale cache entries.
+    pub frozen_replays: u64,
+    /// Times freezing mode was entered.
+    pub freezes: u64,
+    /// Times freezing mode was left.
+    pub thaws: u64,
+}
+
+/// One connection's REPS sender state: Table 1's fields and the
+/// algorithm's bookkeeping, nothing else. The configuration is the cell's
+/// [`RepsConfig`] and the decision counters are a host's
+/// [`RepsCounters`]; both are passed to every call.
 ///
 /// Two of Table 1's per-slot facts are derived instead of stored:
 ///
@@ -82,17 +150,14 @@ const INLINE_SLOTS: usize = 8;
 ///   first unwritten slot, so the written slots are a prefix. `ring`
 ///   stores exactly that prefix: its length is the written count.
 ///
-/// The size at the default configuration is pinned, field by field against
+/// The size at the paper's depth is pinned, field by field against
 /// Table 1, in `footprint`'s tests.
 #[derive(Debug, Clone)]
 pub struct Reps {
-    /// `cachedEV` of every slot written so far, in slot order; inline up
-    /// to [`INLINE_SLOTS`].
-    ring: SmallList<u16, INLINE_SLOTS>,
-    /// Next write position (Algorithm 1's `head`).
-    head: u16,
-    /// Index of the buffer's last slot (`buffer_size − 1`).
-    last_slot: u16,
+    /// `cachedEV` of every slot written so far.
+    ring: Ring,
+    /// Instant at which freezing mode may be exited.
+    exit_freezing: Time,
     /// Count of valid (cached, unused) entropies.
     num_valid: u32,
     /// Packets left in the post-freezing exploration phase (Algorithm 2).
@@ -100,41 +165,22 @@ pub struct Reps {
     /// Last congestion window observed (packets), seeding the exploration
     /// counter when freezing expires on the send path.
     last_cwnd_packets: u32,
+    /// Next write position (Algorithm 1's `head`).
+    head: u16,
     /// True while in freezing mode.
     freezing: bool,
-    /// Instant at which freezing mode may be exited.
-    exit_freezing: Time,
-    /// How the most recent [`next_ev`](LoadBalancer::next_ev) call chose.
+    /// How the most recent [`Reps::next_ev`] call chose.
     last_decision: EvDecision,
-    /// Entropy value space size ([`RepsConfig::evs_size`]).
-    evs_size: u32,
-    /// Whether a timeout freezes ([`RepsConfig::freezing_enabled`]).
-    freezing_enabled: bool,
-    /// [`RepsConfig::freezing_timeout`].
-    freezing_timeout: Time,
-    /// Whether [`RepsConfig::force_freezing_at`] is set.
-    forced: bool,
-    /// Its instant, when `forced`.
-    force_freezing_at: Time,
-    /// Lifetime count of fresh (exploratory) entropy draws.
-    fresh_draws: u64,
-    /// Lifetime count of recycled cache hits.
-    recycled_draws: u64,
-    /// Lifetime count of frozen-mode replays of stale cache entries.
-    frozen_replays: u64,
-    /// Times freezing mode was entered. Every exit follows an entry, so
-    /// the exits are this minus one while frozen.
-    freezes: u64,
 }
 
 impl Reps {
-    /// Creates a REPS instance with the given configuration.
+    /// A connection's initial state under `cfg`.
     ///
     /// # Panics
     ///
     /// Panics if the buffer size is zero or above [`MAX_BUFFER`], or the
     /// EVS is empty.
-    pub fn new(cfg: RepsConfig) -> Reps {
+    pub fn start(cfg: &RepsConfig) -> Reps {
         assert!(cfg.buffer_size > 0, "REPS buffer must be non-empty");
         assert!(
             cfg.buffer_size <= MAX_BUFFER,
@@ -142,29 +188,36 @@ impl Reps {
         );
         assert!(cfg.evs_size > 0, "EVS must be non-empty");
         Reps {
-            ring: SmallList::new(),
-            head: 0,
-            last_slot: (cfg.buffer_size - 1) as u16,
+            ring: Ring::Inline {
+                slots: [0; INLINE_SLOTS],
+                len: 0,
+            },
+            exit_freezing: Time::ZERO,
             num_valid: 0,
             explore_counter: 0,
             last_cwnd_packets: cfg.buffer_size as u32,
+            head: 0,
             freezing: false,
-            exit_freezing: Time::ZERO,
             last_decision: EvDecision::Fresh,
-            evs_size: cfg.evs_size,
-            freezing_enabled: cfg.freezing_enabled,
-            freezing_timeout: cfg.freezing_timeout,
-            forced: cfg.force_freezing_at.is_some(),
-            force_freezing_at: cfg.force_freezing_at.unwrap_or(Time::ZERO),
-            fresh_draws: 0,
-            recycled_draws: 0,
-            frozen_replays: 0,
-            freezes: 0,
         }
     }
 
-    /// Creates a REPS instance with the paper's defaults.
-    pub fn default_paper() -> Reps {
+    /// A self-contained REPS balancer with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// As [`Reps::start`].
+    #[allow(clippy::new_ret_no_self)] // the state plus its own parameter block
+    pub fn new(cfg: RepsConfig) -> OwnedReps {
+        OwnedReps {
+            state: Reps::start(&cfg),
+            cfg,
+            counters: RepsCounters::default(),
+        }
+    }
+
+    /// A self-contained REPS balancer with the paper's defaults.
+    pub fn default_paper() -> OwnedReps {
         Reps::new(RepsConfig::default())
     }
 
@@ -178,56 +231,43 @@ impl Reps {
         self.num_valid as usize
     }
 
-    /// The configured EVS size.
-    pub fn evs_size(&self) -> u32 {
-        self.evs_size
+    /// How the most recent [`Reps::next_ev`] call arrived at its answer.
+    pub fn last_decision(&self) -> EvDecision {
+        self.last_decision
     }
 
-    /// The circular buffer's depth.
-    fn slots(&self) -> u32 {
-        u32::from(self.last_slot) + 1
-    }
-
-    /// The slot after `slot`, wrapping (compared, not divided: this is on
-    /// every ACK's path).
-    fn next_slot(&self, slot: usize) -> u16 {
-        if slot == usize::from(self.last_slot) {
+    /// The slot after `slot` in a buffer of `depth` slots, wrapping
+    /// (compared, not divided: this is on every ACK's path).
+    fn next_slot(slot: usize, depth: usize) -> u16 {
+        if slot + 1 == depth {
             0
         } else {
             slot as u16 + 1
         }
     }
 
-    /// Caches `ev` in the first never-written slot. Out of line: it runs
-    /// only while the buffer fills, and its spill path would weigh on the
-    /// per-ACK overwrite.
-    #[cold]
-    #[inline(never)]
-    fn write_new_slot(&mut self, ev: u16) {
-        self.ring.push(ev);
-    }
-
     /// Draws a uniformly random entropy from the EVS, recording the
     /// decision as exploratory.
-    fn random_ev(&mut self, rng: &mut Rng64) -> u16 {
+    fn random_ev(&mut self, cfg: &RepsConfig, n: &mut RepsCounters, rng: &mut Rng64) -> u16 {
         self.last_decision = EvDecision::Fresh;
-        self.fresh_draws += 1;
-        rng.gen_range(self.evs_size as u64) as u16
+        n.fresh_draws += 1;
+        rng.gen_range(cfg.evs_size as u64) as u16
     }
 
     /// Algorithm 2's `getNextEV`.
-    fn get_next_ev(&mut self) -> u16 {
+    fn get_next_ev(&mut self, cfg: &RepsConfig, n: &mut RepsCounters) -> u16 {
+        let ring = self.ring.as_slice();
         if self.num_valid > 0 {
-            let n = self.slots();
+            let slots = cfg.buffer_size as u32;
             // Algorithm 2 line 4: the oldest valid element sits at
             // `head - numberOfValidEVs` (mod buffer size); when the whole
             // buffer is valid this is `head` itself.
-            let back = u32::from(self.head) + n - self.num_valid;
-            let offset = if back >= n { back - n } else { back };
+            let back = u32::from(self.head) + slots - self.num_valid;
+            let offset = if back >= slots { back - slots } else { back };
             self.num_valid -= 1;
             self.last_decision = EvDecision::Recycled;
-            self.recycled_draws += 1;
-            self.ring[offset as usize]
+            n.recycled_draws += 1;
+            ring[offset as usize]
         } else {
             // Freezing mode: replay stale entries round-robin. Slots from
             // the ring's end on were never written (possible only if
@@ -235,27 +275,35 @@ impl Reps {
             // skips them by wrapping to slot 0, which the caller's
             // non-empty check guarantees is written.
             self.last_decision = EvDecision::FrozenReplay;
-            self.frozen_replays += 1;
-            let slot = if usize::from(self.head) < self.ring.len() {
+            n.frozen_replays += 1;
+            let slot = if usize::from(self.head) < ring.len() {
                 usize::from(self.head)
             } else {
                 0
             };
-            self.head = self.next_slot(slot);
-            self.ring[slot]
+            let ev = ring[slot];
+            self.head = Reps::next_slot(slot, cfg.buffer_size);
+            ev
         }
     }
-}
 
-impl LoadBalancer for Reps {
-    /// Algorithm 2, `onSend`.
-    fn next_ev(&mut self, now: Time, rng: &mut Rng64) -> u16 {
-        if self.forced && now >= self.force_freezing_at && !self.freezing {
-            // Fig. 19: freeze without a failure and never thaw.
-            self.freezing = true;
-            self.freezes += 1;
-            self.exit_freezing = Time::MAX;
-            self.explore_counter = 0;
+    /// Algorithm 2, `onSend`: the entropy for the next outgoing data
+    /// packet.
+    pub fn next_ev(
+        &mut self,
+        cfg: &RepsConfig,
+        n: &mut RepsCounters,
+        now: Time,
+        rng: &mut Rng64,
+    ) -> u16 {
+        if let Some(at) = cfg.force_freezing_at {
+            if now >= at && !self.freezing {
+                // Fig. 19: freeze without a failure and never thaw.
+                self.freezing = true;
+                n.freezes += 1;
+                self.exit_freezing = Time::MAX;
+                self.explore_counter = 0;
+            }
         }
         if self.freezing && now > self.exit_freezing {
             // §3.2: without probing, freezing expires after a fixed time —
@@ -264,44 +312,48 @@ impl LoadBalancer for Reps {
             // failed path) still thaws and re-explores instead of replaying
             // dead paths forever.
             self.freezing = false;
+            n.thaws += 1;
             self.explore_counter = self.last_cwnd_packets.max(1);
         }
         if self.explore_counter > 0 {
             self.explore_counter -= 1;
-            if self.explore_counter.is_multiple_of(self.slots()) {
-                return self.random_ev(rng);
+            if self.explore_counter.is_multiple_of(cfg.buffer_size as u32) {
+                return self.random_ev(cfg, n, rng);
             }
             // Otherwise fall through to the regular selection logic: reuse
             // cached entropies when available, explore when not.
         }
-        if self.ring.is_empty() || (self.num_valid == 0 && !self.freezing) {
-            return self.random_ev(rng);
+        if self.ring.as_slice().is_empty() || (self.num_valid == 0 && !self.freezing) {
+            return self.random_ev(cfg, n, rng);
         }
-        self.get_next_ev()
+        self.get_next_ev(cfg, n)
     }
 
     /// Algorithm 1, `onAck`.
     #[inline]
-    fn on_ack(&mut self, fb: &AckFeedback, _rng: &mut Rng64) {
+    pub fn on_ack(&mut self, cfg: &RepsConfig, n: &mut RepsCounters, fb: &AckFeedback) {
         if fb.ecn {
             // Congested path: discard the entropy (Algorithm 1, line 6).
             return;
         }
+        let depth = cfg.buffer_size;
         // The slot at `head` is valid only when every slot is.
-        if self.num_valid < self.slots() {
+        if self.num_valid < depth as u32 {
             self.num_valid += 1;
         }
         let head = usize::from(self.head);
-        debug_assert!(head <= self.ring.len(), "head passed an unwritten slot");
-        if head == self.ring.len() {
-            self.write_new_slot(fb.ev);
+        let written = self.ring.as_slice().len();
+        debug_assert!(head <= written, "head passed an unwritten slot");
+        if head == written {
+            self.ring.push(fb.ev, depth);
         } else {
-            self.ring[head] = fb.ev;
+            self.ring.as_mut_slice()[head] = fb.ev;
         }
-        self.head = self.next_slot(head);
+        self.head = Reps::next_slot(head, depth);
         self.last_cwnd_packets = fb.cwnd_packets.max(1);
         if self.freezing && fb.now > self.exit_freezing {
             self.freezing = false;
+            n.thaws += 1;
             // Explore for a window's worth of packets after thawing so REPS
             // cannot get stuck on a stale path set (§3.2).
             self.explore_counter = fb.cwnd_packets.max(1);
@@ -309,15 +361,67 @@ impl LoadBalancer for Reps {
     }
 
     /// Algorithm 1, `onFailureDetection`.
-    fn on_timeout(&mut self, now: Time) {
-        if !self.freezing_enabled {
+    pub fn on_timeout(&mut self, cfg: &RepsConfig, n: &mut RepsCounters, now: Time) {
+        if !cfg.freezing_enabled {
             return;
         }
         if !self.freezing && self.explore_counter == 0 {
             self.freezing = true;
-            self.freezes += 1;
-            self.exit_freezing = now + self.freezing_timeout;
+            n.freezes += 1;
+            self.exit_freezing = now + cfg.freezing_timeout;
         }
+    }
+
+    /// The EV-lifecycle counters behind the paper's mechanism claims, `n`,
+    /// and this connection's valid cache entries. Sums over connections
+    /// count each `n` once: pass a host's counters with one of its
+    /// connections and [`RepsCounters::default`] with the rest. The
+    /// recycle rate is `reps_recycled_draws / (fresh + recycled + frozen)`.
+    pub fn diagnostics(&self, n: &RepsCounters, out: &mut Vec<(&'static str, u64)>) {
+        out.push(("reps_fresh_draws", n.fresh_draws));
+        out.push(("reps_recycled_draws", n.recycled_draws));
+        out.push(("reps_frozen_replays", n.frozen_replays));
+        out.push(("reps_freezes", n.freezes));
+        out.push(("reps_thaws", n.thaws));
+        out.push(("reps_valid_entropies", u64::from(self.num_valid)));
+    }
+}
+
+/// One REPS connection that owns its parameter block and counters: a
+/// complete [`LoadBalancer`] for code that drives a balancer on its own
+/// (tests, benches, the benchmark's `layerprobe`). The connections of a
+/// simulated cell share one [`RepsConfig`] and keep counters per host
+/// instead.
+#[derive(Debug, Clone)]
+pub struct OwnedReps {
+    /// The connection state.
+    pub state: Reps,
+    /// Its parameter block.
+    pub cfg: RepsConfig,
+    /// Its decision counters.
+    pub counters: RepsCounters,
+}
+
+/// The connection state's instrumentation ([`Reps::is_freezing`],
+/// [`Reps::valid_entropies`]).
+impl std::ops::Deref for OwnedReps {
+    type Target = Reps;
+    fn deref(&self) -> &Reps {
+        &self.state
+    }
+}
+
+impl LoadBalancer for OwnedReps {
+    fn next_ev(&mut self, now: Time, rng: &mut Rng64) -> u16 {
+        self.state.next_ev(&self.cfg, &mut self.counters, now, rng)
+    }
+
+    fn on_ack(&mut self, fb: &AckFeedback, _rng: &mut Rng64) {
+        self.state.on_ack(&self.cfg, &mut self.counters, fb);
+    }
+
+    fn on_timeout(&mut self, now: Time) {
+        self.state.on_timeout(&self.cfg, &mut self.counters, now);
     }
 
     fn name(&self) -> &'static str {
@@ -325,22 +429,15 @@ impl LoadBalancer for Reps {
     }
 
     fn last_decision(&self) -> EvDecision {
-        self.last_decision
+        self.state.last_decision()
     }
 
     fn is_frozen(&self) -> bool {
-        self.freezing
+        self.state.is_freezing()
     }
 
-    /// The EV-lifecycle counters behind the paper's mechanism claims:
-    /// recycle rate is `reps_recycled_draws / (fresh + recycled + frozen)`.
     fn diagnostics(&self, out: &mut Vec<(&'static str, u64)>) {
-        out.push(("reps_fresh_draws", self.fresh_draws));
-        out.push(("reps_recycled_draws", self.recycled_draws));
-        out.push(("reps_frozen_replays", self.frozen_replays));
-        out.push(("reps_freezes", self.freezes));
-        out.push(("reps_thaws", self.freezes - u64::from(self.freezing)));
-        out.push(("reps_valid_entropies", u64::from(self.num_valid)));
+        self.state.diagnostics(&self.counters, out);
     }
 }
 
@@ -358,7 +455,7 @@ mod tests {
         }
     }
 
-    fn reps_small_evs() -> (Reps, Rng64) {
+    fn reps_small_evs() -> (OwnedReps, Rng64) {
         let cfg = RepsConfig::default().with_evs_size(256);
         (Reps::new(cfg), Rng64::new(99))
     }

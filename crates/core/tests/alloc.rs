@@ -52,8 +52,8 @@ fn reps_allocates_nothing_at_the_paper_buffer_depth() {
         "buf=8 through recycling and freezes"
     );
     assert_eq!(allocs_of(1, 1_000), 0, "buf=1");
-    // A 16-deep buffer spills when its ninth slot is written, then grows
-    // once more to hold all sixteen.
+    // A 16-deep buffer spills when its ninth slot is written: a box, and
+    // room for all sixteen slots in it.
     assert_eq!(allocs_of(16, 0), 0, "Reps::new at buf=16");
     assert_eq!(allocs_of(16, 1_000), 2, "buf=16 spills once");
 }

@@ -78,7 +78,7 @@ use crate::event::{CalendarStats, ControlEvent, Event, EventQueue};
 use crate::fluid::FluidNet;
 use crate::hash::ecmp_select;
 use crate::ids::{FlowId, HostId, LinkId, NodeRef, SwitchId};
-use crate::link::{DropReason, EnqueueOutcome, Link};
+use crate::link::{DropReason, EnqueueOutcome, Link, LinkClass, LinkSide};
 use crate::packet::Packet;
 use crate::rng::Rng64;
 use crate::stats::{FlowRecord, Stats};
@@ -389,6 +389,11 @@ pub struct Engine<S: TraceSink = NoTrace, E = Box<dyn Endpoint<S>>> {
     pub topo: Topology,
     /// Link arena (index = `LinkId`).
     pub links: Vec<Link>,
+    /// Queue constants per link class (indexed by [`Link::class`]).
+    link_classes: [LinkClass; 2],
+    /// Rarely set per-link state, indexed by `LinkId`, valid where
+    /// [`Link::has_side`] is set; empty until the first link needs it.
+    link_side: Vec<LinkSide>,
     /// Statistics collector.
     pub stats: Stats,
     /// Uplink selection mode.
@@ -448,12 +453,12 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
             let mut link = Link::new(spec.to, latency, &cfg);
             if matches!(spec.from, NodeRef::Host(_)) {
                 // Host NIC egress: deep source queue, no fabric marking.
-                link.make_host_egress();
+                link.class = LinkClass::HOST_EGRESS;
             }
             if let (NodeRef::Switch(_), NodeRef::Switch(_), Some(bps)) =
                 (spec.from, spec.to, cfg.fabric_bps)
             {
-                link.rate_bps = bps;
+                link.set_rate(bps);
             }
             links.push(link);
         }
@@ -461,6 +466,8 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         let stats = Stats::new(cfg.stats_bucket);
         Engine {
             now: Time::ZERO,
+            link_classes: LinkClass::table(&cfg),
+            link_side: Vec::new(),
             cfg,
             topo,
             links,
@@ -679,10 +686,12 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         if let Some(&(_, _, ev)) = self.batch.get(self.batch_pos + PREFETCH_AHEAD) {
             match ev {
                 Event::QueueService { link } => {
-                    // A `Link` spans at most four cache lines (size pinned
-                    // in `link::tests`).
+                    // A `Link` is line-aligned: its lines are exactly its
+                    // size over 64 (two, pinned in `link::tests`).
+                    const LINES: usize = std::mem::size_of::<Link>() / 64;
+                    const { assert!(std::mem::align_of::<Link>() == 64) };
                     let p = self.links.as_ptr().wrapping_add(link.index()).cast::<u8>();
-                    for line in 0..4 {
+                    for line in 0..LINES {
                         prefetch(p.wrapping_add(64 * line));
                     }
                 }
@@ -731,11 +740,11 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         if link.busy || !link.up {
             return;
         }
-        let Some((pkt, ser)) = link.begin_service(&self.arena) else {
+        let side = link.has_side.then(|| &self.link_side[link_id.index()]);
+        let Some((pkt, ser)) = link.begin_service(&self.arena, side) else {
             return;
         };
-        link.busy = true;
-        link.in_service = Some(pkt);
+        link.serve(pkt, self.now + ser);
         self.events
             .push(self.now + ser, Event::QueueService { link: link_id });
     }
@@ -746,23 +755,23 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
     /// an unbroken train of `QueueService` events; chaining pays one
     /// link-slot lookup and one arena access per packet where the
     /// unbatched completion-then-`start_service` shape paid two of each.
-    /// Stale events (the link failed meanwhile) are no-ops.
+    /// Stale events are no-ops: the link failed meanwhile, or failed and
+    /// came back within one serialization and now serves a packet due at
+    /// another instant ([`Link::completing`]).
     fn finish_service(&mut self, link_id: LinkId) {
         let link = &mut self.links[link_id.index()];
-        let Some(pkt) = link.in_service.take() else {
+        let Some(pkt) = link.completing(self.now) else {
             return;
         };
         let latency = link.latency;
         let to = link.to;
-        let ber = link.ber;
-        let gray = link.gray;
-        let corrupt = link.corrupt;
+        let side = link.has_side.then(|| &self.link_side[link_id.index()]);
+        let (ber, gray, corrupt) = side.map_or((0.0, 0.0, 0.0), |s| (s.ber, s.gray, s.corrupt));
         // Chain while the link is hot. The link is provably up (a down
-        // link flushes `in_service`, so we could not get here) and no
-        // longer busy — exactly the state `start_service` would re-check.
-        let next = link.begin_service(&self.arena);
-        if let Some((npkt, _)) = next {
-            link.in_service = Some(npkt);
+        // link is not busy, so we could not get here).
+        let next = link.begin_service(&self.arena, side);
+        if let Some((npkt, ser)) = next {
+            link.serve(npkt, self.now + ser);
             self.batch_stats.chained_services += 1;
         } else {
             link.busy = false;
@@ -857,7 +866,8 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
     /// Enqueues `pkt` on `link`, recording the outcome and scheduling service.
     fn push_link(&mut self, link_id: LinkId, pkt: PacketRef) {
         let link = &mut self.links[link_id.index()];
-        match link.enqueue(pkt, &mut self.arena, &mut self.rng) {
+        let class = &self.link_classes[usize::from(link.class)];
+        match link.enqueue(pkt, class, &mut self.arena, &mut self.rng) {
             EnqueueOutcome::Queued { marked } => {
                 if marked {
                     self.stats.on_ecn_mark();
@@ -901,6 +911,28 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         }
     }
 
+    /// `l`'s rarely set state (faults, fluid background): the default —
+    /// a clean, unloaded link — unless a control or the fluid model set it.
+    pub fn link_side(&self, l: LinkId) -> LinkSide {
+        if self.links[l.index()].has_side {
+            self.link_side[l.index()]
+        } else {
+            LinkSide::default()
+        }
+    }
+
+    /// Applies `change` to `l`'s side-table state, allocating the table on
+    /// first use, and keeps the link's flag in step: set exactly while the
+    /// state differs from the default.
+    fn update_side(&mut self, l: LinkId, change: impl FnOnce(&mut LinkSide)) {
+        if self.link_side.is_empty() {
+            self.link_side = vec![LinkSide::default(); self.links.len()];
+        }
+        let side = &mut self.link_side[l.index()];
+        change(side);
+        self.links[l.index()].has_side = *side != LinkSide::default();
+    }
+
     /// Attaches a fluid background population and schedules its first
     /// wake. No-op on an empty population.
     pub fn attach_fluid(&mut self, mut fluid: FluidNet) {
@@ -934,7 +966,8 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         let frame = self.cfg.full_frame_bytes() as u64;
         for &li in fluid.changed() {
             let l = LinkId(li);
-            self.links[l.index()].set_background(fluid.link_bg(l), frame);
+            let rate = self.links[l.index()].rate_bps();
+            self.update_side(l, |s| s.set_background(rate, fluid.link_bg(l), frame));
         }
         for rec in fluid.drain_completions() {
             self.stats.on_flow_complete(rec);
@@ -994,7 +1027,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
                     at: self.now,
                     link: l,
                 });
-                self.links[l.index()].ber = p;
+                self.update_side(l, |s| s.ber = p);
             }
             ControlEvent::LinkGray(l, p) => {
                 self.trace.emit(TraceEvent::LinkGray {
@@ -1002,7 +1035,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
                     link: l,
                     on: p > 0.0,
                 });
-                self.links[l.index()].gray = p;
+                self.update_side(l, |s| s.gray = p);
             }
             ControlEvent::LinkCorrupt(l, p) => {
                 self.trace.emit(TraceEvent::LinkCorrupt {
@@ -1010,7 +1043,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
                     link: l,
                     on: p > 0.0,
                 });
-                self.links[l.index()].corrupt = p;
+                self.update_side(l, |s| s.corrupt = p);
             }
             ControlEvent::SwitchDown(sw) => {
                 self.trace.emit(TraceEvent::SwitchDown { at: self.now, sw });
@@ -1269,6 +1302,90 @@ mod tests {
         let order: Vec<u32> = engine.stats.flows.iter().map(|f| f.flow.0).collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(engine.stats.flows[0].end, Time::from_us(10));
+    }
+
+    #[test]
+    fn a_flap_within_one_serialization_does_not_cut_the_next_packet_short() {
+        /// Sends one MTU data packet per message start and records each
+        /// delivery as a flow ending at its arrival time.
+        struct Stamp;
+        impl Endpoint for Stamp {
+            fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+                ctx.complete_flow(FlowRecord {
+                    flow: FlowId(pkt.ev.into()),
+                    src: pkt.src,
+                    dst: ctx.host,
+                    bytes: 0,
+                    start: Time::ZERO,
+                    end: ctx.now,
+                    retransmissions: 0,
+                });
+            }
+            fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+            fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_>) {
+                if let Command::StartMessage(spec) = cmd {
+                    let id = ctx.fresh_packet_id();
+                    let ev = spec.flow.0 as u16;
+                    let mtu = ctx.cfg.mtu_bytes;
+                    ctx.send(Packet::data(
+                        id,
+                        ctx.host,
+                        spec.dst,
+                        ConnId(0),
+                        ev,
+                        0,
+                        mtu,
+                        false,
+                    ));
+                }
+            }
+        }
+        let send = |engine: &mut Engine, flow: u32| {
+            let spec = MessageSpec {
+                flow: FlowId(flow),
+                dst: HostId(3),
+                bytes: 4096,
+                tag: 0,
+            };
+            engine.command(HostId(0), Command::StartMessage(spec));
+        };
+        // Packet B's arrival when it is sent at 30 ns, after packet A's
+        // serialization on host 0's NIC was cut by a down at 10 ns and an
+        // up at 20 ns (`flap`) or never began.
+        let arrival_of_b = |flap: bool| {
+            let topo = Topology::build(FatTreeConfig::two_tier(4, 1), 1);
+            let mut engine = Engine::new(topo, SimConfig::paper_default(), 1);
+            for h in 0..engine.topo.n_hosts {
+                engine.set_endpoint(HostId(h), Box::new(Stamp));
+            }
+            if flap {
+                send(&mut engine, 1);
+                let nic = engine.topo.host_up[0];
+                engine.schedule_control(Time::from_ns(10), ControlEvent::LinkDown(nic));
+                engine.schedule_control(Time::from_ns(20), ControlEvent::LinkUp(nic));
+            }
+            // A marker event puts the clock at 30 ns in both runs.
+            engine.schedule_control(Time::from_ns(30), ControlEvent::Custom(0));
+            engine.run_until(Time::from_ns(30));
+            send(&mut engine, 2);
+            engine.run_until(Time::from_us(10));
+            let flows: Vec<(u32, Time)> = engine
+                .stats
+                .flows
+                .iter()
+                .map(|f| (f.flow.0, f.end))
+                .collect();
+            assert_eq!(
+                flows.len(),
+                1,
+                "A is lost with the flap, B arrives: {flows:?}"
+            );
+            assert_eq!(flows[0].0, 2);
+            flows[0].1
+        };
+        // A's completion event is still on the calendar when B starts; it
+        // must not complete B 30 ns early.
+        assert_eq!(arrival_of_b(true), arrival_of_b(false));
     }
 
     #[test]

@@ -130,7 +130,9 @@
 //!
 //! # Structure
 //!
-//! * **Lane level**: `LANES` (8) FIFO rings of entries. A `QueueService` or
+//! * **Lane level**: `LANES` (8) FIFO rings of 24-byte entries
+//!   ([`Entry`]: `(time, seq)` and one word packing the event; at 10 240
+//!   hosts the rings are the queue's bulk). A `QueueService` or
 //!   `Arrive` push goes to the lane whose back time is the latest one at
 //!   or before it (an empty lane if none is, the heap level if every
 //!   lane is closed to it); best fit never opens more lanes than there
@@ -232,42 +234,57 @@ pub enum ControlEvent {
     Custom(u64),
 }
 
-/// The compact entry payload: every variant fits in 12 bytes.
+/// A queue entry: `(time, seq)` and the event packed into one word — a
+/// 24-byte POD, cheap to move through lane rings and heap sifts.
 ///
-/// `Arrive` (the hot variant) is stored directly; the rare wide payloads
-/// — a timer's `u64` token, a control event — are parked in side slabs
-/// and referenced by index, which keeps the whole [`Entry`] at 32 bytes
-/// instead of 40: two entries to a cache line in the lane rings and the
-/// heap.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    QueueService { link: LinkId },
-    Arrive { node: NodeRef, pkt: PacketRef },
-    Timer { idx: u32 },
-    Control { idx: u32 },
-}
-
-/// The public event of a lane entry's slot: lanes admit only the two
-/// packet-path kinds, whose payloads are inline.
-fn packet_event(slot: Slot) -> Event {
-    match slot {
-        Slot::QueueService { link } => Event::QueueService { link },
-        Slot::Arrive { node, pkt } => Event::Arrive { node, pkt },
-        Slot::Timer { .. } | Slot::Control { .. } => unreachable!("lanes hold packet events"),
-    }
-}
-
-/// A queue entry: POD only, cheap to move through lane rings and heap
-/// sifts.
-///
-/// Kept well under the size of a [`Packet`](crate::packet::Packet) — the
+/// The payload's high half is the receiving node of an `Arrive` (bit 31
+/// set for a host, the id below it) or a tag ([`QUEUE_SERVICE`],
+/// [`TIMER`], [`CONTROL`]); its low half the packet ref of an `Arrive`,
+/// the link of a `QueueService`, or the slab index of a timer's token or a
+/// control event — the rare wide payloads are parked in side slabs. Kept
+/// well under the size of a [`Packet`](crate::packet::Packet): the
 /// `calendar_entries_are_small_pods` test pins the bound so a packet can
 /// never creep back inline.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: Time,
     seq: u64,
-    slot: Slot,
+    payload: u64,
+}
+
+/// Bytes per queue entry, in a lane ring or the heap (`alloctrace`
+/// reports it).
+pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
+
+/// Payload tags. Below them are the node words of `Arrive`s; from
+/// [`TIMER`] up an entry is not a packet-path event and takes no lane.
+const QUEUE_SERVICE: u32 = u32::MAX - 2;
+const TIMER: u32 = u32::MAX - 1;
+const CONTROL: u32 = u32::MAX;
+/// The bit of a node word marking a host.
+const HOST_BIT: u32 = 1 << 31;
+
+/// A payload word from its high half (tag or node word) and low half.
+fn word(high: u32, low: u32) -> u64 {
+    u64::from(high) << 32 | u64::from(low)
+}
+
+/// The event of a `QueueService` or `Arrive` payload (timers and controls
+/// resolve against the slabs: [`EventQueue::resolve`]).
+fn packet_event(payload: u64) -> Event {
+    let (high, low) = ((payload >> 32) as u32, payload as u32);
+    if high == QUEUE_SERVICE {
+        return Event::QueueService { link: LinkId(low) };
+    }
+    let node = if high & HOST_BIT != 0 {
+        NodeRef::Host(HostId(high & !HOST_BIT))
+    } else {
+        NodeRef::Switch(SwitchId(high))
+    };
+    Event::Arrive {
+        node,
+        pkt: PacketRef(low),
+    }
 }
 
 impl PartialEq for Entry {
@@ -365,7 +382,7 @@ pub struct CalendarStats {
 /// heap — see the module docs for the design and its invariants).
 ///
 /// The rare wide payloads (timer tokens, control events) live in
-/// [`Slab`]s so queue entries stay 32-byte PODs (see [`Slot`]); the
+/// [`Slab`]s so queue entries stay 24-byte PODs (see [`Entry`]); the
 /// slabs recycle slots, and the lanes and the heap keep their high-water
 /// capacity, so a warmed-up queue schedules without allocating.
 #[derive(Debug)]
@@ -426,30 +443,35 @@ impl EventQueue {
     pub fn push(&mut self, at: Time, event: Event) {
         let seq = self.seq;
         self.seq += 1;
-        let slot = match event {
-            Event::QueueService { link } => Slot::QueueService { link },
-            Event::Arrive { node, pkt } => Slot::Arrive { node, pkt },
-            Event::Timer { host, token } => Slot::Timer {
-                idx: self.timers.insert((host, token)),
-            },
-            Event::Control(c) => Slot::Control {
-                idx: self.controls.insert(c),
-            },
-        };
         // Packet-path events are `now + a link constant`, so each
         // constant's pushes are already in `(time, seq)` order: they take
         // a lane. Timers and controls (RTO-scale or absolute times, which
         // would close a lane to its stream for milliseconds) never do.
-        let packet_path = matches!(slot, Slot::QueueService { .. } | Slot::Arrive { .. });
-        if packet_path && self.push_lane(at, seq, slot) {
+        let payload = match event {
+            Event::QueueService { link } => word(QUEUE_SERVICE, link.0),
+            Event::Arrive { node, pkt } => {
+                let (host, id) = match node {
+                    NodeRef::Switch(s) => (0, s.0),
+                    NodeRef::Host(h) => (HOST_BIT, h.0),
+                };
+                // Below 2^31 − 3, so no host's node word is a tag.
+                assert!(id < HOST_BIT - 3, "node id {node} too large");
+                word(host | id, pkt.0)
+            }
+            Event::Timer { host, token } => word(TIMER, self.timers.insert((host, token))),
+            Event::Control(c) => word(CONTROL, self.controls.insert(c)),
+        };
+        let entry = Entry {
+            time: at,
+            seq,
+            payload,
+        };
+        let packet_path = (payload >> 32) < u64::from(TIMER);
+        if packet_path && self.push_lane(entry) {
             return;
         }
         self.stats.lane_misfits += packet_path as u64;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            slot,
-        });
+        self.heap.push(entry);
         self.stats.heap_peak = self.stats.heap_peak.max(self.heap.len() as u64);
     }
 
@@ -462,7 +484,7 @@ impl EventQueue {
             self.heap.pop()?
         };
         self.debug_assert_pop_order(e.time, e.seq, e.seq);
-        Some((e.time, self.resolve(e.slot)))
+        Some((e.time, self.resolve(e.payload)))
     }
 
     /// Pops *every* event sharing the earliest pending timestamp,
@@ -513,7 +535,7 @@ impl EventQueue {
                 // The heap pops in ascending `(time, seq)`.
                 while self.heap.peek().is_some_and(|h| h.time == t) {
                     let e = self.heap.pop().expect("heap has a top");
-                    let ev = self.resolve(e.slot);
+                    let ev = self.resolve(e.payload);
                     out.push((t, e.seq, ev));
                 }
                 continue;
@@ -525,7 +547,7 @@ impl EventQueue {
             let before = lane.len();
             while lane.front().is_some_and(|h| h.time == t) {
                 let e = lane.pop_front().expect("lane has a head");
-                out.push((t, e.seq, packet_event(e.slot)));
+                out.push((t, e.seq, packet_event(e.payload)));
             }
             self.lane_len -= before - lane.len();
             self.note_lane_head(source);
@@ -573,8 +595,8 @@ impl EventQueue {
     /// it: whatever the caller's clock does, an admitted entry extends a
     /// strictly increasing run, and which lane took it can never change
     /// the pop order.
-    fn push_lane(&mut self, time: Time, seq: u64, slot: Slot) -> bool {
-        let at = time.as_ps();
+    fn push_lane(&mut self, entry: Entry) -> bool {
+        let at = entry.time.as_ps();
         // How far behind `at` each lane's back is: the least distance is
         // the best fit, an empty lane (back 0) the worst, a closed lane
         // none (`Time::MAX` behind an empty lane reads as closed too, and
@@ -588,10 +610,9 @@ impl EventQueue {
         }
         let lane = &mut self.lanes[i];
         debug_assert!(
-            lane.back().is_none_or(|b| (b.time, b.seq) < (time, seq)),
+            lane.back().is_none_or(|b| key_of(b) < key_of(&entry)),
             "lane admitted an entry that does not extend its order"
         );
-        let entry = Entry { time, seq, slot };
         if lane.is_empty() {
             self.lane_head[i] = key_of(&entry);
             self.lanes_open += 1;
@@ -648,16 +669,15 @@ impl EventQueue {
         }
     }
 
-    /// Reconstructs the public event from a slot payload.
-    fn resolve(&mut self, slot: Slot) -> Event {
-        match slot {
-            Slot::QueueService { link } => Event::QueueService { link },
-            Slot::Arrive { node, pkt } => Event::Arrive { node, pkt },
-            Slot::Timer { idx } => {
-                let (host, token) = self.timers.take(idx);
+    /// Reconstructs the public event from an entry's payload.
+    fn resolve(&mut self, payload: u64) -> Event {
+        match (payload >> 32) as u32 {
+            TIMER => {
+                let (host, token) = self.timers.take(payload as u32);
                 Event::Timer { host, token }
             }
-            Slot::Control { idx } => Event::Control(self.controls.take(idx)),
+            CONTROL => Event::Control(self.controls.take(payload as u32)),
+            _ => packet_event(payload),
         }
     }
 }
@@ -833,13 +853,46 @@ mod tests {
     fn calendar_entries_are_small_pods() {
         // The point of the arena indirection: lane rings and heap sifts
         // move fixed-size entries, never packets. Pin the bound so a
-        // packet can't creep back inline.
+        // packet can't creep back inline, and an entry stays three words.
         assert!(
-            std::mem::size_of::<Entry>() <= 32,
+            std::mem::size_of::<Entry>() <= 24,
             "calendar entry grew to {} bytes",
             std::mem::size_of::<Entry>()
         );
         assert!(std::mem::size_of::<Entry>() < std::mem::size_of::<Packet>());
+    }
+
+    #[test]
+    fn entries_pack_every_event() {
+        let mut q = EventQueue::new();
+        let events = [
+            Event::QueueService { link: LinkId(0) },
+            Event::QueueService {
+                link: LinkId(u32::MAX),
+            },
+            Event::Arrive {
+                node: NodeRef::Host(HostId(0)),
+                pkt: PacketRef(u32::MAX),
+            },
+            Event::Arrive {
+                node: NodeRef::Host(HostId(HOST_BIT - 4)),
+                pkt: PacketRef(7),
+            },
+            Event::Arrive {
+                node: NodeRef::Switch(SwitchId(HOST_BIT - 4)),
+                pkt: PacketRef(0),
+            },
+            timer(u32::MAX, u64::MAX),
+            Event::Control(ControlEvent::LinkRate(LinkId(3), 7)),
+        ];
+        for (i, &event) in events.iter().enumerate() {
+            q.push(Time::from_ns(i as u64), event);
+        }
+        for event in events {
+            let (_, popped) = q.pop().expect("pushed");
+            assert_eq!(format!("{popped:?}"), format!("{event:?}"));
+        }
+        assert_eq!(q.stats().lane_pushes, 5, "packet events only");
     }
 
     #[test]

@@ -383,8 +383,8 @@ mod tests {
         let _ = &mut rng;
         plan.install(&mut e);
         e.run_until(Time::from_ns(1));
-        assert_eq!(e.links[pair.0.index()].rate_bps, 200_000_000_000);
-        assert_eq!(e.links[pair.1.index()].rate_bps, 200_000_000_000);
+        assert_eq!(e.links[pair.0.index()].rate_bps(), 200_000_000_000);
+        assert_eq!(e.links[pair.1.index()].rate_bps(), 200_000_000_000);
     }
 
     #[test]
@@ -400,10 +400,10 @@ mod tests {
             })
             .install(&mut e);
         e.run_until(Time::from_us(2));
-        assert!((e.links[pair.0.index()].ber - 0.01).abs() < 1e-12);
+        assert!((e.link_side(pair.0).ber - 0.01).abs() < 1e-12);
         // No heal was scheduled: the probability is permanent.
         e.run_until(Time::from_ms(10));
-        assert!((e.links[pair.0.index()].ber - 0.01).abs() < 1e-12);
+        assert!((e.link_side(pair.0).ber - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -419,11 +419,11 @@ mod tests {
             })
             .install(&mut e);
         e.run_until(Time::from_us(5));
-        assert!((e.links[pair.0.index()].ber - 0.05).abs() < 1e-12);
-        assert!((e.links[pair.1.index()].ber - 0.05).abs() < 1e-12);
+        assert!((e.link_side(pair.0).ber - 0.05).abs() < 1e-12);
+        assert!((e.link_side(pair.1).ber - 0.05).abs() < 1e-12);
         e.run_until(Time::from_us(20));
-        assert_eq!(e.links[pair.0.index()].ber, 0.0, "heal must restore 0.0");
-        assert_eq!(e.links[pair.1.index()].ber, 0.0);
+        assert_eq!(e.link_side(pair.0).ber, 0.0, "heal must restore 0.0");
+        assert_eq!(e.link_side(pair.1).ber, 0.0);
     }
 
     #[test]
@@ -445,14 +445,14 @@ mod tests {
             })
             .install(&mut e);
         e.run_until(Time::from_us(5));
-        assert!((e.links[pair.0.index()].gray - 0.02).abs() < 1e-12);
-        assert!((e.links[pair.1.index()].corrupt - 0.03).abs() < 1e-12);
+        assert!((e.link_side(pair.0).gray - 0.02).abs() < 1e-12);
+        assert!((e.link_side(pair.1).corrupt - 0.03).abs() < 1e-12);
         // The link stays "up" throughout: gray failures give routing no
         // signal to react to.
         assert!(e.links[pair.0.index()].up);
         e.run_until(Time::from_us(20));
-        assert_eq!(e.links[pair.0.index()].gray, 0.0);
-        assert!((e.links[pair.0.index()].corrupt - 0.03).abs() < 1e-12);
+        assert_eq!(e.link_side(pair.0).gray, 0.0);
+        assert!((e.link_side(pair.0).corrupt - 0.03).abs() < 1e-12);
     }
 
     #[test]

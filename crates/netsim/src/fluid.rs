@@ -629,7 +629,7 @@ fn bytes_sent(rate_bps: u64, dt_ps: u64) -> u64 {
 /// rate, nothing while it is down.
 fn bg_cap(link: &Link) -> u64 {
     if link.up {
-        (link.rate_bps as u128 * MAX_BG_SHARE_PPM as u128 / 1_000_000) as u64
+        (link.rate_bps() as u128 * MAX_BG_SHARE_PPM as u128 / 1_000_000) as u64
     } else {
         0
     }

@@ -52,40 +52,10 @@ pub enum EnqueueOutcome {
     Dropped(DropReason),
 }
 
-/// A unidirectional link: egress queue, propagation delay, endpoint.
-#[derive(Debug)]
-pub struct Link {
-    /// Node the link delivers to.
-    pub to: NodeRef,
-    /// Propagation latency (includes downstream switch traversal).
-    pub latency: Time,
-    /// Current transmit rate in bits per second.
-    pub rate_bps: u64,
-    /// True while the cable is up.
-    pub up: bool,
-    /// Instant the link last went down (valid when `!up`).
-    pub down_since: Time,
-    /// Probability that a serialized packet is corrupted and dropped.
-    pub ber: f64,
-    /// Gray-failure probability: chance a serialized packet is silently
-    /// lost while the link reports healthy (0.0 = clean link).
-    pub gray: f64,
-    /// Payload-corruption probability: chance a serialized packet arrives
-    /// corrupted and is discarded (0.0 = clean link).
-    pub corrupt: f64,
-    /// True while a `QueueService` event is outstanding.
-    pub busy: bool,
-    /// The packet currently being serialized (committed at service start so
-    /// a control-band arrival cannot swap itself into a data packet's slot).
-    /// [`Link::set_down`] empties it, which is what makes a `QueueService`
-    /// event outstanding across a failure a no-op.
-    pub in_service: Option<PacketRef>,
-    /// Control-priority band (ACKs, credits, trimmed headers).
-    ctrl: VecDeque<PacketRef>,
-    /// Data band.
-    data: VecDeque<PacketRef>,
-    /// Bytes across both bands.
-    pub queued_bytes: u64,
+/// The queue constants every link of one class shares: the engine keeps
+/// one per class ([`LinkClass::table`]) and each [`Link`] names its class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkClass {
     /// Capacity in bytes.
     pub capacity_bytes: u64,
     /// RED K_min in bytes.
@@ -96,72 +66,177 @@ pub struct Link {
     pub trimming: bool,
     /// Whether RED/ECN marking applies (switch egress yes, host NIC no).
     pub mark_enabled: bool,
-    /// Fluid background load carried by this link in bits/s (hybrid
-    /// fidelity only; 0 in pure packet mode). Foreground packets see it as
-    /// reduced effective rate plus [`Link::bg_wait`] per service.
+}
+
+impl LinkClass {
+    /// Index of the fabric class (switch egress) in [`LinkClass::table`].
+    pub const FABRIC: u8 = 0;
+    /// Index of the host-egress class (NIC) in [`LinkClass::table`].
+    pub const HOST_EGRESS: u8 = 1;
+
+    /// A switch egress queue of the fabric profile.
+    pub fn fabric(cfg: &SimConfig) -> LinkClass {
+        LinkClass {
+            capacity_bytes: cfg.queue_capacity_bytes,
+            kmin_bytes: cfg.kmin_bytes(),
+            kmax_bytes: cfg.kmax_bytes(),
+            trimming: cfg.trimming,
+            mark_enabled: true,
+        }
+    }
+
+    /// A host NIC egress: a deep source queue (the transport window is the
+    /// real injection limit) without RED marking or trimming — congestion
+    /// signalling is a fabric feature.
+    pub fn host_egress(cfg: &SimConfig) -> LinkClass {
+        LinkClass {
+            capacity_bytes: 64 * 1024 * 1024,
+            mark_enabled: false,
+            trimming: false,
+            ..LinkClass::fabric(cfg)
+        }
+    }
+
+    /// Both classes, indexed by [`LinkClass::FABRIC`] and
+    /// [`LinkClass::HOST_EGRESS`].
+    pub fn table(cfg: &SimConfig) -> [LinkClass; 2] {
+        [LinkClass::fabric(cfg), LinkClass::host_egress(cfg)]
+    }
+}
+
+/// State few links ever have, kept in the engine's side table beside the
+/// links and flagged by [`Link::has_side`]: loss faults, and the fluid
+/// background share of hybrid cells. The default is a clean, unloaded link.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LinkSide {
+    /// Probability that a serialized packet is corrupted and dropped.
+    pub ber: f64,
+    /// Gray-failure probability: chance a serialized packet is silently
+    /// lost while the link reports healthy (0.0 = clean link).
+    pub gray: f64,
+    /// Payload-corruption probability: chance a serialized packet arrives
+    /// corrupted and is discarded (0.0 = clean link).
+    pub corrupt: f64,
+    /// Fluid background load carried by the link in bits/s (hybrid
+    /// fidelity only). Foreground packets see it as reduced effective rate
+    /// plus [`LinkSide::bg_wait`] per service.
     pub bg_bps: u64,
     /// Deterministic per-packet queueing-delay term modelling interleaving
     /// with background frames (an M/D/1-style `ρ/(2(1−ρ))` wait at the
     /// background's utilization, computed once in `set_background`).
     pub bg_wait: Time,
-    /// Cached picoseconds-per-byte for the service hot path, valid while
-    /// `ser_rate` equals the current *effective* rate; 0 means the rate
-    /// does not divide the ps/s constant evenly and the generic division
-    /// must run. Tagged with the rate it was computed for so direct
-    /// `rate_bps` writes (the engine's fabric-rate override, degradation
-    /// controls) and background-rate changes auto-heal on next use.
-    ser_ps_per_byte: u64,
-    /// Effective rate `ser_ps_per_byte` was derived from (0 = never
-    /// computed).
-    ser_rate: u64,
 }
 
+impl LinkSide {
+    /// Applies a fluid background load of `bg_bps` to a link of nominal
+    /// `rate_bps` and derives the deterministic queue-delay term foreground
+    /// packets pay per service: an M/D/1-style mean wait of `ρ/(2(1−ρ))`
+    /// background frame-serialization times at background utilization `ρ`,
+    /// with `frame_bytes` as the representative frame size. Integer-only
+    /// (parts-per-million utilization, `u128` intermediates). A zero load
+    /// restores pure packet behavior bit-for-bit.
+    pub fn set_background(&mut self, rate_bps: u64, bg_bps: u64, frame_bytes: u64) {
+        // The solver already caps shares at MAX_BG_SHARE_PPM of the rate;
+        // clamp defensively so the effective rate stays positive regardless.
+        self.bg_bps = if rate_bps > 0 {
+            bg_bps.min(rate_bps - 1)
+        } else {
+            0
+        };
+        if self.bg_bps == 0 {
+            self.bg_wait = Time::ZERO;
+            return;
+        }
+        let u_ppm = (self.bg_bps as u128 * 1_000_000 / rate_bps as u128) as u64;
+        let u_ppm = u_ppm.min(crate::fluid::MAX_BG_SHARE_PPM);
+        let frame_ps = Time::serialization(frame_bytes, rate_bps).as_ps();
+        let wait = frame_ps as u128 * u_ppm as u128 / (2 * (1_000_000 - u_ppm) as u128);
+        self.bg_wait = Time::from_ps(wait as u64);
+    }
+}
+
+/// A unidirectional link: egress queue, propagation delay, endpoint.
+///
+/// Only what a packet's passage reads is kept here, in exactly two cache
+/// lines: the per-class queue constants live in the engine's
+/// [`LinkClass`] table and the rarely set state in its [`LinkSide`] table.
+#[derive(Debug)]
+#[repr(align(64))]
+pub struct Link {
+    /// Node the link delivers to.
+    pub to: NodeRef,
+    /// Propagation latency (includes downstream switch traversal).
+    pub latency: Time,
+    /// Nominal transmit rate in bits per second ([`Link::set_rate`]).
+    rate_bps: u64,
+    /// Picoseconds per byte at `rate_bps`, derived with it; 0 means the
+    /// rate does not divide the ps/s constant evenly and the generic
+    /// division must run.
+    ps_per_byte: u64,
+    /// Bytes across both bands.
+    pub queued_bytes: u64,
+    /// Instant the link last went down (valid when `!up`).
+    pub down_since: Time,
+    /// When the packet in service completes (valid while `busy`): the one
+    /// `QueueService` instant that may complete it.
+    due: Time,
+    /// The packet being serialized (valid while `busy`; committed at
+    /// service start so a control-band arrival cannot swap itself into a
+    /// data packet's slot).
+    in_service: PacketRef,
+    /// True while the cable is up.
+    pub up: bool,
+    /// True while a packet is in service. [`Link::set_down`] clears it,
+    /// which is what makes a `QueueService` event outstanding across a
+    /// failure a no-op.
+    pub busy: bool,
+    /// Index of the link's [`LinkClass`] in the engine's class table.
+    pub(crate) class: u8,
+    /// True when the engine's side table holds non-default [`LinkSide`]
+    /// state for this link.
+    pub(crate) has_side: bool,
+    /// Control-priority band (ACKs, credits, trimmed headers).
+    ctrl: VecDeque<PacketRef>,
+    /// Data band.
+    data: VecDeque<PacketRef>,
+}
+
+/// Picoseconds per second, times bits per byte: `bytes · PS_PER_SEC_BITS /
+/// rate_bps` is a serialization time in ps.
+const PS_PER_SEC_BITS: u64 = 8 * 1_000_000_000_000;
+
 impl Link {
-    /// Creates a link toward `to` from the fabric profile.
+    /// Creates a fabric-class link toward `to` from the fabric profile.
     pub fn new(to: NodeRef, latency: Time, cfg: &SimConfig) -> Link {
-        Link {
+        let mut link = Link {
             to,
             latency,
-            rate_bps: cfg.link_bps,
-            up: true,
+            rate_bps: 0,
+            ps_per_byte: 0,
+            queued_bytes: 0,
             down_since: Time::ZERO,
-            ber: 0.0,
-            gray: 0.0,
-            corrupt: 0.0,
+            due: Time::ZERO,
+            in_service: PacketRef(0),
+            up: true,
             busy: false,
-            in_service: None,
+            class: LinkClass::FABRIC,
+            has_side: false,
             ctrl: VecDeque::new(),
             data: VecDeque::new(),
-            queued_bytes: 0,
-            capacity_bytes: cfg.queue_capacity_bytes,
-            kmin_bytes: cfg.kmin_bytes(),
-            kmax_bytes: cfg.kmax_bytes(),
-            trimming: cfg.trimming,
-            bg_bps: 0,
-            bg_wait: Time::ZERO,
-            ser_ps_per_byte: 0,
-            ser_rate: 0,
-            mark_enabled: true,
-        }
+        };
+        link.set_rate(cfg.link_bps);
+        link
     }
 
-    /// Reconfigures this link as a host NIC egress: a deep source queue
-    /// (the transport window is the real injection limit) without RED
-    /// marking or trimming — congestion signalling is a fabric feature.
-    pub fn make_host_egress(&mut self) {
-        self.capacity_bytes = 64 * 1024 * 1024;
-        self.mark_enabled = false;
-        self.trimming = false;
-    }
-
-    /// Offers a packet to the queue, applying RED marking and drop/trim
-    /// policy. Does not schedule service; the engine does that.
+    /// Offers a packet to the queue, applying `class`'s RED marking and
+    /// drop/trim policy. Does not schedule service; the engine does that.
     ///
     /// On [`EnqueueOutcome::Dropped`] the packet has been removed from the
     /// arena; the ref must not be used again.
     pub fn enqueue(
         &mut self,
         pkt: PacketRef,
+        class: &LinkClass,
         arena: &mut PacketArena,
         rng: &mut Rng64,
     ) -> EnqueueOutcome {
@@ -173,9 +248,9 @@ impl Link {
         let h = arena.header_mut(pkt);
         let wire_bytes = h.wire_bytes as u64;
         let is_data = h.is_data();
-        let fits = self.queued_bytes + wire_bytes <= self.capacity_bytes;
+        let fits = self.queued_bytes + wire_bytes <= class.capacity_bytes;
         if !fits {
-            if self.trimming && is_data {
+            if class.trimming && is_data {
                 h.trim();
                 // Trimmed headers ride the control band; they are tiny, so we
                 // admit them even at capacity (bounded by packet count).
@@ -188,9 +263,9 @@ impl Link {
         }
         // RED marking on admission, based on the instantaneous occupancy the
         // packet observes (the paper's K_min/K_max description).
-        let marked = if self.mark_enabled && is_data {
+        let marked = if class.mark_enabled && is_data {
             let occupancy = self.queued_bytes;
-            let prob = red_mark_probability(occupancy, self.kmin_bytes, self.kmax_bytes);
+            let prob = red_mark_probability(occupancy, class.kmin_bytes, class.kmax_bytes);
             prob > 0.0 && rng.gen_bool(prob)
         } else {
             false
@@ -209,33 +284,51 @@ impl Link {
 
     /// Dequeues the next packet to transmit (control band first) and
     /// computes its serialization time at the current effective rate, in
-    /// one header access. The caller commits the returned packet to
-    /// [`Link::in_service`].
-    pub fn begin_service(&mut self, arena: &PacketArena) -> Option<(PacketRef, Time)> {
+    /// one header access: the nominal rate minus any fluid background of
+    /// `side` (the link's side-table state when [`Link::has_side`] is set),
+    /// floored at 1 bps so service always completes. The caller commits
+    /// the returned packet with [`Link::serve`].
+    pub fn begin_service(
+        &mut self,
+        arena: &PacketArena,
+        side: Option<&LinkSide>,
+    ) -> Option<(PacketRef, Time)> {
         let pkt = self.ctrl.pop_front().or_else(|| self.data.pop_front())?;
         let wire = arena.header(pkt).wire_bytes as u64;
         self.queued_bytes -= wire;
-        let eff = self.effective_bps();
-        if self.ser_rate != eff {
-            const PS_PER_SEC_BITS: u64 = 8 * 1_000_000_000_000;
-            self.ser_rate = eff;
-            self.ser_ps_per_byte = if eff > 0 && PS_PER_SEC_BITS.is_multiple_of(eff) {
-                PS_PER_SEC_BITS / eff
-            } else {
-                0
-            };
-        }
         // When the rate divides the ps/s constant (every realistic rate:
         // 400G -> 20 ps/B), `bytes * 8e12 / rate == bytes * (8e12 / rate)`
         // exactly, so the division-free product is bit-identical to
         // `Time::serialization`. The `< 2^21` guard mirrors its fast path's
         // overflow bound.
-        let ser = if self.ser_ps_per_byte != 0 && wire < (1 << 21) {
-            Time::from_ps(wire * self.ser_ps_per_byte)
-        } else {
-            Time::serialization(wire, eff)
+        let ser = match side.filter(|s| s.bg_bps != 0) {
+            None if self.ps_per_byte != 0 && wire < (1 << 21) => {
+                Time::from_ps(wire * self.ps_per_byte)
+            }
+            None => Time::serialization(wire, self.rate_bps),
+            Some(s) => {
+                let effective = self.rate_bps.saturating_sub(s.bg_bps).max(1);
+                Time::serialization(wire, effective) + s.bg_wait
+            }
         };
-        Some((pkt, ser + self.bg_wait))
+        Some((pkt, ser))
+    }
+
+    /// Commits `pkt` as the packet in service, completing at `due`.
+    #[inline]
+    pub fn serve(&mut self, pkt: PacketRef, due: Time) {
+        self.busy = true;
+        self.in_service = pkt;
+        self.due = due;
+    }
+
+    /// The packet whose serialization completes at `now`, if any. A
+    /// `QueueService` event finds none when the link failed since it was
+    /// scheduled — or failed and came back, and serves another packet due
+    /// at another instant.
+    #[inline]
+    pub fn completing(&self, now: Time) -> Option<PacketRef> {
+        (self.busy && self.due == now).then_some(self.in_service)
     }
 
     /// Prefetches the headers a `QueueService` completion on this link
@@ -243,8 +336,8 @@ impl Link {
     /// [`Link::begin_service`] would dequeue next.
     #[inline]
     pub(crate) fn prefetch_service_headers(&self, arena: &PacketArena) {
-        if let Some(pkt) = self.in_service {
-            arena.prefetch_header(pkt);
+        if self.busy {
+            arena.prefetch_header(self.in_service);
         }
         if let Some(&pkt) = self.ctrl.front().or_else(|| self.data.front()) {
             arena.prefetch_header(pkt);
@@ -264,8 +357,8 @@ impl Link {
             arena.release(pkt);
             flushed += 1;
         }
-        if let Some(pkt) = self.in_service.take() {
-            arena.release(pkt);
+        if self.busy {
+            arena.release(self.in_service);
             flushed += 1;
         }
         self.busy = false;
@@ -278,48 +371,20 @@ impl Link {
         self.up = true;
     }
 
+    /// The nominal transmit rate in bits per second.
+    #[inline]
+    pub fn rate_bps(&self) -> u64 {
+        self.rate_bps
+    }
+
     /// Degrades (or restores) the link rate.
     pub fn set_rate(&mut self, bps: u64) {
         self.rate_bps = bps;
-    }
-
-    /// The rate foreground packets serialize at: nominal minus fluid
-    /// background, floored at 1 bps while the link is nominally up so
-    /// service always completes. Equal to `rate_bps` when no background
-    /// is applied — the pure-packet fast path is untouched.
-    #[inline]
-    pub fn effective_bps(&self) -> u64 {
-        if self.bg_bps == 0 {
-            self.rate_bps
-        } else {
-            self.rate_bps.saturating_sub(self.bg_bps).max(1)
-        }
-    }
-
-    /// Applies a fluid background load of `bg_bps` to this link and
-    /// derives the deterministic queue-delay term foreground packets pay
-    /// per service: an M/D/1-style mean wait of `ρ/(2(1−ρ))` background
-    /// frame-serialization times at background utilization `ρ`, with
-    /// `frame_bytes` as the representative frame size. Integer-only
-    /// (parts-per-million utilization, `u128` intermediates). A zero load
-    /// restores pure packet behavior bit-for-bit.
-    pub fn set_background(&mut self, bg_bps: u64, frame_bytes: u64) {
-        // The solver already caps shares at MAX_BG_SHARE_PPM of the rate;
-        // clamp defensively so `effective_bps` stays positive regardless.
-        self.bg_bps = if self.rate_bps > 0 {
-            bg_bps.min(self.rate_bps - 1)
+        self.ps_per_byte = if bps > 0 && PS_PER_SEC_BITS.is_multiple_of(bps) {
+            PS_PER_SEC_BITS / bps
         } else {
             0
         };
-        if self.bg_bps == 0 {
-            self.bg_wait = Time::ZERO;
-            return;
-        }
-        let u_ppm = (self.bg_bps as u128 * 1_000_000 / self.rate_bps as u128) as u64;
-        let u_ppm = u_ppm.min(crate::fluid::MAX_BG_SHARE_PPM);
-        let frame_ps = Time::serialization(frame_bytes, self.rate_bps).as_ps();
-        let wait = frame_ps as u128 * u_ppm as u128 / (2 * (1_000_000 - u_ppm) as u128);
-        self.bg_wait = Time::from_ps(wait as u64);
     }
 }
 
@@ -349,7 +414,8 @@ mod tests {
 
     /// The next packet the link would serialize, out of the arena.
     fn serve(link: &mut Link, arena: &mut PacketArena) -> Option<Packet> {
-        link.begin_service(arena).map(|(pkt, _)| arena.take(pkt))
+        link.begin_service(arena, None)
+            .map(|(pkt, _)| arena.take(pkt))
     }
 
     fn data_pkt(arena: &mut PacketArena, id: u64, bytes: u32) -> PacketRef {
@@ -378,19 +444,20 @@ mod tests {
     fn fifo_order_within_band() {
         let cfg = SimConfig::paper_default();
         let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
         let mut arena = PacketArena::new();
         let mut rng = Rng64::new(1);
         for i in 0..5 {
             let p = data_pkt(&mut arena, i, 1000);
             assert!(matches!(
-                link.enqueue(p, &mut arena, &mut rng),
+                link.enqueue(p, &class, &mut arena, &mut rng),
                 EnqueueOutcome::Queued { .. }
             ));
         }
         for i in 0..5 {
             assert_eq!(serve(&mut link, &mut arena).unwrap().id, i);
         }
-        assert!(link.begin_service(&arena).is_none());
+        assert!(link.begin_service(&arena, None).is_none());
         assert_eq!(link.queued_bytes, 0);
         assert_eq!(arena.live(), 0);
     }
@@ -399,10 +466,11 @@ mod tests {
     fn control_band_preempts_data() {
         let cfg = SimConfig::paper_default();
         let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
         let mut arena = PacketArena::new();
         let mut rng = Rng64::new(1);
         let d = data_pkt(&mut arena, 1, 1000);
-        link.enqueue(d, &mut arena, &mut rng);
+        link.enqueue(d, &class, &mut arena, &mut rng);
         let ack = arena.insert(Packet::control(
             2,
             HostId(1),
@@ -411,7 +479,7 @@ mod tests {
             0,
             crate::packet::Body::Nack { seq: 0 },
         ));
-        link.enqueue(ack, &mut arena, &mut rng);
+        link.enqueue(ack, &class, &mut arena, &mut rng);
         let first = serve(&mut link, &mut arena).unwrap();
         assert_eq!(first.id, 2, "control must go first");
         assert_eq!(serve(&mut link, &mut arena).unwrap().id, 1);
@@ -422,13 +490,14 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.queue_capacity_bytes = 10_000;
         let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
         let mut arena = PacketArena::new();
         let mut rng = Rng64::new(1);
         let mut queued = 0;
         let mut dropped = 0;
         for i in 0..10 {
             let p = data_pkt(&mut arena, i, 2000);
-            match link.enqueue(p, &mut arena, &mut rng) {
+            match link.enqueue(p, &class, &mut arena, &mut rng) {
                 EnqueueOutcome::Queued { .. } => queued += 1,
                 EnqueueOutcome::Dropped(DropReason::QueueFull) => dropped += 1,
                 other => panic!("unexpected {other:?}"),
@@ -445,12 +514,13 @@ mod tests {
         cfg.queue_capacity_bytes = 5_000;
         cfg.trimming = true;
         let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
         let mut arena = PacketArena::new();
         let mut rng = Rng64::new(1);
         let a = data_pkt(&mut arena, 0, 4000);
-        link.enqueue(a, &mut arena, &mut rng);
+        link.enqueue(a, &class, &mut arena, &mut rng);
         let b = data_pkt(&mut arena, 1, 4000);
-        match link.enqueue(b, &mut arena, &mut rng) {
+        match link.enqueue(b, &class, &mut arena, &mut rng) {
             EnqueueOutcome::Trimmed => {}
             other => panic!("expected trim, got {other:?}"),
         }
@@ -465,13 +535,15 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.queue_capacity_bytes = 100_000;
         let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
         let mut arena = PacketArena::new();
         let mut rng = Rng64::new(1);
         // Fill to above K_max (80KB) and verify marks start appearing.
         let mut marks = 0;
         for i in 0..24 {
             let p = data_pkt(&mut arena, i, 4096);
-            if let EnqueueOutcome::Queued { marked } = link.enqueue(p, &mut arena, &mut rng) {
+            if let EnqueueOutcome::Queued { marked } = link.enqueue(p, &class, &mut arena, &mut rng)
+            {
                 if marked {
                     marks += 1;
                 }
@@ -486,22 +558,23 @@ mod tests {
     fn down_link_blackholes_and_flushes() {
         let cfg = SimConfig::paper_default();
         let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
         let mut arena = PacketArena::new();
         let mut rng = Rng64::new(1);
         let p = data_pkt(&mut arena, 0, 1000);
-        link.enqueue(p, &mut arena, &mut rng);
+        link.enqueue(p, &class, &mut arena, &mut rng);
         let flushed = link.set_down(Time::from_us(10), &mut arena);
         assert_eq!(flushed, 1);
         assert_eq!(arena.live(), 0, "flushed packets leave the arena");
         let q = data_pkt(&mut arena, 1, 1000);
         assert_eq!(
-            link.enqueue(q, &mut arena, &mut rng),
+            link.enqueue(q, &class, &mut arena, &mut rng),
             EnqueueOutcome::Dropped(DropReason::LinkDown)
         );
         link.set_up();
         let r = data_pkt(&mut arena, 2, 1000);
         assert!(matches!(
-            link.enqueue(r, &mut arena, &mut rng),
+            link.enqueue(r, &class, &mut arena, &mut rng),
             EnqueueOutcome::Queued { .. }
         ));
     }
@@ -510,33 +583,68 @@ mod tests {
     fn rate_change_affects_serialization() {
         let cfg = SimConfig::paper_default();
         let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
         let mut arena = PacketArena::new();
         let mut rng = Rng64::new(1);
-        let mut service_time = |link: &mut Link| {
+        let mut service_time = |link: &mut Link, side: Option<&LinkSide>| {
             let p = data_pkt(&mut arena, 0, 4096);
-            link.enqueue(p, &mut arena, &mut rng);
-            let (p, ser) = link.begin_service(&arena).unwrap();
+            link.enqueue(p, &class, &mut arena, &mut rng);
+            let (p, ser) = link.begin_service(&arena, side).unwrap();
             arena.release(p);
             ser
         };
-        let fast = service_time(&mut link);
+        let fast = service_time(&mut link, None);
         assert_eq!(fast, Time::serialization(4096 + 64, cfg.link_bps));
         link.set_rate(cfg.link_bps / 2);
-        assert_eq!(service_time(&mut link).as_ps(), fast.as_ps() * 2);
+        assert_eq!(service_time(&mut link, None).as_ps(), fast.as_ps() * 2);
         // A fluid background takes its share of the rate and adds its wait.
         link.set_rate(cfg.link_bps);
-        link.set_background(cfg.link_bps / 2, 4096 + 64);
-        assert_eq!(service_time(&mut link), fast + fast + link.bg_wait);
+        let mut side = LinkSide::default();
+        side.set_background(link.rate_bps(), cfg.link_bps / 2, 4096 + 64);
+        assert_eq!(
+            service_time(&mut link, Some(&side)),
+            fast + fast + side.bg_wait
+        );
+        // A side entry without background (a fault only) serves at the rate.
+        side.set_background(link.rate_bps(), 0, 4096 + 64);
+        assert_eq!(service_time(&mut link, Some(&side)), fast);
     }
 
     #[test]
     fn link_stays_within_its_cache_line_budget() {
-        // The engine prefetches four cache lines per `QueueService`; a
-        // member creeping back in would push the hot fields past them.
+        // Two cache lines, line-aligned: the engine prefetches
+        // `size_of::<Link>() / 64` lines per `QueueService`, and the first
+        // touch of an egress link on the packet path is one of them.
         assert!(
-            std::mem::size_of::<Link>() <= 200,
+            std::mem::size_of::<Link>() <= 128,
             "Link grew to {} bytes",
             std::mem::size_of::<Link>()
         );
+        assert_eq!(std::mem::align_of::<Link>(), 64);
+    }
+
+    #[test]
+    fn a_completion_is_tied_to_its_due_time() {
+        let cfg = SimConfig::paper_default();
+        let mut link = test_link(&cfg);
+        let class = LinkClass::fabric(&cfg);
+        let mut arena = PacketArena::new();
+        let mut rng = Rng64::new(1);
+        let a = data_pkt(&mut arena, 0, 1000);
+        link.enqueue(a, &class, &mut arena, &mut rng);
+        let (a, ser) = link.begin_service(&arena, None).unwrap();
+        link.serve(a, ser);
+        assert_eq!(link.completing(ser), Some(a));
+        // A flap within the serialization: A is flushed, B starts later.
+        link.set_down(Time::from_ns(10), &mut arena);
+        assert_eq!(link.completing(ser), None);
+        link.set_up();
+        let b = data_pkt(&mut arena, 1, 1000);
+        link.enqueue(b, &class, &mut arena, &mut rng);
+        let (b, _) = link.begin_service(&arena, None).unwrap();
+        let due = Time::from_ns(30) + ser;
+        link.serve(b, due);
+        assert_eq!(link.completing(ser), None, "A's event must not complete B");
+        assert_eq!(link.completing(due), Some(b));
     }
 }

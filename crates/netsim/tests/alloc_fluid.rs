@@ -25,7 +25,7 @@
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
 use netsim::fluid::FluidNet;
-use netsim::ids::{ConnId, HostId};
+use netsim::ids::{ConnId, HostId, LinkId};
 use netsim::packet::Packet;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, Topology};
@@ -116,7 +116,7 @@ fn fluid_residual_path_is_allocation_free_after_warmup() {
         );
         if with_fluid {
             assert!(
-                engine.links.iter().any(|l| l.bg_bps > 0),
+                (0..engine.links.len() as u32).any(|l| engine.link_side(LinkId(l)).bg_bps > 0),
                 "[{name}] fluid background never reached the links"
             );
         }

@@ -37,7 +37,7 @@ fn apply_op(topo: &Topology, links: &mut [Link], net: &mut FluidNet, kind: u8, t
     match kind % 8 {
         0 | 1 => links[l].up = false,
         2 | 3 => links[l].up = true,
-        4 | 5 => links[l].rate_bps = [100, 200, 400, 800][kind as usize / 8 % 4] * 1_000_000_000,
+        4 | 5 => links[l].set_rate([100, 200, 400, 800][kind as usize / 8 % 4] * 1_000_000_000),
         k => {
             for sl in topo.switch_links(sw) {
                 links[sl.index()].up = k == 7;

@@ -17,7 +17,7 @@ use netsim::config::SimConfig;
 use netsim::engine::{RoutingMode, RoutingView};
 use netsim::hash::ecmp_select;
 use netsim::ids::{ConnId, HostId, LinkId, NodeRef};
-use netsim::link::{EnqueueOutcome, Link};
+use netsim::link::{EnqueueOutcome, Link, LinkClass};
 use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList};
 use netsim::rng::Rng64;
 use netsim::time::Time;
@@ -345,14 +345,14 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let mut cfg = SimConfig::paper_default();
         cfg.queue_capacity_bytes = 24_000;
-        let tail_drop = Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg);
+        let tail_drop = LinkClass::fabric(&cfg);
         cfg.trimming = true;
-        let trimming = Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg);
+        let trimming = LinkClass::fabric(&cfg);
         // K_min 0 / K_max 1: RED marks every data packet that finds the
         // queue non-empty.
-        let mut marking = Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg);
-        (marking.kmin_bytes, marking.kmax_bytes) = (0, 1);
-        let mut links = [tail_drop, trimming, marking];
+        let marking = LinkClass { kmin_bytes: 0, kmax_bytes: 1, ..trimming };
+        let classes = [tail_drop, trimming, marking];
+        let mut links = classes.map(|_| Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg));
 
         let mut arena = PacketArena::new();
         // ref -> (by-value model, index of the link queue holding it).
@@ -381,7 +381,7 @@ proptest! {
                     let li = rng.gen_index(links.len());
                     let (pkt, at) = model.get_mut(&r).expect("picked from the model");
                     let was_data = pkt.is_data();
-                    match links[li].enqueue(PacketRef(r), &mut arena, &mut rng) {
+                    match links[li].enqueue(PacketRef(r), &classes[li], &mut arena, &mut rng) {
                         EnqueueOutcome::Queued { marked } => {
                             prop_assert!(!marked || was_data, "only data packets are marked");
                             pkt.ecn_ce |= marked;
@@ -401,7 +401,7 @@ proptest! {
                 // A link serializes its next packet.
                 4 => {
                     let li = rng.gen_index(links.len());
-                    let Some((r, ser)) = links[li].begin_service(&arena) else { continue };
+                    let Some((r, ser)) = links[li].begin_service(&arena, None) else { continue };
                     let (pkt, at) = model.get_mut(&r.0).expect("served packet is modelled");
                     prop_assert_eq!(*at, Some(li));
                     prop_assert_eq!(ser, Time::serialization(pkt.wire_bytes as u64, cfg.link_bps));

@@ -49,7 +49,9 @@ impl CcKind {
     }
 }
 
-/// Window/credit bounds shared by the controllers.
+/// Window/credit bounds shared by the controllers: one per cell
+/// ([`TransportConfig::cc_params`](crate::config::TransportConfig)),
+/// passed to every call — a controller keeps only its own state.
 #[derive(Debug, Clone, Copy)]
 pub struct CcParams {
     /// MTU in bytes (window quantum).
@@ -74,20 +76,21 @@ impl CcParams {
     }
 }
 
-/// A per-connection congestion controller.
+/// A per-connection congestion controller, driven with the cell's
+/// [`CcParams`].
 pub trait CongestionControl {
     /// Current window in bytes.
-    fn cwnd(&self) -> u64;
+    fn cwnd(&self, p: &CcParams) -> u64;
 
     /// Processes an ACK covering `covered` packets, `marked` of them
     /// ECN-marked, acknowledging `bytes` new bytes.
-    fn on_ack(&mut self, bytes: u64, covered: u32, marked: u32, rtt: Time, now: Time);
+    fn on_ack(&mut self, p: &CcParams, bytes: u64, covered: u32, marked: u32, rtt: Time, now: Time);
 
     /// A packet was declared lost by timeout.
-    fn on_loss(&mut self, now: Time);
+    fn on_loss(&mut self, p: &CcParams, now: Time);
 
     /// A packet was trimmed in the fabric (congestion loss, fast-signalled).
-    fn on_trim(&mut self, now: Time);
+    fn on_trim(&mut self, p: &CcParams, now: Time);
 
     /// Name for reports.
     fn name(&self) -> &'static str;
@@ -102,7 +105,6 @@ pub trait CongestionControl {
 /// the RTT started with. Drop: `cwnd -= mtu`.
 #[derive(Debug, Clone)]
 pub struct DctcpCc {
-    params: CcParams,
     cwnd: f64,
     /// Start of the current decrease-accounting window.
     window_start: Time,
@@ -120,7 +122,6 @@ impl DctcpCc {
             window_start: Time::ZERO,
             decrease_budget: params.init_cwnd as f64 / 2.0,
             slow_start: true,
-            params,
         }
     }
 
@@ -133,13 +134,21 @@ impl DctcpCc {
 }
 
 impl CongestionControl for DctcpCc {
-    fn cwnd(&self) -> u64 {
+    fn cwnd(&self, _p: &CcParams) -> u64 {
         self.cwnd as u64
     }
 
-    fn on_ack(&mut self, _bytes: u64, covered: u32, marked: u32, rtt: Time, now: Time) {
+    fn on_ack(
+        &mut self,
+        p: &CcParams,
+        _bytes: u64,
+        covered: u32,
+        marked: u32,
+        rtt: Time,
+        now: Time,
+    ) {
         self.roll_window(rtt, now);
-        let mtu = self.params.mtu as f64;
+        let mtu = p.mtu as f64;
         let clean = covered.saturating_sub(marked);
         if marked > 0 {
             self.slow_start = false;
@@ -153,18 +162,16 @@ impl CongestionControl for DctcpCc {
         let decrease = (marked as f64 * mtu / 2.0).min(self.decrease_budget);
         self.decrease_budget -= decrease;
         self.cwnd -= decrease;
-        self.cwnd = self
-            .cwnd
-            .clamp(self.params.min_cwnd as f64, self.params.max_cwnd as f64);
+        self.cwnd = self.cwnd.clamp(p.min_cwnd as f64, p.max_cwnd as f64);
     }
 
-    fn on_loss(&mut self, _now: Time) {
+    fn on_loss(&mut self, p: &CcParams, _now: Time) {
         self.slow_start = false;
-        self.cwnd = (self.cwnd - self.params.mtu as f64).max(self.params.min_cwnd as f64);
+        self.cwnd = (self.cwnd - p.mtu as f64).max(p.min_cwnd as f64);
     }
 
-    fn on_trim(&mut self, now: Time) {
-        self.on_loss(now);
+    fn on_trim(&mut self, p: &CcParams, now: Time) {
+        self.on_loss(p, now);
     }
 
     fn name(&self) -> &'static str {
@@ -181,7 +188,6 @@ impl CongestionControl for DctcpCc {
 /// speculative allowance to be safe.
 #[derive(Debug, Clone)]
 pub struct EqdsCc {
-    params: CcParams,
     /// Unsolicited (speculative) allowance remaining.
     speculative: u64,
     /// Credits granted by the receiver, in bytes.
@@ -194,7 +200,6 @@ impl EqdsCc {
         EqdsCc {
             speculative: params.init_cwnd,
             credits: 0,
-            params,
         }
     }
 
@@ -223,22 +228,22 @@ impl EqdsCc {
 }
 
 impl CongestionControl for EqdsCc {
-    fn cwnd(&self) -> u64 {
+    fn cwnd(&self, p: &CcParams) -> u64 {
         // For window-style gating the EQDS sender exposes its spendable
         // allowance; the endpoint additionally gates sends via `consume`.
-        self.params.max_cwnd
+        p.max_cwnd
     }
 
-    fn on_ack(&mut self, _bytes: u64, _covered: u32, _marked: u32, _rtt: Time, _now: Time) {
+    fn on_ack(&mut self, _: &CcParams, _: u64, _: u32, _: u32, _: Time, _: Time) {
         // Receiver-driven: ACKs do not change the sender allowance.
     }
 
-    fn on_loss(&mut self, _now: Time) {
-        self.speculative = self.speculative.saturating_sub(self.params.mtu);
+    fn on_loss(&mut self, p: &CcParams, _now: Time) {
+        self.speculative = self.speculative.saturating_sub(p.mtu);
     }
 
-    fn on_trim(&mut self, now: Time) {
-        self.on_loss(now);
+    fn on_trim(&mut self, p: &CcParams, now: Time) {
+        self.on_loss(p, now);
     }
 
     fn name(&self) -> &'static str {
@@ -253,7 +258,6 @@ impl CongestionControl for EqdsCc {
 /// "hyper-increase" stage once five clean RTTs accumulate.
 #[derive(Debug, Clone)]
 pub struct InternalCc {
-    params: CcParams,
     cwnd: f64,
     last_decrease: Time,
     clean_rtts: u32,
@@ -265,7 +269,6 @@ impl InternalCc {
     pub fn new(params: CcParams) -> InternalCc {
         InternalCc {
             cwnd: params.init_cwnd as f64,
-            params,
             last_decrease: Time::ZERO,
             clean_rtts: 0,
             rtt_mark: Time::ZERO,
@@ -274,12 +277,20 @@ impl InternalCc {
 }
 
 impl CongestionControl for InternalCc {
-    fn cwnd(&self) -> u64 {
+    fn cwnd(&self, _p: &CcParams) -> u64 {
         self.cwnd as u64
     }
 
-    fn on_ack(&mut self, _bytes: u64, covered: u32, marked: u32, rtt: Time, now: Time) {
-        let mtu = self.params.mtu as f64;
+    fn on_ack(
+        &mut self,
+        p: &CcParams,
+        _bytes: u64,
+        covered: u32,
+        marked: u32,
+        rtt: Time,
+        now: Time,
+    ) {
+        let mtu = p.mtu as f64;
         if marked > 0 {
             // CNP-style: decrease by 1/8, rate-limited to once per RTT.
             if now.saturating_sub(self.last_decrease) >= rtt {
@@ -297,19 +308,17 @@ impl CongestionControl for InternalCc {
             let aggressiveness = if self.clean_rtts >= 5 { 4.0 } else { 1.0 };
             self.cwnd += aggressiveness * covered as f64 * mtu * mtu / self.cwnd;
         }
-        self.cwnd = self
-            .cwnd
-            .clamp(self.params.min_cwnd as f64, self.params.max_cwnd as f64);
+        self.cwnd = self.cwnd.clamp(p.min_cwnd as f64, p.max_cwnd as f64);
     }
 
-    fn on_loss(&mut self, now: Time) {
-        self.cwnd = (self.cwnd * 0.5).max(self.params.min_cwnd as f64);
+    fn on_loss(&mut self, p: &CcParams, now: Time) {
+        self.cwnd = (self.cwnd * 0.5).max(p.min_cwnd as f64);
         self.last_decrease = now;
         self.clean_rtts = 0;
     }
 
-    fn on_trim(&mut self, now: Time) {
-        self.cwnd = (self.cwnd * 0.875).max(self.params.min_cwnd as f64);
+    fn on_trim(&mut self, p: &CcParams, now: Time) {
+        self.cwnd = (self.cwnd * 0.875).max(p.min_cwnd as f64);
         self.last_decrease = now;
         self.clean_rtts = 0;
     }
@@ -370,20 +379,28 @@ impl Cc {
 }
 
 impl CongestionControl for Cc {
-    fn cwnd(&self) -> u64 {
-        self.inner().cwnd()
+    fn cwnd(&self, p: &CcParams) -> u64 {
+        self.inner().cwnd(p)
     }
 
-    fn on_ack(&mut self, bytes: u64, covered: u32, marked: u32, rtt: Time, now: Time) {
-        self.inner_mut().on_ack(bytes, covered, marked, rtt, now);
+    fn on_ack(
+        &mut self,
+        p: &CcParams,
+        bytes: u64,
+        covered: u32,
+        marked: u32,
+        rtt: Time,
+        now: Time,
+    ) {
+        self.inner_mut().on_ack(p, bytes, covered, marked, rtt, now);
     }
 
-    fn on_loss(&mut self, now: Time) {
-        self.inner_mut().on_loss(now);
+    fn on_loss(&mut self, p: &CcParams, now: Time) {
+        self.inner_mut().on_loss(p, now);
     }
 
-    fn on_trim(&mut self, now: Time) {
-        self.inner_mut().on_trim(now);
+    fn on_trim(&mut self, p: &CcParams, now: Time) {
+        self.inner_mut().on_trim(p, now);
     }
 
     fn name(&self) -> &'static str {
@@ -403,32 +420,35 @@ mod tests {
 
     #[test]
     fn dctcp_grows_on_clean_acks() {
-        let mut cc = DctcpCc::new(params());
-        let w0 = cc.cwnd();
+        let p = params();
+        let mut cc = DctcpCc::new(p);
+        let w0 = cc.cwnd(&p);
         for i in 0..100 {
-            cc.on_ack(4096, 1, 0, RTT, Time::from_us(i));
+            cc.on_ack(&p, 4096, 1, 0, RTT, Time::from_us(i));
         }
-        assert!(cc.cwnd() > w0);
-        assert!(cc.cwnd() <= params().max_cwnd);
+        assert!(cc.cwnd(&p) > w0);
+        assert!(cc.cwnd(&p) <= params().max_cwnd);
     }
 
     #[test]
     fn dctcp_shrinks_on_marks() {
-        let mut cc = DctcpCc::new(params());
-        let w0 = cc.cwnd();
+        let p = params();
+        let mut cc = DctcpCc::new(p);
+        let w0 = cc.cwnd(&p);
         for i in 0..50 {
-            cc.on_ack(4096, 1, 1, RTT, Time::from_us(i));
+            cc.on_ack(&p, 4096, 1, 1, RTT, Time::from_us(i));
         }
-        assert!(cc.cwnd() < w0);
-        assert!(cc.cwnd() >= params().min_cwnd);
+        assert!(cc.cwnd(&p) < w0);
+        assert!(cc.cwnd(&p) >= params().min_cwnd);
     }
 
     #[test]
     fn dctcp_loss_costs_one_mtu() {
-        let mut cc = DctcpCc::new(params());
-        let w0 = cc.cwnd();
-        cc.on_loss(Time::from_us(1));
-        assert_eq!(cc.cwnd(), w0 - 4096);
+        let p = params();
+        let mut cc = DctcpCc::new(p);
+        let w0 = cc.cwnd(&p);
+        cc.on_loss(&p, Time::from_us(1));
+        assert_eq!(cc.cwnd(&p), w0 - 4096);
     }
 
     #[test]
@@ -436,19 +456,20 @@ mod tests {
         let p = params();
         let mut cc = DctcpCc::new(p);
         for i in 0..10_000 {
-            cc.on_ack(4096, 1, 1, RTT, Time::from_us(i));
-            cc.on_loss(Time::from_us(i));
+            cc.on_ack(&p, 4096, 1, 1, RTT, Time::from_us(i));
+            cc.on_loss(&p, Time::from_us(i));
         }
-        assert_eq!(cc.cwnd(), p.min_cwnd);
+        assert_eq!(cc.cwnd(&p), p.min_cwnd);
         for i in 0..100_000 {
-            cc.on_ack(4096, 4, 0, RTT, Time::from_us(i));
+            cc.on_ack(&p, 4096, 4, 0, RTT, Time::from_us(i));
         }
-        assert_eq!(cc.cwnd(), p.max_cwnd);
+        assert_eq!(cc.cwnd(&p), p.max_cwnd);
     }
 
     #[test]
     fn eqds_speculative_then_credit_gated() {
-        let mut cc = EqdsCc::new(params());
+        let p = params();
+        let mut cc = EqdsCc::new(p);
         let mut sent = 0u64;
         while cc.consume(4096) {
             sent += 4096;
@@ -464,43 +485,45 @@ mod tests {
 
     #[test]
     fn eqds_loss_erodes_speculative_allowance() {
-        let mut cc = EqdsCc::new(params());
+        let p = params();
+        let mut cc = EqdsCc::new(p);
         let a0 = cc.available();
-        cc.on_loss(Time::from_us(1));
+        cc.on_loss(&p, Time::from_us(1));
         assert_eq!(cc.available(), a0 - 4096);
     }
 
     #[test]
     fn internal_decrease_is_rate_limited() {
-        let mut cc = InternalCc::new(params());
-        let w0 = cc.cwnd();
+        let p = params();
+        let mut cc = InternalCc::new(p);
+        let w0 = cc.cwnd(&p);
         // Two marks within the same RTT: only one decrease.
-        cc.on_ack(4096, 1, 1, RTT, Time::from_us(100));
-        let w1 = cc.cwnd();
-        cc.on_ack(4096, 1, 1, RTT, Time::from_us(101));
-        let w2 = cc.cwnd();
+        cc.on_ack(&p, 4096, 1, 1, RTT, Time::from_us(100));
+        let w1 = cc.cwnd(&p);
+        cc.on_ack(&p, 4096, 1, 1, RTT, Time::from_us(101));
+        let w2 = cc.cwnd(&p);
         assert!(w1 < w0);
         assert_eq!(w1, w2, "second mark within the RTT must not decrease");
         // A mark one RTT later decreases again.
-        cc.on_ack(4096, 1, 1, RTT, Time::from_us(120));
-        assert!(cc.cwnd() < w2);
+        cc.on_ack(&p, 4096, 1, 1, RTT, Time::from_us(120));
+        assert!(cc.cwnd(&p) < w2);
     }
 
     #[test]
     fn internal_hyper_increase_after_clean_period() {
         let p = params();
         let mut cc = InternalCc::new(p);
-        cc.on_loss(Time::from_us(0));
-        let w0 = cc.cwnd();
+        cc.on_loss(&p, Time::from_us(0));
+        let w0 = cc.cwnd(&p);
         // Feed clean ACKs over many RTTs; growth accelerates after 5 rounds.
         let mut early_growth = 0.0;
         let mut late_growth = 0.0;
         let mut prev = w0 as f64;
         for round in 0..10u64 {
             for i in 0..10 {
-                cc.on_ack(4096, 1, 0, RTT, Time::from_us(round * 10 + i + 1));
+                cc.on_ack(&p, 4096, 1, 0, RTT, Time::from_us(round * 10 + i + 1));
             }
-            let now = cc.cwnd() as f64;
+            let now = cc.cwnd(&p) as f64;
             if round < 3 {
                 early_growth += now - prev;
             } else if round >= 6 {
@@ -517,9 +540,10 @@ mod tests {
     #[test]
     fn factory_builds_all_kinds() {
         for kind in [CcKind::Dctcp, CcKind::Eqds, CcKind::Internal] {
-            let cc = Cc::build(kind, params());
+            let p = params();
+            let cc = Cc::build(kind, p);
             assert!(!cc.name().is_empty());
-            assert!(cc.cwnd() > 0);
+            assert!(cc.cwnd(&p) > 0);
         }
         assert_eq!(CcKind::Eqds.label(), "EQDS");
     }

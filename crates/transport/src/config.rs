@@ -100,6 +100,15 @@ impl TransportConfig {
         }
     }
 
+    /// The load balancer of a traffic class: `lb`, or `bg_lb` for the
+    /// background class when it is set.
+    pub fn lb_for(&self, background: bool) -> &LbKind {
+        match &self.bg_lb {
+            Some(bg) if background => bg,
+            _ => &self.lb,
+        }
+    }
+
     /// Sets the background-class load balancer (mixed-traffic scenarios).
     pub fn with_background_lb(mut self, lb: LbKind) -> TransportConfig {
         self.bg_lb = Some(lb);

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use baselines::kind::Lb;
+use baselines::kind::{Lb, WithParams};
 use netsim::engine::Ctx;
 use netsim::hash::FxHashMap;
 use netsim::ids::{ConnId, FlowId, HostId};
@@ -16,6 +16,7 @@ use netsim::stats::FlowRecord;
 use netsim::time::Time;
 use netsim::trace::{TraceEvent, TraceSink};
 use reps::lb::{AckFeedback, LoadBalancer};
+use reps::reps::RepsCounters;
 
 use crate::cc::{Cc, CongestionControl};
 use crate::config::{CoalesceVariant, TransportConfig};
@@ -153,6 +154,22 @@ struct LostPkt {
     payload: u32,
 }
 
+/// What a host drives its senders with besides their own state: the
+/// cell's configuration, whose LB and CC parameter blocks every sender
+/// reads, and the host's REPS decision counters.
+pub struct SenderEnv<'a> {
+    /// The cell's transport parameters.
+    pub cfg: &'a TransportConfig,
+    /// The host's REPS decision counters.
+    pub reps: &'a mut RepsCounters,
+}
+
+/// `lb`, connection `conn`'s balancer, paired with the cell's scheme for
+/// the connection's traffic class and the host's counters.
+fn balancer<'a>(lb: &'a mut Lb, conn: ConnId, env: &'a mut SenderEnv<'_>) -> WithParams<'a> {
+    lb.with(env.cfg.lb_for(conn.0 & 1 == 1), env.reps)
+}
+
 /// The sending half of a connection.
 pub struct SenderConn {
     /// Connection id carried in packet headers.
@@ -251,7 +268,7 @@ impl SenderConn {
     }
 
     /// Transmits as much as the window/credits allow.
-    pub fn pump<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
+    pub fn pump<S: TraceSink>(&mut self, env: &mut SenderEnv<'_>, ctx: &mut Ctx<'_, S>) {
         loop {
             // Pick what to send: retransmissions first.
             let (seq, msg_idx, msg_seq, payload, retx) = if let Some(&seq) = self.retx_queue.front()
@@ -289,7 +306,7 @@ impl SenderConn {
             // Admission: credits (EQDS) or window (everything else).
             let admitted = match self.cc.as_eqds_mut() {
                 Some(eqds) => eqds.consume(payload as u64),
-                None => self.inflight_bytes + payload as u64 <= self.cc.cwnd(),
+                None => self.inflight_bytes + payload as u64 <= self.cc.cwnd(&env.cfg.cc_params),
             };
             if !admitted {
                 break;
@@ -310,10 +327,11 @@ impl SenderConn {
             // `enabled()`: with `NoTrace` the whole block (including the
             // `is_frozen` calls) folds away, keeping the untraced
             // send path identical to the pre-trace one.
-            let frozen_before = ctx.trace.enabled() && self.lb.is_frozen();
-            let ev = self.lb.next_ev(ctx.now, ctx.rng);
+            let mut lb = balancer(&mut self.lb, self.conn, env);
+            let frozen_before = ctx.trace.enabled() && lb.is_frozen();
+            let ev = lb.next_ev(ctx.now, ctx.rng);
             if ctx.trace.enabled() {
-                let frozen = self.lb.is_frozen();
+                let frozen = lb.is_frozen();
                 if frozen != frozen_before {
                     // `next_ev` itself can freeze (forced freezing) or thaw
                     // (send-path freezing expiry).
@@ -337,7 +355,7 @@ impl SenderConn {
                     host: ctx.host,
                     conn: self.conn.0,
                     ev,
-                    decision: self.lb.last_decision(),
+                    decision: lb.last_decision(),
                     frozen,
                 });
                 if retx {
@@ -404,6 +422,7 @@ impl SenderConn {
         &mut self,
         ack: &Ack,
         newly_acked: &mut Vec<u64>,
+        env: &mut SenderEnv<'_>,
         ctx: &mut Ctx<'_, S>,
     ) -> SmallList<u64, 3> {
         let now = ctx.now;
@@ -460,12 +479,14 @@ impl SenderConn {
         }
 
         // Congestion control sees the aggregate covering information.
+        let p = &env.cfg.cc_params;
         self.cc
-            .on_ack(acked_bytes, ack.covered, ack.marked, self.srtt, now);
+            .on_ack(p, acked_bytes, ack.covered, ack.marked, self.srtt, now);
 
         // Load-balancer feedback, entropy by entropy.
-        let cwnd_packets = (self.cc.cwnd() / self.mtu.max(1) as u64).max(1) as u32;
-        let frozen_before = ctx.trace.enabled() && self.lb.is_frozen();
+        let cwnd_packets = (self.cc.cwnd(p) / self.mtu.max(1) as u64).max(1) as u32;
+        let mut lb = balancer(&mut self.lb, self.conn, env);
+        let frozen_before = ctx.trace.enabled() && lb.is_frozen();
         for echo in &ack.echoes {
             let fb = AckFeedback {
                 ev: echo.ev,
@@ -475,11 +496,11 @@ impl SenderConn {
                 rtt: self.srtt,
             };
             for _ in 0..ack.reuse.max(1) {
-                self.lb.on_ack(&fb, ctx.rng);
+                lb.on_ack(&fb, ctx.rng);
             }
         }
         // ACK feedback can only thaw (freezing-window expiry, §3.2).
-        if frozen_before && !self.lb.is_frozen() {
+        if frozen_before && !lb.is_frozen() {
             ctx.trace.emit(TraceEvent::Thaw {
                 at: now,
                 host: ctx.host,
@@ -487,12 +508,17 @@ impl SenderConn {
             });
         }
 
-        self.pump(ctx);
+        self.pump(env, ctx);
         completed_tags
     }
 
     /// Handles a trimming NACK for `seq` (congestion loss, not failure).
-    pub fn on_nack<S: TraceSink>(&mut self, seq: u64, ctx: &mut Ctx<'_, S>) {
+    pub fn on_nack<S: TraceSink>(
+        &mut self,
+        seq: u64,
+        env: &mut SenderEnv<'_>,
+        ctx: &mut Ctx<'_, S>,
+    ) {
         if let Some(info) = self.inflight.remove(seq) {
             self.inflight_bytes -= info.payload as u64;
             self.lost.insert(
@@ -504,16 +530,21 @@ impl SenderConn {
                 },
             );
             self.retx_queue.push_front(seq);
-            self.cc.on_trim(ctx.now);
-            self.lb.on_congestion_loss(info.ev, ctx.now);
+            self.cc.on_trim(&env.cfg.cc_params, ctx.now);
+            balancer(&mut self.lb, self.conn, env).on_congestion_loss(info.ev, ctx.now);
         }
-        self.pump(ctx);
+        self.pump(env, ctx);
     }
 
-    /// Declares every packet older than `rto` lost. Returns the number of
-    /// packets declared lost (0 = no timeout fired).
-    pub fn check_timeouts<S: TraceSink>(&mut self, rto: Time, ctx: &mut Ctx<'_, S>) -> usize {
+    /// Declares every packet older than the cell's RTO lost. Returns the
+    /// number of packets declared lost (0 = no timeout fired).
+    pub fn check_timeouts<S: TraceSink>(
+        &mut self,
+        env: &mut SenderEnv<'_>,
+        ctx: &mut Ctx<'_, S>,
+    ) -> usize {
         let now = ctx.now;
+        let (rto, cc_params) = (env.cfg.rto, &env.cfg.cc_params);
         // The window hands the expired packets over in ascending `seq`:
         // the retransmission queue (and with it every subsequent EV draw)
         // is the same in every process.
@@ -539,7 +570,7 @@ impl SenderConn {
                     },
                 );
                 retx_queue.push_back(seq);
-                cc.on_loss(now);
+                cc.on_loss(cc_params, now);
                 expired += 1;
             },
         );
@@ -547,8 +578,9 @@ impl SenderConn {
             return 0;
         }
         // One failure-suspicion signal per timeout event (Algorithm 1).
-        let frozen_before = ctx.trace.enabled() && self.lb.is_frozen();
-        self.lb.on_timeout(now);
+        let mut lb = balancer(&mut self.lb, self.conn, env);
+        let frozen_before = ctx.trace.enabled() && lb.is_frozen();
+        lb.on_timeout(now);
         if ctx.trace.enabled() {
             ctx.trace.emit(TraceEvent::Timeout {
                 at: now,
@@ -556,7 +588,7 @@ impl SenderConn {
                 conn: self.conn.0,
                 expired: expired as u32,
             });
-            if !frozen_before && self.lb.is_frozen() {
+            if !frozen_before && lb.is_frozen() {
                 ctx.trace.emit(TraceEvent::Freeze {
                     at: now,
                     host: ctx.host,
@@ -565,7 +597,7 @@ impl SenderConn {
             }
         }
         ctx.note_timeout();
-        self.pump(ctx);
+        self.pump(env, ctx);
         expired
     }
 }
@@ -736,12 +768,6 @@ impl ReceiverConn {
 }
 
 impl SenderConn {
-    /// Current congestion window in bytes (instrumentation).
-    pub fn cwnd_bytes(&self) -> u64 {
-        use crate::cc::CongestionControl;
-        self.cc.cwnd()
-    }
-
     /// Bytes currently in flight (instrumentation).
     pub fn inflight_bytes(&self) -> u64 {
         self.inflight_bytes
@@ -921,27 +947,36 @@ mod tests {
         const RTO_SWEEP: u64 = 1;
         struct Script {
             tx: SenderConn,
-            rto: Time,
+            cfg: TransportConfig,
+            reps: RepsCounters,
         }
         impl<S: TraceSink> Endpoint<S> for Script {
             fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_, S>) {}
             fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, S>) {
+                let mut env = SenderEnv {
+                    cfg: &self.cfg,
+                    reps: &mut self.reps,
+                };
                 match token {
                     NACK_SEQ0 => {
-                        self.tx.on_nack(0, ctx);
+                        self.tx.on_nack(0, &mut env, ctx);
                         // Seq 0 left the window (base moved to 1) and came
                         // straight back in below it.
                         let held: Vec<u64> = self.tx.inflight.iter().map(|(s, _)| s).collect();
                         assert_eq!(held, [0, 1]);
                     }
-                    _ => assert_eq!(self.tx.check_timeouts(self.rto, ctx), 2),
+                    _ => assert_eq!(self.tx.check_timeouts(&mut env, ctx), 2),
                 }
             }
             fn on_command(&mut self, _cmd: Command, ctx: &mut Ctx<'_, S>) {
                 self.tx.enqueue(FlowId(0), 0, 2 * 4096, ctx.now);
-                self.tx.pump(ctx);
+                let mut env = SenderEnv {
+                    cfg: &self.cfg,
+                    reps: &mut self.reps,
+                };
+                self.tx.pump(&mut env, ctx);
                 ctx.set_timer(Time::from_us(5), NACK_SEQ0);
-                ctx.set_timer(self.rto + Time::from_us(6), RTO_SWEEP);
+                ctx.set_timer(self.cfg.rto + Time::from_us(6), RTO_SWEEP);
             }
         }
 
@@ -952,9 +987,11 @@ mod tests {
         let cc = Cc::build(CcKind::Dctcp, CcParams::for_bdp(400_000, 4096));
         // Host 1 has no endpoint: everything sent to it vanishes unACKed.
         let tx = SenderConn::new(ConnId(0), HostId(1), lb, cc, &cfg);
-        engine.set_endpoint(HostId(0), Box::new(Script { tx, rto: cfg.rto }));
+        let rto = cfg.rto;
+        let reps = RepsCounters::default();
+        engine.set_endpoint(HostId(0), Box::new(Script { tx, cfg, reps }));
         engine.command(HostId(0), Command::Custom(0));
-        engine.run_until(cfg.rto * 2);
+        engine.run_until(rto * 2);
         let retransmitted: Vec<u64> = engine
             .trace
             .events

@@ -24,11 +24,11 @@ use netsim::ids::{ConnId, HostId};
 use netsim::packet::{Ack, Body, Packet};
 use netsim::time::Time;
 use netsim::trace::{TraceEvent, TraceSink};
-use reps::lb::LoadBalancer;
+use reps::reps::RepsCounters;
 
 use crate::cc::Cc;
 use crate::config::TransportConfig;
-use crate::conn::{ReceiverConn, SenderConn};
+use crate::conn::{ReceiverConn, SenderConn, SenderEnv};
 
 /// Timer token: periodic RTO / delayed-ACK sweep.
 const TOKEN_SWEEP: u64 = 1;
@@ -57,6 +57,8 @@ pub struct HostEndpoint {
     /// Scratch for the sequences an ACK newly confirms
     /// ([`SenderConn::on_ack`]), shared by this host's senders.
     newly_acked: Vec<u64>,
+    /// The REPS decision counters of this host's senders.
+    reps: RepsCounters,
     /// Messages to start at fixed times, sorted by time ascending.
     schedule: Vec<(Time, MessageSpec)>,
     schedule_next: usize,
@@ -87,6 +89,7 @@ impl HostEndpoint {
             senders: Vec::new(),
             receivers: Vec::new(),
             newly_acked: Vec::new(),
+            reps: RepsCounters::default(),
             schedule: Vec::new(),
             schedule_next: 0,
             on_receive: FxHashMap::default(),
@@ -119,12 +122,17 @@ impl HostEndpoint {
 
     /// Accumulates every sender's load-balancer decision counters into
     /// `out`, summing values that share a name. Deterministic: senders are
-    /// visited in key order, and names keep first-appearance order.
+    /// visited in key order, and names keep first-appearance order. The
+    /// host's REPS counters go with its first REPS sender.
     pub fn lb_diagnostics(&self, out: &mut Vec<(&'static str, u64)>) {
         let mut scratch = Vec::new();
+        let mut reps = self.reps;
         for tx in &self.senders {
             scratch.clear();
-            tx.lb.diagnostics(&mut scratch);
+            tx.lb.diagnostics(&reps, &mut scratch);
+            if matches!(tx.lb, baselines::kind::Lb::Reps(_)) {
+                reps = RepsCounters::default();
+            }
             for &(name, v) in &scratch {
                 match out.iter_mut().find(|(n, _)| *n == name) {
                     Some(entry) => entry.1 += v,
@@ -144,10 +152,19 @@ impl HostEndpoint {
             .binary_search_by_key(&(dst, bg), |tx| (tx.dst, tx.conn.0 & 1 == 1))
     }
 
-    /// The sender an ACK, NACK or credit on `conn` from `peer` is for.
-    fn sender_for(&mut self, peer: HostId, conn: ConnId) -> Option<&mut SenderConn> {
+    /// The sender a NACK or credit on `conn` from `peer` is for, with what
+    /// it is driven with.
+    fn sender_for(
+        &mut self,
+        peer: HostId,
+        conn: ConnId,
+    ) -> Option<(&mut SenderConn, SenderEnv<'_>)> {
         let slot = self.sender_slot(peer, conn.0 & 1 == 1).ok()?;
-        Some(&mut self.senders[slot])
+        let env = SenderEnv {
+            cfg: &self.cfg,
+            reps: &mut self.reps,
+        };
+        Some((&mut self.senders[slot], env))
     }
 
     fn arm_sweep<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
@@ -174,12 +191,7 @@ impl HostEndpoint {
             Ok(slot) => slot,
             Err(slot) => {
                 let cfg = &self.cfg;
-                let kind = if bg {
-                    cfg.bg_lb.as_ref().unwrap_or(&cfg.lb)
-                } else {
-                    &cfg.lb
-                };
-                let lb = kind.build(ctx.rng);
+                let lb = cfg.lb_for(bg).build(ctx.rng);
                 let cc = Cc::build(cfg.cc, cfg.cc_params);
                 let conn = self.conn_id(self.host, spec.dst, bg);
                 let tx = SenderConn::new(conn, spec.dst, lb, cc, cfg);
@@ -190,7 +202,11 @@ impl HostEndpoint {
         };
         let tx = &mut self.senders[slot];
         tx.enqueue(spec.flow, spec.tag, spec.bytes, ctx.now);
-        tx.pump(ctx);
+        let mut env = SenderEnv {
+            cfg: &self.cfg,
+            reps: &mut self.reps,
+        };
+        tx.pump(&mut env, ctx);
         self.arm_sweep(ctx);
     }
 
@@ -231,8 +247,12 @@ impl HostEndpoint {
         let rto = self.cfg.rto;
         // Each timeout draws from the shared RNG and each stale ACK takes a
         // packet id, so both passes run in table order.
+        let mut env = SenderEnv {
+            cfg: &self.cfg,
+            reps: &mut self.reps,
+        };
         for tx in &mut self.senders {
-            tx.check_timeouts(rto, ctx);
+            tx.check_timeouts(&mut env, ctx);
         }
         // Delayed-ACK flush: release observations older than a quarter RTO.
         let cutoff = ctx.now.saturating_sub(rto / 4);
@@ -351,22 +371,26 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
             }
             Body::Ack(ack) => {
                 if let Ok(slot) = self.sender_slot(pkt.src, pkt.conn.0 & 1 == 1) {
+                    let mut env = SenderEnv {
+                        cfg: &self.cfg,
+                        reps: &mut self.reps,
+                    };
                     let tx = &mut self.senders[slot];
-                    let completed_tags = tx.on_ack(ack, &mut self.newly_acked, ctx);
+                    let completed_tags = tx.on_ack(ack, &mut self.newly_acked, &mut env, ctx);
                     self.fire_send_triggers(&completed_tags, ctx);
                 }
             }
             Body::Nack { seq } => {
-                if let Some(tx) = self.sender_for(pkt.src, pkt.conn) {
-                    tx.on_nack(*seq, ctx);
+                if let Some((tx, mut env)) = self.sender_for(pkt.src, pkt.conn) {
+                    tx.on_nack(*seq, &mut env, ctx);
                 }
             }
             Body::Credit { bytes } => {
-                if let Some(tx) = self.sender_for(pkt.src, pkt.conn) {
+                if let Some((tx, mut env)) = self.sender_for(pkt.src, pkt.conn) {
                     if let Some(eqds) = tx.cc.as_eqds_mut() {
                         eqds.grant(*bytes);
                     }
-                    tx.pump(ctx);
+                    tx.pump(&mut env, ctx);
                 }
             }
             Body::Probe { token } => {
@@ -603,17 +627,18 @@ mod tests {
 
     /// Per-host and per-connection memory at 10k hosts is these sizes
     /// times the host count: a sender holds its balancer inline (`Lb`,
-    /// 112 bytes) beside its congestion controller (`Cc`, 72) and 224
-    /// bytes of windows and queues; a host holds its tables, triggers and
-    /// one `Rc` to the cell's shared `TransportConfig`.
+    /// 64 bytes) beside its congestion controller (`Cc`, 40) and 224
+    /// bytes of windows and queues, and neither copies the cell's
+    /// parameters; a host holds its tables, triggers, its senders' REPS
+    /// counters and one `Rc` to the cell's shared `TransportConfig`.
     #[test]
     fn connection_state_sizes_are_pinned() {
         use std::mem::size_of;
-        assert_eq!(size_of::<SenderConn>(), 408);
-        assert_eq!(size_of::<baselines::kind::Lb>(), 112);
-        assert_eq!(size_of::<Cc>(), 72);
+        assert_eq!(size_of::<SenderConn>(), 328);
+        assert_eq!(size_of::<baselines::kind::Lb>(), 64);
+        assert_eq!(size_of::<Cc>(), 40);
         assert_eq!(size_of::<ReceiverConn>(), 144);
-        assert_eq!(size_of::<HostEndpoint>(), 208);
+        assert_eq!(size_of::<HostEndpoint>(), 248);
         // Stored by value in the engine: no bigger as an endpoint slot.
         assert_eq!(size_of::<Option<HostEndpoint>>(), size_of::<HostEndpoint>());
     }

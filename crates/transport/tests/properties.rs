@@ -123,12 +123,12 @@ proptest! {
         for (ev, n) in events {
             now += Time::from_us(1);
             match ev {
-                0 => cc.on_ack(4096 * n as u64, n.max(1), 0, rtt, now),
-                1 => cc.on_ack(4096 * n as u64, n.max(1), n.max(1), rtt, now),
-                2 => cc.on_loss(now),
-                _ => cc.on_trim(now),
+                0 => cc.on_ack(&params, 4096 * n as u64, n.max(1), 0, rtt, now),
+                1 => cc.on_ack(&params, 4096 * n as u64, n.max(1), n.max(1), rtt, now),
+                2 => cc.on_loss(&params, now),
+                _ => cc.on_trim(&params, now),
             }
-            let w = cc.cwnd();
+            let w = cc.cwnd(&params);
             prop_assert!(w >= params.min_cwnd, "{} cwnd {w} below floor", cc.name());
             prop_assert!(w <= params.max_cwnd, "{} cwnd {w} above ceiling", cc.name());
         }

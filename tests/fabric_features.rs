@@ -111,9 +111,9 @@ fn fpga_profile_uses_faster_fabric_links() {
     let engine = exp.build();
     // Host links at 100 G, spine links at 400 G.
     let host_up = engine.topo.host_up[0];
-    assert_eq!(engine.links[host_up.index()].rate_bps, 100_000_000_000);
+    assert_eq!(engine.links[host_up.index()].rate_bps(), 100_000_000_000);
     let spine = topo.tor_uplink_pairs(SwitchId(0))[0].0;
-    assert_eq!(engine.links[spine.index()].rate_bps, 400_000_000_000);
+    assert_eq!(engine.links[spine.index()].rate_bps(), 400_000_000_000);
     // And the workload completes on this profile.
     let s = exp.run().summary;
     assert!(s.completed);
