@@ -173,6 +173,13 @@ impl Header {
         self.flags & (DATA | TRIMMED) == DATA
     }
 
+    /// Whether the body is [`Body::Data`], trimmed or not: the packet is
+    /// for the receiving side of its connection.
+    #[inline]
+    pub fn carries_data(&self) -> bool {
+        self.flags & DATA != 0
+    }
+
     /// Whether a switch set the ECN CE codepoint.
     #[inline]
     pub fn ecn_ce(&self) -> bool {
@@ -259,10 +266,12 @@ enum Stored {
 /// Hints the CPU to pull the cache line at `p` toward L1.
 ///
 /// Compiled to nothing off `x86_64` and under miri. The engine's batch
-/// loop is the only caller (through [`PacketArena`]'s and
-/// [`Link`](crate::link::Link)'s `prefetch_*` helpers).
+/// loop is the only caller: directly, through [`PacketArena`]'s and
+/// [`Link`](crate::link::Link)'s `prefetch_*` helpers, and through the
+/// endpoints' [`Endpoint::prefetch`](crate::engine::Endpoint::prefetch)
+/// hints, which is why it is public.
 #[inline(always)]
-pub(crate) fn prefetch<T>(p: *const T) {
+pub fn prefetch<T>(p: *const T) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -452,6 +461,15 @@ impl PacketArena {
         h
     }
 
+    /// The header in `r`'s slot without the liveness check, for
+    /// look-ahead hints only: when `r`'s packet is gone it is the slot's
+    /// stale header, or a newer packet's. `None` only for a slot the arena
+    /// never had.
+    #[inline]
+    pub(crate) fn peek_header(&self, r: PacketRef) -> Option<&Header> {
+        self.headers.get(r.index())
+    }
+
     /// Mutable header access (marking, trimming).
     ///
     /// # Panics
@@ -540,7 +558,8 @@ mod tests {
         a.header_mut(r).mark_ce();
         assert!(a.header(r).ecn_ce() && a.header(r).is_data());
         a.header_mut(r).trim();
-        assert!(!a.header(r).is_data());
+        // Trimmed, it rides the control band but is still the receiver's.
+        assert!(!a.header(r).is_data() && a.header(r).carries_data());
         assert_eq!(a.header(r).wire_bytes, HEADER_BYTES);
         let mut want = pkt(1);
         want.ecn_ce = true;

@@ -50,14 +50,25 @@
 //!   — serves mixed test endpoints), and every callback borrows its
 //!   endpoint in place: a delivery touches the endpoint's own lines, with
 //!   no box to chase and nothing moved out and back,
-//! * the whole-batch loop prefetches for the events a fixed distance
-//!   ahead in the batch it already holds (`Engine::prefetch_ahead`).
-//!   Prefetching takes `&self` and writes nothing, so it cannot change
-//!   dispatch order, RNG draws or any output byte — and because the state
-//!   it looks at may be gone by the time its event runs (a link flushed,
-//!   a packet released), packet addresses are computed without liveness
-//!   checks, never through `PacketArena::header`. The one `unsafe` block
-//!   of the crate is the `_mm_prefetch` wrapper in [`crate::arena`],
+//! * the whole-batch loop prefetches for the events ahead of it in the
+//!   batch it already holds (`Engine::prefetch_ahead`), in two stages.
+//!   `PREFETCH_AHEAD` events ahead it warms what the event names: a
+//!   `QueueService`'s link, an `Arrive`'s packet header and, for a
+//!   delivery, the record line and the endpoint. At half that distance
+//!   the header has arrived, so it follows the packet one hop further: a
+//!   `QueueService` to the headers `finish_service` reads, a switch
+//!   `Arrive` to the egress link `arrive_at_switch` will push onto
+//!   (`Engine::egress_hint`, the same route and ECMP hash), a host
+//!   `Arrive` to the host's NIC link and, through [`Endpoint::prefetch`],
+//!   the connection table the delivery will search. Neither stage can
+//!   change a byte: both take `&self` and write nothing, draw no random
+//!   number (an adaptive switch's choice is left unpredicted), and read
+//!   state that may be gone by the time the event runs (a link flushed,
+//!   a packet released) only to form addresses — a header through the
+//!   unchecked `PacketArena::peek_header`, never `PacketArena::header`.
+//!   A wrong guess costs a wasted line, never a different dispatch. The
+//!   one `unsafe` block of the simulation crates is the `_mm_prefetch`
+//!   wrapper [`crate::arena::prefetch`] (`transport`'s hint calls it too),
 //!   compiled out off x86_64 and under miri.
 //!
 //! # Batched execution
@@ -120,6 +131,35 @@ pub struct BatchStats {
     pub chained_services: u64,
     /// Event-queue work counters as of the last `run_*` return.
     pub calendar: CalendarStats,
+    /// Events dispatched, by kind; they sum to
+    /// [`Engine::events_processed`].
+    pub kinds: EventKinds,
+    /// Events the look-ahead's second stage hinted for (see
+    /// `Engine::prefetch_ahead`): over `events`, the share of the run
+    /// dispatched from a batch deep enough to look into.
+    pub lookahead_hints: u64,
+}
+
+/// Events dispatched by kind (diagnostics, like [`BatchStats`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EventKinds {
+    /// `QueueService`: a link finished serializing a packet.
+    pub services: u64,
+    /// `Arrive` at a switch.
+    pub switch_arrivals: u64,
+    /// `Arrive` at a host: a delivery.
+    pub host_arrivals: u64,
+    /// Endpoint timers.
+    pub timers: u64,
+    /// Control events: failures, faults, fluid wakes, sampling, starts.
+    pub controls: u64,
+}
+
+impl EventKinds {
+    /// All events counted.
+    pub fn total(&self) -> u64 {
+        self.services + self.switch_arrivals + self.host_arrivals + self.timers + self.controls
+    }
 }
 
 /// A request to start (or enqueue) an application message on a host.
@@ -228,6 +268,16 @@ pub trait Endpoint<S: TraceSink = NoTrace> {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, S>);
     /// The harness injected a command (message start, custom).
     fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_, S>);
+    /// A look-ahead hint: the packet behind `header` is due to be
+    /// delivered to this endpoint a few events from now. An endpoint may
+    /// prefetch the state its `on_packet` will touch for it; the default
+    /// does nothing.
+    ///
+    /// A hint, not a callback: it must change no state, and it may be
+    /// wrong — `header` can belong to a packet that is gone by the time
+    /// the delivery runs, or to a different packet altogether — so
+    /// nothing it reads may steer anything but a prefetch.
+    fn prefetch(&self, _header: &Header) {}
 }
 
 /// A boxed endpoint is an endpoint: the default endpoint type of
@@ -242,6 +292,9 @@ impl<S: TraceSink, T: Endpoint<S> + ?Sized> Endpoint<S> for Box<T> {
     }
     fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_, S>) {
         (**self).on_command(cmd, ctx);
+    }
+    fn prefetch(&self, header: &Header) {
+        (**self).prefetch(header);
     }
 }
 
@@ -339,7 +392,7 @@ impl RoutingView<'_> {
         let len = filtered.map_or(candidates.len(), <[LinkId]>::len);
         let get = |i: usize| filtered.map_or_else(|| candidates.at(i), |s| s[i]);
         match self.mode {
-            RoutingMode::EcmpHash => get(ecmp_select(pkt.src, pkt.dst, pkt.ev, salt, len)),
+            RoutingMode::EcmpHash => hash_uplink(pkt, salt, len, get),
             RoutingMode::Adaptive => {
                 let mut min = u64::MAX;
                 let mut ties = 0usize;
@@ -367,6 +420,15 @@ impl RoutingView<'_> {
             }
         }
     }
+}
+
+/// The ECMP-hash choice among `len` candidate uplinks, the `i`-th being
+/// `get(i)`. [`RoutingView::select_uplink`]'s `EcmpHash` arm and the batch
+/// look-ahead's egress prediction (`Engine::egress_hint`) both pick
+/// through this one function, so the hint cannot drift from the choice.
+#[inline]
+fn hash_uplink(pkt: &Header, salt: u64, len: usize, get: impl Fn(usize) -> LinkId) -> LinkId {
+    get(ecmp_select(pkt.src, pkt.dst, pkt.ev, salt, len))
 }
 
 /// The discrete-event simulation engine.
@@ -652,7 +714,8 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
             self.batch_stats.max_batch = self.batch_stats.max_batch.max(self.batch.len() as u64);
             loop {
                 let (at, _, ev) = self.batch[self.batch_pos];
-                self.prefetch_ahead();
+                let hinted = self.prefetch_ahead();
+                self.batch_stats.lookahead_hints += u64::from(hinted);
                 self.batch_pos += 1;
                 self.now = at;
                 self.dispatch(ev);
@@ -667,34 +730,36 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         }
     }
 
-    /// Warms the cache for events further down the batch being dispatched.
+    /// Warms the cache for events further down the batch being dispatched,
+    /// and returns whether the second stage issued a hint (counted as
+    /// [`BatchStats::lookahead_hints`]).
     ///
     /// At 10k hosts nearly every event's first touch of its link, packet
     /// header or endpoint is a cache miss, and the batch — already drained
     /// into `self.batch` — says which ones are next. Two stages, because
-    /// the second address is only known once the first line has arrived:
-    /// [`PREFETCH_AHEAD`] events ahead, the state the event names (the
-    /// link of a `QueueService`; the header of an `Arrive`, plus the
-    /// record line and the endpoint itself — stored in place, every line
-    /// of it — when it is a delivery); at half that distance, one pointer
-    /// further (the headers `finish_service` will read). Hints only:
-    /// `&self`, nothing written, and the state may change before the
-    /// event runs — dispatch order, and so every output byte, is
-    /// untouched.
+    /// each address of the second is only known once a line of the first
+    /// has arrived:
+    ///
+    /// * [`PREFETCH_AHEAD`] events ahead, the state the event names: the
+    ///   link of a `QueueService`; the header of an `Arrive`, plus the
+    ///   record line and the endpoint itself — stored in place, every line
+    ///   of it — when it is a delivery;
+    /// * at half that distance, one hop further, through the header stage
+    ///   one fetched: the headers `finish_service` will read for a
+    ///   `QueueService`; the egress link for a switch `Arrive`
+    ///   ([`Engine::egress_hint`]); the NIC link and, through
+    ///   [`Endpoint::prefetch`], the connection table for a delivery.
+    ///
+    /// Hints only: `&self`, nothing written, no RNG draw, and the state may
+    /// change before the event runs — a header is read through the
+    /// unchecked [`PacketArena::peek_header`] and may be stale — so a
+    /// wrong guess wastes a line and changes nothing else: dispatch order,
+    /// and so every output byte, is untouched.
     #[inline]
-    fn prefetch_ahead(&self) {
+    fn prefetch_ahead(&self) -> bool {
         if let Some(&(_, _, ev)) = self.batch.get(self.batch_pos + PREFETCH_AHEAD) {
             match ev {
-                Event::QueueService { link } => {
-                    // A `Link` is line-aligned: its lines are exactly its
-                    // size over 64 (two, pinned in `link::tests`).
-                    const LINES: usize = std::mem::size_of::<Link>() / 64;
-                    const { assert!(std::mem::align_of::<Link>() == 64) };
-                    let p = self.links.as_ptr().wrapping_add(link.index()).cast::<u8>();
-                    for line in 0..LINES {
-                        prefetch(p.wrapping_add(64 * line));
-                    }
-                }
+                Event::QueueService { link } => self.prefetch_link(link),
                 Event::Arrive { node, pkt } => {
                     self.arena.prefetch_header(pkt);
                     if let NodeRef::Host(h) = node {
@@ -709,10 +774,68 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
                 _ => {}
             }
         }
-        if let Some(&(_, _, Event::QueueService { link })) =
-            self.batch.get(self.batch_pos + PREFETCH_AHEAD / 2)
-        {
-            self.links[link.index()].prefetch_service_headers(&self.arena);
+        let Some(&(_, _, ev)) = self.batch.get(self.batch_pos + PREFETCH_AHEAD / 2) else {
+            return false;
+        };
+        match ev {
+            Event::QueueService { link } => {
+                self.links[link.index()].prefetch_service_headers(&self.arena);
+            }
+            Event::Arrive { node, pkt } => {
+                let Some(header) = self.arena.peek_header(pkt) else {
+                    return false;
+                };
+                let egress = match node {
+                    NodeRef::Switch(sw) => self.egress_hint(sw, header),
+                    NodeRef::Host(h) => {
+                        if let Some(ep) = &self.endpoints[h.index()] {
+                            ep.prefetch(header);
+                        }
+                        Some(self.topo.host_up[h.index()])
+                    }
+                };
+                match egress {
+                    Some(link) => self.prefetch_link(link),
+                    None => return false,
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Prefetches both lines of `link`.
+    #[inline]
+    fn prefetch_link(&self, link: LinkId) {
+        // A `Link` is line-aligned: its lines are exactly its size over 64
+        // (two, pinned in `link::tests`).
+        const LINES: usize = std::mem::size_of::<Link>() / 64;
+        const { assert!(std::mem::align_of::<Link>() == 64) };
+        let p = self.links.as_ptr().wrapping_add(link.index()).cast::<u8>();
+        for line in 0..LINES {
+            prefetch(p.wrapping_add(64 * line));
+        }
+    }
+
+    /// The link `arrive_at_switch` will push `header`'s packet onto at
+    /// `sw`, as far as it can be known without drawing from the RNG: the
+    /// route's down-link, or under [`RoutingMode::EcmpHash`] the hashed
+    /// uplink ([`hash_uplink`], the choice routing makes). The failover
+    /// filter is skipped — it reads every candidate's link — so the guess
+    /// can miss while a withdrawn path is filtered out; `None` for an
+    /// adaptive choice, which draws.
+    fn egress_hint(&self, sw: SwitchId, header: &Header) -> Option<LinkId> {
+        match self.topo.route(sw, header.dst)? {
+            RouteChoice::Down(link) => Some(link),
+            RouteChoice::Up(candidates) => match self.routing {
+                RoutingMode::EcmpHash if !candidates.is_empty() => {
+                    let salt = self.topo.switches[sw.index()].salt;
+                    Some(hash_uplink(header, salt, candidates.len(), |i| {
+                        candidates.at(i)
+                    }))
+                }
+                _ => None,
+            },
         }
     }
 
@@ -723,14 +846,30 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
 
     fn dispatch(&mut self, ev: Event) {
         self.events_processed += 1;
+        let kinds = &mut self.batch_stats.kinds;
         match ev {
-            Event::QueueService { link } => self.finish_service(link),
+            Event::QueueService { link } => {
+                kinds.services += 1;
+                self.finish_service(link);
+            }
             Event::Arrive { node, pkt } => match node {
-                NodeRef::Switch(sw) => self.arrive_at_switch(sw, pkt),
-                NodeRef::Host(h) => self.arrive_at_host(h, pkt),
+                NodeRef::Switch(sw) => {
+                    kinds.switch_arrivals += 1;
+                    self.arrive_at_switch(sw, pkt);
+                }
+                NodeRef::Host(h) => {
+                    kinds.host_arrivals += 1;
+                    self.arrive_at_host(h, pkt);
+                }
             },
-            Event::Timer { host, token } => self.fire_timer(host, token),
-            Event::Control(c) => self.control(c),
+            Event::Timer { host, token } => {
+                kinds.timers += 1;
+                self.fire_timer(host, token);
+            }
+            Event::Control(c) => {
+                kinds.controls += 1;
+                self.control(c);
+            }
         }
     }
 
@@ -1109,8 +1248,8 @@ mod tests {
         replies: Vec<u64>,
     }
 
-    impl Endpoint for Echo {
-        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+    impl<S: TraceSink> Endpoint<S> for Echo {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_, S>) {
             match pkt.body {
                 Body::Data { seq, .. } => {
                     self.seen.push(seq);
@@ -1129,8 +1268,8 @@ mod tests {
                 _ => {}
             }
         }
-        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
-        fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_>) {
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_, S>) {}
+        fn on_command(&mut self, cmd: Command, ctx: &mut Ctx<'_, S>) {
             if let Command::StartMessage(spec) = cmd {
                 let id = ctx.fresh_packet_id();
                 let pkt = Packet::data(
@@ -1156,6 +1295,114 @@ mod tests {
             engine.set_endpoint(HostId(h), Box::new(Echo::default()));
         }
         engine
+    }
+
+    /// Keeps the uplink of the last `PathChoice` it was sent.
+    #[derive(Default)]
+    struct LastChoice(Option<LinkId>);
+
+    impl TraceSink for LastChoice {
+        fn emit(&mut self, event: TraceEvent) {
+            if let TraceEvent::PathChoice { link, .. } = event {
+                self.0 = Some(link);
+            }
+        }
+    }
+
+    /// Every switch arrival of a fault-free, ECMP-hash, three-tier run of
+    /// echoed cross-pod packets, as `(switch, header, link taken)`. The
+    /// loop dispatches one event at a time, reading the header just before
+    /// the arrival and the link just after: an uplink from the trace's
+    /// path choice, a down-link from the route (which has no choice).
+    fn switch_arrivals() -> (Engine<LastChoice>, Vec<(SwitchId, Header, LinkId)>) {
+        let topo = Topology::build(FatTreeConfig::three_tier(8, 1), 9);
+        let mut engine: Engine<LastChoice> =
+            Engine::with_trace(topo, SimConfig::paper_default(), 9, LastChoice::default());
+        let n = engine.topo.n_hosts;
+        for h in 0..n {
+            engine.set_endpoint(HostId(h), Box::new(Echo::default()));
+        }
+        for i in 0..4 * n {
+            let spec = MessageSpec {
+                flow: FlowId(i),
+                dst: HostId((i * 37 + n / 2) % n),
+                bytes: 4096,
+                tag: u64::from(i) * 7919,
+            };
+            engine.command(HostId(i % n), Command::StartMessage(spec));
+        }
+        let mut arrivals = Vec::new();
+        while let Some((at, ev)) = engine.events.pop() {
+            engine.now = at;
+            let arrival = match ev {
+                Event::Arrive {
+                    node: NodeRef::Switch(sw),
+                    pkt,
+                } => Some((sw, *engine.arena.header(pkt))),
+                _ => None,
+            };
+            engine.trace.0 = None;
+            engine.dispatch(ev);
+            if let Some((sw, header)) = arrival {
+                let taken = match engine.topo.route(sw, header.dst) {
+                    Some(RouteChoice::Down(link)) => link,
+                    _ => engine.trace.0.expect("an uplink choice is traced"),
+                };
+                arrivals.push((sw, header, taken));
+            }
+        }
+        assert_eq!(engine.stats.counters.total_drops(), 0);
+        (engine, arrivals)
+    }
+
+    /// The look-ahead's egress prediction is the link routing takes.
+    #[test]
+    fn the_egress_hint_predicts_every_switch_arrival() {
+        let (engine, arrivals) = switch_arrivals();
+        let ups = arrivals
+            .iter()
+            .filter(|(sw, h, _)| matches!(engine.topo.route(*sw, h.dst), Some(RouteChoice::Up(_))))
+            .count();
+        assert!(
+            ups >= 1000 && ups < arrivals.len(),
+            "{ups} of {}",
+            arrivals.len()
+        );
+        for (sw, header, taken) in &arrivals {
+            assert_eq!(
+                engine.egress_hint(*sw, header),
+                Some(*taken),
+                "{sw:?} {header:?}"
+            );
+        }
+    }
+
+    /// The same check fails on a hint hashed with the wrong salt.
+    #[test]
+    fn the_egress_check_catches_a_wrongly_salted_hint() {
+        let (mut engine, arrivals) = switch_arrivals();
+        for meta in &mut engine.topo.switches {
+            meta.salt ^= 1;
+        }
+        let wrong = arrivals
+            .iter()
+            .filter(|(sw, header, taken)| engine.egress_hint(*sw, header) != Some(*taken))
+            .count();
+        assert!(wrong > arrivals.len() / 8, "{wrong} of {}", arrivals.len());
+    }
+
+    /// Adaptive routing draws its choice, so the hint makes none.
+    #[test]
+    fn the_egress_hint_leaves_adaptive_uplinks_alone() {
+        let (mut engine, arrivals) = switch_arrivals();
+        engine.routing = RoutingMode::Adaptive;
+        for (sw, header, taken) in &arrivals {
+            let hint = engine.egress_hint(*sw, header);
+            match engine.topo.route(*sw, header.dst) {
+                Some(RouteChoice::Up(_)) => assert_eq!(hint, None),
+                _ => assert_eq!(hint, Some(*taken)),
+            }
+        }
     }
 
     #[test]

@@ -103,19 +103,25 @@ impl Time {
     /// Parses a duration label (`25us`, `500ns`, `77ps`); the inverse of
     /// [`Time::label`]. Also accepts the coarser `ms` spelling as input
     /// convenience (`10ms` == `10000us`); labels never render it, so the
-    /// render/parse pair stays a bijection on canonical labels.
+    /// render/parse pair stays a bijection on canonical labels. A
+    /// duration past [`Time::MAX`] is an error, not a wrapped value.
     pub fn parse_label(s: &str) -> Result<Time, String> {
-        for (suffix, make) in [
-            ("ms", Time::from_ms as fn(u64) -> Time),
-            ("us", Time::from_us),
-            ("ns", Time::from_ns),
-            ("ps", Time::from_ps),
+        for (suffix, ps_per_unit) in [
+            ("ms", 1_000_000_000),
+            ("us", 1_000_000),
+            ("ns", 1_000),
+            ("ps", 1),
         ] {
             if let Some(v) = s.strip_suffix(suffix) {
-                return v
+                let v = v
                     .parse::<u64>()
-                    .map(make)
-                    .map_err(|e| format!("bad duration {s:?}: {e}"));
+                    .map_err(|e| format!("bad duration {s:?}: {e}"))?;
+                return v.checked_mul(ps_per_unit).map(Time).ok_or_else(|| {
+                    format!(
+                        "duration {s:?} out of range (at most {})",
+                        Time::MAX.label()
+                    )
+                });
             }
         }
         Err(format!(
@@ -260,6 +266,31 @@ mod tests {
         assert!(Time::parse_label("5").is_err());
         assert!(Time::parse_label("xus").is_err());
         assert!(Time::parse_label("-3ns").is_err());
+    }
+
+    #[test]
+    fn labels_past_the_largest_time_are_rejected_not_wrapped() {
+        let max = u64::MAX;
+        // The last value of each unit that fits, and the first that does not.
+        for (unit, ps) in [("ms", 1_000_000_000), ("us", 1_000_000), ("ns", 1_000)] {
+            let last = max / ps;
+            let label = format!("{last}{unit}");
+            assert_eq!(Time::parse_label(&label), Ok(Time(last * ps)), "{label}");
+            let label = format!("{}{unit}", last + 1);
+            let err = Time::parse_label(&label).unwrap_err();
+            assert!(
+                err.contains(&format!("duration {label:?} out of range")),
+                "{err}"
+            );
+        }
+        assert_eq!(Time::parse_label(&format!("{max}ps")), Ok(Time::MAX));
+        let err = Time::parse_label("18446744073709551616ps").unwrap_err();
+        assert!(err.starts_with("bad duration"), "{err}");
+        let err = Time::parse_label("99999999999999ms").unwrap_err();
+        assert!(
+            err.contains("out of range (at most 18446744073709551615ps)"),
+            "{err}"
+        );
     }
 
     #[test]

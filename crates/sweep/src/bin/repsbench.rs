@@ -142,8 +142,12 @@
 //! hit/miss counts, and a fully warm re-run executes nothing.
 //!
 //! `--perf` additionally writes one JSONL record per *executed* cell with
-//! its event count, wall time and events/sec, the event queue's four
-//! `cal_*` counters (`cal_lane_pushes`, `cal_lanes_open`,
+//! its event count, wall time and events/sec, the events by kind
+//! (`ev_services`, `ev_switch_arrivals`, `ev_host_arrivals`, `ev_timers`,
+//! `ev_controls`: they sum to `events`), `lookahead_hints` (events the
+//! batch loop's second look-ahead stage prefetched for — over `events`,
+//! how much of the run came in batches deep enough to look into), the
+//! event queue's four `cal_*` counters (`cal_lane_pushes`, `cal_lanes_open`,
 //! `cal_lane_misfits`: its FIFO lanes; `cal_heap_peak`: the largest
 //! population of the binary heap behind them — timers, controls and
 //! misfits), the packet arena's `arena_high_water` (peak packets in the

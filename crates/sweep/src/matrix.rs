@@ -511,6 +511,8 @@ impl Cell {
             batches: res.engine.batch_stats.batches,
             max_batch: res.engine.batch_stats.max_batch,
             chained_services: res.engine.batch_stats.chained_services,
+            kinds: res.engine.batch_stats.kinds,
+            lookahead_hints: res.engine.batch_stats.lookahead_hints,
             calendar: res.engine.batch_stats.calendar,
             arena_high_water: res.engine.arena.high_water() as u64,
             arena_wide_high_water: res.engine.arena.wide_high_water() as u64,
@@ -582,6 +584,12 @@ pub struct CellResult {
     /// Link services chained without a calendar round-trip
     /// (perf-stream only).
     pub chained_services: u64,
+    /// Events dispatched by kind; they sum to `events` (perf-stream
+    /// only).
+    pub kinds: netsim::engine::EventKinds,
+    /// Events the batch look-ahead's second stage hinted for
+    /// (perf-stream only).
+    pub lookahead_hints: u64,
     /// Event-queue work counters at the end of the run (deterministic
     /// for a fixed key; perf-stream only).
     pub calendar: netsim::event::CalendarStats,

@@ -71,6 +71,8 @@ pub fn parse_record(line: &str) -> Result<CellResult, String> {
         batches: 0,
         max_batch: 0,
         chained_services: 0,
+        kinds: Default::default(),
+        lookahead_hints: 0,
         calendar: Default::default(),
         arena_high_water: 0,
         arena_wide_high_water: 0,
@@ -120,6 +122,12 @@ pub fn perf_record(r: &CellResult) -> String {
         .f64("avg_batch", avg_batch)
         .u64("max_batch", r.max_batch)
         .u64("chained_services", r.chained_services)
+        .u64("ev_services", r.kinds.services)
+        .u64("ev_switch_arrivals", r.kinds.switch_arrivals)
+        .u64("ev_host_arrivals", r.kinds.host_arrivals)
+        .u64("ev_timers", r.kinds.timers)
+        .u64("ev_controls", r.kinds.controls)
+        .u64("lookahead_hints", r.lookahead_hints)
         .u64("cal_lane_pushes", r.calendar.lane_pushes)
         .u64("cal_lanes_open", r.calendar.lanes_open as u64)
         .u64("cal_lane_misfits", r.calendar.lane_misfits)
@@ -371,12 +379,33 @@ mod tests {
                 r.arena_high_water > 0,
                 "cells must report their peak in-fabric packet count"
             );
+            assert_eq!(
+                r.kinds.total(),
+                r.events,
+                "the per-kind counts must sum to the events: {:?}",
+                r.kinds
+            );
+            assert!(
+                r.kinds.services > 0 && r.kinds.switch_arrivals > 0 && r.kinds.host_arrivals > 0,
+                "a packet cell dispatches services and arrivals: {:?}",
+                r.kinds
+            );
+            assert!(
+                r.lookahead_hints <= r.events,
+                "at most one stage-two hint per event"
+            );
             let cal = r.calendar;
             assert!(
                 cal.lane_pushes > 0 && cal.lanes_open > 0 && cal.heap_peak > 0,
                 "cells must report the event queue they ran on: {cal:?}"
             );
             for field in [
+                "ev_services",
+                "ev_switch_arrivals",
+                "ev_host_arrivals",
+                "ev_timers",
+                "ev_controls",
+                "lookahead_hints",
                 "cal_lane_pushes",
                 "cal_lanes_open",
                 "cal_lane_misfits",
@@ -400,6 +429,8 @@ mod tests {
         assert!(!record.contains("cal_"), "{record}");
         assert!(!record.contains("fluid_"), "{record}");
         assert!(!record.contains("arena_"), "{record}");
+        assert!(!record.contains("\"ev_"), "{record}");
+        assert!(!record.contains("lookahead"), "{record}");
     }
 
     /// A synthetic cell result whose every numeric summary field is
@@ -447,6 +478,8 @@ mod tests {
             batches: 0,
             max_batch: 0,
             chained_services: 0,
+            kinds: Default::default(),
+            lookahead_hints: 0,
             calendar: Default::default(),
             arena_high_water: 0,
             arena_wide_high_water: 0,

@@ -280,6 +280,32 @@ reconv = none, 25us
     }
 
     #[test]
+    fn overflowing_durations_are_rejected_at_their_line() {
+        for (text, line, label) in [
+            (
+                "[a]\nlb = OPS\ndeadline = 99999999999999ms",
+                3,
+                "99999999999999ms",
+            ),
+            (
+                "[a]\nfault = gray{p=0.01,at=18446744073710us}",
+                2,
+                "18446744073710us",
+            ),
+            (
+                "[a]\nlb = REPS+freeze@18446744073710us",
+                2,
+                "18446744073710us",
+            ),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            let needle = format!("duration {label:?} out of range");
+            assert!(err.msg.contains(&needle), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
     fn errors_carry_line_numbers() {
         for (text, line, needle) in [
             ("[a]\nbogus = 1", 2, "unknown axis"),

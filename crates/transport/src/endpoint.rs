@@ -18,6 +18,7 @@
 
 use std::rc::Rc;
 
+use netsim::arena::{prefetch, Header};
 use netsim::engine::{Command, Ctx, Endpoint, MessageSpec};
 use netsim::hash::FxHashMap;
 use netsim::ids::{ConnId, HostId};
@@ -36,6 +37,26 @@ const TOKEN_SWEEP: u64 = 1;
 const TOKEN_EQDS: u64 = 2;
 /// Timer token: scheduled message starts.
 const TOKEN_SCHEDULE: u64 = 3;
+
+/// The longest connection table, in bytes, that [`HostEndpoint`]'s
+/// look-ahead hint prefetches whole: two senders (a host's foreground and
+/// background class, or one each to two peers) or four receivers. A
+/// longer table is binary-searched, and the hint does not guess which of
+/// its entries the search will touch.
+const HINT_BYTES: usize = 2 * std::mem::size_of::<SenderConn>();
+
+/// Prefetches every line `table` spans, if it is at most [`HINT_BYTES`]
+/// long.
+fn prefetch_table<T>(table: &[T]) {
+    let bytes = std::mem::size_of_val(table);
+    if bytes == 0 || bytes > HINT_BYTES {
+        return;
+    }
+    let p = table.as_ptr().cast::<u8>();
+    for offset in (0..bytes).step_by(64).chain([bytes - 1]) {
+        prefetch(p.wrapping_add(offset));
+    }
+}
 
 /// A host's transport stack.
 pub struct HostEndpoint {
@@ -428,6 +449,16 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
                 self.run_schedule(ctx);
                 self.arm_sweep(ctx);
             }
+        }
+    }
+
+    /// Prefetches the table `on_packet` will search for `header`'s
+    /// packet: data goes to a receiver, everything else to a sender.
+    fn prefetch(&self, header: &Header) {
+        if header.carries_data() {
+            prefetch_table(&self.receivers);
+        } else {
+            prefetch_table(&self.senders);
         }
     }
 }
