@@ -51,46 +51,30 @@
 //! reuse a built-in preset name to reproduce its cells
 //! (`examples/ablation.grid` does this for the ablation presets).
 //!
-//! # Per-cell time series (`--series DIR`)
+//! # Per-cell sidecars (`--series DIR`, `--trace DIR`)
 //!
-//! `--series DIR` additionally streams every executed cell's
-//! link-utilization buckets and queue-occupancy samples (the uplinks of
-//! the cell's `track` ToR — ToR 0, the micro figures' vantage point,
-//! unless the grid's `track` axis says otherwise) into
-//! `DIR/<derived_seed hex>.series.jsonl`. Line 1 is a header, then one
-//! record per tracked link:
+//! Each executed cell also writes one document per requested sidecar,
+//! addressed by its derived seed. `--series DIR` writes the
+//! link-utilization buckets and queue-occupancy samples of the uplinks of
+//! the cell's `track` ToR (ToR 0, the micro figures' vantage point, unless
+//! the grid's `track` axis says otherwise) to
+//! `DIR/<derived_seed hex>.series.jsonl`. `--trace DIR` writes the flight
+//! recorder to `DIR/<derived_seed hex>.trace.jsonl`: per-hop path
+//! choices, every load-balancer entropy decision with its provenance
+//! (`fresh` / `recycled` / `frozen`), receiver reorder depths, retransmits
+//! and RTO sweeps, freeze / thaw transitions, and link / switch failure
+//! and recovery events. Documents are pure functions of cell keys —
+//! byte-identical across `--threads` values and shard splits, written
+//! atomically into one shared (or later-merged) directory — and the
+//! byte-stable result stream is unchanged by either flag. With `--cache`,
+//! a cached cell only skips execution when each requested sidecar already
+//! holds its whole document. Schemas: [`sweep::series`], [`sweep::trace`];
+//! the one store behind cache and sidecars: [`sweep::store`].
 //!
-//! ```text
-//! {"key":...,"derived_seed":N,"bucket_width_ps":N,"sample_period_ps":N,"links":N}
-//! {"link":N,"bucket_bytes":[...],"queue_samples":[[at_ps,bytes],...]}
-//! ```
+//! # Observability: explain, diagnostics, progress
 //!
-//! Series documents are pure functions of cell keys — identical across
-//! `--threads` values and shard splits (shards may share one directory or
-//! be unioned later) — and fully separate from the byte-stable result
-//! stream, which is unchanged by the flag. With `--cache`, a cached cell
-//! only skips execution when its series document already exists; pointing
-//! a warm cache at an empty series directory re-runs the cells. See
-//! [`sweep::series`] for the full schema.
-//!
-//! # Observability: traces, explain, diagnostics, progress
-//!
-//! Three opt-in layers explain *why* a cell scored the way it did; all of
-//! them are off by default and cost nothing when off.
-//!
-//! **Flight-recorder traces (`--trace DIR`).** Every executed cell
-//! additionally writes `DIR/<derived_seed hex>.trace.jsonl`: a header,
-//! then one typed event per line in simulation order — per-hop path
-//! choices (`path_choice`), every load-balancer entropy decision with its
-//! provenance (`ev_choice` with `decision` = `fresh` / `recycled` /
-//! `frozen`), receiver reorder depths (`reorder`), retransmits and RTO
-//! sweeps (`retransmit`, `timeout`), balancer freeze / thaw transitions,
-//! and link / switch failure and recovery events. Like series documents,
-//! traces are pure functions of cell keys: byte-identical across
-//! `--threads` values and shard splits, written atomically into one
-//! shared (or later-merged) directory, and gating `--cache` hits so a
-//! warm cache never leaves a requested trace unwritten. See
-//! [`sweep::trace`] for the schema.
+//! Beside the trace, three opt-in layers explain *why* a cell scored the
+//! way it did; all of them are off by default and cost nothing when off.
 //!
 //! **`repsbench explain FILE`** renders one trace document into a
 //! human-readable report: EV reuse rate (recycled + frozen replays as a
@@ -168,9 +152,9 @@ use harness::Scale;
 use sweep::axis::{self, Axis};
 use sweep::matrix::Cell;
 use sweep::{
-    events_per_sec, explain_doc, glob, merge_files, presets, render_aggregates,
-    run_cells_instrumented, specfile, CellCache, Progress, RunSinks, ScenarioMatrix, SeriesSink,
-    Shard, TraceStore,
+    build_fingerprint, events_per_sec, explain_doc, glob, merge_files, presets, render_aggregates,
+    run_cells_instrumented, specfile, CellCache, CellStore, DocKind, Progress, RunSinks,
+    ScenarioMatrix, Shard,
 };
 
 #[derive(Debug)]
@@ -517,25 +501,22 @@ fn run(opts: &RunOpts) -> ExitCode {
     }
     let cache = match &opts.cache {
         None => None,
-        Some(dir) => match CellCache::open_versioned(dir) {
+        Some(dir) => match CellCache::open(dir, build_fingerprint()) {
             Ok(c) => Some(c),
             Err(e) => return fail(&format!("opening cache {dir}: {e}")),
         },
     };
-    let series = match &opts.series {
-        None => None,
-        Some(dir) => match SeriesSink::create(dir) {
-            Ok(s) => Some(s),
-            Err(e) => return fail(&format!("opening series directory {dir}: {e}")),
-        },
-    };
-    let trace = match &opts.trace {
-        None => None,
-        Some(dir) => match TraceStore::create(dir) {
-            Ok(t) => Some(t),
-            Err(e) => return fail(&format!("opening trace directory {dir}: {e}")),
-        },
-    };
+    let mut sidecars = Vec::new();
+    for (kind, dir) in [
+        (DocKind::Series, &opts.series),
+        (DocKind::Trace, &opts.trace),
+    ] {
+        let Some(dir) = dir else { continue };
+        match CellStore::create(dir, kind) {
+            Ok(s) => sidecars.push(s),
+            Err(e) => return fail(&format!("opening {} directory {dir}: {e}", kind.label())),
+        }
+    }
     if !opts.quiet {
         let sharding = match opts.shard {
             Some(s) => format!(" (shard {s} of {total} cells)"),
@@ -563,8 +544,7 @@ fn run(opts: &RunOpts) -> ExitCode {
         opts.threads,
         RunSinks {
             cache: cache.as_ref(),
-            series: series.as_ref(),
-            trace: trace.as_ref(),
+            sidecars: &sidecars,
             diagnostics: opts.diagnostics,
             progress: Some(&progress),
         },
@@ -580,31 +560,15 @@ fn run(opts: &RunOpts) -> ExitCode {
             opts.cache.as_deref().unwrap_or("")
         );
     }
-    if outcome.series_errors > 0 {
-        eprintln!(
-            "warning: failed to write {} series document(s) in {}",
-            outcome.series_errors,
-            opts.series.as_deref().unwrap_or("")
-        );
-    }
-    if outcome.trace_errors > 0 {
-        eprintln!(
-            "warning: failed to write {} trace document(s) in {}",
-            outcome.trace_errors,
-            opts.trace.as_deref().unwrap_or("")
-        );
-    }
-    if let (Some(dir), false) = (&opts.series, opts.quiet) {
-        eprintln!(
-            "wrote {} series document(s) to {dir}",
-            outcome.executed.len() - outcome.series_errors
-        );
-    }
-    if let (Some(dir), false) = (&opts.trace, opts.quiet) {
-        eprintln!(
-            "wrote {} trace document(s) to {dir}",
-            outcome.executed.len() - outcome.trace_errors
-        );
+    for (store, &errors) in sidecars.iter().zip(&outcome.sidecar_errors) {
+        let (kind, dir) = (store.kind().label(), store.dir().display());
+        if errors > 0 {
+            eprintln!("warning: failed to write {errors} {kind} document(s) in {dir}");
+        }
+        if !opts.quiet {
+            let written = outcome.executed.len() - errors;
+            eprintln!("wrote {written} {kind} document(s) to {dir}");
+        }
     }
 
     if let Err(e) = write_output(&opts.out, &sweep::to_jsonl(results)) {

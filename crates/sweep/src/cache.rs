@@ -3,7 +3,8 @@
 //!
 //! Cells are pure functions of their keys (the derived RNG seed is the
 //! key's FNV-1a hash), so a cell's result can be reused for as long as the
-//! simulator code is unchanged. The cache stores one canonical JSONL
+//! simulator code is unchanged. The cache is the [`DocKind::Result`] kind
+//! of the per-cell document store ([`crate::store`]): one canonical JSONL
 //! record per cell at
 //!
 //! ```text
@@ -15,28 +16,27 @@
 //! lands in a fresh namespace, so results from older commits are never
 //! replayed. Granularity is the commit: successive *uncommitted* edits
 //! share one `...-dirty` namespace, so wipe the cache directory (or
-//! commit) when iterating on uncommitted simulator changes. The stored
-//! record embeds the full cell key; a lookup whose key does not match (a
-//! 64-bit hash collision, or a foreign file) is treated as a miss rather
-//! than trusted.
+//! commit) when iterating on uncommitted simulator changes. A lookup is
+//! the store's probe (a foreign, colliding or torn entry is a miss) plus
+//! decoding the record from the line the probe parsed.
 //!
 //! Hits are byte-identical to fresh runs: the stored bytes are the
 //! canonical record, and [`crate::sink::parse_record`] /
 //! [`crate::sink::jsonl_record`] are exact inverses (pinned by tests).
 //!
 //! Probes and stores run on the sweep's workers: each looks its cell up
-//! and, on a miss, runs it and stores the result as soon as it finishes. A
-//! sweep cut short by a panicking cell keeps every cell finished before it.
+//! and, on a miss, runs it and stores the result and its sidecar documents
+//! as soon as it finishes. A sweep cut short by a panicking cell keeps
+//! every cell finished before it.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::matrix::{fnv1a64, Cell, CellResult, Instrument};
+use crate::matrix::{Cell, CellResult};
 use crate::progress::Progress;
 use crate::runner::run_indexed;
-use crate::series::SeriesSink;
-use crate::sink::{jsonl_record, parse_record};
-use crate::trace::TraceStore;
+use crate::sink::{decode_record, jsonl_record};
+use crate::store::{CellStore, DocKind};
 
 /// The compiled-in code-version fingerprint (`git describe --always
 /// --dirty` at build time; `pkg-<version>` when building without git).
@@ -44,52 +44,36 @@ pub fn build_fingerprint() -> &'static str {
     env!("REPS_BUILD_FINGERPRINT")
 }
 
-/// An open (created) cache namespace: one directory per code version.
+/// An open (created) cache namespace: one directory per code version,
+/// holding [`DocKind::Result`] documents.
 #[derive(Debug, Clone)]
 pub struct CellCache {
-    dir: PathBuf,
+    store: CellStore,
 }
 
 impl CellCache {
-    /// Opens `dir` under namespace `fingerprint`, creating it if needed.
+    /// Opens `dir` under namespace `fingerprint` (the CLI passes
+    /// [`build_fingerprint`]), creating it if needed.
     pub fn open(dir: impl AsRef<Path>, fingerprint: &str) -> io::Result<CellCache> {
-        let dir = dir.as_ref().join(fingerprint);
-        std::fs::create_dir_all(&dir)?;
-        Ok(CellCache { dir })
-    }
-
-    /// Opens `dir` under the compiled-in [`build_fingerprint`].
-    pub fn open_versioned(dir: impl AsRef<Path>) -> io::Result<CellCache> {
-        CellCache::open(dir, build_fingerprint())
+        let store = CellStore::create(dir.as_ref().join(fingerprint), DocKind::Result)?;
+        Ok(CellCache { store })
     }
 
     /// The namespace directory entries live in.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
-    fn path_for(&self, derived_seed: u64) -> PathBuf {
-        self.dir.join(format!("{derived_seed:016x}.json"))
-    }
-
-    /// Looks `cell` up; `None` on absence, unreadable/unparsable entries,
-    /// or a key mismatch (hash collision / foreign file) — never an error,
-    /// a miss just re-runs the cell.
+    /// Looks `cell` up; `None` on a miss ([`CellStore::probe`]) or an
+    /// undecodable record — never an error, a miss just re-runs the cell.
     pub fn lookup(&self, cell: &Cell) -> Option<CellResult> {
-        let key = cell.key();
-        let bytes = std::fs::read_to_string(self.path_for(fnv1a64(&key))).ok()?;
-        let record = parse_record(bytes.trim_end_matches('\n')).ok()?;
-        (record.key == key).then_some(record)
+        self.store.probe(cell, |v| decode_record(v).ok())
     }
 
-    /// Stores one result as its canonical record (atomically: write to a
-    /// temp file in the same directory, then rename, so a concurrent
-    /// reader never sees a torn entry).
+    /// Stores one result as its canonical record ([`CellStore::store`]).
     pub fn store(&self, result: &CellResult) -> io::Result<()> {
-        let path = self.path_for(result.derived_seed);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, jsonl_record(result) + "\n")?;
-        std::fs::rename(&tmp, &path)
+        self.store
+            .store(result.derived_seed, &(jsonl_record(result) + "\n"))
     }
 }
 
@@ -111,12 +95,9 @@ pub struct CachedRun {
     /// sweep's results are unaffected — stores are best-effort so a full
     /// disk can never discard hours of simulation).
     pub store_errors: usize,
-    /// Series documents that could not be written (best-effort, like cache
-    /// stores; always 0 when no series sink was given).
-    pub series_errors: usize,
-    /// Trace documents that could not be written (best-effort; always 0
-    /// when no trace store was given).
-    pub trace_errors: usize,
+    /// Per entry of [`RunSinks::sidecars`], the documents that could not be
+    /// written (best-effort, like cache stores).
+    pub sidecar_errors: Vec<usize>,
 }
 
 impl CachedRun {
@@ -131,40 +112,26 @@ impl CachedRun {
 /// failures are counted, not fatal). With `cache == None` this is exactly
 /// [`crate::runner::run_cells`].
 pub fn run_cells_cached(cells: &[Cell], threads: usize, cache: Option<&CellCache>) -> CachedRun {
-    run_cells_sinked(cells, threads, cache, None)
-}
-
-/// [`run_cells_cached`] with an optional per-cell time-series sink
-/// ([`crate::series`]); [`run_cells_instrumented`] says how the sink gates
-/// cache hits.
-pub fn run_cells_sinked(
-    cells: &[Cell],
-    threads: usize,
-    cache: Option<&CellCache>,
-    series: Option<&SeriesSink>,
-) -> CachedRun {
     run_cells_instrumented(
         cells,
         threads,
         RunSinks {
             cache,
-            series,
             ..RunSinks::default()
         },
     )
 }
 
 /// Everything a `repsbench run` invocation can attach to a sweep: the
-/// cell cache, the opt-in series / trace sinks, the diagnostics flag and
-/// a progress reporter.
+/// cell cache, the opt-in sidecar stores, the diagnostics flag and a
+/// progress reporter.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunSinks<'a> {
     /// Result cache (`--cache DIR`).
     pub cache: Option<&'a CellCache>,
-    /// Per-cell time-series sink (`--series DIR`).
-    pub series: Option<&'a SeriesSink>,
-    /// Per-cell flight-recorder sink (`--trace DIR`).
-    pub trace: Option<&'a TraceStore>,
+    /// Sidecar stores, one per requested kind: [`DocKind::Series`]
+    /// (`--series DIR`) and [`DocKind::Trace`] (`--trace DIR`).
+    pub sidecars: &'a [CellStore],
     /// Collect per-LB decision counters into the summaries
     /// (`--diagnostics`; changes the result JSONL bytes, so it also
     /// partitions cache hits — see [`run_cells_instrumented`]).
@@ -174,69 +141,59 @@ pub struct RunSinks<'a> {
 }
 
 /// [`run_cells_cached`] with the full sink set ([`RunSinks`]): executed
-/// cells additionally write their series / trace documents (best-effort,
-/// counted in [`CachedRun::series_errors`] / [`CachedRun::trace_errors`])
-/// and collect diagnostics when asked.
+/// cells additionally write one document per sidecar store (best-effort,
+/// counted in [`CachedRun::sidecar_errors`]) and collect diagnostics when
+/// asked.
 ///
-/// The sinks *gate* cache hits: a cached result only stands in for an
-/// execution when its series document (if a series sink is given) and its
-/// trace document (if a trace store is given) already exist, and when its
-/// recorded diagnostics presence matches the request — a diagnostics run
-/// must not replay diagnostics-free bytes, and vice versa. Results are
-/// byte-identical to an uninstrumented run except for the opt-in
-/// diagnostics block.
+/// The sidecars *gate* cache hits: a cached result only stands in for an
+/// execution when every sidecar store already holds the cell's whole
+/// document ([`CellStore::has`]), and when its recorded diagnostics
+/// presence matches the request — a diagnostics run must not replay
+/// diagnostics-free bytes, and vice versa. Results are byte-identical to
+/// an uninstrumented run except for the opt-in diagnostics block.
 pub fn run_cells_instrumented(cells: &[Cell], threads: usize, sinks: RunSinks<'_>) -> CachedRun {
-    let inst = Instrument {
-        series: sinks.series.is_some(),
-        trace: sinks.trace.is_some(),
-        diagnostics: sinks.diagnostics,
-    };
+    let kinds: Vec<DocKind> = sinks.sidecars.iter().map(CellStore::kind).collect();
     // Lookup-or-run on the workers; `None` marks a hit, `Some` an
-    // execution with whether its series, trace and cache writes succeeded.
-    let mut outcomes: Vec<(CellResult, Option<[bool; 3]>)> = run_indexed(cells, threads, |cell| {
+    // execution with whether each sidecar write, then the cache store,
+    // succeeded.
+    let mut outcomes: Vec<(CellResult, Option<Vec<bool>>)> = run_indexed(cells, threads, |cell| {
         let hit = sinks
             .cache
             .and_then(|c| c.lookup(cell))
             .filter(|r| r.summary.diagnostics.is_some() == sinks.diagnostics)
-            .filter(|_| sinks.series.is_none_or(|s| s.has(cell)))
-            .filter(|_| sinks.trace.is_none_or(|t| t.has(cell)));
+            .filter(|_| sinks.sidecars.iter().all(|s| s.has(cell)));
         if let Some(r) = hit {
             if let Some(p) = sinks.progress {
                 p.tick_hit();
             }
             return (r, None);
         }
-        let out = cell.run_instrumented(inst);
-        let series_ok = match (sinks.series, &out.series_doc) {
-            (Some(sink), Some(doc)) => sink.store(out.result.derived_seed, doc).is_ok(),
-            _ => true,
-        };
-        let trace_ok = match (sinks.trace, &out.trace_doc) {
-            (Some(store), Some(doc)) => store.store(out.result.derived_seed, doc).is_ok(),
-            _ => true,
-        };
-        let stored = sinks.cache.is_none_or(|c| c.store(&out.result).is_ok());
+        let out = cell.run_instrumented(&kinds, sinks.diagnostics);
+        let seed = out.result.derived_seed;
+        let mut ok: Vec<bool> = (sinks.sidecars.iter())
+            .map(|s| out.doc(s.kind()).is_none_or(|d| s.store(seed, d).is_ok()))
+            .collect();
+        ok.push(sinks.cache.is_none_or(|c| c.store(&out.result).is_ok()));
         if let Some(p) = sinks.progress {
             p.tick_executed(out.result.events);
         }
-        (out.result, Some([series_ok, trace_ok, stored]))
+        (out.result, Some(ok))
     });
     outcomes.sort_by(|a, b| a.0.key.cmp(&b.0.key));
     let failed = |i: usize| {
-        outcomes
-            .iter()
-            .filter(|(_, f)| f.is_some_and(|f| !f[i]))
+        (outcomes.iter())
+            .filter(|(_, ok)| ok.as_ref().is_some_and(|ok| !ok[i]))
             .count()
     };
     let executed: Vec<usize> = (0..outcomes.len())
         .filter(|&i| outcomes[i].1.is_some())
         .collect();
+    let n = sinks.sidecars.len();
     CachedRun {
         hits: outcomes.len() - executed.len(),
         misses: executed.len(),
-        series_errors: failed(0),
-        trace_errors: failed(1),
-        store_errors: failed(2),
+        sidecar_errors: (0..n).map(failed).collect(),
+        store_errors: failed(n),
         results: outcomes.into_iter().map(|(r, _)| r).collect(),
         executed,
     }
@@ -245,6 +202,8 @@ pub fn run_cells_instrumented(cells: &[Cell], threads: usize, sinks: RunSinks<'_
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
     use crate::matrix::ScenarioMatrix;
     use crate::runner::run_cells;
     use crate::sink::to_jsonl;

@@ -388,8 +388,9 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{Instrument, ScenarioMatrix};
+    use crate::matrix::ScenarioMatrix;
     use crate::spec::{FailureSpec, WorkloadSpec};
+    use crate::store::DocKind;
     use netsim::time::Time;
 
     #[test]
@@ -429,8 +430,9 @@ mod tests {
             .into_iter()
             .find(|c| c.lb.label == "REPS")
             .expect("REPS cell");
-        let (_, doc) = cell.run_with_series();
-        let report = explain_doc(&doc).expect("report");
+        let out = cell.run_instrumented(&[DocKind::Series], false);
+        let doc = out.doc(DocKind::Series).expect("series requested");
+        let report = explain_doc(doc).expect("report");
         assert!(report.contains(&cell.key()), "{report}");
         assert!(report.contains("8 tracked uplinks"), "{report}");
         for port in 0..8 {
@@ -475,11 +477,9 @@ mod tests {
             .into_iter()
             .find(|c| c.lb.label == "REPS")
             .expect("REPS cell");
-        let out = cell.run_instrumented(Instrument {
-            trace: true,
-            ..Instrument::default()
-        });
-        let report = explain_doc(&out.trace_doc.expect("trace requested")).expect("report");
+        let out = cell.run_instrumented(&[DocKind::Trace], false);
+        let report =
+            explain_doc(out.doc(DocKind::Trace).expect("trace requested")).expect("report");
         assert!(report.contains(&cell.key()), "{report}");
         assert!(report.contains("reuse rate"), "{report}");
         assert!(!report.contains("reuse rate 0.0%"), "{report}");
@@ -500,11 +500,9 @@ mod tests {
             .into_iter()
             .find(|c| c.lb.label == "REPS")
             .expect("REPS cell");
-        let out = cell.run_instrumented(Instrument {
-            trace: true,
-            ..Instrument::default()
-        });
-        let report = explain_doc(&out.trace_doc.expect("trace requested")).expect("report");
+        let out = cell.run_instrumented(&[DocKind::Trace], false);
+        let report =
+            explain_doc(out.doc(DocKind::Trace).expect("trace requested")).expect("report");
         assert!(report.contains("link_gray"), "{report}");
         assert!(report.contains("gray loss begins"), "{report}");
         assert!(report.contains("gray loss heals"), "{report}");

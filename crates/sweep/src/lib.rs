@@ -30,6 +30,10 @@
 //!   unions the shard outputs back into the unsharded bytes, and [`cache`]
 //!   reuses per-cell results across runs of the same code version
 //!   (`--cache DIR`);
+//! * [`store`] is the one per-cell document store: cache entries, series
+//!   and trace documents are three kinds of it, sharing one path scheme,
+//!   one atomic write and one probe that checks a document's key and
+//!   declared line count before a cached result stands in for a run;
 //! * [`fault`] adds an adversarial-fault axis (`fault=gray{p=0.01}`,
 //!   `flap{period=10ms,duty=0.5}`, `unidir{n=1}`, `corrupt{...}`) with
 //!   the same parse/render discipline: gray failures, payload
@@ -55,8 +59,8 @@
 //! Sharding and caching stay inside the contract: shard membership and
 //! cache addresses are functions of the cell key alone, so
 //! `merge`d shards and warm-cache re-runs reproduce the unsharded,
-//! uncached bytes exactly. Series documents are pure functions of cell
-//! keys too, and enabling the series sink changes no result byte.
+//! uncached bytes exactly. Series and trace documents are pure functions
+//! of cell keys too, and enabling either sidecar changes no result byte.
 //!
 //! # Examples
 //!
@@ -89,23 +93,24 @@ pub mod shard;
 pub mod sink;
 pub mod spec;
 pub mod specfile;
+pub mod store;
 pub mod trace;
 
 pub use cache::{
-    build_fingerprint, run_cells_cached, run_cells_instrumented, run_cells_sinked, CachedRun,
-    CellCache, RunSinks,
+    build_fingerprint, run_cells_cached, run_cells_instrumented, CachedRun, CellCache, RunSinks,
 };
 pub use explain::explain_doc;
 pub use fault::FaultSpec;
-pub use matrix::{Cell, CellResult, Instrument, InstrumentedRun, LabeledLb, ScenarioMatrix};
+pub use matrix::{Cell, CellResult, InstrumentedRun, LabeledLb, ScenarioMatrix};
 pub use merge::{merge_contents, merge_files, MergedSweep};
 pub use progress::Progress;
 pub use runner::{default_threads, run_cells};
-pub use series::{series_doc, SeriesSink};
+pub use series::series_doc;
 pub use shard::Shard;
 pub use sink::{
     aggregate, events_per_sec, parse_record, perf_record, render_aggregates, to_jsonl, write_jsonl,
 };
 pub use spec::{FabricSpec, FailureSpec, SimProfile, WorkloadSpec};
 pub use specfile::SpecError;
-pub use trace::{trace_doc, TraceStore};
+pub use store::{CellStore, DocKind};
+pub use trace::trace_doc;

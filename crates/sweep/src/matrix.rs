@@ -18,7 +18,9 @@ use transport::config::CoalesceConfig;
 use crate::axis::{self, AXES};
 use crate::fault::FaultSpec;
 use crate::fidelity::FidelitySpec;
+use crate::series::series_doc;
 use crate::spec::{FabricSpec, FailureSpec, SimProfile, WorkloadSpec};
+use crate::store::DocKind;
 
 /// FNV-1a 64-bit: the stable cell-key hash. Never change these constants —
 /// every recorded per-cell seed depends on them.
@@ -444,56 +446,39 @@ impl Cell {
         self.result_from(self.experiment().run())
     }
 
-    /// Runs the cell with series instrumentation enabled (the uplinks of
-    /// the [`Cell::track`] ToR tracked, queue sampling on up to
-    /// [`crate::series::SAMPLE_HORIZON`]) and returns the result plus the
-    /// canonical per-cell series document (see [`crate::series`]).
-    /// Instrumentation only *reads* fabric state, so the byte-stable
-    /// result record is identical to [`Cell::run`]'s (pinned by
-    /// `tests/series.rs`).
-    pub fn run_with_series(&self) -> (CellResult, String) {
-        let out = self.run_instrumented(Instrument {
-            series: true,
-            ..Instrument::default()
-        });
-        (out.result, out.series_doc.expect("series requested"))
-    }
-
-    /// Runs the cell with any combination of opt-in instrumentation:
-    /// per-link time series ([`crate::series`]), the flight-recorder trace
-    /// ([`crate::trace`]) and per-LB decision diagnostics
-    /// ([`harness::experiment::Summary::diagnostics`]).
+    /// Runs the cell with any combination of opt-in instrumentation: one
+    /// document per requested kind in `kinds` — per-link time series
+    /// ([`crate::series`]) and the flight-recorder trace
+    /// ([`crate::trace`]) — and, with `diagnostics`, per-LB decision
+    /// counters in the summary
+    /// ([`harness::experiment::Experiment::diagnostics`]).
     ///
     /// Series and trace instrumentation only *read* simulation state, so
     /// the byte-stable result record is identical to [`Cell::run`]'s;
     /// diagnostics add an extra block to the summary JSON, which is why
-    /// they are a separate opt-in (pinned by `tests/trace.rs`).
-    pub fn run_instrumented(&self, inst: Instrument) -> InstrumentedRun {
+    /// they are a separate opt-in (pinned by `tests/series.rs` and
+    /// `tests/trace.rs`).
+    pub fn run_instrumented(&self, kinds: &[DocKind], diagnostics: bool) -> InstrumentedRun {
         let mut exp = self.experiment();
-        exp.diagnostics = inst.diagnostics;
-        if inst.series {
+        exp.diagnostics = diagnostics;
+        let series = kinds.contains(&DocKind::Series);
+        if series {
             exp.track = harness::experiment::TrackLinks::TorUplinks(self.track);
             exp.sample_until = self.deadline.min(crate::series::SAMPLE_HORIZON);
         }
-        if inst.trace {
+        let mut docs = Vec::new();
+        let result = if kinds.contains(&DocKind::Trace) {
             let res = exp.run_traced(netsim::trace::Recorder::new());
-            InstrumentedRun {
-                series_doc: inst
-                    .series
-                    .then(|| crate::series::series_doc(self, &res.engine)),
-                trace_doc: Some(crate::trace::trace_doc(self, &res.engine.trace.events)),
-                result: self.result_from(res),
-            }
+            let trace = crate::trace::trace_doc(self, &res.engine.trace.events);
+            docs.push((DocKind::Trace, trace));
+            docs.extend(series.then(|| (DocKind::Series, series_doc(self, &res.engine))));
+            self.result_from(res)
         } else {
             let res = exp.run();
-            InstrumentedRun {
-                series_doc: inst
-                    .series
-                    .then(|| crate::series::series_doc(self, &res.engine)),
-                trace_doc: None,
-                result: self.result_from(res),
-            }
-        }
+            docs.extend(series.then(|| (DocKind::Series, series_doc(self, &res.engine))));
+            self.result_from(res)
+        };
+        InstrumentedRun { result, docs }
     }
 
     fn result_from<S: netsim::trace::TraceSink>(
@@ -527,35 +512,21 @@ impl Cell {
     }
 }
 
-/// Which opt-in instrumentation an instrumented cell run collects.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Instrument {
-    /// Track the vantage ToR's uplinks and emit the series document.
-    pub series: bool,
-    /// Record the flight-recorder trace and emit the trace document.
-    pub trace: bool,
-    /// Collect per-LB decision counters into the summary's diagnostics
-    /// block (changes the result JSONL bytes — see
-    /// [`harness::experiment::Experiment::diagnostics`]).
-    pub diagnostics: bool,
-}
-
-impl Instrument {
-    /// Whether any instrumentation is requested at all.
-    pub fn any(&self) -> bool {
-        self.series || self.trace || self.diagnostics
-    }
-}
-
 /// The outputs of [`Cell::run_instrumented`].
 #[derive(Debug, Clone)]
 pub struct InstrumentedRun {
     /// The cell outcome (summary carries diagnostics when requested).
     pub result: CellResult,
-    /// The canonical series document, when requested.
-    pub series_doc: Option<String>,
-    /// The canonical trace document, when requested.
-    pub trace_doc: Option<String>,
+    /// One canonical document per requested sidecar kind.
+    pub docs: Vec<(DocKind, String)>,
+}
+
+impl InstrumentedRun {
+    /// The document of `kind`, when requested.
+    pub fn doc(&self, kind: DocKind) -> Option<&str> {
+        let (_, doc) = self.docs.iter().find(|(k, _)| *k == kind)?;
+        Some(doc)
+    }
 }
 
 /// The outcome of one cell.
@@ -729,8 +700,13 @@ mod tests {
         assert_ne!(cells[0].derived_seed(), cells[2].derived_seed());
         // The vantage point reaches the series document: ToR 3's uplinks
         // are tracked instead of ToR 0's.
-        let (_, doc_t0) = cells[0].run_with_series();
-        let (_, doc_t3) = cells[2].run_with_series();
+        let series = |c: &Cell| {
+            let out = c.run_instrumented(&[DocKind::Series], false);
+            out.doc(DocKind::Series)
+                .map(str::to_string)
+                .expect("series")
+        };
+        let (doc_t0, doc_t3) = (series(&cells[0]), series(&cells[2]));
         let links = |doc: &str| -> Vec<String> {
             doc.lines()
                 .skip(1)

@@ -40,20 +40,12 @@
 //! A cell's document is a pure function of its key: instrumentation only
 //! *reads* fabric state, so enabling `--series` changes neither the result
 //! bytes nor any derived seed, and the same cell writes identical series
-//! bytes at any `--threads` value or shard split. Files are stored
-//! atomically (temp + rename), and because each cell owns exactly one
-//! file, shards writing into one shared directory — or the same directory
-//! merged after the fact — produce the identical directory an unsharded
-//! run would. Every line parses with [`harness::json::Value`] and
-//! re-renders byte-exactly.
-//!
-//! With `--cache`, a cached result can only stand in for an execution if
-//! its series document already exists: [`SeriesSink::has`] gates cache
-//! hits, so a warm cache pointed at an empty series directory re-runs the
-//! cells rather than silently leaving the series out.
-
-use std::io;
-use std::path::{Path, PathBuf};
+//! bytes at any `--threads` value or shard split. Every line parses with
+//! [`harness::json::Value`] and re-renders byte-exactly. Documents are the
+//! `Series` kind of the per-cell store ([`crate::store`]), which writes
+//! them atomically, one file per cell, and gates `--cache` hits on them: a
+//! warm cache pointed at an empty series directory, or at a document cut
+//! short, re-runs the cells rather than silently leaving the series out.
 
 use netsim::time::Time;
 
@@ -105,69 +97,12 @@ pub fn series_doc<S: netsim::trace::TraceSink>(
     doc
 }
 
-/// An open (created) series output directory.
-#[derive(Debug, Clone)]
-pub struct SeriesSink {
-    dir: PathBuf,
-}
-
-impl SeriesSink {
-    /// Opens `dir`, creating it if needed.
-    pub fn create(dir: impl AsRef<Path>) -> io::Result<SeriesSink> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        Ok(SeriesSink { dir })
-    }
-
-    /// The directory documents are written to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The document path for a cell with the given derived seed.
-    pub fn path_for(&self, derived_seed: u64) -> PathBuf {
-        self.dir.join(format!("{derived_seed:016x}.series.jsonl"))
-    }
-
-    /// Whether `cell`'s document already exists *for this exact cell*: the
-    /// header's embedded key must match, so a foreign file or 64-bit hash
-    /// collision reads as absent rather than trusted. Only the header line
-    /// is read — warm `--cache --series` re-runs probe every cell, and
-    /// utilization buckets can make the document body large.
-    pub fn has(&self, cell: &Cell) -> bool {
-        use std::io::BufRead;
-        let Ok(file) = std::fs::File::open(self.path_for(cell.derived_seed())) else {
-            return false;
-        };
-        let mut header = String::new();
-        if std::io::BufReader::new(file)
-            .read_line(&mut header)
-            .is_err()
-        {
-            return false;
-        }
-        let Ok(v) = harness::json::Value::parse(header.trim_end_matches('\n')) else {
-            return false;
-        };
-        v.get("key").and_then(|k| k.as_str()) == Some(cell.key().as_str())
-    }
-
-    /// Stores one document atomically (write to a temp file in the same
-    /// directory, then rename, so concurrent readers never see a torn
-    /// document).
-    pub fn store(&self, derived_seed: u64, doc: &str) -> io::Result<()> {
-        let path = self.path_for(derived_seed);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, doc)?;
-        std::fs::rename(&tmp, &path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::ScenarioMatrix;
+    use crate::matrix::{CellResult, ScenarioMatrix};
     use crate::spec::WorkloadSpec;
+    use crate::store::DocKind;
 
     fn cell() -> Cell {
         ScenarioMatrix::new("series-unit")
@@ -176,10 +111,19 @@ mod tests {
             .remove(0)
     }
 
+    fn run_with_series(c: &Cell) -> (CellResult, String) {
+        let out = c.run_instrumented(&[DocKind::Series], false);
+        let doc = out
+            .doc(DocKind::Series)
+            .expect("series requested")
+            .to_string();
+        (out.result, doc)
+    }
+
     #[test]
     fn doc_is_canonical_and_self_describing() {
         let c = cell();
-        let (res, doc) = c.run_with_series();
+        let (res, doc) = run_with_series(&c);
         assert!(res.summary.completed);
         let lines: Vec<&str> = doc.lines().collect();
         assert!(doc.ends_with('\n'));
@@ -214,7 +158,7 @@ mod tests {
     fn instrumentation_does_not_change_the_result_record() {
         let c = cell();
         let plain = c.run();
-        let (instrumented, _) = c.run_with_series();
+        let (instrumented, _) = run_with_series(&c);
         assert_eq!(
             crate::sink::jsonl_record(&plain),
             crate::sink::jsonl_record(&instrumented),
@@ -225,29 +169,11 @@ mod tests {
     #[test]
     fn docs_are_deterministic() {
         let c = cell();
-        assert_eq!(c.run_with_series().1, c.run_with_series().1);
+        assert_eq!(run_with_series(&c).1, run_with_series(&c).1);
     }
 
     #[test]
     fn sink_stores_and_validates_ownership() {
-        let dir = std::env::temp_dir().join(format!("reps-series-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sink = SeriesSink::create(&dir).unwrap();
-        let c = cell();
-        assert!(!sink.has(&c), "empty sink has nothing");
-        let (_, doc) = c.run_with_series();
-        sink.store(c.derived_seed(), &doc).unwrap();
-        assert!(sink.has(&c));
-        assert_eq!(
-            std::fs::read_to_string(sink.path_for(c.derived_seed())).unwrap(),
-            doc
-        );
-        // A foreign document under this cell's address reads as absent.
-        sink.store(c.derived_seed(), "{\"key\":\"someone-else\"}\n")
-            .unwrap();
-        assert!(!sink.has(&c));
-        std::fs::write(sink.path_for(c.derived_seed()), "not json").unwrap();
-        assert!(!sink.has(&c));
-        let _ = std::fs::remove_dir_all(&dir);
+        crate::store::tests::assert_store_validates_ownership(crate::store::DocKind::Series);
     }
 }

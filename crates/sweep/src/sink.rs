@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::io::Write;
 
 use harness::experiment::Summary;
-use harness::json::Object;
+use harness::json::{Object, Value};
 use harness::report::{comparison_table, speedup_table};
 use netsim::time::Time;
 
@@ -46,7 +46,13 @@ pub(crate) fn push_record(buf: String, r: &CellResult) -> String {
 /// The perf-only fields (`events`, `wall_ns`) are not part of the
 /// byte-stable record and come back as 0.
 pub fn parse_record(line: &str) -> Result<CellResult, String> {
-    let v = harness::json::Value::parse(line).map_err(|e| format!("bad JSONL record: {e}"))?;
+    let v = Value::parse(line).map_err(|e| format!("bad JSONL record: {e}"))?;
+    decode_record(&v)
+}
+
+/// [`parse_record`] of an already-parsed line (the cache's store probe
+/// parses it).
+pub fn decode_record(v: &Value<'_>) -> Result<CellResult, String> {
     let field = |k: &str| v.get(k).ok_or_else(|| format!("record missing {k:?}"));
     let text = |k: &str| -> Result<String, String> {
         field(k)?

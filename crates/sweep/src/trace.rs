@@ -38,17 +38,9 @@
 //! simulation order by a single-threaded engine whose RNG seed derives
 //! from the key alone, so the same cell writes byte-identical trace
 //! documents at any `--threads` value or shard split (pinned by
-//! `tests/trace.rs`). Files are stored atomically (temp + rename), one
-//! cell per file, so shards writing into one directory — or directories
-//! merged after the fact — produce the identical tree an unsharded run
-//! would.
-//!
-//! With `--cache`, a cached result can only stand in for an execution if
-//! its trace document already exists: [`TraceStore::has`] gates cache
-//! hits exactly like [`crate::series::SeriesSink::has`].
-
-use std::io;
-use std::path::{Path, PathBuf};
+//! `tests/trace.rs`). Documents are the `Trace` kind of the per-cell
+//! store ([`crate::store`]), which writes them atomically, one file per
+//! cell, and gates `--cache` hits on them like every sidecar.
 
 use netsim::trace::TraceEvent;
 
@@ -159,64 +151,6 @@ pub fn trace_doc(cell: &Cell, events: &[TraceEvent]) -> String {
         doc.push('\n');
     }
     doc
-}
-
-/// An open (created) trace output directory.
-#[derive(Debug, Clone)]
-pub struct TraceStore {
-    dir: PathBuf,
-}
-
-impl TraceStore {
-    /// Opens `dir`, creating it if needed.
-    pub fn create(dir: impl AsRef<Path>) -> io::Result<TraceStore> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        Ok(TraceStore { dir })
-    }
-
-    /// The directory documents are written to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The document path for a cell with the given derived seed.
-    pub fn path_for(&self, derived_seed: u64) -> PathBuf {
-        self.dir.join(format!("{derived_seed:016x}.trace.jsonl"))
-    }
-
-    /// Whether `cell`'s document already exists *for this exact cell*: the
-    /// header's embedded key must match, so a foreign file or 64-bit hash
-    /// collision reads as absent rather than trusted. Only the header line
-    /// is read — traces under failure scenarios can run to many thousands
-    /// of events.
-    pub fn has(&self, cell: &Cell) -> bool {
-        use std::io::BufRead;
-        let Ok(file) = std::fs::File::open(self.path_for(cell.derived_seed())) else {
-            return false;
-        };
-        let mut header = String::new();
-        if std::io::BufReader::new(file)
-            .read_line(&mut header)
-            .is_err()
-        {
-            return false;
-        }
-        let Ok(v) = harness::json::Value::parse(header.trim_end_matches('\n')) else {
-            return false;
-        };
-        v.get("key").and_then(|k| k.as_str()) == Some(cell.key().as_str())
-    }
-
-    /// Stores one document atomically (write to a temp file in the same
-    /// directory, then rename, so concurrent readers never see a torn
-    /// document).
-    pub fn store(&self, derived_seed: u64, doc: &str) -> io::Result<()> {
-        let path = self.path_for(derived_seed);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, doc)?;
-        std::fs::rename(&tmp, &path)
-    }
 }
 
 #[cfg(test)]
@@ -371,25 +305,6 @@ mod tests {
 
     #[test]
     fn store_validates_ownership() {
-        let dir = std::env::temp_dir().join(format!("reps-trace-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::create(&dir).unwrap();
-        let c = cell();
-        assert!(!store.has(&c), "empty store has nothing");
-        let doc = trace_doc(&c, &[]);
-        store.store(c.derived_seed(), &doc).unwrap();
-        assert!(store.has(&c));
-        assert_eq!(
-            std::fs::read_to_string(store.path_for(c.derived_seed())).unwrap(),
-            doc
-        );
-        // A foreign document under this cell's address reads as absent.
-        store
-            .store(c.derived_seed(), "{\"key\":\"someone-else\"}\n")
-            .unwrap();
-        assert!(!store.has(&c));
-        std::fs::write(store.path_for(c.derived_seed()), "not json").unwrap();
-        assert!(!store.has(&c));
-        let _ = std::fs::remove_dir_all(&dir);
+        crate::store::tests::assert_store_validates_ownership(crate::store::DocKind::Trace);
     }
 }

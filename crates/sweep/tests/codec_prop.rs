@@ -8,18 +8,24 @@
 //! 2. `Value::parse` and `parse_record` never panic on damaged lines —
 //!    byte flips, truncations, duplicated or deleted braces and quotes,
 //!    or a 10⁵-deep prefix — and every error that names an offset names
-//!    one inside the input.
+//!    one inside the input;
+//! 3. the per-cell store's probe never panics on a damaged result record,
+//!    series or trace document (seeded from one real cell's documents,
+//!    with the same damage), an undamaged document is a hit, and one cut
+//!    anywhere before its last newline never is.
 //!
 //! The shim does not shrink, so every failure message carries the sampled
 //! case and the input verbatim.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 use harness::json::Value;
 use proptest::prelude::*;
-use sweep::matrix::CellResult;
-use sweep::parse_record;
+use sweep::matrix::{Cell, CellResult, ScenarioMatrix};
 use sweep::sink::jsonl_record;
+use sweep::spec::WorkloadSpec;
+use sweep::{parse_record, CellStore, DocKind};
 
 /// Every line of every golden file, in file-name order.
 fn corpus() -> Vec<String> {
@@ -120,6 +126,34 @@ fn damage(line: &str, op: u8, pos: u64, byte: u8) -> String {
     String::from_utf8_lossy(&b).into_owned()
 }
 
+/// One small cell and its real documents of every store kind: the result
+/// record, the series document and the trace document.
+fn documents() -> &'static (Cell, Vec<(DocKind, String)>) {
+    static DOCS: OnceLock<(Cell, Vec<(DocKind, String)>)> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let cell = ScenarioMatrix::new("probe-prop")
+            .workloads([WorkloadSpec::Tornado { bytes: 16 << 10 }])
+            .expand()
+            .remove(0);
+        let out = cell.run_instrumented(&[DocKind::Series, DocKind::Trace], false);
+        let record = (DocKind::Result, jsonl_record(&out.result) + "\n");
+        (cell, [vec![record], out.docs].concat())
+    })
+}
+
+/// Stores `input` as `kind`'s document of `cell` in a scratch store and
+/// probes it, checking the probe does not panic.
+fn probe(case: &str, kind: DocKind, cell: &Cell, input: &str) -> bool {
+    let dir = std::env::temp_dir().join(format!("reps-probe-prop-{}", std::process::id()));
+    let store = CellStore::create(dir.join(kind.label()), kind).expect("scratch store");
+    store
+        .store(cell.derived_seed(), input)
+        .expect("scratch write");
+    let hit = no_panic(case, input, || store.has(cell));
+    let _ = std::fs::remove_dir_all(&dir);
+    hit
+}
+
 fn round_trip(case: &str, line: &str) -> CellResult {
     let record = no_panic(case, line, || parse_record(line))
         .unwrap_or_else(|e| panic!("{case}: {e}; input {line:?}"));
@@ -191,5 +225,33 @@ proptest! {
         }
         let case = format!("line {line}, op {op}, pos {pos}, byte {byte}, rounds {rounds}");
         check_damaged(&case, &input);
+    }
+
+    /// Damaged documents never panic the store's probe; an undamaged one
+    /// is a hit and a truncated one never is.
+    #[test]
+    fn damaged_documents_never_panic_the_store_probe(
+        kind in 0usize..3,
+        op in 0u8..6,
+        pos in any::<u64>(),
+        byte in any::<u8>(),
+        rounds in 1usize..3,
+    ) {
+        let (cell, docs) = documents();
+        let (kind, doc) = &docs[kind];
+        let mut input = doc.clone();
+        for k in 0..rounds {
+            input = damage(&input, op.wrapping_add(k as u8 * 5), pos.rotate_left(k as u32 * 17), byte);
+        }
+        let case = format!("{kind:?}, op {op}, pos {pos}, byte {byte}, rounds {rounds}");
+        let hit = probe(&case, *kind, cell, &input);
+        if input == *doc {
+            prop_assert!(hit, "{}: the undamaged document is a miss", case);
+        } else if doc.starts_with(input.as_str()) {
+            prop_assert!(!hit, "{}: a truncated document is a hit; input {:?}", case, input);
+        }
+        // The undamaged document cut at `pos` is never a hit either.
+        let cut = &doc[..(pos % doc.len() as u64) as usize];
+        prop_assert!(!probe(&case, *kind, cell, cut), "{}: cut at {} is a hit", case, cut.len());
     }
 }

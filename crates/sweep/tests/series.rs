@@ -1,157 +1,41 @@
 //! `--series` composition contract: per-cell series documents are pure
 //! functions of cell keys, so the series directory is identical across
 //! thread counts and shard splits, results stay byte-identical with the
-//! sink on or off, and the cache only answers a cell when its series
-//! document already exists.
+//! sidecar on or off, and the cache only answers a cell when its whole
+//! series document exists. The checks are shared with `tests/trace.rs`
+//! in `common`.
 
-use std::collections::BTreeMap;
-use std::path::Path;
+mod common;
 
-use sweep::matrix::ScenarioMatrix;
-use sweep::spec::{FailureSpec, WorkloadSpec};
-use sweep::{run_cells, run_cells_sinked, to_jsonl, CellCache, SeriesSink, Shard};
-
-fn grid() -> ScenarioMatrix {
-    ScenarioMatrix::new("series-it")
-        .workloads([
-            WorkloadSpec::Tornado { bytes: 24 << 10 },
-            WorkloadSpec::Permutation { bytes: 24 << 10 },
-        ])
-        .failures([
-            FailureSpec::None,
-            FailureSpec::OneCable {
-                at: netsim::time::Time::from_us(5),
-                duration: None,
-            },
-        ])
-        .seeds(2)
-}
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("reps-series-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-/// Every series document in `dir`, keyed by file name.
-fn dir_contents(dir: &Path) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("series dir exists") {
-        let entry = entry.expect("readable entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        out.insert(
-            name,
-            std::fs::read_to_string(entry.path()).expect("readable doc"),
-        );
-    }
-    out
-}
+use sweep::{run_cells_instrumented, CellStore, DocKind};
 
 #[test]
 fn series_dir_is_identical_across_threads_and_shards() {
-    let cells = grid().expand();
-    let base = tmpdir("determinism");
-
-    // Unsharded reference at 1 thread.
-    let ref_dir = base.join("ref");
-    let sink = SeriesSink::create(&ref_dir).unwrap();
-    let one = run_cells_sinked(&cells, 1, None, Some(&sink));
-    assert_eq!(one.series_errors, 0);
-    let reference = dir_contents(&ref_dir);
-    assert_eq!(reference.len(), cells.len(), "one document per cell");
-
-    // More threads: same directory contents, byte for byte.
-    let par_dir = base.join("par");
-    let sink = SeriesSink::create(&par_dir).unwrap();
-    let par = run_cells_sinked(&cells, 4, None, Some(&sink));
-    assert_eq!(dir_contents(&par_dir), reference);
-
-    // Results are byte-identical with the sink on or off, at any split.
-    let plain = to_jsonl(&run_cells(&cells, 2));
-    assert_eq!(to_jsonl(&one.results), plain);
-    assert_eq!(to_jsonl(&par.results), plain);
-
-    // Two shards writing into one directory reproduce it exactly.
-    let shard_dir = base.join("sharded");
-    let sink = SeriesSink::create(&shard_dir).unwrap();
-    let mut owned_total = 0;
-    for index in 1..=2 {
-        let shard = Shard { index, count: 2 };
-        let owned = shard.select(cells.clone());
-        owned_total += owned.len();
-        let run = run_cells_sinked(&owned, 2, None, Some(&sink));
-        assert_eq!(run.series_errors, 0);
-    }
-    assert_eq!(owned_total, cells.len());
-    assert_eq!(dir_contents(&shard_dir), reference);
-
-    let _ = std::fs::remove_dir_all(&base);
+    common::assert_dir_identical_across_threads_and_shards(DocKind::Series);
 }
 
 #[test]
 fn cache_hits_require_an_existing_series_document() {
-    let cells = grid().expand();
-    let base = tmpdir("cache");
-    let cache = CellCache::open(base.join("cache"), "series-test").unwrap();
-
-    // Warm the cache without a series sink...
-    let cold = run_cells_sinked(&cells, 2, Some(&cache), None);
-    assert_eq!((cold.hits, cold.misses), (0, cells.len()));
-
-    // ...then ask for series: the warm cache must NOT satisfy the run,
-    // because no documents exist yet.
-    let series_dir = base.join("series");
-    let sink = SeriesSink::create(&series_dir).unwrap();
-    let fill = run_cells_sinked(&cells, 2, Some(&cache), Some(&sink));
-    assert_eq!(
-        (fill.hits, fill.misses),
-        (0, cells.len()),
-        "missing series documents must force execution"
+    let cells = common::grid("series-it").expand();
+    let base = common::tmpdir("series-cache");
+    let (cache, cold) = common::warm_cache(&base.join("cache"), &cells);
+    common::assert_cache_hits_require_sidecar_documents(
+        DocKind::Series,
+        &cells,
+        &cache,
+        &cold,
+        &base.join("series"),
     );
-    assert_eq!(dir_contents(&series_dir).len(), cells.len());
-    assert_eq!(to_jsonl(&fill.results), to_jsonl(&cold.results));
-
-    // With both cache and series warm, nothing executes and the bytes and
-    // documents are unchanged.
-    let before = dir_contents(&series_dir);
-    let warm = run_cells_sinked(&cells, 2, Some(&cache), Some(&sink));
-    assert_eq!((warm.hits, warm.misses), (cells.len(), 0));
-    assert!(warm.executed.is_empty());
-    assert_eq!(to_jsonl(&warm.results), to_jsonl(&cold.results));
-    assert_eq!(dir_contents(&series_dir), before);
-
-    // A single deleted document re-runs exactly that cell.
-    let victim = &cells[3];
-    std::fs::remove_file(sink.path_for(victim.derived_seed())).unwrap();
-    let partial = run_cells_sinked(&cells, 2, Some(&cache), Some(&sink));
-    assert_eq!((partial.hits, partial.misses), (cells.len() - 1, 1));
-    assert_eq!(dir_contents(&series_dir), before, "document restored");
-
     let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
 fn documents_are_addressed_by_derived_seed() {
-    let cells = grid().expand();
-    let dir = tmpdir("addressing");
-    let sink = SeriesSink::create(&dir).unwrap();
-    let run = run_cells_sinked(&cells, 2, None, Some(&sink));
-    assert_eq!(run.series_errors, 0);
-    for cell in &cells {
-        assert!(sink.has(cell), "{} lacks its document", cell.key());
-        let path = sink.path_for(cell.derived_seed());
-        assert_eq!(
-            path.file_name().unwrap().to_string_lossy(),
-            format!("{:016x}.series.jsonl", cell.derived_seed())
-        );
-        let header = std::fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .next()
-            .unwrap()
-            .to_string();
-        let v = harness::json::Value::parse(&header).expect("header parses");
-        assert_eq!(v.get("key").unwrap().as_str(), Some(cell.key().as_str()));
-    }
+    let cells = common::grid("series-it").expand();
+    let dir = common::tmpdir("series-addressing");
+    let store = [CellStore::create(&dir, DocKind::Series).unwrap()];
+    let run = run_cells_instrumented(&cells, 2, common::sinks(None, &store));
+    assert_eq!(run.sidecar_errors, [0]);
+    common::assert_addressed_by_derived_seed(&store[0], &cells);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,168 +1,44 @@
 //! `--trace` / `--diagnostics` composition contract: per-cell trace
 //! documents are pure functions of cell keys (identical across thread
 //! counts and shard splits), results stay byte-identical with tracing on
-//! or off, the cache only answers a cell when its trace document exists
-//! and its diagnostics presence matches the request, and a REPS cell
-//! under the fig07 rolling-failure scenario explains into the paper's
-//! failure-reaction story.
+//! or off, the cache only answers a cell when its whole trace document
+//! exists and its diagnostics presence matches the request, per-LB
+//! decision counters are opt-in and summed per scheme, and a traced REPS
+//! cell under the fig07 rolling failures explains into the paper's
+//! failure-reaction story. The sidecar checks are shared with
+//! `tests/series.rs` in `common`.
 
-use std::collections::BTreeMap;
-use std::path::Path;
+mod common;
 
 use harness::Scale;
-use sweep::matrix::{Instrument, ScenarioMatrix};
-use sweep::spec::{FailureSpec, WorkloadSpec};
-use sweep::{
-    explain_doc, presets, run_cells, run_cells_instrumented, to_jsonl, CellCache, RunSinks, Shard,
-    TraceStore,
-};
-
-fn grid() -> ScenarioMatrix {
-    ScenarioMatrix::new("trace-it")
-        .workloads([
-            WorkloadSpec::Tornado { bytes: 24 << 10 },
-            WorkloadSpec::Permutation { bytes: 24 << 10 },
-        ])
-        .failures([
-            FailureSpec::None,
-            FailureSpec::OneCable {
-                at: netsim::time::Time::from_us(5),
-                duration: None,
-            },
-        ])
-        .seeds(2)
-}
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("reps-trace-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-/// Every trace document in `dir`, keyed by file name.
-fn dir_contents(dir: &Path) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("trace dir exists") {
-        let entry = entry.expect("readable entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        out.insert(
-            name,
-            std::fs::read_to_string(entry.path()).expect("readable doc"),
-        );
-    }
-    out
-}
-
-fn traced(trace: &TraceStore) -> RunSinks<'_> {
-    RunSinks {
-        trace: Some(trace),
-        ..RunSinks::default()
-    }
-}
+use sweep::{explain_doc, presets, run_cells, run_cells_instrumented, to_jsonl, DocKind, RunSinks};
 
 #[test]
 fn trace_dir_is_identical_across_threads_and_shards() {
-    let cells = grid().expand();
-    let base = tmpdir("determinism");
-
-    // Unsharded reference at 1 thread.
-    let ref_dir = base.join("ref");
-    let store = TraceStore::create(&ref_dir).unwrap();
-    let one = run_cells_instrumented(&cells, 1, traced(&store));
-    assert_eq!(one.trace_errors, 0);
-    let reference = dir_contents(&ref_dir);
-    assert_eq!(reference.len(), cells.len(), "one document per cell");
-    // Failure cells must actually have recorded the failure.
-    for cell in &cells {
-        let doc = &reference[&format!("{:016x}.trace.jsonl", cell.derived_seed())];
-        assert_eq!(
-            doc.contains("\"kind\":\"link_down\""),
-            !matches!(cell.failures, FailureSpec::None),
-            "{}",
-            cell.key()
-        );
-    }
-
-    // More threads: same directory contents, byte for byte.
-    let par_dir = base.join("par");
-    let store = TraceStore::create(&par_dir).unwrap();
-    let par = run_cells_instrumented(&cells, 4, traced(&store));
-    assert_eq!(dir_contents(&par_dir), reference);
-
-    // Results are byte-identical with tracing on or off, at any split.
-    let plain = to_jsonl(&run_cells(&cells, 2));
-    assert_eq!(to_jsonl(&one.results), plain);
-    assert_eq!(to_jsonl(&par.results), plain);
-
-    // Two shards writing into one directory reproduce it exactly.
-    let shard_dir = base.join("sharded");
-    let store = TraceStore::create(&shard_dir).unwrap();
-    let mut owned_total = 0;
-    for index in 1..=2 {
-        let shard = Shard { index, count: 2 };
-        let owned = shard.select(cells.clone());
-        owned_total += owned.len();
-        let run = run_cells_instrumented(&owned, 2, traced(&store));
-        assert_eq!(run.trace_errors, 0);
-    }
-    assert_eq!(owned_total, cells.len());
-    assert_eq!(dir_contents(&shard_dir), reference);
-
-    let _ = std::fs::remove_dir_all(&base);
+    common::assert_dir_identical_across_threads_and_shards(DocKind::Trace);
 }
 
 #[test]
 fn cache_hits_require_trace_documents_and_matching_diagnostics() {
-    let cells = grid().expand();
-    let base = tmpdir("cache");
-    let cache = CellCache::open(base.join("cache"), "trace-test").unwrap();
-    let cached = RunSinks {
-        cache: Some(&cache),
-        ..RunSinks::default()
-    };
-    let cached_diag = RunSinks {
-        diagnostics: true,
-        ..cached
-    };
-
-    // Warm the cache without a trace store...
-    let cold = run_cells_instrumented(&cells, 2, cached);
-    assert_eq!((cold.hits, cold.misses), (0, cells.len()));
-
-    // ...then ask for traces: the warm cache must NOT satisfy the run,
-    // because no trace documents exist yet.
-    let trace_dir = base.join("trace");
-    let store = TraceStore::create(&trace_dir).unwrap();
-    let cached_traced = RunSinks {
-        trace: Some(&store),
-        ..cached
-    };
-    let fill = run_cells_instrumented(&cells, 2, cached_traced);
-    assert_eq!(
-        (fill.hits, fill.misses),
-        (0, cells.len()),
-        "missing trace documents must force execution"
+    let cells = common::grid("trace-it").expand();
+    let base = common::tmpdir("trace-cache");
+    let (cache, cold) = common::warm_cache(&base.join("cache"), &cells);
+    common::assert_cache_hits_require_sidecar_documents(
+        DocKind::Trace,
+        &cells,
+        &cache,
+        &cold,
+        &base.join("trace"),
     );
-    assert_eq!(dir_contents(&trace_dir).len(), cells.len());
-    assert_eq!(to_jsonl(&fill.results), to_jsonl(&cold.results));
-
-    // With both cache and trace warm, nothing executes.
-    let before = dir_contents(&trace_dir);
-    let warm = run_cells_instrumented(&cells, 2, cached_traced);
-    assert_eq!((warm.hits, warm.misses), (cells.len(), 0));
-    assert!(warm.executed.is_empty());
-    assert_eq!(dir_contents(&trace_dir), before);
-
-    // A single deleted document re-runs exactly that cell.
-    let victim = &cells[3];
-    std::fs::remove_file(store.path_for(victim.derived_seed())).unwrap();
-    let partial = run_cells_instrumented(&cells, 2, cached_traced);
-    assert_eq!((partial.hits, partial.misses), (cells.len() - 1, 1));
-    assert_eq!(dir_contents(&trace_dir), before, "document restored");
 
     // Diagnostics partition cache hits: the warm diagnostics-free cache
     // must not answer a --diagnostics run (the bytes would lack the
     // block), and the refreshed entries then serve diagnostics runs only.
+    let cached = common::sinks(Some(&cache), &[]);
+    let cached_diag = RunSinks {
+        diagnostics: true,
+        ..cached
+    };
     let diag = run_cells_instrumented(&cells, 2, cached_diag);
     assert_eq!(
         (diag.hits, diag.misses),
@@ -179,14 +55,14 @@ fn cache_hits_require_trace_documents_and_matching_diagnostics() {
         (0, cells.len()),
         "diagnostics entries must not answer a plain run"
     );
-    assert_eq!(to_jsonl(&plain_again.results), to_jsonl(&cold.results));
+    assert_eq!(to_jsonl(&plain_again.results), cold);
 
     let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
 fn diagnostics_are_opt_in_and_summed_per_scheme() {
-    let cells = grid().expand();
+    let cells = common::grid("trace-it").expand();
     // Without the flag the bytes carry no diagnostics block at all.
     let plain = to_jsonl(&run_cells(&cells, 2));
     assert!(!plain.contains("diagnostics"));
@@ -229,13 +105,9 @@ fn fig07_reps_cell_explains_the_failure_reaction() {
         .into_iter()
         .find(|c| c.lb.label == "REPS")
         .expect("REPS cell");
-    let out = cell.run_instrumented(Instrument {
-        trace: true,
-        diagnostics: true,
-        ..Instrument::default()
-    });
-    let doc = out.trace_doc.expect("trace requested");
-    let report = explain_doc(&doc).expect("trace explains");
+    let out = cell.run_instrumented(&[DocKind::Trace], true);
+    let doc = out.doc(DocKind::Trace).expect("trace requested");
+    let report = explain_doc(doc).expect("trace explains");
     assert!(report.contains(&cell.key()), "{report}");
     assert!(report.contains("recycled"), "{report}");
     assert!(!report.contains("reuse rate 0.0%"), "{report}");
