@@ -13,7 +13,7 @@ use netsim::config::SimConfig;
 use netsim::engine::{Engine, MessageSpec};
 use netsim::event::ControlEvent;
 use netsim::failures::FailurePlan;
-use netsim::ids::{HostId, LinkId};
+use netsim::ids::HostId;
 use netsim::stats::Counters;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, Topology};
@@ -23,17 +23,9 @@ use transport::config::{CoalesceConfig, TransportConfig, BACKGROUND_BIT};
 use transport::endpoint::HostEndpoint;
 use workloads::spec::{StartRule, Workload};
 
-/// Which links to track for utilization/queue series.
-#[derive(Debug, Clone, Default)]
-pub enum TrackLinks {
-    /// Track nothing (cheapest; macro experiments).
-    #[default]
-    None,
-    /// Track the uplinks of one ToR (the micro figures).
-    TorUplinks(u32),
-    /// Track an explicit set.
-    Links(Vec<LinkId>),
-}
+/// Window ceiling as a multiple of the path BDP: enough headroom for the
+/// micro figures to ride out transient collisions.
+const MAX_CWND_BDP: f64 = 1.5;
 
 /// A fully-specified experiment.
 #[derive(Debug, Clone)]
@@ -62,17 +54,14 @@ pub struct Experiment {
     pub fluid_background: bool,
     /// Failure plan.
     pub failures: FailurePlan,
-    /// Window ceiling as a multiple of the path BDP (1.5 default; the micro
-    /// figures need enough headroom to ride out transient collisions).
-    pub max_cwnd_bdp: f64,
     /// RNG seed (topology salts, EV draws, arrival jitter).
     pub seed: u64,
     /// Give up after this much simulated time.
     pub deadline: Time,
-    /// Link tracking for timeseries figures.
-    pub track: TrackLinks,
-    /// Enable periodic queue sampling until this time (0 = off).
-    pub sample_until: Time,
+    /// Timeseries tracking, `(tor, until)`: record the uplinks of ToR
+    /// `tor` and sample their queues periodically until `until` (`None`
+    /// tracks and samples nothing, the cheap default).
+    pub track: Option<(u32, Time)>,
     /// Collect per-LB decision counters into [`Summary::diagnostics`]
     /// (opt-in: the block changes the summary's JSONL bytes).
     pub diagnostics: bool,
@@ -97,21 +86,10 @@ impl Experiment {
             background: None,
             fluid_background: false,
             failures: FailurePlan::none(),
-            max_cwnd_bdp: 1.5,
             seed: 1,
             deadline: Time::from_ms(500),
-            track: TrackLinks::None,
-            sample_until: Time::ZERO,
+            track: None,
             diagnostics: false,
-        }
-    }
-
-    /// Worst-case one-way switch hops of the fabric (for BDP estimation).
-    fn max_hops(&self) -> u32 {
-        if self.fabric.tiers == 2 {
-            3
-        } else {
-            5
         }
     }
 
@@ -129,10 +107,12 @@ impl Experiment {
         let mut engine = Engine::with_trace(topo, self.sim.clone(), self.seed, trace);
         engine.routing = self.lb.routing_mode();
 
-        let mut tcfg = TransportConfig::from_sim(&engine.cfg, self.max_hops(), self.lb.clone())
+        // Worst-case one-way switch hops of the fabric, for the BDP estimate.
+        let max_hops = if self.fabric.tiers == 2 { 3 } else { 5 };
+        let mut tcfg = TransportConfig::from_sim(&engine.cfg, max_hops, self.lb.clone())
             .with_cc(self.cc)
             .with_coalesce(self.coalesce);
-        tcfg.cc_params.max_cwnd = (tcfg.cc_params.init_cwnd as f64 * self.max_cwnd_bdp) as u64;
+        tcfg.cc_params.max_cwnd = (tcfg.cc_params.init_cwnd as f64 * MAX_CWND_BDP) as u64;
         if let Some((_, bg_lb)) = &self.background {
             tcfg = tcfg.with_background_lb(bg_lb.clone());
         }
@@ -212,23 +192,11 @@ impl Experiment {
             }
         }
 
-        match &self.track {
-            TrackLinks::None => {}
-            TrackLinks::TorUplinks(tor) => {
-                let meta = &engine.topo.switches[*tor as usize];
-                let ups = meta.up_links;
-                for l in ups.iter() {
-                    engine.stats.track_link(l);
-                }
+        if let Some((tor, until)) = self.track {
+            for l in engine.topo.switches[tor as usize].up_links.iter() {
+                engine.stats.track_link(l);
             }
-            TrackLinks::Links(ls) => {
-                for l in ls {
-                    engine.stats.track_link(*l);
-                }
-            }
-        }
-        if self.sample_until > Time::ZERO {
-            engine.enable_sampling(self.sample_until);
+            engine.enable_sampling(until);
         }
         engine
     }
@@ -271,7 +239,7 @@ pub struct RunResult<S: TraceSink = NoTrace> {
 }
 
 /// Aggregate metrics of one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     /// Experiment name.
     pub name: String,
@@ -310,18 +278,8 @@ impl Summary {
         completed: bool,
     ) -> Summary {
         let fg_count = exp.workload.len() as u32;
-        let fg: Vec<&netsim::stats::FlowRecord> = engine
-            .stats
-            .flows
-            .iter()
-            .filter(|f| f.flow.0 < fg_count)
-            .collect();
-        let bg: Vec<&netsim::stats::FlowRecord> = engine
-            .stats
-            .flows
-            .iter()
-            .filter(|f| f.flow.0 >= fg_count)
-            .collect();
+        let (fg, bg): (Vec<_>, Vec<_>) =
+            (engine.stats.flows.iter()).partition(|f| f.flow.0 < fg_count);
         let max_fct = fg.iter().map(|f| f.fct()).max().unwrap_or(Time::ZERO);
         let avg_fct = if fg.is_empty() {
             Time::ZERO
@@ -354,11 +312,7 @@ impl Summary {
             p99_fct,
             makespan,
             avg_goodput_gbps: goodput,
-            bg_max_fct: if bg.is_empty() {
-                None
-            } else {
-                Some(bg.iter().map(|f| f.fct()).max().unwrap())
-            },
+            bg_max_fct: bg.iter().map(|f| f.fct()).max(),
             counters: engine.stats.counters,
             diagnostics: if exp.diagnostics {
                 Some(collect_diagnostics(engine))
@@ -391,154 +345,6 @@ fn collect_diagnostics<S: TraceSink>(engine: &Engine<S, HostEndpoint>) -> Vec<(S
         ));
     }
     out
-}
-
-impl Summary {
-    /// Parses a summary back from the JSON object [`Summary::to_json`]
-    /// renders. `from_json(v).to_json()` is byte-identical to the source
-    /// for any summary this crate emitted — the round trip `repsbench
-    /// merge` and the sweep cell cache rely on.
-    pub fn from_json(v: &crate::json::Value<'_>) -> Result<Summary, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("summary missing {k:?}"));
-        let time = |k: &str| -> Result<Time, String> {
-            field(k)?
-                .as_u64()
-                .map(Time)
-                .ok_or_else(|| format!("summary field {k:?} is not a u64"))
-        };
-        let counters = field("counters")?;
-        let counter = |k: &str| -> Result<u64, String> {
-            counters
-                .get(k)
-                .and_then(crate::json::Value::as_u64)
-                .ok_or_else(|| format!("counters field {k:?} is not a u64"))
-        };
-        let opt_counter = |k: &str| -> Result<u64, String> {
-            match counters.get(k) {
-                None => Ok(0),
-                Some(n) => n
-                    .as_u64()
-                    .ok_or_else(|| format!("counters field {k:?} is not a u64")),
-            }
-        };
-        Ok(Summary {
-            name: field("name")?
-                .as_str()
-                .ok_or("summary field \"name\" is not a string")?
-                .to_string(),
-            lb: field("lb")?
-                .as_str()
-                .ok_or("summary field \"lb\" is not a string")?
-                .to_string(),
-            completed: field("completed")?
-                .as_bool()
-                .ok_or("summary field \"completed\" is not a bool")?,
-            fg_flows: field("fg_flows")?
-                .as_u64()
-                .ok_or("summary field \"fg_flows\" is not a u64")? as usize,
-            max_fct: time("max_fct_ps")?,
-            avg_fct: time("avg_fct_ps")?,
-            p99_fct: time("p99_fct_ps")?,
-            makespan: time("makespan_ps")?,
-            // `to_json` renders non-finite goodput as null; read it back
-            // as NaN so the round trip stays exact.
-            avg_goodput_gbps: match field("avg_goodput_gbps")? {
-                crate::json::Value::Null => f64::NAN,
-                n => n
-                    .as_f64()
-                    .ok_or("summary field \"avg_goodput_gbps\" is not a number")?,
-            },
-            bg_max_fct: match field("bg_max_fct_ps")? {
-                crate::json::Value::Null => None,
-                n => Some(Time(
-                    n.as_u64()
-                        .ok_or("summary field \"bg_max_fct_ps\" is not null or a u64")?,
-                )),
-            },
-            counters: Counters {
-                drops_queue_full: counter("drops_queue_full")?,
-                drops_link_down: counter("drops_link_down")?,
-                drops_bit_error: counter("drops_bit_error")?,
-                // Absent when zero (see `to_json`), so records written
-                // before the fault axis existed still parse.
-                drops_gray: opt_counter("drops_gray")?,
-                drops_corrupt: opt_counter("drops_corrupt")?,
-                trims: counter("trims")?,
-                ecn_marks: counter("ecn_marks")?,
-                data_tx: counter("data_tx")?,
-                ctrl_tx: counter("ctrl_tx")?,
-                retransmissions: counter("retransmissions")?,
-                timeouts: counter("timeouts")?,
-            },
-            diagnostics: match v.get("diagnostics") {
-                None => None,
-                Some(d) => {
-                    let fields = d.as_obj().ok_or("\"diagnostics\" is not an object")?;
-                    let mut out = Vec::with_capacity(fields.len());
-                    for (k, fv) in fields {
-                        let n = fv
-                            .as_f64()
-                            .ok_or_else(|| format!("diagnostics field {k:?} is not a number"))?;
-                        out.push((k.to_string(), n));
-                    }
-                    Some(out)
-                }
-            },
-        })
-    }
-
-    /// Renders the summary as one stable JSON object (fixed field order,
-    /// times in integer picoseconds) — the sweep engine's JSONL payload.
-    pub fn to_json(&self) -> String {
-        self.json_fields(crate::json::Object::new()).render()
-    }
-
-    /// Appends the fields of [`Summary::to_json`] to `obj`, so a record
-    /// embedding the summary renders it into its own buffer.
-    pub fn json_fields(&self, obj: crate::json::Object) -> crate::json::Object {
-        let c = &self.counters;
-        let obj = obj
-            .str("name", &self.name)
-            .str("lb", &self.lb)
-            .bool("completed", self.completed)
-            .u64("fg_flows", self.fg_flows as u64)
-            .u64("max_fct_ps", self.max_fct.as_ps())
-            .u64("avg_fct_ps", self.avg_fct.as_ps())
-            .u64("p99_fct_ps", self.p99_fct.as_ps())
-            .u64("makespan_ps", self.makespan.as_ps())
-            .f64("avg_goodput_gbps", self.avg_goodput_gbps);
-        let obj = match self.bg_max_fct {
-            Some(t) => obj.u64("bg_max_fct_ps", t.as_ps()),
-            None => obj.raw("bg_max_fct_ps", "null"),
-        };
-        let obj = obj.obj("counters", |mut o| {
-            o = o
-                .u64("drops_queue_full", c.drops_queue_full)
-                .u64("drops_link_down", c.drops_link_down)
-                .u64("drops_bit_error", c.drops_bit_error);
-            // The gray/corrupt counters only exist in faulted cells;
-            // omitting them at zero keeps every pre-fault-axis record
-            // byte-identical.
-            if c.drops_gray > 0 {
-                o = o.u64("drops_gray", c.drops_gray);
-            }
-            if c.drops_corrupt > 0 {
-                o = o.u64("drops_corrupt", c.drops_corrupt);
-            }
-            o.u64("trims", c.trims)
-                .u64("ecn_marks", c.ecn_marks)
-                .u64("data_tx", c.data_tx)
-                .u64("ctrl_tx", c.ctrl_tx)
-                .u64("retransmissions", c.retransmissions)
-                .u64("timeouts", c.timeouts)
-        });
-        match &self.diagnostics {
-            Some(diag) => obj.obj("diagnostics", |o| {
-                diag.iter().fold(o, |o, (name, v)| o.f64(name, *v))
-            }),
-            None => obj,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -627,88 +433,7 @@ mod tests {
         assert!(get("fluid_residual_updates").unwrap() >= 1.0);
         // Determinism: an identical run produces identical bytes.
         let again = exp.run();
-        assert_eq!(again.summary.to_json(), res.summary.to_json());
-    }
-
-    #[test]
-    fn summary_json_is_stable_and_escaped() {
-        let w = patterns::tornado(32, 64 << 10);
-        let mut exp = Experiment::new(
-            "json \"quoted\"",
-            FatTreeConfig::two_tier(8, 1),
-            LbKind::Reps(RepsConfig::default()),
-            w,
-        );
-        exp.seed = 9;
-        let s = exp.run().summary;
-        let j = s.to_json();
-        assert!(j.starts_with("{\"name\":\"json \\\"quoted\\\"\""), "{j}");
-        assert!(j.contains("\"completed\":true"), "{j}");
-        assert!(j.contains("\"bg_max_fct_ps\":null"), "{j}");
-        assert!(j.contains("\"counters\":{\"drops_queue_full\":"), "{j}");
-        // Deterministic: rendering twice is byte-identical.
-        assert_eq!(j, s.to_json());
-    }
-
-    #[test]
-    fn summary_from_json_round_trips_byte_exactly() {
-        let run = |bg: bool| {
-            let w = patterns::tornado(32, 64 << 10);
-            let mut exp = Experiment::new(
-                "round \"trip\"",
-                FatTreeConfig::two_tier(8, 1),
-                LbKind::Reps(RepsConfig::default()),
-                w,
-            );
-            if bg {
-                exp.background = Some((patterns::tornado(32, 16 << 10), LbKind::Ecmp));
-            }
-            exp.run().summary
-        };
-        for bg in [false, true] {
-            let s = run(bg);
-            assert_eq!(s.bg_max_fct.is_some(), bg);
-            let j = s.to_json();
-            let parsed =
-                Summary::from_json(&crate::json::Value::parse(&j).expect("parse")).expect("shape");
-            assert_eq!(parsed.to_json(), j, "round trip must be byte-exact");
-            assert_eq!(parsed.bg_max_fct, s.bg_max_fct);
-            assert_eq!(parsed.fg_flows, s.fg_flows);
-        }
-        // Shape errors are reported, not panicked.
-        let bad = crate::json::Value::parse("{\"name\":\"x\"}").unwrap();
-        assert!(Summary::from_json(&bad).unwrap_err().contains("missing"));
-    }
-
-    #[test]
-    fn gray_and_corrupt_counters_are_emitted_only_when_nonzero() {
-        let w = patterns::tornado(32, 64 << 10);
-        let exp = Experiment::new(
-            "g",
-            FatTreeConfig::two_tier(8, 1),
-            LbKind::Reps(RepsConfig::default()),
-            w,
-        );
-        let mut s = exp.run().summary;
-        let clean = s.to_json();
-        assert!(!clean.contains("drops_gray"), "{clean}");
-        assert!(!clean.contains("drops_corrupt"), "{clean}");
-        s.counters.drops_gray = 3;
-        s.counters.drops_corrupt = 1;
-        let faulted = s.to_json();
-        assert!(
-            faulted.contains("\"drops_gray\":3,\"drops_corrupt\":1,\"trims\":"),
-            "{faulted}"
-        );
-        let parsed =
-            Summary::from_json(&crate::json::Value::parse(&faulted).unwrap()).expect("shape");
-        assert_eq!(parsed.counters.drops_gray, 3);
-        assert_eq!(parsed.counters.drops_corrupt, 1);
-        assert_eq!(parsed.to_json(), faulted, "faulted round trip");
-        // Records written before the fault axis existed parse with zeros.
-        let old = Summary::from_json(&crate::json::Value::parse(&clean).unwrap()).expect("shape");
-        assert_eq!(old.counters.drops_gray, 0);
-        assert_eq!(old.counters.drops_corrupt, 0);
+        assert_eq!(format!("{:?}", again.summary), format!("{:?}", res.summary));
     }
 
     #[test]
@@ -720,8 +445,7 @@ mod tests {
             LbKind::Ops { evs_size: 1 << 16 },
             w,
         );
-        exp.track = TrackLinks::TorUplinks(0);
-        exp.sample_until = Time::from_us(200);
+        exp.track = Some((0, Time::from_us(200)));
         let res = exp.run();
         assert!(res.summary.completed);
         let tor0 = &res.engine.topo.switches[0];

@@ -1,14 +1,13 @@
 //! Experiment harness for the REPS reproduction.
 //!
 //! Wires [`netsim`] fabrics, the [`transport`] stack, [`workloads`] and
-//! failure plans into named, reproducible experiments, and provides the
-//! text-report helpers the `sweep` crate renders its tables with.
+//! failure plans into named, reproducible experiments: [`Experiment`]
+//! builds and runs an engine, and [`Summary`] is what one run measured.
+//! How a summary is written down as a record belongs to `sweep::sink`.
 
 pub mod experiment;
 pub mod json;
-pub mod report;
 pub mod scale;
 
-pub use experiment::{Experiment, RunResult, Summary, TrackLinks};
-pub use report::{comparison_table, downsample, speedup_table};
+pub use experiment::{Experiment, RunResult, Summary};
 pub use scale::Scale;

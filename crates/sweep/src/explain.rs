@@ -26,6 +26,15 @@ const TIMELINE_CAP: usize = 30;
 /// drain, few enough to fit a terminal line.
 const SERIES_POINTS: usize = 12;
 
+/// Downsamples a series to at most `n` evenly-spaced points.
+fn downsample(points: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
+    if points.len() <= n || n == 0 {
+        return points.to_vec();
+    }
+    let step = points.len() as f64 / n as f64;
+    (0..n).map(|i| points[(i as f64 * step) as usize]).collect()
+}
+
 fn us(t_ps: u64) -> String {
     format!("{:.3}us", t_ps as f64 / 1e6)
 }
@@ -249,7 +258,7 @@ fn explain_series(
         bucket.label()
     );
     let row = |points: &[(f64, f64)]| -> String {
-        let shown: Vec<String> = harness::downsample(points, SERIES_POINTS)
+        let shown: Vec<String> = downsample(points, SERIES_POINTS)
             .iter()
             .map(|(_, y)| format!("{y:.0}"))
             .collect();
@@ -506,5 +515,13 @@ mod tests {
         assert!(report.contains("link_gray"), "{report}");
         assert!(report.contains("gray loss begins"), "{report}");
         assert!(report.contains("gray loss heals"), "{report}");
+    }
+
+    #[test]
+    fn downsample_limits_points() {
+        let points: Vec<(f64, f64)> = (0..1000).map(|i| (i as f64, 0.0)).collect();
+        let d = downsample(&points, 50);
+        assert_eq!(d.len(), 50);
+        assert_eq!(d[0].0, 0.0);
     }
 }

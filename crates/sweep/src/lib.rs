@@ -12,8 +12,9 @@
 //!   CLI all iterate;
 //! * [`runner`] executes cells on a work-stealing std-thread pool and
 //!   returns results in canonical (key-sorted) order;
-//! * [`sink`] emits one JSON Lines record per cell and renders cross-seed
-//!   aggregates through [`harness::report`];
+//! * [`sink`] is the one codec of a cell's result record — one JSON
+//!   Lines record per cell, rendered and parsed back byte-exactly — and
+//!   renders cross-seed aggregates as comparison and speedup tables;
 //! * [`presets`] names a matrix for every simulation figure of the paper
 //!   plus new scenarios (incast/permutation sweeps, rolling link failures,
 //!   mixed AI collectives, oversubscription/asymmetry,
@@ -107,9 +108,7 @@ pub use progress::Progress;
 pub use runner::{default_threads, run_cells};
 pub use series::series_doc;
 pub use shard::Shard;
-pub use sink::{
-    aggregate, events_per_sec, parse_record, perf_record, render_aggregates, to_jsonl, write_jsonl,
-};
+pub use sink::{aggregate, events_per_sec, parse_record, perf_record, render_aggregates, to_jsonl};
 pub use spec::{FabricSpec, FailureSpec, SimProfile, WorkloadSpec};
 pub use specfile::SpecError;
 pub use store::{CellStore, DocKind};

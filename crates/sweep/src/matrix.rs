@@ -463,8 +463,7 @@ impl Cell {
         exp.diagnostics = diagnostics;
         let series = kinds.contains(&DocKind::Series);
         if series {
-            exp.track = harness::experiment::TrackLinks::TorUplinks(self.track);
-            exp.sample_until = self.deadline.min(crate::series::SAMPLE_HORIZON);
+            exp.track = Some((self.track, self.deadline.min(crate::series::SAMPLE_HORIZON)));
         }
         let mut docs = Vec::new();
         let result = if kinds.contains(&DocKind::Trace) {
@@ -530,7 +529,7 @@ impl InstrumentedRun {
 }
 
 /// The outcome of one cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CellResult {
     /// The cell key.
     pub key: String,
@@ -889,7 +888,7 @@ mod tests {
         let a = hybrid.run();
         let b = hybrid.run();
         assert!(a.summary.completed);
-        assert_eq!(a.summary.to_json(), b.summary.to_json());
+        assert_eq!(crate::sink::jsonl_record(&a), crate::sink::jsonl_record(&b));
     }
 
     #[test]

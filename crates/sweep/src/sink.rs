@@ -1,5 +1,10 @@
-//! Structured result output: JSON Lines per cell and cross-seed
-//! aggregation rendered through [`harness::report`].
+//! Structured result output: the one codec of a cell's result record,
+//! JSON Lines per cell, and cross-seed aggregation rendered as text
+//! tables.
+//!
+//! [`jsonl_record`] renders a record, envelope and summary body alike,
+//! and [`parse_record`] / [`decode_record`] are its exact inverse; the
+//! merge's canonical check and the cache lookup both go through this pair.
 //!
 //! JSONL output is byte-deterministic: [`crate::runner::run_cells`] sorts
 //! results by cell key and every record's field order is fixed, so a sweep
@@ -12,11 +17,11 @@
 //! contract the CI smoke test and golden tests pin.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fmt::Write as _;
 
 use harness::experiment::Summary;
 use harness::json::{Object, Value};
-use harness::report::{comparison_table, speedup_table};
+use netsim::stats::Counters;
 use netsim::time::Time;
 
 use crate::matrix::CellResult;
@@ -34,8 +39,55 @@ pub(crate) fn push_record(buf: String, r: &CellResult) -> String {
         .str("lb", &r.lb)
         .u64("seed", r.seed as u64)
         .u64("derived_seed", r.derived_seed)
-        .obj("summary", |o| r.summary.json_fields(o))
+        .obj("summary", |o| summary_fields(o, &r.summary))
         .render()
+}
+
+/// Appends a summary's fields to `obj` in their fixed order, times in
+/// integer picoseconds. Non-finite goodput renders as `null`, and so does
+/// `bg_max_fct_ps` without background. The gray/corrupt drop counters only
+/// exist in faulted cells: omitting them at zero keeps every
+/// pre-fault-axis record byte-identical.
+fn summary_fields(obj: Object, s: &Summary) -> Object {
+    let c = &s.counters;
+    let obj = obj
+        .str("name", &s.name)
+        .str("lb", &s.lb)
+        .bool("completed", s.completed)
+        .u64("fg_flows", s.fg_flows as u64)
+        .u64("max_fct_ps", s.max_fct.as_ps())
+        .u64("avg_fct_ps", s.avg_fct.as_ps())
+        .u64("p99_fct_ps", s.p99_fct.as_ps())
+        .u64("makespan_ps", s.makespan.as_ps())
+        .f64("avg_goodput_gbps", s.avg_goodput_gbps);
+    let obj = match s.bg_max_fct {
+        Some(t) => obj.u64("bg_max_fct_ps", t.as_ps()),
+        None => obj.raw("bg_max_fct_ps", "null"),
+    };
+    let obj = obj.obj("counters", |mut o| {
+        o = o
+            .u64("drops_queue_full", c.drops_queue_full)
+            .u64("drops_link_down", c.drops_link_down)
+            .u64("drops_bit_error", c.drops_bit_error);
+        if c.drops_gray > 0 {
+            o = o.u64("drops_gray", c.drops_gray);
+        }
+        if c.drops_corrupt > 0 {
+            o = o.u64("drops_corrupt", c.drops_corrupt);
+        }
+        o.u64("trims", c.trims)
+            .u64("ecn_marks", c.ecn_marks)
+            .u64("data_tx", c.data_tx)
+            .u64("ctrl_tx", c.ctrl_tx)
+            .u64("retransmissions", c.retransmissions)
+            .u64("timeouts", c.timeouts)
+    });
+    match &s.diagnostics {
+        Some(diag) => obj.obj("diagnostics", |o| {
+            diag.iter().fold(o, |o, (name, v)| o.f64(name, *v))
+        }),
+        None => obj,
+    }
 }
 
 /// Parses one JSONL record back into a [`CellResult`] — the exact inverse
@@ -53,43 +105,108 @@ pub fn parse_record(line: &str) -> Result<CellResult, String> {
 /// [`parse_record`] of an already-parsed line (the cache's store probe
 /// parses it).
 pub fn decode_record(v: &Value<'_>) -> Result<CellResult, String> {
-    let field = |k: &str| v.get(k).ok_or_else(|| format!("record missing {k:?}"));
-    let text = |k: &str| -> Result<String, String> {
-        field(k)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("record field {k:?} is not a string"))
-    };
-    let seed = field("seed")?
-        .as_u64()
-        .filter(|&s| s <= u32::MAX as u64)
-        .ok_or("record field \"seed\" is not a u32")?;
+    let r = Fields { what: "record", v };
     Ok(CellResult {
-        key: text("key")?,
-        scenario: text("scenario")?,
-        lb: text("lb")?,
-        seed: seed as u32,
-        derived_seed: field("derived_seed")?
-            .as_u64()
-            .ok_or("record field \"derived_seed\" is not a u64")?,
-        events: 0,
-        wall_ns: 0,
-        batches: 0,
-        max_batch: 0,
-        chained_services: 0,
-        kinds: Default::default(),
-        lookahead_hints: 0,
-        calendar: Default::default(),
-        arena_high_water: 0,
-        arena_wide_high_water: 0,
-        fluid: Default::default(),
-        summary: Summary::from_json(field("summary")?)?,
+        key: r.text("key")?,
+        scenario: r.text("scenario")?,
+        lb: r.text("lb")?,
+        seed: r.typed("seed", "a u32", |v| v.as_u64()?.try_into().ok())?,
+        derived_seed: r.u64("derived_seed")?,
+        summary: decode_summary(r.obj("summary")?)?,
+        ..CellResult::default()
     })
 }
 
-/// Writes results (already sorted by key) as JSON Lines.
-pub fn write_jsonl(out: &mut dyn Write, results: &[CellResult]) -> std::io::Result<()> {
-    out.write_all(to_jsonl(results).as_bytes())
+/// Inverts [`summary_fields`], reading each of its quirks back: `null`
+/// goodput as NaN, `null` background FCT as none, and an absent gray or
+/// corrupt counter as 0.
+fn decode_summary(s: Fields<'_, '_>) -> Result<Summary, String> {
+    let c = s.obj("counters")?;
+    let diagnostics = match s.v.get("diagnostics") {
+        None => None,
+        Some(d) => Some(
+            (d.as_obj().ok_or("\"diagnostics\" is not an object")?.iter())
+                .map(|(k, v)| match v.as_f64() {
+                    Some(n) => Ok((k.to_string(), n)),
+                    None => Err(format!("diagnostics field {k:?} is not a number")),
+                })
+                .collect::<Result<_, String>>()?,
+        ),
+    };
+    Ok(Summary {
+        name: s.text("name")?,
+        lb: s.text("lb")?,
+        completed: s.typed("completed", "a bool", Value::as_bool)?,
+        fg_flows: s.u64("fg_flows")? as usize,
+        max_fct: Time(s.u64("max_fct_ps")?),
+        avg_fct: Time(s.u64("avg_fct_ps")?),
+        p99_fct: Time(s.u64("p99_fct_ps")?),
+        makespan: Time(s.u64("makespan_ps")?),
+        avg_goodput_gbps: s.typed("avg_goodput_gbps", "null or a number", |v| match v {
+            Value::Null => Some(f64::NAN),
+            n => n.as_f64(),
+        })?,
+        bg_max_fct: s.typed("bg_max_fct_ps", "null or a u64", |v| match v {
+            Value::Null => Some(None),
+            t => t.as_u64().map(|t| Some(Time(t))),
+        })?,
+        counters: Counters {
+            drops_queue_full: c.u64("drops_queue_full")?,
+            drops_link_down: c.u64("drops_link_down")?,
+            drops_bit_error: c.u64("drops_bit_error")?,
+            drops_gray: c.u64_or_zero("drops_gray")?,
+            drops_corrupt: c.u64_or_zero("drops_corrupt")?,
+            trims: c.u64("trims")?,
+            ecn_marks: c.u64("ecn_marks")?,
+            data_tx: c.u64("data_tx")?,
+            ctrl_tx: c.u64("ctrl_tx")?,
+            retransmissions: c.u64("retransmissions")?,
+            timeouts: c.u64("timeouts")?,
+        },
+        diagnostics,
+    })
+}
+
+/// The fields of one object of a record being decoded, named `what` in
+/// error messages.
+#[derive(Clone, Copy)]
+struct Fields<'v, 'a> {
+    what: &'static str,
+    v: &'v Value<'a>,
+}
+
+impl<'v, 'a> Fields<'v, 'a> {
+    fn get(self, k: &str) -> Result<&'v Value<'a>, String> {
+        (self.v.get(k)).ok_or_else(|| format!("{} missing {k:?}", self.what))
+    }
+
+    /// Field `k` read by `read`, which fails unless it is a `ty`.
+    fn typed<T>(
+        self,
+        k: &str,
+        ty: &str,
+        read: impl FnOnce(&Value<'a>) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.get(k)?).ok_or_else(|| format!("{} field {k:?} is not {ty}", self.what))
+    }
+
+    fn text(self, k: &str) -> Result<String, String> {
+        self.typed(k, "a string", |v| v.as_str().map(str::to_string))
+    }
+
+    fn u64(self, k: &str) -> Result<u64, String> {
+        self.typed(k, "a u64", Value::as_u64)
+    }
+
+    /// A counter written only when nonzero: absent reads as 0.
+    fn u64_or_zero(self, k: &str) -> Result<u64, String> {
+        self.v.get(k).map_or(Ok(0), |_| self.u64(k))
+    }
+
+    /// The object in field `k`, named after it.
+    fn obj(self, k: &'static str) -> Result<Fields<'v, 'a>, String> {
+        self.get(k).map(|v| Fields { what: k, v })
+    }
 }
 
 /// Renders all results to one JSONL string, every record written into the
@@ -171,7 +288,7 @@ pub struct Aggregate {
     /// Number of seeds aggregated.
     pub runs: usize,
     /// Mean of the per-seed summaries, named after the scenario and the lb
-    /// and shaped as a [`Summary`] so the shared report helpers render it.
+    /// and shaped as a [`Summary`] so the tables render it like a run.
     pub mean: Summary,
 }
 
@@ -198,7 +315,7 @@ pub fn aggregate(results: &[CellResult]) -> Vec<Aggregate> {
             // Sum across seeds first, divide once: per-element flooring
             // would erase counters rarer than one event per seed (exactly
             // the drop/timeout tallies failure scenarios measure).
-            let mean_of = |field: fn(&netsim::stats::Counters) -> u64| {
+            let mean_of = |field: fn(&Counters) -> u64| {
                 (rs.iter().map(|s| field(&s.counters) as u128).sum::<u128>() / n as u128) as u64
             };
             // Mixed-traffic scenarios report a background FCT per seed;
@@ -216,7 +333,7 @@ pub fn aggregate(results: &[CellResult]) -> Vec<Aggregate> {
                 makespan: times(|s| s.makespan),
                 avg_goodput_gbps: rs.iter().map(|s| s.avg_goodput_gbps).sum::<f64>() / n as f64,
                 bg_max_fct: (!bg.is_empty()).then(|| mean_time(bg.iter().copied(), bg.len())),
-                counters: netsim::stats::Counters {
+                counters: Counters {
                     drops_queue_full: mean_of(|c| c.drops_queue_full),
                     drops_link_down: mean_of(|c| c.drops_link_down),
                     drops_bit_error: mean_of(|c| c.drops_bit_error),
@@ -258,9 +375,8 @@ fn mean_diagnostics(rs: &[&Summary]) -> Option<Vec<(String, f64)>> {
 }
 
 /// Renders the cross-seed aggregation as per-scenario comparison and
-/// speedup tables (via [`harness::report`]), all into one buffer.
-/// `baseline` picks the speedup denominator; when the scenario lacks that
-/// label the first row is used.
+/// speedup tables, all into one buffer. `baseline` picks the speedup
+/// denominator; when the scenario lacks that label the first row is used.
 pub fn render_aggregates(results: &[CellResult], baseline: &str) -> String {
     let mut out = String::new();
     let mut aggs = aggregate(results).into_iter().peekable();
@@ -275,15 +391,55 @@ pub fn render_aggregates(results: &[CellResult], baseline: &str) -> String {
         let scenario = &rows[0].name;
         let title = format!("{scenario} (mean of {runs} seed(s))");
         comparison_table(&mut out, &title, &rows);
-        let base = if rows.iter().any(|s| s.lb == baseline) {
-            baseline
-        } else {
-            &rows[0].lb
-        };
+        let base = rows.iter().find(|s| s.lb == baseline).unwrap_or(&rows[0]);
         speedup_table(&mut out, scenario, &rows, base);
         out.push('\n');
     }
     out
+}
+
+/// Appends `rows` to `out` as an aligned comparison table. Drops are
+/// broken out by reason (queue overflow, dead link, bit error, gray loss,
+/// corruption): lumping them together hides exactly the distinction the
+/// failure figures are about — a congested balancer, a blackholed one and
+/// one bleeding packets on a gray cable all "drop", for different reasons.
+fn comparison_table(out: &mut String, title: &str, rows: &[Summary]) {
+    // The row format's column widths, pinned by the aggregate tests.
+    let _ = writeln!(
+        out,
+        "## {title}\nLB              max FCT(us)  avg FCT(us)  p99 FCT(us)   \
+         qdrops  lnkdrop  berdrop graydrop  corrupt     retx      ecn   done"
+    );
+    for s in rows {
+        let c = &s.counters;
+        let _ = writeln!(
+            out,
+            "{:<14} {:>12.1} {:>12.1} {:>12.1} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6}",
+            s.lb,
+            s.max_fct.as_us_f64(),
+            s.avg_fct.as_us_f64(),
+            s.p99_fct.as_us_f64(),
+            c.drops_queue_full,
+            c.drops_link_down,
+            c.drops_bit_error,
+            c.drops_gray,
+            c.drops_corrupt,
+            c.retransmissions,
+            c.ecn_marks,
+            if s.completed { "yes" } else { "NO" },
+        );
+    }
+}
+
+/// Appends each row's speedup over `base` to `out` (the paper's "speedup
+/// vs ECMP" / "speedup vs OPS" bars).
+fn speedup_table(out: &mut String, title: &str, rows: &[Summary], base: &Summary) {
+    let _ = writeln!(out, "## {title} (speedup vs {})", base.lb);
+    let base_fct = base.max_fct.as_ps().max(1) as f64;
+    for s in rows {
+        let speedup = base_fct / s.max_fct.as_ps().max(1) as f64;
+        let _ = writeln!(out, "{:<14} {:>8.2}x", s.lb, speedup);
+    }
 }
 
 #[cfg(test)]
@@ -330,24 +486,35 @@ mod tests {
         assert_eq!(keys.len(), 4, "keys are unique");
     }
 
+    /// Renders `r`, checks that rendering is deterministic and that the
+    /// record parses back into one that re-renders to the same bytes (so
+    /// every rendered field came back), and returns the line and the
+    /// parsed record.
+    fn round_trip(r: &CellResult) -> (String, CellResult) {
+        let line = jsonl_record(r);
+        assert_eq!(jsonl_record(r), line, "rendering twice differs");
+        let parsed = parse_record(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(jsonl_record(&parsed), line, "round trip must be exact");
+        assert_eq!(parsed.events, 0, "perf fields are not in the record");
+        (line, parsed)
+    }
+
+    /// A run of one small tornado cell, with or without background.
+    fn tornado_result(background: bool) -> CellResult {
+        let mut m =
+            ScenarioMatrix::new("sink-bg").workloads([WorkloadSpec::Tornado { bytes: 32 << 10 }]);
+        m.background =
+            background.then_some((WorkloadSpec::Tornado { bytes: 8 << 10 }, LbKind::Ecmp));
+        m.expand()[0].run()
+    }
+
     #[test]
     fn parse_record_inverts_jsonl_record_byte_exactly() {
         let mut results = small_results();
         // Cover the mixed-traffic shape too (bg_max_fct: Some).
-        results.push({
-            let m = ScenarioMatrix::new("sink-bg")
-                .workloads([WorkloadSpec::Tornado { bytes: 32 << 10 }])
-                .background(WorkloadSpec::Tornado { bytes: 8 << 10 }, LbKind::Ecmp);
-            m.expand()[0].run()
-        });
+        results.push(tornado_result(true));
         for r in &results {
-            let line = jsonl_record(r);
-            let parsed = parse_record(&line).expect("canonical record parses");
-            assert_eq!(jsonl_record(&parsed), line, "round trip must be exact");
-            assert_eq!(parsed.key, r.key);
-            assert_eq!(parsed.seed, r.seed);
-            assert_eq!(parsed.derived_seed, r.derived_seed);
-            assert_eq!(parsed.events, 0, "perf fields are not in the record");
+            round_trip(r);
         }
         for bad in [
             "",
@@ -357,6 +524,58 @@ mod tests {
         ] {
             assert!(parse_record(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn summary_json_is_stable_and_escaped() {
+        let mut r = tornado_result(false);
+        r.summary.name = "json \"quoted\"".to_string();
+        r.summary.avg_goodput_gbps = f64::NAN;
+        r.summary.diagnostics = Some(vec![("z".into(), 2.0), ("a".into(), 0.5)]);
+        let (j, parsed) = round_trip(&r);
+        assert!(
+            j.contains("\"summary\":{\"name\":\"json \\\"quoted\\\"\""),
+            "{j}"
+        );
+        assert!(j.contains("\"completed\":true"), "{j}");
+        assert!(j.contains("\"avg_goodput_gbps\":null"), "{j}");
+        assert!(j.contains("\"bg_max_fct_ps\":null"), "{j}");
+        assert!(j.contains("\"counters\":{\"drops_queue_full\":"), "{j}");
+        assert!(j.ends_with(",\"diagnostics\":{\"z\":2,\"a\":0.5}}}"), "{j}");
+        assert_eq!(parsed.summary.name, r.summary.name);
+        assert!(parsed.summary.avg_goodput_gbps.is_nan());
+    }
+
+    #[test]
+    fn summary_from_json_round_trips_byte_exactly() {
+        for bg in [false, true] {
+            let (_, parsed) = round_trip(&tornado_result(bg));
+            assert_eq!(parsed.summary.bg_max_fct.is_some(), bg);
+        }
+        // Shape errors in a well-formed envelope are reported, not panicked.
+        let bad = "{\"key\":\"x\",\"scenario\":\"s\",\"lb\":\"L\",\"seed\":0,\"derived_seed\":0,\"summary\":{\"name\":\"x\"}}";
+        assert!(parse_record(bad).unwrap_err().contains("missing"));
+    }
+
+    #[test]
+    fn gray_and_corrupt_counters_are_emitted_only_when_nonzero() {
+        let mut r = tornado_result(false);
+        let (clean, _) = round_trip(&r);
+        assert!(!clean.contains("drops_gray"), "{clean}");
+        assert!(!clean.contains("drops_corrupt"), "{clean}");
+        r.summary.counters.drops_gray = 3;
+        r.summary.counters.drops_corrupt = 1;
+        let (faulted, parsed) = round_trip(&r);
+        assert!(
+            faulted.contains("\"drops_gray\":3,\"drops_corrupt\":1,\"trims\":"),
+            "{faulted}"
+        );
+        assert_eq!(parsed.summary.counters.drops_gray, 3);
+        assert_eq!(parsed.summary.counters.drops_corrupt, 1);
+        // Records written before the fault axis existed parse with zeros.
+        let old = parse_record(&clean).expect("pre-fault-axis record");
+        assert_eq!(old.summary.counters.drops_gray, 0);
+        assert_eq!(old.summary.counters.drops_corrupt, 0);
     }
 
     #[test]
@@ -442,7 +661,6 @@ mod tests {
     /// A synthetic cell result whose every numeric summary field is
     /// `base * scale`, so seeds are numerically distinguishable.
     fn synthetic_result(seed: u32, scale: u64, completed: bool) -> CellResult {
-        use harness::experiment::Summary;
         let t = |base: u64| Time(base * scale);
         let summary = Summary {
             name: format!("synthetic/lb=X/s={seed}"),
@@ -455,7 +673,7 @@ mod tests {
             makespan: t(1_100),
             avg_goodput_gbps: 1.5 * scale as f64,
             bg_max_fct: Some(t(2_000)),
-            counters: netsim::stats::Counters {
+            counters: Counters {
                 drops_queue_full: scale,
                 drops_link_down: 2 * scale,
                 drops_bit_error: 3 * scale,
@@ -479,18 +697,8 @@ mod tests {
             lb: "X".to_string(),
             seed,
             derived_seed: seed as u64,
-            events: 0,
-            wall_ns: 0,
-            batches: 0,
-            max_batch: 0,
-            chained_services: 0,
-            kinds: Default::default(),
-            lookahead_hints: 0,
-            calendar: Default::default(),
-            arena_high_water: 0,
-            arena_wide_high_water: 0,
-            fluid: Default::default(),
             summary,
+            ..CellResult::default()
         }
     }
 
@@ -554,7 +762,8 @@ mod tests {
         let results = vec![synthetic_result(0, 1, true), synthetic_result(1, 3, false)];
         let aggs = aggregate(&results);
         assert_eq!(aggs.len(), 1);
-        let json = [&results[0].summary, &results[1].summary, &aggs[0].mean].map(Summary::to_json);
+        let json = [&results[0].summary, &results[1].summary, &aggs[0].mean]
+            .map(|s| summary_fields(Object::new(), s).render());
         let [a, b, mean] = json.each_ref().map(|j| Value::parse(j).unwrap());
         assert_fieldwise_mean("summary", &a, &b, &mean);
         // The regressions this guards, stated directly: no seed-0 leakage
@@ -633,5 +842,46 @@ Y                  1.00x\n\
         assert!(rendered.contains("REPS"), "{rendered}");
         assert!(rendered.contains("speedup vs OPS"), "{rendered}");
         assert!(rendered.contains("mean of 2 seed(s)"), "{rendered}");
+    }
+
+    /// One seed of the synthetic scenario under `lb`, finishing in `max_us`.
+    fn synthetic_row(lb: &str, max_us: u64) -> CellResult {
+        let mut r = synthetic_result(0, 1, true);
+        r.key = format!("synthetic/lb={lb}/s=0");
+        r.lb = lb.to_string();
+        r.summary.lb = lb.to_string();
+        r.summary.max_fct = Time::from_us(max_us);
+        r
+    }
+
+    #[test]
+    fn speedup_is_relative_to_baseline() {
+        let rows = [synthetic_row("ECMP", 600), synthetic_row("REPS", 100)];
+        let t = render_aggregates(&rows, "ECMP");
+        assert!(t.contains("(speedup vs ECMP)"), "{t}");
+        assert!(t.contains("REPS") && t.contains("6.00x"), "{t}");
+        assert!(t.contains("1.00x"), "{t}");
+    }
+
+    #[test]
+    fn comparison_table_contains_rows() {
+        let t = render_aggregates(&[synthetic_row("OPS", 50)], "OPS");
+        assert!(t.contains("OPS"), "{t}");
+        assert!(t.contains("50.0"), "{t}");
+    }
+
+    #[test]
+    fn comparison_table_breaks_drops_out_by_reason() {
+        // The synthetic counters: 1 queue, 2 link-down, 3 bit-error,
+        // 13 gray and 14 corrupt drops.
+        let t = render_aggregates(&[synthetic_row("REPS", 50)], "REPS");
+        for col in ["qdrops", "lnkdrop", "berdrop", "graydrop", "corrupt"] {
+            assert!(t.contains(col), "missing column {col}: {t}");
+        }
+        // The data row carries each count under its own column.
+        let row = t.lines().nth(2).unwrap();
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(fields[0], "REPS", "{t}");
+        assert_eq!(fields[4..9], ["1", "2", "3", "13", "14"], "{row}");
     }
 }

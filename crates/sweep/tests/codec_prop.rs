@@ -12,20 +12,27 @@
 //! 3. the per-cell store's probe never panics on a damaged result record,
 //!    series or trace document (seeded from one real cell's documents,
 //!    with the same damage), an undamaged document is a hit, and one cut
-//!    anywhere before its last newline never is.
+//!    anywhere before its last newline never is;
+//! 4. the grid and label grammars never panic on damaged input: the spec
+//!    file parser on the shipped `examples/*.grid` (every error's line lies
+//!    inside the input), and every axis value parser and the glob matcher
+//!    on the quick presets' labels, each of which parses back to itself.
 //!
 //! The shim does not shrink, so every failure message carries the sampled
 //! case and the input verbatim.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use harness::json::Value;
+use harness::Scale;
 use proptest::prelude::*;
+use sweep::axis::AXES;
 use sweep::matrix::{Cell, CellResult, ScenarioMatrix};
 use sweep::sink::jsonl_record;
 use sweep::spec::WorkloadSpec;
-use sweep::{parse_record, CellStore, DocKind};
+use sweep::{glob, parse_record, presets, specfile, CellStore, DocKind};
 
 /// Every line of every golden file, in file-name order.
 fn corpus() -> Vec<String> {
@@ -95,6 +102,9 @@ fn check_damaged(case: &str, input: &str) {
     }
 }
 
+/// A damage function: `(text, op, pos, byte)` to the damaged text.
+type Damage = fn(&str, u8, u64, u8) -> String;
+
 /// Applies damage `op` at byte `pos` of `line`; the result is made valid
 /// UTF-8 again (a flip inside a multi-byte char becomes U+FFFD).
 fn damage(line: &str, op: u8, pos: u64, byte: u8) -> String {
@@ -124,6 +134,65 @@ fn damage(line: &str, op: u8, pos: u64, byte: u8) -> String {
         _ => b[last] = b"\"\\{}[],:0-"[byte as usize % 10],
     }
     String::from_utf8_lossy(&b).into_owned()
+}
+
+/// [`damage`] for the grid and label grammars, which split on `=` and do
+/// not nest: op 4, the deep prefix aimed at the JSON parser's recursion,
+/// becomes `=` damage instead — the `=` nearest after `pos` deleted or
+/// doubled, or one inserted.
+fn damage_grammar(text: &str, op: u8, pos: u64, byte: u8) -> String {
+    if op % 6 != 4 {
+        return damage(text, op, pos, byte);
+    }
+    let mut b = text.as_bytes().to_vec();
+    let at = (pos % (b.len() as u64 + 1)) as usize;
+    match (at..b.len()).chain(0..at).find(|&i| b[i] == b'=') {
+        Some(i) if byte & 1 == 0 => drop(b.remove(i)),
+        Some(i) => b.insert(i, b'='),
+        None => b.insert(at, b'='),
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
+
+/// `rounds` rounds of `damage` on `text`, each at another op and place.
+fn damaged(text: &str, op: u8, pos: u64, byte: u8, rounds: usize, damage: Damage) -> String {
+    (0..rounds).fold(text.to_string(), |t, k| {
+        damage(
+            &t,
+            op.wrapping_add(k as u8 * 5),
+            pos.rotate_left(k as u32 * 17),
+            byte,
+        )
+    })
+}
+
+/// The shipped example grids, in file-name order.
+fn grids() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let mut files: Vec<_> = (std::fs::read_dir(dir).expect("examples directory"))
+        .map(|e| e.expect("examples entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "grid"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 5, "the example grids changed");
+    files
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("grid"))
+        .collect()
+}
+
+/// Every distinct `(axis, label)` the quick presets hold, sorted by axis
+/// then label. An axis row's `canonical` is its value parser
+/// (`LbKind::parse`, `FaultSpec::parse`, `Time::parse_label`, ...)
+/// followed by its labeler.
+fn labels() -> Vec<(usize, String)> {
+    let presets = presets::all(Scale::Quick);
+    let labels: BTreeSet<(usize, String)> = (AXES.iter().enumerate())
+        .flat_map(|(i, axis)| {
+            (presets.iter()).flat_map(move |m| axis.labels(m).map(move |l| (i, l)))
+        })
+        .collect();
+    labels.into_iter().collect()
 }
 
 /// One small cell and its real documents of every store kind: the result
@@ -218,11 +287,7 @@ proptest! {
         byte in any::<u8>(),
         rounds in 1usize..4,
     ) {
-        let corpus = corpus();
-        let mut input = corpus[line].clone();
-        for k in 0..rounds {
-            input = damage(&input, op.wrapping_add(k as u8 * 5), pos.rotate_left(k as u32 * 17), byte);
-        }
+        let input = damaged(&corpus()[line], op, pos, byte, rounds, damage);
         let case = format!("line {line}, op {op}, pos {pos}, byte {byte}, rounds {rounds}");
         check_damaged(&case, &input);
     }
@@ -239,10 +304,7 @@ proptest! {
     ) {
         let (cell, docs) = documents();
         let (kind, doc) = &docs[kind];
-        let mut input = doc.clone();
-        for k in 0..rounds {
-            input = damage(&input, op.wrapping_add(k as u8 * 5), pos.rotate_left(k as u32 * 17), byte);
-        }
+        let input = damaged(doc, op, pos, byte, rounds, damage);
         let case = format!("{kind:?}, op {op}, pos {pos}, byte {byte}, rounds {rounds}");
         let hit = probe(&case, *kind, cell, &input);
         if input == *doc {
@@ -253,5 +315,59 @@ proptest! {
         // The undamaged document cut at `pos` is never a hit either.
         let cut = &doc[..(pos % doc.len() as u64) as usize];
         prop_assert!(!probe(&case, *kind, cell, cut), "{}: cut at {} is a hit", case, cut.len());
+    }
+
+    /// Damaged grids never panic the spec parser, and every error names a
+    /// line of the input.
+    #[test]
+    fn damaged_grids_never_panic_the_spec_parser(
+        grid in 0usize..5,
+        op in 0u8..6,
+        pos in any::<u64>(),
+        byte in any::<u8>(),
+        rounds in 1usize..4,
+    ) {
+        let source = &grids()[grid];
+        let input = damaged(source, op, pos, byte, rounds, damage_grammar);
+        let case = format!("grid {grid}, op {op}, pos {pos}, byte {byte}, rounds {rounds}");
+        if let Err(e) = no_panic(&case, &input, || specfile::parse(&input)) {
+            prop_assert!(*source != input, "{}: the undamaged grid fails: {}", case, e);
+            let lines = input.lines().count();
+            prop_assert!(
+                (1..=lines).contains(&e.line),
+                "{}: {} is outside the input's {} lines; input {:?}", case, e, lines, input
+            );
+        }
+    }
+
+    /// Every label, damaged alike, never panics its axis's value parser
+    /// or the glob matcher.
+    #[test]
+    fn damaged_labels_never_panic_the_value_parsers(
+        op in 0u8..6,
+        pos in any::<u64>(),
+        byte in any::<u8>(),
+        rounds in 1usize..4,
+    ) {
+        for (axis, label) in &labels() {
+            let axis = &AXES[*axis];
+            let input = damaged(label, op, pos, byte, rounds, damage_grammar);
+            let case = format!("{} label {label:?}, op {op}, pos {pos}, byte {byte}, rounds {rounds}", axis.name);
+            let _ = no_panic(&case, &input, || (axis.canonical)(&input));
+            no_panic(&case, &input, || glob::matches(&input, label) | glob::matches(label, &input));
+        }
+    }
+}
+
+#[test]
+fn canonical_labels_parse_back_to_themselves() {
+    for (axis, label) in &labels() {
+        let name = AXES[*axis].name;
+        let parsed = (AXES[*axis].canonical)(label);
+        assert_eq!(parsed.as_deref(), Ok(label.as_str()), "{name}");
+        assert!(
+            glob::matches(label, label),
+            "{label:?} does not match itself"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Umbrella crate for the REPS reproduction.
 //!
-//! Re-exports the public API of every workspace crate so examples and
-//! downstream users need a single dependency:
+//! Re-exports the public API of every workspace crate so the quickstart
+//! example and downstream users need a single dependency:
 //!
 //! * [`reps`] — the REPS algorithm (the paper's contribution),
 //! * [`baselines`] — every load balancer the paper compares against,
@@ -9,9 +9,9 @@
 //! * [`transport`] — the out-of-order transport and congestion control,
 //! * [`workloads`] — synthetic patterns, trace CDFs and AI collectives,
 //! * [`ballsbins`] — the §5 theoretical models,
-//! * [`harness`] — the experiment runner,
-//! * [`sweep`] — the deterministic parallel scenario-sweep engine and the
-//!   `repsbench` CLI.
+//! * [`harness`] — the engine builder: one experiment in, a run summary out,
+//! * [`sweep`] — the deterministic parallel scenario-sweep engine, its
+//!   result-record codec and tables, and the `repsbench` CLI.
 //!
 //! # Examples
 //!
@@ -66,7 +66,7 @@ pub use workloads;
 /// Convenient re-exports for examples and quick experiments.
 pub mod prelude {
     pub use baselines::kind::LbKind;
-    pub use harness::experiment::{Experiment, RunResult, Summary, TrackLinks};
+    pub use harness::experiment::{Experiment, RunResult, Summary};
     pub use harness::Scale;
     pub use netsim::config::SimConfig;
     pub use netsim::failures::{Failure, FailurePlan};
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use sweep::{FabricSpec, FailureSpec, LabeledLb, ScenarioMatrix, SimProfile, WorkloadSpec};
     pub use transport::cc::CcKind;
     pub use transport::config::{CoalesceConfig, CoalesceVariant};
-    pub use workloads::collectives::{alltoall, butterfly_allreduce, ring_allreduce};
+    pub use workloads::collectives::ring_allreduce;
     pub use workloads::patterns::{incast, permutation, tornado};
     pub use workloads::traces::{poisson_trace, SizeCdf};
 }
