@@ -439,8 +439,7 @@ const CALENDAR_OPS: u64 = 65_536;
 
 /// The timer-only bench: a hold model at [`HOLD_HELD`] timers, the order
 /// of what a cell's heap level really holds (one sweep timer per host: 32
-/// on the suite's median cell, at most 136 on all but its eight
-/// `flap-reconv` cells).
+/// on the suite's median cell, at most 136 on any of its cells).
 const HOLD_BENCH: &str = "calendar/engine_queue_hold256_uniform";
 const HOLD_HELD: u64 = 256;
 

@@ -104,6 +104,28 @@ use crate::trace::{NoTrace, TraceEvent, TraceSink};
 /// few dozen events still benefit and the lines are not evicted again.
 const PREFETCH_AHEAD: usize = 8;
 
+/// One flapping cable's schedule, generated as it fires: the toggle pair
+/// on the calendar, and what the pairs after it are (see
+/// [`Engine::schedule_flap`]).
+#[derive(Debug, Clone, Copy)]
+struct FlapRun {
+    /// The `(forward, reverse)` links it toggles.
+    pair: (LinkId, LinkId),
+    /// Instant of the pair on the calendar.
+    at: Time,
+    /// Whether that pair takes the cable down (else up).
+    down: bool,
+    /// Sequence number of the pair's first entry; the second has the next.
+    seq: u64,
+    /// How long each down and each up lasts.
+    down_time: Time,
+    up_time: Time,
+    /// No toggle at or after it.
+    until: Time,
+    /// The last number reserved for the run: its last pair's second entry.
+    last_seq: u64,
+}
+
 /// How switches pick among equal-cost uplinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
@@ -486,6 +508,8 @@ pub struct Engine<S: TraceSink = NoTrace, E = Box<dyn Endpoint<S>>> {
     scratch_actions: Vec<Action>,
     /// Reusable failover-filter buffer for [`RoutingView::select_uplink`].
     scratch_uplinks: Vec<LinkId>,
+    /// Flapping cables, indexed by [`ControlEvent::FlapStep`]'s run.
+    flaps: Vec<FlapRun>,
     /// Fluid background-traffic model (hybrid-fidelity cells only; `None`
     /// keeps the pure packet engine untouched).
     pub fluid: Option<FluidNet>,
@@ -549,6 +573,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
             sampling_scheduled: false,
             scratch_actions: Vec::new(),
             scratch_uplinks: Vec::new(),
+            flaps: Vec::new(),
             fluid: None,
         }
     }
@@ -593,6 +618,96 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
     /// Schedules a control event at absolute time `at`.
     pub fn schedule_control(&mut self, at: Time, ev: ControlEvent) {
         self.events.push(at, Event::Control(ev));
+    }
+
+    /// Flaps cable `pair`: down at `at`, up `period - up_time` later, down
+    /// again a `period` after `at`, and so on, with no toggle at or after
+    /// `until`. Each toggle takes the forward link first, then the reverse.
+    /// `up_time` must lie strictly between zero and `period`.
+    ///
+    /// The calendar holds one toggle pair of the run at a time: the pair's
+    /// second entry pushes the next. Every entry still gets the sequence
+    /// number it would have had pushed here — the run reserves them all
+    /// now — so dispatch order, ties included, is that of the whole
+    /// schedule pushed up front.
+    pub(crate) fn schedule_flap(
+        &mut self,
+        pair: (LinkId, LinkId),
+        at: Time,
+        period: Time,
+        up_time: Time,
+        until: Time,
+    ) {
+        assert!(
+            Time::ZERO < up_time && up_time < period,
+            "flap duty must be strictly between 0 and 1"
+        );
+        let down_time = period - up_time;
+        // Downs at `at + k * period`, ups `down_time` after each: the
+        // instants of each kind before `until`.
+        let before_until = |first: Time| {
+            if first < until {
+                (until - first).as_ps().div_ceil(period.as_ps())
+            } else {
+                0
+            }
+        };
+        let pairs = before_until(at) + before_until(at + down_time);
+        if pairs == 0 {
+            return;
+        }
+        let seq = self.events.reserve(2 * pairs);
+        self.flaps.push(FlapRun {
+            pair,
+            at,
+            down: true,
+            seq,
+            down_time,
+            up_time,
+            until,
+            last_seq: seq + 2 * pairs - 1,
+        });
+        self.push_flap_pair(self.flaps.len() - 1);
+    }
+
+    /// Puts flap run `run`'s current toggle pair on the calendar.
+    fn push_flap_pair(&mut self, run: usize) {
+        let r = self.flaps[run];
+        let id = u32::try_from(run).expect("fewer than 2^32 flap runs");
+        self.events
+            .push_reserved(r.at, r.seq, ControlEvent::FlapStep(id, false));
+        self.events
+            .push_reserved(r.at, r.seq + 1, ControlEvent::FlapStep(id, true));
+    }
+
+    /// Runs one entry of flap run `run`'s toggle pair; the second also
+    /// moves the run to its next pair and pushes it, if one is due before
+    /// the run's horizon. The next pair is always later than `now`, so it
+    /// can join no batch already drained.
+    fn flap_step(&mut self, run: usize, second: bool) {
+        let r = self.flaps[run];
+        let link = if second { r.pair.1 } else { r.pair.0 };
+        if r.down {
+            self.link_down(link);
+        } else {
+            self.link_up(link);
+        }
+        if !second {
+            return;
+        }
+        let r = &mut self.flaps[run];
+        r.at += if r.down { r.down_time } else { r.up_time };
+        r.down = !r.down;
+        if r.at >= r.until {
+            debug_assert_eq!(
+                r.seq + 1,
+                r.last_seq,
+                "a flap run ended off its reservation"
+            );
+            return;
+        }
+        r.seq += 2;
+        self.push_flap_pair(run);
     }
 
     /// Enables periodic queue sampling on tracked links until `until`.
@@ -1128,29 +1243,35 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         self.fluid = Some(fluid);
     }
 
+    /// Takes link `l` down, dropping every packet it holds.
+    fn link_down(&mut self, l: LinkId) {
+        self.trace.emit(TraceEvent::LinkDown {
+            at: self.now,
+            link: l,
+        });
+        let flushed = self.links[l.index()].set_down(self.now, &mut self.arena);
+        for _ in 0..flushed {
+            self.stats.on_drop(DropReason::LinkDown);
+        }
+        self.fluid_link_changed(l);
+        self.fluid_resolve();
+    }
+
+    /// Brings link `l` back up.
+    fn link_up(&mut self, l: LinkId) {
+        self.trace.emit(TraceEvent::LinkUp {
+            at: self.now,
+            link: l,
+        });
+        self.links[l.index()].set_up();
+        self.fluid_link_changed(l);
+        self.fluid_resolve();
+    }
+
     fn control(&mut self, ev: ControlEvent) {
         match ev {
-            ControlEvent::LinkDown(l) => {
-                self.trace.emit(TraceEvent::LinkDown {
-                    at: self.now,
-                    link: l,
-                });
-                let flushed = self.links[l.index()].set_down(self.now, &mut self.arena);
-                for _ in 0..flushed {
-                    self.stats.on_drop(DropReason::LinkDown);
-                }
-                self.fluid_link_changed(l);
-                self.fluid_resolve();
-            }
-            ControlEvent::LinkUp(l) => {
-                self.trace.emit(TraceEvent::LinkUp {
-                    at: self.now,
-                    link: l,
-                });
-                self.links[l.index()].set_up();
-                self.fluid_link_changed(l);
-                self.fluid_resolve();
-            }
+            ControlEvent::LinkDown(l) => self.link_down(l),
+            ControlEvent::LinkUp(l) => self.link_up(l),
             ControlEvent::LinkRate(l, bps) => {
                 self.trace.emit(TraceEvent::LinkRate {
                     at: self.now,
@@ -1229,6 +1350,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
                 self.command(h, Command::Custom(0));
             }
             ControlEvent::Custom(_) => {}
+            ControlEvent::FlapStep(run, second) => self.flap_step(run as usize, second),
         }
     }
 }

@@ -106,7 +106,10 @@
 //!    sweep timer per host), 10 240 on the two 10k-host grids, and above
 //!    136 on eight cells of 330 — `flap-reconv`'s 80 032 and 400 030
 //!    pre-scheduled controls, which the ring sent to its overflow *heap*
-//!    anyway. So the level is the `BinaryHeap<Entry>` of entry 1 again;
+//!    anyway. (Those two populations are gone: a flapping cable now
+//!    keeps one toggle pair on the calendar, pushed under reserved
+//!    numbers as the previous pair fires — see "Total order" below — and
+//!    the flap cells peak at 34 entries, the suite at 136.) So the level is the `BinaryHeap<Entry>` of entry 1 again;
 //!    the ring, its tests of geometry and its seven `--perf` counters are
 //!    deleted, not parked (`cal_heap_peak` replaces them).
 //!    * **Measured** (same host and method; result bytes identical on
@@ -154,6 +157,16 @@
 //! tens of thousands of pre-scheduled controls; debug builds also assert
 //! each lane's order at push and that pops never go back).
 //!
+//! A schedule generated as it fires takes its numbers ahead:
+//! [`EventQueue::reserve`] advances the one counter by `n`, and
+//! [`EventQueue::push_reserved`] later files a control under one of those
+//! numbers — the key it would have had pushed at reservation time, so it
+//! pops where an up-front push would have, as long as it lands before
+//! its key is due (the engine's flap runs push each toggle pair when the
+//! previous one fires, always at a later time). Reserved pushes are
+//! controls, so they never take a lane, whose admission check relies on
+//! `seq` growing.
+//!
 //! [`EventQueue::drain_batch_into`] supports the engine's batched
 //! execution: it pops *every* event sharing the earliest pending
 //! timestamp in one call. Three invariants make this safe:
@@ -166,7 +179,8 @@
 //! * events pushed *while a batch executes* carry sequence numbers above
 //!   every batch member, so same-timestamp newcomers drain in a
 //!   follow-up batch, after the current one — exactly where the
-//!   one-pop-at-a-time order would put them.
+//!   one-pop-at-a-time order would put them (a reserved push may carry a
+//!   lower number, but never at the batch's timestamp).
 //!
 //! The engine's drain helper preserves the order even when a run stops
 //! mid-batch: leftovers keep their `(time, seq)` keys and are merged
@@ -232,6 +246,13 @@ pub enum ControlEvent {
     HostStart(HostId),
     /// Opaque experiment-defined event, delivered to the harness callback.
     Custom(u64),
+    /// One entry of flap run `.0`'s toggle pair: the first (`.1` false)
+    /// takes the forward link down or up, the second the reverse link,
+    /// and schedules the run's next pair. Only the engine's flap runs
+    /// (`Engine::schedule_flap`, behind [`Failure::Flap`]) push these.
+    ///
+    /// [`Failure::Flap`]: crate::failures::Failure::Flap
+    FlapStep(u32, bool),
 }
 
 /// A queue entry: `(time, seq)` and the event packed into one word — a
@@ -443,6 +464,33 @@ impl EventQueue {
     pub fn push(&mut self, at: Time, event: Event) {
         let seq = self.seq;
         self.seq += 1;
+        self.push_keyed(at, seq, event);
+    }
+
+    /// Takes `n` sequence numbers off the counter for pushes made later
+    /// with [`EventQueue::push_reserved`], and returns the first. An
+    /// entry pushed under a reserved number pops exactly where it would
+    /// have popped had it been pushed at reservation time, provided it is
+    /// pushed before anything that follows it in `(time, seq)` pops.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedules control `ev` at absolute time `at` under `seq`, a number
+    /// an earlier [`EventQueue::reserve`] handed out. Panics when the
+    /// counter has not reached `seq` yet: nothing reserved it.
+    pub fn push_reserved(&mut self, at: Time, seq: u64, ev: ControlEvent) {
+        assert!(seq < self.seq, "seq {seq} was never reserved");
+        self.push_keyed(at, seq, Event::Control(ev));
+    }
+
+    /// Files `event` under key `(at, seq)` on the level that takes it.
+    /// Inlined, so [`EventQueue::push`] — on every packet hop — stays one
+    /// call.
+    #[inline(always)]
+    fn push_keyed(&mut self, at: Time, seq: u64, event: Event) {
         // Packet-path events are `now + a link constant`, so each
         // constant's pushes are already in `(time, seq)` order: they take
         // a lane. Timers and controls (RTO-scale or absolute times, which

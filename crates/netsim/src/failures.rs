@@ -79,9 +79,9 @@ pub enum Failure {
         duration: Option<Time>,
     },
     /// A cable flaps: down for `period - up_time` then up for `up_time`,
-    /// repeating from `at` until `until`. Expanded into a bounded
-    /// control-event schedule at install time, so calendar growth is
-    /// `O((until - at) / period)` — never unbounded.
+    /// repeating from `at` until `until`. The toggles are generated as
+    /// they fire (`Engine::schedule_flap`): the calendar holds one toggle
+    /// pair per flapping cable, whatever the period and the horizon.
     Flap {
         /// The `(forward, reverse)` link pair.
         pair: (LinkId, LinkId),
@@ -280,19 +280,7 @@ impl FailurePlan {
                         }
                         continue;
                     }
-                    let down_time = *period - *up_time;
-                    let mut t = *at;
-                    while t < *until {
-                        engine.schedule_control(t, ControlEvent::LinkDown(pair.0));
-                        engine.schedule_control(t, ControlEvent::LinkDown(pair.1));
-                        let up_at = t + down_time;
-                        if up_at >= *until {
-                            break;
-                        }
-                        engine.schedule_control(up_at, ControlEvent::LinkUp(pair.0));
-                        engine.schedule_control(up_at, ControlEvent::LinkUp(pair.1));
-                        t += *period;
-                    }
+                    engine.schedule_flap(*pair, *at, *period, *up_time, *until);
                 }
                 Failure::UnidirBlackhole { link, at, duration } => {
                     engine.schedule_control(*at, ControlEvent::LinkDown(*link));
@@ -320,6 +308,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::topology::{FatTreeConfig, Topology};
+    use crate::trace::{Recorder, TraceEvent};
 
     fn engine() -> Engine {
         let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
@@ -510,34 +499,121 @@ mod tests {
         e.run_until(Time::from_ms(99));
         assert!(!e.links[pair.0.index()].up, "duty=0 never recovers");
 
-        // The horizon truncates the schedule: 20us period over a 100us
-        // window is at most 5 cycles x 4 events, never the millions an
-        // unbounded expansion of a long deadline would make.
-        let mut e = engine();
-        let before = e.pending_events();
+        // The horizon truncates the schedule, and the calendar holds one
+        // toggle pair of it at a time: a 20us period over a 100us window
+        // is 5 cycles x (2 down + 2 up) toggles, never more than 2 pending.
+        let flap = |at, until| Failure::Flap {
+            pair,
+            at,
+            period: Time::from_us(20),
+            up_time: Time::from_us(10),
+            until,
+        };
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+        let mut e: Engine<Toggles> =
+            Engine::with_trace(topo, SimConfig::paper_default(), 1, Toggles::default());
         FailurePlan::none()
-            .with(Failure::Flap {
-                pair,
-                at: Time::ZERO,
-                period: Time::from_us(20),
-                up_time: Time::from_us(10),
-                until: Time::from_us(100),
-            })
+            .with(flap(Time::ZERO, Time::from_us(100)))
             .install(&mut e);
-        let scheduled = e.pending_events() - before;
-        assert_eq!(scheduled, 20, "5 cycles x (2 down + 2 up) events");
+        assert_eq!(e.pending_events(), 2, "one toggle pair after install");
+        for us in 1..=120 {
+            e.run_until(Time::from_us(us));
+            assert!(e.pending_events() <= 2, "{} pending", e.pending_events());
+        }
+        assert_eq!(e.batch_stats.calendar.heap_peak, 2, "one pair at a time");
+        assert_eq!(
+            (e.trace.down, e.trace.up),
+            (10, 10),
+            "5 cycles x (2 down + 2 up) toggles"
+        );
+        assert_eq!(e.batch_stats.kinds.controls, 20, "toggles are all it ran");
+        assert_eq!(e.pending_events(), 0, "nothing at or after the horizon");
         // An onset at/after the horizon schedules nothing at all.
-        let before = e.pending_events();
         FailurePlan::none()
-            .with(Failure::Flap {
-                pair,
-                at: Time::from_us(100),
-                period: Time::from_us(20),
-                up_time: Time::from_us(10),
-                until: Time::from_us(100),
-            })
+            .with(flap(Time::from_us(100), Time::from_us(100)))
             .install(&mut e);
-        assert_eq!(e.pending_events(), before);
+        assert_eq!(e.pending_events(), 0);
+
+        // A long horizon: the same flap out to 2 s is 400 000 toggles,
+        // and still 2 entries on the calendar at any time.
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+        let mut e: Engine<Toggles> =
+            Engine::with_trace(topo, SimConfig::paper_default(), 1, Toggles::default());
+        FailurePlan::none()
+            .with(flap(Time::ZERO, Time::from_secs(2)))
+            .install(&mut e);
+        assert_eq!(e.pending_events(), 2, "one toggle pair after install");
+        e.run_until(Time::from_secs(3));
+        assert_eq!((e.trace.down, e.trace.up), (200_000, 200_000));
+        assert_eq!(e.batch_stats.calendar.heap_peak, 2);
+        assert!(e.links[pair.0.index()].up && e.links[pair.1.index()].up);
+    }
+
+    #[test]
+    fn flap_toggles_keep_the_tie_order_of_an_up_front_schedule() {
+        // Two flapping cables whose ups coincide, and rate changes pushed
+        // after both at those same instants. A toggle pushed as the one
+        // before it fires must run exactly where the whole schedule,
+        // pushed at install, put it: ties between the runs and with the
+        // later pushes included. (Plain re-pushes would draw fresh seqs
+        // and run the toggles after the rate changes.)
+        let trace = |lazy: bool| {
+            let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+            let mut e: Engine<Recorder> =
+                Engine::with_trace(topo, SimConfig::paper_default(), 1, Recorder::new());
+            let cables = e.topo.cable_pairs();
+            let (period, until) = (Time::from_us(20), Time::from_us(200));
+            for (i, &pair) in cables[..2].iter().enumerate() {
+                let at = Time::from_us(5 * i as u64);
+                let up_time = Time::from_us(10 + 5 * i as u64);
+                if lazy {
+                    e.schedule_flap(pair, at, period, up_time, until);
+                    continue;
+                }
+                // The up-front expansion the runs replace.
+                let mut t = at;
+                while t < until {
+                    e.schedule_control(t, ControlEvent::LinkDown(pair.0));
+                    e.schedule_control(t, ControlEvent::LinkDown(pair.1));
+                    let up_at = t + (period - up_time);
+                    if up_at >= until {
+                        break;
+                    }
+                    e.schedule_control(up_at, ControlEvent::LinkUp(pair.0));
+                    e.schedule_control(up_at, ControlEvent::LinkUp(pair.1));
+                    t += period;
+                }
+            }
+            for k in 0..25 {
+                let bps = 100_000_000_000 + k;
+                e.schedule_control(
+                    Time::from_us(10 * k),
+                    ControlEvent::LinkRate(cables[2].0, bps),
+                );
+            }
+            e.run_until(Time::from_us(300));
+            e.trace.events
+        };
+        let lazy = trace(true);
+        assert_eq!(lazy.len(), 2 * 40 + 25, "every toggle and rate change ran");
+        assert_eq!(lazy, trace(false));
+    }
+
+    /// Counts the link toggles a run dispatches.
+    #[derive(Default)]
+    struct Toggles {
+        down: u64,
+        up: u64,
+    }
+
+    impl TraceSink for Toggles {
+        fn emit(&mut self, event: TraceEvent) {
+            match event {
+                TraceEvent::LinkDown { .. } => self.down += 1,
+                TraceEvent::LinkUp { .. } => self.up += 1,
+                _ => {}
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! active gray fault the per-packet work is an inline RNG draw and a
 //! counter bump, never an allocation. A counting global allocator pins
 //! both, so a regression (a boxed reason, a per-drop `Vec`, a formatted
-//! label) fails immediately.
+//! label) fails immediately. The same holds for a flapping cable: each
+//! toggle pair pushes the next into the slots and heap capacity the
+//! fired pair left, so once warm its toggles allocate nothing.
 //!
 //! This file intentionally contains a single test: the counter is
 //! process-global, and a sibling test running on another thread would
@@ -17,6 +19,7 @@
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
 use netsim::event::ControlEvent;
+use netsim::failures::{Failure, FailurePlan};
 use netsim::ids::{ConnId, HostId, LinkId};
 use netsim::packet::Packet;
 use netsim::time::Time;
@@ -66,8 +69,15 @@ fn fault_checks_are_allocation_free_after_warmup() {
     // Phase 1: healthy fabric — the `fault=none` baseline every
     // pre-fault-axis cell runs with. Phase 2: a gray fault active on
     // every uplink of ToR 0, so the measured packets actually take the
-    // gray branch (RNG draw + occasional counted drop).
-    for (name, gray_p) in [("fault=none", 0.0), ("gray active", 0.02)] {
+    // gray branch (RNG draw + occasional counted drop). Phase 3: one of
+    // ToR 0's cables flaps every 20 us until the end of the measured
+    // phase, so it toggles throughout.
+    let phases = [
+        ("fault=none", 0.0, false),
+        ("gray active", 0.02, false),
+        ("flapping cable", 0.0, true),
+    ];
+    for (name, gray_p, flap) in phases {
         let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 7);
         let mut engine = Engine::new(topo, SimConfig::paper_default(), 7);
         engine.routing = RoutingMode::EcmpHash;
@@ -78,14 +88,33 @@ fn fault_checks_are_allocation_free_after_warmup() {
                 engine.schedule_control(Time::ZERO, ControlEvent::LinkGray(LinkId(l), gray_p));
             }
         }
+        if flap {
+            let pair = engine.topo.cable_pairs()[0];
+            FailurePlan::none()
+                .with(Failure::Flap {
+                    pair,
+                    at: Time::ZERO,
+                    period: Time::from_us(20),
+                    up_time: Time::from_us(10),
+                    until: Time::from_ms(2),
+                })
+                .install(&mut engine);
+        }
         // Warm-up grows the arena, calendar, deques and scratch buffers
-        // to their high-water marks.
+        // to their high-water marks; a flap keeps its next toggle pair.
         spray(&mut engine, 2048, Time::from_ms(1));
-        assert_eq!(engine.pending_events(), 0, "[{name}] warm-up must drain");
+        let flap_pending = if flap { 2 } else { 0 };
+        assert_eq!(
+            engine.pending_events(),
+            flap_pending,
+            "[{name}] warm-up must drain"
+        );
 
+        let controls = engine.batch_stats.kinds.controls;
         let before = tinybench::alloc::allocs();
         spray(&mut engine, 512, Time::from_ms(2));
         let during = tinybench::alloc::allocs() - before;
+        let toggles = engine.batch_stats.kinds.controls - controls;
 
         assert_eq!(
             engine.pending_events(),
@@ -98,6 +127,9 @@ fn fault_checks_are_allocation_free_after_warmup() {
             during <= 1,
             "[{name}] fault checks allocated {during} times for 512 packets"
         );
+        // (1 ms, 2 ms) holds 49 downs and 50 ups, two toggles each.
+        let want = if flap { 198 } else { 0 };
+        assert_eq!(toggles, want, "[{name}] toggles in the measured phase");
         assert!(
             engine.stats.counters.data_tx >= 3 * (2048 + 512),
             "[{name}] traffic did not cross the fabric: {:?}",

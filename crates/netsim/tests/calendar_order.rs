@@ -35,12 +35,20 @@
 //! half-way, an earlier event pushed, the leftovers merged back against
 //! the queue head key by key.
 //!
-//! A fifth is the `flap-reconv` shape, the largest population the level
-//! behind the lanes really holds: tens of thousands of absolute-time
+//! A fifth is a flap schedule expanded up front, the largest population
+//! the level behind the lanes is asked to hold (the engine now generates
+//! flaps as they fire, but any caller may schedule controls this way):
+//! tens of thousands of absolute-time
 //! controls loaded before the first pop (with ties across cables), then a
 //! link-shaped lane stream with per-host sweep timers re-armed a constant
 //! ahead, interleaved `pop`/`peek_key`/`drain_batch_until` with deadlines
 //! short of the head, a mid-batch stop and an earlier push.
+//!
+//! A sixth reserves sequence numbers and pushes controls under them
+//! later (`reserve` / `push_reserved`, how a flap's toggles are generated
+//! as they fire): the reference takes every reserved entry at reservation
+//! time, the queue only when the entry is pushed — early, at random, or
+//! just before it is due — amid ordinary pushes, pops and batch drains.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -72,6 +80,80 @@ impl RefHeap {
     fn peek(&self) -> Option<(Time, u64)> {
         self.heap.peek().map(|Reverse((t, s, _))| (*t, *s))
     }
+}
+
+/// Property 6's body: controls pushed under reserved numbers (see the
+/// file docs). `pending` holds the reserved entries the reference has and
+/// the queue does not yet, as `(time, seq, token)`.
+fn check_reserved_pushes(kinds: Kinds, ops: &[(u8, u8, u32)]) {
+    let mut p = Pair::new(kinds);
+    let mut pending: Vec<(Time, u64, u64)> = Vec::new();
+    let push_reserved = |p: &mut Pair, (at, seq, token): (Time, u64, u64)| {
+        p.q.push_reserved(at, seq, ControlEvent::Custom(token));
+    };
+    // Pushes every pending entry a pop or drain could reach: those at or
+    // before the reference's head, which may be one of them.
+    let push_due = |p: &mut Pair, pending: &mut Vec<(Time, u64, u64)>| {
+        let Some((head, _)) = p.r.peek() else { return };
+        while let Some(i) = pending.iter().position(|&(at, _, _)| at <= head) {
+            push_reserved(p, pending.swap_remove(i));
+        }
+    };
+    let mut now = Time::ZERO;
+    let mut last_push = Time::ZERO;
+    let mut batch = Vec::new();
+    for &(action, kind, raw) in ops {
+        let popped = match action % 10 {
+            // Reserve a block and decide its entries now, each after the
+            // clock: a tie with the latest push, a small step, or far.
+            0 | 1 => {
+                let n = 1 + u64::from(raw % 8);
+                let first = p.q.reserve(n);
+                assert_eq!(first, p.r.seq, "reserve handed out another number");
+                for seq in first..first + n {
+                    let at = match (kind as u64 + seq) % 3 {
+                        0 => last_push.max(now + Time::from_ps(1)),
+                        1 => now + Time::from_ps(1 + (seq * 7919 + raw as u64) % (1 << 14)),
+                        _ => now + Time::from_us(100 + (raw % 10_000) as u64),
+                    };
+                    p.r.heap.push(Reverse((at, seq, p.token)));
+                    pending.push((at, seq, p.token));
+                    p.token += 1;
+                }
+                p.r.seq += n;
+                None
+            }
+            // Push one pending entry early.
+            2 => {
+                if !pending.is_empty() {
+                    let entry = pending.swap_remove(raw as usize % pending.len());
+                    push_reserved(&mut p, entry);
+                }
+                None
+            }
+            3 => {
+                push_due(&mut p, &mut pending);
+                p.pop()
+            }
+            4 | 5 => {
+                push_due(&mut p, &mut pending);
+                let deadline = now + Time::from_ps(u64::from(raw % (1 << 15)));
+                p.drain_batch_until(deadline, &mut batch)
+            }
+            _ => {
+                push_op(&mut p, kind, raw, now, &mut last_push);
+                None
+            }
+        };
+        if let Some(t) = popped {
+            now = t;
+        }
+        assert_eq!(p.q.len() + pending.len(), p.r.heap.len(), "length diverged");
+    }
+    for entry in pending.drain(..) {
+        push_reserved(&mut p, entry);
+    }
+    p.drain_tail();
 }
 
 /// Which event kinds a stream pushes, and so which queue levels it uses.
@@ -510,8 +592,22 @@ proptest! {
         p.drain_tail();
     }
 
-    /// Pre-scheduled controls (see the file docs): the `flap-reconv`
-    /// shape, the largest population the level behind the lanes holds.
+    /// Reserved numbers (see the file docs): a control pushed late under
+    /// a reserved `seq` pops where the reference, fed it at reservation
+    /// time, pops it — ties with ordinary pushes and batch membership
+    /// included.
+    #[test]
+    fn reserved_pushes_match_binheap_reference(
+        ops in proptest::collection::vec(any::<(u8, u8, u32)>(), 1..600),
+    ) {
+        for kinds in ALL_KINDS {
+            check_reserved_pushes(kinds, &ops);
+        }
+    }
+
+    /// Pre-scheduled controls (see the file docs): a flap schedule
+    /// expanded up front, the largest population the heap level is
+    /// asked to hold.
     #[test]
     fn prescheduled_controls_match_binheap_reference(
         flaps in 5_000u64..15_000,
@@ -618,6 +714,17 @@ proptest! {
         // The tail pops the tens of thousands of controls still pending.
         p.drain_tail();
     }
+}
+
+/// A number the counter has not handed out is not a reservation.
+#[test]
+#[should_panic(expected = "was never reserved")]
+fn pushing_under_a_seq_never_reserved_panics() {
+    let mut q = EventQueue::new();
+    let first = q.reserve(2);
+    q.push(Time::from_ns(1), event_for(Kinds::Timers, 0));
+    q.push_reserved(Time::from_ns(5), first + 1, ControlEvent::Custom(1));
+    q.push_reserved(Time::from_ns(5), first + 3, ControlEvent::Custom(3));
 }
 
 /// Best fit settles: with a clock that never goes back and `k <= 8`

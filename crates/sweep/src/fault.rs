@@ -27,9 +27,9 @@
 //! [`FaultSpec::build`] materializes the plan against the cell's fabric
 //! with a cell-derived [`Rng64`] choosing the affected cables, so a cell
 //! is byte-deterministic and cacheable like every other axis value. Flap
-//! schedules are expanded into a bounded control-event list truncated at
-//! the cell's horizon (its deadline) — calendar growth is
-//! `O(horizon / period)`, never unbounded.
+//! schedules end at the cell's horizon (its deadline) and are generated as
+//! they fire: the calendar holds one toggle pair per flapping cable,
+//! however short the period and long the horizon.
 
 use netsim::failures::{Failure, FailurePlan};
 use netsim::grammar::{Ppm, Render, Spec, PPM};

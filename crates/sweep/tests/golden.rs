@@ -15,16 +15,21 @@
 //! regenerate.
 
 use harness::Scale;
+use sweep::matrix::CellResult;
 use sweep::{glob, presets, run_cells, to_jsonl};
 
-fn preset_jsonl(name: &str) -> String {
+fn preset_results(name: &str) -> Vec<CellResult> {
     let cells: Vec<_> = presets::all(Scale::Quick)
         .into_iter()
         .filter(|m| glob::matches(name, &m.name))
         .flat_map(|m| m.expand())
         .collect();
     assert!(!cells.is_empty(), "no preset matches {name:?}");
-    to_jsonl(&run_cells(&cells, 4))
+    run_cells(&cells, 4)
+}
+
+fn preset_jsonl(name: &str) -> String {
+    to_jsonl(&preset_results(name))
 }
 
 #[test]
@@ -111,6 +116,24 @@ fn flap_reconv_output_is_byte_identical_to_its_snapshot() {
         include_str!("golden/flap-reconv.quick.jsonl"),
         "flap-reconv output drifted from its day-one golden snapshot"
     );
+}
+
+/// A flapping cable keeps one toggle pair on the calendar, whatever its
+/// period and the cell's deadline: the heap level's peak is the cell's
+/// timers and controls (34 on these cells), not the 80 032 or 400 030
+/// toggles a flap expanded up front to the 2 s deadline would put there.
+#[test]
+fn flap_reconv_cells_keep_the_calendar_heap_small() {
+    let results = preset_results("flap-reconv");
+    assert_eq!(results.len(), 8);
+    for r in &results {
+        assert!(
+            r.calendar.heap_peak <= 64,
+            "{}: heap level peaked at {}",
+            r.key,
+            r.calendar.heap_peak
+        );
+    }
 }
 
 // The hybrid-fidelity preset is locked from day one: the snapshot pins
