@@ -32,6 +32,9 @@
 //!   every flow dirty; `hybrid/fluid_churn10k` is the other regime — the
 //!   solver alone on the same fabric under a trace-driven background,
 //!   one arrival or departure per resolve, in **resolves per second**.
+//!   There a resolve re-solves a component of about one flow and
+//!   advances a handful of rate classes rather than ~300 flows, so what
+//!   it measures is the per-resolve fixed cost.
 //!
 //! ```text
 //! microbench [--out PATH] [--target-ms N] [--filter SUBSTR]
@@ -647,7 +650,8 @@ fn bench_hybrid(h: &mut Harness) {
 /// [`churn_experiment`] walked from wake to wake through
 /// `next_event`/`resolve` on its own fabric, no packet in sight — every
 /// resolve admits or completes about one flow out of a few hundred
-/// active, which is the regime the component-local re-solve exists for.
+/// active, held at a handful of distinct rates: the regime the
+/// component-local re-solve and the per-rate-class progression exist for.
 /// Elements are resolves; the engine build sits outside the timed region.
 fn bench_fluid_churn(h: &mut Harness) {
     // Lazy like `bench_hybrid`'s probe: a filtered-out bench builds nothing.

@@ -3,9 +3,9 @@
 //! freeze allocates nothing. Deeper buffers spill to the heap once, when
 //! their ninth slot is first written.
 //!
-//! This file intentionally contains a single test: the counter is
-//! process-global, and a sibling test running on another thread would add
-//! its own allocations to the measurement.
+//! The pins count through `tinybench::alloc::measure`, which sees only
+//! the measuring thread's allocations, so a sibling test running on
+//! another thread cannot add to them.
 
 use netsim::rng::Rng64;
 use netsim::time::Time;
@@ -18,27 +18,28 @@ static COUNTER: tinybench::alloc::Counting = tinybench::alloc::Counting;
 /// ACKing and timing out `rounds` times.
 fn allocs_of(buffer_size: usize, rounds: u64) -> u64 {
     let mut rng = Rng64::new(3);
-    let before = tinybench::alloc::allocs();
-    let mut reps = Reps::new(RepsConfig {
-        buffer_size,
-        ..RepsConfig::default()
-    });
-    for i in 0..rounds {
-        let now = Time::from_us(i);
-        let ev = reps.next_ev(now, &mut rng);
-        let fb = AckFeedback {
-            ev,
-            ecn: i % 5 == 0,
-            now,
-            cwnd_packets: 16,
-            rtt: Time::from_us(10),
-        };
-        reps.on_ack(&fb, &mut rng);
-        if i % 50 == 0 {
-            reps.on_timeout(now);
+    let (reps, allocs) = tinybench::alloc::measure(|| {
+        let mut reps = Reps::new(RepsConfig {
+            buffer_size,
+            ..RepsConfig::default()
+        });
+        for i in 0..rounds {
+            let now = Time::from_us(i);
+            let ev = reps.next_ev(now, &mut rng);
+            let fb = AckFeedback {
+                ev,
+                ecn: i % 5 == 0,
+                now,
+                cwnd_packets: 16,
+                rtt: Time::from_us(10),
+            };
+            reps.on_ack(&fb, &mut rng);
+            if i % 50 == 0 {
+                reps.on_timeout(now);
+            }
         }
-    }
-    let allocs = tinybench::alloc::allocs() - before;
+        reps
+    });
     drop(reps);
     allocs
 }

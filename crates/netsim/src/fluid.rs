@@ -9,10 +9,11 @@
 //! switch failure/recovery, rate change) the engine calls
 //! [`FluidNet::resolve`], which
 //!
-//! 1. advances every active flow by `floor(rate · Δt / 8e12)` bytes,
+//! 1. advances every active flow by `floor(rate · Δt / 8e12)` bytes — one
+//!    rate class at a time, see below,
 //! 2. completes flows that ran out of bytes (exact: the wake the solver
 //!    schedules at `ceil(remaining · 8e12 / rate)` guarantees the floor
-//!    progression reaches zero at that instant),
+//!    progression reaches zero at that instant), in admission order,
 //! 3. admits flows whose start time has arrived,
 //! 4. re-solves max-min fair shares by integer water-filling — over the
 //!    *dirty components* only, see below — and
@@ -50,25 +51,50 @@
 //! flow, and the component it touches is tiny. On the 10 240-host
 //! `dctrace-10pct-40us` cells (~300 active flows, ~19k resolves per cell)
 //! a resolve re-solves 0.7 flows on average (at most 16) instead of all
-//! 300: the solve step fell from ~70 µs to ~0.3 µs and the whole resolve
-//! from 73–96 µs to 3–4 µs (`microbench`'s `hybrid/fluid_churn10k`, two
-//! runs on a drifting 2-vCPU host). What is left is steps 1–2 and
-//! [`FluidNet::next_event`], two scans of the active set; making those
-//! lazy would change the per-step `floor` and with it the result bytes,
-//! so they stay scans and shed their divisions instead: step 1 takes its
-//! quotient in 64 bits whenever the product fits (`bytes_sent`) and
-//! completes flows in the same pass, and `next_event` divides out only
-//! the flows that beat the earliest completion so far — same values,
-//! about a third off a churn cell.
-//! When every flow arrives at once (a tornado
-//! background) or load fuses the fabric into one component, the dirty
-//! component is the whole population and a resolve costs what the
-//! from-scratch solve did; the `--perf` record's `fluid_flows_resolved`
-//! and `fluid_max_component` say which regime a cell ran in.
+//! 300: the solve step fell from ~70 µs to ~0.3 µs. When every flow
+//! arrives at once (a tornado background) or load fuses the fabric into
+//! one component, the dirty component is the whole population and a
+//! resolve costs what the from-scratch solve did; the `--perf` record's
+//! `fluid_flows_resolved` and `fluid_max_component` say which regime a
+//! cell ran in.
+//!
+//! # Rate classes
+//!
+//! Steps 1–2 and [`FluidNet::next_event`] work per *rate class*, not per
+//! flow. Flows at the same rate lose exactly the same
+//! `floor(rate · Δt / 8e12)` bytes at every resolve, so the active flows
+//! of one rate form a class that keeps one running sum `sent` of those
+//! per-step floors — the same [`bytes_sent`] over the same `Δt` sequence a
+//! per-flow scan takes. A flow joining a class stores `threshold = sent +
+//! remaining`; its remaining bytes are `threshold − sent` from then on,
+//! exactly the per-step `saturating_sub`, and it runs out at the first
+//! resolve where `sent ≥ threshold`. (One floor over the whole interval
+//! since the flow joined would lose the per-step remainders and change
+//! result bytes; the running sum does not.) Each class keeps its members
+//! in an intrusive pairing heap ordered by `(threshold, flow index)`, so
+//! step 1 pops just the members that ran out, and `next_event` reads one
+//! root per class. Completions are then emitted in ascending flow index —
+//! admission order, which the link lists, the dirty set and every trace
+//! record follow.
+//!
+//! The solve moves a flow between classes only when its share changes: it
+//! takes `remaining` out of the old class and re-bases it on the new
+//! one's `sent`. A flow whose share did not change keeps its heap entry.
+//! Stalled flows (rate 0, path down) form the rate-0 class, which never
+//! advances. A churn resolve's progression thus costs O(classes + moved ·
+//! log n), not O(active): the `hybrid_churn` cells hold ~300 active flows
+//! in about four classes. The `--perf` record's `fluid_rate_classes`
+//! (most classes alive at once) and `fluid_rebases` (flows moved; a flow
+//! admitted into its first class is not counted) show it: at most seven
+//! or eight classes on those cells, where about one re-solved flow in
+//! five changes its share and moves. When a whole class runs out at once
+//! (a tornado's equal flows), step 1 takes its members by one walk of the
+//! heap instead of popping them one by one.
 //!
 //! Rates are never recomputed per packet, and the solver never touches the
-//! allocator in steady state: the index is sized up front and every
-//! scratch buffer retains its high-water capacity across resolves. All
+//! allocator in steady state: the link → flow index and the class heaps'
+//! nodes are sized up front, and every scratch buffer and the class list
+//! retain their high-water capacity across resolves. All
 //! arithmetic is integer picoseconds/bytes/bps (`u128` intermediates)
 //! — no floats, no RNG — so hybrid cells stay byte-deterministic across
 //! `--threads` and `--shard` splits.
@@ -110,9 +136,8 @@ struct FluidFlow {
     bytes: u64,
     /// Arrival instant.
     start: Time,
-    /// Bytes still to transfer.
-    remaining: u64,
-    /// Current max-min share in bits/s (0 while the path is down).
+    /// Current max-min share in bits/s (0 while the path is down). While
+    /// the flow is active it is a member of the [`RateClass`] of this rate.
     rate_bps: u64,
     /// The fixed path, chosen once at admission-table build time.
     path: [LinkId; MAX_PATH],
@@ -147,9 +172,46 @@ struct LinkSlot {
     new_bg: u64,
 }
 
+/// The active flows that share one rate. Flows at one rate lose the same
+/// `floor(rate · Δt / 8e12)` bytes at every resolve, so the class keeps
+/// one running sum of those floors and each member the value of that sum
+/// at which it runs out of bytes.
+#[derive(Debug, Clone, Copy)]
+struct RateClass {
+    rate_bps: u64,
+    /// Bytes one member moved since the class opened: the sum of
+    /// [`bytes_sent`] over the resolves in between.
+    sent: u64,
+    /// Root of the members' pairing heap ([`NIL`] when empty), ordered by
+    /// `(threshold, flow index)`.
+    root: u32,
+    members: u32,
+    /// No member's threshold exceeds this: once `sent` reaches it, every
+    /// member is out of bytes.
+    bound: u64,
+}
+
+/// A flow's node in the pairing heap of its rate class, one per flow,
+/// sized once in [`FluidNet::finalize`].
+#[derive(Debug, Clone, Copy)]
+struct ClassNode {
+    /// The class's `sent` at which the flow completes: `sent + remaining`,
+    /// both taken when the flow joined. Its remaining bytes are
+    /// `threshold - sent`.
+    threshold: u64,
+    /// First child.
+    child: u32,
+    /// Next sibling.
+    next: u32,
+    /// Parent when this is a first child, else the previous sibling;
+    /// [`NIL`] for a root.
+    prev: u32,
+}
+
 /// Counters of the fluid model. `resolves`, `admitted` and
-/// `residual_updates` surface through `--diagnostics`; `flows_resolved`
-/// and `max_component` only through the `--perf` record.
+/// `residual_updates` surface through `--diagnostics`; `flows_resolved`,
+/// `max_component`, `rate_classes` and `rebases` only through the
+/// `--perf` record.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FluidCounters {
     /// Solver invocations ([`FluidNet::resolve`] calls).
@@ -165,6 +227,13 @@ pub struct FluidCounters {
     pub flows_resolved: u64,
     /// Most flows any single resolve recomputed.
     pub max_component: u64,
+    /// Most rate classes (distinct rates among active flows) alive at the
+    /// end of a resolve.
+    pub rate_classes: u64,
+    /// Active flows moved from one rate class to another: re-solves that
+    /// changed a flow's share (a newly admitted flow joining its first
+    /// class is not one).
+    pub rebases: u64,
 }
 
 /// The background-flow population and its event-driven max-min solver.
@@ -172,8 +241,15 @@ pub struct FluidCounters {
 pub struct FluidNet {
     /// All background flows, sorted by `(start, id)` after [`FluidNet::finalize`].
     flows: Vec<FluidFlow>,
-    /// Indices into `flows` of admitted, unfinished flows.
-    active: Vec<u32>,
+    /// Number of admitted, unfinished flows.
+    active: u32,
+    /// The rate classes, sorted by rate: every active flow is a member of
+    /// the class of its `rate_bps` (stalled flows of the rate-0 class).
+    classes: Vec<RateClass>,
+    /// The classes' heap nodes, one per flow; sized in [`FluidNet::finalize`].
+    nodes: Vec<ClassNode>,
+    /// Flows that ran out of bytes in the current resolve (scratch).
+    done: Vec<u32>,
     /// First not-yet-admitted index into `flows`.
     next_arrival: usize,
     /// Instant the closed-form progression last ran to.
@@ -202,9 +278,13 @@ pub struct FluidNet {
     changed: Vec<u32>,
     /// Completions produced by the last resolve, in admission order.
     completions: Vec<FlowRecord>,
-    /// Per-flow rates before the debug audit's from-scratch solve.
+    /// Active flows and their rates before the debug audit's
+    /// from-scratch solve.
     #[cfg(debug_assertions)]
-    audit_rates: Vec<u64>,
+    audit_rates: Vec<(u32, u64)>,
+    /// The debug audit's heap-walk stack.
+    #[cfg(debug_assertions)]
+    audit_stack: Vec<u32>,
     /// Diagnostics and perf counters.
     pub counters: FluidCounters,
 }
@@ -222,7 +302,10 @@ impl FluidNet {
         };
         FluidNet {
             flows: Vec::new(),
-            active: Vec::new(),
+            active: 0,
+            classes: Vec::new(),
+            nodes: Vec::new(),
+            done: Vec::new(),
             next_arrival: 0,
             last_advance: Time::ZERO,
             scheduled_wake: Time::ZERO,
@@ -237,6 +320,8 @@ impl FluidNet {
             completions: Vec::new(),
             #[cfg(debug_assertions)]
             audit_rates: Vec::new(),
+            #[cfg(debug_assertions)]
+            audit_stack: Vec::new(),
             counters: FluidCounters::default(),
         }
     }
@@ -260,7 +345,6 @@ impl FluidNet {
             dst,
             bytes,
             start,
-            remaining: bytes,
             rate_bps: 0,
             path,
             path_len,
@@ -269,7 +353,8 @@ impl FluidNet {
         });
     }
 
-    /// Sorts the admission table and sizes the link → flow index; must be
+    /// Sorts the admission table and sizes the link → flow index and the
+    /// rate-class heap nodes; must be
     /// called once after the last [`FluidNet::add_flow`] and before the
     /// first [`FluidNet::resolve`].
     pub fn finalize(&mut self) {
@@ -279,6 +364,13 @@ impl FluidNet {
         assert!(nodes < NIL as usize, "fluid population too large");
         self.next = vec![NIL; nodes];
         self.prev = vec![NIL; nodes];
+        let idle = ClassNode {
+            threshold: 0,
+            child: NIL,
+            next: NIL,
+            prev: NIL,
+        };
+        self.nodes = vec![idle; self.flows.len()];
     }
 
     /// Number of flows in the admission table.
@@ -288,24 +380,25 @@ impl FluidNet {
 
     /// Number of currently active background flows.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.active as usize
     }
 
     /// The next instant the background state changes on its own: the
     /// earliest predicted completion or the next arrival. `None` once the
     /// population is drained.
     pub fn next_event(&self) -> Option<Time> {
-        // Only the earliest completion matters, so a flow is divided out
-        // only when it beats the earliest so far — and that test needs no
-        // division: `ceil(need / rate) < best` ⇔ `need <= (best - 1) · rate`.
+        // A class's earliest completion is its heap root's. Only the
+        // earliest overall matters, so a class is divided out only when it
+        // beats the earliest so far — and that test needs no division:
+        // `ceil(need / rate) < best` ⇔ `need <= (best - 1) · rate`.
         let mut best: Option<u64> = None;
-        for &fi in &self.active {
-            let f = &self.flows[fi as usize];
-            if f.rate_bps == 0 {
-                continue; // path down; re-predicted on recovery
+        for c in &self.classes {
+            if c.rate_bps == 0 || c.root == NIL {
+                continue; // paths down; re-predicted on recovery
             }
-            let need = f.remaining as u128 * PS_PER_SEC_BITS;
-            let rate = f.rate_bps as u128;
+            let remaining = self.nodes[c.root as usize].threshold - c.sent;
+            let need = remaining as u128 * PS_PER_SEC_BITS;
+            let rate = c.rate_bps as u128;
             if best.is_some_and(|b| need > b.saturating_sub(1) as u128 * rate) {
                 continue;
             }
@@ -356,22 +449,28 @@ impl FluidNet {
     /// Allocation-free in steady state: every buffer retains capacity.
     pub fn resolve(&mut self, now: Time, links: &[Link]) -> (u32, u32) {
         self.counters.resolves += 1;
-        // 1–2. Closed-form progression since the last control event and,
-        //      in the same pass, completions (in admission order —
-        //      `active` keeps it: survivors are compacted in place).
+        // 1. Closed-form progression since the last control event, one
+        //    class at a time: a member is out of bytes once the class's
+        //    running sum reaches its threshold, and the heap yields those
+        //    members first.
         let dt = (now - self.last_advance).as_ps();
         self.last_advance = now;
-        let mut active = std::mem::take(&mut self.active);
-        let mut kept = 0;
-        for i in 0..active.len() {
-            let fi = active[i];
-            let f = &mut self.flows[fi as usize];
-            f.remaining = f.remaining.saturating_sub(bytes_sent(f.rate_bps, dt));
-            if f.remaining > 0 {
-                active[kept] = fi;
-                kept += 1;
-                continue;
+        let mut done = std::mem::take(&mut self.done);
+        for c in &mut self.classes {
+            c.sent += bytes_sent(c.rate_bps, dt);
+            if c.bound <= c.sent {
+                c.drain(&self.nodes, &mut done); // a tornado's flows finish at once
             }
+            while c.root != NIL && self.nodes[c.root as usize].threshold <= c.sent {
+                done.push(c.pop(&mut self.nodes));
+            }
+        }
+        // 2. Completions, in admission order (ascending flow index), which
+        //    is the order the link lists, the dirty set and every trace
+        //    record depend on.
+        done.sort_unstable();
+        for &fi in &done {
+            let f = &self.flows[fi as usize];
             self.completions.push(FlowRecord {
                 flow: FlowId(f.id),
                 src: f.src,
@@ -382,26 +481,30 @@ impl FluidNet {
                 retransmissions: 0,
             });
             self.counters.completed += 1;
+            self.active -= 1;
             self.unlink(fi);
         }
-        active.truncate(kept);
-        self.active = active;
-        // 3. Admissions.
+        done.clear();
+        self.done = done;
+        // 3. Admissions. The solve puts each into the class of its share.
+        let admitted_from = self.next_arrival;
         while self
             .flows
             .get(self.next_arrival)
             .is_some_and(|f| f.start <= now)
         {
             let fi = self.next_arrival as u32;
-            self.active.push(fi);
+            self.active += 1;
             self.link(fi);
             self.next_arrival += 1;
             self.counters.admitted += 1;
         }
         // 4. Max-min fair shares of the dirty components.
-        let resolved = self.solve(links) as u64;
+        let resolved = self.solve(links, admitted_from) as u64;
         self.counters.flows_resolved += resolved;
         self.counters.max_component = self.counters.max_component.max(resolved);
+        self.classes.retain(|c| c.members > 0);
+        self.counters.rate_classes = self.counters.rate_classes.max(self.classes.len() as u64);
         // 5. Per-link deltas for the engine to apply (a link the background
         //    departed from is in its old component with a zero share).
         self.changed.clear();
@@ -414,8 +517,8 @@ impl FluidNet {
         }
         self.counters.residual_updates += self.changed.len() as u64;
         #[cfg(debug_assertions)]
-        self.audit(links);
-        (self.active.len() as u32, self.changed.len() as u32)
+        self.audit(links, admitted_from);
+        (self.active, self.changed.len() as u32)
     }
 
     /// Threads newly admitted flow `fi` onto the list of every link of its
@@ -477,7 +580,12 @@ impl FluidNet {
     /// has the same flows, link rates and link states as when it was last
     /// solved, so its shares are already what a full solve would compute.
     /// The from-scratch solve is this function with every link dirty.
-    fn solve(&mut self, links: &[Link]) -> u32 {
+    ///
+    /// A flow whose share changes moves to the class of its new share,
+    /// carrying its remaining bytes over; one whose share did not change
+    /// keeps its heap entry. Flows from `admitted` on were admitted by this
+    /// resolve and join the class of their first share.
+    fn solve(&mut self, links: &[Link], admitted: usize) -> u32 {
         self.gen = self.gen.wrapping_add(1);
         let gen = self.gen;
         let FluidNet {
@@ -487,6 +595,9 @@ impl FluidNet {
             dirty,
             touched,
             heap,
+            classes,
+            nodes,
+            counters,
             ..
         } = self;
         let touch = |slots: &mut [LinkSlot], touched: &mut Vec<u32>, li: u32| {
@@ -523,7 +634,6 @@ impl FluidNet {
                 if f.stamp != gen {
                     f.stamp = gen;
                     f.frozen = false;
-                    f.rate_bps = 0;
                     unfrozen += 1;
                     for l in f.path() {
                         touch(slots, touched, l.0);
@@ -552,13 +662,21 @@ impl FluidNet {
             }
             let mut node = slots[l].head;
             while node != NIL {
-                let f = &mut flows[node as usize / MAX_PATH];
+                let fi = node as usize / MAX_PATH;
+                let f = &mut flows[fi];
                 node = next[node as usize];
                 if f.frozen {
                     continue;
                 }
                 f.frozen = true;
-                f.rate_bps = fair;
+                let old = std::mem::replace(&mut f.rate_bps, fair);
+                if fi >= admitted {
+                    join(classes, nodes, fi as u32, fair, f.bytes);
+                } else if old != fair {
+                    let remaining = leave(classes, nodes, fi as u32, old);
+                    join(classes, nodes, fi as u32, fair, remaining);
+                    counters.rebases += 1;
+                }
                 unfrozen -= 1;
                 for pl in f.path() {
                     let slot = &mut slots[pl.index()];
@@ -579,19 +697,62 @@ impl FluidNet {
     /// every link's background rate, and no link's background may exceed
     /// its capped line rate. A link changed without
     /// [`FluidNet::mark_dirty`] fails here instead of silently running on
-    /// a stale share.
+    /// a stale share. It also checks the rate classes: one per rate, in
+    /// rate order, every active flow in the class of its rate, member
+    /// counts, heap order and links, and no member left with no bytes to
+    /// go but one admitted (empty) by this resolve. `O(active)` per call.
     #[cfg(debug_assertions)]
-    fn audit(&mut self, links: &[Link]) {
+    fn audit(&mut self, links: &[Link], admitted: usize) {
         let mut rates = std::mem::take(&mut self.audit_rates);
+        let mut stack = std::mem::take(&mut self.audit_stack);
         rates.clear();
-        rates.extend(
-            self.active
-                .iter()
-                .map(|&fi| self.flows[fi as usize].rate_bps),
+        for (i, c) in self.classes.iter().enumerate() {
+            debug_assert!(
+                i == 0 || self.classes[i - 1].rate_bps < c.rate_bps,
+                "rate class {} out of order",
+                c.rate_bps
+            );
+            let first = rates.len();
+            walk(&self.nodes, c.root, &mut stack, |n, parent| {
+                let (f, node) = (&self.flows[n as usize], &self.nodes[n as usize]);
+                debug_assert_eq!(
+                    f.rate_bps, c.rate_bps,
+                    "flow {} in another rate's class",
+                    f.id
+                );
+                debug_assert!(
+                    node.threshold > c.sent || (n as usize >= admitted && f.bytes == 0),
+                    "flow {} is out of bytes but did not complete",
+                    f.id
+                );
+                if parent == NIL {
+                    debug_assert_eq!(node.prev, NIL, "class root {} has a parent link", f.id);
+                } else {
+                    let up = &self.nodes[node.prev as usize];
+                    debug_assert!(up.child == n || up.next == n, "flow {}: heap links", f.id);
+                    debug_assert!(
+                        precedes(&self.nodes, parent, n),
+                        "flow {}: heap order",
+                        f.id
+                    );
+                }
+                rates.push((n, f.rate_bps));
+            });
+            debug_assert_eq!(
+                rates.len() - first,
+                c.members as usize,
+                "rate class {}: member count",
+                c.rate_bps
+            );
+        }
+        debug_assert_eq!(
+            rates.len(),
+            self.active as usize,
+            "an active flow is in no class"
         );
         self.mark_all_dirty();
-        self.solve(links);
-        for (&fi, &rate) in self.active.iter().zip(&rates) {
+        self.solve(links, self.next_arrival);
+        for &(fi, rate) in &rates {
             let f = &self.flows[fi as usize];
             debug_assert_eq!(
                 f.rate_bps, rate,
@@ -611,6 +772,184 @@ impl FluidNet {
             );
         }
         self.audit_rates = rates;
+        self.audit_stack = stack;
+    }
+}
+
+impl RateClass {
+    /// Adds flow `fi`, due once `sent` reaches `threshold`.
+    fn push(&mut self, nodes: &mut [ClassNode], fi: u32, threshold: u64) {
+        nodes[fi as usize] = ClassNode {
+            threshold,
+            child: NIL,
+            next: NIL,
+            prev: NIL,
+        };
+        self.root = meld(nodes, self.root, fi);
+        self.members += 1;
+        self.bound = self.bound.max(threshold);
+    }
+
+    /// Removes every member, appending them to `out` in heap order
+    /// (breadth first): cheaper than popping them one by one when all are
+    /// due.
+    fn drain(&mut self, nodes: &[ClassNode], out: &mut Vec<u32>) {
+        let mut next = out.len();
+        if self.root != NIL {
+            out.push(self.root);
+        }
+        while let Some(&n) = out.get(next) {
+            let mut child = nodes[n as usize].child;
+            while child != NIL {
+                out.push(child);
+                child = nodes[child as usize].next;
+            }
+            next += 1;
+        }
+        self.root = NIL;
+        self.members = 0;
+    }
+
+    /// Removes and returns the member due first.
+    fn pop(&mut self, nodes: &mut [ClassNode]) -> u32 {
+        let top = self.root;
+        self.root = merge_pairs(nodes, nodes[top as usize].child);
+        self.members -= 1;
+        top
+    }
+
+    /// Removes member `fi`, wherever it sits in the heap.
+    fn remove(&mut self, nodes: &mut [ClassNode], fi: u32) {
+        if fi == self.root {
+            self.pop(nodes);
+            return;
+        }
+        let ClassNode {
+            child, next, prev, ..
+        } = nodes[fi as usize];
+        let up = &mut nodes[prev as usize];
+        if up.child == fi {
+            up.child = next;
+        } else {
+            up.next = next;
+        }
+        if next != NIL {
+            nodes[next as usize].prev = prev;
+        }
+        let sub = merge_pairs(nodes, child);
+        self.root = meld(nodes, self.root, sub);
+        self.members -= 1;
+    }
+}
+
+/// Puts flow `fi`, `remaining` bytes from done, into the class of
+/// `rate_bps`, opening the class if no active flow has that rate.
+fn join(
+    classes: &mut Vec<RateClass>,
+    nodes: &mut [ClassNode],
+    fi: u32,
+    rate_bps: u64,
+    remaining: u64,
+) {
+    let at = match classes.binary_search_by_key(&rate_bps, |c| c.rate_bps) {
+        Ok(at) => at,
+        Err(at) => {
+            let open = RateClass {
+                rate_bps,
+                sent: 0,
+                root: NIL,
+                members: 0,
+                bound: 0,
+            };
+            classes.insert(at, open);
+            at
+        }
+    };
+    let c = &mut classes[at];
+    c.push(nodes, fi, c.sent.saturating_add(remaining));
+}
+
+/// Takes flow `fi` out of the class of `rate_bps`; returns the bytes it
+/// has still to go.
+fn leave(classes: &mut [RateClass], nodes: &mut [ClassNode], fi: u32, rate_bps: u64) -> u64 {
+    let at = classes
+        .binary_search_by_key(&rate_bps, |c| c.rate_bps)
+        .expect("an active flow is in the class of its rate");
+    let c = &mut classes[at];
+    c.remove(nodes, fi);
+    nodes[fi as usize].threshold - c.sent
+}
+
+/// The heap order: `(threshold, flow index)`.
+fn precedes(nodes: &[ClassNode], a: u32, b: u32) -> bool {
+    (nodes[a as usize].threshold, a) < (nodes[b as usize].threshold, b)
+}
+
+/// Links the heaps rooted at `a` and `b` (either [`NIL`]) into one and
+/// returns its root, with no sibling or parent link.
+fn meld(nodes: &mut [ClassNode], a: u32, b: u32) -> u32 {
+    let (top, sub) = match (a, b) {
+        (NIL, NIL) => return NIL,
+        (r, NIL) | (NIL, r) => (r, NIL),
+        _ if precedes(nodes, b, a) => (b, a),
+        _ => (a, b),
+    };
+    if sub != NIL {
+        let first = nodes[top as usize].child;
+        nodes[sub as usize].next = first;
+        nodes[sub as usize].prev = top;
+        if first != NIL {
+            nodes[first as usize].prev = sub;
+        }
+        nodes[top as usize].child = sub;
+    }
+    nodes[top as usize].next = NIL;
+    nodes[top as usize].prev = NIL;
+    top
+}
+
+/// Melds the sibling list that starts at `first` into one heap, in the
+/// two passes that give the pairing heap its amortized `O(log n)` pop:
+/// neighbours in pairs left to right, then the pairs right to left.
+fn merge_pairs(nodes: &mut [ClassNode], mut first: u32) -> u32 {
+    let mut pairs = NIL; // stacked through `next`, last pair on top
+    while first != NIL {
+        let a = first;
+        let b = nodes[a as usize].next;
+        first = if b == NIL {
+            NIL
+        } else {
+            nodes[b as usize].next
+        };
+        let m = meld(nodes, a, b);
+        nodes[m as usize].next = pairs;
+        pairs = m;
+    }
+    let mut root = NIL;
+    while pairs != NIL {
+        let m = pairs;
+        pairs = nodes[m as usize].next;
+        root = meld(nodes, root, m);
+    }
+    root
+}
+
+/// Calls `visit(node, parent)` on every node of the heap rooted at `root`
+/// ([`NIL`] for the root's parent), using `stack` as scratch.
+#[cfg(any(test, debug_assertions))]
+fn walk(nodes: &[ClassNode], root: u32, stack: &mut Vec<u32>, mut visit: impl FnMut(u32, u32)) {
+    stack.clear();
+    if root != NIL {
+        visit(root, NIL);
+        stack.push(root);
+    }
+    while let Some(parent) = stack.pop() {
+        let mut n = nodes[parent as usize].child;
+        while n != NIL {
+            visit(n, parent);
+            stack.push(n);
+            n = nodes[n as usize].next;
+        }
     }
 }
 
@@ -670,6 +1009,30 @@ fn path_for(topo: &Topology, src: HostId, dst: HostId, ev: u16) -> ([LinkId; MAX
                 };
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl FluidNet {
+    /// The active flows in admission order, each with its remaining bytes.
+    fn active_flows(&self) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        for c in &self.classes {
+            walk(&self.nodes, c.root, &mut Vec::new(), |n, _| {
+                out.push((n, self.nodes[n as usize].threshold - c.sent));
+            });
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Gives active flow `fi` `remaining` bytes to go at `rate_bps`,
+    /// moving it to the class of that rate.
+    fn set_flow(&mut self, fi: u32, remaining: u64, rate_bps: u64) {
+        let old = std::mem::replace(&mut self.flows[fi as usize].rate_bps, rate_bps);
+        leave(&mut self.classes, &mut self.nodes, fi, old);
+        join(&mut self.classes, &mut self.nodes, fi, rate_bps, remaining);
+        self.classes.retain(|c| c.members > 0);
     }
 }
 
@@ -837,13 +1200,13 @@ mod tests {
         while net.counters.completed < 96 {
             net.resolve(now, &links);
             let plain = net
-                .active
-                .iter()
-                .map(|&fi| &net.flows[fi as usize])
-                .filter(|f| f.rate_bps > 0)
-                .map(|f| {
-                    let need = f.remaining as u128 * PS_PER_SEC_BITS;
-                    net.last_advance + Time::from_ps(need.div_ceil(f.rate_bps as u128) as u64)
+                .active_flows()
+                .into_iter()
+                .map(|(fi, remaining)| (remaining, net.flows[fi as usize].rate_bps))
+                .filter(|&(_, rate_bps)| rate_bps > 0)
+                .map(|(remaining, rate_bps)| {
+                    let need = remaining as u128 * PS_PER_SEC_BITS;
+                    net.last_advance + Time::from_ps(need.div_ceil(rate_bps as u128) as u64)
                 })
                 .chain(net.flows.get(net.next_arrival).map(|f| f.start))
                 .min();
@@ -877,8 +1240,8 @@ mod tests {
             }
             net.finalize();
             net.resolve(Time::ZERO, &links);
-            for (f, &(remaining, rate_bps)) in net.flows.iter_mut().zip(flows) {
-                (f.remaining, f.rate_bps) = (remaining, rate_bps);
+            for (fi, &(remaining, rate_bps)) in flows.iter().enumerate() {
+                net.set_flow(fi as u32, remaining, rate_bps);
             }
             net.next_event().expect("flows pending").as_ps()
         };
@@ -918,5 +1281,105 @@ mod tests {
         assert_eq!(net.active_count(), 1);
         net.resolve(Time::from_us(10), &links);
         assert_eq!(net.counters.admitted, 2);
+    }
+
+    proptest::proptest! {
+        /// The class progression against an eager per-flow reference: every
+        /// live flow loses `floor(rate · Δt / 8e12)` at every resolve and
+        /// completes when that reaches zero, and the next event is the
+        /// earliest `ceil(remaining · 8e12 / rate)` or the next arrival.
+        /// Rates come from the solver, which both sides share. Wakes fall
+        /// on, short of and past the predicted instant, between random
+        /// link downs, ups and rate changes, so classes open, empty and
+        /// trade members, and a resolve can complete flows of several
+        /// classes at once.
+        #[test]
+        fn class_progression_equals_the_per_flow_reference(
+            table in proptest::collection::vec(proptest::prelude::any::<(u16, u16, u32)>(), 1..120),
+            ops in proptest::collection::vec(proptest::prelude::any::<(u8, u16, u8)>(), 0..40),
+            wakes in proptest::collection::vec(proptest::prelude::any::<(u8, u32)>(), 1..32),
+        ) {
+            let (topo, mut links) = small();
+            let mut net = FluidNet::new(links.len());
+            for (id, &(src, dst, raw)) in table.iter().enumerate() {
+                let src = src as u32 % 32;
+                let dst = (src + 1 + dst as u32 % 31) % 32;
+                // Mice and elephants (1 B .. 8 MiB) arriving over ~80 us.
+                let bytes = (1 + (raw & 0xffff) as u64) << (raw >> 16 & 7);
+                let start = Time::from_ns((raw >> 20) as u64 * 20);
+                net.add_flow(&topo, id as u32, HostId(src), HostId(dst), bytes, start);
+            }
+            net.finalize();
+            let flows = net.flows.clone();
+            // The reference: remaining bytes of the live flows, by index.
+            let mut live: Vec<(u32, u64)> = Vec::new();
+            let mut arrived = 0;
+            let (mut now, mut last) = (Time::ZERO, Time::ZERO);
+            let mut ops = ops.into_iter().peekable();
+            let mut next_op = Time::ZERO;
+            for step in 0..20_000usize {
+                // Reference step: progression, completions, admissions.
+                let dt = (now - last).as_ps();
+                last = now;
+                let mut want_done = Vec::new();
+                live.retain_mut(|(fi, remaining)| {
+                    let rate_bps = net.flows[*fi as usize].rate_bps;
+                    *remaining = remaining.saturating_sub(bytes_sent(rate_bps, dt));
+                    if *remaining == 0 {
+                        want_done.push((flows[*fi as usize].id, now));
+                    }
+                    *remaining > 0
+                });
+                while flows.get(arrived).is_some_and(|f| f.start <= now) {
+                    live.push((arrived as u32, flows[arrived].bytes));
+                    arrived += 1;
+                }
+                let (active, _) = net.resolve(now, &links);
+                let done: Vec<(u32, Time)> =
+                    net.drain_completions().map(|r| (r.flow.0, r.end)).collect();
+                proptest::prelude::prop_assert_eq!(done, want_done, "completions at {:?}", now);
+                proptest::prelude::prop_assert_eq!(active as usize, live.len(), "active at {:?}", now);
+                proptest::prelude::prop_assert_eq!(net.active_flows(), live.clone(), "remaining at {:?}", now);
+                let want_next = live
+                    .iter()
+                    .map(|&(fi, remaining)| (remaining, net.flows[fi as usize].rate_bps))
+                    .filter(|&(_, rate_bps)| rate_bps > 0)
+                    .map(|(remaining, rate_bps)| {
+                        let need = remaining as u128 * PS_PER_SEC_BITS;
+                        now + Time::from_ps(need.div_ceil(rate_bps as u128) as u64)
+                    })
+                    .chain(flows.get(arrived).map(|f| f.start))
+                    .min();
+                proptest::prelude::prop_assert_eq!(net.next_event(), want_next, "next event at {:?}", now);
+                // Next instant: the earlier of the next op and the wake,
+                // the wake taken exactly, short of it or past it.
+                let op_due = ops
+                    .peek()
+                    .map(|&(_, _, gap)| next_op + Time::from_ns(gap as u64 * 20));
+                let (shape, jitter) = wakes[step % wakes.len()];
+                let wake = want_next.map(|w| match shape % 4 {
+                    0 if w > now => now + Time::from_ps(1 + jitter as u64 % (w - now).as_ps()),
+                    1 => w + Time::from_ps(jitter as u64 % 2_000_000),
+                    _ => w,
+                });
+                now = match (wake, op_due) {
+                    (None, None) => break,
+                    (Some(w), Some(o)) => w.min(o),
+                    (Some(t), None) | (None, Some(t)) => t,
+                }
+                .max(now);
+                if op_due.is_some_and(|o| o <= now) {
+                    let (kind, target, _) = ops.next().expect("peeked");
+                    next_op = now;
+                    let l = target as usize % links.len();
+                    match kind % 3 {
+                        0 => links[l].up = false,
+                        1 => links[l].up = true,
+                        _ => links[l].set_rate([100, 200, 400, 800][kind as usize / 3 % 4] * 1_000_000_000),
+                    }
+                    net.mark_dirty(LinkId(l as u32));
+                }
+            }
+        }
     }
 }

@@ -9,9 +9,9 @@
 //! cloned route table, a filter `Vec`, a packet moved back inline — fail
 //! this test immediately.
 //!
-//! This file intentionally contains a single test: the counter is
-//! process-global, and a sibling test running on another thread would
-//! add its own allocations to the measurement.
+//! The pins count through `tinybench::alloc::measure`, which sees only
+//! the measuring thread's allocations, so a sibling test running on
+//! another thread cannot add to them.
 
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
@@ -106,9 +106,7 @@ fn switch_path_is_allocation_free_after_warmup() {
         spray(&mut engine, 2048, Time::from_ms(1));
         assert_eq!(engine.pending_events(), 0, "warm-up must drain");
 
-        let before = tinybench::alloc::allocs();
-        spray(&mut engine, 512, Time::from_ms(2));
-        let during = tinybench::alloc::allocs() - before;
+        let ((), during) = tinybench::alloc::measure(|| spray(&mut engine, 512, Time::from_ms(2)));
 
         assert_eq!(engine.pending_events(), 0, "measured phase must drain");
         // The only allocation permitted is the boxed endpoint the harness

@@ -16,10 +16,9 @@
 //! ahead — that lives on the lanes. The engine-level proof (switch path
 //! + arena + queue together) lives in `tests/alloc.rs`.
 //!
-//! This file intentionally contains a single test running the loads
-//! back to back: the counter is process-global, and a sibling test
-//! running on another thread would add its own allocations to the
-//! measurement.
+//! The loads run back to back in one test. Each pin counts through
+//! `tinybench::alloc::measure`, which sees only the measuring thread's
+//! allocations.
 
 use netsim::arena::PacketRef;
 use netsim::event::{Event, EventQueue};
@@ -155,11 +154,11 @@ fn calendar_steady_state_allocates_nothing() {
         step(&mut q, &mut batch, &mut rng, i);
     }
 
-    let before = tinybench::alloc::allocs();
-    for i in 0..MEASURED {
-        step(&mut q, &mut batch, &mut rng, WARMUP + i);
-    }
-    let during = tinybench::alloc::allocs() - before;
+    let ((), during) = tinybench::alloc::measure(|| {
+        for i in 0..MEASURED {
+            step(&mut q, &mut batch, &mut rng, WARMUP + i);
+        }
+    });
 
     assert_eq!(
         q.len(),
@@ -197,16 +196,16 @@ fn calendar_steady_state_allocates_nothing() {
             BURST,
         );
     }
-    let before = tinybench::alloc::allocs();
-    for cycle in CYCLES..CYCLES + 8 {
-        lockstep_cycle(
-            &mut q,
-            &mut batch,
-            Time::from_ps(period.as_ps() * cycle),
-            BURST,
-        );
-    }
-    let during = tinybench::alloc::allocs() - before;
+    let ((), during) = tinybench::alloc::measure(|| {
+        for cycle in CYCLES..CYCLES + 8 {
+            lockstep_cycle(
+                &mut q,
+                &mut batch,
+                Time::from_ps(period.as_ps() * cycle),
+                BURST,
+            );
+        }
+    });
     assert!(q.is_empty(), "every cycle drains the queue");
     #[cfg(not(miri))]
     assert_eq!(
@@ -239,11 +238,11 @@ fn calendar_steady_state_allocates_nothing() {
         link_step(&mut q, &mut batch, i);
     }
     let warm = q.stats();
-    let before = tinybench::alloc::allocs();
-    for i in 0..MEASURED {
-        link_step(&mut q, &mut batch, WARMUP + i);
-    }
-    let during = tinybench::alloc::allocs() - before;
+    let ((), during) = tinybench::alloc::measure(|| {
+        for i in 0..MEASURED {
+            link_step(&mut q, &mut batch, WARMUP + i);
+        }
+    });
     assert_eq!(q.len(), HELD as usize + 1, "the load conserves its events");
     let stats = q.stats();
     assert!(

@@ -12,9 +12,9 @@
 //! toggle pair pushes the next into the slots and heap capacity the
 //! fired pair left, so once warm its toggles allocate nothing.
 //!
-//! This file intentionally contains a single test: the counter is
-//! process-global, and a sibling test running on another thread would
-//! add its own allocations to the measurement.
+//! The pins count through `tinybench::alloc::measure`, which sees only
+//! the measuring thread's allocations, so a sibling test running on
+//! another thread cannot add to them.
 
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
@@ -111,9 +111,7 @@ fn fault_checks_are_allocation_free_after_warmup() {
         );
 
         let controls = engine.batch_stats.kinds.controls;
-        let before = tinybench::alloc::allocs();
-        spray(&mut engine, 512, Time::from_ms(2));
-        let during = tinybench::alloc::allocs() - before;
+        let ((), during) = tinybench::alloc::measure(|| spray(&mut engine, 512, Time::from_ms(2)));
         let toggles = engine.batch_stats.kinds.controls - controls;
 
         assert_eq!(

@@ -10,9 +10,9 @@
 //! probe (a formatted label, an event buffered before the `enabled()`
 //! check) fails here immediately.
 //!
-//! This file intentionally contains a single test: the counter is
-//! process-global, and a sibling test running on another thread would
-//! add its own allocations to the measurement.
+//! The pins count through `tinybench::alloc::measure`, which sees only
+//! the measuring thread's allocations, so a sibling test running on
+//! another thread cannot add to them.
 
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
@@ -97,9 +97,7 @@ fn trace_probes_cost_nothing_when_tracing_is_off() {
     spray(&mut engine, 2048, Time::from_ms(2));
     assert_eq!(engine.pending_events(), 0, "warm-up must drain");
 
-    let before = tinybench::alloc::allocs();
-    spray(&mut engine, 512, Time::from_ms(3));
-    let during = tinybench::alloc::allocs() - before;
+    let ((), during) = tinybench::alloc::measure(|| spray(&mut engine, 512, Time::from_ms(3)));
 
     assert_eq!(engine.pending_events(), 0, "measured phase must drain");
     assert!(

@@ -139,8 +139,12 @@
 //! in-fabric ACKs at once too wide for a packet's one-line arena record — more
 //! than one SACKed sequence or echo, as coalescing, *Carry EVs* and
 //! duplicate SACKs give — and so parked in the arena's slab), and the
-//! fluid solver's `fluid_resolves`, `fluid_flows_resolved` and
-//! `fluid_max_component` (a *separate* file
+//! fluid solver's `fluid_resolves`, `fluid_flows_resolved`,
+//! `fluid_max_component`, `fluid_rate_classes` (the most distinct rates
+//! its active flows held at once: each rate is one class the progression
+//! advances) and `fluid_rebases` (flows a re-solve moved to another
+//! rate; over `fluid_flows_resolved`, the share of re-solved flows whose
+//! rate changed) (a *separate* file
 //! because wall time is nondeterministic and `--out` is byte-stable;
 //! cache hits have no fresh perf counters, so they are omitted); the run
 //! footer reports aggregate simulator events/sec over the executed cells.

@@ -223,8 +223,10 @@ pub fn to_jsonl(results: &[CellResult]) -> String {
 /// trailing newline): the `repsbench run --perf` stream, whose fields the
 /// `repsbench` docs describe. Wall time is nondeterministic, which is why
 /// this is not part of [`jsonl_record`]; `avg_batch` is events per drained
-/// same-timestamp batch and `fluid_flows_resolved / fluid_resolves` the
-/// mean dirty-component size of the fluid re-solves.
+/// same-timestamp batch, `fluid_flows_resolved / fluid_resolves` the
+/// mean dirty-component size of the fluid re-solves, and
+/// `fluid_rebases / fluid_flows_resolved` the share of re-solved flows
+/// whose rate moved.
 pub fn perf_record(r: &CellResult) -> String {
     let events_per_sec = if r.wall_ns > 0 {
         r.events as f64 * 1e9 / r.wall_ns as f64
@@ -260,6 +262,8 @@ pub fn perf_record(r: &CellResult) -> String {
         .u64("fluid_resolves", r.fluid.resolves)
         .u64("fluid_flows_resolved", r.fluid.flows_resolved)
         .u64("fluid_max_component", r.fluid.max_component)
+        .u64("fluid_rate_classes", r.fluid.rate_classes)
+        .u64("fluid_rebases", r.fluid.rebases)
         .render()
 }
 
@@ -640,6 +644,8 @@ mod tests {
                 "fluid_resolves",
                 "fluid_flows_resolved",
                 "fluid_max_component",
+                "fluid_rate_classes",
+                "fluid_rebases",
             ] {
                 assert!(line.contains(&format!("\"{field}\":")), "{line}");
             }

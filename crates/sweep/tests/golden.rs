@@ -149,3 +149,49 @@ fn hybrid_scale_output_is_byte_identical_to_its_snapshot() {
         "hybrid-scale output drifted from its day-one golden snapshot"
     );
 }
+
+// The fluid background under flow churn, where the hybrid-scale cells are
+// an all-at-once tornado: a trace-driven background admits and completes
+// flows at most wakes, across a cable cut. The grid is built here, not as
+// a preset, so the preset list and the key fixtures stay as they are; its
+// snapshot is named `.grid.jsonl` because tools that check preset output
+// take every `<preset>.quick.jsonl` here for a preset's. The records carry
+// their diagnostics block, whose `fluid_resolves` and
+// `fluid_residual_updates` pin the solver's wake schedule. Recorded with
+// `repsbench run --spec-file G --spec-only --diagnostics --quiet --out F`
+// over the grid below.
+
+const HYBRID_CHURN_GRID: &str = "\
+[hybrid-churn]
+fabric     = 2t-k16-o1
+lb         = OPS, REPS
+workload   = perm-262144B
+background = dctrace-10pct-40us+ECMP
+failure    = cable1-at8us-perm
+fidelity   = hybrid
+deadline   = 2000us
+seed       = 0
+";
+
+#[test]
+fn hybrid_churn_output_is_byte_identical_to_its_snapshot() {
+    let cells: Vec<_> = sweep::specfile::parse(HYBRID_CHURN_GRID)
+        .expect("grid parses")
+        .iter()
+        .flat_map(|m| m.expand())
+        .collect();
+    assert_eq!(cells.len(), 2);
+    let run = sweep::cache::run_cells_instrumented(
+        &cells,
+        2,
+        sweep::cache::RunSinks {
+            diagnostics: true,
+            ..Default::default()
+        },
+    );
+    assert_eq!(
+        to_jsonl(&run.results),
+        include_str!("golden/hybrid-churn.grid.jsonl"),
+        "hybrid-churn output drifted from its snapshot"
+    );
+}

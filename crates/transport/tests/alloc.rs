@@ -17,9 +17,9 @@
 //! they open, pinned below; the ACK scratch is one buffer per host, shared
 //! by its senders.
 //!
-//! This file intentionally contains a single test: the counter is
-//! process-global, and a sibling test running on another thread would add
-//! its own allocations to the measurement.
+//! The pins count through `tinybench::alloc::measure`, which sees only
+//! the measuring thread's allocations, so a sibling test running on
+//! another thread cannot add to them.
 
 use baselines::kind::LbKind;
 use netsim::config::SimConfig;
@@ -43,25 +43,26 @@ fn round(
     bytes: u64,
     deadline: Time,
 ) -> u64 {
-    let before = tinybench::alloc::allocs();
-    engine.stats.expected_flows += 8;
-    for i in 0..8u32 {
-        let (src, dst) = pair(i);
-        engine.command(
-            HostId(src),
-            Command::StartMessage(MessageSpec {
-                flow: FlowId(tag as u32 * 8 + i),
-                dst: HostId(dst),
-                bytes,
-                tag: tag * 8 + i as u64,
-            }),
+    let ((), allocs) = tinybench::alloc::measure(|| {
+        engine.stats.expected_flows += 8;
+        for i in 0..8u32 {
+            let (src, dst) = pair(i);
+            engine.command(
+                HostId(src),
+                Command::StartMessage(MessageSpec {
+                    flow: FlowId(tag as u32 * 8 + i),
+                    dst: HostId(dst),
+                    bytes,
+                    tag: tag * 8 + i as u64,
+                }),
+            );
+        }
+        assert!(
+            engine.run_to_completion(deadline),
+            "round {tag} did not complete"
         );
-    }
-    assert!(
-        engine.run_to_completion(deadline),
-        "round {tag} did not complete"
-    );
-    tinybench::alloc::allocs() - before
+    });
+    allocs
 }
 
 #[test]
