@@ -21,11 +21,6 @@ impl Ecmp {
             ev: rng.gen_range(1 << 16) as u16,
         }
     }
-
-    /// Creates a flow pinned to a specific entropy (for tests/subflows).
-    pub fn with_ev(ev: u16) -> Ecmp {
-        Ecmp { ev }
-    }
 }
 
 impl LoadBalancer for Ecmp {

@@ -259,8 +259,6 @@ enum Stored {
     WideAck(u32),
     Nack(u64),
     Credit(u64),
-    Probe(u64),
-    ProbeReply(u64),
 }
 
 /// Hints the CPU to pull the cache line at `p` toward L1.
@@ -337,8 +335,6 @@ impl PacketArena {
             Body::Ack(ack) => Stored::WideAck(self.wide.insert(ack)),
             Body::Nack { seq } => Stored::Nack(seq),
             Body::Credit { bytes } => Stored::Credit(bytes),
-            Body::Probe { token } => Stored::Probe(token),
-            Body::ProbeReply { token } => Stored::ProbeReply(token),
         };
         let record = Record {
             id: pkt.id,
@@ -408,8 +404,6 @@ impl PacketArena {
             Stored::WideAck(i) => Body::Ack(self.wide.take(i)),
             Stored::Nack(seq) => Body::Nack { seq },
             Stored::Credit(bytes) => Body::Credit { bytes },
-            Stored::Probe(token) => Body::Probe { token },
-            Stored::ProbeReply(token) => Body::ProbeReply { token },
         };
         Packet {
             id: record.id,

@@ -320,16 +320,6 @@ impl<S: TraceSink, T: Endpoint<S> + ?Sized> Endpoint<S> for Box<T> {
     }
 }
 
-/// A no-op endpoint for hosts that only absorb packets.
-#[derive(Debug, Default)]
-pub struct NullEndpoint;
-
-impl<S: TraceSink> Endpoint<S> for NullEndpoint {
-    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_, S>) {}
-    fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_, S>) {}
-    fn on_command(&mut self, _cmd: Command, _ctx: &mut Ctx<'_, S>) {}
-}
-
 /// A borrowed view of the routing-relevant engine state.
 ///
 /// Packaging the immutable parts (`topo`, `links`) separately from the
@@ -747,14 +737,6 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
     pub fn run_to_completion(&mut self, deadline: Time) -> bool {
         self.drain_events(deadline, Stats::all_flows_done);
         self.stats.all_flows_done()
-    }
-
-    /// Runs until at least one *new* flow completes, the calendar empties,
-    /// or `deadline` passes. Returns `true` if a new completion appeared.
-    pub fn run_until_next_completion(&mut self, deadline: Time) -> bool {
-        let before = self.stats.flows.len();
-        self.drain_events(deadline, |s| s.flows.len() > before);
-        self.stats.flows.len() > before
     }
 
     /// [`Engine::drain_events_until`], then snapshots the calendar's

@@ -373,11 +373,6 @@ impl FluidNet {
         self.nodes = vec![idle; self.flows.len()];
     }
 
-    /// Number of flows in the admission table.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Number of currently active background flows.
     pub fn active_count(&self) -> usize {
         self.active as usize

@@ -198,16 +198,6 @@ pub enum Body {
         /// Number of payload bytes the sender may now transmit.
         bytes: u64,
     },
-    /// A path probe used to test a possibly-failed path.
-    Probe {
-        /// Identifies the probe round.
-        token: u64,
-    },
-    /// A probe response echoed by the receiver.
-    ProbeReply {
-        /// Token copied from the probe.
-        token: u64,
-    },
 }
 
 /// An acknowledgment body.
@@ -258,18 +248,14 @@ pub struct Packet {
 impl Packet {
     /// Returns `true` for packets that should use the control priority band.
     ///
-    /// ACKs, NACKs, credits, probes and trimmed headers are latency-critical
+    /// ACKs, NACKs, credits and trimmed headers are latency-critical
     /// and tiny; real deployments (and htsim's EQDS model) carry them in a
     /// strict-priority class so that congestion feedback survives congestion.
     pub fn is_control(&self) -> bool {
         self.trimmed
             || matches!(
                 self.body,
-                Body::Ack(_)
-                    | Body::Nack { .. }
-                    | Body::Credit { .. }
-                    | Body::Probe { .. }
-                    | Body::ProbeReply { .. }
+                Body::Ack(_) | Body::Nack { .. } | Body::Credit { .. }
             )
     }
 

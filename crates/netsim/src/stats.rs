@@ -190,18 +190,6 @@ impl Stats {
         self.tracked_order[i]
     }
 
-    /// Iterates over all tracked links, in tracking order.
-    pub fn tracked_links(&self) -> impl Iterator<Item = (&LinkId, &LinkSeries)> {
-        self.tracked_order
-            .iter()
-            .map(move |l| (l, &self.tracked[l]))
-    }
-
-    /// Whether the given link is tracked.
-    pub fn is_tracked(&self, link: LinkId) -> bool {
-        self.tracked.contains_key(&link)
-    }
-
     /// Snapshots every tracked link's series, in tracking order.
     pub fn export_series(&self) -> SeriesExport {
         SeriesExport {

@@ -276,12 +276,6 @@ impl Topology {
         SwitchId(host.0 / self.cfg.hosts_per_tor)
     }
 
-    /// The pod a host belongs to (always 0 in 2-tier fabrics).
-    pub fn pod_of(&self, host: HostId) -> u32 {
-        let tor = host.0 / self.cfg.hosts_per_tor;
-        tor / self.cfg.tors
-    }
-
     /// Routes a packet for `dst` arriving at `sw`.
     ///
     /// Allocation-free: `Down` carries the link id, `Up` carries the

@@ -9,8 +9,7 @@
 //! [`TraceSink`]; the default sink is [`NoTrace`], a zero-sized no-op that
 //! monomorphizes every `emit` call to nothing, so an untraced engine
 //! compiles to exactly the pre-trace hot path (pinned by the
-//! allocation-counting tests in `tests/alloc.rs` and
-//! `tests/alloc_trace.rs`).
+//! allocation-counting tests in `tests/alloc.rs`).
 //!
 //! [`Recorder`] is the opt-in sink: an append-only event log a traced run
 //! can render into the per-cell `*.trace.jsonl` documents (`sweep::trace`)

@@ -264,7 +264,7 @@ proptest! {
 /// A packet with any body variant (ACK lists inline or spilled), any
 /// flags and any wire size.
 fn arbitrary_packet(rng: &mut Rng64, id: u64) -> Packet {
-    let body = match rng.gen_range(6) {
+    let body = match rng.gen_range(5) {
         0 | 1 => Body::Data {
             seq: rng.next_u64(),
             msg: rng.next_u64() as u32,
@@ -294,16 +294,8 @@ fn arbitrary_packet(rng: &mut Rng64, id: u64) -> Packet {
         3 => Body::Nack {
             seq: rng.next_u64(),
         },
-        4 => Body::Credit {
+        _ => Body::Credit {
             bytes: rng.next_u64(),
-        },
-        _ => match rng.gen_bool(0.5) {
-            true => Body::Probe {
-                token: rng.next_u64(),
-            },
-            false => Body::ProbeReply {
-                token: rng.next_u64(),
-            },
         },
     };
     Packet {

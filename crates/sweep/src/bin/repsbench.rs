@@ -16,9 +16,10 @@
 //! `list` prints every preset with its cell count and the length of each
 //! listed axis (`--lbs` additionally prints each preset's load-balancer
 //! axis as canonical LB-spec strings); `run` expands the presets whose
-//! names match `--filter` (default `*`), executes all cells on a
-//! work-stealing pool and writes one JSON Lines record per cell to
-//! `--out` (default `results.jsonl`; `-` = stdout), then prints
+//! names match `--filter` (default `*`), executes all cells on `--threads`
+//! workers that claim them in input order from one shared cursor, writes
+//! one JSON Lines record per cell to `--out` (default `results.jsonl`;
+//! `-` = stdout), then prints
 //! cross-seed aggregate tables. Output is byte-identical for any
 //! `--threads` value. `--scale` defaults to the `REPS_SCALE` environment
 //! variable (`quick`).

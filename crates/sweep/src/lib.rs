@@ -10,8 +10,9 @@
 //! * [`axis`] is the one registry of grid axes — name, key form, parse
 //!   and label per axis — that the matrix, cell keys, spec files and the
 //!   CLI all iterate;
-//! * [`runner`] executes cells on a work-stealing std-thread pool and
-//!   returns results in canonical (key-sorted) order;
+//! * [`runner`] executes cells on std threads that claim them in input
+//!   order from one shared cursor, and returns results in canonical
+//!   (key-sorted) order;
 //! * [`sink`] is the one codec of a cell's result record — one JSON
 //!   Lines record per cell, rendered and parsed back byte-exactly — and
 //!   renders cross-seed aggregates as comparison and speedup tables;

@@ -441,9 +441,9 @@ impl Cell {
         exp
     }
 
-    /// Runs the cell to completion.
+    /// Runs the cell to completion, uninstrumented.
     pub fn run(&self) -> CellResult {
-        self.result_from(self.experiment().run())
+        self.run_instrumented(&[], false).result
     }
 
     /// Runs the cell with any combination of opt-in instrumentation: one

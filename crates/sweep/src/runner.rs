@@ -1,17 +1,16 @@
 //! Deterministic multi-threaded execution of independent sweep cells.
 //!
-//! A plain work-stealing pool over scoped std threads: items are
-//! dealt round-robin into per-worker deques; a worker drains its own deque
-//! from the front and steals from the back of the fullest other deque when
-//! dry. Because every cell derives its RNG seed from its own key (never
-//! from scheduling), results are identical for any thread count — the
-//! pool only changes wall-clock time, never bytes.
+//! Self-scheduling over scoped std threads: every worker takes the next
+//! unclaimed index from one shared atomic cursor until the items run out,
+//! so cells are handed out in input order and a worker that finishes
+//! early simply claims more. Because every cell derives its RNG seed from
+//! its own key (never from scheduling), results are identical for any
+//! thread count — the scheduler only changes wall-clock time, never bytes.
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::cache::{run_cells_instrumented, RunSinks};
 use crate::matrix::{Cell, CellResult};
 
 /// A sensible default worker count: the machine's parallelism.
@@ -34,40 +33,41 @@ where
         return Vec::new();
     }
     let threads = threads.clamp(1, items.len());
-    // Deal indices round-robin so initial queues are balanced even when
-    // expensive cells cluster (e.g. all ECMP cells adjacent).
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..items.len()).step_by(threads).collect()))
-        .collect();
-    // One task's failure cancels the whole sweep: every worker checks the
-    // flag before taking another item, so a poisoned run stops after the
-    // in-flight items instead of draining every queue first.
-    let cancelled = AtomicBool::new(false);
+    // The next unclaimed index. One task's failure cancels the whole
+    // sweep by moving the cursor past the end, so a poisoned run stops
+    // after the in-flight items instead of running every remaining one.
+    // `Relaxed` suffices: the cursor publishes no data (results come back
+    // through the scope's joins), and its read-modify-writes alone make
+    // every claim unique.
+    let next = AtomicUsize::new(0);
     // Each worker keeps its results until it is done and hands them over
     // at the end: a hand-over per item would wake the collector once per
     // cell, which costs more than a cache hit does.
-    let work = |w: usize| {
+    let work = || {
         let mut done = Vec::new();
-        while let Some(i) = next_item(&queues, &cancelled, w) {
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                return Ok(done);
+            }
             // Catch per-item panics so the failure can name *which* item
             // failed with its original message, instead of a bare
             // missing-result assertion.
             match std::panic::catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
                 Ok(r) => done.push((i, r)),
                 Err(payload) => {
-                    cancelled.store(true, Ordering::Release);
+                    next.store(items.len(), Ordering::Relaxed);
                     return Err((i, payload));
                 }
             }
         }
-        Ok(done)
     };
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         // The calling thread is worker 0, so one thread spawns nothing.
         let work = &work;
-        let others: Vec<_> = (1..threads).map(|w| scope.spawn(move || work(w))).collect();
-        let mut finished = vec![work(0)];
+        let others: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut finished = vec![work()];
         finished.extend(
             (others.into_iter()).map(|h| h.join().expect("worker panics are caught per item")),
         );
@@ -90,51 +90,11 @@ where
         .collect()
 }
 
-/// Pops the next index for worker `w`: front of its own deque, else steal
-/// from the back of the fullest other deque. `None` once all deques are
-/// empty (no task ever enqueues new work, so empty means done) or once
-/// another worker has set the cancel flag — remaining queued items are
-/// abandoned so a failed sweep stops promptly instead of running to the
-/// end.
-fn next_item(queues: &[Mutex<VecDeque<usize>>], cancelled: &AtomicBool, w: usize) -> Option<usize> {
-    if cancelled.load(Ordering::Acquire) {
-        return None;
-    }
-    if let Some(i) = queues[w].lock().expect("queue poisoned").pop_front() {
-        return Some(i);
-    }
-    loop {
-        if cancelled.load(Ordering::Acquire) {
-            return None;
-        }
-        let victim = queues
-            .iter()
-            .enumerate()
-            .filter(|(v, _)| *v != w)
-            .max_by_key(|(_, q)| q.lock().expect("queue poisoned").len())?;
-        let stolen = victim.1.lock().expect("queue poisoned").pop_back();
-        match stolen {
-            Some(i) => return Some(i),
-            // The victim drained between inspection and steal; rescan, and
-            // give up once every queue is empty.
-            None => {
-                if queues
-                    .iter()
-                    .all(|q| q.lock().expect("queue poisoned").is_empty())
-                {
-                    return None;
-                }
-            }
-        }
-    }
-}
-
 /// Runs every cell on `threads` workers and returns the results sorted by
-/// cell key — the canonical, scheduling-independent output order.
+/// cell key — the canonical, scheduling-independent output order. The
+/// uninstrumented, uncached case of [`run_cells_instrumented`].
 pub fn run_cells(cells: &[Cell], threads: usize) -> Vec<CellResult> {
-    let mut results = run_indexed(cells, threads, Cell::run);
-    results.sort_by(|a, b| a.key.cmp(&b.key));
-    results
+    run_cells_instrumented(cells, threads, RunSinks::default()).results
 }
 
 #[cfg(test)]

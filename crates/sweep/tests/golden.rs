@@ -8,6 +8,12 @@
 //! `repsbench run --filter <preset> --quiet --out <file>` at quick
 //! scale).
 //!
+//! File names are a contract with the benchmark, which takes every
+//! `tests/golden/<name>.quick.jsonl` for the output of the quick-scale
+//! built-in preset `<name>`: a golden of any other grid is
+//! named `<name>.grid.jsonl`, as `hybrid-churn.grid.jsonl` is
+//! (`golden_file_names_match_their_presets` pins the rule).
+//!
 //! If a future change *intentionally* alters simulation behaviour —
 //! a model fix, a new default — regenerate the snapshots with the same
 //! command and call the change out in the PR. If these tests fail
@@ -30,6 +36,39 @@ fn preset_results(name: &str) -> Vec<CellResult> {
 
 fn preset_jsonl(name: &str) -> String {
     to_jsonl(&preset_results(name))
+}
+
+#[test]
+fn golden_file_names_match_their_presets() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut quick = 0;
+    for entry in std::fs::read_dir(&dir).expect("golden directory") {
+        let path = entry.expect("golden entry").path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("UTF-8 name");
+        let Some(stem) = name.strip_suffix(".quick.jsonl") else {
+            assert!(
+                name.ends_with(".grid.jsonl"),
+                "{name}: neither a preset's nor a grid's golden"
+            );
+            continue;
+        };
+        let preset = presets::by_name(stem, Scale::Quick)
+            .unwrap_or_else(|| panic!("{name}: no quick-scale preset named {stem:?}"));
+        let lines = std::fs::read_to_string(&path)
+            .expect("golden file")
+            .lines()
+            .count();
+        assert_eq!(
+            lines,
+            preset.expand().len(),
+            "{name}: one line per cell of {stem}"
+        );
+        quick += 1;
+    }
+    assert!(quick > 0, "no preset goldens in {}", dir.display());
 }
 
 #[test]

@@ -414,21 +414,6 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
                     tx.pump(&mut env, ctx);
                 }
             }
-            Body::Probe { token } => {
-                let reply = Packet::control(
-                    ctx.fresh_packet_id(),
-                    self.host,
-                    pkt.src,
-                    pkt.conn,
-                    pkt.ev,
-                    Body::ProbeReply { token: *token },
-                );
-                ctx.send(reply);
-            }
-            Body::ProbeReply { .. } => {
-                // Probing-based freezing exit is an extension the paper
-                // leaves optional (§3.2); the timer-based exit is the default.
-            }
         }
     }
 
