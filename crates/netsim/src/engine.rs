@@ -89,10 +89,10 @@ use crate::event::{CalendarStats, ControlEvent, Event, EventQueue};
 use crate::fluid::FluidNet;
 use crate::hash::ecmp_select;
 use crate::ids::{FlowId, HostId, LinkId, NodeRef, SwitchId};
-use crate::link::{DropReason, EnqueueOutcome, Link, LinkClass, LinkSide};
+use crate::link::{DropReason, EnqueueOutcome, Link, LinkClass, LinkSide, LossCause};
 use crate::packet::Packet;
 use crate::rng::Rng64;
-use crate::stats::{FlowRecord, Stats};
+use crate::stats::{FlowRecord, QueueSample, Stats};
 use crate::time::Time;
 use crate::topology::{LinkRange, RouteChoice, Topology};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
@@ -1002,7 +1002,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         let latency = link.latency;
         let to = link.to;
         let side = link.has_side.then(|| &self.link_side[link_id.index()]);
-        let (ber, gray, corrupt) = side.map_or((0.0, 0.0, 0.0), |s| (s.ber, s.gray, s.corrupt));
+        let loss = side.map(|s| s.loss);
         // Chain while the link is hot. The link is provably up (a down
         // link is not busy, so we could not get here).
         let next = link.begin_service(&self.arena, side);
@@ -1019,19 +1019,20 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
             header.wire_bytes as u64,
             header.is_data(),
         );
-        // The fault checks mirror the BER short-circuit: a clean link
-        // (all three probabilities 0.0) draws no randomness here, so the
-        // RNG stream — and every downstream byte — is untouched by the
-        // fault machinery's existence.
-        if ber > 0.0 && self.rng.gen_bool(ber) {
+        // Causes draw in order until one loses the packet, and a clean
+        // cause (0.0) — or a link without side state — draws nothing: a
+        // clean link leaves the RNG stream, and every downstream byte,
+        // untouched by the loss faults.
+        let rng = &mut self.rng;
+        let lost = loss.and_then(|loss| {
+            LossCause::ALL.into_iter().find(|&c| {
+                let p = loss[c as usize];
+                p > 0.0 && rng.gen_bool(p)
+            })
+        });
+        if let Some(cause) = lost {
             self.arena.release(pkt);
-            self.stats.on_drop(DropReason::BitError);
-        } else if gray > 0.0 && self.rng.gen_bool(gray) {
-            self.arena.release(pkt);
-            self.stats.on_drop(DropReason::Gray);
-        } else if corrupt > 0.0 && self.rng.gen_bool(corrupt) {
-            self.arena.release(pkt);
-            self.stats.on_drop(DropReason::Corrupt);
+            self.stats.on_drop(cause.reason());
         } else {
             self.events
                 .push(self.now + latency, Event::Arrive { node: to, pkt });
@@ -1264,28 +1265,14 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
                 self.fluid_link_changed(l);
                 self.fluid_resolve();
             }
-            ControlEvent::LinkBer(l, p) => {
-                self.trace.emit(TraceEvent::LinkBer {
-                    at: self.now,
-                    link: l,
+            ControlEvent::LinkLoss(link, cause, p) => {
+                let (at, on) = (self.now, p > 0.0);
+                self.trace.emit(match cause {
+                    LossCause::BitError => TraceEvent::LinkBer { at, link },
+                    LossCause::Gray => TraceEvent::LinkGray { at, link, on },
+                    LossCause::Corrupt => TraceEvent::LinkCorrupt { at, link, on },
                 });
-                self.update_side(l, |s| s.ber = p);
-            }
-            ControlEvent::LinkGray(l, p) => {
-                self.trace.emit(TraceEvent::LinkGray {
-                    at: self.now,
-                    link: l,
-                    on: p > 0.0,
-                });
-                self.update_side(l, |s| s.gray = p);
-            }
-            ControlEvent::LinkCorrupt(l, p) => {
-                self.trace.emit(TraceEvent::LinkCorrupt {
-                    at: self.now,
-                    link: l,
-                    on: p > 0.0,
-                });
-                self.update_side(l, |s| s.corrupt = p);
+                self.update_side(link, |s| s.loss[cause as usize] = p);
             }
             ControlEvent::SwitchDown(sw) => {
                 self.trace.emit(TraceEvent::SwitchDown { at: self.now, sw });
@@ -1312,12 +1299,13 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
                 self.fluid_resolve();
             }
             ControlEvent::StatsSample => {
-                // Iterate the cached tracked-link list by index: no
-                // per-tick Vec, and insertion order is deterministic.
-                for i in 0..self.stats.tracked_count() {
-                    let l = self.stats.tracked_id(i);
+                // Tracking order: deterministic, and no per-tick Vec.
+                for (l, series) in &mut self.stats.tracked {
                     let bytes = self.links[l.index()].queued_bytes;
-                    self.stats.on_queue_sample(l, self.now, bytes);
+                    series.queue_samples.push(QueueSample {
+                        at: self.now,
+                        bytes,
+                    });
                 }
                 if self.now < self.sample_until && self.cfg.sample_period > Time::ZERO {
                     self.events.push(

@@ -191,6 +191,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::arena::{PacketRef, Slab};
 use crate::ids::{HostId, LinkId, NodeRef, SwitchId};
+use crate::link::LossCause;
 use crate::time::Time;
 
 /// A scheduled simulator event.
@@ -228,12 +229,8 @@ pub enum ControlEvent {
     LinkUp(LinkId),
     /// Change a link's rate to `bps`.
     LinkRate(LinkId, u64),
-    /// Set a link's random drop (bit-error) probability.
-    LinkBer(LinkId, f64),
-    /// Set a link's gray-failure (silent loss) probability; 0.0 heals.
-    LinkGray(LinkId, f64),
-    /// Set a link's payload-corruption probability; 0.0 heals.
-    LinkCorrupt(LinkId, f64),
+    /// Set a link's per-packet loss probability for one cause; 0.0 heals.
+    LinkLoss(LinkId, LossCause, f64),
     /// Fail a whole switch (all attached links go down).
     SwitchDown(SwitchId),
     /// Recover a whole switch.

@@ -4,10 +4,17 @@
 //! 100 µs", "5 % of switches", "1 % BER on a cable") into the link/switch
 //! control events the engine executes. All randomness is drawn from a caller
 //! -provided [`Rng64`] so scenarios are reproducible.
+//!
+//! The per-packet loss faults — bit errors, gray loss and payload
+//! corruption — are one [`Failure::Loss`] that names its [`LossCause`]:
+//! they install as one [`ControlEvent::LinkLoss`] per direction, set one
+//! entry of the link's [`LossCause`]-indexed probabilities, and differ
+//! only in the drop counter a lost packet is charged to.
 
 use crate::engine::{Endpoint, Engine};
 use crate::event::ControlEvent;
 use crate::ids::{LinkId, SwitchId};
+use crate::link::LossCause;
 use crate::rng::Rng64;
 use crate::time::Time;
 use crate::trace::TraceSink;
@@ -43,40 +50,25 @@ pub enum Failure {
         /// New rate.
         bps: u64,
     },
-    /// A cable starts dropping packets with probability `p` per packet.
-    BitError {
+    /// A cable loses packets with probability `p` per packet from `at`,
+    /// each lost packet counted under `cause`'s
+    /// [`DropReason`](crate::link::DropReason): the paper's bit-error
+    /// cable, a gray failure (silent loss while both directions keep
+    /// reporting healthy, so routing gets no signal) or payload
+    /// corruption. The causes of one cable combine: each keeps its own
+    /// probability, and a packet draws against them in
+    /// [`LossCause::ALL`] order.
+    Loss {
         /// The `(forward, reverse)` link pair.
         pair: (LinkId, LinkId),
         /// Onset instant.
         at: Time,
-        /// Per-packet corruption probability.
+        /// Per-packet loss probability.
         p: f64,
-        /// Optional heal delay (restores `ber = 0.0`; `None` = permanent).
+        /// Optional heal delay (restores 0.0; `None` = permanent).
         duration: Option<Time>,
-    },
-    /// A cable gray-fails: packets are silently lost with probability `p`
-    /// while both directions keep reporting healthy (no routing signal).
-    GrayDrop {
-        /// The `(forward, reverse)` link pair.
-        pair: (LinkId, LinkId),
-        /// Onset instant.
-        at: Time,
-        /// Per-packet silent-loss probability.
-        p: f64,
-        /// Optional heal delay (`None` = permanent).
-        duration: Option<Time>,
-    },
-    /// A cable corrupts payloads with probability `p`; corrupted packets
-    /// are discarded and counted separately from drops.
-    Corrupt {
-        /// The `(forward, reverse)` link pair.
-        pair: (LinkId, LinkId),
-        /// Onset instant.
-        at: Time,
-        /// Per-packet corruption probability.
-        p: f64,
-        /// Optional heal delay (`None` = permanent).
-        duration: Option<Time>,
+        /// What the loss models, and so which counter it is charged to.
+        cause: LossCause,
     },
     /// A cable flaps: down for `period - up_time` then up for `up_time`,
     /// repeating from `at` until `until`. The toggles are generated as
@@ -222,43 +214,20 @@ impl FailurePlan {
                     engine.schedule_control(*at, ControlEvent::LinkRate(pair.0, *bps));
                     engine.schedule_control(*at, ControlEvent::LinkRate(pair.1, *bps));
                 }
-                Failure::BitError {
+                Failure::Loss {
                     pair,
                     at,
                     p,
                     duration,
+                    cause,
                 } => {
-                    engine.schedule_control(*at, ControlEvent::LinkBer(pair.0, *p));
-                    engine.schedule_control(*at, ControlEvent::LinkBer(pair.1, *p));
+                    let mut set = |t, p| {
+                        engine.schedule_control(t, ControlEvent::LinkLoss(pair.0, *cause, p));
+                        engine.schedule_control(t, ControlEvent::LinkLoss(pair.1, *cause, p));
+                    };
+                    set(*at, *p);
                     if let Some(d) = duration {
-                        engine.schedule_control(*at + *d, ControlEvent::LinkBer(pair.0, 0.0));
-                        engine.schedule_control(*at + *d, ControlEvent::LinkBer(pair.1, 0.0));
-                    }
-                }
-                Failure::GrayDrop {
-                    pair,
-                    at,
-                    p,
-                    duration,
-                } => {
-                    engine.schedule_control(*at, ControlEvent::LinkGray(pair.0, *p));
-                    engine.schedule_control(*at, ControlEvent::LinkGray(pair.1, *p));
-                    if let Some(d) = duration {
-                        engine.schedule_control(*at + *d, ControlEvent::LinkGray(pair.0, 0.0));
-                        engine.schedule_control(*at + *d, ControlEvent::LinkGray(pair.1, 0.0));
-                    }
-                }
-                Failure::Corrupt {
-                    pair,
-                    at,
-                    p,
-                    duration,
-                } => {
-                    engine.schedule_control(*at, ControlEvent::LinkCorrupt(pair.0, *p));
-                    engine.schedule_control(*at, ControlEvent::LinkCorrupt(pair.1, *p));
-                    if let Some(d) = duration {
-                        engine.schedule_control(*at + *d, ControlEvent::LinkCorrupt(pair.0, 0.0));
-                        engine.schedule_control(*at + *d, ControlEvent::LinkCorrupt(pair.1, 0.0));
+                        set(*at + *d, 0.0);
                     }
                 }
                 Failure::Flap {
@@ -313,6 +282,11 @@ mod tests {
     fn engine() -> Engine {
         let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
         Engine::new(topo, SimConfig::paper_default(), 1)
+    }
+
+    /// `l`'s per-packet loss probability for `cause`.
+    fn loss(e: &Engine, l: LinkId, cause: LossCause) -> f64 {
+        e.link_side(l).loss[cause as usize]
     }
 
     #[test]
@@ -381,18 +355,19 @@ mod tests {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[1];
         FailurePlan::none()
-            .with(Failure::BitError {
+            .with(Failure::Loss {
                 pair,
                 at: Time::from_us(1),
                 p: 0.01,
                 duration: None,
+                cause: LossCause::BitError,
             })
             .install(&mut e);
         e.run_until(Time::from_us(2));
-        assert!((e.link_side(pair.0).ber - 0.01).abs() < 1e-12);
+        assert!((loss(&e, pair.0, LossCause::BitError) - 0.01).abs() < 1e-12);
         // No heal was scheduled: the probability is permanent.
         e.run_until(Time::from_ms(10));
-        assert!((e.link_side(pair.0).ber - 0.01).abs() < 1e-12);
+        assert!((loss(&e, pair.0, LossCause::BitError) - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -400,19 +375,24 @@ mod tests {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[1];
         FailurePlan::none()
-            .with(Failure::BitError {
+            .with(Failure::Loss {
                 pair,
                 at: Time::from_us(1),
                 p: 0.05,
                 duration: Some(Time::from_us(10)),
+                cause: LossCause::BitError,
             })
             .install(&mut e);
         e.run_until(Time::from_us(5));
-        assert!((e.link_side(pair.0).ber - 0.05).abs() < 1e-12);
-        assert!((e.link_side(pair.1).ber - 0.05).abs() < 1e-12);
+        assert!((loss(&e, pair.0, LossCause::BitError) - 0.05).abs() < 1e-12);
+        assert!((loss(&e, pair.1, LossCause::BitError) - 0.05).abs() < 1e-12);
         e.run_until(Time::from_us(20));
-        assert_eq!(e.link_side(pair.0).ber, 0.0, "heal must restore 0.0");
-        assert_eq!(e.link_side(pair.1).ber, 0.0);
+        assert_eq!(
+            loss(&e, pair.0, LossCause::BitError),
+            0.0,
+            "heal must restore 0.0"
+        );
+        assert_eq!(loss(&e, pair.1, LossCause::BitError), 0.0);
     }
 
     #[test]
@@ -420,28 +400,30 @@ mod tests {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[2];
         FailurePlan::none()
-            .with(Failure::GrayDrop {
+            .with(Failure::Loss {
                 pair,
                 at: Time::from_us(1),
                 p: 0.02,
                 duration: Some(Time::from_us(10)),
+                cause: LossCause::Gray,
             })
-            .with(Failure::Corrupt {
+            .with(Failure::Loss {
                 pair,
                 at: Time::from_us(1),
                 p: 0.03,
                 duration: None,
+                cause: LossCause::Corrupt,
             })
             .install(&mut e);
         e.run_until(Time::from_us(5));
-        assert!((e.link_side(pair.0).gray - 0.02).abs() < 1e-12);
-        assert!((e.link_side(pair.1).corrupt - 0.03).abs() < 1e-12);
+        assert!((loss(&e, pair.0, LossCause::Gray) - 0.02).abs() < 1e-12);
+        assert!((loss(&e, pair.1, LossCause::Corrupt) - 0.03).abs() < 1e-12);
         // The link stays "up" throughout: gray failures give routing no
         // signal to react to.
         assert!(e.links[pair.0.index()].up);
         e.run_until(Time::from_us(20));
-        assert_eq!(e.link_side(pair.0).gray, 0.0);
-        assert!((e.link_side(pair.0).corrupt - 0.03).abs() < 1e-12);
+        assert_eq!(loss(&e, pair.0, LossCause::Gray), 0.0);
+        assert!((loss(&e, pair.0, LossCause::Corrupt) - 0.03).abs() < 1e-12);
     }
 
     #[test]

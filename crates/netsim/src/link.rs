@@ -38,6 +38,34 @@ pub enum DropReason {
     Corrupt,
 }
 
+/// What a per-packet loss fault models, and so which [`DropReason`]
+/// counts the packets it loses. The discriminant indexes
+/// [`LinkSide::loss`]; [`LossCause::ALL`] is the order a serialized packet
+/// draws against the causes set on its link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LossCause {
+    /// The bit-error-rate model (§4.3.3, Appendix C.3).
+    BitError,
+    /// Gray failure: silent loss while the link reports healthy.
+    Gray,
+    /// Payload corruption: the packet is discarded on arrival.
+    Corrupt,
+}
+
+impl LossCause {
+    /// Every cause, in draw order.
+    pub const ALL: [LossCause; 3] = [LossCause::BitError, LossCause::Gray, LossCause::Corrupt];
+
+    /// The drop counter a packet lost to this cause is charged to.
+    pub fn reason(self) -> DropReason {
+        match self {
+            LossCause::BitError => DropReason::BitError,
+            LossCause::Gray => DropReason::Gray,
+            LossCause::Corrupt => DropReason::Corrupt,
+        }
+    }
+}
+
 /// Result of offering a packet to an egress queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnqueueOutcome {
@@ -109,14 +137,10 @@ impl LinkClass {
 /// background share of hybrid cells. The default is a clean, unloaded link.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkSide {
-    /// Probability that a serialized packet is corrupted and dropped.
-    pub ber: f64,
-    /// Gray-failure probability: chance a serialized packet is silently
-    /// lost while the link reports healthy (0.0 = clean link).
-    pub gray: f64,
-    /// Payload-corruption probability: chance a serialized packet arrives
-    /// corrupted and is discarded (0.0 = clean link).
-    pub corrupt: f64,
+    /// Per-packet loss probability of each [`LossCause`], indexed by its
+    /// discriminant (0.0 = that cause is clean): the chance a serialized
+    /// packet is lost and counted under the cause's [`DropReason`].
+    pub loss: [f64; 3],
     /// Fluid background load carried by the link in bits/s (hybrid
     /// fidelity only). Foreground packets see it as reduced effective rate
     /// plus [`LinkSide::bg_wait`] per service.

@@ -6,7 +6,6 @@
 //! goodput, drops). Tracking is opt-in per link so that 8192-node runs can
 //! restrict bookkeeping to the switch under study.
 
-use crate::hash::FxHashMap;
 use crate::ids::{FlowId, HostId, LinkId};
 use crate::link::DropReason;
 use crate::time::Time;
@@ -103,44 +102,15 @@ impl Counters {
     }
 }
 
-/// An ordered, owned snapshot of every tracked link's series.
-///
-/// This is the export surface for out-of-process sinks (the sweep crate's
-/// `--series` JSONL stream): links appear in tracking order — the same
-/// deterministic order sampling walks them — and the data is owned, so a
-/// sink can outlive the engine that recorded it.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesExport {
-    /// Utilization bucket width the series were recorded at.
-    pub bucket_width: Time,
-    /// Per-link series, in tracking order.
-    pub links: Vec<(LinkId, LinkSeries)>,
-}
-
-impl SeriesExport {
-    /// Number of exported links.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Whether no links were tracked.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
-}
-
 /// The statistics collector owned by the engine.
 #[derive(Debug)]
 pub struct Stats {
     /// Width of a utilization bucket.
     pub bucket_width: Time,
-    /// Per-tracked-link series.
-    tracked: FxHashMap<LinkId, LinkSeries>,
-    /// Tracked links in insertion order — the cached iteration list, so
-    /// per-tick sampling walks links by index without allocating (and in
-    /// a deterministic order, unlike the map). Maintained by
-    /// [`Stats::track_link`].
-    tracked_order: Vec<LinkId>,
+    /// Per-tracked-link series, in tracking order: the order sampling
+    /// walks them and the `--series` document lists them. A vantage
+    /// tracks one ToR's uplinks, few enough that a scan finds a link.
+    pub tracked: Vec<(LinkId, LinkSeries)>,
     /// Completed flow records, in completion order.
     pub flows: Vec<FlowRecord>,
     /// Global counters.
@@ -154,8 +124,7 @@ impl Stats {
     pub fn new(bucket_width: Time) -> Stats {
         Stats {
             bucket_width,
-            tracked: FxHashMap::default(),
-            tracked_order: Vec::new(),
+            tracked: Vec::new(),
             flows: Vec::new(),
             counters: Counters::default(),
             expected_flows: 0,
@@ -164,42 +133,17 @@ impl Stats {
 
     /// Enables utilization/queue tracking for `link`.
     pub fn track_link(&mut self, link: LinkId) {
-        if !self.tracked.contains_key(&link) {
-            self.tracked_order.push(link);
-            self.tracked.insert(link, LinkSeries::default());
+        if self.link_series(link).is_none() {
+            self.tracked.push((link, LinkSeries::default()));
         }
     }
 
     /// Returns the tracked series for `link`, if tracking was enabled.
     pub fn link_series(&self, link: LinkId) -> Option<&LinkSeries> {
-        self.tracked.get(&link)
-    }
-
-    /// Number of tracked links (pairs with [`Stats::tracked_id`] for
-    /// allocation-free iteration).
-    pub fn tracked_count(&self) -> usize {
-        self.tracked_order.len()
-    }
-
-    /// The `i`-th tracked link, in tracking order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.tracked_count()`.
-    pub fn tracked_id(&self, i: usize) -> LinkId {
-        self.tracked_order[i]
-    }
-
-    /// Snapshots every tracked link's series, in tracking order.
-    pub fn export_series(&self) -> SeriesExport {
-        SeriesExport {
-            bucket_width: self.bucket_width,
-            links: self
-                .tracked_order
-                .iter()
-                .map(|l| (*l, self.tracked[l].clone()))
-                .collect(),
-        }
+        self.tracked
+            .iter()
+            .find(|(l, _)| *l == link)
+            .map(|(_, s)| s)
     }
 
     /// Records `bytes` transmitted on `link` at `now`.
@@ -209,23 +153,12 @@ impl Stats {
         } else {
             self.counters.ctrl_tx += 1;
         }
-        // Macro runs track nothing: skip the map probe on every transmit.
-        if self.tracked_order.is_empty() {
-            return;
-        }
-        if let Some(series) = self.tracked.get_mut(&link) {
+        if let Some((_, series)) = self.tracked.iter_mut().find(|(l, _)| *l == link) {
             let bucket = (now.as_ps() / self.bucket_width.as_ps().max(1)) as usize;
             if series.bucket_bytes.len() <= bucket {
                 series.bucket_bytes.resize(bucket + 1, 0);
             }
             series.bucket_bytes[bucket] += bytes;
-        }
-    }
-
-    /// Records a queue occupancy sample for `link`.
-    pub fn on_queue_sample(&mut self, link: LinkId, at: Time, bytes: u64) {
-        if let Some(series) = self.tracked.get_mut(&link) {
-            series.queue_samples.push(QueueSample { at, bytes });
         }
     }
 
@@ -258,48 +191,6 @@ impl Stats {
     /// True once every expected flow has completed.
     pub fn all_flows_done(&self) -> bool {
         self.expected_flows > 0 && self.flows.len() >= self.expected_flows
-    }
-
-    /// Maximum flow completion time (the paper's workload runtime metric).
-    pub fn max_fct(&self) -> Time {
-        self.flows
-            .iter()
-            .map(FlowRecord::fct)
-            .max()
-            .unwrap_or(Time::ZERO)
-    }
-
-    /// Latest completion instant across flows.
-    pub fn makespan(&self) -> Time {
-        self.flows.iter().map(|f| f.end).max().unwrap_or(Time::ZERO)
-    }
-
-    /// Mean flow completion time.
-    pub fn avg_fct(&self) -> Time {
-        if self.flows.is_empty() {
-            return Time::ZERO;
-        }
-        let sum: u128 = self.flows.iter().map(|f| f.fct().as_ps() as u128).sum();
-        Time((sum / self.flows.len() as u128) as u64)
-    }
-
-    /// `q`-quantile of the FCT distribution (0 ≤ q ≤ 1).
-    pub fn fct_quantile(&self, q: f64) -> Time {
-        if self.flows.is_empty() {
-            return Time::ZERO;
-        }
-        let mut fcts: Vec<Time> = self.flows.iter().map(FlowRecord::fct).collect();
-        fcts.sort_unstable();
-        let idx = ((fcts.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        fcts[idx]
-    }
-
-    /// Mean per-flow goodput in Gbps.
-    pub fn avg_goodput_gbps(&self) -> f64 {
-        if self.flows.is_empty() {
-            return 0.0;
-        }
-        self.flows.iter().map(FlowRecord::goodput_bps).sum::<f64>() / self.flows.len() as f64 / 1e9
     }
 }
 
@@ -346,10 +237,6 @@ mod tests {
         assert!(!s.all_flows_done());
         s.on_flow_complete(record(2, 0, 300));
         assert!(s.all_flows_done());
-        assert_eq!(s.max_fct(), Time::from_us(300));
-        assert_eq!(s.avg_fct(), Time::from_us(200));
-        assert_eq!(s.fct_quantile(0.0), Time::from_us(100));
-        assert_eq!(s.fct_quantile(1.0), Time::from_us(300));
     }
 
     #[test]
@@ -374,26 +261,23 @@ mod tests {
     }
 
     #[test]
-    fn export_series_snapshots_in_tracking_order() {
+    fn series_are_kept_in_tracking_order() {
         let mut s = Stats::new(Time::from_us(20));
-        // Track in non-sorted id order: the export must preserve it.
-        for id in [5u32, 2, 9] {
+        // Track in non-sorted id order, one link twice: the list must
+        // keep the first order and each link once.
+        for id in [5u32, 2, 9, 2] {
             s.track_link(LinkId(id));
         }
         s.on_transmit(LinkId(2), Time::from_us(5), 1000, true);
-        s.on_queue_sample(LinkId(9), Time::from_us(7), 333);
-        let export = s.export_series();
-        assert_eq!(export.len(), 3);
-        assert!(!export.is_empty());
-        assert_eq!(export.bucket_width, Time::from_us(20));
-        let ids: Vec<u32> = export.links.iter().map(|(l, _)| l.0).collect();
+        let sample = QueueSample {
+            at: Time::from_us(7),
+            bytes: 333,
+        };
+        s.tracked[2].1.queue_samples.push(sample);
+        let ids: Vec<u32> = s.tracked.iter().map(|(l, _)| l.0).collect();
         assert_eq!(ids, vec![5, 2, 9]);
-        assert_eq!(export.links[1].1.bucket_bytes, vec![1000]);
-        assert_eq!(export.links[2].1.queue_samples[0].bytes, 333);
-        // The export is a snapshot: mutating the collector afterwards does
-        // not change it.
-        s.on_transmit(LinkId(2), Time::from_us(5), 1000, true);
-        assert_eq!(export.links[1].1.bucket_bytes, vec![1000]);
+        assert_eq!(s.tracked[1].1.bucket_bytes, vec![1000]);
+        assert_eq!(s.tracked[2].1.queue_samples[0].bytes, 333);
     }
 
     #[test]

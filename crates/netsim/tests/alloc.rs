@@ -31,6 +31,7 @@ use netsim::event::{ControlEvent, Event, EventQueue};
 use netsim::failures::{Failure, FailurePlan};
 use netsim::fluid::FluidNet;
 use netsim::ids::{ConnId, HostId, LinkId, NodeRef, SwitchId};
+use netsim::link::LossCause;
 use netsim::packet::Packet;
 use netsim::rng::Rng64;
 use netsim::time::Time;
@@ -156,7 +157,8 @@ fn fault_checks_are_allocation_free_after_warmup() {
             // ToR 0's uplinks are the first links out of the source rack;
             // flag a handful so sprayed traffic crosses at least one.
             for l in 0..8 {
-                engine.schedule_control(Time::ZERO, ControlEvent::LinkGray(LinkId(l), gray_p));
+                let gray = ControlEvent::LinkLoss(LinkId(l), LossCause::Gray, gray_p);
+                engine.schedule_control(Time::ZERO, gray);
             }
         }
         if flap {

@@ -34,6 +34,7 @@
 use netsim::failures::{Failure, FailurePlan};
 use netsim::grammar::{Ppm, Render, Spec, PPM};
 use netsim::ids::LinkId;
+use netsim::link::LossCause;
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, Topology};
@@ -55,22 +56,16 @@ pub enum FaultSpec {
     /// Healthy fabric: no fault machinery touches the run at all.
     #[default]
     None,
-    /// `n` random cables silently drop packets with probability `p` from
-    /// `at`, optionally healing after `heal`. Routing sees nothing.
-    Gray {
-        /// Per-packet silent-loss probability in parts-per-million.
-        p_ppm: u32,
-        /// Onset instant.
-        at: Time,
-        /// Optional heal delay (`None` = permanent).
-        heal: Option<Time>,
-        /// Number of affected cables.
-        n: u32,
-    },
-    /// `n` random cables corrupt payloads with probability `p` from `at`;
-    /// corrupted packets are discarded and counted apart from drops.
-    Corrupt {
-        /// Per-packet corruption probability in parts-per-million.
+    /// `n` random cables lose packets with probability `p` from `at`,
+    /// optionally healing after `heal`; routing sees nothing. The `gray`
+    /// family loses them silently, `corrupt` discards corrupted payloads,
+    /// each counted under its own drop reason.
+    Loss {
+        /// What the loss models: [`LossCause::Gray`] or
+        /// [`LossCause::Corrupt`]. Bit errors are the `failure` axis's
+        /// (`berBpm-atTus`); this axis has no label for them.
+        cause: LossCause,
+        /// Per-packet loss probability in parts-per-million.
         p_ppm: u32,
         /// Onset instant.
         at: Time,
@@ -116,10 +111,9 @@ impl FaultSpec {
     pub fn cables(&self) -> u32 {
         match self {
             FaultSpec::None => 0,
-            FaultSpec::Gray { n, .. }
-            | FaultSpec::Corrupt { n, .. }
-            | FaultSpec::Flap { n, .. }
-            | FaultSpec::Unidir { n, .. } => *n,
+            FaultSpec::Loss { n, .. } | FaultSpec::Flap { n, .. } | FaultSpec::Unidir { n, .. } => {
+                *n
+            }
         }
     }
 
@@ -129,9 +123,19 @@ impl FaultSpec {
     pub fn label(&self) -> String {
         let render = match self {
             FaultSpec::None => Render::new("none"),
-            FaultSpec::Gray { p_ppm, at, heal, n } | FaultSpec::Corrupt { p_ppm, at, heal, n } => {
-                let gray = matches!(self, FaultSpec::Gray { .. });
-                Render::new(if gray { "gray" } else { "corrupt" })
+            FaultSpec::Loss {
+                cause,
+                p_ppm,
+                at,
+                heal,
+                n,
+            } => {
+                let family = match cause {
+                    LossCause::Gray => "gray",
+                    LossCause::Corrupt => "corrupt",
+                    LossCause::BitError => unreachable!("bit errors are the failure axis's"),
+                };
+                Render::new(family)
                     .param("p", Ppm(*p_ppm), Ppm(DEFAULT_P_PPM))
                     .time("at", *at, DEFAULT_AT)
                     .opt_time("for", *heal)
@@ -168,12 +172,16 @@ impl FaultSpec {
                 if p_ppm == 0 {
                     return Err(spec.err("p 0 is the healthy fabric — use fault=none"));
                 }
-                let (at, heal) = (spec.time("at", DEFAULT_AT)?, spec.opt_time("for")?);
-                let n = cables(&mut spec)?;
-                if family == "gray" {
-                    FaultSpec::Gray { p_ppm, at, heal, n }
-                } else {
-                    FaultSpec::Corrupt { p_ppm, at, heal, n }
+                FaultSpec::Loss {
+                    cause: if family == "gray" {
+                        LossCause::Gray
+                    } else {
+                        LossCause::Corrupt
+                    },
+                    p_ppm,
+                    at: spec.time("at", DEFAULT_AT)?,
+                    heal: spec.opt_time("for")?,
+                    n: cables(&mut spec)?,
                 }
             }
             "flap" => {
@@ -236,23 +244,20 @@ impl FaultSpec {
         let mut plan = FailurePlan::none();
         match self {
             FaultSpec::None => unreachable!("handled by the early return above"),
-            FaultSpec::Gray { p_ppm, at, heal, n } => {
+            FaultSpec::Loss {
+                cause,
+                p_ppm,
+                at,
+                heal,
+                n,
+            } => {
                 for &pair in pick(*n) {
-                    plan = plan.with(Failure::GrayDrop {
+                    plan = plan.with(Failure::Loss {
                         pair,
                         at: *at,
                         p: *p_ppm as f64 / PPM as f64,
                         duration: *heal,
-                    });
-                }
-            }
-            FaultSpec::Corrupt { p_ppm, at, heal, n } => {
-                for &pair in pick(*n) {
-                    plan = plan.with(Failure::Corrupt {
-                        pair,
-                        at: *at,
-                        p: *p_ppm as f64 / PPM as f64,
-                        duration: *heal,
+                        cause: *cause,
                     });
                 }
             }

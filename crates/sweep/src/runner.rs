@@ -147,10 +147,11 @@ mod tests {
 
     #[test]
     fn poisoned_run_cancels_the_remaining_queue() {
-        // 1000 items, the very first one panics. Without cross-worker
-        // cancellation the other workers drain their full queues (and this
-        // test takes ~1000 × 1ms of sleeps); with it, only the handful of
-        // items already in flight when the poison lands ever execute.
+        // 1000 items, the very first one panics. If the panic did not move
+        // the shared cursor past the end, the other workers would claim
+        // every remaining index (and this test would take ~1000 × 1ms of
+        // sleeps); as it does, only the handful of items already in flight
+        // when the poison lands ever execute.
         let items: Vec<u64> = (0..1000).collect();
         let calls = AtomicUsize::new(0);
         // detlint: allow(DET002) — test-only timing bound; asserts wall-clock, not results
@@ -171,7 +172,7 @@ mod tests {
         let executed = calls.load(Ordering::SeqCst);
         assert!(
             executed < items.len() / 2,
-            "cancel flag ignored: {executed} of {} items ran after the poison",
+            "cursor not moved past the end: {executed} of {} items ran after the poison",
             items.len()
         );
         assert!(
@@ -187,9 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn uneven_work_is_stolen() {
+    fn uneven_work_is_shared_through_the_cursor() {
         // One item is 1000x the work of the rest; with 4 workers the run
-        // must still complete every item (stealing keeps the others busy).
+        // must still complete every item (the other workers keep claiming
+        // the next index from the shared cursor).
         let items: Vec<u64> = (0..40).collect();
         let out = run_indexed(&items, 4, |&x| {
             let spins = if x == 0 { 200_000 } else { 200 };

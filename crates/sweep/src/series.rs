@@ -65,19 +65,19 @@ pub fn series_doc<S: netsim::trace::TraceSink>(
     engine: &netsim::engine::Engine<S, transport::endpoint::HostEndpoint>,
 ) -> String {
     use harness::json::{array, Object};
-    let export = engine.stats.export_series();
+    let tracked = &engine.stats.tracked;
     let mut doc = String::new();
     doc.push_str(
         &Object::new()
             .str("key", &cell.key())
             .u64("derived_seed", cell.derived_seed())
-            .u64("bucket_width_ps", export.bucket_width.as_ps())
+            .u64("bucket_width_ps", engine.stats.bucket_width.as_ps())
             .u64("sample_period_ps", engine.cfg.sample_period.as_ps())
-            .u64("links", export.links.len() as u64)
+            .u64("links", tracked.len() as u64)
             .render(),
     );
     doc.push('\n');
-    for (link, series) in &export.links {
+    for (link, series) in tracked {
         let buckets = array(series.bucket_bytes.iter().map(u64::to_string));
         let samples = array(
             series

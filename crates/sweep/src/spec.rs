@@ -9,6 +9,7 @@
 use netsim::config::SimConfig;
 use netsim::failures::{Failure, FailurePlan};
 use netsim::ids::HostId;
+use netsim::link::LossCause;
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, Topology};
@@ -614,11 +615,12 @@ impl FailureSpec {
                 )
             }
             FailureSpec::BitErrorCable { ber_millis, at } => {
-                FailurePlan::none().with(Failure::BitError {
+                FailurePlan::none().with(Failure::Loss {
                     pair: topo.cable_pairs()[0],
                     at: *at,
                     p: *ber_millis as f64 / 1000.0,
                     duration: None,
+                    cause: LossCause::BitError,
                 })
             }
             FailureSpec::Rolling {

@@ -50,7 +50,7 @@ fn corpus() -> Vec<String> {
             text.lines().map(str::to_string).collect::<Vec<_>>()
         })
         .collect();
-    assert_eq!(lines.len(), 75, "the golden corpus changed size");
+    assert_eq!(lines.len(), 81, "the golden corpus changed size");
     lines
 }
 

@@ -13,6 +13,7 @@
 use proptest::prelude::*;
 
 use baselines::kind::LbKind;
+use netsim::link::LossCause;
 use netsim::time::Time;
 use sweep::matrix::{LabeledLb, ScenarioMatrix};
 use sweep::spec::{FabricSpec, WorkloadSpec};
@@ -38,8 +39,13 @@ fn spec_from(
     let at = us(at_us);
     let heal = (heal_us > 0).then(|| us(heal_us));
     match family % 4 {
-        0 => FaultSpec::Gray { p_ppm, at, heal, n },
-        1 => FaultSpec::Corrupt { p_ppm, at, heal, n },
+        f @ (0 | 1) => FaultSpec::Loss {
+            cause: [LossCause::Gray, LossCause::Corrupt][f as usize],
+            p_ppm,
+            at,
+            heal,
+            n,
+        },
         2 => FaultSpec::Flap {
             period: us(period_us),
             duty_ppm,

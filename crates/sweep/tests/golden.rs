@@ -212,25 +212,57 @@ deadline   = 2000us
 seed       = 0
 ";
 
-#[test]
-fn hybrid_churn_output_is_byte_identical_to_its_snapshot() {
-    let cells: Vec<_> = sweep::specfile::parse(HYBRID_CHURN_GRID)
+/// Runs the `cells` cells of spec file `grid` with their diagnostics
+/// blocks, as its `*.grid.jsonl` snapshot was recorded.
+fn grid_jsonl(grid: &str, cells: usize) -> String {
+    let expanded: Vec<_> = sweep::specfile::parse(grid)
         .expect("grid parses")
         .iter()
         .flat_map(|m| m.expand())
         .collect();
-    assert_eq!(cells.len(), 2);
+    assert_eq!(expanded.len(), cells);
     let run = sweep::cache::run_cells_instrumented(
-        &cells,
+        &expanded,
         2,
         sweep::cache::RunSinks {
             diagnostics: true,
             ..Default::default()
         },
     );
+    to_jsonl(&run.results)
+}
+
+#[test]
+fn hybrid_churn_output_is_byte_identical_to_its_snapshot() {
     assert_eq!(
-        to_jsonl(&run.results),
+        grid_jsonl(HYBRID_CHURN_GRID, 2),
         include_str!("golden/hybrid-churn.grid.jsonl"),
         "hybrid-churn output drifted from its snapshot"
+    );
+}
+
+// The three per-packet loss faults on one fabric: the bit-error cable of
+// the `failure` axis under each `fault` of the loss family. With `n=32`
+// every cable of the 32-cable fabric is gray, so the bit-error cable
+// draws for both causes and the snapshot pins their draw order as well
+// as each cause's drop counter. Recorded like `hybrid-churn.grid.jsonl`
+// over the grid below.
+
+const LOSS_FAULTS_GRID: &str = "\
+[loss-faults]
+fabric   = 2t-k8-o1
+lb       = OPS, REPS
+workload = perm-1048576B
+failure  = ber10pm-at8us
+fault    = none, gray{p=0.02,n=32}, corrupt{p=0.001}
+seed     = 0
+";
+
+#[test]
+fn loss_faults_output_is_byte_identical_to_its_snapshot() {
+    assert_eq!(
+        grid_jsonl(LOSS_FAULTS_GRID, 6),
+        include_str!("golden/loss-faults.grid.jsonl"),
+        "loss-faults output drifted from its snapshot"
     );
 }

@@ -70,8 +70,6 @@ pub struct TransportConfig {
     pub base_rtt: Time,
     /// Packets granted per EQDS pacer tick.
     pub eqds_quantum_pkts: u32,
-    /// Whether the fabric trims (NACKs then mean congestion, not failure).
-    pub trimming: bool,
     /// Load balancer for background-class traffic (messages whose tag has
     /// [`BACKGROUND_BIT`] set). Models the paper's mixed REPS/ECMP
     /// deployments (§4.3.2, Fig. 6). `None` = same as `lb`.
@@ -95,7 +93,6 @@ impl TransportConfig {
             cc_params: CcParams::for_bdp(bdp, sim.mtu_bytes as u64),
             base_rtt: sim.base_rtt(hops),
             eqds_quantum_pkts: 4,
-            trimming: sim.trimming,
             bg_lb: None,
         }
     }

@@ -71,6 +71,7 @@ pub mod prelude {
     pub use netsim::config::SimConfig;
     pub use netsim::failures::{Failure, FailurePlan};
     pub use netsim::ids::{FlowId, HostId, SwitchId};
+    pub use netsim::link::LossCause;
     pub use netsim::time::Time;
     pub use netsim::topology::{FatTreeConfig, Topology};
     pub use reps::reps::{Reps, RepsConfig};

@@ -43,11 +43,12 @@ fn bit_error_links_lose_packets_but_flows_recover() {
     let mut rng = netsim::rng::Rng64::new(35);
     let w = permutation(fabric.n_hosts(), 2 << 20, &mut rng);
     let mut exp = Experiment::new("ber", fabric, LbKind::Reps(RepsConfig::default()), w);
-    exp.failures = FailurePlan::none().with(Failure::BitError {
+    exp.failures = FailurePlan::none().with(Failure::Loss {
         pair,
         at: Time::ZERO,
         p: 0.01,
         duration: None,
+        cause: LossCause::BitError,
     });
     exp.seed = 35;
     exp.deadline = Time::from_secs(10);
