@@ -315,60 +315,41 @@ impl Topology {
     /// All bidirectional switch-to-switch cables, as `(up_link, down_link)`
     /// unidirectional pairs, for the failure experiments.
     pub fn cable_pairs(&self) -> Vec<(LinkId, LinkId)> {
-        let mut pairs = Vec::new();
-        for meta in &self.switches {
-            // Each switch's uplinks pair with the peer switch's downlink back.
-            for up in meta.up_links.iter() {
-                let peer = match self.links[up.index()].to {
-                    NodeRef::Switch(s) => s,
-                    NodeRef::Host(_) => continue,
-                };
-                let me = NodeRef::Switch(meta.id);
-                let down = self.switches[peer.index()]
-                    .down_links
-                    .iter()
-                    .find(|&l| self.links[l.index()].to == me)
-                    .expect("cable must be bidirectional");
-                pairs.push((up, down));
-            }
-        }
-        pairs
+        // Each switch's uplinks pair with the peer switch's downlink back.
+        self.switches
+            .iter()
+            .flat_map(|meta| meta.up_links.iter())
+            .map(|up| (up, Topology::reverse(up)))
+            .collect()
     }
 
     /// The `(up, down)` cable pairs from one specific ToR to its T1s.
     pub fn tor_uplink_pairs(&self, tor: SwitchId) -> Vec<(LinkId, LinkId)> {
         let meta = &self.switches[tor.index()];
         assert!(matches!(meta.tier, Tier::T0), "not a ToR: {tor}");
-        let me = NodeRef::Switch(meta.id);
         meta.up_links
             .iter()
-            .map(|up| {
-                let peer = match self.links[up.index()].to {
-                    NodeRef::Switch(s) => s,
-                    NodeRef::Host(_) => unreachable!("ToR uplink must reach a switch"),
-                };
-                let down = self.switches[peer.index()]
-                    .down_links
-                    .iter()
-                    .find(|&l| self.links[l.index()].to == me)
-                    .expect("cable must be bidirectional");
-                (up, down)
-            })
+            .map(|up| (up, Topology::reverse(up)))
             .collect()
     }
 
-    /// All links adjacent to a switch (both directions), for switch failures.
+    /// The other direction of `l`'s cable. The builder creates every cable
+    /// as two consecutive ids from an even one, `a → b` then `b → a`.
+    pub fn reverse(l: LinkId) -> LinkId {
+        LinkId(l.0 ^ 1)
+    }
+
+    /// All links adjacent to a switch (both directions), in id order, for
+    /// switch failures: its own links and their reverses.
     pub fn switch_links(&self, sw: SwitchId) -> Vec<LinkId> {
         let meta = &self.switches[sw.index()];
-        let mut out: Vec<LinkId> = meta.up_links.iter().chain(meta.down_links.iter()).collect();
-        let me = NodeRef::Switch(sw);
-        for (i, spec) in self.links.iter().enumerate() {
-            if spec.to == me {
-                out.push(LinkId(i as u32));
-            }
-        }
+        let mut out: Vec<LinkId> = meta
+            .up_links
+            .iter()
+            .chain(meta.down_links.iter())
+            .flat_map(|l| [l, Topology::reverse(l)])
+            .collect();
         out.sort_unstable();
-        out.dedup();
         out
     }
 
@@ -730,6 +711,11 @@ mod tests {
     /// the closed-form [`LinkRange`] descriptors reproduce them exactly —
     /// including the T1 slot-per-ToR and core slot-per-pod orderings.
     fn assert_tables_match_link_scan(topo: &Topology) {
+        // Every link's reverse is its cable's other direction.
+        for (i, spec) in topo.links.iter().enumerate() {
+            let back = &topo.links[Topology::reverse(LinkId(i as u32)).index()];
+            assert_eq!((back.from, back.to), (spec.to, spec.from), "link {i}");
+        }
         for meta in &topo.switches {
             let me = NodeRef::Switch(meta.id);
             let mut up_scan: Vec<LinkId> = Vec::new();

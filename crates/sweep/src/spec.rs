@@ -142,6 +142,13 @@ where
     s.parse::<T>().map_err(|e| format!("bad {what} {s:?}: {e}"))
 }
 
+/// The `T` of a `…Tus` label as a time, through the checked
+/// [`Time::parse_label`]: a count past [`Time::MAX`] is an error, never a
+/// wrapped instant.
+fn micros(t: &str, what: &str) -> Result<Time, String> {
+    Time::parse_label(&format!("{t}us")).map_err(|e| format!("bad {what}: {e}"))
+}
+
 /// A percentage in `lo..=100`. The failure builders clamp anything else,
 /// so a label outside the range would name a scenario that never runs.
 fn percent(s: &str, what: &str, lo: u32) -> Result<u32, String> {
@@ -306,7 +313,7 @@ impl WorkloadSpec {
                 .ok_or_else(|| format!("bad trace duration in {s:?}"))?;
             return Ok(WorkloadSpec::DcTrace {
                 load_pct: num(pct, "load percentage")?,
-                duration: Time::from_us(num(dur, "trace duration")?),
+                duration: micros(dur, "trace duration")?,
             });
         }
         Err(format!(
@@ -537,7 +544,7 @@ impl FailureSpec {
                 .ok_or_else(|| format!("bad failure {s:?} (expected berBpm-atTus)"))?;
             return Ok(FailureSpec::BitErrorCable {
                 ber_millis: num(pm, "bit-error rate")?,
-                at: Time::from_us(num(at, "onset instant")?),
+                at: micros(at, "onset instant")?,
             });
         }
         if let Some(rest) = s.strip_prefix("rolling") {
@@ -547,8 +554,8 @@ impl FailureSpec {
             let down = down.strip_suffix("us").ok_or_else(bad)?;
             return Ok(FailureSpec::Rolling {
                 count: num(count, "cable count")?,
-                period: Time::from_us(num(period, "failure period")?),
-                down_for: Time::from_us(num(down, "downtime")?),
+                period: micros(period, "failure period")?,
+                down_for: micros(down, "downtime")?,
             });
         }
         if let Some(rest) = s.strip_prefix("incuplinks") {
@@ -557,7 +564,7 @@ impl FailureSpec {
             let period = period.strip_suffix("us").ok_or_else(bad)?;
             return Ok(FailureSpec::IncrementalTorUplinks {
                 count: num(count, "uplink count")?,
-                period: Time::from_us(num(period, "failure period")?),
+                period: micros(period, "failure period")?,
             });
         }
         Err(format!(
@@ -660,12 +667,12 @@ fn parse_at_dur(rest: &str, label: &str) -> Result<(Time, Option<Time>), String>
     let bad = || format!("bad failure {label:?} (expected ...-atTus-perm or ...-atTus-Dus)");
     let rest = rest.strip_prefix("at").ok_or_else(bad)?;
     let (at, dur) = rest.split_once("us-").ok_or_else(bad)?;
-    let at = Time::from_us(num(at, "failure instant")?);
+    let at = micros(at, "failure instant")?;
     let duration = if dur == "perm" {
         None
     } else {
         let d = dur.strip_suffix("us").ok_or_else(bad)?;
-        Some(Time::from_us(num(d, "failure duration")?))
+        Some(micros(d, "failure duration")?)
     };
     Ok((at, duration))
 }

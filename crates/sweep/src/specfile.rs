@@ -297,6 +297,21 @@ reconv = none, 25us
                 2,
                 "18446744073710us",
             ),
+            (
+                "[a]\nlb = OPS\nfailure = cable1-at18446744073710us-perm",
+                3,
+                "18446744073710us",
+            ),
+            (
+                "[a]\nfailure = rolling2-every18446744073710us-down5us",
+                2,
+                "18446744073710us",
+            ),
+            (
+                "[a]\nworkload = dctrace-10pct-18446744073710us",
+                2,
+                "18446744073710us",
+            ),
         ] {
             let err = parse(text).unwrap_err();
             assert_eq!(err.line, line, "{text:?}: {err}");

@@ -40,9 +40,9 @@ const TOKEN_SCHEDULE: u64 = 3;
 
 /// The longest connection table, in bytes, that [`HostEndpoint`]'s
 /// look-ahead hint prefetches whole: two senders (a host's foreground and
-/// background class, or one each to two peers) or four receivers. A
-/// longer table is binary-searched, and the hint does not guess which of
-/// its entries the search will touch.
+/// background class, or one each to two peers) or four receivers (544 of
+/// its 576 bytes). A longer table is binary-searched, and the hint does
+/// not guess which of its entries the search will touch.
 const HINT_BYTES: usize = 2 * std::mem::size_of::<SenderConn>();
 
 /// Prefetches every line `table` spans, if it is at most [`HINT_BYTES`]
@@ -173,19 +173,26 @@ impl HostEndpoint {
             .binary_search_by_key(&(dst, bg), |tx| (tx.dst, tx.conn.0 & 1 == 1))
     }
 
-    /// The sender a NACK or credit on `conn` from `peer` is for, with what
-    /// it is driven with.
+    /// The sender table, beside what the host drives its senders with.
+    fn senders_env(&mut self) -> (&mut [SenderConn], SenderEnv<'_>) {
+        let env = SenderEnv {
+            cfg: &self.cfg,
+            reps: &mut self.reps,
+            newly_acked: &mut self.newly_acked,
+        };
+        (&mut self.senders, env)
+    }
+
+    /// The sender an ACK, NACK or credit on `conn` from `peer` is for, with
+    /// what it is driven with.
     fn sender_for(
         &mut self,
         peer: HostId,
         conn: ConnId,
     ) -> Option<(&mut SenderConn, SenderEnv<'_>)> {
         let slot = self.sender_slot(peer, conn.0 & 1 == 1).ok()?;
-        let env = SenderEnv {
-            cfg: &self.cfg,
-            reps: &mut self.reps,
-        };
-        Some((&mut self.senders[slot], env))
+        let (senders, env) = self.senders_env();
+        Some((&mut senders[slot], env))
     }
 
     fn arm_sweep<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
@@ -221,12 +228,9 @@ impl HostEndpoint {
                 slot
             }
         };
-        let tx = &mut self.senders[slot];
-        tx.enqueue(spec.flow, spec.tag, spec.bytes, ctx.now);
-        let mut env = SenderEnv {
-            cfg: &self.cfg,
-            reps: &mut self.reps,
-        };
+        let (senders, mut env) = self.senders_env();
+        let tx = &mut senders[slot];
+        tx.enqueue(spec.flow, spec.tag, spec.bytes, env.cfg.mtu, ctx.now);
         tx.pump(&mut env, ctx);
         self.arm_sweep(ctx);
     }
@@ -268,17 +272,14 @@ impl HostEndpoint {
         let rto = self.cfg.rto;
         // Each timeout draws from the shared RNG and each stale ACK takes a
         // packet id, so both passes run in table order.
-        let mut env = SenderEnv {
-            cfg: &self.cfg,
-            reps: &mut self.reps,
-        };
-        for tx in &mut self.senders {
+        let (senders, mut env) = self.senders_env();
+        for tx in senders {
             tx.check_timeouts(&mut env, ctx);
         }
         // Delayed-ACK flush: release observations older than a quarter RTO.
         let cutoff = ctx.now.saturating_sub(rto / 4);
         for rx in &mut self.receivers {
-            if let Some(ack) = rx.flush_stale(cutoff) {
+            if let Some(ack) = rx.flush_stale(cutoff, self.cfg.coalesce) {
                 Self::send_ack(self.host, rx.peer, rx.conn, ack, ctx);
             }
         }
@@ -347,14 +348,14 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
                 let slot = match self.receivers.binary_search_by_key(&conn, |rx| rx.conn) {
                     Ok(slot) => slot,
                     Err(slot) => {
-                        let rx = ReceiverConn::new(peer, conn, &self.cfg);
+                        let rx = ReceiverConn::new(peer, conn);
                         crate::reserve_doubling(&mut self.receivers, 1);
                         self.receivers.insert(slot, rx);
                         slot
                     }
                 };
                 let rx = &mut self.receivers[slot];
-                let out = rx.on_data(&pkt, ctx.now);
+                let out = rx.on_data(&pkt, self.cfg.coalesce, ctx.now);
                 if ctx.trace.enabled() {
                     // Only out-of-order states are recorded, so a perfectly
                     // ordered flow contributes no reorder events.
@@ -391,13 +392,8 @@ impl<S: TraceSink> Endpoint<S> for HostEndpoint {
                 }
             }
             Body::Ack(ack) => {
-                if let Ok(slot) = self.sender_slot(pkt.src, pkt.conn.0 & 1 == 1) {
-                    let mut env = SenderEnv {
-                        cfg: &self.cfg,
-                        reps: &mut self.reps,
-                    };
-                    let tx = &mut self.senders[slot];
-                    let completed_tags = tx.on_ack(ack, &mut self.newly_acked, &mut env, ctx);
+                if let Some((tx, mut env)) = self.sender_for(pkt.src, pkt.conn) {
+                    let completed_tags = tx.on_ack(ack, &mut env, ctx);
                     self.fire_send_triggers(&completed_tags, ctx);
                 }
             }
@@ -460,17 +456,36 @@ mod tests {
     use netsim::trace::NoTrace;
     use reps::reps::RepsConfig;
 
-    fn build_engine(lb: LbKind, seed: u64) -> Engine<NoTrace, HostEndpoint> {
-        let sim = SimConfig::paper_default();
-        let topo = Topology::build(FatTreeConfig::two_tier(16, 1), seed);
+    use crate::config::CoalesceConfig;
+
+    const OPS: LbKind = LbKind::Ops { evs_size: 1 << 16 };
+
+    /// The cell's transport with `lb` and every other parameter default.
+    fn tcfg(lb: LbKind) -> TransportConfig {
+        TransportConfig::from_sim(&SimConfig::paper_default(), 4, lb)
+    }
+
+    /// A two-tier fabric of `k`-port switches whose every host runs
+    /// `tcfg`'s transport.
+    fn engine_with<S: TraceSink>(
+        k: u32,
+        seed: u64,
+        tcfg: TransportConfig,
+        trace: S,
+    ) -> Engine<S, HostEndpoint> {
+        let topo = Topology::build(FatTreeConfig::two_tier(k, 1), seed);
         let n = topo.n_hosts;
-        let mut engine = Engine::with_trace(topo, sim, seed, NoTrace);
-        let tcfg = Rc::new(TransportConfig::from_sim(&engine.cfg, 4, lb));
+        let mut engine = Engine::with_trace(topo, SimConfig::paper_default(), seed, trace);
+        let tcfg = Rc::new(tcfg);
         for h in 0..n {
             let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, Rc::clone(&tcfg));
             engine.set_endpoint(HostId(h), ep);
         }
         engine
+    }
+
+    fn build_engine(lb: LbKind, seed: u64) -> Engine<NoTrace, HostEndpoint> {
+        engine_with(16, seed, tcfg(lb), NoTrace)
     }
 
     fn start<S: TraceSink, E: Endpoint<S>>(
@@ -533,9 +548,9 @@ mod tests {
         let mut engine = Engine::with_trace(topo, sim, 12, Recorder::new());
         // EQDS, and ACKs held back past any window so that only the
         // delayed-ACK sweep releases them.
-        let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Ops { evs_size: 1 << 16 })
+        let tcfg = tcfg(OPS)
             .with_cc(crate::cc::CcKind::Eqds)
-            .with_coalesce(crate::config::CoalesceConfig::ratio(
+            .with_coalesce(CoalesceConfig::ratio(
                 1024,
                 crate::config::CoalesceVariant::Plain,
             ));
@@ -643,18 +658,22 @@ mod tests {
 
     /// Per-host and per-connection memory at 10k hosts is these sizes
     /// times the host count: a sender holds its balancer inline (`Lb`,
-    /// 64 bytes) beside its congestion controller (`Cc`, 40) and 224
-    /// bytes of windows and queues, and neither copies the cell's
-    /// parameters; a host holds its tables, triggers, its senders' REPS
-    /// counters and one `Rc` to the cell's shared `TransportConfig`.
+    /// 64 bytes) beside its congestion controller (`Cc`, 40) and 184
+    /// bytes of message list, in-flight window, retransmission queue and
+    /// ACK bitmap; a receiver its bitmap, message counts and pending-ACK
+    /// buffers. Neither copies the cell's parameters; a host holds its
+    /// tables, triggers, its senders' REPS counters and one `Rc` to the
+    /// cell's shared `TransportConfig`.
     #[test]
     fn connection_state_sizes_are_pinned() {
         use std::mem::size_of;
-        assert_eq!(size_of::<SenderConn>(), 328);
+        assert_eq!(size_of::<SenderConn>(), 288);
         assert_eq!(size_of::<baselines::kind::Lb>(), 64);
         assert_eq!(size_of::<Cc>(), 40);
-        assert_eq!(size_of::<ReceiverConn>(), 144);
+        assert_eq!(size_of::<ReceiverConn>(), 136);
         assert_eq!(size_of::<HostEndpoint>(), 248);
+        // The look-ahead hint takes a table of up to four receivers whole.
+        assert_eq!(HINT_BYTES / size_of::<ReceiverConn>(), 4);
         // Stored by value in the engine: no bigger as an endpoint slot.
         assert_eq!(size_of::<Option<HostEndpoint>>(), size_of::<HostEndpoint>());
     }
@@ -677,9 +696,8 @@ mod tests {
         assert_eq!(senders, [1, 2, 4, 4, 8]);
         assert_eq!(receivers, [1, 2, 4, 4, 8]);
 
-        let sim = SimConfig::paper_default();
-        let tcfg = TransportConfig::from_sim(&sim, 4, LbKind::Ecmp);
-        let mut ep = HostEndpoint::new(HostId(0), 64, sim.link_bps, tcfg);
+        let link_bps = SimConfig::paper_default().link_bps;
+        let mut ep = HostEndpoint::new(HostId(0), 64, link_bps, tcfg(LbKind::Ecmp));
         let schedule: Vec<usize> = [30, 10, 20]
             .into_iter()
             .map(|us| {
@@ -698,7 +716,7 @@ mod tests {
 
     #[test]
     fn single_message_completes_with_correct_fct_shape() {
-        let mut engine = build_engine(LbKind::Ops { evs_size: 1 << 16 }, 1);
+        let mut engine = build_engine(OPS, 1);
         engine.stats.expected_flows = 1;
         start(&mut engine, 0, 0, 64, 1 << 20); // 1 MiB cross-rack.
         assert!(engine.run_to_completion(Time::from_ms(10)));
@@ -723,7 +741,7 @@ mod tests {
 
     #[test]
     fn several_concurrent_flows_all_complete() {
-        let mut engine = build_engine(LbKind::Ops { evs_size: 1 << 16 }, 3);
+        let mut engine = build_engine(OPS, 3);
         engine.stats.expected_flows = 8;
         for i in 0..8 {
             start(&mut engine, i, i, 64 + i, 256 << 10);
@@ -734,7 +752,7 @@ mod tests {
 
     #[test]
     fn incast_completes_under_congestion() {
-        let mut engine = build_engine(LbKind::Ops { evs_size: 1 << 16 }, 4);
+        let mut engine = build_engine(OPS, 4);
         engine.stats.expected_flows = 8;
         // 8:1 incast into host 0.
         for i in 0..8 {
@@ -747,7 +765,7 @@ mod tests {
 
     #[test]
     fn link_failure_triggers_timeouts_and_retransmissions() {
-        let mut engine = build_engine(LbKind::Ops { evs_size: 1 << 16 }, 5);
+        let mut engine = build_engine(OPS, 5);
         engine.stats.expected_flows = 1;
         // Fail one ToR uplink pair 20 us in, forever.
         let pairs = engine.topo.tor_uplink_pairs(netsim::ids::SwitchId(0));
@@ -770,10 +788,7 @@ mod tests {
         // uplink failure, REPS (freezing) must suffer far fewer blackhole
         // drops than OPS.
         let mut drops = Vec::new();
-        for lb in [
-            LbKind::Ops { evs_size: 1 << 16 },
-            LbKind::Reps(RepsConfig::default()),
-        ] {
+        for lb in [OPS, LbKind::Reps(RepsConfig::default())] {
             let mut engine = build_engine(lb, 6);
             engine.stats.expected_flows = 1;
             let pairs = engine.topo.tor_uplink_pairs(netsim::ids::SwitchId(0));
@@ -795,15 +810,8 @@ mod tests {
     #[test]
     fn traced_run_records_the_failure_reaction_story() {
         use netsim::trace::{EvDecision, Recorder, TraceEvent as TE};
-        let sim = SimConfig::paper_default();
-        let topo = Topology::build(FatTreeConfig::two_tier(16, 1), 6);
-        let n = topo.n_hosts;
-        let mut engine = Engine::with_trace(topo, sim, 6, Recorder::new());
-        let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Reps(RepsConfig::default()));
-        for h in 0..n {
-            let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-            engine.set_endpoint(HostId(h), ep);
-        }
+        let reps = tcfg(LbKind::Reps(RepsConfig::default()));
+        let mut engine = engine_with(16, 6, reps, Recorder::new());
         engine.stats.expected_flows = 1;
         let pairs = engine.topo.tor_uplink_pairs(netsim::ids::SwitchId(0));
         let (up, down) = pairs[0];
@@ -854,16 +862,8 @@ mod tests {
 
     #[test]
     fn eqds_credit_flow_completes() {
-        let sim = SimConfig::paper_default();
-        let topo = Topology::build(FatTreeConfig::two_tier(16, 1), 7);
-        let n = topo.n_hosts;
-        let mut engine = Engine::new(topo, sim, 7);
-        let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Ops { evs_size: 1 << 16 })
-            .with_cc(crate::cc::CcKind::Eqds);
-        for h in 0..n {
-            let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-            engine.set_endpoint(HostId(h), Box::new(ep));
-        }
+        let eqds = tcfg(OPS).with_cc(crate::cc::CcKind::Eqds);
+        let mut engine = engine_with(16, 7, eqds, NoTrace);
         engine.stats.expected_flows = 1;
         start(&mut engine, 0, 0, 64, 4 << 20);
         assert!(
@@ -876,19 +876,9 @@ mod tests {
     fn coalesced_acks_reduce_control_traffic() {
         let mut ctrl = Vec::new();
         for ratio in [1u32, 8] {
-            let sim = SimConfig::paper_default();
-            let topo = Topology::build(FatTreeConfig::two_tier(16, 1), 8);
-            let n = topo.n_hosts;
-            let mut engine = Engine::new(topo, sim, 8);
-            let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Ops { evs_size: 1 << 16 })
-                .with_coalesce(crate::config::CoalesceConfig::ratio(
-                    ratio,
-                    crate::config::CoalesceVariant::Plain,
-                ));
-            for h in 0..n {
-                let ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-                engine.set_endpoint(HostId(h), Box::new(ep));
-            }
+            let plain = crate::config::CoalesceVariant::Plain;
+            let coalesced = tcfg(OPS).with_coalesce(CoalesceConfig::ratio(ratio, plain));
+            let mut engine = engine_with(16, 8, coalesced, NoTrace);
             engine.stats.expected_flows = 1;
             start(&mut engine, 0, 0, 64, 4 << 20);
             assert!(engine.run_to_completion(Time::from_ms(20)));
@@ -904,9 +894,8 @@ mod tests {
 
     #[test]
     fn scheduled_messages_keep_time_order_and_fifo_among_equal_starts() {
-        let sim = SimConfig::paper_default();
-        let tcfg = TransportConfig::from_sim(&sim, 4, LbKind::Ecmp);
-        let mut ep = HostEndpoint::new(HostId(0), 64, sim.link_bps, tcfg);
+        let link_bps = SimConfig::paper_default().link_bps;
+        let mut ep = HostEndpoint::new(HostId(0), 64, link_bps, tcfg(LbKind::Ecmp));
         // (start in us, flow): out of time order, with three-way ties.
         let calls = [
             (30, 0),
@@ -950,26 +939,17 @@ mod tests {
 
     #[test]
     fn scheduled_messages_start_at_their_times() {
-        let sim = SimConfig::paper_default();
-        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 9);
-        let n = topo.n_hosts;
-        let mut engine = Engine::new(topo, sim, 9);
-        let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Ops { evs_size: 1 << 16 });
-        for h in 0..n {
-            let mut ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-            if h == 0 {
-                ep.schedule_message(
-                    Time::from_us(50),
-                    MessageSpec {
-                        flow: FlowId(0),
-                        dst: HostId(16),
-                        bytes: 64 << 10,
-                        tag: 0,
-                    },
-                );
-            }
-            engine.set_endpoint(HostId(h), Box::new(ep));
-        }
+        let mut engine = engine_with(8, 9, tcfg(OPS), NoTrace);
+        let (n, link_bps) = (engine.topo.n_hosts, engine.cfg.link_bps);
+        let mut ep = HostEndpoint::new(HostId(0), n, link_bps, tcfg(OPS));
+        let spec = MessageSpec {
+            flow: FlowId(0),
+            dst: HostId(16),
+            bytes: 64 << 10,
+            tag: 0,
+        };
+        ep.schedule_message(Time::from_us(50), spec);
+        engine.set_endpoint(HostId(0), ep);
         engine.schedule_control(Time::ZERO, ControlEvent::HostStart(HostId(0)));
         engine.stats.expected_flows = 1;
         assert!(engine.run_to_completion(Time::from_ms(5)));
@@ -984,26 +964,17 @@ mod tests {
     #[test]
     fn receive_trigger_chains_messages_across_hosts() {
         // Host 0 sends to host 16; when host 16 receives it, it sends to 32.
-        let sim = SimConfig::paper_default();
-        let topo = Topology::build(FatTreeConfig::two_tier(16, 1), 10);
-        let n = topo.n_hosts;
-        let mut engine = Engine::new(topo, sim, 10);
-        let tcfg = TransportConfig::from_sim(&engine.cfg, 4, LbKind::Ops { evs_size: 1 << 16 });
-        for h in 0..n {
-            let mut ep = HostEndpoint::new(HostId(h), n, engine.cfg.link_bps, tcfg.clone());
-            if h == 16 {
-                ep.trigger_on_receive(
-                    77,
-                    MessageSpec {
-                        flow: FlowId(1),
-                        dst: HostId(32),
-                        bytes: 128 << 10,
-                        tag: 78,
-                    },
-                );
-            }
-            engine.set_endpoint(HostId(h), Box::new(ep));
-        }
+        let mut engine = engine_with(16, 10, tcfg(OPS), NoTrace);
+        let (n, link_bps) = (engine.topo.n_hosts, engine.cfg.link_bps);
+        let mut ep = HostEndpoint::new(HostId(16), n, link_bps, tcfg(OPS));
+        let spec = MessageSpec {
+            flow: FlowId(1),
+            dst: HostId(32),
+            bytes: 128 << 10,
+            tag: 78,
+        };
+        ep.trigger_on_receive(77, spec);
+        engine.set_endpoint(HostId(16), ep);
         engine.stats.expected_flows = 2;
         engine.command(
             HostId(0),
