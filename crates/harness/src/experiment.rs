@@ -12,7 +12,7 @@ use baselines::kind::LbKind;
 use netsim::config::SimConfig;
 use netsim::engine::{Engine, MessageSpec};
 use netsim::event::ControlEvent;
-use netsim::failures::FailurePlan;
+use netsim::failures::{self, Failure};
 use netsim::ids::HostId;
 use netsim::stats::Counters;
 use netsim::time::Time;
@@ -52,8 +52,8 @@ pub struct Experiment {
     /// background LB kind is ignored in fluid mode (the fluid model routes
     /// per-flow by deterministic ECMP). No effect without `background`.
     pub fluid_background: bool,
-    /// Failure plan.
-    pub failures: FailurePlan,
+    /// Failures, installed in order.
+    pub failures: Vec<Failure>,
     /// RNG seed (topology salts, EV draws, arrival jitter).
     pub seed: u64,
     /// Give up after this much simulated time.
@@ -85,7 +85,7 @@ impl Experiment {
             workload,
             background: None,
             fluid_background: false,
-            failures: FailurePlan::none(),
+            failures: Vec::new(),
             seed: 1,
             deadline: Time::from_ms(500),
             track: None,
@@ -158,7 +158,7 @@ impl Experiment {
             engine.schedule_control(Time::ZERO, ControlEvent::HostStart(HostId(h)));
         }
 
-        self.failures.install(&mut engine);
+        failures::install(&self.failures, &mut engine);
         engine.stats.expected_flows = expected;
 
         // Hybrid fidelity: the background workload becomes a fluid

@@ -1,9 +1,12 @@
-//! Failure-scenario builders for the paper's §4.3.3 and Appendix C.3.
+//! Failures of the paper's §4.3.3 and Appendix C.3, and their install.
 //!
-//! These helpers translate a high-level failure description ("one cable for
-//! 100 µs", "5 % of switches", "1 % BER on a cable") into the link/switch
-//! control events the engine executes. All randomness is drawn from a caller
-//! -provided [`Rng64`] so scenarios are reproducible.
+//! A [`Failure`] names the cable, link or switch it takes and when; this
+//! module only turns failures into the link/switch control events the
+//! engine executes ([`install`]). Which cables a scenario takes — every
+//! random pick — and what a flap's duty cycle means at its edges (a
+//! never-up flap is a plain cut, a never-down one no failure) are
+//! decided where the scenario is described, in the sweep's `failure` and
+//! `fault` axes, so a [`Failure::Flap`] here always toggles.
 //!
 //! The per-packet loss faults — bit errors, gray loss and payload
 //! corruption — are one [`Failure::Loss`] that names its [`LossCause`]:
@@ -15,7 +18,6 @@ use crate::engine::{Endpoint, Engine};
 use crate::event::ControlEvent;
 use crate::ids::{LinkId, SwitchId};
 use crate::link::LossCause;
-use crate::rng::Rng64;
 use crate::time::Time;
 use crate::trace::TraceSink;
 
@@ -81,8 +83,9 @@ pub enum Failure {
         at: Time,
         /// Full flap period (down + up).
         period: Time,
-        /// Portion of each period the link is up (`>= period` means the
-        /// link never goes down; `ZERO` means a plain cut at `at`).
+        /// Portion of each period the link is up, strictly between
+        /// `ZERO` and `period`: both edges are other failures (a cut, or
+        /// none), and installing one panics.
         up_time: Time,
         /// Horizon: no control event is scheduled at or beyond it.
         until: Time,
@@ -99,176 +102,64 @@ pub enum Failure {
     },
 }
 
-/// A set of failures applied to one engine run.
-#[derive(Debug, Clone, Default)]
-pub struct FailurePlan {
-    /// The failures, in no particular order.
-    pub failures: Vec<Failure>,
-}
-
-impl FailurePlan {
-    /// An empty plan (healthy network).
-    pub fn none() -> FailurePlan {
-        FailurePlan::default()
-    }
-
-    /// Adds a failure.
-    pub fn with(mut self, f: Failure) -> FailurePlan {
-        self.failures.push(f);
-        self
-    }
-
-    /// Fails `fraction` of all switch-to-switch cables at `at`.
-    pub fn random_cables(
-        topo_pairs: &[(LinkId, LinkId)],
-        fraction: f64,
-        at: Time,
-        duration: Option<Time>,
-        rng: &mut Rng64,
-    ) -> FailurePlan {
-        let mut pairs = topo_pairs.to_vec();
-        rng.shuffle(&mut pairs);
-        let n = ((pairs.len() as f64 * fraction).round() as usize).min(pairs.len());
-        FailurePlan {
-            failures: pairs[..n]
-                .iter()
-                .map(|&pair| Failure::Cable { pair, at, duration })
-                .collect(),
-        }
-    }
-
-    /// Fails `fraction` of the given switches at `at`.
-    pub fn random_switches(
-        switches: &[SwitchId],
-        fraction: f64,
-        at: Time,
-        duration: Option<Time>,
-        rng: &mut Rng64,
-    ) -> FailurePlan {
-        let mut sw = switches.to_vec();
-        rng.shuffle(&mut sw);
-        let n = ((sw.len() as f64 * fraction).round() as usize).min(sw.len());
-        FailurePlan {
-            failures: sw[..n]
-                .iter()
-                .map(|&s| Failure::Switch {
-                    sw: s,
-                    at,
-                    duration,
-                })
-                .collect(),
-        }
-    }
-
-    /// Degrades `fraction` of the cables to `bps` from the start (the
-    /// asymmetric-network scenarios of §4.3.2).
-    pub fn degrade_random_cables(
-        topo_pairs: &[(LinkId, LinkId)],
-        fraction: f64,
-        bps: u64,
-        rng: &mut Rng64,
-    ) -> FailurePlan {
-        let mut pairs = topo_pairs.to_vec();
-        rng.shuffle(&mut pairs);
-        let n = ((pairs.len() as f64 * fraction).round() as usize).clamp(1, pairs.len());
-        FailurePlan {
-            failures: pairs[..n]
-                .iter()
-                .map(|&pair| Failure::Degrade {
-                    pair,
-                    at: Time::ZERO,
-                    bps,
-                })
-                .collect(),
-        }
-    }
-
-    /// Merges another plan into this one.
-    pub fn extend(&mut self, other: FailurePlan) {
-        self.failures.extend(other.failures);
-    }
-
-    /// Schedules every failure onto the engine calendar.
-    ///
-    /// The engine emits [`crate::trace::TraceEvent`] link/switch events as
-    /// each scheduled control event executes, so a traced run records the
-    /// full failure/recovery timeline without extra bookkeeping here.
-    pub fn install<S: TraceSink, E: Endpoint<S>>(&self, engine: &mut Engine<S, E>) {
-        for f in &self.failures {
-            match f {
-                Failure::Cable { pair, at, duration } => {
-                    engine.schedule_control(*at, ControlEvent::LinkDown(pair.0));
-                    engine.schedule_control(*at, ControlEvent::LinkDown(pair.1));
-                    if let Some(d) = duration {
-                        engine.schedule_control(*at + *d, ControlEvent::LinkUp(pair.0));
-                        engine.schedule_control(*at + *d, ControlEvent::LinkUp(pair.1));
-                    }
+/// Schedules every failure onto the engine calendar, in slice order (the
+/// order fixes the calendar's sequence numbers, and so ties between
+/// control events at one instant).
+///
+/// The engine emits [`crate::trace::TraceEvent`] link/switch events as
+/// each scheduled control event executes, so a traced run records the
+/// full failure/recovery timeline without extra bookkeeping here.
+pub fn install<S: TraceSink, E: Endpoint<S>>(failures: &[Failure], engine: &mut Engine<S, E>) {
+    for f in failures {
+        match f {
+            Failure::Cable { pair, at, duration } => {
+                engine.schedule_control(*at, ControlEvent::LinkDown(pair.0));
+                engine.schedule_control(*at, ControlEvent::LinkDown(pair.1));
+                if let Some(d) = duration {
+                    engine.schedule_control(*at + *d, ControlEvent::LinkUp(pair.0));
+                    engine.schedule_control(*at + *d, ControlEvent::LinkUp(pair.1));
                 }
-                Failure::Switch { sw, at, duration } => {
-                    engine.schedule_control(*at, ControlEvent::SwitchDown(*sw));
-                    if let Some(d) = duration {
-                        engine.schedule_control(*at + *d, ControlEvent::SwitchUp(*sw));
-                    }
+            }
+            Failure::Switch { sw, at, duration } => {
+                engine.schedule_control(*at, ControlEvent::SwitchDown(*sw));
+                if let Some(d) = duration {
+                    engine.schedule_control(*at + *d, ControlEvent::SwitchUp(*sw));
                 }
-                Failure::Degrade { pair, at, bps } => {
-                    engine.schedule_control(*at, ControlEvent::LinkRate(pair.0, *bps));
-                    engine.schedule_control(*at, ControlEvent::LinkRate(pair.1, *bps));
+            }
+            Failure::Degrade { pair, at, bps } => {
+                engine.schedule_control(*at, ControlEvent::LinkRate(pair.0, *bps));
+                engine.schedule_control(*at, ControlEvent::LinkRate(pair.1, *bps));
+            }
+            Failure::Loss {
+                pair,
+                at,
+                p,
+                duration,
+                cause,
+            } => {
+                let mut set = |t, p| {
+                    engine.schedule_control(t, ControlEvent::LinkLoss(pair.0, *cause, p));
+                    engine.schedule_control(t, ControlEvent::LinkLoss(pair.1, *cause, p));
+                };
+                set(*at, *p);
+                if let Some(d) = duration {
+                    set(*at + *d, 0.0);
                 }
-                Failure::Loss {
-                    pair,
-                    at,
-                    p,
-                    duration,
-                    cause,
-                } => {
-                    let mut set = |t, p| {
-                        engine.schedule_control(t, ControlEvent::LinkLoss(pair.0, *cause, p));
-                        engine.schedule_control(t, ControlEvent::LinkLoss(pair.1, *cause, p));
-                    };
-                    set(*at, *p);
-                    if let Some(d) = duration {
-                        set(*at + *d, 0.0);
-                    }
-                }
-                Failure::Flap {
-                    pair,
-                    at,
-                    period,
-                    up_time,
-                    until,
-                } => {
-                    if *up_time >= *period {
-                        // duty = 1: the link never actually goes down.
-                        continue;
-                    }
-                    if *up_time == Time::ZERO {
-                        // duty = 0: a plain permanent cut at onset.
-                        if *at < *until {
-                            engine.schedule_control(*at, ControlEvent::LinkDown(pair.0));
-                            engine.schedule_control(*at, ControlEvent::LinkDown(pair.1));
-                        }
-                        continue;
-                    }
-                    engine.schedule_flap(*pair, *at, *period, *up_time, *until);
-                }
-                Failure::UnidirBlackhole { link, at, duration } => {
-                    engine.schedule_control(*at, ControlEvent::LinkDown(*link));
-                    if let Some(d) = duration {
-                        engine.schedule_control(*at + *d, ControlEvent::LinkUp(*link));
-                    }
+            }
+            Failure::Flap {
+                pair,
+                at,
+                period,
+                up_time,
+                until,
+            } => engine.schedule_flap(*pair, *at, *period, *up_time, *until),
+            Failure::UnidirBlackhole { link, at, duration } => {
+                engine.schedule_control(*at, ControlEvent::LinkDown(*link));
+                if let Some(d) = duration {
+                    engine.schedule_control(*at + *d, ControlEvent::LinkUp(*link));
                 }
             }
         }
-    }
-
-    /// Number of failure instances.
-    pub fn len(&self) -> usize {
-        self.failures.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.failures.is_empty()
     }
 }
 
@@ -293,13 +184,14 @@ mod tests {
     fn cable_failure_takes_both_directions_down_then_recovers() {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[0];
-        FailurePlan::none()
-            .with(Failure::Cable {
+        install(
+            &[Failure::Cable {
                 pair,
                 at: Time::from_us(10),
                 duration: Some(Time::from_us(20)),
-            })
-            .install(&mut e);
+            }],
+            &mut e,
+        );
         e.run_until(Time::from_us(15));
         assert!(!e.links[pair.0.index()].up);
         assert!(!e.links[pair.1.index()].up);
@@ -309,42 +201,15 @@ mod tests {
     }
 
     #[test]
-    fn random_cables_picks_requested_fraction() {
-        let mut e = engine();
-        let pairs = e.topo.cable_pairs();
-        let mut rng = Rng64::new(42);
-        let plan = FailurePlan::random_cables(&pairs, 0.25, Time::ZERO, None, &mut rng);
-        assert_eq!(plan.len(), pairs.len() / 4);
-        plan.install(&mut e);
-        e.run_until(Time::from_ns(1));
-        let down = e.links.iter().filter(|l| !l.up).count();
-        assert_eq!(down, pairs.len() / 4 * 2);
-    }
-
-    #[test]
-    fn random_switches_fraction() {
-        let e = engine();
-        let t1s = e.topo.t1_switches();
-        let mut rng = Rng64::new(7);
-        let plan = FailurePlan::random_switches(&t1s, 0.5, Time::ZERO, None, &mut rng);
-        assert_eq!(plan.len(), t1s.len() / 2);
-    }
-
-    #[test]
     fn degrade_changes_rate_both_ways() {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[3];
-        let mut rng = Rng64::new(1);
-        // fraction small enough to pick exactly one pair via clamp.
-        let plan = FailurePlan {
-            failures: vec![Failure::Degrade {
-                pair,
-                at: Time::ZERO,
-                bps: 200_000_000_000,
-            }],
+        let degrade = Failure::Degrade {
+            pair,
+            at: Time::ZERO,
+            bps: 200_000_000_000,
         };
-        let _ = &mut rng;
-        plan.install(&mut e);
+        install(&[degrade], &mut e);
         e.run_until(Time::from_ns(1));
         assert_eq!(e.links[pair.0.index()].rate_bps(), 200_000_000_000);
         assert_eq!(e.links[pair.1.index()].rate_bps(), 200_000_000_000);
@@ -354,15 +219,16 @@ mod tests {
     fn bit_error_sets_probability() {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[1];
-        FailurePlan::none()
-            .with(Failure::Loss {
+        install(
+            &[Failure::Loss {
                 pair,
                 at: Time::from_us(1),
                 p: 0.01,
                 duration: None,
                 cause: LossCause::BitError,
-            })
-            .install(&mut e);
+            }],
+            &mut e,
+        );
         e.run_until(Time::from_us(2));
         assert!((loss(&e, pair.0, LossCause::BitError) - 0.01).abs() < 1e-12);
         // No heal was scheduled: the probability is permanent.
@@ -374,15 +240,16 @@ mod tests {
     fn bit_error_duration_heals_both_directions() {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[1];
-        FailurePlan::none()
-            .with(Failure::Loss {
+        install(
+            &[Failure::Loss {
                 pair,
                 at: Time::from_us(1),
                 p: 0.05,
                 duration: Some(Time::from_us(10)),
                 cause: LossCause::BitError,
-            })
-            .install(&mut e);
+            }],
+            &mut e,
+        );
         e.run_until(Time::from_us(5));
         assert!((loss(&e, pair.0, LossCause::BitError) - 0.05).abs() < 1e-12);
         assert!((loss(&e, pair.1, LossCause::BitError) - 0.05).abs() < 1e-12);
@@ -399,22 +266,25 @@ mod tests {
     fn gray_and_corrupt_set_then_heal() {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[2];
-        FailurePlan::none()
-            .with(Failure::Loss {
-                pair,
-                at: Time::from_us(1),
-                p: 0.02,
-                duration: Some(Time::from_us(10)),
-                cause: LossCause::Gray,
-            })
-            .with(Failure::Loss {
-                pair,
-                at: Time::from_us(1),
-                p: 0.03,
-                duration: None,
-                cause: LossCause::Corrupt,
-            })
-            .install(&mut e);
+        install(
+            &[
+                Failure::Loss {
+                    pair,
+                    at: Time::from_us(1),
+                    p: 0.02,
+                    duration: Some(Time::from_us(10)),
+                    cause: LossCause::Gray,
+                },
+                Failure::Loss {
+                    pair,
+                    at: Time::from_us(1),
+                    p: 0.03,
+                    duration: None,
+                    cause: LossCause::Corrupt,
+                },
+            ],
+            &mut e,
+        );
         e.run_until(Time::from_us(5));
         assert!((loss(&e, pair.0, LossCause::Gray) - 0.02).abs() < 1e-12);
         assert!((loss(&e, pair.1, LossCause::Corrupt) - 0.03).abs() < 1e-12);
@@ -430,15 +300,16 @@ mod tests {
     fn flap_alternates_down_and_up() {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[0];
-        FailurePlan::none()
-            .with(Failure::Flap {
+        install(
+            &[Failure::Flap {
                 pair,
                 at: Time::from_us(10),
                 period: Time::from_us(20),
                 up_time: Time::from_us(10),
                 until: Time::from_us(100),
-            })
-            .install(&mut e);
+            }],
+            &mut e,
+        );
         // Down at 10, up at 20, down at 30, up at 40, ...
         e.run_until(Time::from_us(15));
         assert!(!e.links[pair.0.index()].up);
@@ -449,41 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn flap_duty_edges_and_horizon_bound_the_schedule() {
-        // duty = 1 (up_time == period): no events at all.
-        let mut e = engine();
-        let pair = e.topo.cable_pairs()[0];
-        let before = e.pending_events();
-        FailurePlan::none()
-            .with(Failure::Flap {
-                pair,
-                at: Time::from_us(10),
-                period: Time::from_us(20),
-                up_time: Time::from_us(20),
-                until: Time::from_ms(100),
-            })
-            .install(&mut e);
-        assert_eq!(e.pending_events(), before, "duty=1 must schedule nothing");
-
-        // duty = 0 (up_time == ZERO): exactly one LinkDown per direction.
-        FailurePlan::none()
-            .with(Failure::Flap {
-                pair,
-                at: Time::from_us(10),
-                period: Time::from_us(20),
-                up_time: Time::ZERO,
-                until: Time::from_ms(100),
-            })
-            .install(&mut e);
-        assert_eq!(e.pending_events(), before + 2, "duty=0 is a single cut");
-        e.run_until(Time::from_us(15));
-        assert!(!e.links[pair.0.index()].up);
-        e.run_until(Time::from_ms(99));
-        assert!(!e.links[pair.0.index()].up, "duty=0 never recovers");
-
+    fn flap_horizon_bounds_the_schedule() {
         // The horizon truncates the schedule, and the calendar holds one
         // toggle pair of it at a time: a 20us period over a 100us window
         // is 5 cycles x (2 down + 2 up) toggles, never more than 2 pending.
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+        let pair = topo.cable_pairs()[0];
         let flap = |at, until| Failure::Flap {
             pair,
             at,
@@ -491,12 +333,9 @@ mod tests {
             up_time: Time::from_us(10),
             until,
         };
-        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
         let mut e: Engine<Toggles> =
             Engine::with_trace(topo, SimConfig::paper_default(), 1, Toggles::default());
-        FailurePlan::none()
-            .with(flap(Time::ZERO, Time::from_us(100)))
-            .install(&mut e);
+        install(&[flap(Time::ZERO, Time::from_us(100))], &mut e);
         assert_eq!(e.pending_events(), 2, "one toggle pair after install");
         for us in 1..=120 {
             e.run_until(Time::from_us(us));
@@ -511,9 +350,7 @@ mod tests {
         assert_eq!(e.batch_stats.kinds.controls, 20, "toggles are all it ran");
         assert_eq!(e.pending_events(), 0, "nothing at or after the horizon");
         // An onset at/after the horizon schedules nothing at all.
-        FailurePlan::none()
-            .with(flap(Time::from_us(100), Time::from_us(100)))
-            .install(&mut e);
+        install(&[flap(Time::from_us(100), Time::from_us(100))], &mut e);
         assert_eq!(e.pending_events(), 0);
 
         // A long horizon: the same flap out to 2 s is 400 000 toggles,
@@ -521,9 +358,7 @@ mod tests {
         let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
         let mut e: Engine<Toggles> =
             Engine::with_trace(topo, SimConfig::paper_default(), 1, Toggles::default());
-        FailurePlan::none()
-            .with(flap(Time::ZERO, Time::from_secs(2)))
-            .install(&mut e);
+        install(&[flap(Time::ZERO, Time::from_secs(2))], &mut e);
         assert_eq!(e.pending_events(), 2, "one toggle pair after install");
         e.run_until(Time::from_secs(3));
         assert_eq!((e.trace.down, e.trace.up), (200_000, 200_000));
@@ -602,13 +437,14 @@ mod tests {
     fn unidir_blackhole_kills_one_direction_only() {
         let mut e = engine();
         let pair = e.topo.cable_pairs()[4];
-        FailurePlan::none()
-            .with(Failure::UnidirBlackhole {
+        install(
+            &[Failure::UnidirBlackhole {
                 link: pair.0,
                 at: Time::from_us(10),
                 duration: Some(Time::from_us(20)),
-            })
-            .install(&mut e);
+            }],
+            &mut e,
+        );
         e.run_until(Time::from_us(15));
         assert!(!e.links[pair.0.index()].up, "failed direction is down");
         assert!(e.links[pair.1.index()].up, "reverse direction stays up");

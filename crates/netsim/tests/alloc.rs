@@ -28,7 +28,7 @@ use netsim::arena::PacketRef;
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
 use netsim::event::{ControlEvent, Event, EventQueue};
-use netsim::failures::{Failure, FailurePlan};
+use netsim::failures::{self, Failure};
 use netsim::fluid::FluidNet;
 use netsim::ids::{ConnId, HostId, LinkId, NodeRef, SwitchId};
 use netsim::link::LossCause;
@@ -163,15 +163,14 @@ fn fault_checks_are_allocation_free_after_warmup() {
         }
         if flap {
             let pair = engine.topo.cable_pairs()[0];
-            FailurePlan::none()
-                .with(Failure::Flap {
-                    pair,
-                    at: Time::ZERO,
-                    period: Time::from_us(20),
-                    up_time: Time::from_us(10),
-                    until: Time::from_ms(2),
-                })
-                .install(&mut engine);
+            let flap = Failure::Flap {
+                pair,
+                at: Time::ZERO,
+                period: Time::from_us(20),
+                up_time: Time::from_us(10),
+                until: Time::from_ms(2),
+            };
+            failures::install(&[flap], &mut engine);
         }
         // Warm-up grows the arena, calendar, deques and scratch buffers
         // to their high-water marks; a flap keeps its next toggle pair.

@@ -24,20 +24,25 @@
 //!
 //! `p` and `duty` are probabilities, `n` a cable count, the rest durations.
 //!
-//! [`FaultSpec::build`] materializes the plan against the cell's fabric
-//! with a cell-derived [`Rng64`] choosing the affected cables, so a cell
-//! is byte-deterministic and cacheable like every other axis value. Flap
+//! [`FaultSpec::build`] turns a fault into [`Failure`]s against the
+//! cell's topology, with a cell-derived [`Rng64`] choosing the affected
+//! cables through the failure axis's picker, so a cell is
+//! byte-deterministic and cacheable like every other axis value. Flap
 //! schedules end at the cell's horizon (its deadline) and are generated as
 //! they fire: the calendar holds one toggle pair per flapping cable,
-//! however short the period and long the horizon.
+//! however short the period and long the horizon. What a flap's duty
+//! edges mean is decided here too, not in the simulator (see
+//! [`FaultSpec::build`]).
 
-use netsim::failures::{Failure, FailurePlan};
+use netsim::failures::Failure;
 use netsim::grammar::{Ppm, Render, Spec, PPM};
 use netsim::ids::LinkId;
 use netsim::link::LossCause;
 use netsim::rng::Rng64;
 use netsim::time::Time;
-use netsim::topology::{FatTreeConfig, Topology};
+use netsim::topology::Topology;
+
+use crate::spec::{pick, within_time};
 
 /// Default onset instant for every fault family.
 const DEFAULT_AT: Time = Time::from_us(10);
@@ -207,97 +212,105 @@ impl FaultSpec {
         Ok(fault)
     }
 
-    /// Materializes the plan against `fabric`. The affected cables are a
-    /// deterministic shuffle seeded by `seed` (cell-derived), and flap
-    /// schedules are truncated at `horizon` (the cell deadline), so the
-    /// same cell key always installs the same bounded control-event
-    /// sequence.
+    /// Checks that every instant the fault schedules is representable:
+    /// an onset plus its heal, or a flap's onset plus one period, must not
+    /// pass [`Time::MAX`].
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let terms = match *self {
+            FaultSpec::None => return Ok(()),
+            FaultSpec::Loss { at, heal, .. } | FaultSpec::Unidir { at, heal, .. } => {
+                [(1, at), (1, heal.unwrap_or(Time::ZERO))]
+            }
+            FaultSpec::Flap { period, at, .. } => [(1, at), (1, period)],
+        };
+        within_time("fault", &self.label(), &terms)
+    }
+
+    /// The failures this fault takes in `topo`, the cell's fabric. The
+    /// affected cables are a deterministic shuffle seeded by `seed`
+    /// (cell-derived), and flap schedules end at `horizon` (the cell
+    /// deadline), so the same cell key always installs the same bounded
+    /// control-event sequence.
+    ///
+    /// A flap's duty edges are decided here: a flap never up (`duty=0`,
+    /// or a period too short to leave a picosecond up) is a permanent cut
+    /// at its onset, if the onset comes before `horizon`, and one never
+    /// down (`duty=1`) takes nothing, so every [`Failure::Flap`] built
+    /// toggles.
     ///
     /// # Panics
     ///
-    /// Panics when `n` exceeds the fabric's cable count: the label
+    /// Panics when the cables the fault takes exceed the fabric's: the label
     /// advertises `n`, so an oversized request must fail loudly rather
     /// than silently model a different scenario. (A spec file is checked
     /// when it is parsed, so user text never gets here.)
-    pub fn build(
-        &self,
-        fabric: &FatTreeConfig,
-        topo_seed: u64,
-        seed: u64,
-        horizon: Time,
-    ) -> FailurePlan {
-        if self.is_none() {
-            return FailurePlan::none();
-        }
-        let topo = Topology::build(fabric.clone(), topo_seed);
-        let mut rng = Rng64::new(seed);
-        let mut pairs = topo.cable_pairs();
-        rng.shuffle(&mut pairs);
-        let pick = |n: u32| -> &[(LinkId, LinkId)] {
-            assert!(
-                n as usize <= pairs.len(),
-                "fault n={n} exceeds the fabric's {} cables",
-                pairs.len()
-            );
-            &pairs[..n as usize]
+    pub fn build(&self, topo: &Topology, seed: u64, horizon: Time) -> Vec<Failure> {
+        let cables = |failure: &dyn Fn((LinkId, LinkId)) -> Failure| {
+            let n = self.cables() as usize;
+            let n = |len| {
+                assert!(n <= len, "fault n={n} exceeds the fabric's {len} cables");
+                n
+            };
+            pick(topo.cable_pairs(), &mut Rng64::new(seed), n, failure)
         };
-        let mut plan = FailurePlan::none();
-        match self {
-            FaultSpec::None => unreachable!("handled by the early return above"),
+        match *self {
+            FaultSpec::None => Vec::new(),
             FaultSpec::Loss {
                 cause,
                 p_ppm,
                 at,
                 heal,
-                n,
-            } => {
-                for &pair in pick(*n) {
-                    plan = plan.with(Failure::Loss {
-                        pair,
-                        at: *at,
-                        p: *p_ppm as f64 / PPM as f64,
-                        duration: *heal,
-                        cause: *cause,
-                    });
-                }
-            }
+                ..
+            } => cables(&|pair| Failure::Loss {
+                pair,
+                at,
+                p: p_ppm as f64 / PPM as f64,
+                duration: heal,
+                cause,
+            }),
             FaultSpec::Flap {
                 period,
                 duty_ppm,
                 at,
-                n,
+                ..
             } => {
-                // Integer ppm arithmetic: `up_time` is exact and the
-                // duty=0 / duty=1 edges land exactly on ZERO / period.
+                // Integer ppm arithmetic: `up_time` is exact, and lands
+                // exactly on ZERO or `period` at the edges.
                 let up_time = Time::from_ps(
-                    ((period.as_ps() as u128 * *duty_ppm as u128) / PPM as u128) as u64,
+                    ((period.as_ps() as u128 * duty_ppm as u128) / PPM as u128) as u64,
                 );
-                for &pair in pick(*n) {
-                    plan = plan.with(Failure::Flap {
+                if up_time == period || (up_time == Time::ZERO && at >= horizon) {
+                    Vec::new()
+                } else if up_time == Time::ZERO {
+                    cables(&|pair| Failure::Cable {
                         pair,
-                        at: *at,
-                        period: *period,
+                        at,
+                        duration: None,
+                    })
+                } else {
+                    cables(&|pair| Failure::Flap {
+                        pair,
+                        at,
+                        period,
                         up_time,
                         until: horizon,
-                    });
+                    })
                 }
             }
-            FaultSpec::Unidir { n, at, heal } => {
-                for &pair in pick(*n) {
-                    plan = plan.with(Failure::UnidirBlackhole {
-                        link: pair.0,
-                        at: *at,
-                        duration: *heal,
-                    });
-                }
-            }
+            FaultSpec::Unidir { at, heal, .. } => cables(&|pair| Failure::UnidirBlackhole {
+                link: pair.0,
+                at,
+                duration: heal,
+            }),
         }
-        plan
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use netsim::config::SimConfig;
+    use netsim::engine::Engine;
+
     use super::*;
 
     fn roundtrip(s: &str) -> String {
@@ -341,52 +354,80 @@ mod tests {
         assert!(err("none{p=0.1}").contains("no parameters"));
     }
 
+    /// The 2-tier k=8 fabric the build tests pick cables from.
+    fn topo() -> Topology {
+        Topology::build(netsim::topology::FatTreeConfig::two_tier(8, 1), 1)
+    }
+
     #[test]
     fn build_is_deterministic_and_respects_n() {
-        let fabric = FatTreeConfig::two_tier(8, 1);
         let spec = FaultSpec::parse("gray{p=0.02,n=3}").unwrap();
-        let a = spec.build(&fabric, 7, 99, Time::from_ms(2));
-        let b = spec.build(&fabric, 7, 99, Time::from_ms(2));
-        assert_eq!(a.len(), 3);
-        let dump = |p: &FailurePlan| -> Vec<String> {
-            p.failures.iter().map(|f| format!("{f:?}")).collect()
-        };
-        assert_eq!(dump(&a), dump(&b));
+        let dump = |seed| format!("{:?}", spec.build(&topo(), seed, Time::from_ms(2)));
+        assert_eq!(spec.build(&topo(), 99, Time::from_ms(2)).len(), 3);
+        assert_eq!(dump(99), dump(99));
         // A different seed picks different cables.
-        let c = spec.build(&fabric, 7, 100, Time::from_ms(2));
-        assert_ne!(dump(&a), dump(&c));
+        assert_ne!(dump(99), dump(100));
     }
 
     #[test]
     fn flap_build_converts_duty_exactly() {
-        let fabric = FatTreeConfig::two_tier(8, 1);
         let horizon = Time::from_us(500);
         let up = |s: &str| -> Time {
-            let plan = FaultSpec::parse(s).unwrap().build(&fabric, 1, 1, horizon);
-            let Failure::Flap { up_time, until, .. } = plan.failures[0] else {
+            let plan = FaultSpec::parse(s).unwrap().build(&topo(), 1, horizon);
+            let Failure::Flap { up_time, until, .. } = plan[0] else {
                 panic!("expected a flap");
             };
             assert_eq!(until, horizon, "horizon threads through");
             up_time
         };
         assert_eq!(up("flap{period=100us,duty=0.5}"), Time::from_us(50));
-        assert_eq!(up("flap{period=100us,duty=0}"), Time::ZERO);
-        assert_eq!(up("flap{period=100us,duty=1}"), Time::from_us(100));
+        assert_eq!(up("flap{period=100us,duty=0.000001}"), Time::from_ps(100));
+        assert_eq!(
+            up("flap{period=100us,duty=0.999999}"),
+            Time::from_ps(99_999_900)
+        );
     }
 
     #[test]
-    fn none_builds_an_empty_plan_without_touching_topology() {
-        let fabric = FatTreeConfig::two_tier(8, 1);
-        let plan = FaultSpec::None.build(&fabric, 1, 1, Time::from_ms(2));
-        assert!(plan.is_empty());
+    fn flap_duty_edges_build_a_cut_or_nothing() {
+        let build = |s: &str, horizon| FaultSpec::parse(s).unwrap().build(&topo(), 1, horizon);
+        // duty = 1: never down, so no failure at all.
+        assert!(build("flap{duty=1,n=2}", Time::from_ms(100)).is_empty());
+        // duty = 0: never up, a permanent cut at the onset, and nothing
+        // when the onset is not before the horizon. A period too short to
+        // leave a picosecond up is a cut too.
+        assert!(build("flap{duty=0}", Time::from_us(10)).is_empty());
+        assert!(matches!(
+            build("flap{period=1ps,duty=0.5}", Time::from_ms(100))[..],
+            [Failure::Cable { duration: None, .. }]
+        ));
+        let cuts = build("flap{duty=0,at=10us,n=2}", Time::from_ms(100));
+        let onset =
+            |f: &Failure| matches!(*f, Failure::Cable { at, .. } if at == Time::from_us(10));
+        assert!(cuts.iter().all(onset), "{cuts:?}");
+        let mut e = Engine::new(topo(), SimConfig::paper_default(), 1);
+        let before = e.pending_events();
+        netsim::failures::install(&cuts, &mut e);
+        assert_eq!(e.pending_events(), before + 2 * 2, "one down per direction");
+        let down = |e: &Engine| e.links.iter().filter(|l| !l.up).count();
+        e.run_until(Time::from_us(15));
+        assert_eq!(down(&e), 2 * 2);
+        e.run_until(Time::from_ms(99));
+        assert_eq!(down(&e), 2 * 2, "duty=0 never recovers");
+    }
+
+    #[test]
+    fn none_builds_nothing() {
+        assert!(FaultSpec::None
+            .build(&topo(), 1, Time::from_ms(2))
+            .is_empty());
     }
 
     #[test]
     #[should_panic(expected = "exceeds the fabric")]
     fn oversized_n_fails_loudly() {
-        let fabric = FatTreeConfig::two_tier(8, 1);
         FaultSpec::parse("unidir{n=10000}")
             .unwrap()
-            .build(&fabric, 1, 1, Time::from_ms(2));
+            .build(&topo(), 1, Time::from_ms(2));
     }
 }

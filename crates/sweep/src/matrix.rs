@@ -11,6 +11,7 @@
 use baselines::kind::LbKind;
 use harness::experiment::{Experiment, Summary};
 use netsim::time::Time;
+use netsim::topology::Topology;
 use reps::reps::RepsConfig;
 use transport::cc::CcKind;
 use transport::config::CoalesceConfig;
@@ -32,6 +33,13 @@ pub fn fnv1a64(s: &str) -> u64 {
     }
     h
 }
+
+/// Salt of the failure axis's random stream: the cell's derived seed XOR
+/// this seeds its picks.
+const FAILURE_STREAM: u64 = 0x4641_494c_5f32_5f32;
+/// Salt of the fault axis's random stream, distinct from the failure
+/// axis's so neither axis's picks move the other's.
+const FAULT_STREAM: u64 = 0x4641_554c_5f34_5f34;
 
 /// An [`LbKind`] with a stable axis label. Labels are derived from the
 /// LB-spec grammar ([`LbKind::spec`]): a default configuration labels as
@@ -234,9 +242,10 @@ impl ScenarioMatrix {
 
     /// Checks that the grid expands into cells that can all run: no axis
     /// is empty, no axis label repeats (duplicates would collide in the
-    /// cell key and silently share seeds), and every fabric has the
-    /// tracked ToRs, the cables each fault takes and the hosts each
-    /// workload needs. The error names the offending axis.
+    /// cell key and silently share seeds), no failure or fault schedules
+    /// an instant past [`Time::MAX`], and every fabric has the tracked
+    /// ToRs, the cables each fault takes and the hosts each workload
+    /// needs. The error names the offending axis.
     pub fn check(&self) -> Result<(), (&'static str, String)> {
         for axis in &AXES {
             let mut seen = std::collections::BTreeSet::new();
@@ -248,6 +257,11 @@ impl ScenarioMatrix {
             if seen.is_empty() {
                 return Err((axis.name, format!("the {} axis is empty", axis.name)));
             }
+        }
+        let failures = self.failures.iter().map(|f| ("failure", f.check()));
+        let faults = self.faults.iter().map(|f| ("fault", f.check()));
+        for (axis, checked) in failures.chain(faults) {
+            checked.map_err(|msg| (axis, msg))?;
         }
         for fabric in &self.fabrics {
             let (label, cfg) = (&fabric.label, &fabric.config);
@@ -405,18 +419,17 @@ impl Cell {
         // perturbs an existing cell's draws.
         let mut wl_rng = netsim::rng::Rng64::new(seed ^ 0x5741_4c4f_4144_5f31);
         let workload = self.workload.build(n, sim.link_bps, &mut wl_rng);
-        let mut failures =
-            self.failures
-                .build(&self.fabric.config, seed, seed ^ 0x4641_494c_5f32_5f32);
-        // The fault plan draws from its own derived stream and appends
-        // after the failure plan, so a `fault=none` cell builds exactly
+        // The failure and fault axes build against one topology, made only
+        // when either is set. Each draws from its own derived stream, and
+        // the fault's failures install after the failure axis's (the order
+        // fixes calendar ties), so a `fault=none` cell installs exactly
         // the pre-axis plan and a faulted cell perturbs nothing else.
-        failures.extend(self.fault.build(
-            &self.fabric.config,
-            seed,
-            seed ^ 0x4641_554c_5f34_5f34,
-            self.deadline,
-        ));
+        let mut failures = Vec::new();
+        if !matches!(self.failures, FailureSpec::None) || !self.fault.is_none() {
+            let topo = Topology::build(self.fabric.config.clone(), seed);
+            failures = self.failures.build(&topo, seed ^ FAILURE_STREAM);
+            failures.extend(self.fault.build(&topo, seed ^ FAULT_STREAM, self.deadline));
+        }
         let mut exp = Experiment::new(
             self.key(),
             self.fabric.config.clone(),
@@ -581,6 +594,8 @@ pub struct CellResult {
 
 #[cfg(test)]
 mod tests {
+    use netsim::trace::{Recorder, TraceEvent};
+
     use super::*;
 
     #[test]
@@ -831,15 +846,69 @@ mod tests {
     fn fault_plan_expansion_is_deterministic() {
         let m = ScenarioMatrix::new("t").faults([FaultSpec::parse("flap{period=40us}").unwrap()]);
         let cell = &m.expand()[0];
-        let dump = |c: &Cell| -> Vec<String> {
-            c.experiment()
-                .failures
-                .failures
-                .iter()
-                .map(|f| format!("{f:?}"))
-                .collect()
-        };
+        let dump = |c: &Cell| format!("{:?}", c.experiment().failures);
         assert_eq!(dump(cell), dump(cell));
+    }
+
+    /// One cell with both failure axes set: a random-cable failure, whose
+    /// picks draw from the failure stream, and a gray fault on `n` cables.
+    fn failure_and_fault_cell() -> Cell {
+        ScenarioMatrix::new("t")
+            .failures([FailureSpec::parse("cables25pct-at10us-perm").unwrap()])
+            .faults([FaultSpec::parse("gray{n=3}").unwrap()])
+            .expand()
+            .remove(0)
+    }
+
+    #[test]
+    fn fault_picks_the_same_cables_when_the_failure_axis_is_set() {
+        // The fault draws from its own stream: the failure axis's shuffle
+        // before it moves none of its picks.
+        let cell = failure_and_fault_cell();
+        let seed = cell.derived_seed();
+        let topo = Topology::build(cell.fabric.config.clone(), seed);
+        let alone = cell.fault.build(&topo, seed ^ FAULT_STREAM, cell.deadline);
+        let failures = cell.experiment().failures;
+        assert_eq!(alone.len(), 3);
+        let tail = &failures[failures.len() - alone.len()..];
+        assert_eq!(format!("{tail:?}"), format!("{alone:?}"));
+    }
+
+    #[test]
+    fn failure_axis_entries_install_before_fault_axis_entries() {
+        // Both onsets are 10us: the calendar runs tied controls in push
+        // order, so the trace shows the install order.
+        let cell = failure_and_fault_cell();
+        let exp = cell.experiment();
+        let cuts = exp.failures.len() - 3;
+        assert!(cuts > 0);
+        let mut engine = exp.build_traced(Recorder::new());
+        engine.run_until(Time::from_us(10));
+        let order: String = engine
+            .trace
+            .events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::LinkDown { .. } => Some('d'),
+                TraceEvent::LinkGray { .. } => Some('g'),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, "d".repeat(2 * cuts) + &"g".repeat(2 * 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "schedules an instant past the end of time")]
+    fn wrapping_failure_schedule_is_rejected_at_expansion() {
+        // Each duration fits, but the wave's second heal would wrap: a
+        // builder-made grid is checked like a spec file's.
+        ScenarioMatrix::new("t")
+            .failures([FailureSpec::Rolling {
+                count: 2,
+                period: Time::from_us(9_223_372_036_855),
+                down_for: Time::from_us(5),
+            }])
+            .expand();
     }
 
     #[test]

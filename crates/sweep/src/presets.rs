@@ -38,7 +38,7 @@
 //!   foreground FCT error the hybrid introduces is itself a measured,
 //!   golden-pinned quantity.
 
-use baselines::kind::LbKind;
+use baselines::kind::{paper_rtt, LbKind};
 use baselines::plb::PlbConfig;
 use harness::Scale;
 use netsim::time::Time;
@@ -90,14 +90,10 @@ fn micro_bytes(scale: Scale, full_mib: u64) -> u64 {
     scale.pick((full_mib << 20) / 4, full_mib << 20)
 }
 
-fn rtt() -> Time {
-    netsim::config::SimConfig::paper_default().base_rtt(3)
-}
-
 /// All built-in presets at the given scale, in figure order.
 pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
-    let lineup = labeled(LbKind::paper_lineup(rtt()));
-    let failure_lineup = labeled(LbKind::failure_lineup(rtt()));
+    let lineup = labeled(LbKind::paper_lineup(paper_rtt()));
+    let failure_lineup = labeled(LbKind::failure_lineup(paper_rtt()));
     let synthetic = |mib: u64| {
         vec![
             WorkloadSpec::Incast {
@@ -448,7 +444,9 @@ pub fn all(scale: Scale) -> Vec<ScenarioMatrix> {
                     LbKind::Flowlet {
                         gap: Time::from_us(1),
                     },
-                    LbKind::Flowlet { gap: rtt() / 2 },
+                    LbKind::Flowlet {
+                        gap: paper_rtt() / 2,
+                    },
                     LbKind::Flowlet {
                         gap: Time::from_us(20),
                     },

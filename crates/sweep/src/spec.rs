@@ -1,14 +1,14 @@
 //! Declarative axis values for a [`crate::matrix::ScenarioMatrix`].
 //!
 //! Each axis value is a pure *description* carrying a stable label; it is
-//! only materialized into a concrete [`Workload`] / [`FailurePlan`] /
+//! only materialized into a concrete [`Workload`] / [`Failure`] list /
 //! topology inside one cell, with randomness drawn from the cell's derived
 //! seed. Labels feed the cell key, so they must be unique within an axis
 //! and stable across releases (they determine per-cell RNG seeds).
 
 use netsim::config::SimConfig;
-use netsim::failures::{Failure, FailurePlan};
-use netsim::ids::HostId;
+use netsim::failures::Failure;
+use netsim::ids::{HostId, LinkId};
 use netsim::link::LossCause;
 use netsim::rng::Rng64;
 use netsim::time::Time;
@@ -452,39 +452,24 @@ pub enum FailureSpec {
 impl FailureSpec {
     /// Stable label used in cell keys.
     pub fn label(&self) -> String {
-        fn dur(d: &Option<Time>) -> String {
-            match d {
-                None => "perm".to_string(),
-                Some(t) => format!("{}us", t.as_ps() / 1_000_000),
-            }
-        }
-        match self {
+        let dur = |d: Option<Time>| d.map_or("perm".to_string(), |t| format!("{}us", t.as_us()));
+        match *self {
             FailureSpec::None => "none".to_string(),
             FailureSpec::OneCable { at, duration } => {
-                format!("cable1-at{}us-{}", at.as_ps() / 1_000_000, dur(duration))
+                format!("cable1-at{}us-{}", at.as_us(), dur(duration))
             }
             FailureSpec::OneSwitch { at, duration } => {
-                format!("switch1-at{}us-{}", at.as_ps() / 1_000_000, dur(duration))
+                format!("switch1-at{}us-{}", at.as_us(), dur(duration))
             }
             FailureSpec::RandomCables { pct, at, duration } => {
-                format!(
-                    "cables{pct}pct-at{}us-{}",
-                    at.as_ps() / 1_000_000,
-                    dur(duration)
-                )
+                format!("cables{pct}pct-at{}us-{}", at.as_us(), dur(duration))
             }
             FailureSpec::RandomSwitches { pct, at, duration } => {
-                format!(
-                    "switches{pct}pct-at{}us-{}",
-                    at.as_ps() / 1_000_000,
-                    dur(duration)
-                )
+                format!("switches{pct}pct-at{}us-{}", at.as_us(), dur(duration))
             }
-            FailureSpec::DegradedUplinks { pct, gbps } => {
-                format!("degraded{pct}pct-{gbps}G")
-            }
+            FailureSpec::DegradedUplinks { pct, gbps } => format!("degraded{pct}pct-{gbps}G"),
             FailureSpec::BitErrorCable { ber_millis, at } => {
-                format!("ber{ber_millis}pm-at{}us", at.as_ps() / 1_000_000)
+                format!("ber{ber_millis}pm-at{}us", at.as_us())
             }
             FailureSpec::Rolling {
                 count,
@@ -492,11 +477,11 @@ impl FailureSpec {
                 down_for,
             } => format!(
                 "rolling{count}-every{}us-down{}us",
-                period.as_ps() / 1_000_000,
-                down_for.as_ps() / 1_000_000
+                period.as_us(),
+                down_for.as_us()
             ),
             FailureSpec::IncrementalTorUplinks { count, period } => {
-                format!("incuplinks{count}-every{}us", period.as_ps() / 1_000_000)
+                format!("incuplinks{count}-every{}us", period.as_us())
             }
         }
     }
@@ -574,92 +559,139 @@ impl FailureSpec {
         ))
     }
 
-    /// Materializes the plan against `fabric`; random choices are seeded by
-    /// `seed` (derived from the cell key by the caller), so the same cell
-    /// always fails the same cables.
-    pub fn build(&self, fabric: &FatTreeConfig, topo_seed: u64, seed: u64) -> FailurePlan {
-        if matches!(self, FailureSpec::None) {
-            return FailurePlan::none();
-        }
-        let topo = Topology::build(fabric.clone(), topo_seed);
-        let mut rng = Rng64::new(seed);
-        match self {
-            FailureSpec::None => unreachable!("handled by the early return above"),
-            FailureSpec::OneCable { at, duration } => FailurePlan::none().with(Failure::Cable {
-                pair: topo.cable_pairs()[0],
-                at: *at,
-                duration: *duration,
-            }),
-            FailureSpec::OneSwitch { at, duration } => FailurePlan::none().with(Failure::Switch {
-                sw: topo.t1_switches()[0],
-                at: *at,
-                duration: *duration,
-            }),
-            FailureSpec::RandomCables { pct, at, duration } => FailurePlan::random_cables(
-                &topo.cable_pairs(),
-                *pct as f64 / 100.0,
-                *at,
-                *duration,
-                &mut rng,
-            ),
-            FailureSpec::RandomSwitches { pct, at, duration } => FailurePlan::random_switches(
-                &topo.t1_switches(),
-                *pct as f64 / 100.0,
-                *at,
-                *duration,
-                &mut rng,
-            ),
-            FailureSpec::DegradedUplinks { pct, gbps } => {
-                let mut pairs = Vec::new();
-                for tor in topo.t0_switches() {
-                    pairs.extend(topo.tor_uplink_pairs(tor));
-                }
-                FailurePlan::degrade_random_cables(
-                    &pairs,
-                    *pct as f64 / 100.0,
-                    *gbps as u64 * 1_000_000_000,
-                    &mut rng,
-                )
-            }
-            FailureSpec::BitErrorCable { ber_millis, at } => {
-                FailurePlan::none().with(Failure::Loss {
-                    pair: topo.cable_pairs()[0],
-                    at: *at,
-                    p: *ber_millis as f64 / 1000.0,
-                    duration: None,
-                    cause: LossCause::BitError,
-                })
+    /// Checks that every instant the failure schedules is representable:
+    /// an onset plus its heal, or the last of a staggered wave plus its
+    /// downtime, must not pass [`Time::MAX`] (a wrapped sum would take a
+    /// cable long before, or heal it long before its cut).
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let terms = match *self {
+            FailureSpec::None
+            | FailureSpec::DegradedUplinks { .. }
+            | FailureSpec::BitErrorCable { .. } => return Ok(()),
+            FailureSpec::OneCable { at, duration }
+            | FailureSpec::OneSwitch { at, duration }
+            | FailureSpec::RandomCables { at, duration, .. }
+            | FailureSpec::RandomSwitches { at, duration, .. } => {
+                [(1, at), (1, duration.unwrap_or(Time::ZERO))]
             }
             FailureSpec::Rolling {
                 count,
                 period,
                 down_for,
-            } => {
-                let cables = topo.cable_pairs();
-                let mut plan = FailurePlan::none();
-                for (i, &pair) in cables.iter().take(*count as usize).enumerate() {
-                    plan = plan.with(Failure::Cable {
-                        pair,
-                        at: *period * (i as u64 + 1),
-                        duration: Some(*down_for),
-                    });
-                }
-                plan
-            }
+            } => [(count.into(), period), (1, down_for)],
             FailureSpec::IncrementalTorUplinks { count, period } => {
-                let pairs = topo.tor_uplink_pairs(topo.t0_switches()[0]);
-                let mut plan = FailurePlan::none();
-                for (i, pair) in pairs.iter().take(*count as usize).enumerate() {
-                    plan = plan.with(Failure::Cable {
-                        pair: *pair,
-                        at: *period * (i as u64 + 1),
-                        duration: None,
-                    });
-                }
-                plan
+                [(count.into(), period), (0, Time::ZERO)]
+            }
+        };
+        within_time("failure", &self.label(), &terms)
+    }
+
+    /// The failures this spec takes in `topo`, the cell's fabric. Random
+    /// choices draw from `seed` (derived from the cell key by the caller),
+    /// so the same cell always fails the same cables.
+    pub fn build(&self, topo: &Topology, seed: u64) -> Vec<Failure> {
+        let mut rng = Rng64::new(seed);
+        let share = |pct: u32, len: usize| (len as f64 * (pct as f64 / 100.0)).round() as usize;
+        match *self {
+            FailureSpec::None => Vec::new(),
+            FailureSpec::OneCable { at, duration } => {
+                let pair = topo.cable_pairs()[0];
+                vec![Failure::Cable { pair, at, duration }]
+            }
+            FailureSpec::OneSwitch { at, duration } => {
+                let sw = topo.t1_switches()[0];
+                vec![Failure::Switch { sw, at, duration }]
+            }
+            FailureSpec::RandomCables { pct, at, duration } => {
+                let n = |len| share(pct, len).min(len);
+                pick(topo.cable_pairs(), &mut rng, n, |pair| Failure::Cable {
+                    pair,
+                    at,
+                    duration,
+                })
+            }
+            FailureSpec::RandomSwitches { pct, at, duration } => {
+                let n = |len| share(pct, len).min(len);
+                pick(topo.t1_switches(), &mut rng, n, |sw| Failure::Switch {
+                    sw,
+                    at,
+                    duration,
+                })
+            }
+            FailureSpec::DegradedUplinks { pct, gbps } => {
+                let tors = topo.t0_switches().into_iter();
+                let uplinks = tors.flat_map(|tor| topo.tor_uplink_pairs(tor)).collect();
+                let (at, bps) = (Time::ZERO, gbps as u64 * 1_000_000_000);
+                let n = |len| share(pct, len).clamp(1, len);
+                pick(uplinks, &mut rng, n, |pair| Failure::Degrade {
+                    pair,
+                    at,
+                    bps,
+                })
+            }
+            FailureSpec::BitErrorCable { ber_millis, at } => vec![Failure::Loss {
+                pair: topo.cable_pairs()[0],
+                at,
+                p: ber_millis as f64 / 1000.0,
+                duration: None,
+                cause: LossCause::BitError,
+            }],
+            FailureSpec::Rolling {
+                count,
+                period,
+                down_for,
+            } => staggered(&topo.cable_pairs(), count, period, Some(down_for)),
+            FailureSpec::IncrementalTorUplinks { count, period } => {
+                let uplinks = topo.tor_uplink_pairs(topo.t0_switches()[0]);
+                staggered(&uplinks, count, period, None)
             }
         }
     }
+}
+
+/// Shuffles `items` with `rng`, keeps the first `n(len)` and makes each
+/// a `failure`: the one way a failure or a fault picks the cables or
+/// switches it takes.
+pub(crate) fn pick<T>(
+    mut items: Vec<T>,
+    rng: &mut Rng64,
+    n: impl FnOnce(usize) -> usize,
+    failure: impl FnMut(T) -> Failure,
+) -> Vec<Failure> {
+    rng.shuffle(&mut items);
+    let n = n(items.len());
+    items.into_iter().take(n).map(failure).collect()
+}
+
+/// Cuts of the first `count` of `pairs`, one `period` apart from
+/// `period` on, each healing after `duration` (`None` = permanent).
+fn staggered(
+    pairs: &[(LinkId, LinkId)],
+    count: u32,
+    period: Time,
+    duration: Option<Time>,
+) -> Vec<Failure> {
+    (1..)
+        .zip(pairs.iter().take(count as usize))
+        .map(|(k, &pair)| Failure::Cable {
+            pair,
+            at: period * k,
+            duration,
+        })
+        .collect()
+}
+
+/// Checks that `Σ k × t` over `terms` stays within [`Time::MAX`] (every
+/// instant a failure or a fault schedules is such a sum); the error names
+/// the `axis` value `label`.
+pub(crate) fn within_time(axis: &str, label: &str, terms: &[(u64, Time)]) -> Result<(), String> {
+    let sum = terms.iter().try_fold(0u64, |sum, &(k, t)| {
+        t.as_ps().checked_mul(k)?.checked_add(sum)
+    });
+    sum.map(|_| ()).ok_or_else(|| {
+        let max = Time::MAX.label();
+        format!("{axis} {label:?} schedules an instant past the end of time ({max})")
+    })
 }
 
 /// Parses the `atTus-perm` / `atTus-Dus` tail shared by failure labels.
@@ -727,34 +759,45 @@ mod tests {
         let _ = spec.build(8, 400_000_000_000, &mut rng);
     }
 
+    /// `label`'s failures in the 2-tier k=8 fabric, drawn from `seed`.
+    fn failures(label: &str, seed: u64) -> Vec<Failure> {
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+        FailureSpec::parse(label).unwrap().build(&topo, seed)
+    }
+
     #[test]
     fn failure_build_is_deterministic_in_seed() {
-        let fabric = FatTreeConfig::two_tier(8, 1);
-        let spec = FailureSpec::RandomCables {
-            pct: 25,
-            at: Time::from_us(5),
-            duration: None,
-        };
-        let a = spec.build(&fabric, 7, 99);
-        let b = spec.build(&fabric, 7, 99);
-        assert_eq!(a.len(), b.len());
-        let pairs = |p: &FailurePlan| -> Vec<String> {
-            p.failures.iter().map(|f| format!("{f:?}")).collect()
-        };
-        assert_eq!(pairs(&a), pairs(&b));
+        let plan = |seed| format!("{:?}", failures("cables25pct-at5us-perm", seed));
+        assert_eq!(plan(99), plan(99));
+        assert_ne!(plan(99), plan(100), "another seed picks other cables");
+    }
+
+    #[test]
+    fn random_cables_picks_requested_fraction() {
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+        let pairs = topo.cable_pairs().len();
+        let plan = failures("cables25pct-at0us-perm", 42);
+        assert_eq!(plan.len(), pairs / 4);
+        let mut e = netsim::engine::Engine::new(topo, SimConfig::paper_default(), 1);
+        netsim::failures::install(&plan, &mut e);
+        e.run_until(Time::from_ns(1));
+        let down = e.links.iter().filter(|l| !l.up).count();
+        assert_eq!(down, pairs / 4 * 2);
+    }
+
+    #[test]
+    fn random_switches_fraction() {
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+        let plan = failures("switches50pct-at0us-perm", 7);
+        assert_eq!(plan.len(), topo.t1_switches().len() / 2);
+        assert!(plan.iter().all(|f| matches!(f, Failure::Switch { .. })));
     }
 
     #[test]
     fn rolling_failures_are_staggered_and_recover() {
-        let fabric = FatTreeConfig::two_tier(8, 1);
-        let spec = FailureSpec::Rolling {
-            count: 3,
-            period: Time::from_us(50),
-            down_for: Time::from_us(30),
-        };
-        let plan = spec.build(&fabric, 1, 1);
+        let plan = failures("rolling3-every50us-down30us", 1);
         assert_eq!(plan.len(), 3);
-        for (i, f) in plan.failures.iter().enumerate() {
+        for (i, f) in plan.iter().enumerate() {
             let Failure::Cable { at, duration, .. } = f else {
                 panic!("expected cable failures");
             };

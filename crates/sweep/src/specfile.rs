@@ -318,6 +318,21 @@ reconv = none, 25us
             let needle = format!("duration {label:?} out of range");
             assert!(err.msg.contains(&needle), "{text:?}: {err}");
         }
+        // Each duration fits, but an instant built from them does not: a
+        // heal after its onset, a wave's last cut plus its downtime.
+        for (axis, label) in [
+            ("failure", "rolling2-every9223372036855us-down5us"),
+            ("failure", "rolling2-every9223372036854us-down5us"),
+            ("failure", "cable1-at18446744073709us-1us"),
+            ("fault", "gray{at=18446744073709us,for=1us}"),
+            ("fault", "unidir{at=18446744073709us,for=1us}"),
+            ("fault", "flap{period=2us,at=18446744073708us}"),
+        ] {
+            let err = parse(&format!("[a]\n{axis} = {label}\nlb = OPS")).unwrap_err();
+            assert_eq!(err.line, 2, "{label}: {err}");
+            let needle = format!("{axis} {label:?} schedules an instant past the end of time");
+            assert!(err.msg.contains(&needle), "{label}: {err}");
+        }
     }
 
     #[test]

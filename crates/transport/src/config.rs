@@ -51,7 +51,8 @@ impl CoalesceConfig {
     }
 }
 
-/// Per-host transport parameters.
+/// Per-host transport parameters. The fabric profile (MTU, RTO, rates)
+/// is not copied here: every callback reads it from `Ctx::cfg`.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
     /// Load-balancing scheme for every connection of this host.
@@ -60,16 +61,10 @@ pub struct TransportConfig {
     pub cc: CcKind,
     /// ACK coalescing.
     pub coalesce: CoalesceConfig,
-    /// Maximum payload per packet.
-    pub mtu: u32,
-    /// Retransmission timeout.
-    pub rto: Time,
     /// Window bounds.
     pub cc_params: CcParams,
     /// Base RTT estimate (PLB rounds, initial smoothing).
     pub base_rtt: Time,
-    /// Packets granted per EQDS pacer tick.
-    pub eqds_quantum_pkts: u32,
     /// Load balancer for background-class traffic (messages whose tag has
     /// [`BACKGROUND_BIT`] set). Models the paper's mixed REPS/ECMP
     /// deployments (§4.3.2, Fig. 6). `None` = same as `lb`.
@@ -88,11 +83,8 @@ impl TransportConfig {
             lb,
             cc: CcKind::Dctcp,
             coalesce: CoalesceConfig::default(),
-            mtu: sim.mtu_bytes,
-            rto: sim.rto,
             cc_params: CcParams::for_bdp(bdp, sim.mtu_bytes as u64),
             base_rtt: sim.base_rtt(hops),
-            eqds_quantum_pkts: 4,
             bg_lb: None,
         }
     }
@@ -133,8 +125,6 @@ mod tests {
     fn derives_sane_defaults() {
         let sim = SimConfig::paper_default();
         let cfg = TransportConfig::from_sim(&sim, 4, LbKind::Ops { evs_size: 1 << 16 });
-        assert_eq!(cfg.mtu, 4096);
-        assert_eq!(cfg.rto, Time::from_us(70));
         assert!(cfg.cc_params.init_cwnd >= 300_000);
         assert!(cfg.base_rtt > Time::from_us(8));
     }

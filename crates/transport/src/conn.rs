@@ -277,7 +277,7 @@ impl SenderConn {
 
     /// Transmits as much as the window/credits allow.
     pub fn pump<S: TraceSink>(&mut self, env: &mut SenderEnv<'_>, ctx: &mut Ctx<'_, S>) {
-        let mtu = env.cfg.mtu;
+        let mtu = ctx.cfg.mtu_bytes;
         loop {
             // Pick what to send: retransmissions first.
             let (seq, msg_idx, msg_seq, retx) = if let Some(&seq) = self.retx_queue.front() {
@@ -439,7 +439,7 @@ impl SenderConn {
 
         // A confirmed sequence also cancels its pending retransmission:
         // `pump` skips queue entries `acked` holds.
-        let mtu = env.cfg.mtu;
+        let mtu = ctx.cfg.mtu_bytes;
         let mut acked_bytes = 0u64;
         for &seq in newly_acked.iter() {
             let (msg_idx, msg_seq) = msg_of_seq(&self.msgs, seq);
@@ -514,7 +514,7 @@ impl SenderConn {
         ctx: &mut Ctx<'_, S>,
     ) {
         if let Some(info) = self.inflight.remove(seq) {
-            self.inflight_bytes -= payload_of(&self.msgs, seq, env.cfg.mtu) as u64;
+            self.inflight_bytes -= payload_of(&self.msgs, seq, ctx.cfg.mtu_bytes) as u64;
             self.retx_queue.push_front(seq);
             self.cc.on_trim(&env.cfg.cc_params, ctx.now);
             balancer(&mut self.lb, self.conn, env).on_congestion_loss(info.ev, ctx.now);
@@ -530,7 +530,7 @@ impl SenderConn {
         ctx: &mut Ctx<'_, S>,
     ) -> usize {
         let now = ctx.now;
-        let (rto, mtu, cc_params) = (env.cfg.rto, env.cfg.mtu, &env.cfg.cc_params);
+        let (rto, mtu, cc_params) = (ctx.cfg.rto, ctx.cfg.mtu_bytes, &env.cfg.cc_params);
         // The window hands the expired packets over in ascending `seq`:
         // the retransmission queue (and with it every subsequent EV draw)
         // is the same in every process.
@@ -927,7 +927,7 @@ mod tests {
             Engine::with_trace(topo, SimConfig::paper_default(), 1, Recorder::new());
         let lb = cfg.lb.build(&mut netsim::rng::Rng64::new(1));
         let tx = SenderConn::new(ConnId(0), HostId(1), lb, cc, &cfg);
-        let rto = cfg.rto;
+        let rto = SimConfig::paper_default().rto;
         let reps = RepsCounters::default();
         let script = Script {
             tx,
@@ -959,11 +959,11 @@ mod tests {
     fn packets_timing_out_in_reverse_send_order_retransmit_in_seq_order() {
         const NACK_SEQ0: u64 = 0;
         const RTO_SWEEP: u64 = 1;
-        let rto = test_cfg().rto;
+        let rto = SimConfig::paper_default().rto;
         let cc = Cc::build(CcKind::Dctcp, CcParams::for_bdp(400_000, 4096));
         let engine = scripted(cc, move |token, tx, env, ctx| match token {
             START => {
-                tx.enqueue(FlowId(0), 0, 2 * 4096, env.cfg.mtu, ctx.now);
+                tx.enqueue(FlowId(0), 0, 2 * 4096, ctx.cfg.mtu_bytes, ctx.now);
                 tx.pump(env, ctx);
                 ctx.set_timer(Time::from_us(5), NACK_SEQ0);
                 ctx.set_timer(rto + Time::from_us(6), RTO_SWEEP);
@@ -990,7 +990,7 @@ mod tests {
         const RTO_SWEEP: u64 = 0;
         const ACK_SEQ0: u64 = 1;
         const CREDIT: u64 = 2;
-        let rto = test_cfg().rto;
+        let rto = SimConfig::paper_default().rto;
         let ack = |seq: u64| Ack {
             cum_ack: seq + 1,
             sacked: SeqList::from_slice(&[seq]),
@@ -1003,7 +1003,7 @@ mod tests {
         let cc = Cc::build(CcKind::Eqds, CcParams::for_bdp(2 * 4096, 4096));
         let engine = scripted(cc, move |token, tx, env, ctx| match token {
             START => {
-                tx.enqueue(FlowId(0), 0, 2 * 4096, env.cfg.mtu, ctx.now);
+                tx.enqueue(FlowId(0), 0, 2 * 4096, ctx.cfg.mtu_bytes, ctx.now);
                 tx.pump(env, ctx);
                 assert_eq!(tx.inflight_bytes(), 2 * 4096);
                 for token in 0..4 {
@@ -1043,7 +1043,7 @@ mod tests {
         let mut rx = ReceiverConn::new(HostId(0), ConnId(0));
         let (mut sent, mut received) = (Vec::new(), Vec::new());
         for msg in 0..5u32 {
-            tx.enqueue(FlowId(msg), 0, 1, cfg.mtu, Time::ZERO);
+            tx.enqueue(FlowId(msg), 0, 1, 4096, Time::ZERO);
             sent.push(tx.msgs.capacity());
             rx.on_data(&data(msg as u64, msg, 1), cfg.coalesce, Time::ZERO);
             received.push(rx.msgs.capacity());
@@ -1058,11 +1058,11 @@ mod tests {
         let lb = cfg.lb.build(&mut netsim::rng::Rng64::new(1));
         let cc = Cc::build(CcKind::Dctcp, CcParams::for_bdp(400_000, 4096));
         let mut tx = SenderConn::new(ConnId(0), HostId(1), lb, cc, &cfg);
-        tx.enqueue(FlowId(0), 1, 10_000, cfg.mtu, Time::ZERO);
+        tx.enqueue(FlowId(0), 1, 10_000, 4096, Time::ZERO);
         // 10 KB at 4 KiB MTU = 3 packets (4096 + 4096 + 1808).
         assert_eq!(tx.msgs[0].pkts, 3);
         assert_eq!(tx.unsent_bytes, 10_000);
-        tx.enqueue(FlowId(1), 2, 1, cfg.mtu, Time::ZERO);
+        tx.enqueue(FlowId(1), 2, 1, 4096, Time::ZERO);
         assert_eq!(tx.msgs[1].pkts, 1, "tiny message still takes one packet");
         assert_eq!(tx.msgs[1].base_seq, 3);
         assert!(!tx.idle());

@@ -37,6 +37,8 @@ const TOKEN_SWEEP: u64 = 1;
 const TOKEN_EQDS: u64 = 2;
 /// Timer token: scheduled message starts.
 const TOKEN_SCHEDULE: u64 = 3;
+/// Packets (MTUs) an EQDS pacer tick grants.
+const EQDS_QUANTUM_PKTS: u64 = 4;
 
 /// The longest connection table, in bytes, that [`HostEndpoint`]'s
 /// look-ahead hint prefetches whole: two senders (a host's foreground and
@@ -198,17 +200,15 @@ impl HostEndpoint {
     fn arm_sweep<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
         if !self.sweep_armed {
             self.sweep_armed = true;
-            ctx.set_timer(self.cfg.rto / 4, TOKEN_SWEEP);
+            ctx.set_timer(ctx.cfg.rto / 4, TOKEN_SWEEP);
         }
     }
 
     fn arm_eqds<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
         if !self.eqds_armed {
             self.eqds_armed = true;
-            let tick = Time::serialization(
-                self.cfg.eqds_quantum_pkts as u64 * self.cfg.mtu as u64,
-                self.link_bps,
-            );
+            let quantum = EQDS_QUANTUM_PKTS * u64::from(ctx.cfg.mtu_bytes);
+            let tick = Time::serialization(quantum, self.link_bps);
             ctx.set_timer(tick, TOKEN_EQDS);
         }
     }
@@ -230,7 +230,7 @@ impl HostEndpoint {
         };
         let (senders, mut env) = self.senders_env();
         let tx = &mut senders[slot];
-        tx.enqueue(spec.flow, spec.tag, spec.bytes, env.cfg.mtu, ctx.now);
+        tx.enqueue(spec.flow, spec.tag, spec.bytes, ctx.cfg.mtu_bytes, ctx.now);
         tx.pump(&mut env, ctx);
         self.arm_sweep(ctx);
     }
@@ -269,7 +269,7 @@ impl HostEndpoint {
 
     fn on_sweep<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
         self.sweep_armed = false;
-        let rto = self.cfg.rto;
+        let rto = ctx.cfg.rto;
         // Each timeout draws from the shared RNG and each stale ACK takes a
         // packet id, so both passes run in table order.
         let (senders, mut env) = self.senders_env();
@@ -303,7 +303,7 @@ impl HostEndpoint {
         // Round-robin over the demanding receivers in table (`conn`) order.
         let nth = self.eqds_rr % demanding;
         self.eqds_rr = self.eqds_rr.wrapping_add(1);
-        let quantum = self.cfg.eqds_quantum_pkts as u64 * self.cfg.mtu as u64;
+        let quantum = EQDS_QUANTUM_PKTS * u64::from(ctx.cfg.mtu_bytes);
         let rx = self
             .receivers
             .iter_mut()

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use harness::experiment::{Experiment, RunResult, Summary};
     pub use harness::Scale;
     pub use netsim::config::SimConfig;
-    pub use netsim::failures::{Failure, FailurePlan};
+    pub use netsim::failures::Failure;
     pub use netsim::ids::{FlowId, HostId, SwitchId};
     pub use netsim::link::LossCause;
     pub use netsim::time::Time;

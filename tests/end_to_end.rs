@@ -8,7 +8,7 @@ fn run(
     fabric: &FatTreeConfig,
     lb: LbKind,
     workload: workloads::spec::Workload,
-    failures: FailurePlan,
+    failures: Vec<Failure>,
     seed: u64,
 ) -> Summary {
     let mut exp = Experiment::new("it", fabric.clone(), lb, workload);
@@ -25,7 +25,7 @@ fn every_load_balancer_completes_a_permutation() {
     for lb in LbKind::paper_lineup(rtt) {
         let mut rng = netsim::rng::Rng64::new(1);
         let w = permutation(fabric.n_hosts(), 512 << 10, &mut rng);
-        let s = run(&fabric, lb.clone(), w, FailurePlan::none(), 1);
+        let s = run(&fabric, lb.clone(), w, Vec::new(), 1);
         assert!(s.completed, "{} did not complete", lb.label());
         assert_eq!(s.fg_flows, fabric.n_hosts() as usize);
     }
@@ -44,7 +44,7 @@ fn deterministic_across_runs() {
                 &fabric,
                 LbKind::Reps(RepsConfig::default()),
                 w,
-                FailurePlan::none(),
+                Vec::new(),
                 42,
             )
         })
@@ -66,7 +66,7 @@ fn different_seeds_differ() {
                 &fabric,
                 LbKind::Ops { evs_size: 1 << 16 },
                 w,
-                FailurePlan::none(),
+                Vec::new(),
                 seed,
             )
             .max_fct
@@ -83,12 +83,12 @@ fn spraying_beats_ecmp_on_tornado() {
     // The paper's headline symmetric-network result, in miniature.
     let fabric = FatTreeConfig::two_tier(8, 1);
     let w = tornado(fabric.n_hosts(), 2 << 20);
-    let ecmp = run(&fabric, LbKind::Ecmp, w.clone(), FailurePlan::none(), 3);
+    let ecmp = run(&fabric, LbKind::Ecmp, w.clone(), Vec::new(), 3);
     let reps = run(
         &fabric,
         LbKind::Reps(RepsConfig::default()),
         w,
-        FailurePlan::none(),
+        Vec::new(),
         3,
     );
     assert!(ecmp.completed && reps.completed);
@@ -103,11 +103,11 @@ fn reps_survives_failure_far_better_than_ops() {
     let fabric = FatTreeConfig::two_tier(16, 1);
     let topo = Topology::build(fabric.clone(), 5);
     let pair = topo.tor_uplink_pairs(SwitchId(0))[0];
-    let plan = FailurePlan::none().with(Failure::Cable {
+    let plan = vec![Failure::Cable {
         pair,
         at: Time::from_us(30),
         duration: None,
-    });
+    }];
     let mut rng = netsim::rng::Rng64::new(5);
     let w = permutation(fabric.n_hosts(), 4 << 20, &mut rng);
     let ops = run(
@@ -140,11 +140,11 @@ fn reps_adapts_to_degraded_uplink() {
     let fabric = FatTreeConfig::two_tier(16, 1);
     let topo = Topology::build(fabric.clone(), 7);
     let pair = topo.tor_uplink_pairs(SwitchId(0))[0];
-    let plan = FailurePlan::none().with(Failure::Degrade {
+    let plan = vec![Failure::Degrade {
         pair,
         at: Time::ZERO,
         bps: 200_000_000_000,
-    });
+    }];
     let w = tornado(fabric.n_hosts(), 8 << 20);
     let ops = run(
         &fabric,
@@ -175,7 +175,7 @@ fn ring_allreduce_is_lb_insensitive() {
     ]
     .iter()
     .map(|lb| {
-        let s = run(&fabric, lb.clone(), w.clone(), FailurePlan::none(), 9);
+        let s = run(&fabric, lb.clone(), w.clone(), Vec::new(), 9);
         assert!(s.completed);
         s.makespan.as_us_f64()
     })
@@ -197,7 +197,7 @@ fn three_tier_fabric_works_end_to_end() {
         &fabric,
         LbKind::Reps(RepsConfig::default()),
         w,
-        FailurePlan::none(),
+        Vec::new(),
         11,
     );
     assert!(s.completed);
@@ -213,7 +213,7 @@ fn oversubscribed_fabric_works_end_to_end() {
         &fabric,
         LbKind::Reps(RepsConfig::default()),
         w,
-        FailurePlan::none(),
+        Vec::new(),
         13,
     );
     assert!(s.completed);
@@ -233,7 +233,7 @@ fn incast_is_cc_bound_not_lb_bound() {
     ]
     .iter()
     .map(|lb| {
-        let s = run(&fabric, lb.clone(), w.clone(), FailurePlan::none(), 15);
+        let s = run(&fabric, lb.clone(), w.clone(), Vec::new(), 15);
         assert!(s.completed);
         s.max_fct.as_us_f64()
     })
@@ -326,7 +326,7 @@ fn dc_trace_workload_runs_at_load() {
         &fabric,
         LbKind::Reps(RepsConfig::default()),
         w,
-        FailurePlan::none(),
+        Vec::new(),
         29,
     );
     assert!(s.completed, "trace flows must all finish after load stops");
@@ -336,6 +336,6 @@ fn dc_trace_workload_runs_at_load() {
 fn adaptive_roce_uses_switch_side_routing() {
     let fabric = FatTreeConfig::two_tier(8, 1);
     let w = tornado(fabric.n_hosts(), 1 << 20);
-    let s = run(&fabric, LbKind::AdaptiveRoce, w, FailurePlan::none(), 31);
+    let s = run(&fabric, LbKind::AdaptiveRoce, w, Vec::new(), 31);
     assert!(s.completed);
 }

@@ -43,13 +43,13 @@ fn bit_error_links_lose_packets_but_flows_recover() {
     let mut rng = netsim::rng::Rng64::new(35);
     let w = permutation(fabric.n_hosts(), 2 << 20, &mut rng);
     let mut exp = Experiment::new("ber", fabric, LbKind::Reps(RepsConfig::default()), w);
-    exp.failures = FailurePlan::none().with(Failure::Loss {
+    exp.failures = vec![Failure::Loss {
         pair,
         at: Time::ZERO,
         p: 0.01,
         duration: None,
         cause: LossCause::BitError,
-    });
+    }];
     exp.seed = 35;
     exp.deadline = Time::from_secs(10);
     let s = exp.run().summary;
@@ -76,11 +76,11 @@ fn ecmp_failover_reroutes_after_reconvergence_delay() {
             w,
         );
         exp.sim.ecmp_failover = failover;
-        exp.failures = FailurePlan::none().with(Failure::Cable {
+        exp.failures = vec![Failure::Cable {
             pair,
             at: Time::from_us(20),
             duration: None,
-        });
+        }];
         exp.seed = 37;
         exp.deadline = Time::from_secs(10);
         let s = exp.run().summary;
