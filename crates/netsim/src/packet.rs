@@ -20,15 +20,23 @@ pub struct EvEcho {
     pub ecn: bool,
 }
 
-/// A small copy-on-build list storing up to `N` elements inline, spilling
-/// to the heap only beyond that.
+/// A small list storing up to `N` elements inline, spilling to the heap
+/// only beyond that.
 ///
 /// ACK bodies carry two variable-length lists (SACKed sequences, echoed
 /// EVs). With per-packet ACKs — the steady-state hot path — each holds
 /// exactly one element, so `Vec`s cost two heap allocations per
 /// acknowledged packet. Inline storage makes the per-packet ACK path
 /// allocation-free while coalesced ACKs (one per `ratio` packets) may
-/// still spill; equality is by *content*, not representation.
+/// still spill. A connection's own small buffers (message lists, SACK
+/// bitmaps, pending-ACK lists) are `SmallList`s for the same reason: most
+/// connections never outgrow the inline part, so opening one costs no
+/// heap block for them.
+///
+/// Growing an inline list past `N` spills it to a heap block of exactly
+/// the length needed; a spilled list then grows as a `Vec` does
+/// (doubling) and, like a `Vec`, keeps its block when it shrinks.
+/// Equality is by *content*, not representation.
 #[derive(Debug, Clone)]
 pub enum SmallList<T: Copy + Default, const N: usize> {
     /// Up to `N` elements stored in place.
@@ -83,27 +91,112 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
     }
 
     /// Appends an element, spilling to the heap at inline capacity.
+    #[inline]
     pub fn push(&mut self, item: T) {
         match self {
-            SmallList::Inline { len, buf } => {
-                if (*len as usize) < N {
-                    buf[*len as usize] = item;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(N + 1);
-                    v.extend_from_slice(&buf[..N]);
-                    v.push(item);
-                    *self = SmallList::Spill(v);
-                }
+            SmallList::Inline { len, buf } if (*len as usize) < N => {
+                buf[*len as usize] = item;
+                *len += 1;
             }
             SmallList::Spill(v) => v.push(item),
+            SmallList::Inline { .. } => {
+                let mut v = self.spilled(N + 1);
+                v.push(item);
+                *self = SmallList::Spill(v);
+            }
+        }
+    }
+
+    /// The elements in a heap block of exactly `capacity`: what an inline
+    /// list outgrowing `N` moves to. Off the inline fast paths.
+    #[cold]
+    #[inline(never)]
+    fn spilled(&self, capacity: usize) -> Vec<T> {
+        let mut v = Vec::with_capacity(capacity);
+        v.extend_from_slice(self.as_slice());
+        v
+    }
+
+    /// Keeps the first `new_len` elements, dropping the rest.
+    #[inline]
+    pub fn truncate(&mut self, new_len: usize) {
+        match self {
+            SmallList::Inline { len, .. } => *len = (*len).min(new_len.min(N) as u8),
+            SmallList::Spill(v) => v.truncate(new_len),
+        }
+    }
+
+    /// Removes every element.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Grows or shrinks the list to `new_len`, filling new slots with
+    /// `value`; past `N` an inline list spills to exactly `new_len`.
+    #[inline]
+    pub fn resize(&mut self, new_len: usize, value: T) {
+        match self {
+            SmallList::Inline { len, buf } if new_len <= N => {
+                for slot in buf.iter_mut().take(new_len).skip(*len as usize) {
+                    *slot = value;
+                }
+                *len = new_len as u8;
+            }
+            SmallList::Spill(v) => v.resize(new_len, value),
+            SmallList::Inline { .. } => {
+                let mut v = self.spilled(new_len);
+                v.resize(new_len, value);
+                *self = SmallList::Spill(v);
+            }
+        }
+    }
+
+    /// Makes room for at least `additional` more elements; past `N` an
+    /// inline list spills to exactly the length plus `additional`.
+    pub fn reserve(&mut self, additional: usize) {
+        match self {
+            SmallList::Inline { len, .. } if usize::from(*len) + additional <= N => {}
+            SmallList::Spill(v) => v.reserve(additional),
+            SmallList::Inline { .. } => {
+                *self = SmallList::Spill(self.spilled(self.len() + additional))
+            }
+        }
+    }
+
+    /// Removes the first `n` elements (every element, if fewer), moving
+    /// the rest to the front.
+    #[inline]
+    pub fn drop_front(&mut self, n: usize) {
+        match self {
+            SmallList::Inline { len, buf } => {
+                let live = usize::from(*len).min(N);
+                let n = n.min(live);
+                buf.copy_within(n..live, 0);
+                *len -= n as u8;
+            }
+            SmallList::Spill(v) => {
+                v.drain(..n.min(v.len()));
+            }
+        }
+    }
+
+    /// How many elements the list holds without allocating: `N` inline,
+    /// the heap block's capacity once spilled.
+    pub fn capacity(&self) -> usize {
+        match self {
+            SmallList::Inline { .. } => N,
+            SmallList::Spill(v) => v.capacity(),
         }
     }
 
     /// The elements as a slice.
+    #[inline]
     pub fn as_slice(&self) -> &[T] {
+        // `len <= N` always holds; the `min` shows the compiler so, which
+        // drops the slice's bounds check from every inline access.
         match self {
-            SmallList::Inline { len, buf } => &buf[..*len as usize],
+            SmallList::Inline { len, buf } => &buf[..usize::from(*len).min(N)],
             SmallList::Spill(v) => v,
         }
     }
@@ -117,15 +210,17 @@ impl<T: Copy + Default, const N: usize> Default for SmallList<T, N> {
 
 impl<T: Copy + Default, const N: usize> std::ops::Deref for SmallList<T, N> {
     type Target = [T];
+    #[inline]
     fn deref(&self) -> &[T] {
         self.as_slice()
     }
 }
 
 impl<T: Copy + Default, const N: usize> std::ops::DerefMut for SmallList<T, N> {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
         match self {
-            SmallList::Inline { len, buf } => &mut buf[..*len as usize],
+            SmallList::Inline { len, buf } => &mut buf[..usize::from(*len).min(N)],
             SmallList::Spill(v) => v,
         }
     }
@@ -400,6 +495,32 @@ mod tests {
         assert_eq!(big.as_slice(), &[1, 2, 3, 4]);
         let collected: SmallList<u64, 3> = (1..=2u64).collect();
         assert_eq!(collected, inline);
+    }
+
+    #[test]
+    fn small_list_resizes_truncates_drops_front_and_clears_across_the_spill() {
+        let mut l: SmallList<u64, 1> = SmallList::new();
+        l.resize(1, 5);
+        assert!(matches!(l, SmallList::Inline { .. }));
+        l.resize(3, 6);
+        assert_eq!((l.as_slice(), l.capacity()), (&[5, 6, 6][..], 3));
+        l.drop_front(1);
+        l.truncate(1);
+        assert_eq!(l.as_slice(), &[6]);
+        assert!(matches!(l, SmallList::Spill(_)), "keeps its block");
+        l.clear();
+        assert!(l.is_empty());
+        let mut inline: SmallList<u64, 3> = SmallList::from_slice(&[1, 2, 3]);
+        inline.drop_front(1);
+        inline.truncate(1);
+        assert_eq!(inline.as_slice(), &[2]);
+        inline.drop_front(9);
+        assert!(inline.is_empty());
+        let mut reserved: SmallList<u64, 3> = SmallList::from_slice(&[1, 2]);
+        reserved.reserve(1);
+        assert!(matches!(reserved, SmallList::Inline { .. }));
+        reserved.reserve(6);
+        assert_eq!((reserved.as_slice(), reserved.capacity()), (&[1, 2][..], 8));
     }
 
     #[test]

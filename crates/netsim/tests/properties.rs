@@ -5,7 +5,7 @@
 //! choices to the pre-refactor `Vec`-based implementations (preserved
 //! below as test-local references), and the arena's 16-byte header must
 //! carry a packet through marks and trims exactly as by-value mutation of
-//! the packet would.
+//! the packet would, and `SmallList` must hold what a `Vec` holds.
 
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ use netsim::engine::{RoutingMode, RoutingView};
 use netsim::hash::ecmp_select;
 use netsim::ids::{ConnId, HostId, LinkId, NodeRef};
 use netsim::link::{EnqueueOutcome, Link, LinkClass};
-use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList};
+use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList, SmallList};
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, RouteChoice, Topology};
@@ -432,6 +432,84 @@ proptest! {
             prop_assert_eq!(arena.take(PacketRef(r)), want);
         }
         prop_assert_eq!(arena.live(), 0);
+    }
+}
+
+/// Drives a `SmallList<u64, N>` and a `Vec<u64>` through the same `steps`
+/// random calls — pushes, resizes, reservations, truncations, clears,
+/// front drops and writes — with lengths wandering across `N` both ways,
+/// checking after each that they hold the same elements. An inline list
+/// spills to a block of exactly the length it needs (or reserves); a
+/// spilled one stays spilled, as a `Vec` keeps its block when it shrinks.
+fn small_list_tracks_vec<const N: usize>(seed: u64, steps: usize) {
+    let mut rng = Rng64::new(seed);
+    let mut list: SmallList<u64, N> = SmallList::new();
+    let mut model: Vec<u64> = Vec::new();
+    for step in 0..steps as u64 {
+        let was_inline = matches!(list, SmallList::Inline { .. });
+        let len = model.len();
+        let mut reserved = 0;
+        match rng.gen_range(8) {
+            0 | 1 => {
+                list.push(step);
+                model.push(step);
+            }
+            2 => {
+                // Up to twice the inline capacity, so both directions occur.
+                let new_len = rng.gen_index(2 * N + 2);
+                list.resize(new_len, step);
+                model.resize(new_len, step);
+            }
+            3 => {
+                let n = rng.gen_index(len + 2);
+                list.drop_front(n);
+                model.drain(..n.min(len));
+            }
+            4 if len > 0 => {
+                let i = rng.gen_index(len);
+                list[i] = !step;
+                model[i] = !step;
+            }
+            5 => {
+                let new_len = rng.gen_index(2 * N + 2);
+                list.truncate(new_len);
+                model.truncate(new_len);
+            }
+            6 => {
+                reserved = rng.gen_index(2 * N + 2);
+                list.reserve(reserved);
+                assert!(list.capacity() >= len + reserved, "step {step}");
+            }
+            _ => {
+                if rng.gen_bool(0.3) {
+                    list.clear();
+                    model.clear();
+                }
+            }
+        }
+        assert_eq!(list.as_slice(), &model[..], "step {step}");
+        assert_eq!(list, SmallList::from_slice(&model));
+        assert!(list.capacity() >= list.len());
+        match (&list, was_inline) {
+            (SmallList::Inline { .. }, true) => assert!(model.len() <= N),
+            (SmallList::Spill(v), true) => {
+                assert_eq!(v.capacity(), model.len() + reserved, "spills exactly")
+            }
+            (SmallList::Inline { .. }, false) => panic!("a spilled list went back inline"),
+            (SmallList::Spill(_), false) => {}
+        }
+    }
+}
+
+proptest! {
+    /// `SmallList` behaves as a `Vec` at the inline capacities the
+    /// simulator uses (a connection's first message or bitmap word, an
+    /// ACK's three SACKs and five echoes), inline, spilled and across.
+    #[test]
+    fn small_list_matches_vec(seed in any::<u64>(), steps in 1usize..300) {
+        small_list_tracks_vec::<1>(seed, steps);
+        small_list_tracks_vec::<3>(seed, steps);
+        small_list_tracks_vec::<5>(seed, steps);
     }
 }
 

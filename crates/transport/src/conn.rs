@@ -30,7 +30,7 @@ use crate::config::{CoalesceConfig, CoalesceVariant, TransportConfig};
 use crate::sack::OooTracker;
 
 /// One queued/active application message at the sender.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MsgState {
     /// Flow id reported in the completion record.
     pub flow: FlowId,
@@ -202,7 +202,8 @@ pub struct SenderConn {
     pub lb: Lb,
     /// Window/credit controller.
     pub cc: Cc,
-    msgs: Vec<MsgState>,
+    /// The messages, the first inline: most connections carry one.
+    msgs: SmallList<MsgState, 1>,
     /// Index of the first message with unsent packets.
     cursor: usize,
     inflight: SeqWindow<Inflight>,
@@ -230,7 +231,7 @@ impl SenderConn {
             dst,
             lb,
             cc,
-            msgs: Vec::new(),
+            msgs: SmallList::new(),
             cursor: 0,
             inflight: SeqWindow::default(),
             inflight_bytes: 0,
@@ -250,7 +251,6 @@ impl SenderConn {
         let base_seq = self.next_seq;
         self.next_seq += pkts as u64;
         self.unsent_bytes += bytes;
-        crate::reserve_doubling(&mut self.msgs, 1);
         self.msgs.push(MsgState {
             flow,
             tag,
@@ -278,6 +278,8 @@ impl SenderConn {
     /// Transmits as much as the window/credits allow.
     pub fn pump<S: TraceSink>(&mut self, env: &mut SenderEnv<'_>, ctx: &mut Ctx<'_, S>) {
         let mtu = ctx.cfg.mtu_bytes;
+        // One look at where the message list lives, not one per access.
+        let msgs: &mut [MsgState] = &mut self.msgs;
         loop {
             // Pick what to send: retransmissions first.
             let (seq, msg_idx, msg_seq, retx) = if let Some(&seq) = self.retx_queue.front() {
@@ -286,19 +288,19 @@ impl SenderConn {
                     self.retx_queue.pop_front();
                     continue;
                 }
-                let (msg_idx, msg_seq) = msg_of_seq(&self.msgs, seq);
+                let (msg_idx, msg_seq) = msg_of_seq(msgs, seq);
                 (seq, msg_idx, msg_seq, true)
             } else {
                 // Advance the cursor past fully-sent messages.
-                while self.cursor < self.msgs.len()
-                    && self.msgs[self.cursor].next_pkt >= self.msgs[self.cursor].pkts
+                while self.cursor < msgs.len()
+                    && msgs[self.cursor].next_pkt >= msgs[self.cursor].pkts
                 {
                     self.cursor += 1;
                 }
-                if self.cursor >= self.msgs.len() {
+                if self.cursor >= msgs.len() {
                     break;
                 }
-                let msg = &self.msgs[self.cursor];
+                let msg = &msgs[self.cursor];
                 (
                     msg.base_seq + msg.next_pkt as u64,
                     self.cursor,
@@ -306,7 +308,7 @@ impl SenderConn {
                     false,
                 )
             };
-            let payload = self.msgs[msg_idx].payload(msg_seq, mtu);
+            let payload = msgs[msg_idx].payload(msg_seq, mtu);
 
             // Admission: credits (EQDS) or window (everything else).
             let admitted = match self.cc.as_eqds_mut() {
@@ -323,7 +325,7 @@ impl SenderConn {
                 self.total_retx += 1;
                 ctx.note_retransmission();
             } else {
-                self.msgs[self.cursor].next_pkt += 1;
+                msgs[self.cursor].next_pkt += 1;
                 self.unsent_bytes -= payload as u64;
             }
 
@@ -372,7 +374,7 @@ impl SenderConn {
                     });
                 }
             }
-            let msg_state = &self.msgs[msg_idx];
+            let msg_state = &msgs[msg_idx];
             let pkt = Packet {
                 id: ctx.fresh_packet_id(),
                 src: ctx.host,
@@ -441,10 +443,11 @@ impl SenderConn {
         // `pump` skips queue entries `acked` holds.
         let mtu = ctx.cfg.mtu_bytes;
         let mut acked_bytes = 0u64;
+        let msgs: &mut [MsgState] = &mut self.msgs;
         for &seq in newly_acked.iter() {
-            let (msg_idx, msg_seq) = msg_of_seq(&self.msgs, seq);
+            let (msg_idx, msg_seq) = msg_of_seq(msgs, seq);
             if let Some(info) = self.inflight.remove(seq) {
-                let payload = self.msgs[msg_idx].payload(msg_seq, mtu) as u64;
+                let payload = msgs[msg_idx].payload(msg_seq, mtu) as u64;
                 self.inflight_bytes -= payload;
                 acked_bytes += payload;
                 // RTT sample (Karn's rule: skip retransmissions).
@@ -456,7 +459,7 @@ impl SenderConn {
             }
             // `acked` hands out each sequence once, so a message reaches
             // its packet count exactly once.
-            let msg = &mut self.msgs[msg_idx];
+            let msg = &mut msgs[msg_idx];
             msg.acked += 1;
             if msg.acked == msg.pkts {
                 ctx.complete_flow(FlowRecord {
@@ -588,10 +591,14 @@ pub struct ReceiverConn {
     pub conn: ConnId,
     tracker: OooTracker,
     /// `(received, total)` packets per message, indexed by the sender's
-    /// dense per-connection message index; `(0, 0)` = not seen yet.
-    msgs: Vec<(u32, u32)>,
-    pend_echoes: Vec<EvEcho>,
-    pend_sacked: Vec<u64>,
+    /// dense per-connection message index; `(0, 0)` = not seen yet. The
+    /// first is inline.
+    msgs: SmallList<(u32, u32), 1>,
+    /// The next ACK's echoes: every observation's under *Carry EVs*, the
+    /// newest one's otherwise.
+    pend_echoes: EchoList,
+    /// The next ACK's SACKed sequences, duplicates included.
+    pend_sacked: SeqList,
     pend_covered: u32,
     pend_marked: u32,
     /// Time of the oldest un-flushed observation.
@@ -618,9 +625,9 @@ impl ReceiverConn {
             peer,
             conn,
             tracker: OooTracker::new(),
-            msgs: Vec::new(),
-            pend_echoes: Vec::new(),
-            pend_sacked: Vec::new(),
+            msgs: SmallList::new(),
+            pend_echoes: EchoList::new(),
+            pend_sacked: SeqList::new(),
             pend_covered: 0,
             pend_marked: 0,
             pend_since: Time::ZERO,
@@ -655,9 +662,7 @@ impl ReceiverConn {
         let new = self.tracker.record(seq);
         if new {
             let msg = msg as usize;
-            let len = self.msgs.len();
-            if msg >= len {
-                crate::reserve_doubling(&mut self.msgs, msg + 1 - len);
+            if msg >= self.msgs.len() {
                 self.msgs.resize(msg + 1, (0, 0));
             }
             let entry = &mut self.msgs[msg];
@@ -677,15 +682,20 @@ impl ReceiverConn {
             self.pend_since = now;
         }
         // Echo and SACK even duplicates: the sender needs them to converge.
-        self.pend_sacked.push(seq);
-        self.pend_echoes.push(EvEcho {
+        let batch = (2 * coalesce.ratio as usize).max(8);
+        push_pending(&mut self.pend_sacked, seq, batch);
+        if coalesce.variant != CoalesceVariant::CarryEvs {
+            self.pend_echoes.clear();
+        }
+        let echo = EvEcho {
             ev: pkt.ev,
             ecn: pkt.ecn_ce,
-        });
+        };
+        push_pending(&mut self.pend_echoes, echo, batch);
 
         let flush_now = self.pend_covered >= coalesce.ratio
             || out.completed_tag.is_some()
-            || self.pend_sacked.len() >= (2 * coalesce.ratio as usize).max(8);
+            || self.pend_sacked.len() >= batch;
         if flush_now {
             out.ack = self.flush(coalesce);
         }
@@ -698,21 +708,15 @@ impl ReceiverConn {
         if self.pend_sacked.is_empty() {
             return None;
         }
-        // The pending buffers are connection-owned and only *copied from*:
-        // they keep their capacity across flushes, and the outgoing lists
-        // store their elements inline ([`netsim::packet::SmallList`]) —
-        // per-packet ACKs, the steady-state hot path, leave here with zero
-        // heap allocations; only wide coalesced batches spill.
-        let echoes = match coalesce.variant {
-            CoalesceVariant::Plain | CoalesceVariant::ReuseEvs => {
-                EchoList::one(*self.pend_echoes.last().expect("non-empty"))
-            }
-            CoalesceVariant::CarryEvs => EchoList::from_slice(&self.pend_echoes),
-        };
+        // The pending lists *are* the outgoing ACK's, moved out whole and
+        // left empty. They hold their elements inline
+        // ([`netsim::packet::SmallList`]): per-packet ACKs, the
+        // steady-state hot path, leave here with no heap block, and only a
+        // batch wider than the inline lists spills.
         let ack = Ack {
             cum_ack: self.tracker.cum_ack(),
-            sacked: SeqList::from_slice(&self.pend_sacked),
-            echoes,
+            sacked: std::mem::take(&mut self.pend_sacked),
+            echoes: std::mem::take(&mut self.pend_echoes),
             covered: self.pend_covered,
             marked: self.pend_marked,
             reuse: match coalesce.variant {
@@ -720,8 +724,6 @@ impl ReceiverConn {
                 _ => 1,
             },
         };
-        self.pend_sacked.clear();
-        self.pend_echoes.clear();
         self.pend_covered = 0;
         self.pend_marked = 0;
         Some(ack)
@@ -741,6 +743,21 @@ impl ReceiverConn {
     pub fn out_of_order_count(&self) -> u32 {
         self.tracker.out_of_order_count()
     }
+}
+
+/// Appends to a pending-ACK list, which a flush empties before it passes
+/// `batch` entries. A list outgrowing its inline storage spills once, with
+/// room for the whole batch: each flush hands the block to the ACK, so a
+/// block grown by doubling would be regrown for every wide ACK.
+fn push_pending<T: Copy + Default, const N: usize>(
+    list: &mut SmallList<T, N>,
+    item: T,
+    batch: usize,
+) {
+    if list.len() == list.capacity() {
+        list.reserve(batch.saturating_sub(list.len()));
+    }
+    list.push(item);
 }
 
 #[cfg(test)]
@@ -885,6 +902,156 @@ mod tests {
         );
         let ack = rx.flush_stale(Time::from_us(10), c).expect("stale now");
         assert_eq!(ack.covered, 1);
+    }
+
+    /// One step of a receiver script: data packet `seq` (its EV is `seq`)
+    /// arriving at `us` microseconds, CE-marked or not, or a delayed-ACK
+    /// sweep releasing batches pending since `cutoff` microseconds.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Data { seq: u64, us: u64, ecn: bool },
+        Sweep { cutoff: u64 },
+    }
+
+    /// An ACK as `c<cum> s<sacked> e<echoed EVs, * = CE> <covered>/<marked>
+    /// r<reuse>`.
+    fn render(ack: &Ack) -> String {
+        let echoes: Vec<String> = ack
+            .echoes
+            .iter()
+            .map(|e| format!("{}{}", e.ev, if e.ecn { "*" } else { "" }))
+            .collect();
+        format!(
+            "c{} s{:?} e[{}] {}/{} r{}",
+            ack.cum_ack,
+            ack.sacked.as_slice(),
+            echoes.join(","),
+            ack.covered,
+            ack.marked,
+            ack.reuse
+        )
+    }
+
+    /// Runs `script` through one receiver under `coalesce`, returning each
+    /// step's index with the ACK it released.
+    fn acks_of(coalesce: CoalesceConfig, script: &[Step]) -> Vec<(usize, String)> {
+        let mut rx = ReceiverConn::new(HostId(0), ConnId(0));
+        let mut acks = Vec::new();
+        for (i, &step) in script.iter().enumerate() {
+            let ack = match step {
+                Step::Data { seq, us, ecn } => {
+                    recv_data(&mut rx, coalesce, seq, 100, ecn, Time::from_us(us)).ack
+                }
+                Step::Sweep { cutoff } => rx.flush_stale(Time::from_us(cutoff), coalesce),
+            };
+            acks.extend(ack.map(|ack| (i, render(&ack))));
+        }
+        acks
+    }
+
+    /// Reordering, CE marks and duplicates, with sweeps between: batches
+    /// wider than the ACK's inline lists, a batch a duplicate opens, and
+    /// eight duplicates in a row.
+    fn receiver_script() -> Vec<Step> {
+        let data = |seq, us, ecn| Step::Data { seq, us, ecn };
+        let mut script = vec![
+            data(0, 1, false),
+            data(2, 2, true),
+            data(1, 3, false),
+            data(1, 4, false),
+            data(4, 5, false),
+            data(3, 6, true),
+            data(6, 7, false),
+            Step::Sweep { cutoff: 6 },
+            data(6, 20, false),
+            Step::Sweep { cutoff: 10 },
+            data(5, 21, false),
+            data(7, 22, false),
+            Step::Sweep { cutoff: 20 },
+            Step::Sweep { cutoff: 21 },
+        ];
+        script.extend((30..38).map(|us| data(7, us, false)));
+        script.push(Step::Sweep { cutoff: 40 });
+        script
+    }
+
+    /// What every coalescing shape acknowledges, and when, pinned step by
+    /// step: the bytes the ACK path puts on the wire.
+    #[test]
+    fn receiver_ack_contents_and_timing_are_pinned() {
+        use CoalesceVariant::{CarryEvs, Plain, ReuseEvs};
+        let script = receiver_script();
+        let got = |c| acks_of(c, &script);
+        let pin = |want: &[(usize, &str)]| -> Vec<(usize, String)> {
+            want.iter().map(|&(i, s)| (i, s.to_string())).collect()
+        };
+        // Per-packet: a duplicate waits for the next new packet (steps 3
+        // and 4) or for a sweep (9), and eight in a row flush (21).
+        let per_packet = pin(&[
+            (0, "c1 s[0] e[0] 1/0 r1"),
+            (1, "c1 s[2] e[2*] 1/1 r1"),
+            (2, "c3 s[1] e[1] 1/0 r1"),
+            (4, "c3 s[1, 4] e[4] 1/0 r1"),
+            (5, "c5 s[3] e[3*] 1/1 r1"),
+            (6, "c5 s[6] e[6] 1/0 r1"),
+            (9, "c5 s[6] e[6] 0/0 r1"),
+            (10, "c7 s[5] e[5] 1/0 r1"),
+            (11, "c8 s[7] e[7] 1/0 r1"),
+            (21, "c8 s[7, 7, 7, 7, 7, 7, 7, 7] e[7] 0/0 r1"),
+        ]);
+        assert_eq!(got(CoalesceConfig::per_packet()), per_packet);
+        // 16:1: only sweeps release, the batch opened at 21 µs not before
+        // the 21 µs cutoff (steps 12 and 13).
+        let plain = pin(&[
+            (7, "c5 s[0, 2, 1, 1, 4, 3, 6] e[6] 6/2 r1"),
+            (9, "c5 s[6] e[6] 0/0 r1"),
+            (13, "c8 s[5, 7] e[7] 2/0 r1"),
+            (22, "c8 s[7, 7, 7, 7, 7, 7, 7, 7] e[7] 0/0 r1"),
+        ]);
+        assert_eq!(got(CoalesceConfig::ratio(16, Plain)), plain);
+        let reuse: Vec<(usize, String)> = plain
+            .iter()
+            .map(|(i, ack)| (*i, ack.replace(" r1", " r16")))
+            .collect();
+        assert_eq!(got(CoalesceConfig::ratio(16, ReuseEvs)), reuse);
+        let carry = pin(&[
+            (7, "c5 s[0, 2, 1, 1, 4, 3, 6] e[0,2*,1,1,4,3*,6] 6/2 r1"),
+            (9, "c5 s[6] e[6] 0/0 r1"),
+            (13, "c8 s[5, 7] e[5,7] 2/0 r1"),
+            (22, "c8 s[7, 7, 7, 7, 7, 7, 7, 7] e[7,7,7,7,7,7,7,7] 0/0 r1"),
+        ]);
+        assert_eq!(got(CoalesceConfig::ratio(16, CarryEvs)), carry);
+    }
+
+    /// A batch whose first observation is a duplicate keeps the previous
+    /// batch's `pend_since`: the sweep at the 10 µs cutoff releases the
+    /// duplicate that arrived at 20 µs, in every shape (step 9 above).
+    /// Pinned as it stands; an ACK timed from the batch's own first
+    /// observation would change result bytes.
+    #[test]
+    fn a_batch_a_duplicate_opens_is_timed_from_the_batch_before() {
+        let script = receiver_script();
+        let shapes = [
+            CoalesceConfig::per_packet(),
+            CoalesceConfig::ratio(16, CoalesceVariant::Plain),
+        ];
+        for c in shapes {
+            let mut rx = ReceiverConn::new(HostId(0), ConnId(0));
+            for &step in &script[..7] {
+                if let Step::Data { seq, us, ecn } = step {
+                    recv_data(&mut rx, c, seq, 100, ecn, Time::from_us(us));
+                }
+            }
+            rx.flush_stale(Time::MAX, c);
+            assert!(recv_data(&mut rx, c, 6, 100, false, Time::from_us(20))
+                .ack
+                .is_none());
+            assert_eq!(
+                rx.pend_since,
+                Time::from_us(if c.ratio == 1 { 7 } else { 1 })
+            );
+            assert!(rx.flush_stale(Time::from_us(10), c).is_some());
+        }
     }
 
     /// The token a [`scripted`] sender's script sees when its host starts.
@@ -1044,12 +1211,14 @@ mod tests {
         let (mut sent, mut received) = (Vec::new(), Vec::new());
         for msg in 0..5u32 {
             tx.enqueue(FlowId(msg), 0, 1, 4096, Time::ZERO);
-            sent.push(tx.msgs.capacity());
+            sent.push((tx.msgs.capacity(), matches!(tx.msgs, SmallList::Spill(_))));
             rx.on_data(&data(msg as u64, msg, 1), cfg.coalesce, Time::ZERO);
-            received.push(rx.msgs.capacity());
+            received.push((rx.msgs.capacity(), matches!(rx.msgs, SmallList::Spill(_))));
         }
-        assert_eq!(sent, [1, 2, 4, 4, 8]);
-        assert_eq!(received, [1, 2, 4, 4, 8]);
+        // The first message inline, then a heap block of exactly two.
+        let want = [(1, false), (2, true), (4, true), (4, true), (8, true)];
+        assert_eq!(sent, want);
+        assert_eq!(received, want);
     }
 
     #[test]

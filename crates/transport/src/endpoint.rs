@@ -42,8 +42,8 @@ const EQDS_QUANTUM_PKTS: u64 = 4;
 
 /// The longest connection table, in bytes, that [`HostEndpoint`]'s
 /// look-ahead hint prefetches whole: two senders (a host's foreground and
-/// background class, or one each to two peers) or four receivers (544 of
-/// its 576 bytes). A longer table is binary-searched, and the hint does
+/// background class, or one each to two peers) or four receivers (608 of
+/// its 640 bytes). A longer table is binary-searched, and the hint does
 /// not guess which of its entries the search will touch.
 const HINT_BYTES: usize = 2 * std::mem::size_of::<SenderConn>();
 
@@ -658,19 +658,21 @@ mod tests {
 
     /// Per-host and per-connection memory at 10k hosts is these sizes
     /// times the host count: a sender holds its balancer inline (`Lb`,
-    /// 64 bytes) beside its congestion controller (`Cc`, 40) and 184
-    /// bytes of message list, in-flight window, retransmission queue and
-    /// ACK bitmap; a receiver its bitmap, message counts and pending-ACK
-    /// buffers. Neither copies the cell's parameters; a host holds its
-    /// tables, triggers, its senders' REPS counters and one `Rc` to the
-    /// cell's shared `TransportConfig`.
+    /// 64 bytes) beside its congestion controller (`Cc`, 40) and 216
+    /// bytes of message list (its first message inline), in-flight
+    /// window, retransmission queue and ACK bitmap (its first word
+    /// inline); a receiver its bitmap, message counts and pending SACK
+    /// and echo lists, each with its first entries inline. Neither copies
+    /// the cell's parameters; a host holds its tables, triggers, its
+    /// senders' REPS counters and one `Rc` to the cell's shared
+    /// `TransportConfig`.
     #[test]
     fn connection_state_sizes_are_pinned() {
         use std::mem::size_of;
-        assert_eq!(size_of::<SenderConn>(), 288);
+        assert_eq!(size_of::<SenderConn>(), 320);
         assert_eq!(size_of::<baselines::kind::Lb>(), 64);
         assert_eq!(size_of::<Cc>(), 40);
-        assert_eq!(size_of::<ReceiverConn>(), 136);
+        assert_eq!(size_of::<ReceiverConn>(), 152);
         assert_eq!(size_of::<HostEndpoint>(), 248);
         // The look-ahead hint takes a table of up to four receivers whole.
         assert_eq!(HINT_BYTES / size_of::<ReceiverConn>(), 4);

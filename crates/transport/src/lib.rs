@@ -26,8 +26,8 @@ pub use sack::OooTracker;
 
 /// Makes room in `v` for `additional` more elements, like
 /// [`Vec::reserve`] but growing to exactly the length needed the first
-/// time and doubling after that. Per-connection and per-host storage
-/// mostly holds one or two entries for its whole life; this keeps growth
+/// time and doubling after that. A host's connection tables and schedule
+/// mostly hold one or two entries for their whole life; this keeps growth
 /// amortised O(1) without `Vec`'s minimum capacity of four.
 pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>, additional: usize) {
     let needed = v.len() + additional;

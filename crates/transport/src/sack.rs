@@ -6,13 +6,17 @@
 //! maintains the cumulative-ACK frontier and answers "is this a duplicate?"
 //! so retransmitted packets are not double-counted.
 
+use netsim::packet::SmallList;
+
 /// Grow-on-demand sequence bitmap with a cumulative frontier.
 #[derive(Debug, Clone, Default)]
 pub struct OooTracker {
     /// All sequence numbers below this were received.
     cum: u64,
     /// Bitmap of received sequences at offsets `[cum, cum + 64*words.len())`.
-    words: Vec<u64>,
+    /// One word is inline: a tracker whose out-of-order span stays within
+    /// 64 sequences owns no heap block.
+    words: SmallList<u64, 1>,
 }
 
 impl OooTracker {
@@ -43,55 +47,52 @@ impl OooTracker {
         }
         let off = (seq - self.cum) as usize;
         let (w, b) = (off / 64, off % 64);
-        let len = self.words.len();
-        if len <= w {
-            crate::reserve_doubling(&mut self.words, w + 1 - len);
+        if self.words.len() <= w {
             self.words.resize(w + 1, 0);
         }
-        if self.words[w] & (1 << b) != 0 {
+        let word = &mut self.words[w];
+        if *word & (1 << b) != 0 {
             return false;
         }
-        self.words[w] |= 1 << b;
-        self.advance();
+        *word |= 1 << b;
+        // Bit 0 of the first word is the frontier, clear between calls:
+        // only filling it moves the frontier.
+        if off == 0 {
+            self.advance();
+        }
         true
     }
 
     /// Pops full leading words / bits to move the cumulative frontier.
     fn advance(&mut self) {
+        let words: &[u64] = &self.words;
+        let full = words.iter().take_while(|&&w| w == u64::MAX).count();
+        let lead = words.get(full).map_or(0, |w| w.trailing_ones());
         // Drop fully-set leading words.
-        let mut drop_words = 0;
-        for w in &self.words {
-            if *w == u64::MAX {
-                drop_words += 1;
-            } else {
-                break;
-            }
-        }
-        if drop_words > 0 {
-            self.words.drain(..drop_words);
-            self.cum += 64 * drop_words as u64;
+        if full > 0 {
+            self.words.drop_front(full);
+            self.cum += 64 * full as u64;
         }
         // Shift out leading set bits of the first word.
-        if let Some(first) = self.words.first().copied() {
-            let lead = first.trailing_ones() as u64;
-            if lead > 0 {
-                self.shift_bits(lead);
-            }
+        if lead > 0 {
+            self.shift_bits(lead as u64);
         }
     }
 
-    /// Shifts the whole bitmap right by `n` (< 64) bits, advancing `cum`.
+    /// Shifts the whole bitmap right by `n` (< 64) bits, advancing `cum`,
+    /// and drops the all-clear words this leaves at the end.
     fn shift_bits(&mut self, n: u64) {
         debug_assert!(n < 64);
+        let words: &mut [u64] = &mut self.words;
         let mut carry = 0u64;
-        for w in self.words.iter_mut().rev() {
+        for w in words.iter_mut().rev() {
             let new_carry = *w << (64 - n);
             *w = (*w >> n) | carry;
             carry = new_carry;
         }
-        while self.words.last() == Some(&0) {
-            self.words.pop();
-        }
+        let clear = words.iter().rev().take_while(|&&w| w == 0).count();
+        let kept = words.len() - clear;
+        self.words.truncate(kept);
         self.cum += n;
     }
 
@@ -180,17 +181,45 @@ mod tests {
         assert_eq!(t.out_of_order_count(), 0);
     }
 
+    /// Against a set of the sequences seen: arrivals drawn from windows
+    /// narrower and wider than one word past the frontier, duplicates
+    /// included, so the bitmap moves between its inline word and the heap.
+    #[test]
+    fn record_matches_a_set_of_the_sequences_seen() {
+        let mut rng = netsim::rng::Rng64::new(7);
+        let mut t = OooTracker::new();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut cum = 0;
+        for step in 0..20_000u64 {
+            let window = [4, 64, 65, 200][(step / 1000 % 4) as usize];
+            let seq = t.cum_ack().saturating_sub(2) + rng.gen_range(window + 2);
+            assert_eq!(t.record(seq), seen.insert(seq), "seq {seq}");
+            while seen.contains(&cum) {
+                cum += 1;
+            }
+            assert_eq!(t.cum_ack(), cum);
+            let beyond = seen.range(cum..).count() as u32;
+            assert_eq!(t.out_of_order_count(), beyond);
+            let probe = cum.saturating_sub(2) + rng.gen_range(window + 4);
+            assert_eq!(t.contains(probe), seen.contains(&probe));
+        }
+        assert!(t.cum_ack() > 5_000, "the frontier kept moving");
+    }
+
     #[test]
     fn bitmap_starts_at_its_length_and_doubles() {
         let mut t = OooTracker::new();
         // Seq 0 never arrives, so word `k` holds seq `64k + 1`.
-        let caps: Vec<usize> = (0..5)
+        let caps: Vec<(usize, bool)> = (0..5)
             .map(|k| {
                 t.record(64 * k + 1);
-                t.words.capacity()
+                (t.words.capacity(), matches!(t.words, SmallList::Spill(_)))
             })
             .collect();
-        assert_eq!(caps, [1, 2, 4, 4, 8]);
+        assert_eq!(
+            caps,
+            [(1, false), (2, true), (4, true), (4, true), (8, true)]
+        );
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //! cost ~200%.
 //!
 //! Connections themselves allocate a fixed number of blocks each when
-//! they open, pinned below; the ACK scratch is one buffer per host, shared
-//! by its senders.
+//! they open, pinned below: three, the sender's slot in its host's table
+//! and its in-flight window and the receiver's slot in its host's table.
+//! Every other buffer a connection owns keeps its first entries inline
+//! and spills to the heap only past them. The ACK scratch is one buffer
+//! per host, shared by its senders.
 //!
 //! The pins count through `tinybench::alloc::measure`, which sees only
 //! the measuring thread's allocations, so a sibling test running on
@@ -24,10 +27,12 @@
 use baselines::kind::LbKind;
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Engine, MessageSpec};
-use netsim::ids::{FlowId, HostId};
+use netsim::ids::{ConnId, FlowId, HostId};
+use netsim::packet::{Body, Packet};
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, Topology};
-use transport::config::TransportConfig;
+use transport::config::{CoalesceConfig, CoalesceVariant, TransportConfig};
+use transport::conn::ReceiverConn;
 use transport::endpoint::HostEndpoint;
 
 #[global_allocator]
@@ -103,13 +108,14 @@ fn transport_ack_path_is_allocation_free_after_warmup() {
     // Opening a connection. Turn the traffic around (host 16+i opens its
     // first sender, host i its first receiver), long enough to warm every
     // link queue on those paths; then open one more connection from each
-    // of those senders with a one-packet message. Each allocates 9 blocks:
-    // the sender's slot in its host's table, its message list, in-flight
-    // window and ACK bitmap; the receiver's slot, message counts, receive
-    // bitmap and pending SACK and echo buffers. The scratch for newly
-    // ACKed sequences is the host's, allocated with its first sender's
-    // first ACK, and the balancer is inline in the sender.
-    const PER_CONNECTION: u64 = 9;
+    // of those senders with a one-packet message. Each allocates 3 blocks:
+    // the sender's slot in its host's table and its in-flight window, and
+    // the receiver's slot in its host's table. The message lists, both
+    // bitmaps and the pending SACK and echo lists hold their first entries
+    // inline, the scratch for newly ACKed sequences is the host's,
+    // allocated with its first sender's first ACK, and the balancer is
+    // inline in the sender.
+    const PER_CONNECTION: u64 = 3;
     round(&mut engine, 2, |i| (16 + i, i), 1 << 20, Time::from_ms(30));
     assert_eq!(
         round(
@@ -122,4 +128,39 @@ fn transport_ack_path_is_allocation_free_after_warmup() {
         8 * PER_CONNECTION,
         "allocations opening 8 connections"
     );
+}
+
+/// A coalesced ACK wider than its inline lists costs one heap block per
+/// list: the pending SACK and echo lists spill once, with room for the
+/// whole batch, and the flush hands both blocks to the ACK.
+#[test]
+fn a_wide_coalesced_ack_allocates_one_block_per_list() {
+    let coalesce = CoalesceConfig::ratio(16, CoalesceVariant::CarryEvs);
+    let packets: Vec<Packet> = (0..64u64)
+        .map(|seq| {
+            let body = Body::Data {
+                seq,
+                msg: 0,
+                msg_seq: seq as u32,
+                msg_pkts: 1000,
+                tag: 0,
+                payload: 4096,
+                retx: false,
+                pending: 0,
+            };
+            Packet::control(seq, HostId(0), HostId(1), ConnId(0), seq as u16, body)
+        })
+        .collect();
+    let mut rx = ReceiverConn::new(HostId(0), ConnId(0));
+    let mut acks = Vec::with_capacity(packets.len());
+    let ((), allocs) = tinybench::alloc::measure(|| {
+        for pkt in &packets {
+            acks.extend(rx.on_data(pkt, coalesce, Time::ZERO).ack);
+        }
+    });
+    assert_eq!(acks.len(), 4);
+    for ack in &acks {
+        assert_eq!((ack.sacked.len(), ack.echoes.len()), (16, 16));
+    }
+    assert_eq!(allocs, 2 * acks.len() as u64, "allocations over 4 ACKs");
 }
