@@ -1268,7 +1268,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
             ControlEvent::LinkLoss(link, cause, p) => {
                 let (at, on) = (self.now, p > 0.0);
                 self.trace.emit(match cause {
-                    LossCause::BitError => TraceEvent::LinkBer { at, link },
+                    LossCause::BitError => TraceEvent::LinkBer { at, link, on },
                     LossCause::Gray => TraceEvent::LinkGray { at, link, on },
                     LossCause::Corrupt => TraceEvent::LinkCorrupt { at, link, on },
                 });

@@ -176,7 +176,7 @@ mod tests {
     }
 
     /// `l`'s per-packet loss probability for `cause`.
-    fn loss(e: &Engine, l: LinkId, cause: LossCause) -> f64 {
+    fn loss<S: TraceSink>(e: &Engine<S>, l: LinkId, cause: LossCause) -> f64 {
         e.link_side(l).loss[cause as usize]
     }
 
@@ -238,7 +238,9 @@ mod tests {
 
     #[test]
     fn bit_error_duration_heals_both_directions() {
-        let mut e = engine();
+        let topo = Topology::build(FatTreeConfig::two_tier(8, 1), 1);
+        let mut e: Engine<Recorder> =
+            Engine::with_trace(topo, SimConfig::paper_default(), 1, Recorder::new());
         let pair = e.topo.cable_pairs()[1];
         install(
             &[Failure::Loss {
@@ -260,6 +262,12 @@ mod tests {
             "heal must restore 0.0"
         );
         assert_eq!(loss(&e, pair.1, LossCause::BitError), 0.0);
+        // The trace tells the onset from the heal.
+        let ber = |at, link, on| TraceEvent::LinkBer { at, link, on };
+        let ((a, b), t) = (pair, [1, 11].map(Time::from_us));
+        let onset = [ber(t[0], a, true), ber(t[0], b, true)];
+        let heal = [ber(t[1], a, false), ber(t[1], b, false)];
+        assert_eq!(e.trace.events, [onset, heal].concat());
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub enum EvDecision {
 }
 
 impl EvDecision {
+    /// Every decision; trace documents decode a label by searching it.
+    pub const ALL: [EvDecision; 3] = [Self::Fresh, Self::Recycled, Self::FrozenReplay];
+
     /// Stable lowercase label used in trace documents.
     pub fn label(self) -> &'static str {
         match self {
@@ -161,12 +164,15 @@ pub enum TraceEvent {
         /// The new rate in bits/s.
         bps: u64,
     },
-    /// A link's bit-error rate changed.
+    /// A link's bit-error rate changed: it started (`on`) or stopped
+    /// (`on == false`) dropping packets to bit errors.
     LinkBer {
-        /// Change instant.
+        /// Onset or heal instant.
         at: Time,
         /// The affected link.
         link: LinkId,
+        /// True at onset, false at heal.
+        on: bool,
     },
     /// A link entered (`on`) or left (`on == false`) gray failure —
     /// silent per-packet loss while reporting healthy.
@@ -326,8 +332,11 @@ mod tests {
 
     #[test]
     fn decision_labels_are_stable() {
-        assert_eq!(EvDecision::Fresh.label(), "fresh");
-        assert_eq!(EvDecision::Recycled.label(), "recycled");
-        assert_eq!(EvDecision::FrozenReplay.label(), "frozen");
+        let labels = EvDecision::ALL.map(EvDecision::label);
+        assert_eq!(labels, ["fresh", "recycled", "frozen"]);
+        for d in EvDecision::ALL {
+            let found = EvDecision::ALL.into_iter().find(|x| x.label() == d.label());
+            assert_eq!(found, Some(d));
+        }
     }
 }

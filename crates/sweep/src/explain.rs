@@ -15,9 +15,14 @@
 //! occupancy (KB), downsampled to [`SERIES_POINTS`] evenly spaced points.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 use harness::json::Value;
+use netsim::ids::HostId;
 use netsim::time::Time;
+use netsim::trace::TraceEvent;
+
+use crate::trace::decode_event;
 
 /// Maximum failure-reaction timeline rows before eliding the middle.
 const TIMELINE_CAP: usize = 30;
@@ -35,18 +40,14 @@ fn downsample(points: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
     (0..n).map(|i| points[(i as f64 * step) as usize]).collect()
 }
 
-fn us(t_ps: u64) -> String {
-    format!("{:.3}us", t_ps as f64 / 1e6)
-}
-
 #[derive(Default)]
 struct Tally {
-    fresh: u64,
-    recycled: u64,
-    frozen: u64,
+    /// EV choices by decision, in `EvDecision::ALL` order.
+    decisions: [u64; 3],
     path_choices: u64,
     ev_changes: u64,
-    senders: BTreeMap<(u64, u64), u64>,
+    /// The entropy of each sender connection's last send.
+    senders: BTreeMap<(HostId, u32), u16>,
     retransmits: u64,
     timeouts: u64,
     expired: u64,
@@ -99,118 +100,11 @@ pub fn explain_doc(doc: &str) -> Result<String, String> {
         .ok_or("trace header has no \"events\" count")?;
 
     let mut t = Tally::default();
-    let mut last_ev: BTreeMap<(u64, u64), u64> = BTreeMap::new();
     let mut parsed = 0u64;
     for (i, line) in lines.enumerate() {
-        let v = Value::parse(line).map_err(|e| format!("trace line {}: {e}", i + 2))?;
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("trace line {}: no \"kind\"", i + 2))?;
-        let at = v.get("t").and_then(Value::as_u64).unwrap_or(0);
-        let field = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
+        let e = Value::parse(line).and_then(|v| decode_event(&v));
+        t.add(&e.map_err(|e| format!("trace line {}: {e}", i + 2))?);
         parsed += 1;
-        match kind {
-            "path_choice" => t.path_choices += 1,
-            "ev_choice" => {
-                match v.get("decision").and_then(Value::as_str) {
-                    Some("fresh") => t.fresh += 1,
-                    Some("recycled") => t.recycled += 1,
-                    Some("frozen") => t.frozen += 1,
-                    _ => {}
-                }
-                let sender = (field("host"), field("conn"));
-                let ev = field("ev");
-                if let Some(&prev) = last_ev.get(&sender) {
-                    if prev != ev {
-                        t.ev_changes += 1;
-                    }
-                }
-                last_ev.insert(sender, ev);
-                *t.senders.entry(sender).or_insert(0) += 1;
-            }
-            "reorder" => {
-                let depth = field("depth");
-                t.reorders += 1;
-                t.max_depth = t.max_depth.max(depth);
-                *t.reorder_hist.entry(depth_bucket(depth)).or_insert(0) += 1;
-            }
-            "retransmit" => t.retransmits += 1,
-            "timeout" => {
-                t.timeouts += 1;
-                t.expired += field("expired");
-                t.push_timeline(format!(
-                    "{:>14}  timeout    host {} conn {} expired {} in-flight",
-                    us(at),
-                    field("host"),
-                    field("conn"),
-                    field("expired")
-                ));
-            }
-            "freeze" => {
-                t.freezes += 1;
-                t.push_timeline(format!(
-                    "{:>14}  freeze     host {} conn {} replays last good EVs",
-                    us(at),
-                    field("host"),
-                    field("conn")
-                ));
-            }
-            "thaw" => {
-                t.thaws += 1;
-                t.push_timeline(format!(
-                    "{:>14}  thaw       host {} conn {} resumes recycling",
-                    us(at),
-                    field("host"),
-                    field("conn")
-                ));
-            }
-            "link_down" => {
-                t.push_timeline(format!("{:>14}  link_down  link {}", us(at), field("link")))
-            }
-            "link_up" => {
-                t.push_timeline(format!("{:>14}  link_up    link {}", us(at), field("link")))
-            }
-            "link_rate" => t.push_timeline(format!(
-                "{:>14}  link_rate  link {} -> {} bps",
-                us(at),
-                field("link"),
-                field("bps")
-            )),
-            "link_ber" => {
-                t.push_timeline(format!("{:>14}  link_ber   link {}", us(at), field("link")))
-            }
-            "link_gray" | "link_corrupt" => {
-                let what = if kind == "link_gray" {
-                    "gray loss"
-                } else {
-                    "corruption"
-                };
-                let phase = match v.get("on").and_then(Value::as_bool) {
-                    Some(false) => "heals",
-                    _ => "begins",
-                };
-                t.push_timeline(format!(
-                    "{:>14}  {:<10} link {} {what} {phase}",
-                    us(at),
-                    kind,
-                    field("link")
-                ));
-            }
-            "fluid_resolve" => t.push_timeline(format!(
-                "{:>14}  fluid      re-solve: {} bg flows active, {} links updated",
-                us(at),
-                field("active"),
-                field("updated")
-            )),
-            "switch_down" => {
-                t.push_timeline(format!("{:>14}  sw_down    switch {}", us(at), field("sw")))
-            }
-            "switch_up" => {
-                t.push_timeline(format!("{:>14}  sw_up      switch {}", us(at), field("sw")))
-            }
-            _ => {}
-        }
     }
     if parsed != declared {
         return Err(format!(
@@ -218,7 +112,10 @@ pub fn explain_doc(doc: &str) -> Result<String, String> {
         ));
     }
 
-    Ok(t.render(&key))
+    let mut out = String::new();
+    t.render(&key, &mut out)
+        .expect("writing to a String cannot fail");
+    Ok(out)
 }
 
 /// One array field of a series record as `(index, y)` points.
@@ -301,96 +198,156 @@ fn explain_series(
 }
 
 impl Tally {
-    fn push_timeline(&mut self, line: String) {
+    fn add(&mut self, e: &TraceEvent) {
+        let kind = crate::trace::kind(e);
+        let phase = |on| if on { "begins" } else { "heals" };
+        let (label, text) = match *e {
+            TraceEvent::PathChoice { .. } => return self.path_choices += 1,
+            TraceEvent::EvChoice {
+                host,
+                conn,
+                ev,
+                decision,
+                ..
+            } => {
+                self.decisions[decision as usize] += 1;
+                if let Some(last) = self.senders.insert((host, conn), ev) {
+                    self.ev_changes += u64::from(last != ev);
+                }
+                return;
+            }
+            TraceEvent::Reorder { depth, .. } => {
+                self.reorders += 1;
+                self.max_depth = self.max_depth.max(depth.into());
+                let bucket = depth_bucket(depth.into());
+                *self.reorder_hist.entry(bucket).or_default() += 1;
+                return;
+            }
+            TraceEvent::Retransmit { .. } => return self.retransmits += 1,
+            TraceEvent::Timeout {
+                host,
+                conn,
+                expired,
+                ..
+            } => {
+                self.timeouts += 1;
+                self.expired += u64::from(expired);
+                let text = format!("host {} conn {conn} expired {expired} in-flight", host.0);
+                (kind, text)
+            }
+            TraceEvent::Freeze { host, conn, .. } => {
+                self.freezes += 1;
+                let text = format!("host {} conn {conn} replays last good EVs", host.0);
+                (kind, text)
+            }
+            TraceEvent::Thaw { host, conn, .. } => {
+                self.thaws += 1;
+                let text = format!("host {} conn {conn} resumes recycling", host.0);
+                (kind, text)
+            }
+            TraceEvent::LinkDown { link, .. } | TraceEvent::LinkUp { link, .. } => {
+                (kind, format!("link {}", link.0))
+            }
+            TraceEvent::LinkRate { link, bps, .. } => {
+                (kind, format!("link {} -> {bps} bps", link.0))
+            }
+            TraceEvent::LinkBer { link, on, .. } => {
+                let phase = if on { "begin" } else { "heal" };
+                (kind, format!("link {} bit errors {phase}", link.0))
+            }
+            TraceEvent::LinkGray { link, on, .. } => {
+                (kind, format!("link {} gray loss {}", link.0, phase(on)))
+            }
+            TraceEvent::LinkCorrupt { link, on, .. } => {
+                (kind, format!("link {} corruption {}", link.0, phase(on)))
+            }
+            TraceEvent::FluidResolve {
+                active, updated, ..
+            } => (
+                "fluid",
+                format!("re-solve: {active} bg flows active, {updated} links updated"),
+            ),
+            TraceEvent::SwitchDown { sw, .. } => ("sw_down", format!("switch {}", sw.0)),
+            TraceEvent::SwitchUp { sw, .. } => ("sw_up", format!("switch {}", sw.0)),
+        };
         self.timeline_total += 1;
         if self.timeline.len() < TIMELINE_CAP {
-            self.timeline.push(line);
+            let at = format!("{:.3}us", e.at().as_ps() as f64 / 1e6);
+            self.timeline.push(format!("{at:>14}  {label:<10} {text}"));
         }
     }
 
-    fn render(&self, key: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# {key}\n\n"));
+    fn render(&self, key: &str, out: &mut String) -> fmt::Result {
+        writeln!(out, "# {key}\n")?;
 
-        let choices = self.fresh + self.recycled + self.frozen;
-        out.push_str("## EV decisions\n");
+        let [fresh, recycled, frozen] = self.decisions;
+        let choices = fresh + recycled + frozen;
+        writeln!(out, "## EV decisions")?;
         if choices == 0 {
-            out.push_str("no ev_choice events recorded\n");
+            writeln!(out, "no ev_choice events recorded")?;
         } else {
             let pct = |n: u64| 100.0 * n as f64 / choices as f64;
-            out.push_str(&format!(
-                "{choices} choices across {} sender connections\n",
-                self.senders.len()
-            ));
-            out.push_str(&format!(
-                "  fresh draws     {:>8}  ({:.1}%)\n",
-                self.fresh,
-                pct(self.fresh)
-            ));
-            out.push_str(&format!(
-                "  recycled        {:>8}  ({:.1}%)\n",
-                self.recycled,
-                pct(self.recycled)
-            ));
-            out.push_str(&format!(
-                "  frozen replays  {:>8}  ({:.1}%)\n",
-                self.frozen,
-                pct(self.frozen)
-            ));
-            out.push_str(&format!(
-                "  reuse rate {:.1}% (recycled + frozen of all choices)\n",
-                pct(self.recycled + self.frozen)
-            ));
-            out.push_str(&format!(
-                "  ev changed on {} of {} consecutive sends per connection\n",
-                self.ev_changes,
-                choices.saturating_sub(self.senders.len() as u64)
-            ));
+            let senders = self.senders.len();
+            writeln!(out, "{choices} choices across {senders} sender connections")?;
+            writeln!(out, "  fresh draws     {fresh:>8}  ({:.1}%)", pct(fresh))?;
+            writeln!(
+                out,
+                "  recycled        {recycled:>8}  ({:.1}%)",
+                pct(recycled)
+            )?;
+            writeln!(out, "  frozen replays  {frozen:>8}  ({:.1}%)", pct(frozen))?;
+            let reuse = pct(recycled + frozen);
+            writeln!(
+                out,
+                "  reuse rate {reuse:.1}% (recycled + frozen of all choices)"
+            )?;
+            let (changes, sends) = (self.ev_changes, choices.saturating_sub(senders as u64));
+            writeln!(
+                out,
+                "  ev changed on {changes} of {sends} consecutive sends per connection"
+            )?;
         }
 
-        out.push_str("\n## Path choices\n");
-        out.push_str(&format!(
-            "{} per-hop spray decisions recorded\n",
+        writeln!(out, "\n## Path choices")?;
+        writeln!(
+            out,
+            "{} per-hop spray decisions recorded",
             self.path_choices
-        ));
+        )?;
 
-        out.push_str("\n## Reordering\n");
+        writeln!(out, "\n## Reordering")?;
         if self.reorders == 0 {
-            out.push_str("no out-of-order arrivals\n");
+            writeln!(out, "no out-of-order arrivals")?;
         } else {
-            out.push_str(&format!(
-                "{} out-of-order arrivals, max depth {}\n",
-                self.reorders, self.max_depth
-            ));
-            out.push_str("depth histogram:\n");
+            let (n, depth) = (self.reorders, self.max_depth);
+            writeln!(
+                out,
+                "{n} out-of-order arrivals, max depth {depth}\ndepth histogram:"
+            )?;
             let max = self.reorder_hist.values().copied().max().unwrap_or(1);
             for (&b, &n) in &self.reorder_hist {
                 let bar = "#".repeat(((n as f64 / max as f64) * 40.0).ceil() as usize);
-                out.push_str(&format!("  {:>9} {:>8}  {bar}\n", bucket_label(b), n));
+                writeln!(out, "  {:>9} {n:>8}  {bar}", bucket_label(b))?;
             }
         }
 
-        out.push_str("\n## Failure reactions\n");
-        out.push_str(&format!(
-            "{} timeouts ({} packets expired), {} retransmits, {} freezes, {} thaws\n",
+        writeln!(out, "\n## Failure reactions")?;
+        writeln!(
+            out,
+            "{} timeouts ({} packets expired), {} retransmits, {} freezes, {} thaws",
             self.timeouts, self.expired, self.retransmits, self.freezes, self.thaws
-        ));
+        )?;
         if self.timeline.is_empty() {
-            out.push_str("no failure or reaction events\n");
-        } else {
-            out.push_str("timeline:\n");
-            for l in &self.timeline {
-                out.push_str(l);
-                out.push('\n');
-            }
-            if self.timeline_total > self.timeline.len() {
-                out.push_str(&format!(
-                    "  ... {} more events\n",
-                    self.timeline_total - self.timeline.len()
-                ));
-            }
+            return writeln!(out, "no failure or reaction events");
         }
-        out
+        writeln!(out, "timeline:")?;
+        for l in &self.timeline {
+            writeln!(out, "{l}")?;
+        }
+        match self.timeline_total - self.timeline.len() {
+            0 => Ok(()),
+            more => writeln!(out, "  ... {more} more events"),
+        }
     }
 }
 
@@ -426,6 +383,37 @@ mod tests {
         // Declared count disagrees with the body.
         let torn = "{\"key\":\"k\",\"derived_seed\":1,\"events\":5}\n";
         assert!(explain_doc(torn).unwrap_err().contains("truncated"));
+        // A damaged record fails at its line, naming what is wrong.
+        let cases = r#"{"t":1,"kind":"link_sideways","link":2} | unknown kind "link_sideways"
+            {"t":1,"kind":"link_down"} | a link_down record has the fields ["t", "kind", "link"]
+            {"t":1,"kind":"link_down","link":"2"} | "link":"2" is not a u32
+            {"kind":"link_down","link":2} | no "t"
+            {"t":1,"kind":"link_gray","link":2,"on":1} | "on":1 is not a boolean
+            {"t":1,"kind":"ev_choice","host":0,"conn":0,"ev":1,"decision":"lucky","frozen":false} | "decision":"lucky" is not an EV decision
+            {"t":1,"kind":"path_choice","sw":0,"link":1,"ev":65536} | "ev":65536 is not a u16
+            {"t":1,"kind":"freeze","host":0,"conn":4294967296} | "conn":4294967296 is not a u32"#;
+        for case in cases.lines() {
+            let (record, why) = case.trim().split_once(" | ").unwrap();
+            let doc = format!("{{\"key\":\"k\",\"derived_seed\":1,\"events\":1}}\n{record}\n");
+            let err = explain_doc(&doc).unwrap_err();
+            assert!(err.starts_with(&format!("trace line 2: {why}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn explains_a_bit_error_onset_and_heal() {
+        let doc = r#"{"key":"k","derived_seed":1,"events":2}
+            {"t":1000000,"kind":"link_ber","link":3,"on":true}
+            {"t":11000000,"kind":"link_ber","link":3,"on":false}"#;
+        let report = explain_doc(&doc.replace("\n            ", "\n")).expect("report");
+        assert!(
+            report.contains(" 1.000us  link_ber   link 3 bit errors begin\n"),
+            "{report}"
+        );
+        assert!(
+            report.contains(" 11.000us  link_ber   link 3 bit errors heal\n"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -21,16 +21,13 @@
 //!  "decision":"recycled","frozen":false}
 //! ```
 //!
-//! Every record carries `t` (simulated picoseconds) and `kind`; the
-//! remaining fields are the event's own identifiers (switch, link, host,
-//! connection, entropy value). Kinds: `path_choice`, `ev_choice`,
-//! `freeze`, `thaw`, `reorder`, `retransmit`, `timeout`, `link_down`,
-//! `link_up`, `link_rate`, `link_ber`, `link_gray`, `link_corrupt`,
-//! `switch_down`, `switch_up`, `fluid_resolve`. The gray/corrupt records
-//! carry `on` (true at fault onset, false at heal), so a trace shows the
-//! full fault timeline; `fluid_resolve` records carry `active`
-//! (background flows) and `updated` (links whose residual rate changed),
-//! so a hybrid cell's trace shows every background re-solve.
+//! Every record carries `t` (simulated picoseconds) and `kind`, then
+//! the event's own fields, named as in [`TraceEvent`]: switch, link, host,
+//! connection, entropy value. The `trace_records!` table below ([`kind`],
+//! [`event_record`] and [`decode_event`] are generated from it) is the one
+//! list of kinds and their fields in record order. All three loss kinds
+//! (bit errors, gray loss, corruption) carry `on` (true at fault onset,
+//! false at heal), so a trace shows the full fault timeline.
 //!
 //! # Determinism contract
 //!
@@ -42,101 +39,145 @@
 //! store ([`crate::store`]), which writes them atomically, one file per
 //! cell, and gates `--cache` hits on them like every sidecar.
 
-use netsim::trace::TraceEvent;
+use harness::json::{Object, Value};
+use netsim::ids::{HostId, LinkId, SwitchId};
+use netsim::time::Time;
+use netsim::trace::{EvDecision, TraceEvent};
 
 use crate::matrix::Cell;
 
-/// Renders one recorded event as its canonical JSON line (no newline).
-pub fn event_record(e: &TraceEvent) -> String {
-    use harness::json::Object;
-    let base = |kind: &str| Object::new().u64("t", e.at().as_ps()).str("kind", kind);
-    match *e {
-        TraceEvent::PathChoice { sw, link, ev, .. } => base("path_choice")
-            .u64("sw", sw.0 as u64)
-            .u64("link", link.0 as u64)
-            .u64("ev", ev as u64)
-            .render(),
-        TraceEvent::EvChoice {
-            host,
-            conn,
-            ev,
-            decision,
-            frozen,
-            ..
-        } => base("ev_choice")
-            .u64("host", host.0 as u64)
-            .u64("conn", conn as u64)
-            .u64("ev", ev as u64)
-            .str("decision", decision.label())
-            .bool("frozen", frozen)
-            .render(),
-        TraceEvent::Freeze { host, conn, .. } => base("freeze")
-            .u64("host", host.0 as u64)
-            .u64("conn", conn as u64)
-            .render(),
-        TraceEvent::Thaw { host, conn, .. } => base("thaw")
-            .u64("host", host.0 as u64)
-            .u64("conn", conn as u64)
-            .render(),
-        TraceEvent::Reorder {
-            host, conn, depth, ..
-        } => base("reorder")
-            .u64("host", host.0 as u64)
-            .u64("conn", conn as u64)
-            .u64("depth", depth as u64)
-            .render(),
-        TraceEvent::Retransmit {
-            host,
-            conn,
-            seq,
-            ev,
-            ..
-        } => base("retransmit")
-            .u64("host", host.0 as u64)
-            .u64("conn", conn as u64)
-            .u64("seq", seq)
-            .u64("ev", ev as u64)
-            .render(),
-        TraceEvent::Timeout {
-            host,
-            conn,
-            expired,
-            ..
-        } => base("timeout")
-            .u64("host", host.0 as u64)
-            .u64("conn", conn as u64)
-            .u64("expired", expired as u64)
-            .render(),
-        TraceEvent::LinkDown { link, .. } => base("link_down").u64("link", link.0 as u64).render(),
-        TraceEvent::LinkUp { link, .. } => base("link_up").u64("link", link.0 as u64).render(),
-        TraceEvent::LinkRate { link, bps, .. } => base("link_rate")
-            .u64("link", link.0 as u64)
-            .u64("bps", bps)
-            .render(),
-        TraceEvent::LinkBer { link, .. } => base("link_ber").u64("link", link.0 as u64).render(),
-        TraceEvent::LinkGray { link, on, .. } => base("link_gray")
-            .u64("link", link.0 as u64)
-            .bool("on", on)
-            .render(),
-        TraceEvent::LinkCorrupt { link, on, .. } => base("link_corrupt")
-            .u64("link", link.0 as u64)
-            .bool("on", on)
-            .render(),
-        TraceEvent::SwitchDown { sw, .. } => base("switch_down").u64("sw", sw.0 as u64).render(),
-        TraceEvent::SwitchUp { sw, .. } => base("switch_up").u64("sw", sw.0 as u64).render(),
-        TraceEvent::FluidResolve {
-            active, updated, ..
-        } => base("fluid_resolve")
-            .u64("active", active as u64)
-            .u64("updated", updated as u64)
-            .render(),
+/// One field of a trace record: how its value is written and read back.
+trait Field: Sized {
+    /// What the value must be, for errors.
+    const WHAT: &'static str;
+    fn put(self, o: Object, key: &str) -> Object;
+    /// `None` for a value of another type, or out of this type's range.
+    fn get(v: &Value<'_>) -> Option<Self>;
+}
+
+/// `key`'s value, or an error naming the field and what it must be.
+fn take<T: Field>(v: &Value<'_>, key: &str) -> Result<T, String> {
+    let field = v.get(key).ok_or_else(|| format!("no \"{key}\""))?;
+    T::get(field).ok_or_else(|| format!("\"{key}\":{} is not {}", field.render(), T::WHAT))
+}
+
+/// Unsigned integers (never truncated) and the engine ids, written as
+/// their `u32` index.
+macro_rules! int_fields {
+    ($($id:ident(u32)),*) => {$(
+        impl Field for $id {
+            const WHAT: &'static str = u32::WHAT;
+            fn put(self, o: Object, key: &str) -> Object {
+                self.0.put(o, key)
+            }
+            fn get(v: &Value<'_>) -> Option<$id> {
+                u32::get(v).map($id)
+            }
+        }
+    )*};
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const WHAT: &'static str = concat!("a ", stringify!($t));
+            fn put(self, o: Object, key: &str) -> Object {
+                o.u64(key, self.into())
+            }
+            fn get(v: &Value<'_>) -> Option<$t> {
+                v.as_u64()?.try_into().ok()
+            }
+        }
+    )*};
+}
+int_fields!(u16, u32, u64);
+int_fields!(HostId(u32), LinkId(u32), SwitchId(u32));
+
+impl Field for bool {
+    const WHAT: &'static str = "a boolean";
+    fn put(self, o: Object, key: &str) -> Object {
+        o.bool(key, self)
     }
+    fn get(v: &Value<'_>) -> Option<bool> {
+        v.as_bool()
+    }
+}
+
+impl Field for EvDecision {
+    const WHAT: &'static str = "an EV decision";
+    fn put(self, o: Object, key: &str) -> Object {
+        o.str(key, self.label())
+    }
+    fn get(v: &Value<'_>) -> Option<EvDecision> {
+        let label = v.as_str()?;
+        EvDecision::ALL.into_iter().find(|d| d.label() == label)
+    }
+}
+
+/// Generates [`kind`], [`event_record`] and [`decode_event`] from one row
+/// per [`TraceEvent`] variant: its kind name and its fields (all but `at`,
+/// which every record carries as `t`) in record order. A variant's fields
+/// must all be listed, or the encoder's pattern does not compile.
+macro_rules! trace_records {
+    ($($variant:ident $kind:literal { $($field:ident),* },)*) => {
+        /// The record kind an event is written as.
+        pub fn kind(e: &TraceEvent) -> &'static str {
+            match e {
+                $(TraceEvent::$variant { .. } => $kind,)*
+            }
+        }
+
+        /// Renders one recorded event as its canonical JSON line (no
+        /// newline).
+        pub fn event_record(e: &TraceEvent) -> String {
+            match *e {
+                $(TraceEvent::$variant { at, $($field),* } => {
+                    let o = Object::new().u64("t", at.as_ps()).str("kind", $kind);
+                    $(let o = $field.put(o, stringify!($field));)*
+                    o.render()
+                })*
+            }
+        }
+
+        /// Reads one record back into the event [`event_record`] wrote it
+        /// from. A record of an unknown kind, with a field missing, extra,
+        /// out of order, mistyped or out of its type's range is an error.
+        pub fn decode_event(v: &Value<'_>) -> Result<TraceEvent, String> {
+            let at = Time::from_ps(take(v, "t")?);
+            let kind = v.get("kind").and_then(Value::as_str).ok_or("no string \"kind\"")?;
+            Ok(match kind {
+                $($kind => {
+                    let keys = ["t", "kind", $(stringify!($field)),*];
+                    if !v.as_obj().is_some_and(|f| f.iter().map(|(k, _)| k.as_ref()).eq(keys)) {
+                        return Err(format!("a {kind} record has the fields {keys:?}, in that order"));
+                    }
+                    TraceEvent::$variant { at, $($field: take(v, stringify!($field))?),* }
+                })*
+                _ => return Err(format!("unknown kind {kind:?}")),
+            })
+        }
+    };
+}
+
+trace_records! {
+    PathChoice "path_choice" { sw, link, ev },
+    EvChoice "ev_choice" { host, conn, ev, decision, frozen },
+    Freeze "freeze" { host, conn },
+    Thaw "thaw" { host, conn },
+    Reorder "reorder" { host, conn, depth },
+    Retransmit "retransmit" { host, conn, seq, ev },
+    Timeout "timeout" { host, conn, expired },
+    LinkDown "link_down" { link },
+    LinkUp "link_up" { link },
+    LinkRate "link_rate" { link, bps },
+    LinkBer "link_ber" { link, on },
+    LinkGray "link_gray" { link, on },
+    LinkCorrupt "link_corrupt" { link, on },
+    SwitchDown "switch_down" { sw },
+    SwitchUp "switch_up" { sw },
+    FluidResolve "fluid_resolve" { active, updated },
 }
 
 /// Renders one cell's canonical trace document (header + one JSON object
 /// per event in simulation order, trailing newline).
 pub fn trace_doc(cell: &Cell, events: &[TraceEvent]) -> String {
-    use harness::json::Object;
     let mut doc = String::new();
     doc.push_str(
         &Object::new()
@@ -158,9 +199,6 @@ mod tests {
     use super::*;
     use crate::matrix::ScenarioMatrix;
     use crate::spec::WorkloadSpec;
-    use netsim::ids::{HostId, LinkId, SwitchId};
-    use netsim::time::Time;
-    use netsim::trace::EvDecision;
 
     fn cell() -> Cell {
         ScenarioMatrix::new("trace-unit")
@@ -169,118 +207,40 @@ mod tests {
             .remove(0)
     }
 
+    /// One record of each kind, at the edges of the fields' ranges: the
+    /// wire format the table must keep.
+    const RECORDS: &str = r#"{"t":7000000,"kind":"path_choice","sw":1,"link":2,"ev":65535}
+        {"t":7000000,"kind":"ev_choice","host":4,"conn":4294967295,"ev":6,"decision":"recycled","frozen":true}
+        {"t":7000000,"kind":"freeze","host":4,"conn":5}
+        {"t":7000000,"kind":"thaw","host":4,"conn":5}
+        {"t":7000000,"kind":"reorder","host":4,"conn":5,"depth":9}
+        {"t":7000000,"kind":"retransmit","host":4,"conn":5,"seq":18446744073709551615,"ev":0}
+        {"t":7000000,"kind":"timeout","host":4,"conn":5,"expired":2}
+        {"t":7000000,"kind":"link_down","link":2}
+        {"t":7000000,"kind":"link_up","link":2}
+        {"t":7000000,"kind":"link_rate","link":2,"bps":100000000000}
+        {"t":7000000,"kind":"link_ber","link":2,"on":true}
+        {"t":7000000,"kind":"link_gray","link":2,"on":true}
+        {"t":7000000,"kind":"link_corrupt","link":2,"on":false}
+        {"t":7000000,"kind":"switch_down","sw":1}
+        {"t":7000000,"kind":"switch_up","sw":1}
+        {"t":0,"kind":"fluid_resolve","active":3,"updated":5}"#;
+
     #[test]
     fn every_event_kind_renders_canonically() {
-        let at = Time::from_us(7);
-        let events = [
-            TraceEvent::PathChoice {
-                at,
-                sw: SwitchId(1),
-                link: LinkId(2),
-                ev: 3,
-            },
-            TraceEvent::EvChoice {
-                at,
-                host: HostId(4),
-                conn: 5,
-                ev: 6,
-                decision: EvDecision::Recycled,
-                frozen: false,
-            },
-            TraceEvent::Freeze {
-                at,
-                host: HostId(4),
-                conn: 5,
-            },
-            TraceEvent::Thaw {
-                at,
-                host: HostId(4),
-                conn: 5,
-            },
-            TraceEvent::Reorder {
-                at,
-                host: HostId(4),
-                conn: 5,
-                depth: 9,
-            },
-            TraceEvent::Retransmit {
-                at,
-                host: HostId(4),
-                conn: 5,
-                seq: 77,
-                ev: 6,
-            },
-            TraceEvent::Timeout {
-                at,
-                host: HostId(4),
-                conn: 5,
-                expired: 2,
-            },
-            TraceEvent::LinkDown {
-                at,
-                link: LinkId(2),
-            },
-            TraceEvent::LinkUp {
-                at,
-                link: LinkId(2),
-            },
-            TraceEvent::LinkRate {
-                at,
-                link: LinkId(2),
-                bps: 100_000_000_000,
-            },
-            TraceEvent::LinkBer {
-                at,
-                link: LinkId(2),
-            },
-            TraceEvent::LinkGray {
-                at,
-                link: LinkId(2),
-                on: true,
-            },
-            TraceEvent::LinkCorrupt {
-                at,
-                link: LinkId(2),
-                on: false,
-            },
-            TraceEvent::SwitchDown {
-                at,
-                sw: SwitchId(1),
-            },
-            TraceEvent::SwitchUp {
-                at,
-                sw: SwitchId(1),
-            },
-        ];
         let mut kinds = Vec::new();
-        for e in &events {
-            let line = event_record(e);
-            let v = harness::json::Value::parse(&line).expect("record parses");
-            // Canonical: every record re-renders byte-exactly.
-            assert_eq!(v.render(), line);
-            assert_eq!(v.get("t").unwrap().as_u64(), Some(at.as_ps()));
-            kinds.push(v.get("kind").unwrap().as_str().unwrap().to_string());
+        for line in RECORDS.lines().map(str::trim) {
+            let e = decode_event(&Value::parse(line).unwrap()).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(event_record(&e), line);
+            assert_eq!(
+                decode_event(&Value::parse(&event_record(&e)).unwrap()),
+                Ok(e)
+            );
+            kinds.push(kind(&e));
         }
-        assert_eq!(
-            kinds,
-            [
-                "path_choice",
-                "ev_choice",
-                "freeze",
-                "thaw",
-                "reorder",
-                "retransmit",
-                "timeout",
-                "link_down",
-                "link_up",
-                "link_rate",
-                "link_ber",
-                "link_gray",
-                "link_corrupt",
-                "switch_down",
-                "switch_up"
-            ]
-        );
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 16, "one record per kind, all distinct");
     }
 
     #[test]

@@ -246,17 +246,10 @@ fn hybrid_churn_output_is_byte_identical_to_its_snapshot() {
 // every cable of the 32-cable fabric is gray, so the bit-error cable
 // draws for both causes and the snapshot pins their draw order as well
 // as each cause's drop counter. Recorded like `hybrid-churn.grid.jsonl`
-// over the grid below.
+// over the grid in `fixtures/loss-faults.grid`, which `tests/trace.rs`
+// also runs traced.
 
-const LOSS_FAULTS_GRID: &str = "\
-[loss-faults]
-fabric   = 2t-k8-o1
-lb       = OPS, REPS
-workload = perm-1048576B
-failure  = ber10pm-at8us
-fault    = none, gray{p=0.02,n=32}, corrupt{p=0.001}
-seed     = 0
-";
+const LOSS_FAULTS_GRID: &str = include_str!("fixtures/loss-faults.grid");
 
 #[test]
 fn loss_faults_output_is_byte_identical_to_its_snapshot() {

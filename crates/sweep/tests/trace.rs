@@ -5,17 +5,51 @@
 //! exists and its diagnostics presence matches the request, per-LB
 //! decision counters are opt-in and summed per scheme, and a traced REPS
 //! cell under the fig07 rolling failures explains into the paper's
-//! failure-reaction story. The sidecar checks are shared with
+//! failure-reaction story. Every record of a real trace document decodes
+//! and re-encodes byte-exactly. The sidecar checks are shared with
 //! `tests/series.rs` in `common`.
 
 mod common;
 
+use std::collections::BTreeSet;
+
+use harness::json::Value;
 use harness::Scale;
-use sweep::{explain_doc, presets, run_cells, run_cells_instrumented, to_jsonl, DocKind, RunSinks};
+use sweep::trace::{decode_event, event_record, kind};
+use sweep::{
+    explain_doc, presets, run_cells, run_cells_instrumented, specfile, to_jsonl, CellStore,
+    DocKind, RunSinks,
+};
 
 #[test]
 fn trace_dir_is_identical_across_threads_and_shards() {
     common::assert_dir_identical_across_threads_and_shards(DocKind::Trace);
+}
+
+#[test]
+fn every_record_of_a_trace_document_round_trips() {
+    // Cable cuts (the sidecar grid) and the three loss faults (the golden
+    // loss-fault grid), traced.
+    let loss = specfile::parse(include_str!("fixtures/loss-faults.grid")).expect("grid parses");
+    let mut cells = common::grid("trace-it").expand();
+    cells.extend(loss.iter().flat_map(|m| m.expand()));
+    let dir = common::tmpdir("trace-roundtrip");
+    let store = [CellStore::create(&dir, DocKind::Trace).unwrap()];
+    let run = run_cells_instrumented(&cells, 2, common::sinks(None, &store));
+    assert_eq!(run.sidecar_errors, [0]);
+    let mut kinds = BTreeSet::new();
+    for doc in common::dir_contents(&dir).values() {
+        for line in doc.lines().skip(1) {
+            let v = Value::parse(line).expect("record parses");
+            let e = decode_event(&v).unwrap_or_else(|err| panic!("{line}: {err}"));
+            assert_eq!(event_record(&e), line);
+            kinds.insert(kind(&e));
+        }
+    }
+    for k in "link_down link_ber link_gray link_corrupt ev_choice".split(' ') {
+        assert!(kinds.contains(k), "no {k} record in {kinds:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
