@@ -30,14 +30,30 @@
 //! `release` opens the record of exactly those packets, to free their
 //! slab slot.
 //!
-//! The calendar and link queues pass a 4-byte [`PacketRef`]. Freed slots go
-//! on a free list and are reused before the arrays grow, so the arena
-//! converges to the simulation's in-flight high-water mark and then
-//! recycles slots without touching the allocator — one of the invariants
-//! behind the zero-allocation switch path (see the allocation-counting
-//! test in `tests/alloc.rs`). A header's *live* bit is asserted on every
-//! access, so a ref used after `take`/`release` panics instead of reading
-//! a recycled slot.
+//! The calendar and link queues pass a 4-byte [`PacketRef`]. A link's two
+//! priority bands hold no buffer of their own: each is a head and a tail
+//! slot, and a third per-slot array, `next`, grown with the headers,
+//! names the packet queued behind each one (`PacketArena::next`). A
+//! packet waits in at most one band at a time, so every link of the
+//! fabric threads its bands through this one array, and a link is a
+//! single cache line with no heap block behind it.
+//!
+//! Freed slots go on a free list and are reused before the arrays grow, so
+//! the arena converges to the simulation's in-flight high-water mark and
+//! then recycles slots without touching the allocator — one of the
+//! invariants behind the zero-allocation switch path (see the
+//! allocation-counting test in `tests/alloc.rs`). A header's *live* bit
+//! is asserted on every access, so a ref used after `take`/`release`
+//! panics instead of reading a recycled slot.
+//!
+//! A dropped arena keeps its per-slot arrays and free list, cleared, in a
+//! per-thread spare, and the next arena the thread builds starts on them
+//! (the larger set wins when two wait): a sweep worker regrows none of
+//! them from cell to cell, and heap placement no longer shifts with each
+//! cell's regrowth. An empty arena assigns slots in the same order
+//! whatever its capacity, so reuse changes no output byte.
+
+use std::cell::Cell;
 
 use crate::ids::{ConnId, HostId};
 use crate::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList, HEADER_BYTES};
@@ -283,19 +299,85 @@ pub fn prefetch<T>(p: *const T) {
 }
 
 /// Header/body packet storage with slot recycling (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PacketArena {
     headers: Vec<Header>,
     /// Valid while the header's live bit is set; a freed slot keeps its
     /// stale record until the next `insert` overwrites it.
     records: Vec<Record>,
+    /// Each slot's successor in the link band that queues its packet
+    /// ([`PacketArena::next`]), grown with `headers`; meaningless while
+    /// the packet is not queued, or is its band's tail.
+    next: Vec<u32>,
     /// The ACKs behind `WIDE` headers, from `insert` to `take`/`release`.
     wide: Slab<Ack>,
     free: Vec<u32>,
 }
 
+/// The per-slot blocks of a [`PacketArena`], cleared: what a dropped arena
+/// leaves to the next one its thread builds.
+#[derive(Default)]
+struct Blocks {
+    headers: Vec<Header>,
+    records: Vec<Record>,
+    next: Vec<u32>,
+    free: Vec<u32>,
+}
+
+thread_local! {
+    /// The largest cleared [`Blocks`] a dropped arena left on this thread.
+    static SPARE: Cell<Option<Blocks>> = const { Cell::new(None) };
+}
+
+impl Default for PacketArena {
+    fn default() -> PacketArena {
+        let spare = SPARE.try_with(Cell::take).ok().flatten();
+        let Blocks {
+            headers,
+            records,
+            next,
+            free,
+        } = spare.unwrap_or_default();
+        PacketArena {
+            headers,
+            records,
+            next,
+            wide: Slab::default(),
+            free,
+        }
+    }
+}
+
+impl Drop for PacketArena {
+    /// Leaves the arena's blocks, cleared, to the next arena this thread
+    /// builds, unless a larger set is already waiting: a worker running
+    /// cell after cell regrows none of them. An empty arena assigns slots
+    /// in the same order whatever its capacity, so this changes no output.
+    fn drop(&mut self) {
+        let mut blocks = Blocks {
+            headers: std::mem::take(&mut self.headers),
+            records: std::mem::take(&mut self.records),
+            next: std::mem::take(&mut self.next),
+            free: std::mem::take(&mut self.free),
+        };
+        blocks.headers.clear();
+        blocks.records.clear();
+        blocks.next.clear();
+        blocks.free.clear();
+        // A thread already tearing down its locals keeps nothing.
+        let _ = SPARE.try_with(|spare| {
+            let kept = match spare.take() {
+                Some(kept) if kept.records.capacity() >= blocks.records.capacity() => kept,
+                _ => blocks,
+            };
+            spare.set(Some(kept));
+        });
+    }
+}
+
 impl PacketArena {
-    /// Creates an empty arena.
+    /// Creates an empty arena, on the blocks the last arena this thread
+    /// dropped left behind if there are any.
     pub fn new() -> PacketArena {
         PacketArena::default()
     }
@@ -351,6 +433,7 @@ impl PacketArena {
             None => {
                 self.headers.push(header);
                 self.records.push(record);
+                self.next.push(0);
                 PacketRef((self.headers.len() - 1) as u32)
             }
         }
@@ -474,6 +557,20 @@ impl PacketArena {
         let h = &mut self.headers[r.index()];
         h.assert_live();
         h
+    }
+
+    /// The packet queued behind `r` in its link band, as
+    /// [`PacketArena::set_next`] last set it: valid while `r` is queued and
+    /// not its band's tail.
+    #[inline]
+    pub(crate) fn next(&self, r: PacketRef) -> PacketRef {
+        PacketRef(self.next[r.index()])
+    }
+
+    /// Queues `next` behind `r` in `r`'s link band.
+    #[inline]
+    pub(crate) fn set_next(&mut self, r: PacketRef, next: PacketRef) {
+        self.next[r.index()] = next.0;
     }
 
     /// Number of packets currently parked.

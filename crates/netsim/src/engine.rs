@@ -14,7 +14,9 @@
 //!
 //! * packets live in the engine-owned [`PacketArena`]; the calendar and
 //!   link queues move 4-byte [`PacketRef`]s, and a packet is written once
-//!   (when the host hands it to its NIC),
+//!   (when the host hands it to its NIC). A link's two priority bands are
+//!   a head and a tail slot each, threaded through the arena's per-slot
+//!   successor array, so a link owns no heap block and is one cache line,
 //! * while a packet is in the fabric its 16-byte arena [`Header`] is the
 //!   single source of truth for `src`/`dst`/`ev`/`wire_bytes` and the
 //!   data/ECN/trim flags: links, `finish_service`, `arrive_at_switch` and
@@ -41,9 +43,10 @@
 //!   anything but `now + a per-link constant` (jitter, say) would show
 //!   as `cal_lane_misfits` on the perf stream, and a population of
 //!   thousands of live timers as `cal_heap_peak`,
-//! * event queue, link deques, arena free list, the endpoint action
-//!   buffer and the same-timestamp batch buffer all retain their
-//!   high-water capacity,
+//! * event queue, arena (and so the link bands), arena free list, the
+//!   endpoint action buffer and the same-timestamp batch buffer all
+//!   retain their high-water capacity; a dropped arena leaves its blocks
+//!   to the next engine its thread builds,
 //! * endpoints are stored by value, one slot per host in one `Vec`
 //!   (`Engine<S, E>` is generic over the endpoint type; the transport's
 //!   engines hold `HostEndpoint`s, and `Box<dyn Endpoint>` — the default
@@ -53,10 +56,11 @@
 //! * the whole-batch loop prefetches for the events ahead of it in the
 //!   batch it already holds (`Engine::prefetch_ahead`), in two stages.
 //!   `PREFETCH_AHEAD` events ahead it warms what the event names: a
-//!   `QueueService`'s link, an `Arrive`'s packet header and, for a
-//!   delivery, the record line and the endpoint. At half that distance
-//!   the header has arrived, so it follows the packet one hop further: a
-//!   `QueueService` to the headers `finish_service` reads, a switch
+//!   `QueueService`'s link (its one line), an `Arrive`'s packet header
+//!   and, for a delivery, the record line and the endpoint. At half that
+//!   distance the header has arrived, so it follows the packet one hop
+//!   further: a `QueueService` to the headers `finish_service` reads (the
+//!   packet in service and the head of the band it serves next), a switch
 //!   `Arrive` to the egress link `arrive_at_switch` will push onto
 //!   (`Engine::egress_hint`, the same route and ECMP hash), a host
 //!   `Arrive` to the host's NIC link and, through [`Endpoint::prefetch`],
@@ -346,16 +350,16 @@ impl RoutingView<'_> {
     /// reconvergence delay since its failure has not elapsed yet.
     pub fn failover_usable(&self, link: LinkId, dst: HostId, delay: Time) -> bool {
         let l = &self.links[link.index()];
-        if !l.up && self.now >= l.down_since + delay {
+        if !l.up && self.now >= l.down_since() + delay {
             return false;
         }
         // Route withdrawal: if the next-hop switch would descend toward
         // `dst` over a link that failed long enough ago, upstream routing
         // has excluded this path too.
-        if let NodeRef::Switch(peer) = l.to {
+        if let NodeRef::Switch(peer) = l.to() {
             if let Some(RouteChoice::Down(down)) = self.topo.route(peer, dst) {
                 let d = &self.links[down.index()];
-                if !d.up && self.now >= d.down_since + delay {
+                if !d.up && self.now >= d.down_since() + delay {
                     return false;
                 }
             }
@@ -901,17 +905,12 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
         true
     }
 
-    /// Prefetches both lines of `link`.
+    /// Prefetches `link`, one cache line.
     #[inline]
     fn prefetch_link(&self, link: LinkId) {
-        // A `Link` is line-aligned: its lines are exactly its size over 64
-        // (two, pinned in `link::tests`).
-        const LINES: usize = std::mem::size_of::<Link>() / 64;
-        const { assert!(std::mem::align_of::<Link>() == 64) };
-        let p = self.links.as_ptr().wrapping_add(link.index()).cast::<u8>();
-        for line in 0..LINES {
-            prefetch(p.wrapping_add(64 * line));
-        }
+        // A `Link` is exactly one aligned line (pinned in `link::tests`).
+        const { assert!(std::mem::size_of::<Link>() == 64 && std::mem::align_of::<Link>() == 64) };
+        prefetch(self.links.as_ptr().wrapping_add(link.index()));
     }
 
     /// The link `arrive_at_switch` will push `header`'s packet onto at
@@ -1000,7 +999,7 @@ impl<S: TraceSink, E: Endpoint<S>> Engine<S, E> {
             return;
         };
         let latency = link.latency;
-        let to = link.to;
+        let to = link.to();
         let side = link.has_side.then(|| &self.link_side[link_id.index()]);
         let loss = side.map(|s| s.loss);
         // Chain while the link is hot. The link is provably up (a down

@@ -279,8 +279,6 @@ pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
 const QUEUE_SERVICE: u32 = u32::MAX - 2;
 const TIMER: u32 = u32::MAX - 1;
 const CONTROL: u32 = u32::MAX;
-/// The bit of a node word marking a host.
-const HOST_BIT: u32 = 1 << 31;
 
 /// A payload word from its high half (tag or node word) and low half.
 fn word(high: u32, low: u32) -> u64 {
@@ -294,13 +292,8 @@ fn packet_event(payload: u64) -> Event {
     if high == QUEUE_SERVICE {
         return Event::QueueService { link: LinkId(low) };
     }
-    let node = if high & HOST_BIT != 0 {
-        NodeRef::Host(HostId(high & !HOST_BIT))
-    } else {
-        NodeRef::Switch(SwitchId(high))
-    };
     Event::Arrive {
-        node,
+        node: NodeRef::from_word(high),
         pkt: PacketRef(low),
     }
 }
@@ -494,15 +487,9 @@ impl EventQueue {
         // would close a lane to its stream for milliseconds) never do.
         let payload = match event {
             Event::QueueService { link } => word(QUEUE_SERVICE, link.0),
-            Event::Arrive { node, pkt } => {
-                let (host, id) = match node {
-                    NodeRef::Switch(s) => (0, s.0),
-                    NodeRef::Host(h) => (HOST_BIT, h.0),
-                };
-                // Below 2^31 − 3, so no host's node word is a tag.
-                assert!(id < HOST_BIT - 3, "node id {node} too large");
-                word(host | id, pkt.0)
-            }
+            // An id below 2^31 − 3 (`NodeRef::word` asserts it), so no
+            // host's node word is a tag.
+            Event::Arrive { node, pkt } => word(node.word(), pkt.0),
             Event::Timer { host, token } => word(TIMER, self.timers.insert((host, token))),
             Event::Control(c) => word(CONTROL, self.controls.insert(c)),
         };
@@ -920,11 +907,11 @@ mod tests {
                 pkt: PacketRef(u32::MAX),
             },
             Event::Arrive {
-                node: NodeRef::Host(HostId(HOST_BIT - 4)),
+                node: NodeRef::Host(HostId(NodeRef::HOST_BIT - 4)),
                 pkt: PacketRef(7),
             },
             Event::Arrive {
-                node: NodeRef::Switch(SwitchId(HOST_BIT - 4)),
+                node: NodeRef::Switch(SwitchId(NodeRef::HOST_BIT - 4)),
                 pkt: PacketRef(0),
             },
             timer(u32::MAX, u64::MAX),

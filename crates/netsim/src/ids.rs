@@ -67,6 +67,39 @@ pub enum NodeRef {
     Host(HostId),
 }
 
+impl NodeRef {
+    /// The bit of a node word marking a host.
+    pub(crate) const HOST_BIT: u32 = 1 << 31;
+
+    /// The node as one `u32` word: its id, with [`NodeRef::HOST_BIT`] set
+    /// for a host. The event queue's packet payloads and a link's far end
+    /// store nodes this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is not below 2^31 − 3: the three host words above
+    /// that are the event queue's payload tags.
+    #[inline]
+    pub(crate) fn word(self) -> u32 {
+        let (bit, id) = match self {
+            NodeRef::Switch(s) => (0, s.0),
+            NodeRef::Host(h) => (NodeRef::HOST_BIT, h.0),
+        };
+        assert!(id < NodeRef::HOST_BIT - 3, "node id {self} too large");
+        bit | id
+    }
+
+    /// The node a [`NodeRef::word`] stands for.
+    #[inline]
+    pub(crate) fn from_word(word: u32) -> NodeRef {
+        if word & NodeRef::HOST_BIT != 0 {
+            NodeRef::Host(HostId(word & !NodeRef::HOST_BIT))
+        } else {
+            NodeRef::Switch(SwitchId(word))
+        }
+    }
+}
+
 impl fmt::Display for NodeRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -86,6 +119,18 @@ mod tests {
         assert_eq!(format!("{}", SwitchId(1)), "sw1");
         assert_eq!(format!("{}", LinkId(9)), "l9");
         assert_eq!(format!("{}", NodeRef::Host(HostId(2))), "h2");
+    }
+
+    #[test]
+    fn node_words_round_trip() {
+        for node in [
+            NodeRef::Switch(SwitchId(0)),
+            NodeRef::Switch(SwitchId(NodeRef::HOST_BIT - 4)),
+            NodeRef::Host(HostId(0)),
+            NodeRef::Host(HostId(NodeRef::HOST_BIT - 4)),
+        ] {
+            assert_eq!(NodeRef::from_word(node.word()), node);
+        }
     }
 
     #[test]

@@ -24,14 +24,16 @@
 //!   the calendar ([`event::EventQueue`]) and link queues move 4-byte
 //!   [`arena::PacketRef`]s, so heap sifts and queue rotations never copy
 //!   packet bodies, and a hop reads and writes only the packet's 16-byte
-//!   [`arena::Header`];
+//!   [`arena::Header`]. A link's bands are threaded through the arena's
+//!   successor array, so a [`link::Link`] owns no heap block;
 //! * [`topology::Topology::route`] returns compact by-value
 //!   [`topology::LinkRange`] descriptors (closed-form base/stride/count —
 //!   no per-switch tables), and [`engine::RoutingView`] selects uplinks by
 //!   index over a reusable engine-owned scratch buffer (failover filter)
 //!   — no `Vec` is constructed on any packet path;
-//! * every buffer (arena slots and free list, heap, link deques, action
-//!   scratch) retains its high-water capacity across packets.
+//! * every buffer (arena slots and free list, heap, action scratch)
+//!   retains its high-water capacity across packets, and the arena's
+//!   across the cells a thread runs.
 //!
 //! These invariants are pinned by an allocation-counting integration test
 //! (`tests/alloc.rs`), routing-equivalence property tests

@@ -7,12 +7,13 @@
 //! experiments (§4.3.3).
 //!
 //! Queues hold [`PacketRef`]s into the engine-owned
-//! [`PacketArena`](crate::arena::PacketArena) rather than packets by value:
-//! enqueue/dequeue move 4 bytes, and admission, marking, trimming and
-//! service read and write only the packet's 16-byte arena
-//! [`Header`](crate::arena::Header) — a link never opens a packet body.
-
-use std::collections::VecDeque;
+//! [`PacketArena`](crate::arena::PacketArena) rather than packets by value,
+//! and own no memory of their own: each band is a FIFO of a `head` and a
+//! `tail` slot, threaded through the arena's per-slot successor array
+//! (`PacketArena::next`). Enqueue and dequeue write and read 4 bytes
+//! there, and admission, marking, trimming and service read and write only
+//! the packet's 16-byte arena [`Header`](crate::arena::Header) — a link
+//! never opens a packet body.
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::config::SimConfig;
@@ -179,30 +180,90 @@ impl LinkSide {
     }
 }
 
+/// No slot: the `head` and `tail` of an empty [`Band`].
+const NIL: u32 = u32::MAX;
+
+/// One priority band: a FIFO of queued packets threaded through the
+/// arena's successor array. `head` is the next packet to serve, `tail` the
+/// last queued, and each packet but the tail names the one behind it in
+/// [`PacketArena::next`]; both are [`NIL`] when the band is empty. A slot
+/// is queued on at most one band at a time, so bands of any number of
+/// links share the one array.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    head: u32,
+    tail: u32,
+}
+
+impl Band {
+    const EMPTY: Band = Band {
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// The packet [`Band::pop_front`] would return.
+    #[inline]
+    fn front(&self) -> Option<PacketRef> {
+        (self.head != NIL).then_some(PacketRef(self.head))
+    }
+
+    #[inline]
+    fn push_back(&mut self, pkt: PacketRef, arena: &mut PacketArena) {
+        if self.tail == NIL {
+            self.head = pkt.0;
+        } else {
+            arena.set_next(PacketRef(self.tail), pkt);
+        }
+        self.tail = pkt.0;
+    }
+
+    #[inline]
+    fn pop_front(&mut self, arena: &PacketArena) -> Option<PacketRef> {
+        let pkt = self.front()?;
+        if pkt.0 == self.tail {
+            *self = Band::EMPTY;
+        } else {
+            self.head = arena.next(pkt).0;
+        }
+        Some(pkt)
+    }
+
+    /// Empties the band head first, releasing each packet into the arena;
+    /// returns how many there were.
+    fn flush(&mut self, arena: &mut PacketArena) -> usize {
+        let mut flushed = 0;
+        while let Some(pkt) = self.pop_front(arena) {
+            arena.release(pkt);
+            flushed += 1;
+        }
+        flushed
+    }
+}
+
 /// A unidirectional link: egress queue, propagation delay, endpoint.
 ///
-/// Only what a packet's passage reads is kept here, in exactly two cache
-/// lines: the per-class queue constants live in the engine's
-/// [`LinkClass`] table and the rarely set state in its [`LinkSide`] table.
+/// Only what a packet's passage reads is kept here, in exactly one cache
+/// line: the per-class queue constants live in the engine's [`LinkClass`]
+/// table, the rarely set state in its [`LinkSide`] table and the queued
+/// packets' order in the [`PacketArena`].
 #[derive(Debug)]
 #[repr(align(64))]
 pub struct Link {
-    /// Node the link delivers to.
-    pub to: NodeRef,
+    /// Node the link delivers to, as a [`NodeRef::word`] ([`Link::to`]).
+    to: u32,
+    /// Picoseconds per byte at `rate_bps`, derived with it; 0 means the
+    /// rate does not divide the ps/s constant evenly, or the quotient
+    /// passes `u32`, and the generic division must run.
+    ps_per_byte: u32,
     /// Propagation latency (includes downstream switch traversal).
     pub latency: Time,
     /// Nominal transmit rate in bits per second ([`Link::set_rate`]).
     rate_bps: u64,
-    /// Picoseconds per byte at `rate_bps`, derived with it; 0 means the
-    /// rate does not divide the ps/s constant evenly and the generic
-    /// division must run.
-    ps_per_byte: u64,
     /// Bytes across both bands.
     pub queued_bytes: u64,
-    /// Instant the link last went down (valid when `!up`).
-    pub down_since: Time,
-    /// When the packet in service completes (valid while `busy`): the one
-    /// `QueueService` instant that may complete it.
+    /// While `busy`, when the packet in service completes: the one
+    /// `QueueService` instant that may complete it. While down (and so not
+    /// busy), the instant the link went down ([`Link::down_since`]).
     due: Time,
     /// The packet being serialized (valid while `busy`; committed at
     /// service start so a control-band arrival cannot swap itself into a
@@ -220,9 +281,9 @@ pub struct Link {
     /// state for this link.
     pub(crate) has_side: bool,
     /// Control-priority band (ACKs, credits, trimmed headers).
-    ctrl: VecDeque<PacketRef>,
+    ctrl: Band,
     /// Data band.
-    data: VecDeque<PacketRef>,
+    data: Band,
 }
 
 /// Picoseconds per second, times bits per byte: `bytes · PS_PER_SEC_BITS /
@@ -233,20 +294,19 @@ impl Link {
     /// Creates a fabric-class link toward `to` from the fabric profile.
     pub fn new(to: NodeRef, latency: Time, cfg: &SimConfig) -> Link {
         let mut link = Link {
-            to,
+            to: to.word(),
+            ps_per_byte: 0,
             latency,
             rate_bps: 0,
-            ps_per_byte: 0,
             queued_bytes: 0,
-            down_since: Time::ZERO,
             due: Time::ZERO,
             in_service: PacketRef(0),
             up: true,
             busy: false,
             class: LinkClass::FABRIC,
             has_side: false,
-            ctrl: VecDeque::new(),
-            data: VecDeque::new(),
+            ctrl: Band::EMPTY,
+            data: Band::EMPTY,
         };
         link.set_rate(cfg.link_bps);
         link
@@ -279,7 +339,7 @@ impl Link {
                 // Trimmed headers ride the control band; they are tiny, so we
                 // admit them even at capacity (bounded by packet count).
                 self.queued_bytes += h.wire_bytes as u64;
-                self.ctrl.push_back(pkt);
+                self.ctrl.push_back(pkt, arena);
                 return EnqueueOutcome::Trimmed;
             }
             arena.release(pkt);
@@ -299,9 +359,9 @@ impl Link {
         }
         self.queued_bytes += wire_bytes;
         if is_data {
-            self.data.push_back(pkt);
+            self.data.push_back(pkt, arena);
         } else {
-            self.ctrl.push_back(pkt);
+            self.ctrl.push_back(pkt, arena);
         }
         EnqueueOutcome::Queued { marked }
     }
@@ -317,7 +377,7 @@ impl Link {
         arena: &PacketArena,
         side: Option<&LinkSide>,
     ) -> Option<(PacketRef, Time)> {
-        let pkt = self.ctrl.pop_front().or_else(|| self.data.pop_front())?;
+        let pkt = (self.ctrl.pop_front(arena)).or_else(|| self.data.pop_front(arena))?;
         let wire = arena.header(pkt).wire_bytes as u64;
         self.queued_bytes -= wire;
         // When the rate divides the ps/s constant (every realistic rate:
@@ -327,7 +387,7 @@ impl Link {
         // overflow bound.
         let ser = match side.filter(|s| s.bg_bps != 0) {
             None if self.ps_per_byte != 0 && wire < (1 << 21) => {
-                Time::from_ps(wire * self.ps_per_byte)
+                Time::from_ps(wire * u64::from(self.ps_per_byte))
             }
             None => Time::serialization(wire, self.rate_bps),
             Some(s) => {
@@ -363,7 +423,7 @@ impl Link {
         if self.busy {
             arena.prefetch_header(self.in_service);
         }
-        if let Some(&pkt) = self.ctrl.front().or_else(|| self.data.front()) {
+        if let Some(pkt) = self.ctrl.front().or_else(|| self.data.front()) {
             arena.prefetch_header(pkt);
         }
     }
@@ -375,17 +435,13 @@ impl Link {
     /// Returns the number of packets flushed.
     pub fn set_down(&mut self, now: Time, arena: &mut PacketArena) -> usize {
         self.up = false;
-        self.down_since = now;
-        let mut flushed = 0;
-        for pkt in self.ctrl.drain(..).chain(self.data.drain(..)) {
-            arena.release(pkt);
-            flushed += 1;
-        }
+        let mut flushed = self.ctrl.flush(arena) + self.data.flush(arena);
         if self.busy {
             arena.release(self.in_service);
             flushed += 1;
         }
         self.busy = false;
+        self.due = now;
         self.queued_bytes = 0;
         flushed
     }
@@ -393,6 +449,19 @@ impl Link {
     /// Brings the link back up.
     pub fn set_up(&mut self) {
         self.up = true;
+    }
+
+    /// The node the link delivers to.
+    #[inline]
+    pub fn to(&self) -> NodeRef {
+        NodeRef::from_word(self.to)
+    }
+
+    /// The instant the link last went down; valid while it is down.
+    #[inline]
+    pub fn down_since(&self) -> Time {
+        debug_assert!(!self.up, "an up link has no down instant");
+        self.due
     }
 
     /// The nominal transmit rate in bits per second.
@@ -405,7 +474,7 @@ impl Link {
     pub fn set_rate(&mut self, bps: u64) {
         self.rate_bps = bps;
         self.ps_per_byte = if bps > 0 && PS_PER_SEC_BITS.is_multiple_of(bps) {
-            PS_PER_SEC_BITS / bps
+            u32::try_from(PS_PER_SEC_BITS / bps).unwrap_or(0)
         } else {
             0
         };
@@ -636,12 +705,13 @@ mod tests {
 
     #[test]
     fn link_stays_within_its_cache_line_budget() {
-        // Two cache lines, line-aligned: the engine prefetches
-        // `size_of::<Link>() / 64` lines per `QueueService`, and the first
-        // touch of an egress link on the packet path is one of them.
-        assert!(
-            std::mem::size_of::<Link>() <= 128,
-            "Link grew to {} bytes",
+        // One cache line, line-aligned: the engine prefetches it whole per
+        // `QueueService`, and the first touch of an egress link on the
+        // packet path is that line.
+        assert_eq!(
+            std::mem::size_of::<Link>(),
+            64,
+            "Link is {} bytes",
             std::mem::size_of::<Link>()
         );
         assert_eq!(std::mem::align_of::<Link>(), 64);

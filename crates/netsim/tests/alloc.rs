@@ -1,7 +1,8 @@
 //! Allocation pins for netsim's hot paths.
 //!
-//! Every buffer the simulator owns — arena slots, calendar lanes and
-//! heap, link deques, scratch buffers, the fluid solver's tables — grows
+//! Every buffer the simulator owns — arena slots (and with them the link
+//! bands), calendar lanes and heap, scratch buffers, the fluid solver's
+//! tables — grows
 //! to a high-water mark during warm-up and is then reused, so steady
 //! traffic allocates **zero** times. A counting global allocator makes
 //! any regression — a cloned route table, a filter `Vec`, a boxed drop
@@ -18,13 +19,16 @@
 //! * the flight recorder's probes with the default `NoTrace` sink, after
 //!   a `Recorder` run proves they sit on the measured path;
 //! * the event queue alone (no engine, no links) under a hold model,
-//!   lock-step burst→drain cycles and link-shaped lane traffic.
+//!   lock-step burst→drain cycles and link-shaped lane traffic;
+//! * an arena built after another was dropped on the same thread: it
+//!   grows on the dropped one's blocks, so a worker's second cell
+//!   allocates no arena block.
 //!
 //! Each pin counts through `tinybench::alloc::measure`, which sees only
 //! the measuring thread's allocations, so the tests of this binary may
 //! run side by side without adding to each other's counts.
 
-use netsim::arena::PacketRef;
+use netsim::arena::{PacketArena, PacketRef};
 use netsim::config::SimConfig;
 use netsim::engine::{Command, Ctx, Endpoint, Engine, RoutingMode};
 use netsim::event::{ControlEvent, Event, EventQueue};
@@ -114,7 +118,7 @@ fn switch_path_is_allocation_free_after_warmup() {
     for (name, cfg, routing) in configs {
         let mut engine = fabric(cfg, routing, NoTrace);
         // Warm-up: a burst strictly larger than the measured phase grows
-        // the arena, calendar, link deques and scratch buffers to their
+        // the arena, calendar and scratch buffers to their
         // high-water marks.
         spray(&mut engine, 2048, Time::from_ms(1));
         assert_eq!(engine.pending_events(), 0, "warm-up must drain");
@@ -381,6 +385,63 @@ fn trace_probes_cost_nothing_when_tracing_is_off() {
         "traffic did not cross the fabric: {:?}",
         engine.stats.counters
     );
+}
+
+/// Fills `arena` to 4096 packets, frees every third and refills those
+/// slots, recording every ref handed out in `refs` (whose capacity the
+/// caller reserves, so only the arena can allocate).
+fn churn_arena(arena: &mut PacketArena, refs: &mut Vec<PacketRef>) {
+    let pkt = |i: u64| Packet::data(i, HostId(0), HostId(1), ConnId(0), 0, i, 4096, false);
+    refs.clear();
+    refs.extend((0..4096).map(|i| arena.insert(pkt(i))));
+    for i in (0..4096).step_by(3) {
+        arena.release(refs[i]);
+    }
+    refs.extend((0..4096u64).step_by(3).map(|i| arena.insert(pkt(i))));
+}
+
+#[test]
+fn a_rebuilt_arena_allocates_no_block() {
+    // Its own thread: the spare an arena leaves is per thread, and this
+    // one starts with none.
+    std::thread::spawn(|| {
+        let mut refs = Vec::with_capacity(8192);
+        let mut first = PacketArena::new();
+        let ((), grown) = tinybench::alloc::measure(|| churn_arena(&mut first, &mut refs));
+        assert!(grown > 0, "a first arena grows its blocks");
+        let first_refs = refs.clone();
+        drop(first);
+        // `holder` takes the spare, so `small` starts from nothing; dropped
+        // after `holder` gave the spare back, the smaller set is discarded.
+        let holder = PacketArena::new();
+        let mut small = PacketArena::new();
+        small.insert(Packet::data(
+            0,
+            HostId(0),
+            HostId(1),
+            ConnId(0),
+            0,
+            0,
+            64,
+            false,
+        ));
+        drop(holder);
+        drop(small);
+
+        let (second, allocs) = tinybench::alloc::measure(|| {
+            let mut second = PacketArena::new();
+            churn_arena(&mut second, &mut refs);
+            second
+        });
+        assert_eq!(allocs, 0, "the second arena allocated {allocs} times");
+        assert_eq!(
+            refs, first_refs,
+            "a reused arena hands out the slots a fresh one does"
+        );
+        assert_eq!(second.high_water(), 4096);
+    })
+    .join()
+    .expect("arena thread");
 }
 
 /// One hold-model step: drain the head batch (ties pop together), then

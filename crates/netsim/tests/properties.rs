@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use netsim::arena::{Header, PacketArena, PacketRef};
@@ -17,8 +17,8 @@ use netsim::config::SimConfig;
 use netsim::engine::{RoutingMode, RoutingView};
 use netsim::hash::ecmp_select;
 use netsim::ids::{ConnId, HostId, LinkId, NodeRef};
-use netsim::link::{EnqueueOutcome, Link, LinkClass};
-use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList, SmallList};
+use netsim::link::{DropReason, EnqueueOutcome, Link, LinkClass};
+use netsim::packet::{Ack, Body, EchoList, EvEcho, Packet, SeqList, SmallList, HEADER_BYTES};
 use netsim::rng::Rng64;
 use netsim::time::Time;
 use netsim::topology::{FatTreeConfig, RouteChoice, Topology};
@@ -100,13 +100,13 @@ fn ref_failover_usable(
     delay: Time,
 ) -> bool {
     let l = &links[link.index()];
-    if !l.up && now >= l.down_since + delay {
+    if !l.up && now >= l.down_since() + delay {
         return false;
     }
-    if let NodeRef::Switch(peer) = l.to {
+    if let NodeRef::Switch(peer) = l.to() {
         if let Some(RefChoice::Down(down)) = ref_route(topo, peer, dst) {
             let d = &links[down.index()];
-            if !d.up && now >= d.down_since + delay {
+            if !d.up && now >= d.down_since() + delay {
                 return false;
             }
         }
@@ -432,6 +432,160 @@ proptest! {
             prop_assert_eq!(arena.take(PacketRef(r)), want);
         }
         prop_assert_eq!(arena.live(), 0);
+    }
+}
+
+/// A link's queue as the bands were before they moved into the arena: one
+/// `VecDeque` per band, plus the packet in service and the up state.
+#[derive(Default)]
+struct ModelLink {
+    ctrl: VecDeque<u32>,
+    data: VecDeque<u32>,
+    in_service: Option<(u32, Time)>,
+    down: bool,
+}
+
+proptest! {
+    /// The link bands — FIFOs threaded through the arena's successor
+    /// array — against a two-`VecDeque`-per-link reference. Several links
+    /// share one arena, so their bands interleave in one array; packets
+    /// enter at capacity (tail drop or trim), are served, complete, are
+    /// flushed by a cable cut, and slots are recycled through
+    /// `take`/`release` between stints in a queue, so a reused slot still
+    /// carries a successor from its last band.
+    #[test]
+    fn link_bands_are_the_deque_model(seed in any::<u64>(), steps in 20usize..300) {
+        let mut rng = Rng64::new(seed);
+        let mut cfg = SimConfig::paper_default();
+        cfg.queue_capacity_bytes = 20_000;
+        let tail_drop = LinkClass::fabric(&cfg);
+        cfg.trimming = true;
+        let trimming = LinkClass::fabric(&cfg);
+        let classes = [tail_drop, trimming, tail_drop, trimming];
+        let mut links = classes.map(|_| Link::new(NodeRef::Host(HostId(0)), cfg.link_latency, &cfg));
+        let mut model: [ModelLink; 4] = Default::default();
+        let mut arena = PacketArena::new();
+        // Parked, in no queue: the packets a hop may offer or a delivery take.
+        let mut idle: Vec<(u32, Packet)> = Vec::new();
+        // Wire bytes of every queued packet, as admitted (trimmed or not).
+        let mut wire: BTreeMap<u32, u64> = BTreeMap::new();
+        for step in 0..steps {
+            let now = Time::from_ns(step as u64);
+            let li = rng.gen_index(links.len());
+            let (link, m) = (&mut links[li], &mut model[li]);
+            match rng.gen_range(8) {
+                0 | 1 => {
+                    let pkt = arbitrary_packet(&mut rng, step as u64);
+                    idle.push((arena.insert(pkt.clone()).0, pkt));
+                }
+                // Offer a parked packet to the link.
+                2 | 3 => {
+                    if idle.is_empty() {
+                        continue;
+                    }
+                    let (r, pkt) = idle.swap_remove(rng.gen_index(idle.len()));
+                    let queued: u64 = m.ctrl.iter().chain(&m.data).map(|r| wire[r]).sum();
+                    let bytes = pkt.wire_bytes as u64;
+                    let outcome = link.enqueue(PacketRef(r), &classes[li], &mut arena, &mut rng);
+                    if m.down {
+                        prop_assert_eq!(outcome, EnqueueOutcome::Dropped(DropReason::LinkDown));
+                    } else if queued + bytes > classes[li].capacity_bytes {
+                        if classes[li].trimming && pkt.is_data() {
+                            prop_assert_eq!(outcome, EnqueueOutcome::Trimmed);
+                            m.ctrl.push_back(r);
+                            wire.insert(r, HEADER_BYTES as u64);
+                        } else {
+                            prop_assert_eq!(outcome, EnqueueOutcome::Dropped(DropReason::QueueFull));
+                        }
+                    } else {
+                        prop_assert!(matches!(outcome, EnqueueOutcome::Queued { .. }), "{:?}", outcome);
+                        let band = if pkt.is_data() { &mut m.data } else { &mut m.ctrl };
+                        band.push_back(r);
+                        wire.insert(r, bytes);
+                    }
+                    if matches!(outcome, EnqueueOutcome::Dropped(_)) {
+                        assert_dead(&mut arena, PacketRef(r));
+                    }
+                }
+                // An idle, up link starts serializing its next packet.
+                4 => {
+                    if m.down || m.in_service.is_some() {
+                        continue;
+                    }
+                    let want = m.ctrl.pop_front().or_else(|| m.data.pop_front());
+                    let got = link.begin_service(&arena, None);
+                    prop_assert_eq!(got.map(|(r, _)| r.0), want);
+                    if let Some((r, ser)) = got {
+                        prop_assert_eq!(ser, Time::serialization(wire[&r.0], cfg.link_bps));
+                        wire.remove(&r.0);
+                        link.serve(r, now + ser);
+                        m.in_service = Some((r.0, now + ser));
+                    }
+                }
+                // Its serialization completes; the packet is delivered or lost.
+                5 => {
+                    let Some((r, due)) = m.in_service.take() else { continue };
+                    prop_assert_eq!(link.completing(due), Some(PacketRef(r)));
+                    link.busy = false;
+                    if rng.gen_bool(0.5) {
+                        arena.take(PacketRef(r));
+                    } else {
+                        arena.release(PacketRef(r));
+                    }
+                }
+                // A parked packet leaves the arena, freeing its slot.
+                6 => {
+                    if idle.is_empty() {
+                        continue;
+                    }
+                    let (r, pkt) = idle.swap_remove(rng.gen_index(idle.len()));
+                    if rng.gen_bool(0.5) {
+                        prop_assert_eq!(arena.take(PacketRef(r)), pkt);
+                    } else {
+                        arena.release(PacketRef(r));
+                    }
+                }
+                // A cable cut flushes the bands and the frame on the wire,
+                // or the cable comes back.
+                _ if m.down => {
+                    link.set_up();
+                    m.down = false;
+                }
+                _ => {
+                    let flushed: Vec<u32> = (m.ctrl.drain(..).chain(m.data.drain(..)))
+                        .chain(m.in_service.take().map(|(r, _)| r))
+                        .collect();
+                    prop_assert_eq!(link.set_down(now, &mut arena), flushed.len());
+                    prop_assert_eq!(link.down_since(), now);
+                    for r in flushed {
+                        wire.remove(&r);
+                        assert_dead(&mut arena, PacketRef(r));
+                    }
+                    m.down = true;
+                }
+            }
+            for (link, m) in links.iter().zip(&model) {
+                let queued: u64 = m.ctrl.iter().chain(&m.data).map(|r| wire[r]).sum();
+                prop_assert_eq!(link.queued_bytes, queued);
+                prop_assert_eq!(link.up, !m.down);
+                prop_assert_eq!(link.busy, m.in_service.is_some());
+            }
+            let in_service = model.iter().filter(|m| m.in_service.is_some()).count();
+            prop_assert_eq!(arena.live(), idle.len() + wire.len() + in_service);
+        }
+        // Every band serves exactly its model's order, control first.
+        for (link, m) in links.iter_mut().zip(&mut model) {
+            if let Some((r, _)) = m.in_service.take() {
+                link.busy = false;
+                arena.release(PacketRef(r));
+            }
+            for want in m.ctrl.drain(..).chain(m.data.drain(..)) {
+                let got = link.begin_service(&arena, None).map(|(r, _)| r.0);
+                prop_assert_eq!(got, Some(want));
+                arena.release(PacketRef(want));
+            }
+            prop_assert!(link.begin_service(&arena, None).is_none(), "a band outlived its model");
+        }
     }
 }
 
